@@ -6,7 +6,7 @@
 //! application issues them back-to-back), rank-order aggregators, single
 //! buffer. Plans are executed by the very same simulator as TAPIOCA's.
 
-use tapioca::placement::{elect_partitions, PartitionElection, PlacementStrategy};
+use tapioca::placement::{elect_schedule, PlacementStrategy};
 use tapioca::plan::{append_tapioca_plan, ExecutionPlan, OpId, OpKind, TapiocaPlanInput};
 use tapioca::schedule::{compute_schedule, ScheduleParams, WriteDecl};
 use tapioca::sim_exec::{simulate, CollectiveSpec, SimReport, StorageConfig};
@@ -61,24 +61,8 @@ pub fn run_mpiio_sim(
             if sched.partitions.is_empty() {
                 continue;
             }
-            let members_global: Vec<Vec<Rank>> = sched
-                .partitions
-                .iter()
-                .map(|part| part.members.iter().map(|&m| group.ranks[m]).collect())
-                .collect();
-            let elections: Vec<PartitionElection<'_>> = sched
-                .partitions
-                .iter()
-                .zip(&members_global)
-                .map(|(part, members)| PartitionElection {
-                    members,
-                    weights: &part.member_bytes,
-                    io,
-                    partition_index: part.index,
-                })
-                .collect();
-            let choices: Vec<usize> =
-                elect_partitions(machine, &elections, PlacementStrategy::RankOrder);
+            let (_, choices) =
+                elect_schedule(machine, &sched, &group.ranks, io, PlacementStrategy::RankOrder);
 
             let ranks = &group.ranks;
             let node_of = |local: Rank| machine.node_of_rank(ranks[local]);

@@ -1,12 +1,15 @@
-//! The aggregator election — one partition's full candidate scan under
-//! each strategy (what every partition's MINLOC reduction computes in
-//! aggregate).
+//! The aggregator election of one partition: `elect_partitions` (the
+//! node-folded path the executors run) beside the `elect_aggregator`
+//! pairwise reference (what every partition's MINLOC reduction computes
+//! in aggregate).
 //!
 //! Self-timed: median of repeated runs, printed as CSV.
 
 use std::hint::black_box;
 use std::time::Instant;
-use tapioca::placement::{elect_aggregator, PlacementStrategy};
+use tapioca::placement::{
+    elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
+};
 use tapioca_topology::{mira_profile, theta_profile, MIB};
 
 fn median_ns(iters: usize, mut f: impl FnMut()) -> u128 {
@@ -46,6 +49,20 @@ fn main() {
                 ));
             });
             println!("elect_aggregator,{name},{members_n},{ns}");
+            let part = [PartitionElection {
+                members: &sorted,
+                weights: &weights,
+                io: 0,
+                partition_index: 0,
+            }];
+            let ns = median_ns(50, || {
+                black_box(elect_partitions(
+                    machine,
+                    black_box(&part),
+                    PlacementStrategy::TopologyAware,
+                ));
+            });
+            println!("elect_partitions,{name},{members_n},{ns}");
         }
     }
 }

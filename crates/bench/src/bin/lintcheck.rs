@@ -19,10 +19,13 @@
 //!
 //! Exit status is non-zero on any unjustified finding, and on any
 //! stale allowlist entry (so justifications cannot outlive the code
-//! they excuse).
+//! they excuse). The summary also prints the non-test, non-comment code
+//! lines per crate over the same walk (see `tapioca_bench::loc`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use tapioca_bench::loc::{code_lines_per_crate, library_sources, non_test_lines};
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Finding {
@@ -36,35 +39,6 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}:{}  {}", self.rule, self.path, self.line, self.excerpt)
     }
-}
-
-/// Collect `crates/*/src/**/*.rs`, skipping binary/bench/test sources.
-fn library_sources(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let crates = root.join("crates");
-    let mut stack = vec![crates];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if matches!(name.as_ref(), "bin" | "benches" | "tests" | "examples" | "target")
-                {
-                    continue;
-                }
-                stack.push(path);
-            } else if name.ends_with(".rs")
-                && name.as_ref() != "tests.rs"
-                && path.to_string_lossy().contains("/src/")
-            {
-                out.push(path);
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 /// Strip line comments and string literals so the patterns cannot
@@ -141,10 +115,7 @@ fn scan_source(rel: &str, src: &str, findings: &mut Vec<Finding>) {
     let mut depth: i64 = 0;
     let mut guards: Vec<i64> = Vec::new();
     let mut loops: Vec<i64> = Vec::new();
-    for (i, raw) in src.lines().enumerate() {
-        if raw.trim_start().starts_with("#[cfg(test)]") {
-            break; // repo convention: the test module ends the file
-        }
+    for (i, raw) in non_test_lines(src).enumerate() {
         let line = sanitize(raw);
         let lineno = i + 1;
         let excerpt = raw.trim().chars().take(90).collect::<String>();
@@ -259,6 +230,13 @@ fn main() {
             bad += 1;
         }
     }
+    let loc = code_lines_per_crate(&root);
+    let per_crate: Vec<String> = loc.iter().map(|(k, n)| format!("{k} {n}")).collect();
+    println!(
+        "lintcheck: {} non-test code lines ({})",
+        loc.values().sum::<usize>(),
+        per_crate.join(", ")
+    );
     println!(
         "lintcheck: {} files, {} finding(s), {} allowlisted, {} problem(s)",
         sources.len(),

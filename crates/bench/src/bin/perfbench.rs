@@ -1,7 +1,8 @@
 //! Tracked performance harness: self-times the aggregator election
-//! (node-folded fast path vs. the naive pairwise oracle) and the netsim
-//! rate computation (incremental heap vs. full bottleneck scan), then
-//! writes `BENCH_perf.json` at the repo root in a stable schema.
+//! (`elect_partitions` vs. the pairwise `elect_aggregator` reference),
+//! the netsim engine (incremental vs. full re-waterfilling), the
+//! streaming write path and the coalescing data plane, then writes
+//! `BENCH_perf.json` at the repo root in a stable schema.
 //!
 //! Usage:
 //!
@@ -13,23 +14,20 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v4`):
+//! Schema (`tapioca-perfbench/v5`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v4",
+//!   "schema": "tapioca-perfbench/v5",
 //!   "smoke": false,
+//!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
 //!     "election": [ { "machine", "strategy", "members", "ranks",
 //!                     "ranks_per_node", "reps", "naive_ns", "fast_ns",
 //!                     "speedup", "same_winner" } ],
-//!     "netsim":   [ { "workload", "links", "flows", "reps", "scan_ns",
-//!                     "heap_ns", "auto_ns", "speedup", "auto_speedup",
-//!                     "identical" } ],
 //!     "netsim_incremental":
 //!                 [ { "workload", "links", "flows", "parts", "reps",
-//!                     "scan_ns", "full_ns", "incr_ns", "speedup",
-//!                     "identical" } ],
+//!                     "full_ns", "incr_ns", "speedup", "identical" } ],
 //!     "streaming":
 //!                 [ { "machine", "workload", "ranks", "bytes_per_rank",
 //!                     "epochs", "reps", "staged_ns", "streamed_ns",
@@ -48,13 +46,16 @@
 //! }
 //! ```
 //!
+//! `loc` is the workspace's non-test, non-comment library code lines
+//! per crate (the count `lintcheck` prints), so a line-count change is
+//! visible beside the timings it bought.
+//!
 //! `netsim_incremental` times the component-sharded engine on
 //! multi-partition round workloads (the shape `sim_exec` submits):
-//! `scan_ns` is the pre-sharding engine (bottleneck scan, full recompute
-//! on every event), `full_ns` re-waterfills every component per event
-//! with the `Auto` algorithm, and `incr_ns` re-waterfills only dirty
-//! components. `speedup` is `full_ns / incr_ns`; `identical` asserts all
-//! three produce bitwise-equal schedules.
+//! `full_ns` re-waterfills every component per event
+//! (`Recompute::Full`, the reference) and `incr_ns` re-waterfills only
+//! dirty components. `speedup` is `full_ns / incr_ns`; `identical`
+//! asserts both produce bitwise-equal schedules.
 //!
 //! `streaming` times the thread-mode write path over multi-epoch
 //! timestep loops: `staged_ns` replays the pre-streaming behaviour (per
@@ -96,12 +97,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tapioca::aggregation::{run_write_pipeline, IoStats};
-use tapioca::placement::{elect_aggregator, elect_aggregator_fast, PlacementStrategy};
+use tapioca::placement::{
+    elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
+};
 use tapioca::prelude::*;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
 use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
+use tapioca_bench::loc::code_lines_per_crate;
 use tapioca_mpi::{Runtime, SharedFile};
-use tapioca_netsim::{RateAlgo, Recompute, Simulator};
+use tapioca_netsim::{Recompute, Simulator};
 use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
 use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider};
 
@@ -203,16 +207,15 @@ fn election_suite(smoke: bool, json: &mut String) {
                         strategy,
                     ));
                 });
+                let part = [PartitionElection {
+                    members: &members,
+                    weights: &weights,
+                    io,
+                    partition_index: 3,
+                }];
                 let mut fast_pick = 0usize;
                 let fast_ns = median_ns(naive_reps.max(5), || {
-                    fast_pick = black_box(elect_aggregator_fast(
-                        topo,
-                        black_box(&members),
-                        &weights,
-                        io,
-                        3,
-                        strategy,
-                    ));
+                    fast_pick = black_box(elect_partitions(topo, black_box(&part), strategy))[0];
                 });
                 let speedup = naive_ns as f64 / (fast_ns as f64).max(1.0);
                 eprintln!(
@@ -238,110 +241,6 @@ fn election_suite(smoke: bool, json: &mut String) {
                     naive_pick == fast_pick,
                 );
             }
-        }
-    }
-}
-
-/// The two rate-computation regimes the sweep covers:
-///
-/// * `FanIn` — every flow crosses exactly one link, flows spread over
-///   many links (the wide independent-bottleneck shape of per-round
-///   aggregation traffic): water-filling runs one freeze batch per
-///   distinct bottleneck, so the scan degenerates to O(L²) while the
-///   heap stays O(L log L);
-/// * `Mesh` — random 1–4 link routes, so each freeze batch perturbs a
-///   large fraction of the touched links (the scan's best case).
-#[derive(Clone, Copy, PartialEq)]
-enum Workload {
-    FanIn,
-    Mesh,
-}
-
-/// Build one workload: staggered starts, a sprinkling of zero-byte
-/// fences, link capacities and routes from a seeded generator.
-fn build_netsim(s: &mut Simulator, links: usize, flows: usize, kind: Workload) {
-    let mut rng = Rng(0x5eed_ca5e ^ (links * 31 + flows) as u64);
-    for _ in 0..links {
-        s.add_virtual_link(1.0 + rng.below(64) as f64);
-    }
-    for i in 0..flows {
-        let len = match kind {
-            Workload::FanIn => 1,
-            Workload::Mesh => 1 + rng.below(4) as usize,
-        };
-        let route: Vec<usize> = (0..len).map(|_| rng.below(links as u64) as usize).collect();
-        let bytes =
-            if i % 17 == 0 { 0.0 } else { (1 + rng.below(5000)) as f64 / 7.0 };
-        let start = rng.below(30) as f64 / 10.0;
-        s.submit(start, route, bytes);
-    }
-}
-
-/// Finish-time bit patterns — the equivalence check reused from the
-/// engine's test suite.
-fn finishes(algo: RateAlgo, links: usize, flows: usize, kind: Workload) -> Vec<u64> {
-    let mut s = Simulator::with_capacities(Vec::new());
-    s.set_rate_algo(algo);
-    build_netsim(&mut s, links, flows, kind);
-    s.run_to_idle();
-    (0..s.num_flows()).map(|f| s.finish_time(f).map(f64::to_bits).unwrap_or(0)).collect()
-}
-
-fn netsim_suite(smoke: bool, json: &mut String) {
-    let shapes: &[(usize, usize)] =
-        if smoke { &[(16, 64), (64, 256)] } else { &[(64, 512), (256, 2048), (1024, 8192)] };
-    let mut first = true;
-    for &(links, flows) in shapes {
-        for kind in [Workload::FanIn, Workload::Mesh] {
-            let kind_name = match kind {
-                Workload::FanIn => "fan_in",
-                Workload::Mesh => "mesh",
-            };
-            let reps = if flows >= 4096 { 3 } else { 7 };
-            // median_ns times the whole closure (the event loop consumes
-            // the simulator), so construction is timed separately and
-            // subtracted.
-            let time_algo = |algo: RateAlgo| {
-                median_ns(reps, || {
-                    let mut s = Simulator::with_capacities(Vec::new());
-                    s.set_rate_algo(algo);
-                    build_netsim(&mut s, links, flows, kind);
-                    black_box(s.run_to_idle());
-                })
-            };
-            let scan_total = time_algo(RateAlgo::Scan);
-            let heap_total = time_algo(RateAlgo::Heap);
-            let auto_total = time_algo(RateAlgo::Auto);
-            let build_only = median_ns(reps, || {
-                let mut s = Simulator::with_capacities(Vec::new());
-                build_netsim(&mut s, links, flows, kind);
-                black_box(&s);
-            });
-            let scan_ns = scan_total.saturating_sub(build_only).max(1);
-            let heap_ns = heap_total.saturating_sub(build_only).max(1);
-            let auto_ns = auto_total.saturating_sub(build_only).max(1);
-            let reference = finishes(RateAlgo::Scan, links, flows, kind);
-            let identical = finishes(RateAlgo::Heap, links, flows, kind) == reference
-                && finishes(RateAlgo::Auto, links, flows, kind) == reference;
-            let speedup = scan_ns as f64 / heap_ns as f64;
-            let auto_speedup = scan_ns as f64 / auto_ns as f64;
-            eprintln!(
-                "netsim {kind_name} links={links} flows={flows}: scan {scan_ns} ns, \
-                 heap {heap_ns} ns ({speedup:.1}x), auto {auto_ns} ns \
-                 ({auto_speedup:.1}x, identical={identical})"
-            );
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "\n    {{\"workload\": \"{kind_name}\", \"links\": {links}, \
-                 \"flows\": {flows}, \"reps\": {reps}, \
-                 \"scan_ns\": {scan_ns}, \"heap_ns\": {heap_ns}, \
-                 \"auto_ns\": {auto_ns}, \"speedup\": {speedup:.3}, \
-                 \"auto_speedup\": {auto_speedup:.3}, \"identical\": {identical}}}"
-            );
         }
     }
 }
@@ -415,14 +314,8 @@ fn build_rounds(s: &mut Simulator, shape: &RoundShape, kind: RoundWorkload) {
 }
 
 /// Finish-time bit patterns of one incremental-suite configuration.
-fn round_finishes(
-    algo: RateAlgo,
-    mode: Recompute,
-    shape: &RoundShape,
-    kind: RoundWorkload,
-) -> Vec<u64> {
+fn round_finishes(mode: Recompute, shape: &RoundShape, kind: RoundWorkload) -> Vec<u64> {
     let mut s = Simulator::with_capacities(Vec::new());
-    s.set_rate_algo(algo);
     s.set_recompute(mode);
     build_rounds(&mut s, shape, kind);
     s.run_to_idle();
@@ -453,37 +346,34 @@ fn netsim_incremental_suite(smoke: bool, json: &mut String) {
             let shared = if kind == RoundWorkload::Disjoint { 0 } else { shape.shared };
             let shape = RoundShape { shared, ..*shape };
             let reps = if shape.flows() >= 2048 { 3 } else { 7 };
-            let time_cfg = |algo: RateAlgo, mode: Recompute| {
+            // median_ns times the whole closure (the event loop consumes
+            // the simulator), so construction is timed separately and
+            // subtracted.
+            let time_cfg = |mode: Recompute| {
                 median_ns(reps, || {
                     let mut s = Simulator::with_capacities(Vec::new());
-                    s.set_rate_algo(algo);
                     s.set_recompute(mode);
                     build_rounds(&mut s, &shape, kind);
                     black_box(s.run_to_idle());
                 })
             };
-            let scan_total = time_cfg(RateAlgo::Scan, Recompute::Full);
-            let full_total = time_cfg(RateAlgo::Auto, Recompute::Full);
-            let incr_total = time_cfg(RateAlgo::Auto, Recompute::Incremental);
+            let full_total = time_cfg(Recompute::Full);
+            let incr_total = time_cfg(Recompute::Incremental);
             let build_only = median_ns(reps, || {
                 let mut s = Simulator::with_capacities(Vec::new());
                 build_rounds(&mut s, &shape, kind);
                 black_box(&s);
             });
-            let scan_ns = scan_total.saturating_sub(build_only).max(1);
             let full_ns = full_total.saturating_sub(build_only).max(1);
             let incr_ns = incr_total.saturating_sub(build_only).max(1);
-            let reference = round_finishes(RateAlgo::Scan, Recompute::Full, &shape, kind);
-            let identical =
-                round_finishes(RateAlgo::Auto, Recompute::Full, &shape, kind) == reference
-                    && round_finishes(RateAlgo::Auto, Recompute::Incremental, &shape, kind)
-                        == reference;
+            let identical = round_finishes(Recompute::Full, &shape, kind)
+                == round_finishes(Recompute::Incremental, &shape, kind);
             let speedup = full_ns as f64 / incr_ns as f64;
             let links = shape.links();
             let flows = shape.flows();
             eprintln!(
                 "netsim_incremental {kind_name} links={links} flows={flows} \
-                 parts={}: scan {scan_ns} ns, full {full_ns} ns, incr {incr_ns} ns \
+                 parts={}: full {full_ns} ns, incr {incr_ns} ns \
                  ({speedup:.1}x, identical={identical})",
                 shape.parts,
             );
@@ -495,8 +385,7 @@ fn netsim_incremental_suite(smoke: bool, json: &mut String) {
                 json,
                 "\n    {{\"workload\": \"{kind_name}\", \"links\": {links}, \
                  \"flows\": {flows}, \"parts\": {}, \"reps\": {reps}, \
-                 \"scan_ns\": {scan_ns}, \"full_ns\": {full_ns}, \
-                 \"incr_ns\": {incr_ns}, \"speedup\": {speedup:.3}, \
+                 \"full_ns\": {full_ns}, \"incr_ns\": {incr_ns}, \"speedup\": {speedup:.3}, \
                  \"identical\": {identical}}}",
                 shape.parts,
             );
@@ -936,29 +825,32 @@ fn dataplane_suite(smoke: bool, json: &mut String) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let out = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json").to_string()
-        });
+        .unwrap_or_else(|| format!("{root}/BENCH_perf.json"));
 
     let mut election = String::new();
-    let mut netsim = String::new();
     let mut incremental = String::new();
     let mut streaming = String::new();
     election_suite(smoke, &mut election);
-    netsim_suite(smoke, &mut netsim);
     netsim_incremental_suite(smoke, &mut incremental);
     streaming_suite(smoke, &mut streaming);
     let mut dataplane = String::new();
     dataplane_suite(smoke, &mut dataplane);
 
+    let loc: Vec<String> = code_lines_per_crate(std::path::Path::new(root))
+        .iter()
+        .map(|(krate, n)| format!("\"{krate}\": {n}"))
+        .collect();
+    let loc = loc.join(", ");
+
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v4\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v5\",\n  \"smoke\": {smoke},\n  \
+         \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
-         \"netsim\": [{netsim}\n   ],\n   \
          \"netsim_incremental\": [{incremental}\n   ],\n   \
          \"streaming\": [{streaming}\n   ],\n   \
          \"dataplane\": [{dataplane}\n   ]\n  }}\n}}\n"

@@ -26,5 +26,6 @@
 //! where gaps narrow — are the claim, not GB/s.
 
 pub mod harness;
+pub mod loc;
 
 pub use harness::*;

@@ -81,7 +81,7 @@ use crate::schedule::{
     compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, Schedule,
 };
 
-/// Key namespace so several `Tapioca` instances on one communicator
+/// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
 fn subgroup_key(epoch: u64, partition: usize) -> u64 {
     epoch * 1_000_000 + partition as u64
@@ -369,24 +369,14 @@ impl PartitionRun {
         }
 
         // Fault schedule of this partition, derived identically by every
-        // member (pure functions of the plan): the crash round (only
-        // meaningful with a standby available) and the first round whose
-        // injected fault exhausts the retry budget.
-        let plan = cfg.faults.as_ref();
-        let policy = cfg.io_policy;
-        let nrounds = part.rounds.len();
-        let crash_round: Option<usize> = plan
-            .and_then(|p| p.crash_at(part.index as u32))
-            .map(|cr| cr as usize)
-            .filter(|&cr| part.members.len() > 1 && cr < nrounds);
-        let degrade_at: Option<usize> = plan.and_then(|p| {
-            (0..nrounds).find(|&r| {
-                part.rounds[r].segments.iter().enumerate().any(|(s, _)| {
-                    p.flush_fault(part.index as u32, r as u32, s as u32)
-                        .is_some_and(|h| h.exceeds(&policy))
-                })
-            })
-        });
+        // member (a pure function of the shared plan).
+        let faults = cfg
+            .faults
+            .as_ref()
+            .map(|p| part.fault_rounds(p, &cfg.io_policy))
+            .unwrap_or_default();
+        let crash_round = faults.crash.map(|r| r as usize);
+        let degrade_at = faults.degrade.map(|r| r as usize);
 
         // Attach this rank's trace scope to the window so puts and
         // fences are recorded at their call sites. The election result
@@ -569,7 +559,8 @@ impl PartitionRun {
                         .members
                         .binary_search(&leader_global)
                         .expect("run leader is a partition member");
-                    let ctx = self.coalesce.as_ref().unwrap();
+                    let ctx =
+                        self.coalesce.as_ref().expect("a coalesced run implies a gather context");
                     ctx.gather.put(leader, c.buf_offset as usize, data);
                     stats.put_bytes += c.len;
                     stats.coalesced_chunks += 1;

@@ -3,7 +3,7 @@
 //! (Algorithm 2).
 //!
 //! ```text
-//! TAPIOCA_Init(count, type, ofst, 3);     ->  Tapioca::builder(comm, file)
+//! TAPIOCA_Init(count, type, ofst, 3);     ->  Session::builder(comm, file)
 //!                                                 .declarations(decls)
 //!                                                 .config(cfg)
 //!                                                 .build()?
@@ -119,8 +119,7 @@ impl ChunkSource for StreamSource<'_> {
     }
 }
 
-/// Builder for a [`Session`] — the single entry point replacing the
-/// historical `init` / `init_with_topology` constructor pair.
+/// Builder for a [`Session`] — the single entry point.
 ///
 /// ```no_run
 /// # use tapioca::{Session, TapiocaConfig, WriteDecl};
@@ -278,7 +277,7 @@ impl<'c> SessionBuilder<'c> {
 /// A reusable TAPIOCA session bound to one communicator and one file:
 /// the streaming write pipeline plus everything worth keeping across
 /// epochs. See the [module docs](self) for the streaming and epoch
-/// semantics. `Tapioca` is an alias for this type.
+/// semantics.
 pub struct Session<'c> {
     comm: &'c Comm,
     file: SharedFile,
@@ -316,10 +315,6 @@ pub struct Session<'c> {
     epochs_completed: u64,
 }
 
-/// Historical name of [`Session`], kept so existing code and the
-/// paper-facing docs (`TAPIOCA_Init` etc.) keep reading naturally.
-pub type Tapioca<'c> = Session<'c>;
-
 impl std::fmt::Debug for Session<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -335,43 +330,6 @@ impl<'c> Session<'c> {
     /// Start building a session on `comm` writing to `file`.
     pub fn builder(comm: &'c Comm, file: SharedFile) -> SessionBuilder<'c> {
         SessionBuilder { comm, file, decls: Vec::new(), cfg: TapiocaConfig::default(), topo: None }
-    }
-
-    /// Collective: declare this rank's upcoming writes and compute the
-    /// shared schedule, with the zero-information [`UniformTopology`].
-    ///
-    /// # Errors
-    /// [`TapiocaError::InvalidConfig`] if `cfg` fails validation. Every
-    /// rank computes the same verdict from the same config, so an error
-    /// return is collective too — no rank proceeds alone.
-    #[deprecated(note = "use `Session::builder(comm, file).declarations(..).config(..).build()`")]
-    pub fn init(
-        comm: &'c Comm,
-        file: SharedFile,
-        decls: Vec<WriteDecl>,
-        cfg: TapiocaConfig,
-    ) -> Result<Session<'c>> {
-        Session::builder(comm, file).declarations(decls).config(cfg).build()
-    }
-
-    /// Collective: like `init` but with a real machine model, enabling
-    /// the topology-aware election.
-    ///
-    /// # Errors
-    /// [`TapiocaError::InvalidConfig`] if `cfg` fails validation; the
-    /// check runs *before* any collective call, so all ranks bail out
-    /// symmetrically.
-    #[deprecated(
-        note = "use `Session::builder(comm, file).declarations(..).config(..).topology(..).build()`"
-    )]
-    pub fn init_with_topology(
-        comm: &'c Comm,
-        file: SharedFile,
-        decls: Vec<WriteDecl>,
-        cfg: TapiocaConfig,
-        topo: Arc<dyn TopologyProvider>,
-    ) -> Result<Session<'c>> {
-        Session::builder(comm, file).declarations(decls).config(cfg).topology(topo).build()
     }
 
     /// The computed schedule (for inspection and tests).
@@ -955,37 +913,5 @@ mod tests {
             io.write(8, &[2u8; 8]).unwrap();
             io.finalize();
         });
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_init_shims_keep_the_old_call_shape() {
-        let p1 = tmp("shim1");
-        let p2 = tmp("shim2");
-        Runtime::run(2, |comm| {
-            let r = comm.rank() as u64;
-            let f1 = SharedFile::open_shared(&comm, &p1);
-            let mut io =
-                Tapioca::init(&comm, f1, vec![WriteDecl { offset: r * 8, len: 8 }], cfg(1, 8))
-                    .unwrap();
-            io.write(r * 8, &[3u8; 8]).unwrap();
-            io.finalize();
-
-            let f2 = SharedFile::open_shared(&comm, &p2);
-            let topo: Arc<dyn TopologyProvider> =
-                Arc::new(UniformTopology { num_ranks: comm.size() });
-            let mut io = Tapioca::init_with_topology(
-                &comm,
-                f2,
-                vec![WriteDecl { offset: r * 8, len: 8 }],
-                cfg(1, 8),
-                topo,
-            )
-            .unwrap();
-            io.write(r * 8, &[4u8; 8]).unwrap();
-            io.finalize();
-        });
-        assert!(std::fs::read(&p1).unwrap().iter().all(|&b| b == 3));
-        assert!(std::fs::read(&p2).unwrap().iter().all(|&b| b == 4));
     }
 }

@@ -65,7 +65,7 @@ pub mod schedule;
 pub mod sim_exec;
 pub mod stats;
 
-pub use api::{Session, SessionBuilder, Tapioca, WriteOutcome};
+pub use api::{Session, SessionBuilder, WriteOutcome};
 pub use config::TapiocaConfig;
 pub use error::{Result, TapiocaError};
 pub use placement::PlacementStrategy;
@@ -79,7 +79,7 @@ pub use tapioca_mpi::{FaultPlan, FaultSpec, IoPolicy};
 /// vocabulary, and the error types.
 pub mod prelude {
     pub use crate::aggregation::IoStats;
-    pub use crate::api::{Session, SessionBuilder, Tapioca, WriteOutcome};
+    pub use crate::api::{Session, SessionBuilder, WriteOutcome};
     pub use crate::config::{ConfigBuilder, TapiocaConfig};
     pub use crate::error::{Result, TapiocaError};
     pub use crate::placement::PlacementStrategy;

@@ -22,6 +22,8 @@ use std::collections::HashMap;
 
 use tapioca_topology::{IoNodeId, NodeId, NodeMetricCache, Rank, TopologyProvider};
 
+use crate::schedule::Schedule;
+
 /// Aggregator election strategies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementStrategy {
@@ -128,9 +130,12 @@ pub fn election_cost(
     }
 }
 
-/// Centralized election (simulation mode): evaluate every candidate and
-/// return the winner's index into `members`. Mirrors exactly what the
-/// distributed MINLOC election of thread mode computes.
+/// Reference election: evaluate every candidate pairwise — O(P²)
+/// topology queries — and return the winner's index into `members`.
+/// Mirrors exactly what the distributed MINLOC election of thread mode
+/// computes. Executors elect through [`elect_partitions`]; this is the
+/// oracle its node-folded path is proven bit-identical against (and
+/// falls back to for small partitions).
 pub fn elect_aggregator(
     topo: &dyn TopologyProvider,
     members: &[Rank],
@@ -151,14 +156,17 @@ pub fn elect_aggregator(
     best.1
 }
 
-/// Node-folded election: same winner as [`elect_aggregator`], computed
-/// in O(nodes² + P) topology queries instead of O(P²).
+/// Node-folded election of one partition: same winner as
+/// [`elect_aggregator`], computed in O(nodes² + P) topology queries
+/// instead of O(P²).
 ///
 /// Under the block rank mapping (see
 /// [`TopologyProvider::ranks_per_node`]) both `d(i, A)` and `B(i -> A)`
 /// depend only on `node(i)` and `node(A)`, so the member sum of `C1`
 /// folds into a node sum over per-node member counts and weight totals,
-/// with every node-pair metric memoized in a [`NodeMetricCache`].
+/// with every node-pair metric memoized in the caller's
+/// [`NodeMetricCache`] (shared across the partitions of a batch; one
+/// cache must only ever see one topology object).
 ///
 /// Folding reassociates the floating-point sum, so a folded cost can
 /// differ from the oracle's pairwise sum by a few ulps — enough to flip
@@ -171,31 +179,13 @@ pub fn elect_aggregator(
 /// winner always survives the prune, so the result is provably the
 /// oracle's (the property sweep in `tests/placement_equivalence.rs`
 /// exercises this across strategies, profiles, and partition shapes).
-pub fn elect_aggregator_fast(
-    topo: &dyn TopologyProvider,
-    members: &[Rank],
-    weights: &[u64],
-    io: IoNodeId,
-    partition_index: usize,
-    strategy: PlacementStrategy,
-) -> usize {
-    let mut cache = NodeMetricCache::new();
-    elect_aggregator_cached(topo, &mut cache, members, weights, io, partition_index, strategy)
-}
-
-/// [`elect_aggregator_fast`] with a caller-owned metric cache, so
-/// repeated elections on the same machine (e.g. every partition of a
-/// run) share node-pair metrics. The cache must only ever be used with
-/// one topology object (clear it when switching machines).
-pub fn elect_aggregator_cached(
+fn elect_aggregator_cached(
     topo: &dyn TopologyProvider,
     cache: &mut NodeMetricCache,
-    members: &[Rank],
-    weights: &[u64],
-    io: IoNodeId,
-    partition_index: usize,
+    part: &PartitionElection<'_>,
     strategy: PlacementStrategy,
 ) -> usize {
+    let PartitionElection { members, weights, io, partition_index } = *part;
     assert!(!members.is_empty(), "cannot elect from an empty partition");
     assert_eq!(members.len(), weights.len());
     match strategy {
@@ -235,7 +225,7 @@ pub fn elect_aggregator_cached(
             best.1
         }
         PlacementStrategy::TopologyAware | PlacementStrategy::WorstCase => {
-            elect_folded(topo, cache, members, weights, io, partition_index, strategy)
+            elect_folded(topo, cache, part, strategy)
         }
     }
 }
@@ -262,12 +252,10 @@ fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
 fn elect_folded(
     topo: &dyn TopologyProvider,
     cache: &mut NodeMetricCache,
-    members: &[Rank],
-    weights: &[u64],
-    io: IoNodeId,
-    partition_index: usize,
+    part: &PartitionElection<'_>,
     strategy: PlacementStrategy,
 ) -> usize {
+    let PartitionElection { members, weights, io, partition_index } = *part;
     let p = members.len();
     if p < FOLD_MIN_MEMBERS {
         return elect_aggregator(topo, members, weights, io, partition_index, strategy);
@@ -373,10 +361,10 @@ pub struct PartitionElection<'a> {
 /// elections is worth fanning out across threads.
 const PARALLEL_ELECTION_WORK: usize = 1 << 20;
 
-/// Elect aggregators for a batch of independent partitions using the
-/// fast path, sharing one metric cache when run serially and fanning
-/// out across std threads (each with its own cache) when the batch is
-/// large enough to amortize spawning. Returns one winner index (into
+/// Elect aggregators for a batch of independent partitions through the
+/// node-folded path, sharing one metric cache when run serially and
+/// fanning out across std threads (each with its own cache) when the
+/// batch is large enough to amortize spawning. Returns one winner index (into
 /// that partition's `members`) per input, in order.
 pub fn elect_partitions(
     topo: &dyn TopologyProvider,
@@ -387,22 +375,17 @@ pub fn elect_partitions(
         let mut cache = NodeMetricCache::new();
         chunk
             .iter()
-            .map(|p| {
-                elect_aggregator_cached(
-                    topo,
-                    &mut cache,
-                    p.members,
-                    p.weights,
-                    p.io,
-                    p.partition_index,
-                    strategy,
-                )
-            })
+            .map(|p| elect_aggregator_cached(topo, &mut cache, p, strategy))
             .collect::<Vec<usize>>()
     };
     let work: usize = parts.iter().map(|p| p.members.len() * p.members.len()).sum();
+    if parts.len() < 2 || work < PARALLEL_ELECTION_WORK {
+        return elect_chunk(parts);
+    }
+    // Queried only for batches worth fanning out: it is a syscall, and
+    // small batches are the common case.
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    if parts.len() < 2 || threads < 2 || work < PARALLEL_ELECTION_WORK {
+    if threads < 2 {
         return elect_chunk(parts);
     }
     let chunk = parts.len().div_ceil(threads.min(parts.len()));
@@ -415,6 +398,39 @@ pub fn elect_partitions(
             .flat_map(|h| h.join().expect("election worker panicked"))
             .collect()
     })
+}
+
+/// Elect every partition of `sched`, whose member ids index `ranks`
+/// (the file group's global ranks): translate members to global ranks,
+/// then [`elect_partitions`] with the schedule's `member_bytes` as
+/// `omega`. Returns the members as global ranks and the winner index,
+/// both parallel to `sched.partitions`. The one election step the
+/// simulator executors (TAPIOCA, ROMIO baseline, tiers) share.
+pub fn elect_schedule(
+    topo: &dyn TopologyProvider,
+    sched: &Schedule,
+    ranks: &[Rank],
+    io: IoNodeId,
+    strategy: PlacementStrategy,
+) -> (Vec<Vec<Rank>>, Vec<usize>) {
+    let members_global: Vec<Vec<Rank>> = sched
+        .partitions
+        .iter()
+        .map(|part| part.members.iter().map(|&m| ranks[m]).collect())
+        .collect();
+    let elections: Vec<PartitionElection<'_>> = sched
+        .partitions
+        .iter()
+        .zip(&members_global)
+        .map(|(part, members)| PartitionElection {
+            members,
+            weights: &part.member_bytes,
+            io,
+            partition_index: part.index,
+        })
+        .collect();
+    let choices = elect_partitions(topo, &elections, strategy);
+    (members_global, choices)
 }
 
 /// Fallback topology for thread-mode runs that have no machine model:

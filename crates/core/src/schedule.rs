@@ -14,6 +14,7 @@
 //! allgathered declarations; thread mode and simulation mode execute the
 //! same object.
 
+use tapioca_mpi::{FaultPlan, IoPolicy};
 use tapioca_topology::Rank;
 
 /// One declared upcoming write of a rank: `len` bytes at file `offset`.
@@ -112,6 +113,46 @@ impl PartitionInfo {
     pub fn total_bytes(&self) -> u64 {
         self.rounds.iter().map(|r| r.bytes).sum()
     }
+
+    /// The rounds at which `faults` changes this partition's pipeline —
+    /// a pure function of the shared plan, so every member, the
+    /// simulator and the static analyzer derive the same answer.
+    ///
+    /// The degrade round is the first round one of whose flush segments
+    /// carries a fault that exhausts `policy`'s retry budget. A declared
+    /// aggregator crash is dropped when it cannot take effect: a
+    /// single-member partition has no standby, a crash round at or past
+    /// the round count is never reached, and a partition that degrades
+    /// at or before the crash round leaves the round loop first.
+    pub fn fault_rounds(&self, faults: &FaultPlan, policy: &IoPolicy) -> FaultRounds {
+        let p = self.index as u32;
+        let degrade = self.rounds.iter().enumerate().find_map(|(r, round)| {
+            (0..round.segments.len())
+                .any(|s| {
+                    faults
+                        .flush_fault(p, r as u32, s as u32)
+                        .is_some_and(|h| h.exceeds(policy))
+                })
+                .then_some(r as u32)
+        });
+        let crash = faults.crash_at(p).filter(|&cr| {
+            self.members.len() > 1
+                && (cr as usize) < self.rounds.len()
+                && degrade.is_none_or(|dr| dr > cr)
+        });
+        FaultRounds { crash, degrade }
+    }
+}
+
+/// Where a fault plan interrupts one partition (see
+/// [`PartitionInfo::fault_rounds`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FaultRounds {
+    /// Round whose fill is lost to an aggregator crash and replayed
+    /// through a re-elected standby.
+    pub crash: Option<u32>,
+    /// First round from which members fall back to direct writes.
+    pub degrade: Option<u32>,
 }
 
 /// The full schedule of one collective operation.
@@ -513,6 +554,47 @@ mod tests {
         (0..nranks as u64)
             .map(|r| vec![WriteDecl { offset: r * per_rank, len: per_rank }])
             .collect()
+    }
+
+    #[test]
+    fn fault_rounds_drops_crashes_that_cannot_take_effect() {
+        use tapioca_mpi::FaultSpec;
+        let policy = IoPolicy::default();
+        let crash = |partition, round| FaultSpec::AggregatorCrash { partition, round };
+        let stall = |partition, round| FaultSpec::FlushStall { partition, round };
+        // 4 ranks x 64 B, 2 partitions of 2 members, 4 rounds each.
+        let s = compute_schedule(&dense_decls(4, 64), ScheduleParams {
+            num_aggregators: 2,
+            buffer_size: 32,
+            align_to_buffer: true,
+        });
+        let part = &s.partitions[1];
+        assert_eq!((part.members.len(), part.rounds.len()), (2, 4));
+
+        let rounds = |plan: FaultPlan| part.fault_rounds(&plan, &policy);
+        let plain = rounds(FaultPlan::seeded(1).with(crash(1, 2)));
+        assert_eq!(plain, FaultRounds { crash: Some(2), degrade: None });
+        // other partitions' specs do not leak in
+        assert_eq!(rounds(FaultPlan::seeded(1).with(crash(0, 2))), FaultRounds::default());
+
+        // rule 1: a single-member partition has no standby
+        let solo = compute_schedule(&dense_decls(1, 64), ScheduleParams {
+            num_aggregators: 1,
+            buffer_size: 32,
+            align_to_buffer: true,
+        });
+        let lone = solo.partitions[0].fault_rounds(&FaultPlan::seeded(1).with(crash(0, 1)), &policy);
+        assert_eq!(lone.crash, None);
+
+        // rule 2: a crash round at or past the round count is never reached
+        assert_eq!(rounds(FaultPlan::seeded(1).with(crash(1, 4))).crash, None);
+        assert_eq!(rounds(FaultPlan::seeded(1).with(crash(1, 3))).crash, Some(3));
+
+        // rule 3: degrading at or before the crash round shadows it
+        for (stall_at, expect_crash) in [(1, None), (2, None), (3, Some(2))] {
+            let got = rounds(FaultPlan::seeded(1).with(crash(1, 2)).with(stall(1, stall_at)));
+            assert_eq!(got, FaultRounds { crash: expect_crash, degrade: Some(stall_at) });
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use tapioca_topology::{
 
 use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
-use crate::placement::{elect_partitions, election_cost, PartitionElection};
+use crate::placement::{elect_schedule, election_cost};
 use crate::plan::{append_tapioca_plan, ExecutionPlan, OpKind, PlanCrash, TapiocaPlanInput};
 use crate::schedule::{compute_schedule, Schedule, ScheduleParams, WriteDecl};
 
@@ -536,93 +536,43 @@ pub(crate) fn plan_group(
     let io_nodes = machine.io_nodes_for(&group.ranks);
     let io = io_nodes.first().copied().unwrap_or(0);
 
-    // Elect one aggregator per partition via the node-folded fast
-    // path (parallel across partitions for large batches); each
-    // election is exactly the distributed MINLOC of thread mode.
-    let members_global: Vec<Vec<Rank>> = sched
-        .partitions
-        .iter()
-        .map(|part| part.members.iter().map(|&m| group.ranks[m]).collect())
-        .collect();
-    let elections: Vec<PartitionElection<'_>> = sched
-        .partitions
-        .iter()
-        .zip(&members_global)
-        .map(|(part, members)| PartitionElection {
-            members,
-            weights: &part.member_bytes,
-            io,
-            partition_index: part.index,
-        })
-        .collect();
-    let choices: Vec<usize> = elect_partitions(machine, &elections, cfg.strategy);
+    // Elect one aggregator per partition (node-folded, parallel across
+    // partitions for large batches); each election is exactly the
+    // distributed MINLOC of thread mode.
+    let (members_global, choices) = elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
 
-    // Per-partition degrade round: the first round one of whose flush
-    // segments carries a fault that exhausts the retry budget — the
-    // same pure derivation every thread-mode member performs.
-    let degrade_round: Vec<Option<u32>> = match (&cfg.faults, mode) {
-        (Some(fp), AccessMode::Write) => sched
-            .partitions
-            .iter()
-            .map(|part| {
-                part.rounds.iter().enumerate().find_map(|(r, round)| {
-                    round
-                        .segments
-                        .iter()
-                        .enumerate()
-                        .any(|(s, _)| {
-                            fp.flush_fault(part.index as u32, r as u32, s as u32)
-                                .is_some_and(|h| h.exceeds(&cfg.io_policy))
-                        })
-                        .then_some(r as u32)
-                })
-            })
-            .collect(),
-        _ => vec![None; sched.partitions.len()],
-    };
-
-    // Compile the fault plan's aggregator crashes (write mode only,
-    // partition indices are schedule-local like thread mode's). The
-    // standby is the argmin of the same election cost with the dead
-    // candidate excluded, ties to the lowest index — bit-identical
-    // to the thread runtime's MINLOC with an infinite cost entry.
-    // A partition that degrades at or before the crash round never
-    // reaches the crash (thread mode breaks out of the round loop
-    // first), so the crash is dropped there too.
-    let crashes: Vec<PlanCrash> = match (&cfg.faults, mode) {
-        (Some(fp), AccessMode::Write) => sched
-            .partitions
-            .iter()
-            .filter_map(|part| {
-                let cr = fp.crash_at(part.index as u32)?;
-                if part.members.len() < 2 || cr as usize >= part.rounds.len() {
-                    return None;
-                }
-                if degrade_round[part.index].is_some_and(|dr| dr <= cr) {
-                    return None;
-                }
-                let chosen = choices[part.index];
-                let standby = (0..part.members.len())
-                    .filter(|&idx| idx != chosen)
-                    .min_by(|&a, &b| {
-                        let cost = |idx: usize| {
-                            election_cost(
-                                machine,
-                                &members_global[part.index],
-                                &part.member_bytes,
-                                io,
-                                part.index,
-                                cfg.strategy,
-                                idx,
-                            )
-                        };
-                        cost(a).total_cmp(&cost(b))
-                    })?;
-                Some(PlanCrash { partition: part.index, round: cr, standby })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    // Per-partition fault rounds (write mode only, partition indices
+    // are schedule-local like thread mode's) — the same pure derivation
+    // every thread-mode member performs. The standby of a surviving
+    // crash is the argmin of the same election cost with the dead
+    // candidate excluded, ties to the lowest index — bit-identical to
+    // the thread runtime's MINLOC with an infinite cost entry.
+    let mut degrade_round: Vec<Option<u32>> = vec![None; sched.partitions.len()];
+    let mut crashes: Vec<PlanCrash> = Vec::new();
+    if let (Some(fp), AccessMode::Write) = (&cfg.faults, mode) {
+        for part in &sched.partitions {
+            let faults = part.fault_rounds(fp, &cfg.io_policy);
+            degrade_round[part.index] = faults.degrade;
+            let Some(round) = faults.crash else { continue };
+            let cost = |idx: usize| {
+                election_cost(
+                    machine,
+                    &members_global[part.index],
+                    &part.member_bytes,
+                    io,
+                    part.index,
+                    cfg.strategy,
+                    idx,
+                )
+            };
+            let standby = (0..part.members.len())
+                .filter(|&idx| idx != choices[part.index])
+                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
+            if let Some(standby) = standby {
+                crashes.push(PlanCrash { partition: part.index, round, standby });
+            }
+        }
+    }
 
     Ok(GroupPlan { sched, members_global, choices, crashes, degrade_round })
 }

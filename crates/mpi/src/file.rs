@@ -418,23 +418,21 @@ impl SharedFile {
     /// Non-blocking positioned write: returns immediately; the I/O
     /// worker applies writes in submission order. Accepts an owned
     /// buffer (staged path) or [`WinSegment`] views (zero-copy path) —
-    /// anything `Into<JobData>`.
+    /// anything `Into<JobData>`. A `Vec<WinSegment>` is a vectored
+    /// write: the worker drains the segments in place, back to back
+    /// starting at `offset`, without copying the payload out of the
+    /// window.
     pub fn iwrite_at(&self, offset: u64, data: impl Into<JobData>) -> IoHandle {
         #[cfg(feature = "trace")]
-        return self.submit(offset, data.into(), IoPolicy::default(), None, None);
+        return self.iwrite_at_policy(offset, data, IoPolicy::default(), None, None);
         #[cfg(not(feature = "trace"))]
-        self.submit(offset, data.into(), IoPolicy::default(), None)
-    }
-
-    /// Non-blocking vectored write of refcounted window views: the
-    /// worker drains the segments in place, back to back starting at
-    /// `offset`, without copying the payload out of the window.
-    pub fn iwrite_at_vectored(&self, offset: u64, segments: Vec<WinSegment>) -> IoHandle {
-        self.iwrite_at(offset, segments)
+        self.iwrite_at_policy(offset, data, IoPolicy::default(), None)
     }
 
     /// Non-blocking positioned write under an explicit retry policy,
-    /// optionally with an injected fault.
+    /// optionally with an injected fault. With the `trace` feature, a
+    /// set `stamp` records a flush-completion trace event carrying the
+    /// worker-side completion timestamp.
     pub fn iwrite_at_policy(
         &self,
         offset: u64,
@@ -443,33 +441,7 @@ impl SharedFile {
         hint: Option<FaultHint>,
         #[cfg(feature = "trace")] stamp: Option<TraceStamp>,
     ) -> IoHandle {
-        #[cfg(feature = "trace")]
-        return self.submit(offset, data.into(), policy, hint, stamp);
-        #[cfg(not(feature = "trace"))]
-        self.submit(offset, data.into(), policy, hint)
-    }
-
-    /// Non-blocking positioned write that records a flush-completion
-    /// trace event (with the worker-side completion timestamp) when
-    /// `stamp` is set.
-    #[cfg(feature = "trace")]
-    pub fn iwrite_at_traced(
-        &self,
-        offset: u64,
-        data: impl Into<JobData>,
-        stamp: Option<TraceStamp>,
-    ) -> IoHandle {
-        self.submit(offset, data.into(), IoPolicy::default(), None, stamp)
-    }
-
-    fn submit(
-        &self,
-        offset: u64,
-        data: JobData,
-        policy: IoPolicy,
-        hint: Option<FaultHint>,
-        #[cfg(feature = "trace")] stamp: Option<TraceStamp>,
-    ) -> IoHandle {
+        let data = data.into();
         if data.is_empty() {
             return IoHandle::ready();
         }
@@ -701,7 +673,7 @@ mod tests {
         let payload: Vec<u8> = (0..32u8).collect();
         win.put(0, 0, &payload);
         // two views submitted as one vectored write: [8..24) then [24..32)
-        let h = f.iwrite_at_vectored(100, vec![win.segment(0, 8, 16), win.segment(0, 24, 8)]);
+        let h = f.iwrite_at(100, vec![win.segment(0, 8, 16), win.segment(0, 24, 8)]);
         let reclaimed = h.wait_reclaim().unwrap();
         assert_eq!(reclaimed, None, "segment submissions have no buffer to give back");
         assert_eq!(f.read_at(100, 24).unwrap(), payload[8..32]);
@@ -740,7 +712,8 @@ mod tests {
         let scope = TraceScope::new(std::sync::Arc::clone(&tracer), 0, 2, vec![0]);
         scope.set_round(3);
         let f = SharedFile::create(tmp("traced")).unwrap();
-        let h = f.iwrite_at_traced(96, vec![7u8; 64], Some(scope.stamp()));
+        let h =
+            f.iwrite_at_policy(96, vec![7u8; 64], IoPolicy::default(), None, Some(scope.stamp()));
         h.wait().unwrap();
         // the worker records the flush *before* signalling, so the event
         // is visible as soon as wait() returns

@@ -17,7 +17,7 @@
 //! not model) but never correctness. Lock release/acquire provides the
 //! happens-before edges the fence semantics require.
 
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::comm::{Comm, RegistryKind};
 use crate::lock_ok;
@@ -27,8 +27,9 @@ use crate::Rank;
 use tapioca_trace::TraceScope;
 
 /// One member's window region: `len` bytes split into panes of
-/// `pane_size` bytes each (the last pane may be shorter). Offsets are
-/// linear; accesses crossing a pane boundary are split transparently.
+/// `pane_size` bytes each (the last pane may be shorter; a `pane_size`
+/// of `0` means one pane of `len`). Offsets are linear; accesses
+/// crossing a pane boundary are split transparently.
 struct Region {
     pane_size: usize,
     len: usize,
@@ -37,7 +38,7 @@ struct Region {
 
 impl Region {
     fn new(len: usize, pane_size: usize) -> Region {
-        let pane_size = pane_size.max(1).min(len.max(1));
+        let pane_size = if pane_size == 0 { len } else { pane_size.min(len) }.max(1);
         let panes = (0..len.div_ceil(pane_size))
             .map(|i| {
                 let plen = pane_size.min(len - i * pane_size);
@@ -191,7 +192,9 @@ impl Window {
     /// All members must call this the same number of times in the same
     /// order (it is a collective).
     pub fn allocate(comm: &Comm, local_size: usize) -> Window {
-        Self::allocate_paned(comm, local_size, local_size)
+        // Not `local_size`: only the first arriver's closure builds the
+        // regions, so the pane size must not depend on who that is.
+        Self::allocate_paned(comm, local_size, 0)
     }
 
     /// [`Window::allocate`] with regions split into panes of `pane_size`
@@ -281,13 +284,11 @@ impl Window {
         let dst = &self.shared.regions[target];
         dst.check_bounds("put", offset, len);
         let mut done = 0;
-        src.shared.regions[src_rank]
-            .for_parts("get", src_offset, len, |part| {
-                dst.write(offset + done, part);
-                done += part.len();
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .unwrap();
+        let Ok(()) = src.shared.regions[src_rank].for_parts("get", src_offset, len, |part| {
+            dst.write(offset + done, part);
+            done += part.len();
+            Ok::<(), std::convert::Infallible>(())
+        });
         #[cfg(feature = "trace")]
         if let Some(scope) = &self.scope {
             scope.rma_put_coalesced(lane, target, offset as u64, len as u64, coalesced);
@@ -303,7 +304,7 @@ impl Window {
 
     /// A refcounted in-place view of `len` bytes of `rank`'s region at
     /// `offset`, for zero-copy flush submission
-    /// ([`crate::SharedFile::iwrite_at_vectored`]).
+    /// ([`crate::SharedFile::iwrite_at`]).
     ///
     /// # Panics
     /// Panics if the range exceeds the region.
@@ -375,21 +376,7 @@ impl Window {
     }
 }
 
-struct BoardSlot {
-    /// (cumulative deposit count, armed wake threshold). The threshold
-    /// is `u64::MAX` while nobody waits; `wait_until` arms it so `add`
-    /// wakes the waiter exactly once — when the count actually reaches
-    /// it — instead of on every deposit.
-    count: Mutex<(u64, u64)>,
-    cv: Condvar,
-}
-
-struct BoardShared {
-    slots: Vec<BoardSlot>,
-}
-
-/// A collective deposit counter: one `u64` per communicator member,
-/// with a blocking threshold wait.
+/// A collective deposit counter: one `u64` per communicator member.
 ///
 /// The intra-node put-coalescing rendezvous is built on this: members
 /// deposit their chunks into the run leader's gather window, then
@@ -401,16 +388,15 @@ struct BoardShared {
 /// deposits all land before the next round's first `add`; the
 /// completer's `sub` runs after its round's last `add` by definition,
 /// which is what keeps per-round counts unambiguous.
-/// [`DepositBoard::wait_until`] remains for callers that do want a
-/// blocking threshold.
 pub struct DepositBoard {
-    shared: Arc<BoardShared>,
+    /// Cumulative deposit count per member.
+    slots: Arc<Vec<Mutex<u64>>>,
     perturb: Option<Arc<Perturber>>,
 }
 
 impl std::fmt::Debug for DepositBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DepositBoard").field("members", &self.shared.slots.len()).finish()
+        f.debug_struct("DepositBoard").field("members", &self.slots.len()).finish()
     }
 }
 
@@ -422,31 +408,21 @@ impl DepositBoard {
         let n = comm.size();
         let seq = comm.next_win_seq();
         let key = (comm.uid(), RegistryKind::Window, seq, 1);
-        let shared = comm.world().get_or_create(key, move || BoardShared {
-            slots: (0..n)
-                .map(|_| BoardSlot { count: Mutex::new((0, u64::MAX)), cv: Condvar::new() })
-                .collect(),
-        });
+        let slots = comm
+            .world()
+            .get_or_create(key, move || (0..n).map(|_| Mutex::new(0u64)).collect::<Vec<_>>());
         comm.barrier();
-        DepositBoard { shared, perturb: comm.perturber() }
+        DepositBoard { slots, perturb: comm.perturber() }
     }
 
     /// Add `n` to `target`'s counter and return the updated count.
-    /// Wakes a blocked waiter only when the count reaches its armed
-    /// threshold, so a round with `k` deposits costs one wakeup, not
-    /// `k`.
     pub fn add(&self, target: Rank, n: u64) -> u64 {
         if let Some(p) = &self.perturb {
             p.point();
         }
-        let slot = &self.shared.slots[target];
-        let mut c = lock_ok(&slot.count);
-        c.0 += n;
-        if c.0 >= c.1 {
-            c.1 = u64::MAX;
-            slot.cv.notify_all();
-        }
-        c.0
+        let mut c = lock_ok(&self.slots[target]);
+        *c += n;
+        *c
     }
 
     /// Subtract `n` from `target`'s counter (a completer retiring a
@@ -455,22 +431,8 @@ impl DepositBoard {
     /// # Panics
     /// Panics if the counter would underflow.
     pub fn sub(&self, target: Rank, n: u64) {
-        let slot = &self.shared.slots[target];
-        let mut c = lock_ok(&slot.count);
-        c.0 = c.0.checked_sub(n).expect("deposit counter underflow");
-    }
-
-    /// Block until `me`'s counter reaches at least `threshold`.
-    pub fn wait_until(&self, me: Rank, threshold: u64) {
-        if let Some(p) = &self.perturb {
-            p.point();
-        }
-        let slot = &self.shared.slots[me];
-        let mut c = lock_ok(&slot.count);
-        while c.0 < threshold {
-            c.1 = threshold;
-            c = slot.cv.wait(c).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        let mut c = lock_ok(&self.slots[target]);
+        *c = c.checked_sub(n).expect("deposit counter underflow");
     }
 }
 
@@ -641,6 +603,34 @@ mod tests {
     }
 
     #[test]
+    fn zero_pane_size_means_one_pane() {
+        assert_eq!(Region::new(4096, 0).panes.len(), 1);
+        assert_eq!(Region::new(0, 0).panes.len(), 0);
+    }
+
+    /// Whichever member creates the window after the allgather (an OS
+    /// race, sampled over perturbation seeds), `allocate` must lay every
+    /// region out from the allgathered sizes alone: rank 0's 4096 bytes
+    /// are one pane even when a zero-size member arrives first.
+    #[test]
+    fn allocate_is_single_pane_whoever_creates_the_window() {
+        use crate::runtime::Runtime;
+        for seed in 0..16 {
+            Runtime::run_perturbed(3, seed, |c| {
+                let win = Window::allocate(&c, if c.rank() == 0 { 4096 } else { 0 });
+                assert_eq!(win.with_local(0, <[u8]>::len), 4096);
+                let mut parts = 0;
+                let ok: Result<(), ()> = win.segment(0, 0, 4096).for_each_part(|_| {
+                    parts += 1;
+                    Ok(())
+                });
+                ok.unwrap();
+                assert_eq!(parts, 1, "seed {seed}: region split into {parts} panes");
+            });
+        }
+    }
+
+    #[test]
     fn put_from_copies_between_windows() {
         run(2, |c| {
             let gather = Window::allocate_paned(&c, 16, 4);
@@ -654,22 +644,6 @@ mod tests {
                 assert_eq!(agg.read_local(0, 18, 12), vec![7u8; 12]);
             }
             agg.fence(&c);
-        });
-    }
-
-    #[test]
-    fn deposit_board_rendezvous() {
-        run(4, |c| {
-            let board = DepositBoard::allocate(&c);
-            // everyone (rank 0 included) deposits twice with rank 0
-            board.add(0, 1);
-            let n = board.add(0, 1);
-            assert!((1..=8).contains(&n), "running count stays in range");
-            if c.rank() == 0 {
-                board.wait_until(0, 8);
-                board.sub(0, 8); // retire the round: count is per-round
-            }
-            c.barrier();
         });
     }
 

@@ -98,31 +98,6 @@ impl Ord for TimeKey {
     }
 }
 
-/// How the waterfilling loop locates the bottleneck link each round.
-///
-/// All variants freeze the same flows at the same rates in the same
-/// order, so they produce **bit-identical** schedules (asserted by the
-/// `algo_equivalence` tests); they differ only in how the per-round
-/// minimum of `cap_rem / unfixed` is found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RateAlgo {
-    /// Linear rescan of every touched link per freeze round — O(L) per
-    /// round. Kept as the reference implementation.
-    Scan,
-    /// Keyed min-heap over `cap_rem / unfixed` with lazy invalidation:
-    /// each link mutation bumps a version counter and pushes a fresh
-    /// entry; stale entries are skipped on pop. O(log L) per mutation,
-    /// and rounds that freeze few flows no longer pay for every link.
-    Heap,
-    /// Pick Scan or Heap per component from its shape: wide fan-in
-    /// components (short routes, many links) use the heap; mesh-shaped
-    /// components (long routes touching most links every freeze batch)
-    /// and small components use the scan, whose rescan is cheaper than
-    /// the heap's re-push traffic there.
-    #[default]
-    Auto,
-}
-
 /// Which components a membership event re-waterfills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Recompute {
@@ -156,8 +131,6 @@ pub struct Simulator {
     trace: Option<Vec<TraceEvent>>,
     /// Payload bytes routed per link (accumulated at submission).
     carried: Vec<f64>,
-    /// Bottleneck search algorithm (see [`RateAlgo`]).
-    rate_algo: RateAlgo,
     /// Incremental vs full re-waterfilling (see [`Recompute`]).
     recompute: Recompute,
     /// Interference components over active flows.
@@ -202,23 +175,6 @@ struct Scratch {
     /// Member-flow indices per link (only `touched` entries are valid).
     flows_on: Vec<Vec<usize>>,
     touched: Vec<LinkIx>,
-    /// Position of each touched link inside `touched` — the heap's
-    /// tie-break key, reproducing the scan's "first touched link with a
-    /// strictly smaller share wins" selection exactly.
-    pos: Vec<u32>,
-    /// Per-link entry version for lazy heap invalidation; reset to 0 for
-    /// touched links at the start of each re-waterfill.
-    version: Vec<u32>,
-    /// Links whose state changed while freezing the current bottleneck's
-    /// flows (deduplicated via `mark`).
-    changed: Vec<LinkIx>,
-    /// `mark[l] == batch` means `l` is already queued in `changed`.
-    mark: Vec<u64>,
-    /// Monotone freeze-batch counter backing `mark`.
-    batch: u64,
-    /// Min-heap of `(share, touched-position, link, version)` entries;
-    /// entries whose version lags `version[link]` are stale.
-    heap: BinaryHeap<Reverse<(TimeKey, u32, LinkIx, u32)>>,
     /// Per-member solved rates for the component being refilled.
     rates: Vec<f64>,
     /// Per-member frozen flags for the component being refilled.
@@ -232,16 +188,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Component-shape heuristic behind [`RateAlgo::Auto`]; returns whether
-/// to use the heap. Mesh-shaped components — average route length above
-/// 1.5 links — mutate most touched links in every freeze batch, so the
-/// heap's per-mutation re-push traffic costs more than the scan's
-/// linear rescan (the 0.37x mesh regression the heap showed in
-/// `BENCH_perf.json`). Small components never amortize heap setup.
-fn auto_pick(links: usize, flows: usize, entries: usize) -> bool {
-    links >= 64 && 2 * entries <= 3 * flows
 }
 
 impl Simulator {
@@ -263,20 +209,12 @@ impl Simulator {
             scratch: Scratch::default(),
             trace: None,
             carried: Vec::new(),
-            rate_algo: RateAlgo::default(),
             recompute: Recompute::default(),
             comps: Components::default(),
             route_arena: Vec::new(),
             route_dedup: HashMap::new(),
             refill_roots: Vec::new(),
         }
-    }
-
-    /// Select the bottleneck-search algorithm. All variants produce
-    /// bit-identical schedules; [`RateAlgo::Scan`] is the reference and
-    /// [`RateAlgo::Auto`] (the default) picks per component.
-    pub fn set_rate_algo(&mut self, algo: RateAlgo) {
-        self.rate_algo = algo;
     }
 
     /// Select incremental (default) or full re-waterfilling. Both are
@@ -567,9 +505,6 @@ impl Simulator {
             scr.cap_rem.resize(self.caps.len(), 0.0);
             scr.unfixed.resize(self.caps.len(), 0);
             scr.flows_on.resize_with(self.caps.len(), Vec::new);
-            scr.pos.resize(self.caps.len(), 0);
-            scr.version.resize(self.caps.len(), 0);
-            scr.mark.resize(self.caps.len(), 0);
         }
         // Reset only what the previous refill touched.
         for &l in &scr.touched {
@@ -584,11 +519,9 @@ impl Simulator {
         scr.rates.resize(n, f64::INFINITY);
         scr.fixed.clear();
         scr.fixed.resize(n, false);
-        let mut entries = 0usize;
         for (k, &id) in members.iter().enumerate() {
             let (s, len) = self.flows[id].span;
             let route = &self.route_arena[s as usize..s as usize + len as usize];
-            entries += route.len();
             for &l in route {
                 if scr.unfixed[l] == 0 && scr.flows_on[l].is_empty() {
                     scr.touched.push(l);
@@ -600,101 +533,36 @@ impl Simulator {
         }
         let mut n_unfixed = n;
 
-        let use_heap = match self.rate_algo {
-            RateAlgo::Scan => false,
-            RateAlgo::Heap => true,
-            RateAlgo::Auto => auto_pick(scr.touched.len(), n, entries),
-        };
-        if !use_heap {
-            while n_unfixed > 0 {
-                // bottleneck link among touched ones
-                let mut bott = usize::MAX;
-                let mut fair = f64::INFINITY;
-                for &l in &scr.touched {
-                    if scr.unfixed[l] > 0 {
-                        let f = scr.cap_rem[l] / scr.unfixed[l] as f64;
-                        if f < fair {
-                            fair = f;
-                            bott = l;
-                        }
-                    }
-                }
-                debug_assert_ne!(bott, usize::MAX);
-                let fair = fair.max(0.0);
-                // freeze flows on the bottleneck; iterate over an
-                // index range to avoid aliasing the scratch borrow
-                for fi in 0..scr.flows_on[bott].len() {
-                    let k = scr.flows_on[bott][fi];
-                    if scr.fixed[k] {
-                        continue;
-                    }
-                    scr.fixed[k] = true;
-                    n_unfixed -= 1;
-                    scr.rates[k] = fair;
-                    let (s, len) = self.flows[members[k]].span;
-                    for &l in &self.route_arena[s as usize..s as usize + len as usize] {
-                        scr.unfixed[l] -= 1;
-                        scr.cap_rem[l] = (scr.cap_rem[l] - fair).max(0.0);
-                    }
-                }
-            }
-        } else {
-            scr.heap.clear();
-            for (i, &l) in scr.touched.iter().enumerate() {
-                scr.pos[l] = i as u32;
-                scr.version[l] = 0;
+        while n_unfixed > 0 {
+            // bottleneck link among touched ones
+            let mut bott = usize::MAX;
+            let mut fair = f64::INFINITY;
+            for &l in &scr.touched {
                 if scr.unfixed[l] > 0 {
-                    let share = scr.cap_rem[l] / scr.unfixed[l] as f64;
-                    scr.heap.push(Reverse((TimeKey(share), i as u32, l, 0)));
+                    let f = scr.cap_rem[l] / scr.unfixed[l] as f64;
+                    if f < fair {
+                        fair = f;
+                        bott = l;
+                    }
                 }
             }
-            while n_unfixed > 0 {
-                let Reverse((TimeKey(share), _, bott, ver)) =
-                    scr.heap.pop().expect("unfixed flows imply a live heap entry");
-                // Lazy invalidation: entries outdated by later link
-                // mutations (or fully frozen links) are skipped; the
-                // survivor carries the link's *current* share, so the
-                // selected bottleneck and rate equal the scan's.
-                if scr.version[bott] != ver || scr.unfixed[bott] == 0 {
+            debug_assert_ne!(bott, usize::MAX);
+            let fair = fair.max(0.0);
+            // freeze flows on the bottleneck; iterate over an
+            // index range to avoid aliasing the scratch borrow
+            for fi in 0..scr.flows_on[bott].len() {
+                let k = scr.flows_on[bott][fi];
+                if scr.fixed[k] {
                     continue;
                 }
-                let fair = share.max(0.0);
-                scr.batch += 1;
-                for fi in 0..scr.flows_on[bott].len() {
-                    let k = scr.flows_on[bott][fi];
-                    if scr.fixed[k] {
-                        continue;
-                    }
-                    scr.fixed[k] = true;
-                    n_unfixed -= 1;
-                    scr.rates[k] = fair;
-                    let (s, len) = self.flows[members[k]].span;
-                    for &l in &self.route_arena[s as usize..s as usize + len as usize] {
-                        scr.unfixed[l] -= 1;
-                        scr.cap_rem[l] = (scr.cap_rem[l] - fair).max(0.0);
-                        if scr.mark[l] != scr.batch {
-                            scr.mark[l] = scr.batch;
-                            scr.changed.push(l);
-                        }
-                    }
+                scr.fixed[k] = true;
+                n_unfixed -= 1;
+                scr.rates[k] = fair;
+                let (s, len) = self.flows[members[k]].span;
+                for &l in &self.route_arena[s as usize..s as usize + len as usize] {
+                    scr.unfixed[l] -= 1;
+                    scr.cap_rem[l] = (scr.cap_rem[l] - fair).max(0.0);
                 }
-                // Re-key every link the batch mutated: bump its
-                // version (invalidating old entries) and push one
-                // fresh entry while it still has unfixed flows.
-                for ci in 0..scr.changed.len() {
-                    let l = scr.changed[ci];
-                    scr.version[l] = scr.version[l].wrapping_add(1);
-                    if scr.unfixed[l] > 0 {
-                        let share = scr.cap_rem[l] / scr.unfixed[l] as f64;
-                        scr.heap.push(Reverse((
-                            TimeKey(share),
-                            scr.pos[l],
-                            l,
-                            scr.version[l],
-                        )));
-                    }
-                }
-                scr.changed.clear();
             }
         }
 
@@ -1179,7 +1047,7 @@ mod tests {
         assert!(s.finish_time(a).unwrap() > 10.0);
     }
 
-    mod algo_equivalence {
+    mod recompute_equivalence {
         use super::*;
 
         fn mix(x: u64) -> u64 {
@@ -1187,15 +1055,9 @@ mod tests {
         }
 
         /// Bit patterns of every flow's finish time after running the
-        /// scenario built by `build` under the given algorithm and
-        /// recompute mode.
-        fn finishes(
-            algo: RateAlgo,
-            mode: Recompute,
-            build: impl Fn(&mut Simulator),
-        ) -> Vec<u64> {
+        /// scenario built by `build` under the given recompute mode.
+        fn finishes(mode: Recompute, build: impl Fn(&mut Simulator)) -> Vec<u64> {
             let mut s = Simulator::with_capacities(Vec::new());
-            s.set_rate_algo(algo);
             s.set_recompute(mode);
             build(&mut s);
             s.run_to_idle();
@@ -1205,16 +1067,11 @@ mod tests {
         }
 
         fn assert_identical_labeled(label: &str, build: impl Fn(&mut Simulator)) {
-            let reference = finishes(RateAlgo::Scan, Recompute::Full, &build);
-            for algo in [RateAlgo::Scan, RateAlgo::Heap, RateAlgo::Auto] {
-                for mode in [Recompute::Full, Recompute::Incremental] {
-                    assert_eq!(
-                        reference,
-                        finishes(algo, mode, &build),
-                        "{label}: {algo:?}/{mode:?} diverged from Scan/Full"
-                    );
-                }
-            }
+            assert_eq!(
+                finishes(Recompute::Full, &build),
+                finishes(Recompute::Incremental, &build),
+                "{label}: Incremental diverged from Full"
+            );
         }
 
         fn assert_identical(build: impl Fn(&mut Simulator)) {
@@ -1222,8 +1079,8 @@ mod tests {
         }
 
         /// The analytic scenarios from the tests above, replayed under
-        /// every algorithm x recompute mode: finish times must match the
-        /// Scan/Full reference to the last bit.
+        /// both recompute modes: finish times must match the Full
+        /// reference to the last bit.
         #[test]
         fn analytic_scenarios_bit_identical() {
             assert_identical(|s| {

@@ -18,12 +18,12 @@
 use std::collections::HashMap;
 
 use tapioca::config::TapiocaConfig;
-use tapioca::placement::{elect_partitions, PartitionElection};
+use tapioca::placement::elect_schedule;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
 use tapioca::sim_exec::CollectiveSpec;
 use tapioca_netsim::{FlowId, SimTime, Simulator};
 use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables};
-use tapioca_topology::{LinkIx, MachineProfile, NodeId, Rank, StorageProfile, TopologyProvider};
+use tapioca_topology::{LinkIx, MachineProfile, NodeId, StorageProfile, TopologyProvider};
 
 use crate::tier::{Destination, Tier, TierSpec, TieredConfig};
 
@@ -117,23 +117,8 @@ pub fn run_tiered_sim(
         });
         total_bytes += sched.total_bytes() as f64;
         let io = machine.io_nodes_for(&group.ranks).first().copied().unwrap_or(0);
-        let members_global_all: Vec<Vec<Rank>> = sched
-            .partitions
-            .iter()
-            .map(|part| part.members.iter().map(|&m| group.ranks[m]).collect())
-            .collect();
-        let elections: Vec<PartitionElection<'_>> = sched
-            .partitions
-            .iter()
-            .zip(&members_global_all)
-            .map(|(part, members)| PartitionElection {
-                members,
-                weights: &part.member_bytes,
-                io,
-                partition_index: part.index,
-            })
-            .collect();
-        let choices = elect_partitions(machine, &elections, cfg.strategy);
+        let (members_global_all, choices) =
+            elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
         for (part, (members_global, &choice)) in
             sched.partitions.iter().zip(members_global_all.iter().zip(&choices))
         {

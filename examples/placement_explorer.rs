@@ -9,7 +9,8 @@
 //! data is moved.
 
 use tapioca::placement::{
-    aggregation_cost, elect_aggregator, io_cost, PlacementStrategy,
+    aggregation_cost, elect_aggregator, elect_partitions, io_cost, PartitionElection,
+    PlacementStrategy,
 };
 use tapioca_topology::{mira_profile, TopologyProvider, MIB};
 
@@ -53,6 +54,8 @@ fn main() {
     }
     println!("\nminimum objective: candidate {} (the MINLOC winner)\n", best.1);
 
+    let part =
+        PartitionElection { members: &members, weights: &weights, io, partition_index: 0 };
     for strategy in [
         PlacementStrategy::TopologyAware,
         PlacementStrategy::RankOrder,
@@ -60,14 +63,19 @@ fn main() {
         PlacementStrategy::Random { seed: 42 },
         PlacementStrategy::WorstCase,
     ] {
-        let e = elect_aggregator(machine, &members, &weights, io, 0, strategy);
+        let e = elect_partitions(machine, &[part], strategy)[0];
+        assert_eq!(
+            e,
+            elect_aggregator(machine, &members, &weights, io, 0, strategy),
+            "the folded election must agree with the pairwise reference"
+        );
         let cost = aggregation_cost(machine, &members, &weights, e)
             + io_cost(machine, members[e], io, total);
         println!("{strategy:?} elects candidate {e:>2} (objective {:.3} ms)", cost * 1e3);
     }
 
     // Sanity: the topology-aware election matches the explicit minimum.
-    let ta = elect_aggregator(machine, &members, &weights, io, 0, PlacementStrategy::TopologyAware);
+    let ta = elect_partitions(machine, &[part], PlacementStrategy::TopologyAware)[0];
     assert_eq!(ta, best.1, "election must minimize the objective");
     println!("\nelection matches the explicit cost minimum.");
 }

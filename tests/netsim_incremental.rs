@@ -2,14 +2,13 @@
 //!
 //! The engine promises that `Recompute::Incremental` (re-waterfill only
 //! dirty interference components) produces *bitwise* the same schedule
-//! as `Recompute::Full` (re-waterfill everything on any change), for
-//! every `RateAlgo`. This sweep drives the public API across seeded
-//! random workloads — random routes, dependency edges, completion
-//! slack, mid-run capacity scaling and virtual-link growth — and
-//! asserts every finish time matches the Scan/Full reference to the
-//! last bit.
+//! as `Recompute::Full` (re-waterfill everything on any change). This
+//! sweep drives the public API across seeded random workloads — random
+//! routes, dependency edges, completion slack, mid-run capacity scaling
+//! and virtual-link growth — and asserts every finish time matches the
+//! Full reference to the last bit.
 
-use tapioca_netsim::{RateAlgo, Recompute, Simulator};
+use tapioca_netsim::{Recompute, Simulator};
 
 /// SplitMix64 — the workspace's standard seeded generator.
 struct Rng(u64);
@@ -33,15 +32,14 @@ impl Rng {
     }
 }
 
-/// Run one seeded workload under the given engine configuration and
-/// return the bit patterns of every flow's finish time, in flow order.
-fn run_case(case: u64, algo: RateAlgo, mode: Recompute) -> Vec<u64> {
+/// Run one seeded workload under the given recompute mode and return
+/// the bit patterns of every flow's finish time, in flow order.
+fn run_case(case: u64, mode: Recompute) -> Vec<u64> {
     let mut rng = Rng(0xC0FF_EE00 ^ case.wrapping_mul(0x0123_4567_89AB_CDEF));
     let n_links = 8 + rng.below(184) as usize;
     let caps: Vec<f64> = (0..n_links).map(|_| 1e9 * (1.0 + rng.below(16) as f64)).collect();
 
     let mut sim = Simulator::with_capacities(caps);
-    sim.set_rate_algo(algo);
     sim.set_recompute(mode);
     if case.is_multiple_of(5) {
         sim.set_completion_slack(1e-6);
@@ -100,27 +98,17 @@ fn run_case(case: u64, algo: RateAlgo, mode: Recompute) -> Vec<u64> {
 #[test]
 fn incremental_bit_identical_to_full_recompute() {
     const CASES: u64 = 72;
-    let variants = [
-        ("scan/full", RateAlgo::Scan, Recompute::Full),
-        ("scan/incr", RateAlgo::Scan, Recompute::Incremental),
-        ("heap/full", RateAlgo::Heap, Recompute::Full),
-        ("heap/incr", RateAlgo::Heap, Recompute::Incremental),
-        ("auto/full", RateAlgo::Auto, Recompute::Full),
-        ("auto/incr", RateAlgo::Auto, Recompute::Incremental),
-    ];
     for case in 0..CASES {
-        let reference = run_case(case, RateAlgo::Scan, Recompute::Full);
-        for (label, algo, mode) in variants {
-            let got = run_case(case, algo, mode);
-            assert_eq!(got.len(), reference.len(), "case {case} {label}: flow count");
-            for (i, (&g, &r)) in got.iter().zip(&reference).enumerate() {
-                assert!(
-                    g == r,
-                    "case {case} {label}: flow {i} finish {} != reference {}",
-                    f64::from_bits(g),
-                    f64::from_bits(r),
-                );
-            }
+        let reference = run_case(case, Recompute::Full);
+        let got = run_case(case, Recompute::Incremental);
+        assert_eq!(got.len(), reference.len(), "case {case}: flow count");
+        for (i, (&g, &r)) in got.iter().zip(&reference).enumerate() {
+            assert!(
+                g == r,
+                "case {case}: flow {i} finish {} != reference {}",
+                f64::from_bits(g),
+                f64::from_bits(r),
+            );
         }
     }
 }

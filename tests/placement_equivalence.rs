@@ -3,7 +3,7 @@
 //! oracle, for every strategy, on every machine profile, across
 //! irregular partition shapes and adversarial weight patterns.
 //!
-//! `elect_aggregator_fast` is allowed to evaluate folded costs in a
+//! `elect_partitions` is allowed to evaluate folded costs in a
 //! different floating-point order than the oracle only because it prunes
 //! with a tolerance and replays survivors through the oracle's exact
 //! arithmetic (`election_cost`). This sweep is the evidence that the
@@ -13,8 +13,7 @@
 use std::collections::BTreeSet;
 
 use tapioca::placement::{
-    elect_aggregator, elect_aggregator_fast, elect_partitions, PartitionElection,
-    PlacementStrategy,
+    elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
 };
 use tapioca_topology::{cluster_profile, mira_profile, theta_profile, Rank, TopologyProvider};
 
@@ -111,7 +110,16 @@ fn fast_election_matches_naive_oracle_everywhere() {
                 let io = topo.io_nodes_for(&members).first().copied().unwrap_or(0);
                 let part = case * 7 + 1;
                 let naive = elect_aggregator(topo, &members, &weights, io, part, strategy);
-                let fast = elect_aggregator_fast(topo, &members, &weights, io, part, strategy);
+                let fast = elect_partitions(
+                    topo,
+                    &[PartitionElection {
+                        members: &members,
+                        weights: &weights,
+                        io,
+                        partition_index: part,
+                    }],
+                    strategy,
+                )[0];
                 assert_eq!(
                     fast, naive,
                     "winner mismatch: machine={name} strategy={strategy:?} case={case} \

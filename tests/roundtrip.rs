@@ -2,7 +2,7 @@
 //! pipeline on the thread runtime, across configurations and workloads.
 
 use tapioca::prelude::*;
-use tapioca_mpi::{Runtime, SharedFile};
+use tapioca_mpi::{Comm, Runtime, SharedFile};
 use tapioca_workloads::datagen::{expected_range, verify_slice};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 
@@ -147,30 +147,42 @@ fn io_stats_match_the_schedule() {
     std::fs::remove_file(&path).ok();
 }
 
+/// One write epoch, then `read_declared` must hand every rank its own
+/// payload back. Four aggregators over ten ranks: every partition has
+/// at least two members, so non-aggregators `get_into` from a window
+/// whose creator may have been a zero-size member.
+fn write_then_read_declared(comm: Comm, path: &std::path::Path) {
+    let file = SharedFile::open_shared(&comm, path);
+    let r = comm.rank() as u64;
+    let per = 700u64;
+    let decls = vec![WriteDecl { offset: r * per, len: per }];
+    let mut io = Session::builder(&comm, file)
+        .declarations(decls)
+        .config(TapiocaConfig { num_aggregators: 4, buffer_size: 333, ..Default::default() })
+        .build()
+        .unwrap();
+    assert!(io.schedule().partitions.iter().all(|p| p.members.len() >= 2));
+    let payload = expected_range(7, r * per, per as usize);
+    io.write(r * per, &payload).unwrap();
+    let back = io.read_declared().unwrap();
+    assert_eq!(back[0], payload);
+    io.finalize();
+}
+
 #[test]
 fn write_then_two_phase_read_roundtrip() {
     let path = tmp("w-then-r");
-    Runtime::run(10, |comm| {
-        let file = SharedFile::open_shared(&comm, &path);
-        let r = comm.rank() as u64;
-        let per = 700u64;
-        let decls = vec![WriteDecl { offset: r * per, len: per }];
-        let mut io = Session::builder(&comm, file)
-            .declarations(decls)
-            .config(TapiocaConfig {
-                num_aggregators: 4,
-                buffer_size: 333,
-                ..Default::default()
-            })
-            .build()
-            .unwrap();
-        let payload = expected_range(7, r * per, per as usize);
-        io.write(r * per, &payload).unwrap();
-        let back = io.read_declared().unwrap();
-        assert_eq!(back[0], payload);
-        io.finalize();
-    });
+    Runtime::run(10, |comm| write_then_read_declared(comm, &path));
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn two_phase_read_roundtrip_under_perturbed_schedules() {
+    for seed in 0..8 {
+        let path = tmp(&format!("w-then-r-perturbed-{seed}"));
+        Runtime::run_perturbed(10, seed, |comm| write_then_read_declared(comm, &path));
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
