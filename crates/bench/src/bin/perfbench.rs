@@ -1,8 +1,9 @@
 //! Tracked performance harness: self-times the aggregator election
 //! (`elect_partitions` vs. the pairwise `elect_aggregator` reference),
-//! the netsim engine (incremental vs. full re-waterfilling), the
-//! streaming write path and the coalescing data plane, then writes
-//! `BENCH_perf.json` at the repo root in a stable schema.
+//! simulator set-up across rank counts, the netsim engine (incremental
+//! vs. full re-waterfilling), the streaming write path and the
+//! coalescing data plane, then writes `BENCH_perf.json` at the repo
+//! root in a stable schema.
 //!
 //! Usage:
 //!
@@ -14,17 +15,20 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v5`):
+//! Schema (`tapioca-perfbench/v6`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v5",
+//!   "schema": "tapioca-perfbench/v6",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
-//!     "election": [ { "machine", "strategy", "members", "ranks",
-//!                     "ranks_per_node", "reps", "naive_ns", "fast_ns",
-//!                     "speedup", "same_winner" } ],
+//!     "election": [ { "machine", "strategy", "weights", "members",
+//!                     "ranks", "ranks_per_node", "reps", "naive_ns",
+//!                     "fast_ns", "speedup", "same_winner" } ],
+//!     "scale":    { "workload", "threads", "setup_exponent",
+//!                   "rows": [ { "ranks", "nodes", "groups", "reps",
+//!                               "setup_s", "epoch_s", "peak_rss_mib" } ] },
 //!     "netsim_incremental":
 //!                 [ { "workload", "links", "flows", "parts", "reps",
 //!                     "full_ns", "incr_ns", "speedup", "identical" } ],
@@ -49,6 +53,25 @@
 //! `loc` is the workspace's non-test, non-comment library code lines
 //! per crate (the count `lintcheck` prints), so a line-count change is
 //! visible beside the timings it bought.
+//!
+//! `election` rows come in two membership shapes. `"weights":
+//! "random"` is an irregular membership (clustered runs plus
+//! stragglers) with random byte counts: few candidates tie, so it times
+//! the fold. `"weights": "uniform"` is the shape HACC and IOR actually
+//! present — a contiguous rank block with equal byte counts — where
+//! fabric symmetry leaves a large share of the candidates inside the
+//! prune window and the exact replay carries the time.
+//!
+//! `scale` builds and runs Mira HACC-IO SoA (≈1 MiB per rank, one file
+//! per Pset, 16 aggregators per Pset, 16 MiB buffers — the
+//! `sim-mira-hacc` workload of `BENCHMARK.json`) through `SimSession`
+//! at growing rank counts: `setup_s` is the median `SimSession::build`,
+//! `epoch_s` the median `run_epoch`, `peak_rss_mib` the process
+//! high-water mark (`VmHWM`) once that size has run — the suite runs
+//! first and sizes ascend, so it is that size's peak. `setup_exponent`
+//! is the least-squares slope of `ln setup_s` over `ln ranks`;
+//! `threads` is `available_parallelism`, which bounds the group
+//! fan-out of `build`.
 //!
 //! `netsim_incremental` times the component-sharded engine on
 //! multi-partition round workloads (the shape `sim_exec` submits):
@@ -102,12 +125,14 @@ use tapioca::placement::{
 };
 use tapioca::prelude::*;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
-use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
+use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, SimSession, StorageConfig};
+use tapioca_bench::hacc_mira;
 use tapioca_bench::loc::code_lines_per_crate;
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_netsim::{Recompute, Simulator};
 use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
-use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider};
+use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider, MIB};
+use tapioca_workloads::hacc::{HaccIo, Layout};
 
 /// SplitMix64 — the workspace has no external RNG dependency.
 struct Rng(u64);
@@ -170,10 +195,61 @@ fn irregular_members(rng: &mut Rng, num_ranks: usize, target: usize) -> Vec<usiz
     set.into_iter().collect()
 }
 
+/// Time one election shape under `strategy` and append its row.
+fn election_row(
+    json: &mut String,
+    (name, topo): (&str, &dyn TopologyProvider),
+    strategy: PlacementStrategy,
+    weights_kind: &str,
+    members: &[usize],
+    weights: &[u64],
+) {
+    let members_n = members.len();
+    let io = topo.io_nodes_for(members).first().copied().unwrap_or(0);
+    // The oracle is O(P^2) topology queries; keep large shapes to a
+    // single timed run so the full sweep stays tractable.
+    let naive_reps = if members_n >= 2048 { 1 } else { 5 };
+    let mut naive_pick = 0usize;
+    let naive_ns = median_ns(naive_reps, || {
+        naive_pick =
+            black_box(elect_aggregator(topo, black_box(members), weights, io, 3, strategy));
+    });
+    let part = [PartitionElection { members, weights, io, partition_index: 3 }];
+    let mut fast_pick = 0usize;
+    let fast_ns = median_ns(naive_reps.max(5), || {
+        fast_pick = black_box(elect_partitions(topo, black_box(&part), strategy))[0];
+    });
+    let speedup = naive_ns as f64 / (fast_ns as f64).max(1.0);
+    eprintln!(
+        "election {name} {strat} {weights_kind} members={members_n}: naive {naive_ns} ns, \
+         fast {fast_ns} ns ({speedup:.1}x, same_winner={})",
+        naive_pick == fast_pick,
+        strat = strategy_name(strategy),
+    );
+    if !json.is_empty() {
+        json.push(',');
+    }
+    let _ = write!(
+        json,
+        "\n    {{\"machine\": \"{name}\", \"strategy\": \"{}\", \
+         \"weights\": \"{weights_kind}\", \
+         \"members\": {members_n}, \"ranks\": {}, \"ranks_per_node\": {}, \
+         \"reps\": {naive_reps}, \"naive_ns\": {naive_ns}, \
+         \"fast_ns\": {fast_ns}, \"speedup\": {speedup:.3}, \
+         \"same_winner\": {}}}",
+        strategy_name(strategy),
+        topo.num_ranks(),
+        topo.ranks_per_node(),
+        naive_pick == fast_pick,
+    );
+}
+
 fn election_suite(smoke: bool, json: &mut String) {
     let machines: Vec<(&str, MachineProfile)> =
         vec![("mira", mira_profile(512, 16)), ("theta", theta_profile(512, 16))];
     let sizes: &[usize] = if smoke { &[64, 256] } else { &[256, 1024, 4096] };
+    // One Pset of Mira holds 2,048 ranks; blocks stay inside it.
+    let block_sizes: &[usize] = if smoke { &[128, 512] } else { &[128, 512, 2048] };
     let strategies = [
         PlacementStrategy::TopologyAware,
         PlacementStrategy::RankOrder,
@@ -182,7 +258,6 @@ fn election_suite(smoke: bool, json: &mut String) {
         PlacementStrategy::Random { seed: 0xfeed },
     ];
 
-    let mut first = true;
     for (name, profile) in &machines {
         let topo = &profile.machine;
         for &members_n in sizes {
@@ -190,59 +265,98 @@ fn election_suite(smoke: bool, json: &mut String) {
             let members = irregular_members(&mut rng, topo.num_ranks(), members_n);
             let weights: Vec<u64> =
                 members.iter().map(|_| rng.below(64 * 1024 * 1024)).collect();
-            let io = topo.io_nodes_for(&members).first().copied().unwrap_or(0);
-
             for strategy in strategies {
-                // The oracle is O(P^2) route walks; keep large shapes to
-                // a single timed run so the full sweep stays tractable.
-                let naive_reps = if members_n >= 2048 { 1 } else { 5 };
-                let mut naive_pick = 0usize;
-                let naive_ns = median_ns(naive_reps, || {
-                    naive_pick = black_box(elect_aggregator(
-                        topo,
-                        black_box(&members),
-                        &weights,
-                        io,
-                        3,
-                        strategy,
-                    ));
-                });
-                let part = [PartitionElection {
-                    members: &members,
-                    weights: &weights,
-                    io,
-                    partition_index: 3,
-                }];
-                let mut fast_pick = 0usize;
-                let fast_ns = median_ns(naive_reps.max(5), || {
-                    fast_pick = black_box(elect_partitions(topo, black_box(&part), strategy))[0];
-                });
-                let speedup = naive_ns as f64 / (fast_ns as f64).max(1.0);
-                eprintln!(
-                    "election {name} {strat} members={members_n}: naive {naive_ns} ns, \
-                     fast {fast_ns} ns ({speedup:.1}x, same_winner={})",
-                    naive_pick == fast_pick,
-                    strat = strategy_name(strategy),
-                );
-                if !first {
-                    json.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    json,
-                    "\n    {{\"machine\": \"{name}\", \"strategy\": \"{}\", \
-                     \"members\": {members_n}, \"ranks\": {}, \"ranks_per_node\": {}, \
-                     \"reps\": {naive_reps}, \"naive_ns\": {naive_ns}, \
-                     \"fast_ns\": {fast_ns}, \"speedup\": {speedup:.3}, \
-                     \"same_winner\": {}}}",
-                    strategy_name(strategy),
-                    topo.num_ranks(),
-                    topo.ranks_per_node(),
-                    naive_pick == fast_pick,
-                );
+                election_row(json, (name, topo), strategy, "random", &members, &weights);
+            }
+        }
+        // Only the two cost-model strategies read the weights.
+        for &members_n in block_sizes {
+            let members: Vec<usize> = (0..members_n).collect();
+            let weights = vec![MIB; members_n];
+            for strategy in [PlacementStrategy::TopologyAware, PlacementStrategy::WorstCase] {
+                election_row(json, (name, topo), strategy, "uniform", &members, &weights);
             }
         }
     }
+}
+
+/// Process peak resident set (`VmHWM`) in MiB; 0 where `/proc` has none.
+fn peak_rss_mib() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kib| kib / 1024.0)
+}
+
+fn median_s(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// ROADMAP item 3's sweep: the paper's largest workload shape at growing
+/// rank counts, so "set-up scales to the paper's largest run" is a row.
+fn scale_suite(smoke: bool, json: &mut String) {
+    // 8,192 nodes is the largest BG/Q shape the torus model knows.
+    let node_counts: &[usize] = if smoke { &[256, 1024] } else { &[256, 1024, 4096, 8192] };
+    let rpn = 16;
+    let cfg = TapiocaConfig { num_aggregators: 16, buffer_size: 16 * MIB, ..Default::default() };
+    let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
+    let (reps, epochs) = if smoke { (3, 1) } else { (5, 2) };
+
+    let mut rows = String::new();
+    let mut points: Vec<(f64, f64)> = Vec::new();
+    for &nodes in node_counts {
+        let profile = mira_profile(nodes, rpn);
+        let spec =
+            hacc_mira(nodes, rpn, HaccIo::particles_for_bytes(MIB), Layout::StructOfArrays);
+        let mut setups = Vec::new();
+        let mut epoch_times = Vec::new();
+        for _ in 0..reps {
+            let t = Instant::now();
+            let mut session =
+                SimSession::build(&profile, &storage, &spec, &cfg).expect("scale build failed");
+            setups.push(t.elapsed().as_secs_f64());
+            for _ in 0..epochs {
+                let t = Instant::now();
+                black_box(session.run_epoch().expect("scale epoch failed"));
+                epoch_times.push(t.elapsed().as_secs_f64());
+            }
+        }
+        let (setup_s, epoch_s) = (median_s(setups), median_s(epoch_times));
+        let (ranks, groups, rss) = (nodes * rpn, spec.groups.len(), peak_rss_mib());
+        eprintln!(
+            "scale mira-hacc-soa ranks={ranks} groups={groups}: setup {setup_s:.4} s, \
+             epoch {epoch_s:.4} s, peak rss {rss:.1} MiB"
+        );
+        points.push(((ranks as f64).ln(), setup_s.ln()));
+        if !rows.is_empty() {
+            rows.push(',');
+        }
+        let _ = write!(
+            rows,
+            "\n     {{\"ranks\": {ranks}, \"nodes\": {nodes}, \"groups\": {groups}, \
+             \"reps\": {reps}, \"setup_s\": {setup_s:.6}, \"epoch_s\": {epoch_s:.6}, \
+             \"peak_rss_mib\": {rss:.1}}}"
+        );
+    }
+    // Least-squares slope of ln(setup_s) over ln(ranks).
+    let n = points.len() as f64;
+    let (mx, my) = (
+        points.iter().map(|p| p.0).sum::<f64>() / n,
+        points.iter().map(|p| p.1).sum::<f64>() / n,
+    );
+    let exponent = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum::<f64>()
+        / points.iter().map(|p| (p.0 - mx).powi(2)).sum::<f64>();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    eprintln!("scale mira-hacc-soa: setup_s ~ ranks^{exponent:.2} ({threads} threads)");
+    let _ = write!(
+        json,
+        "{{\"workload\": \"mira-hacc-soa\", \"threads\": {threads}, \
+         \"setup_exponent\": {exponent:.3}, \"rows\": [{rows}\n    ]}}"
+    );
 }
 
 /// Multi-partition fence-ordered rounds — the flow shape `sim_exec`
@@ -832,6 +946,9 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| format!("{root}/BENCH_perf.json"));
 
+    // First, so the process high-water mark it reports is its own.
+    let mut scale = String::new();
+    scale_suite(smoke, &mut scale);
     let mut election = String::new();
     let mut incremental = String::new();
     let mut streaming = String::new();
@@ -848,9 +965,10 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v5\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v6\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
+         \"scale\": {scale},\n   \
          \"netsim_incremental\": [{incremental}\n   ],\n   \
          \"streaming\": [{streaming}\n   ],\n   \
          \"dataplane\": [{dataplane}\n   ]\n  }}\n}}\n"

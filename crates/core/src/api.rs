@@ -244,6 +244,8 @@ impl<'c> SessionBuilder<'c> {
                 var_chunks[c.var].push((pslot, li));
             }
         }
+        let mut by_extent: Vec<usize> = (0..decls.len()).collect();
+        by_extent.sort_by_key(|&i| (decls[i].offset, decls[i].len));
         let nparts = plan.parts.len();
         let nchunks = plan.total_chunks;
         let ndecls = decls.len();
@@ -253,6 +255,7 @@ impl<'c> SessionBuilder<'c> {
             cfg,
             topo,
             decls,
+            by_extent,
             schedule,
             plan,
             coalesce,
@@ -284,6 +287,9 @@ pub struct Session<'c> {
     cfg: TapiocaConfig,
     topo: Arc<dyn TopologyProvider>,
     decls: Vec<WriteDecl>,
+    /// Declaration indices sorted by `(offset, len)`, declaration order
+    /// among duplicates: `write` binary-searches its declaration here.
+    by_extent: Vec<usize>,
     schedule: Schedule,
     plan: RankStreamPlan,
     /// Intra-node put-coalescing runs shared by every partition entry
@@ -360,13 +366,14 @@ impl<'c> Session<'c> {
     /// the pipeline propagate from whichever `write` call ran the
     /// failing round.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<WriteOutcome> {
-        let var = self
-            .decls
+        let key = (offset, data.len() as u64);
+        let extent = |&i: &usize| (self.decls[i].offset, self.decls[i].len);
+        let first = self.by_extent.partition_point(|i| extent(i) < key);
+        let var = self.by_extent[first..]
             .iter()
-            .enumerate()
-            .position(|(i, d)| {
-                d.offset == offset && d.len == data.len() as u64 && !self.avail[i]
-            })
+            .take_while(|i| extent(i) == key)
+            .copied()
+            .find(|&i| !self.avail[i])
             .ok_or_else(|| {
                 TapiocaError::InvalidConfig(format!(
                     "write of {} bytes at offset {offset} matches no outstanding declaration",
@@ -881,6 +888,36 @@ mod tests {
             assert!(err.to_string().contains("matches no outstanding declaration"));
             // The declared write still works after the rejected one.
             io.write(0, &[7u8; 8]).unwrap();
+            io.finalize();
+        });
+    }
+
+    #[test]
+    fn duplicate_extents_resolve_in_declaration_order() {
+        let path = tmp("dupdecl");
+        Runtime::run(1, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            // Declared out of offset order, with one extent twice and a
+            // same-offset extent of another length in between.
+            let decls = vec![
+                WriteDecl { offset: 8, len: 8 },
+                WriteDecl { offset: 0, len: 8 },
+                WriteDecl { offset: 8, len: 4 },
+                WriteDecl { offset: 8, len: 8 },
+            ];
+            let mut io = session(&comm, file, decls, cfg(1, 16));
+            for epoch in 0..2u8 {
+                io.write(8, &[1 + epoch; 8]).unwrap();
+                assert_eq!(io.avail, [true, false, false, false]);
+                io.write(8, &[3 + epoch; 8]).unwrap();
+                assert_eq!(io.avail, [true, false, false, true]);
+                let err = io.write(8, &[9u8; 8]).unwrap_err();
+                assert!(err.to_string().contains(
+                    "write of 8 bytes at offset 8 matches no outstanding declaration"
+                ));
+                io.write(8, &[5u8; 4]).unwrap();
+                assert_eq!(io.write(0, &[7u8; 8]).unwrap(), WriteOutcome::Flushed);
+            }
             io.finalize();
         });
     }

@@ -7,7 +7,7 @@
 //! `l·d(A, IO) + ω(A, IO)/B(A → IO)` out of it, and the I/O phase pays
 //! the storage backend's service time. Every topology distance and path
 //! bandwidth is read through the memoized [`NodeMetricCache`], folded
-//! per node exactly like the fast election path — an ω evaluation after
+//! per node like the fast election path — an ω evaluation after
 //! the one-time [`CostModel::new`] precomputation is pure arithmetic,
 //! about six orders of magnitude cheaper than a `run_tapioca_sim` call.
 //!

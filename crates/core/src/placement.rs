@@ -18,9 +18,7 @@
 //! ablations compared in the benches: rank-order (MPICH-like), shortest
 //! path to storage only, worst-case, and seeded random placement.
 
-use std::collections::HashMap;
-
-use tapioca_topology::{IoNodeId, NodeId, NodeMetricCache, Rank, TopologyProvider};
+use tapioca_topology::{IoNodeId, NodeId, Rank, TopologyProvider};
 
 use crate::schedule::Schedule;
 
@@ -134,8 +132,7 @@ pub fn election_cost(
 /// topology queries — and return the winner's index into `members`.
 /// Mirrors exactly what the distributed MINLOC election of thread mode
 /// computes. Executors elect through [`elect_partitions`]; this is the
-/// oracle its node-folded path is proven bit-identical against (and
-/// falls back to for small partitions).
+/// oracle its node-folded path is proven bit-identical against.
 pub fn elect_aggregator(
     topo: &dyn TopologyProvider,
     members: &[Rank],
@@ -156,83 +153,83 @@ pub fn elect_aggregator(
     best.1
 }
 
-/// Node-folded election of one partition: same winner as
-/// [`elect_aggregator`], computed in O(nodes² + P) topology queries
-/// instead of O(P²).
+/// Dense node-level metric table of one partition: every quantity the
+/// cost model asks the topology for, once per node pair.
 ///
 /// Under the block rank mapping (see
 /// [`TopologyProvider::ranks_per_node`]) both `d(i, A)` and `B(i -> A)`
-/// depend only on `node(i)` and `node(A)`, so the member sum of `C1`
-/// folds into a node sum over per-node member counts and weight totals,
-/// with every node-pair metric memoized in the caller's
-/// [`NodeMetricCache`] (shared across the partitions of a batch; one
-/// cache must only ever see one topology object).
-///
-/// Folding reassociates the floating-point sum, so a folded cost can
-/// differ from the oracle's pairwise sum by a few ulps — enough to flip
-/// a MINLOC tie. To stay *bit-identical* to the oracle, the folded costs
-/// are only used to prune: every candidate whose folded cost window
-/// (`± fold_tolerance`, a rigorous bound on the divergence between the
-/// two summation orders) overlaps the best window is re-evaluated with
-/// [`election_cost`] — the oracle's exact arithmetic — and the winner is
-/// chosen among those survivors with oracle MINLOC semantics. The true
-/// winner always survives the prune, so the result is provably the
-/// oracle's (the property sweep in `tests/placement_equivalence.rs`
-/// exercises this across strategies, profiles, and partition shapes).
-fn elect_aggregator_cached(
-    topo: &dyn TopologyProvider,
-    cache: &mut NodeMetricCache,
-    part: &PartitionElection<'_>,
-    strategy: PlacementStrategy,
-) -> usize {
-    let PartitionElection { members, weights, io, partition_index } = *part;
-    assert!(!members.is_empty(), "cannot elect from an empty partition");
-    assert_eq!(members.len(), weights.len());
-    match strategy {
-        // Constant under MINLOC: member 0 always has the lowest cost.
-        PlacementStrategy::RankOrder => 0,
-        // Pure integer hashing, already O(P); replay the oracle exactly.
-        PlacementStrategy::Random { .. } => {
-            elect_aggregator(topo, members, weights, io, partition_index, strategy)
-        }
-        // Node-level distance only: u32 -> f64 is exact, so the cached
-        // per-node value *is* the oracle's cost and the ascending scan
-        // with strict `<` reproduces MINLOC ties directly.
-        PlacementStrategy::ShortestPathToIo => {
-            // Machines that expose no I/O node placement (Theta) answer
-            // `None` for every member, making every oracle cost 0.0 —
-            // member 0's cost is then a global minimum (distances are
-            // nonnegative) and MINLOC ties resolve to the lowest index,
-            // so the winner is index 0 even on mixed topologies. One
-            // probe replaces the per-member cache walk the oracle's
-            // trivial loop was beating.
-            if topo.distance_to_io_node(members[0], io).is_none() {
-                return 0;
-            }
-            // Below the fold threshold the pairwise oracle is already
-            // cheap and per-member cache lookups would dominate.
-            if members.len() < FOLD_MIN_MEMBERS {
-                return elect_aggregator(topo, members, weights, io, partition_index, strategy);
-            }
-            let mut best = (f64::INFINITY, usize::MAX);
-            for (i, &m) in members.iter().enumerate() {
-                let node = topo.node_of_rank(m);
-                let c = cache.io(topo, node, io).dist.map(|d| d as f64).unwrap_or(0.0);
-                if c < best.0 {
-                    best = (c, i);
-                }
-            }
-            best.1
-        }
-        PlacementStrategy::TopologyAware | PlacementStrategy::WorstCase => {
-            elect_folded(topo, cache, part, strategy)
-        }
-    }
+/// depend only on `node(i)` and `node(A)`, and `C2` only on `node(A)`,
+/// so a partition spanning `n` nodes needs `n²` pair queries and `n`
+/// I/O queries — made through one member of each node — whatever its
+/// member count. Both the fold and the exact replay read this table and
+/// nothing else, so election cost is a function of the nodes a
+/// partition spans, not of how many candidates survive the prune.
+struct PartitionTable {
+    /// Table slot (dense node index) of each member.
+    slot: Vec<usize>,
+    /// Number of slots.
+    nn: usize,
+    /// `l * d(t -> s)` at `[s * nn + t]`: the oracle's own product.
+    lat: Vec<f64>,
+    /// `B(t -> s)` at `[s * nn + t]`; intra-node bandwidth on the diagonal.
+    bw: Vec<f64>,
+    /// `C2` of a candidate on slot `s`, from the oracle's [`io_cost`].
+    c2: Vec<f64>,
+    /// `-1.0` under `WorstCase` (the oracle negates the cost), else `1.0`.
+    sign: f64,
 }
 
-/// Below this member count the pairwise oracle is already cheap and the
-/// fold bookkeeping would dominate.
-const FOLD_MIN_MEMBERS: usize = 8;
+impl PartitionTable {
+    fn new(topo: &dyn TopologyProvider, part: &PartitionElection<'_>, worst: bool) -> Self {
+        let PartitionElection { members, weights, io, .. } = *part;
+        let node_of: Vec<NodeId> = members.iter().map(|&m| topo.node_of_rank(m)).collect();
+        let mut nodes = node_of.clone();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let nn = nodes.len();
+        let slot: Vec<usize> = node_of
+            .iter()
+            .map(|n| nodes.binary_search(n).expect("every member's node was collected"))
+            .collect();
+        // The first member on each node answers for the node.
+        let mut rep: Vec<Rank> = vec![0; nn];
+        for (&s, &m) in slot.iter().zip(members).rev() {
+            rep[s] = m;
+        }
+        let l = topo.latency();
+        // Same exact integer sum the oracle's `topo_aware_cost` performs.
+        let total: u64 = weights.iter().sum();
+        let mut lat = Vec::with_capacity(nn * nn);
+        let mut bw = Vec::with_capacity(nn * nn);
+        let mut c2 = Vec::with_capacity(nn);
+        for &a in &rep {
+            // Directed, matching `B(i -> A)`: members on `t` send to `a`.
+            for &t in &rep {
+                lat.push(l * topo.distance_between_ranks(t, a) as f64);
+                bw.push(topo.bandwidth_between_ranks(t, a));
+            }
+            c2.push(io_cost(topo, a, io, total));
+        }
+        Self { slot, nn, lat, bw, c2, sign: if worst { -1.0 } else { 1.0 } }
+    }
+
+    /// The election cost of `members[cand]`, bit-identical to
+    /// [`election_cost`]: members in oracle order, the oracle's
+    /// expression per term (each table entry is the very `f64` the
+    /// oracle computes per pair), `C2` added last, then the sign.
+    fn cost(&self, weights: &[u64], cand: usize) -> f64 {
+        let s = self.slot[cand];
+        let lat = &self.lat[s * self.nn..][..self.nn];
+        let bw = &self.bw[s * self.nn..][..self.nn];
+        let mut c1 = 0.0;
+        for (i, (&t, &w)) in self.slot.iter().zip(weights).enumerate() {
+            if i != cand {
+                c1 += lat[t] + w as f64 / bw[t];
+            }
+        }
+        self.sign * (c1 + self.c2[s])
+    }
+}
 
 /// Upper bound on `|oracle_cost - folded_cost|` for one candidate.
 ///
@@ -249,96 +246,66 @@ fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
     8.0 * (p as f64 + 16.0) * f64::EPSILON * magnitude
 }
 
-fn elect_folded(
-    topo: &dyn TopologyProvider,
-    cache: &mut NodeMetricCache,
-    part: &PartitionElection<'_>,
-    strategy: PlacementStrategy,
-) -> usize {
-    let PartitionElection { members, weights, io, partition_index } = *part;
-    let p = members.len();
-    if p < FOLD_MIN_MEMBERS {
-        return elect_aggregator(topo, members, weights, io, partition_index, strategy);
-    }
-    let l = topo.latency();
+/// Node-folded `TopologyAware` / `WorstCase` election of one partition:
+/// same winner as [`elect_aggregator`], with `nodes²` topology queries
+/// instead of `P²`.
+///
+/// The member sum of `C1` folds into a node sum over per-node member
+/// counts and weight totals. Folding reassociates the floating-point
+/// sum, so a folded cost can differ from the oracle's pairwise sum by a
+/// few ulps — enough to flip a MINLOC tie. To stay *bit-identical* to
+/// the oracle, the folded costs are only used to prune: every candidate
+/// whose folded cost window (`± fold_tolerance`, a rigorous bound on the
+/// divergence between the two summation orders) overlaps the best window
+/// is replayed through [`PartitionTable::cost`] — the oracle's exact
+/// arithmetic — and the winner is chosen among those survivors with
+/// oracle MINLOC semantics. The true winner always survives the prune,
+/// so the result is provably the oracle's. Uniform weights on a
+/// symmetric fabric leave a large share of the members tied inside the
+/// window (38 of 129 per partition on Mira HACC), which is why the
+/// replay reads the table rather than the topology.
+fn elect_folded(topo: &dyn TopologyProvider, part: &PartitionElection<'_>, worst: bool) -> usize {
+    let weights = part.weights;
+    let p = weights.len();
+    let table = PartitionTable::new(topo, part, worst);
+    let (nn, sign) = (table.nn, table.sign);
 
-    // Group members by node: per-node member count and weight total.
-    let mut node_slot: HashMap<NodeId, usize> = HashMap::new();
-    let mut slots: Vec<NodeId> = Vec::new();
-    let mut count: Vec<f64> = Vec::new();
-    let mut w_sum: Vec<f64> = Vec::new();
-    let mut member_slot: Vec<usize> = Vec::with_capacity(p);
-    for (&m, &w) in members.iter().zip(weights) {
-        let node = topo.node_of_rank(m);
-        let s = *node_slot.entry(node).or_insert_with(|| {
-            slots.push(node);
-            count.push(0.0);
-            w_sum.push(0.0);
-            slots.len() - 1
-        });
-        member_slot.push(s);
+    // Per-node member count and weight total.
+    let mut count = vec![0.0f64; nn];
+    let mut w_sum = vec![0.0f64; nn];
+    for (&s, &w) in table.slot.iter().zip(weights) {
         count[s] += 1.0;
         w_sum[s] += w as f64;
     }
-    let nn = slots.len();
 
-    // Same exact integer sum the oracle's `topo_aware_cost` performs.
-    let total: u64 = weights.iter().sum();
-
-    // Per candidate node: cross-node C1 contribution, intra-node
-    // bandwidth, C2, and the magnitude bound for the prune tolerance.
-    let mut cross = vec![0.0f64; nn];
-    let mut intra_bw = vec![0.0f64; nn];
-    let mut c2 = vec![0.0f64; nn];
-    for s in 0..nn {
-        intra_bw[s] = cache.pair(topo, slots[s], slots[s]).bw;
-        let mut acc = 0.0;
-        for t in 0..nn {
-            if t == s {
-                continue;
+    // Folded signed cost per candidate node (less the candidate's own
+    // weight), and the magnitude bound for the prune tolerance.
+    let base: Vec<f64> = (0..nn)
+        .map(|s| {
+            let mut cross = 0.0;
+            for t in (0..nn).filter(|&t| t != s) {
+                cross += count[t] * table.lat[s * nn + t] + w_sum[t] / table.bw[s * nn + t];
             }
-            // Metrics for members on node `t` sending to a candidate on
-            // node `s` (directed, matching `B(i -> A)`).
-            let pm = cache.pair(topo, slots[t], slots[s]);
-            acc += count[t] * (l * pm.dist as f64) + w_sum[t] / pm.bw;
-        }
-        cross[s] = acc;
-        let im = cache.io(topo, slots[s], io);
-        c2[s] = match (im.dist, im.bw) {
-            (Some(d), Some(bw)) => l * d as f64 + total as f64 / bw,
-            _ => 0.0,
-        };
-    }
-
-    // Folded signed cost per candidate, and the tightest upper bound on
-    // any candidate's cost window.
-    let sign = if matches!(strategy, PlacementStrategy::WorstCase) { -1.0 } else { 1.0 };
-    let mut folded: Vec<f64> = Vec::with_capacity(p);
-    let mut tol: Vec<f64> = Vec::with_capacity(p);
-    let mut best_upper = f64::INFINITY;
-    for (i, &w) in weights.iter().enumerate() {
-        let s = member_slot[i];
-        let f = cross[s] + (w_sum[s] - w as f64) / intra_bw[s] + c2[s];
-        let magnitude = cross[s] + w_sum[s] / intra_bw[s] + c2[s];
-        let d = fold_tolerance(p, magnitude);
-        let fs = sign * f;
-        if fs + d < best_upper {
-            best_upper = fs + d;
-        }
-        folded.push(fs);
-        tol.push(d);
-    }
+            cross + table.c2[s]
+        })
+        .collect();
+    let window = |i: usize| {
+        let s = table.slot[i];
+        let intra_bw = table.bw[s * nn + s];
+        let f = base[s] + (w_sum[s] - weights[i] as f64) / intra_bw;
+        let d = fold_tolerance(p, base[s] + w_sum[s] / intra_bw);
+        (sign * f - d, sign * f + d)
+    };
+    let best_upper = (0..p).map(|i| window(i).1).fold(f64::INFINITY, f64::min);
 
     // Prune, then replay the oracle's arithmetic on the survivors. The
     // oracle winner's window always overlaps `best_upper`, so it is in
     // the survivor set and the ascending MINLOC scan returns it.
     let mut best = (f64::INFINITY, usize::MAX);
-    for i in 0..p {
-        if folded[i] - tol[i] <= best_upper {
-            let c = election_cost(topo, members, weights, io, partition_index, strategy, i);
-            if c < best.0 || (c == best.0 && i < best.1) {
-                best = (c, i);
-            }
+    for i in (0..p).filter(|&i| window(i).0 <= best_upper) {
+        let c = table.cost(weights, i);
+        if c < best.0 || (c == best.0 && i < best.1) {
+            best = (c, i);
         }
     }
     best.1
@@ -357,47 +324,80 @@ pub struct PartitionElection<'a> {
     pub partition_index: usize,
 }
 
-/// Pairwise-equivalent work (`sum of members²`) above which a batch of
-/// elections is worth fanning out across threads.
-const PARALLEL_ELECTION_WORK: usize = 1 << 20;
+/// The election cost of every member, element `i` bit-identical to
+/// [`election_cost`] of candidate `i`, from one node-level metric table
+/// instead of `P²` topology queries. Standby re-election takes its
+/// argmin over this vector with the dead winner excluded.
+pub fn election_costs(
+    topo: &dyn TopologyProvider,
+    part: &PartitionElection<'_>,
+    strategy: PlacementStrategy,
+) -> Vec<f64> {
+    let PartitionElection { members, weights, io, partition_index } = *part;
+    let worst = matches!(strategy, PlacementStrategy::WorstCase);
+    if worst || matches!(strategy, PlacementStrategy::TopologyAware) {
+        let table = PartitionTable::new(topo, part, worst);
+        (0..members.len()).map(|i| table.cost(weights, i)).collect()
+    } else {
+        (0..members.len())
+            .map(|i| election_cost(topo, members, weights, io, partition_index, strategy, i))
+            .collect()
+    }
+}
 
-/// Elect aggregators for a batch of independent partitions through the
-/// node-folded path, sharing one metric cache when run serially and
-/// fanning out across std threads (each with its own cache) when the
-/// batch is large enough to amortize spawning. Returns one winner index (into
-/// that partition's `members`) per input, in order.
+/// `ShortestPathToIo` election: the oracle's ascending MINLOC scan over
+/// `d(member, IO)` (`u32 -> f64` is exact, so the values are the
+/// oracle's), asking the topology once per run of co-located members —
+/// the distance depends on the node only and members are rank-sorted.
+fn elect_nearest_io(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> usize {
+    let mut best = (f64::INFINITY, usize::MAX);
+    let mut last: Option<(NodeId, f64)> = None;
+    for (i, &m) in part.members.iter().enumerate() {
+        let node = topo.node_of_rank(m);
+        let c = match last {
+            Some((n, c)) if n == node => c,
+            _ => topo.distance_to_io_node(m, part.io).map(|d| d as f64).unwrap_or(0.0),
+        };
+        last = Some((node, c));
+        if c < best.0 {
+            best = (c, i);
+        }
+    }
+    best.1
+}
+
+/// Elect aggregators for a batch of independent partitions: the winner
+/// of [`elect_aggregator`] for each, in order, as an index into that
+/// partition's `members`. Serial — callers with independent batches
+/// (the file groups of `SimSession::build`) fan out above this.
 pub fn elect_partitions(
     topo: &dyn TopologyProvider,
     parts: &[PartitionElection<'_>],
     strategy: PlacementStrategy,
 ) -> Vec<usize> {
-    let elect_chunk = |chunk: &[PartitionElection<'_>]| {
-        let mut cache = NodeMetricCache::new();
-        chunk
-            .iter()
-            .map(|p| elect_aggregator_cached(topo, &mut cache, p, strategy))
-            .collect::<Vec<usize>>()
-    };
-    let work: usize = parts.iter().map(|p| p.members.len() * p.members.len()).sum();
-    if parts.len() < 2 || work < PARALLEL_ELECTION_WORK {
-        return elect_chunk(parts);
-    }
-    // Queried only for batches worth fanning out: it is a syscall, and
-    // small batches are the common case.
-    let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    if threads < 2 {
-        return elect_chunk(parts);
-    }
-    let chunk = parts.len().div_ceil(threads.min(parts.len()));
-    std::thread::scope(|s| {
-        let elect_chunk = &elect_chunk;
-        let handles: Vec<_> =
-            parts.chunks(chunk).map(|ch| s.spawn(move || elect_chunk(ch))).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("election worker panicked"))
-            .collect()
-    })
+    parts
+        .iter()
+        .map(|part| {
+            assert!(!part.members.is_empty(), "cannot elect from an empty partition");
+            assert_eq!(part.members.len(), part.weights.len());
+            match strategy {
+                PlacementStrategy::TopologyAware => elect_folded(topo, part, false),
+                PlacementStrategy::WorstCase => elect_folded(topo, part, true),
+                // Constant under MINLOC: member 0 always has the lowest cost.
+                PlacementStrategy::RankOrder => 0,
+                PlacementStrategy::ShortestPathToIo => elect_nearest_io(topo, part),
+                // Pure integer hashing, already O(P): the oracle itself.
+                PlacementStrategy::Random { .. } => elect_aggregator(
+                    topo,
+                    part.members,
+                    part.weights,
+                    part.io,
+                    part.partition_index,
+                    strategy,
+                ),
+            }
+        })
+        .collect()
 }
 
 /// Elect every partition of `sched`, whose member ids index `ranks`

@@ -6,6 +6,9 @@
 //! plan (see [`crate::plan`]) and executed here with link contention,
 //! storage service stations, and lock penalties.
 
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, TryRecvError};
+use std::time::{Duration, Instant};
+
 use tapioca_mpi::{FaultPlan, IoPolicy};
 use tapioca_netsim::{FlowId, SimTime, Simulator};
 use tapioca_pfs::{
@@ -18,7 +21,7 @@ use tapioca_topology::{
 
 use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
-use crate::placement::{elect_schedule, election_cost};
+use crate::placement::{elect_schedule, election_costs, PartitionElection};
 use crate::plan::{append_tapioca_plan, ExecutionPlan, OpKind, PlanCrash, TapiocaPlanInput};
 use crate::schedule::{compute_schedule, Schedule, ScheduleParams, WriteDecl};
 
@@ -536,17 +539,17 @@ pub(crate) fn plan_group(
     let io_nodes = machine.io_nodes_for(&group.ranks);
     let io = io_nodes.first().copied().unwrap_or(0);
 
-    // Elect one aggregator per partition (node-folded, parallel across
-    // partitions for large batches); each election is exactly the
-    // distributed MINLOC of thread mode.
+    // Elect one aggregator per partition (node-folded); each election
+    // is exactly the distributed MINLOC of thread mode.
     let (members_global, choices) = elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
 
     // Per-partition fault rounds (write mode only, partition indices
     // are schedule-local like thread mode's) — the same pure derivation
     // every thread-mode member performs. The standby of a surviving
-    // crash is the argmin of the same election cost with the dead
-    // candidate excluded, ties to the lowest index — bit-identical to
-    // the thread runtime's MINLOC with an infinite cost entry.
+    // crash is the argmin of the same election costs (one exact vector
+    // per crashed partition) with the dead candidate excluded, ties to
+    // the lowest index — bit-identical to the thread runtime's MINLOC
+    // with an infinite cost entry.
     let mut degrade_round: Vec<Option<u32>> = vec![None; sched.partitions.len()];
     let mut crashes: Vec<PlanCrash> = Vec::new();
     if let (Some(fp), AccessMode::Write) = (&cfg.faults, mode) {
@@ -554,20 +557,16 @@ pub(crate) fn plan_group(
             let faults = part.fault_rounds(fp, &cfg.io_policy);
             degrade_round[part.index] = faults.degrade;
             let Some(round) = faults.crash else { continue };
-            let cost = |idx: usize| {
-                election_cost(
-                    machine,
-                    &members_global[part.index],
-                    &part.member_bytes,
-                    io,
-                    part.index,
-                    cfg.strategy,
-                    idx,
-                )
+            let election = PartitionElection {
+                members: &members_global[part.index],
+                weights: &part.member_bytes,
+                io,
+                partition_index: part.index,
             };
-            let standby = (0..part.members.len())
+            let costs = election_costs(machine, &election, cfg.strategy);
+            let standby = (0..costs.len())
                 .filter(|&idx| idx != choices[part.index])
-                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)));
+                .reduce(|best, idx| if costs[idx] < costs[best] { idx } else { best });
             if let Some(standby) = standby {
                 crashes.push(PlanCrash { partition: part.index, round, standby });
             }
@@ -575,6 +574,117 @@ pub(crate) fn plan_group(
     }
 
     Ok(GroupPlan { sched, members_global, choices, crashes, degrade_round })
+}
+
+/// Plan every file group of `spec` and show the plans to `consume`
+/// strictly in group order — the one place set-up fans out.
+///
+/// Groups are independent and [`plan_group`] is pure, so with `W =
+/// min(cores, groups)` above 1, lane `w` plans groups `w, w + W, ...`:
+/// lane 0 on the calling thread between its `consume` calls, the others
+/// on scoped threads that lend each plan out over a channel and take it
+/// back before planning their next group. A lane therefore holds at
+/// most one plan, so no more than `W` group plans (schedules) exist at
+/// once and no more than `W` threads are runnable; and every plan is
+/// freed by the thread that allocated it (a schedule is ~10^4 heap
+/// blocks — freeing them from the consumer contends with the planner's
+/// allocator and made both sides 2-4x slower). The first error in group
+/// order is returned, as in a serial loop.
+fn for_each_group_plan(
+    machine: &Machine,
+    spec: &CollectiveSpec,
+    cfg: &TapiocaConfig,
+    mut consume: impl FnMut(&GroupSpec, &GroupPlan),
+) -> Result<()> {
+    let groups = &spec.groups;
+    let lanes = if groups.len() < 2 {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from).min(groups.len())
+    };
+    std::thread::scope(|s| {
+        let remote: Vec<_> = (1..lanes)
+            .map(|w| {
+                // One plan per lane is ever in transit, so neither
+                // send blocks; only the receives wait.
+                let (lend, borrowed) = sync_channel(1);
+                let (give_back, returned) = sync_channel::<GroupPlan>(1);
+                s.spawn(move || {
+                    for group in groups.iter().skip(w).step_by(lanes) {
+                        // Either end is gone once an earlier group
+                        // failed: nobody wants the remaining plans.
+                        let plan = plan_group(machine, group, cfg, spec.mode);
+                        let lent = plan.is_ok();
+                        if lend.send(plan).is_err() || (lent && recv_handoff(&returned).is_err()) {
+                            break;
+                        }
+                    }
+                });
+                (borrowed, give_back)
+            })
+            .collect();
+        for (g, group) in groups.iter().enumerate() {
+            match g % lanes {
+                0 => consume(group, &plan_group(machine, group, cfg, spec.mode)?),
+                w => {
+                    let (borrowed, give_back) = &remote[w - 1];
+                    let gp = recv_handoff(borrowed).expect("group planner panicked")?;
+                    consume(group, &gp);
+                    give_back.send(gp).expect("group planner panicked");
+                }
+            }
+        }
+        Ok(())
+    })
+}
+
+/// How long a lane polls for a hand-off before it sleeps. A hand-off is
+/// due within one plan append (~0.2 ms for a 2,048-rank group), and
+/// sleeping through it costs a wake-up that, on a virtualised host
+/// whose other vCPU has gone idle, is longer than the wait: measured on
+/// the 2-vCPU sandbox at 65,536 ranks, blocking receives made two lanes
+/// (45 ms) slower than one (40 ms), polling holds 26 ms. The poll
+/// yields rather than spins: when the guest scheduler has stacked both
+/// lanes on one vCPU the other lane gets the core (46 ms, as blocking;
+/// a pure spin burned its slice there, 57 ms), and with a core per lane
+/// the yield returns at once.
+const HANDOFF_POLL: Duration = Duration::from_micros(500);
+
+/// `rx.recv()`, polling for [`HANDOFF_POLL`] before it blocks.
+fn recv_handoff<T>(rx: &Receiver<T>) -> std::result::Result<T, RecvError> {
+    let start = Instant::now();
+    while start.elapsed() < HANDOFF_POLL {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv()
+}
+
+/// Compile one planned group onto the end of `plan`; returns its op
+/// range.
+fn append_group(
+    plan: &mut ExecutionPlan,
+    machine: &Machine,
+    group: &GroupSpec,
+    gp: &GroupPlan,
+    mode: AccessMode,
+    pipelining: bool,
+) -> std::ops::Range<usize> {
+    let file = group.file;
+    append_tapioca_plan(plan, &TapiocaPlanInput {
+        schedule: &gp.sched,
+        aggregator_choice: &gp.choices,
+        node_of_rank: &|local| machine.node_of_rank(group.ranks[local]),
+        file_of_partition: &|_| file,
+        mode,
+        pipelining,
+        entry_deps: Vec::new(),
+        wave_base: 0,
+        crashes: gp.crashes.clone(),
+    })
 }
 
 /// A reusable simulation session: the compiled plan DAG of one
@@ -631,29 +741,12 @@ impl<'a> SimSession<'a> {
         #[cfg(feature = "trace")]
         let mut partition_base = 0u32;
 
-        for group in &spec.groups {
-            let GroupPlan { sched, choices, crashes, .. } =
-                plan_group(machine, group, cfg, spec.mode)?;
-            ncrashes += crashes.len() as u64;
-
-            let ranks = &group.ranks;
-            let node_of = |local: Rank| machine.node_of_rank(ranks[local]);
-            let file = group.file;
-            #[cfg(feature = "trace")]
-            let crashes_for_trace = crashes.clone();
-            let _op_range = append_tapioca_plan(&mut plan, &TapiocaPlanInput {
-                schedule: &sched,
-                aggregator_choice: &choices,
-                node_of_rank: &node_of,
-                file_of_partition: &|_| file,
-                mode: spec.mode,
-                pipelining: cfg.pipelining,
-                entry_deps: Vec::new(),
-                wave_base: 0,
-                crashes,
-            });
+        for_each_group_plan(machine, spec, cfg, |group, gp| {
+            ncrashes += gp.crashes.len() as u64;
+            let _op_range = append_group(&mut plan, machine, group, gp, spec.mode, cfg.pipelining);
             #[cfg(feature = "trace")]
             {
+                let GroupPlan { sched, choices, crashes, .. } = gp;
                 let elections = sched
                     .partitions
                     .iter()
@@ -673,7 +766,7 @@ impl<'a> SimSession<'a> {
                     .partitions
                     .iter()
                     .map(|part| {
-                        crashes_for_trace.iter().find(|c| c.partition == part.index).map(|c| {
+                        crashes.iter().find(|c| c.partition == part.index).map(|c| {
                             (
                                 group.ranks[part.members[choices[part.index]]],
                                 group.ranks[part.members[c.standby]],
@@ -690,7 +783,7 @@ impl<'a> SimSession<'a> {
                 });
                 partition_base += sched.partitions.len() as u32;
             }
-        }
+        })?;
         Ok(SimSession {
             profile,
             storage: *storage,
@@ -828,6 +921,45 @@ mod tests {
             assert_eq!(rep.reelections, one_shot.reelections);
         }
         assert_eq!(session.epochs_completed(), 3);
+    }
+
+    #[test]
+    fn fanned_out_build_equals_planning_groups_one_at_a_time() {
+        // Four Pset groups, with a crash in the plan so standby election
+        // and crash compilation cross the lanes too.
+        let profile = mira_profile(512, 4);
+        let machine = &profile.machine;
+        let spec = mira_spec(512, 4, MIB);
+        let cfg = TapiocaConfig {
+            num_aggregators: 8,
+            buffer_size: 4 * MIB,
+            faults: Some(
+                FaultPlan::seeded(7)
+                    .with(tapioca_mpi::FaultSpec::AggregatorCrash { partition: 3, round: 0 }),
+            ),
+            ..Default::default()
+        };
+        let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
+
+        let mut serial = ExecutionPlan::new();
+        for group in &spec.groups {
+            let gp = plan_group(machine, group, &cfg, spec.mode).unwrap();
+            append_group(&mut serial, machine, group, &gp, spec.mode, cfg.pipelining);
+        }
+        let want =
+            simulate_faulty(&profile, &storage, &serial, cfg.faults.as_ref(), &cfg.io_policy)
+                .unwrap();
+
+        for run in 0..2 {
+            let mut session = SimSession::build(&profile, &storage, &spec, &cfg).unwrap();
+            assert_eq!(session.plan.ops, serial.ops, "run {run}: plan ops differ");
+            assert_eq!(session.ncrashes, spec.groups.len() as u64);
+            let got = session.run_epoch().unwrap();
+            assert_eq!(got.elapsed.to_bits(), want.elapsed.to_bits(), "run {run}");
+            let bits = |r: &SimReport| r.op_finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "run {run}: op finish times differ");
+            assert_eq!(got.bytes, want.bytes);
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! of those quantities depends on the *node* hosting a rank, never on
 //! the rank itself (co-located ranks are 0 hops apart and communicate at
 //! intra-node bandwidth; cross-node pairs route between the two nodes).
-//! Torus/dragonfly/fattree hop math and the route-walking bandwidth
-//! computation are therefore worth memoizing per node pair: an election
-//! over P ranks spread across N nodes needs at most N² metric
-//! computations instead of P².
+//! A cost evaluation over P ranks spread across N nodes therefore needs
+//! at most N² metric computations instead of P². This lazy memo serves
+//! callers whose node set is open-ended (the autotuner's ω(A), which
+//! scores many configurations against one machine); the election knows
+//! its nodes up front and fills a dense per-partition table instead.
 //!
 //! The cache is caller-owned, lazy, and strategy-agnostic:
 //!

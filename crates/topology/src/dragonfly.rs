@@ -281,6 +281,27 @@ impl Interconnect for Dragonfly {
     fn hop_latency(&self) -> f64 {
         self.p.hop_latency
     }
+
+    /// Injection always; optical when the groups differ; electrical when
+    /// the minimal route crosses a router-to-router link inside a group
+    /// (not the case between two gateway routers of different groups).
+    fn path_bandwidth(&self, src: NodeId, dst: NodeId) -> f64 {
+        if src == dst {
+            return f64::INFINITY;
+        }
+        let (rs, rt) = (self.router_of(src), self.router_of(dst));
+        let mut bw = self.p.injection_bw;
+        if rs != rt {
+            let (gs, gt) = (self.group_of(src), self.group_of(dst));
+            if gs != gt {
+                bw = bw.min(self.p.optical_bw);
+            }
+            if gs == gt || rs != self.gateway(gs, gt) || rt != self.gateway(gt, gs) {
+                bw = bw.min(self.p.electrical_bw);
+            }
+        }
+        bw
+    }
 }
 
 #[cfg(test)]

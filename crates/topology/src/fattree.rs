@@ -129,6 +129,17 @@ impl Interconnect for FatTree {
     fn hop_latency(&self) -> f64 {
         self.p.hop_latency
     }
+
+    /// Edge links always; the two uplinks when the leaves differ.
+    fn path_bandwidth(&self, src: NodeId, dst: NodeId) -> f64 {
+        if src == dst {
+            f64::INFINITY
+        } else if self.leaf_of(src) == self.leaf_of(dst) {
+            self.p.edge_bw
+        } else {
+            self.p.edge_bw.min(self.p.uplink_bw)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -125,15 +125,21 @@ pub trait Interconnect: Send + Sync {
         out.extend_from_slice(&self.route(src, dst).links);
     }
 
-    /// Hop distance, i.e. `route(src, dst).hops()` but cheaper to compute.
+    /// Hop distance: exactly `route(src, dst).hops()`, in closed form —
+    /// no route is built and nothing is allocated. The election, the
+    /// O(P²) oracle and the cost model call this per node pair.
     fn hop_distance(&self, src: NodeId, dst: NodeId) -> u32;
 
     /// Per-hop latency in seconds.
     fn hop_latency(&self) -> f64;
 
-    /// Minimum link capacity along the route between two nodes, bytes/s.
+    /// Minimum link capacity along the route between two nodes, bytes/s
+    /// (infinite for `src == dst`).
     ///
-    /// This is the `B(i -> j)` of the paper's cost model.
+    /// This is the `B(i -> j)` of the paper's cost model. The default
+    /// walks the route; every fabric in this crate overrides it with a
+    /// closed form over its link classes, which must return exactly the
+    /// minimum of `link(l).capacity` over `route(src, dst).links`.
     fn path_bandwidth(&self, src: NodeId, dst: NodeId) -> f64 {
         if src == dst {
             return f64::INFINITY;
@@ -154,6 +160,57 @@ mod tests {
     fn route_hops_counts_links() {
         let r = Route { links: vec![3, 1, 2] };
         assert_eq!(r.hops(), 3);
+    }
+
+    /// The closed-form metric contract of [`Interconnect`], checked on
+    /// every ordered node pair.
+    fn assert_closed_forms_match_routes(name: &str, net: &dyn Interconnect) {
+        for s in 0..net.num_nodes() {
+            for t in 0..net.num_nodes() {
+                let r = net.route(s, t);
+                assert_eq!(net.hop_distance(s, t), r.hops(), "{name}: hops {s}->{t}");
+                let walked =
+                    r.links.iter().map(|&l| net.link(l).capacity).fold(f64::INFINITY, f64::min);
+                assert_eq!(net.path_bandwidth(s, t), walked, "{name}: bandwidth {s}->{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_metrics_equal_route_walks_on_every_fabric() {
+        // Odd, even, extent-2 (both directions reach the same neighbour)
+        // and extent-1 rings.
+        for dims in [&[5usize, 3][..], &[4, 2, 3], &[2, 2, 2], &[7], &[3, 1, 4], &[2, 4, 4, 2, 2]] {
+            let t = Torus::new(dims, 2.0 * GIB as f64, 600e-9);
+            assert_closed_forms_match_routes(&format!("torus{dims:?}"), &t);
+        }
+        // Distinct capacities per class with each class the smallest in
+        // turn, so a wrong class in the minimum shows.
+        let orders = [(3.0, 2.0, 1.0), (1.0, 2.0, 3.0), (2.0, 1.0, 3.0), (2.0, 3.0, 1.0)];
+        for (inj, ele, opt) in orders {
+            let d = Dragonfly::new(DragonflyParams {
+                groups: 3,
+                cols: 4,
+                rows: 2,
+                nodes_per_router: 2,
+                injection_bw: inj,
+                electrical_bw: ele,
+                optical_bw: opt,
+                hop_latency: 1e-6,
+            });
+            assert_closed_forms_match_routes("dragonfly", &d);
+        }
+        for (edge, up) in [(12.0, 24.0), (24.0, 12.0)] {
+            let f = FatTree::new(FatTreeParams {
+                leaves: 4,
+                nodes_per_leaf: 3,
+                spines: 2,
+                edge_bw: edge,
+                uplink_bw: up,
+                hop_latency: 1e-6,
+            });
+            assert_closed_forms_match_routes("fattree", &f);
+        }
     }
 
     #[test]

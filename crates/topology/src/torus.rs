@@ -230,18 +230,32 @@ impl Interconnect for Torus {
     }
 
     fn hop_distance(&self, src: NodeId, dst: NodeId) -> u32 {
-        if src == dst {
-            return 0;
+        debug_assert!(src < self.space.len() && dst < self.space.len());
+        // Peel the row-major coordinates off both ids from the last
+        // (stride-1) dimension up: no coordinate vectors are built.
+        let (mut a, mut b) = (src, dst);
+        let mut hops = 0;
+        for &n in self.space.dims().iter().rev() {
+            let (ca, cb) = (a % n, b % n);
+            a /= n;
+            b /= n;
+            let fwd = if cb >= ca { cb - ca } else { cb + n - ca };
+            hops += fwd.min(n - fwd);
         }
-        let a = self.space.coords_of(src);
-        let b = self.space.coords_of(dst);
-        (0..self.space.ndims())
-            .map(|d| self.space.ring_distance(d, a[d], b[d]) as u32)
-            .sum()
+        hops as u32
     }
 
     fn hop_latency(&self) -> f64 {
         self.hop_latency
+    }
+
+    /// Every link between two distinct nodes is a torus link.
+    fn path_bandwidth(&self, src: NodeId, dst: NodeId) -> f64 {
+        if src == dst {
+            f64::INFINITY
+        } else {
+            self.link_bw
+        }
     }
 }
 

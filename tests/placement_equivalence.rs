@@ -9,11 +9,15 @@
 //! arithmetic (`election_cost`). This sweep is the evidence that the
 //! prune is conservative enough in practice: ties, cancellation-heavy
 //! weights, and single-node partitions all land on the oracle's answer.
+//! The random sweep rarely ties, so a second, workload-shaped sweep
+//! (contiguous blocks, uniform weights) covers the regime real runs are
+//! in: many candidates exactly tied, MINLOC decided in the replay.
 
 use std::collections::BTreeSet;
 
 use tapioca::placement::{
-    elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
+    elect_aggregator, elect_partitions, election_cost, election_costs, PartitionElection,
+    PlacementStrategy,
 };
 use tapioca_topology::{cluster_profile, mira_profile, theta_profile, Rank, TopologyProvider};
 
@@ -173,11 +177,91 @@ fn batched_elections_match_per_partition_oracle() {
     }
 }
 
-/// Enough total work (`sum of members^2`) to cross the internal
-/// parallelism threshold, so the threaded fan-out path is exercised and
-/// must still reproduce the oracle exactly.
+/// The shape HACC and IOR actually present: a contiguous block of ranks
+/// inside one Pset / dragonfly group / fat-tree, every member
+/// contributing the same byte count. Co-located candidates then have
+/// *exactly* equal oracle costs, so the fold cannot separate them and
+/// the winner is decided by the exact replay's MINLOC tie-break.
 #[test]
-fn parallel_election_path_matches_oracle() {
+fn uniform_block_partitions_tie_heavily_and_match_oracle() {
+    for (name, topo) in machines() {
+        let topo = topo.as_ref();
+        let rpn = topo.ranks_per_node();
+        // Block starts: node-aligned, and straddling node boundaries
+        // (every node keeps at least two members, so whichever node
+        // wins, the winner has an exactly tied neighbour).
+        for (members_n, start) in [(128, 0), (129, 1000), (516, rpn / 2), (2048, 0)] {
+            let members: Vec<Rank> = (start..start + members_n).collect();
+            let weights = vec![1_048_576u64; members_n];
+            let io = topo.io_nodes_for(&members).first().copied().unwrap_or(0);
+            let part =
+                PartitionElection { members: &members, weights: &weights, io, partition_index: 5 };
+            for strategy in [PlacementStrategy::TopologyAware, PlacementStrategy::WorstCase] {
+                let naive = elect_aggregator(topo, &members, &weights, io, 5, strategy);
+                let fast = elect_partitions(topo, &[part], strategy)[0];
+                assert_eq!(
+                    fast, naive,
+                    "winner mismatch: machine={name} strategy={strategy:?} \
+                     members={members_n} start={start}"
+                );
+                // A candidate whose oracle cost equals the winner's lies
+                // inside every prune window that keeps the winner, so it
+                // reaches the replay: more than one must.
+                let cost = |i| election_cost(topo, &members, &weights, io, 5, strategy, i);
+                let costs = election_costs(topo, &part, strategy);
+                let winner_node = topo.node_of_rank(members[naive]);
+                let mut tied = 0;
+                for i in (0..members_n).filter(|&i| topo.node_of_rank(members[i]) == winner_node) {
+                    assert_eq!(costs[i].to_bits(), cost(i).to_bits(), "cost vector, candidate {i}");
+                    tied += usize::from(cost(i) == cost(naive));
+                }
+                assert!(
+                    tied > 1,
+                    "machine={name} strategy={strategy:?} members={members_n}: no exact tie \
+                     with the winner — the case no longer exercises the replay's tie-break"
+                );
+            }
+        }
+    }
+}
+
+/// `election_costs` is the per-candidate oracle cost, bit for bit, under
+/// every strategy (standby re-election takes its argmin over it).
+#[test]
+fn cost_vector_matches_per_candidate_oracle() {
+    let mut rng = Rng(0x57a9_d0b1);
+    for (name, topo) in machines() {
+        let topo = topo.as_ref();
+        for strategy in strategies() {
+            for case in 0..4usize {
+                let members = irregular_members(&mut rng, topo.num_ranks(), 5 + case * 37);
+                let weights = weights_for(&mut rng, members.len(), case);
+                let io = topo.io_nodes_for(&members).first().copied().unwrap_or(0);
+                let part = PartitionElection {
+                    members: &members,
+                    weights: &weights,
+                    io,
+                    partition_index: case,
+                };
+                let costs = election_costs(topo, &part, strategy);
+                assert_eq!(costs.len(), members.len());
+                for (i, c) in costs.iter().enumerate() {
+                    let want = election_cost(topo, &members, &weights, io, case, strategy, i);
+                    assert_eq!(
+                        c.to_bits(),
+                        want.to_bits(),
+                        "machine={name} strategy={strategy:?} case={case} candidate={i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A batch large enough that the old election fanned out across threads;
+/// the serial batch must still reproduce the oracle exactly.
+#[test]
+fn large_batch_matches_oracle() {
     let mut rng = Rng(0x0dd_ba11);
     let profile = mira_profile(512, 16);
     let topo = &profile.machine;
@@ -198,7 +282,6 @@ fn parallel_election_path_matches_oracle() {
             partition_index: i,
         })
         .collect();
-    // 2 * 1024^2 = 2 MiB of work units > the 1 MiB fan-out threshold.
     let batched = elect_partitions(topo, &parts, PlacementStrategy::TopologyAware);
     for (p, &choice) in parts.iter().zip(&batched) {
         let naive = elect_aggregator(
@@ -209,6 +292,6 @@ fn parallel_election_path_matches_oracle() {
             p.partition_index,
             PlacementStrategy::TopologyAware,
         );
-        assert_eq!(choice, naive, "parallel path mismatch at partition {}", p.partition_index);
+        assert_eq!(choice, naive, "large batch mismatch at partition {}", p.partition_index);
     }
 }
