@@ -26,8 +26,10 @@ use tapioca::prelude::*;
 use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
 use tapioca_check::{check, parse_jsonl, Violation};
 use tapioca_mpi::{FaultPlan, FaultSpec, Runtime, SharedFile};
-use tapioca_pfs::{AccessMode, LustreTunables};
-use tapioca_topology::{theta_profile, MachineProfile, TopologyProvider};
+use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
+use tapioca_topology::{
+    mira_profile, theta_profile, MachineProfile, Platform, TopologyProvider, KIB,
+};
 use tapioca_trace::{Trace, Tracer};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
@@ -39,6 +41,16 @@ struct Workload {
     profile: MachineProfile,
     decls: Vec<Vec<WriteDecl>>,
     cfg: TapiocaConfig,
+}
+
+impl Workload {
+    /// The file system the simulator pairs with the workload's machine.
+    fn storage(&self) -> StorageConfig {
+        match self.profile.platform {
+            Platform::MiraBgq => StorageConfig::Gpfs(GpfsTunables::mira_optimized()),
+            _ => StorageConfig::Lustre(LustreTunables::theta_optimized()),
+        }
+    }
 }
 
 fn suite() -> Vec<Workload> {
@@ -73,6 +85,23 @@ fn suite() -> Vec<Workload> {
                 pipelining: false,
                 ..Default::default()
             },
+        },
+        // 16 ranks on one node, 9 SoA variables of 8 KiB, 32 KiB rounds:
+        // every rank is a member of both partitions but a round holds
+        // the chunks of only 4 of them — the one shape here where most
+        // members sit out most rounds, i.e. the one that exercises
+        // running ahead.
+        Workload {
+            name: "hacc-soa-one-node",
+            profile: mira_profile(128, 16),
+            decls: (0..16)
+                .map(|r| {
+                    (0..9)
+                        .map(|v| WriteDecl { offset: (v * 16 + r) * 8 * KIB, len: 8 * KIB })
+                        .collect()
+                })
+                .collect(),
+            cfg: TapiocaConfig { num_aggregators: 2, buffer_size: 32 * KIB, ..Default::default() },
         },
     ]
 }
@@ -131,8 +160,7 @@ fn sim_trace(w: &Workload) -> Trace {
         }],
         mode: AccessMode::Write,
     };
-    let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-    run_tapioca_sim(&w.profile, &storage, &spec, &cfg).expect("simulation failed");
+    run_tapioca_sim(&w.profile, &w.storage(), &spec, &cfg).expect("simulation failed");
     tracer.drain()
 }
 
@@ -243,14 +271,15 @@ fn main() {
     }
 
     if let Some(n) = perturb {
-        // Perturb the two workloads that exercise both pipelined and
-        // unpipelined flushing; alternate to spread the seed budget.
+        // Perturb the workloads that exercise pipelined flushing,
+        // unpipelined flushing and running ahead; alternate to spread
+        // the seed budget.
         println!("# schedule perturbation: {n} seeds starting at {seed_base}");
         let ws = suite();
-        let targets = [&ws[0], &ws[3]];
+        let targets = [&ws[0], &ws[3], &ws[4]];
         for k in 0..n {
             let seed = seed_base + k;
-            let w = targets[(k % 2) as usize];
+            let w = targets[(k % 3) as usize];
             let label = format!("perturb:{}:seed{}", w.name, seed);
             total += report(&label, &thread_trace(w, &label, Some(seed)));
         }

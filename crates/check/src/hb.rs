@@ -1,46 +1,56 @@
 //! Vector-clock happens-before engine.
 //!
 //! Replays a [`Trace`] as a scheduler would: each rank's lane is a
-//! program-order queue; non-fence events execute freely; a fence is a
-//! barrier that releases only when every participant of the same
-//! `(partition, ordinal)` collective has arrived. Executing an event
-//! ticks the rank's own clock component; executing a fence first joins
-//! (elementwise max) the clocks of all participants, so the fence
-//! becomes a happens-before edge from everything before it on any
-//! participant to everything after it on any participant — exactly
-//! `MPI_Win_fence` semantics.
+//! program-order queue, and the round protocol's synchronisation events
+//! are the only cross-lane edges. A *signal* (`Post`, `Complete`)
+//! executes freely and leaves its clock behind; a *blocking wait*
+//! executes only once the signals it is matched with have executed, and
+//! joins (elementwise max) their clocks:
 //!
-//! The replay doubles as the epoch checker (invariant 1): when a put or
-//! flush executes, the number of fences its rank has passed in that
-//! partition pins which epoch it ran in, and the pipeline's fence
-//! schedule (close of round `r` is fence `2r`, release is `2r + 1`)
-//! says which epochs are legal. A `Reelect` event resets the schedule's
-//! origin — recovery opens a fresh window, so the crash round is
-//! replayed one fence later than the plain schedule predicts; the
-//! checker records `(fences seen, crash round)` at the reelection and
-//! measures every later epoch as a delta from that base, without
-//! resetting the fence *ordinals* used for collective matching. And it
-//! doubles as the deadlock detector
-//! (invariant 5): if no rank can make progress but events remain, the
-//! blocked fences form a wait-for graph whose cycle is reported with
-//! the ranks on it.
+//! * the `k`-th `Start` of rank `x` on `(partition, round, target)`
+//!   waits for `target`'s `k`-th `Post` of `(partition, round)`;
+//! * the `k`-th `Wait` of `target` on `(partition, round)` waits for the
+//!   `k`-th `Complete` toward it of **every** rank that recorded a
+//!   `k`-th `Start` on that exposure — the contributors, as the trace
+//!   itself names them.
+//!
+//! That is MPI's generalized active-target contract: everything an
+//! origin did before its complete happens-before everything the target
+//! does after its wait, and everything the target did before its post
+//! happens-before everything an origin does after its start. Ranks that
+//! took no part in a round get no edge from it. Ordinals (`k`) keep
+//! repeated labels apart: a crash round is exposed twice (by the dead
+//! aggregator, then by the standby — different targets), and a reused
+//! session replays the same labels every epoch.
+//!
+//! The replay doubles as the bracket checker (invariant 1): a put must
+//! execute while its lane holds an open start…complete bracket of the
+//! put's own round and target, and a flush only after its lane executed
+//! the wait of the flush's round. And it doubles as the deadlock
+//! detector (invariant 5): if no rank can make progress but events
+//! remain, the blocked waits form a wait-for graph whose cycle — or
+//! whose dead end, a rank whose lane finished without the signal
+//! another is waiting for — is reported with the ranks on it.
 
-use tapioca_trace::{Trace, TraceOp};
+use std::collections::{BTreeMap, BTreeSet};
+
+use tapioca_trace::{Trace, TraceEvent, TraceOp};
 
 use crate::{Violation, ViolationKind};
 
-/// The result of replaying a trace: per-event vector clocks (for puts
-/// and flushes) plus which partitions carry fences at all.
+/// The result of replaying a trace: per-event vector clocks (for puts,
+/// flushes and retries) plus which partitions carry synchronisation
+/// events at all.
 #[derive(Debug)]
 pub struct Execution {
     /// Vector clock of each event, indexed like `trace.events()`;
     /// `None` for events that never executed (deadlock) or need no
-    /// clock (fences, elections).
+    /// clock (synchronisation, elections).
     clocks: Vec<Option<Vec<u64>>>,
     /// Dense rank index owning each event.
     owner: Vec<usize>,
-    /// Partitions that recorded at least one fence.
-    fenced: std::collections::BTreeSet<u32>,
+    /// Partitions that recorded at least one post/start/complete/wait.
+    synced: BTreeSet<u32>,
 }
 
 impl Execution {
@@ -55,49 +65,82 @@ impl Execution {
         ca[i] <= cb[i]
     }
 
-    /// Whether partition `p` recorded any fence (thread-mode trace) or
-    /// none (simulator trace).
-    pub fn partition_is_fenced(&self, p: u32) -> bool {
-        self.fenced.contains(&p)
+    /// Whether partition `p` recorded any synchronisation event
+    /// (thread-mode trace) or none (simulator trace).
+    pub fn partition_is_synced(&self, p: u32) -> bool {
+        self.synced.contains(&p)
     }
-}
 
-impl Execution {
-    /// Replay `trace`, appending epoch and deadlock violations to `out`.
+    /// Replay `trace`, appending bracket and deadlock violations to
+    /// `out`.
     pub fn replay(trace: &Trace, out: &mut Vec<Violation>) -> Execution {
         Replayer::new(trace).run(out)
     }
 }
 
+/// Whether `op` is one of the four round-protocol synchronisation ops.
+pub(crate) fn is_sync(op: TraceOp) -> bool {
+    matches!(op, TraceOp::Post | TraceOp::Start | TraceOp::Complete | TraceOp::Wait)
+}
+
+/// One exposure as the trace labels it: (partition, round, exposing
+/// global rank).
+pub(crate) type ExposureKey = (u32, u32, usize);
+
+/// The exposure a synchronisation event belongs to: its own lane for
+/// the target's `Post`/`Wait`, its `peer` for an origin's
+/// `Start`/`Complete`.
+pub(crate) fn exposure_of(e: &TraceEvent) -> ExposureKey {
+    let target = if matches!(e.op, TraceOp::Post | TraceOp::Wait) { e.rank } else { e.peer };
+    (e.partition, e.round, target)
+}
+
 struct Replayer<'t> {
-    events: &'t [tapioca_trace::TraceEvent],
+    events: &'t [TraceEvent],
     /// Global rank -> dense index.
-    rank_idx: std::collections::BTreeMap<usize, usize>,
+    rank_idx: BTreeMap<usize, usize>,
     /// Per dense rank: indices into `events`, in lane (program) order.
     lanes: Vec<Vec<usize>>,
     /// Per dense rank: next unexecuted position in its lane.
     cursor: Vec<usize>,
     /// Per dense rank: current vector clock.
     clock: Vec<Vec<u64>>,
-    /// Per dense rank, per partition: fences executed so far.
-    fences_done: Vec<std::collections::BTreeMap<u32, u64>>,
-    /// Per dense rank, per partition: the recovery epoch base set by the
-    /// last `Reelect` the rank executed — (fences seen at that point,
-    /// the crash round being replayed).
-    recovery_base: Vec<std::collections::BTreeMap<u32, (u64, u32)>>,
-    /// Per partition, per dense rank: total fences in the whole lane
-    /// (fixes the participant set of each collective ordinal).
-    fence_totals: std::collections::BTreeMap<u32, Vec<u64>>,
+    /// Clocks of the executed `Post`s of each exposure, in lane order.
+    posts: BTreeMap<ExposureKey, Vec<Vec<u64>>>,
+    /// Clocks of the executed `Complete`s per (exposure, origin global
+    /// rank), in lane order.
+    completes: BTreeMap<(ExposureKey, usize), Vec<Vec<u64>>>,
+    /// `Start`s executed so far per (exposure, origin).
+    starts_done: BTreeMap<(ExposureKey, usize), usize>,
+    /// `Wait`s executed so far per exposure.
+    waits_done: BTreeMap<ExposureKey, usize>,
+    /// Per exposure: how many `Start`s each origin's whole lane holds —
+    /// fixes the contributor set of the exposure's `k`-th wait.
+    start_totals: BTreeMap<ExposureKey, BTreeMap<usize, usize>>,
+    /// Per dense rank, per partition: the open bracket's (round, target).
+    open: Vec<BTreeMap<u32, (u32, usize)>>,
+    /// Per dense rank: the (partition, round) exposures it has waited on.
+    waited: Vec<BTreeSet<(u32, u32)>>,
+    /// Partitions with synchronisation events.
+    synced: BTreeSet<u32>,
     /// Assigned event clocks.
     clocks: Vec<Option<Vec<u64>>>,
     /// Dense owner rank of each event.
     owner: Vec<usize>,
 }
 
+/// What a blocked lane head is waiting for.
+struct Blocked {
+    /// Global rank whose signal is missing.
+    on: usize,
+    /// Human description of the wait.
+    what: String,
+}
+
 impl<'t> Replayer<'t> {
     fn new(trace: &'t Trace) -> Replayer<'t> {
         let events = trace.events();
-        let mut rank_idx = std::collections::BTreeMap::new();
+        let mut rank_idx = BTreeMap::new();
         for e in events {
             let n = rank_idx.len();
             rank_idx.entry(e.rank).or_insert(n);
@@ -105,14 +148,17 @@ impl<'t> Replayer<'t> {
         let n = rank_idx.len();
         let mut lanes = vec![Vec::new(); n];
         let mut owner = vec![0usize; events.len()];
-        let mut fence_totals: std::collections::BTreeMap<u32, Vec<u64>> =
-            std::collections::BTreeMap::new();
+        let mut start_totals: BTreeMap<ExposureKey, BTreeMap<usize, usize>> = BTreeMap::new();
+        let mut synced = BTreeSet::new();
         for (i, e) in events.iter().enumerate() {
             let r = rank_idx[&e.rank];
             owner[i] = r;
             lanes[r].push(i);
-            if e.op == TraceOp::Fence {
-                fence_totals.entry(e.partition).or_insert_with(|| vec![0; n])[r] += 1;
+            if is_sync(e.op) {
+                synced.insert(e.partition);
+            }
+            if e.op == TraceOp::Start {
+                *start_totals.entry(exposure_of(e)).or_default().entry(e.rank).or_default() += 1;
             }
         }
         Replayer {
@@ -121,9 +167,14 @@ impl<'t> Replayer<'t> {
             lanes,
             cursor: vec![0; n],
             clock: vec![vec![0; n]; n],
-            fences_done: vec![std::collections::BTreeMap::new(); n],
-            recovery_base: vec![std::collections::BTreeMap::new(); n],
-            fence_totals,
+            posts: BTreeMap::new(),
+            completes: BTreeMap::new(),
+            starts_done: BTreeMap::new(),
+            waits_done: BTreeMap::new(),
+            start_totals,
+            open: vec![BTreeMap::new(); n],
+            waited: vec![BTreeSet::new(); n],
+            synced,
             clocks: vec![None; events.len()],
             owner,
         }
@@ -134,25 +185,49 @@ impl<'t> Replayer<'t> {
         self.lanes[r].get(self.cursor[r]).copied()
     }
 
-    /// Participants of collective `(p, k)`: ranks whose lane contains
-    /// more than `k` fences in partition `p`.
-    fn participants(&self, p: u32, k: u64) -> Vec<usize> {
-        self.fence_totals[&p]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &total)| total > k)
-            .map(|(r, _)| r)
-            .collect()
+    /// Origins the `k`-th wait of exposure `key` must hear from.
+    fn contributors(&self, key: ExposureKey, k: usize) -> impl Iterator<Item = usize> + '_ {
+        self.start_totals
+            .get(&key)
+            .into_iter()
+            .flatten()
+            .filter(move |&(_, &total)| total > k)
+            .map(|(&origin, _)| origin)
     }
 
-    /// Whether rank `r` is parked at collective `(p, k)`.
-    fn parked_at(&self, r: usize, p: u32, k: u64) -> bool {
-        self.head(r).is_some_and(|i| {
-            let e = &self.events[i];
-            e.op == TraceOp::Fence
-                && e.partition == p
-                && self.fences_done[r].get(&p).copied().unwrap_or(0) == k
-        })
+    /// If the blocking event `e` cannot execute yet, what it waits for.
+    fn blocked(&self, e: &TraceEvent) -> Option<Blocked> {
+        let key = exposure_of(e);
+        let (p, round, target) = key;
+        match e.op {
+            TraceOp::Start => {
+                let k = self.starts_done.get(&(key, e.rank)).copied().unwrap_or(0);
+                let posted = self.posts.get(&key).map_or(0, Vec::len);
+                (posted <= k).then(|| Blocked {
+                    on: target,
+                    what: format!(
+                        "rank {} blocks at its start of round {round} of partition {p} \
+                         waiting for rank {target}'s post",
+                        e.rank
+                    ),
+                })
+            }
+            TraceOp::Wait => {
+                let k = self.waits_done.get(&key).copied().unwrap_or(0);
+                let late = self
+                    .contributors(key, k)
+                    .find(|&o| self.completes.get(&(key, o)).map_or(0, Vec::len) <= k)?;
+                Some(Blocked {
+                    on: late,
+                    what: format!(
+                        "rank {} blocks at its wait of round {round} of partition {p} \
+                         waiting for rank {late}'s complete",
+                        e.rank
+                    ),
+                })
+            }
+            _ => None,
+        }
     }
 
     fn run(mut self, out: &mut Vec<Violation>) -> Execution {
@@ -160,27 +235,13 @@ impl<'t> Replayer<'t> {
         loop {
             let mut progressed = false;
             for r in 0..n {
-                // Drain everything non-blocking at this rank.
+                // Drain everything executable at this rank.
                 while let Some(i) = self.head(r) {
                     let e = &self.events[i];
-                    if e.op == TraceOp::Fence {
-                        if self.try_fence(r, i) {
-                            progressed = true;
-                            continue;
-                        }
+                    if self.blocked(e).is_some() {
                         break;
                     }
-                    self.clock[r][r] += 1;
-                    if e.op == TraceOp::Reelect {
-                        let seen =
-                            self.fences_done[r].get(&e.partition).copied().unwrap_or(0);
-                        self.recovery_base[r].insert(e.partition, (seen, e.round));
-                    }
-                    self.check_epoch(r, i, out);
-                    if matches!(e.op, TraceOp::RmaPut | TraceOp::Flush | TraceOp::Retry) {
-                        self.clocks[i] = Some(self.clock[r].clone());
-                    }
-                    self.cursor[r] += 1;
+                    self.execute(r, i, out);
                     progressed = true;
                 }
             }
@@ -191,175 +252,159 @@ impl<'t> Replayer<'t> {
         if (0..n).any(|r| self.head(r).is_some()) {
             out.push(self.deadlock_witness());
         }
-        Execution {
-            clocks: self.clocks,
-            owner: self.owner,
-            fenced: self.fence_totals.keys().copied().collect(),
-        }
+        Execution { clocks: self.clocks, owner: self.owner, synced: self.synced }
     }
 
-    /// Attempt to complete the collective that rank `r`'s head fence
-    /// belongs to. On success, joins and advances every participant.
-    fn try_fence(&mut self, r: usize, i: usize) -> bool {
-        let p = self.events[i].partition;
-        let k = self.fences_done[r].get(&p).copied().unwrap_or(0);
-        let parts = self.participants(p, k);
-        debug_assert!(parts.contains(&r));
-        if !parts.iter().all(|&v| self.parked_at(v, p, k)) {
-            return false;
-        }
-        // Barrier join: everyone leaves with the elementwise max.
-        let n = self.clock.len();
-        let mut joined = vec![0u64; n];
-        for &v in &parts {
-            for (j, c) in joined.iter_mut().zip(&self.clock[v]) {
-                *j = (*j).max(*c);
-            }
-        }
-        for &v in &parts {
-            self.clock[v] = joined.clone();
-            self.clock[v][v] += 1;
-            *self.fences_done[v].entry(p).or_insert(0) += 1;
-            self.cursor[v] += 1;
-        }
-        true
-    }
-
-    /// Invariant 1: epoch accounting for the put / flush that just
-    /// executed, skipped for fence-less (simulator) partitions.
-    ///
-    /// With the pipeline's fence schedule (close of round `r` is the
-    /// rank's fence `2r` in the partition, release is `2r + 1`):
-    /// * a put of round `r` runs with exactly `2r` fences passed;
-    /// * a flush of round `r` completes with `2r + 1` (right after its
-    ///   close fence) up to `2r + 3` (the close of round `r + 1`, where
-    ///   the pipelined wait drains it) fences passed.
-    ///
-    /// After a `Reelect` the schedule restarts from the recovery base:
-    /// the crash round `cr` was closed once before the crash was
-    /// detected, so its replay (and every later round `r`) is measured
-    /// as a delta — puts of round `r` want `base + 2*(r - cr)` fences,
-    /// flushes `[base + 2*(r - cr) + 1, base + 2*(r - cr) + 3]`.
-    fn check_epoch(&self, r: usize, i: usize, out: &mut Vec<Violation>) {
+    /// Execute the (unblocked) event `i` at the head of rank `r`'s lane.
+    fn execute(&mut self, r: usize, i: usize, out: &mut Vec<Violation>) {
         let e = &self.events[i];
+        let key = exposure_of(e);
+        match e.op {
+            TraceOp::Start => {
+                let k = self.starts_done.entry((key, e.rank)).or_insert(0);
+                join(&mut self.clock[r], &self.posts[&key][*k]);
+                *k += 1;
+                self.open[r].insert(e.partition, (e.round, e.peer));
+            }
+            TraceOp::Wait => {
+                let k = self.waits_done.get(&key).copied().unwrap_or(0);
+                let origins: Vec<usize> = self.contributors(key, k).collect();
+                for o in origins {
+                    join(&mut self.clock[r], &self.completes[&(key, o)][k]);
+                }
+                self.waits_done.insert(key, k + 1);
+                self.waited[r].insert((e.partition, e.round));
+            }
+            _ => {}
+        }
+        self.clock[r][r] += 1;
+        match e.op {
+            TraceOp::Post => self.posts.entry(key).or_default().push(self.clock[r].clone()),
+            TraceOp::Complete => {
+                self.completes.entry((key, e.rank)).or_default().push(self.clock[r].clone());
+                self.open[r].remove(&e.partition);
+            }
+            TraceOp::RmaPut | TraceOp::Flush => {
+                self.check_bracket(r, e, out);
+                self.clocks[i] = Some(self.clock[r].clone());
+            }
+            TraceOp::Retry => self.clocks[i] = Some(self.clock[r].clone()),
+            _ => {}
+        }
+        self.cursor[r] += 1;
+    }
+
+    /// Invariant 1 for the put / flush that just executed, skipped for
+    /// partitions without synchronisation events (simulator traces):
+    /// * a put of round `r` into `peer`'s window runs inside its lane's
+    ///   open start…complete bracket of exactly (`r`, `peer`);
+    /// * a flush of round `r` completes after its lane (the
+    ///   aggregator's) executed the wait that closed round `r`.
+    ///
+    /// A crash round is exposed twice — by the dead aggregator, whose
+    /// fill is lost, and by the standby, whose replay is flushed — and
+    /// both brackets carry the crash round's label with their own
+    /// target, so the rule needs no recovery arithmetic.
+    fn check_bracket(&self, r: usize, e: &TraceEvent, out: &mut Vec<Violation>) {
         let p = e.partition;
-        if !self.fence_totals.contains_key(&p) {
+        if !self.synced.contains(&p) {
             return;
         }
-        let seen = self.fences_done[r].get(&p).copied().unwrap_or(0);
-        // Events of pre-crash rounds are always executed (and therefore
-        // checked) before the rank's Reelect, so a base from a later
-        // round never applies to them.
-        let (base, base_round) = match self.recovery_base[r].get(&p) {
-            Some(&(b, cr)) if e.round >= cr => (b, cr as u64),
-            _ => (0, 0),
-        };
         match e.op {
             TraceOp::RmaPut => {
-                let want = base + 2 * (e.round as u64 - base_round);
-                if seen != want {
+                let open = self.open[r].get(&p).copied();
+                if open != Some((e.round, e.peer)) {
+                    let held = match open {
+                        Some((round, target)) => {
+                            format!("its open bracket is round {round} on rank {target}'s window")
+                        }
+                        None => "it holds no open start…complete bracket".into(),
+                    };
                     out.push(Violation {
                         kind: ViolationKind::PutOutsideEpoch,
                         message: format!(
-                            "partition {p}: rank {} put {} B labelled round {} after \
-                             passing {seen} fences — round {}'s epoch is open only \
-                             between fences {want} and {}",
-                            e.rank,
-                            e.bytes,
-                            e.round,
-                            e.round,
-                            want + 1
+                            "partition {p}: rank {} put {} B labelled round {} into rank {}'s \
+                             window, but {held} — a put must sit between the start and the \
+                             complete of its own round",
+                            e.rank, e.bytes, e.round, e.peer
                         ),
                     });
                 }
             }
-            TraceOp::Flush => {
-                let lo = base + 2 * (e.round as u64 - base_round) + 1;
-                let hi = lo + 2;
-                if seen < lo || seen > hi {
-                    out.push(Violation {
-                        kind: ViolationKind::FlushOutsideEpoch,
-                        message: format!(
-                            "partition {p}: rank {}'s flush of round {} ({} B) completed \
-                             after {seen} fences — the pipeline permits it only between \
-                             fences {lo} and {hi} (post-close, pre-reuse)",
-                            e.rank, e.round, e.bytes
-                        ),
-                    });
-                }
+            TraceOp::Flush if !self.waited[r].contains(&(p, e.round)) => {
+                out.push(Violation {
+                    kind: ViolationKind::FlushOutsideEpoch,
+                    message: format!(
+                        "partition {p}: rank {}'s flush of round {} ({} B) completed before \
+                         that rank's wait closed round {} — contributors may still have \
+                         been putting into the buffer",
+                        e.rank, e.round, e.bytes, e.round
+                    ),
+                });
             }
             _ => {}
         }
     }
 
-    /// Extract a deadlock cycle from the stuck state: every blocked
-    /// rank's head is a fence (anything else would have executed), so
-    /// "waits for a missing participant" edges must close a cycle.
+    /// Extract a witness from the stuck state: every blocked rank's
+    /// head is a start or a wait (anything else would have executed).
+    /// Follow "waits for rank" edges until a rank repeats (a cycle) or
+    /// a rank turns out not to be blocked at all — its lane ended, so
+    /// the signal can never come.
     fn deadlock_witness(&self) -> Violation {
         let n = self.lanes.len();
-        let global: Vec<usize> = {
-            let mut g = vec![0usize; n];
-            for (&rank, &idx) in &self.rank_idx {
-                g[idx] = rank;
-            }
-            g
-        };
-        // next[r] = (blocking collective, one missing participant)
-        let mut next: Vec<Option<(u32, u64, usize)>> = vec![None; n];
-        #[allow(clippy::needless_range_loop)] // r also keys head()/fences_done
-        for r in 0..n {
-            let Some(i) = self.head(r) else { continue };
-            let e = &self.events[i];
-            if e.op != TraceOp::Fence {
-                continue;
-            }
-            let p = e.partition;
-            let k = self.fences_done[r].get(&p).copied().unwrap_or(0);
-            if let Some(&v) =
-                self.participants(p, k).iter().find(|&&v| !self.parked_at(v, p, k))
-            {
-                next[r] = Some((p, k, v));
-            }
+        let mut global = vec![0usize; n];
+        for (&rank, &idx) in &self.rank_idx {
+            global[idx] = rank;
         }
-        // Walk the wait-for edges until a node repeats; the tail from
-        // that node is the cycle.
+        let next: Vec<Option<Blocked>> = (0..n)
+            .map(|r| self.head(r).and_then(|i| self.blocked(&self.events[i])))
+            .collect();
         let Some(start) = (0..n).find(|&r| next[r].is_some()) else {
             return Violation {
                 kind: ViolationKind::CollectiveCycle,
                 message: "trace replay stalled with events remaining, but no blocked \
-                          fence was found (truncated trace?)"
+                          synchronisation call was found (truncated trace?)"
                     .into(),
             };
         };
         let mut seen_at = vec![usize::MAX; n];
         let mut path = Vec::new();
         let mut cur = start;
-        let cycle_start = loop {
+        let (chain, verdict) = loop {
             if seen_at[cur] != usize::MAX {
-                break seen_at[cur];
+                let cycle = &path[seen_at[cur]..];
+                let mut ranks: Vec<usize> = cycle.iter().map(|&r| global[r]).collect();
+                ranks.sort_unstable();
+                break (cycle, format!("cycle over ranks {ranks:?}"));
             }
             seen_at[cur] = path.len();
             path.push(cur);
-            match next[cur] {
-                Some((_, _, v)) => cur = v,
-                None => break 0, // defensive: dead end, report the chain
+            let on = next[cur].as_ref().expect("every chain node is blocked").on;
+            match self.rank_idx.get(&on) {
+                Some(&v) if next[v].is_some() => cur = v,
+                _ => {
+                    break (
+                        &path[..],
+                        format!("rank {on}'s lane ended without sending that signal"),
+                    )
+                }
             }
         };
-        let cycle = &path[cycle_start..];
-        let mut msg = String::from("collective deadlock witness: ");
-        for (step, &r) in cycle.iter().enumerate() {
-            let (p, k, v) = next[r].expect("every cycle node is blocked");
-            if step > 0 {
-                msg.push_str("; ");
-            }
-            msg.push_str(&format!(
-                "rank {} blocks at fence #{k} of partition {p} waiting for rank {}",
-                global[r], global[v]
-            ));
+        let steps: Vec<&str> = chain
+            .iter()
+            .map(|&r| next[r].as_ref().expect("every chain node is blocked").what.as_str())
+            .collect();
+        Violation {
+            kind: ViolationKind::CollectiveCycle,
+            message: format!("collective deadlock witness: {} — {verdict}", steps.join("; ")),
         }
-        let mut ranks: Vec<usize> = cycle.iter().map(|&r| global[r]).collect();
-        ranks.sort_unstable();
-        msg.push_str(&format!(" — cycle over ranks {ranks:?}"));
-        Violation { kind: ViolationKind::CollectiveCycle, message: msg }
+    }
+}
+
+/// Elementwise max of `other` into `clock`.
+fn join(clock: &mut [u64], other: &[u64]) {
+    for (c, o) in clock.iter_mut().zip(other) {
+        *c = (*c).max(*o);
     }
 }

@@ -72,6 +72,10 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
                     "rma_put" => TraceOp::RmaPut,
                     "flush" => TraceOp::Flush,
                     "fence" => TraceOp::Fence,
+                    "post" => TraceOp::Post,
+                    "start" => TraceOp::Start,
+                    "complete" => TraceOp::Complete,
+                    "wait" => TraceOp::Wait,
                     "elect" => TraceOp::Elect,
                     "crash" => TraceOp::Crash,
                     "reelect" => TraceOp::Reelect,
@@ -145,6 +149,29 @@ mod tests {
                 coalesced: 0,
             },
         ]);
+        // One event of each synchronisation op, with and without a peer.
+        let sync = [
+            (TraceOp::Post, NO_PEER),
+            (TraceOp::Start, 0),
+            (TraceOp::Complete, 0),
+            (TraceOp::Wait, NO_PEER),
+        ];
+        let mut events = t.events().to_vec();
+        for (i, (op, peer)) in sync.into_iter().enumerate() {
+            events.push(TraceEvent {
+                t_ns: 20 + i as u64,
+                rank: usize::from(peer != NO_PEER),
+                partition: 2,
+                round: 3,
+                phase: Phase::Sync,
+                op,
+                bytes: 0,
+                offset: NO_OFFSET,
+                peer,
+                coalesced: 0,
+            });
+        }
+        let t = Trace::from_events(events);
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();
         let parsed = parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();

@@ -1,33 +1,37 @@
 //! # tapioca-check
 //!
-//! A happens-before race detector and RMA-epoch protocol checker over
+//! A happens-before race detector and round-protocol checker over
 //! [`tapioca_trace::Trace`]s — the pipeline's ordering contract, made
 //! executable.
 //!
-//! The TAPIOCA write pipeline (paper Algorithm 3) is correct only if a
-//! handful of ordering invariants hold in every execution:
+//! The TAPIOCA write pipeline (paper Algorithm 3, synchronised here
+//! with MPI's post/start/complete/wait between the aggregator and each
+//! round's contributors) is correct only if a handful of ordering
+//! invariants hold in every execution:
 //!
-//! 1. **Epoch discipline** — every RMA put of round `r` happens inside
-//!    round `r`'s access epoch: after the release fence of round `r-1`
-//!    and before the close fence of round `r`.
+//! 1. **Bracket discipline** — every RMA put of round `r` happens
+//!    inside its rank's start…complete bracket of round `r` on the
+//!    put's target, and every flush of round `r` completes after the
+//!    aggregator's wait that closed round `r`.
 //! 2. **Put disjointness** — no two puts that target overlapping byte
 //!    ranges of the same aggregation window are concurrent (unordered by
 //!    happens-before). MPI leaves overlapping concurrent puts undefined.
 //! 3. **Buffer reuse** — a pipeline buffer is refilled (round `r+2` with
-//!    double buffering) only after the flush of round `r` completed.
-//! 4. **Collective agreement** — all ranks of a partition observe the
-//!    partition's collectives (fences) in the same order, with the same
-//!    round labels.
-//! 5. **Deadlock freedom** — the cross-partition fence ordering is
-//!    acyclic; a cycle is reported with a witness naming the ranks and
-//!    the collectives they block on.
+//!    double buffering) only after the flush of round `r` completed:
+//!    the flush happens-before the post that re-exposes its slot, hence
+//!    before every put that post admits.
+//! 4. **Order agreement** — the ranks of a partition agree on each
+//!    exposure: the target waits exactly as often as it posts, every
+//!    origin completes exactly as often as it starts, and nobody starts
+//!    an exposure more often than its target posted it.
+//! 5. **Deadlock freedom** — the signal→wait graph is acyclic and every
+//!    blocking wait's signal exists; otherwise a witness names the ranks
+//!    and the calls they block in.
 //! 6. **Recovery discipline** — fault-injected runs keep the contract:
-//!    a `Reelect` opens a *recovery epoch* (a fresh window whose fence
-//!    schedule restarts at the crash round; the epoch checks measure
-//!    deltas from the reelection instead of absolute rounds), every
-//!    member of the partition agrees on the standby, and every recorded
-//!    `Retry` is eventually resolved by a completed flush of the same
-//!    file range.
+//!    a crash round is exposed twice (dead aggregator, then standby),
+//!    each exposure with its own brackets; every member of the partition
+//!    agrees on the standby, and every recorded `Retry` is eventually
+//!    resolved by a completed flush of the same file range.
 //!
 //! [`check`] verifies all of these on a recorded trace and returns the
 //! violations found (empty = clean). Kinds are machine-readable
@@ -39,16 +43,17 @@
 //! ([`hb`]): per-rank lane order gives program-order edges (sound
 //! because each lane is appended under a mutex in timestamp order, and
 //! the I/O worker records flush completions *before* signalling the
-//! handle the aggregator waits on), and each fence is a barrier join
-//! over the partition's participants. Two events are concurrent iff
-//! neither's clock is ≤ the other's.
+//! handle the aggregator waits on), and each matched signal→wait pair —
+//! post→start, complete→wait — is a cross-lane edge. Two events are
+//! concurrent iff neither's clock is ≤ the other's. A rank that took no
+//! part in a round is not ordered by it: there is no all-member join.
 //!
-//! Simulator traces carry no fence events (the simulator executes a
-//! dependency DAG, not synchronization); for such partitions the
-//! checker falls back to completion-timestamp ordering for the buffer
-//! reuse invariant — sound because simulated completion times respect
-//! the plan DAG, which encodes exactly that dependency — and skips the
-//! epoch and overlap checks, which are meaningless without epochs.
+//! Simulator traces carry no synchronisation events (the simulator
+//! executes a dependency DAG); for such partitions the checker falls
+//! back to completion-timestamp ordering for the buffer reuse invariant
+//! — sound because simulated completion times respect the plan DAG,
+//! which encodes exactly that dependency — and skips the bracket and
+//! overlap checks, which are meaningless without brackets.
 
 pub mod hb;
 pub mod jsonl;
@@ -63,11 +68,9 @@ pub use jsonl::parse_jsonl;
 /// Machine-readable classification of a protocol violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
-    /// An RMA put executed outside its round's fence epoch.
+    /// An RMA put executed outside its round's start…complete bracket.
     PutOutsideEpoch,
-    /// A flush completed outside the window the pipeline allows
-    /// (before its round's close fence, or after the release fence
-    /// that should have waited for it).
+    /// A flush completed before the aggregator's wait closed its round.
     FlushOutsideEpoch,
     /// Two puts into overlapping bytes of one aggregation window are
     /// unordered by happens-before.
@@ -75,11 +78,12 @@ pub enum ViolationKind {
     /// A pipeline buffer was refilled before its previous flush
     /// completed.
     RefillBeforeFlush,
-    /// Ranks of one partition disagree on the partition's collective
-    /// sequence (different fence counts or round labels).
+    /// Ranks of one partition disagree on an exposure (posts vs waits,
+    /// starts vs completes, starts vs posts).
     CollectiveOrderMismatch,
-    /// The fence/flush wait-for graph has a cycle: the recorded
-    /// schedule could deadlock. The message names the ranks.
+    /// The signal→wait graph has a cycle, or a blocking wait's signal
+    /// never comes: the recorded schedule deadlocks. The message names
+    /// the ranks.
     CollectiveCycle,
     /// A partition recorded more than one election winner.
     ConflictingElections,
@@ -180,43 +184,50 @@ fn check_elections(trace: &Trace, out: &mut Vec<Violation>) {
     }
 }
 
-/// Invariant 4 (part 2): within a partition, every participating rank
-/// records the same number of fences with the same round labels, in the
-/// same order.
+/// Invariant 4 (part 2): the ranks of a partition agree on every
+/// exposure `(round, target)` — the target waits as often as it posts,
+/// each origin completes as often as it starts, and no origin starts an
+/// exposure more often than its target posted it.
 fn check_collective_order(trace: &Trace, out: &mut Vec<Violation>) {
     use std::collections::BTreeMap;
-    // (partition -> rank -> round labels of its fences, in lane order)
-    let mut seqs: BTreeMap<u32, BTreeMap<usize, Vec<u32>>> = BTreeMap::new();
-    for e in trace.events() {
-        if e.op == TraceOp::Fence {
-            seqs.entry(e.partition).or_default().entry(e.rank).or_default().push(e.round);
+    // exposure -> (posts, waits) on the target's lane
+    let mut targets: BTreeMap<hb::ExposureKey, (usize, usize)> = BTreeMap::new();
+    // (exposure, origin) -> (starts, completes)
+    let mut origins: BTreeMap<(hb::ExposureKey, usize), (usize, usize)> = BTreeMap::new();
+    for e in trace.events().iter().filter(|e| hb::is_sync(e.op)) {
+        let key = hb::exposure_of(e);
+        match e.op {
+            TraceOp::Post => targets.entry(key).or_default().0 += 1,
+            TraceOp::Wait => targets.entry(key).or_default().1 += 1,
+            TraceOp::Start => origins.entry((key, e.rank)).or_default().0 += 1,
+            _ => origins.entry((key, e.rank)).or_default().1 += 1,
         }
     }
-    for (p, by_rank) in &seqs {
-        let mut iter = by_rank.iter();
-        let Some((&r0, ref_seq)) = iter.next() else { continue };
-        for (&r, seq) in iter {
-            if seq.len() != ref_seq.len() {
-                out.push(Violation {
-                    kind: ViolationKind::CollectiveOrderMismatch,
-                    message: format!(
-                        "partition {p}: rank {r} recorded {} fences but rank {r0} recorded {}",
-                        seq.len(),
-                        ref_seq.len()
-                    ),
-                });
-            } else if seq != ref_seq {
-                let k = seq.iter().zip(ref_seq.iter()).position(|(a, b)| a != b).unwrap_or(0);
-                out.push(Violation {
-                    kind: ViolationKind::CollectiveOrderMismatch,
-                    message: format!(
-                        "partition {p}: fence #{k} is labelled round {} by rank {r} \
-                         but round {} by rank {r0} — the ranks disagree on the \
-                         collective order",
-                        seq[k], ref_seq[k]
-                    ),
-                });
-            }
+    let mut mismatch = |message: String| {
+        out.push(Violation { kind: ViolationKind::CollectiveOrderMismatch, message })
+    };
+    for (&(p, round, target), &(posts, waits)) in &targets {
+        if posts != waits {
+            mismatch(format!(
+                "partition {p}: rank {target} posted round {round} {posts} time(s) but waited \
+                 on it {waits} time(s)"
+            ));
+        }
+    }
+    for (&((p, round, target), origin), &(starts, completes)) in &origins {
+        if starts != completes {
+            mismatch(format!(
+                "partition {p}: rank {origin} recorded {starts} start(s) but {completes} \
+                 complete(s) of round {round} on rank {target}'s window"
+            ));
+        }
+        let posts = targets.get(&(p, round, target)).map_or(0, |t| t.0);
+        if starts > posts {
+            mismatch(format!(
+                "partition {p}: rank {origin} started round {round} on rank {target}'s window \
+                 {starts} time(s) but rank {target} posted it {posts} time(s) — the ranks \
+                 disagree on the round order"
+            ));
         }
     }
 }
@@ -225,14 +236,15 @@ fn check_collective_order(trace: &Trace, out: &mut Vec<Violation>) {
 fn check_overlaps(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) {
     use std::collections::BTreeMap;
     let events = trace.events();
-    // partition -> put event indices carrying a window offset
-    let mut puts: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    // (partition, window owner) -> put event indices carrying a window
+    // offset
+    let mut puts: BTreeMap<(u32, usize), Vec<usize>> = BTreeMap::new();
     for (i, e) in events.iter().enumerate() {
         if e.op == TraceOp::RmaPut && e.offset != NO_OFFSET && e.bytes > 0 {
-            puts.entry(e.partition).or_default().push(i);
+            puts.entry((e.partition, e.peer)).or_default().push(i);
         }
     }
-    for (p, mut idxs) in puts {
+    for ((p, _), mut idxs) in puts {
         idxs.sort_by_key(|&i| events[i].offset);
         // Sweep: `active` holds puts whose byte range may still overlap
         // later (sorted-by-offset) puts.
@@ -276,9 +288,11 @@ fn check_overlaps(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>)
 /// Invariant 3: the flush of round `r` must complete before the puts of
 /// round `r + 2` (same double-buffer slot) start refilling the buffer.
 ///
-/// Fenced partitions use the happens-before relation; fence-less
-/// (simulator) partitions use completion timestamps, which the plan DAG
-/// makes authoritative.
+/// Synchronised partitions use the happens-before relation — the
+/// flush precedes, on the aggregator's lane, the post that re-exposes
+/// its slot, and that post precedes every put it admits — partitions
+/// without synchronisation events (simulator) use completion
+/// timestamps, which the plan DAG makes authoritative.
 fn check_refill(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) {
     use std::collections::BTreeMap;
     let events = trace.events();
@@ -293,16 +307,22 @@ fn check_refill(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) {
     }
     for (p, fl) in &flushes {
         let Some(pt) = puts.get(p) else { continue };
-        let fenced = exec.partition_is_fenced(*p);
+        let synced = exec.partition_is_synced(*p);
         for &fi in fl {
             let f = &events[fi];
             for &qi in pt {
                 let q = &events[qi];
-                // Same physical buffer: two rounds later, same parity.
-                if q.round < f.round + 2 || !(q.round - f.round).is_multiple_of(2) {
+                // Same physical buffer: two rounds later, same parity —
+                // and the same window: a put into the standby's fresh
+                // post-crash window (`peer` is its owner) cannot refill
+                // a slot of the crashed aggregator's.
+                if q.round < f.round + 2
+                    || !(q.round - f.round).is_multiple_of(2)
+                    || (synced && q.peer != f.rank)
+                {
                     continue;
                 }
-                let ordered = if fenced {
+                let ordered = if synced {
                     exec.happens_before(fi, qi)
                 } else {
                     f.t_ns <= q.t_ns
@@ -343,7 +363,7 @@ fn check_retries(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) 
         }
         let resolved = flushes.get(&(e.partition, e.offset)).is_some_and(|fl| {
             fl.iter().any(|&fi| {
-                if exec.partition_is_fenced(e.partition) {
+                if exec.partition_is_synced(e.partition) {
                     exec.happens_before(i, fi)
                 } else {
                     e.t_ns <= events[fi].t_ns

@@ -12,14 +12,14 @@
 //!   be observed; leftovers are
 //!   [`UndischargedStaticEvent`](StaticViolation::UndischargedStaticEvent)s;
 //! * **order** — per-lane event orders must be consistent with the
-//!   static collective order (fence label sequences, round
-//!   monotonicity, partition visit order), else an
+//!   static collective order (each lane's post/start/complete/wait
+//!   label sequence, round monotonicity, partition visit order), else an
 //!   [`OrderViolation`](StaticViolation::OrderViolation).
 //!
 //! The two executors emit at different granularities, so the bridge
 //! detects the producer and applies the matching refinement map:
 //! thread-mode traces carry per-member puts with window offsets and
-//! fence/retry/degrade events (matched against the schedule's
+//! synchronisation/retry/degrade events (matched against the schedule's
 //! wire-level view, so coalesced runs expect one merged put on the
 //! leader's lane); simulator traces carry per-(round,
 //! source-node) transfer batches on the aggregator's lane and execute
@@ -29,7 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use tapioca::analyze::{StaticViolation, SymbolicPartition, SymbolicSchedule};
+use tapioca::analyze::{
+    StaticViolation, SymbolicPartition, SymbolicSchedule, SymbolicSync, SyncKind,
+};
 use tapioca_pfs::AccessMode;
 use tapioca_topology::Rank;
 use tapioca_trace::{Trace, TraceEvent, TraceOp, NO_OFFSET, NO_PEER};
@@ -44,17 +46,32 @@ type PutMap = BTreeMap<(u32, Rank), Vec<(u64, u64, Rank, u32)>>;
 /// Which executor produced a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Thread-mode runtime: per-member puts, fences, retries, degrade.
+    /// Thread-mode runtime: per-member puts, synchronisation calls,
+    /// retries, degrade.
     Thread,
     /// Flow-level simulator: batched transfers on the aggregator lane.
     Sim,
 }
 
+/// The predicted call a synchronisation event records, if it is one.
+fn sync_label(e: &TraceEvent) -> Option<SymbolicSync> {
+    let (kind, target) = match e.op {
+        TraceOp::Post => (SyncKind::Post, e.rank),
+        TraceOp::Start => (SyncKind::Start, e.peer),
+        TraceOp::Complete => (SyncKind::Complete, e.peer),
+        TraceOp::Wait => (SyncKind::Wait, e.rank),
+        _ => return None,
+    };
+    Some(SymbolicSync { kind, round: e.round, target })
+}
+
 /// Guess the producing executor from trace structure: only thread mode
-/// records fences, retries, degrades, or window offsets on puts.
+/// records synchronisation calls, retries, degrades, or window offsets
+/// on puts.
 pub fn detect_executor(trace: &Trace) -> Executor {
     let threadish = trace.events().iter().any(|e| {
-        matches!(e.op, TraceOp::Fence | TraceOp::Retry | TraceOp::Degrade)
+        sync_label(e).is_some()
+            || matches!(e.op, TraceOp::Retry | TraceOp::Degrade)
             || (e.op == TraceOp::RmaPut && e.offset != NO_OFFSET)
     });
     if threadish { Executor::Thread } else { Executor::Sim }
@@ -115,8 +132,8 @@ struct ThreadPart {
     lowest: Option<Rank>,
     aggregator: Option<Rank>,
     crash: Option<(u32, Rank, Rank)>, // (round, old, standby)
-    /// First degraded round (`u32::MAX` when none): no puts, fences, or
-    /// flushes are predicted at or after it.
+    /// First degraded round (`u32::MAX` when none): no puts,
+    /// synchronisation calls, or flushes are predicted at or after it.
     dr: u32,
     nrounds: u32,
     total_bytes: u64,
@@ -131,8 +148,10 @@ struct ThreadPart {
     crash_seen: bool,
     reelects_seen: Vec<Rank>,
     degrade_seen: bool,
-    /// Observed fence round labels per member lane.
-    fences: BTreeMap<Rank, Vec<u32>>,
+    /// Observed synchronisation calls per member lane, in lane order.
+    syncs: BTreeMap<Rank, Vec<SymbolicSync>>,
+    /// Predicted synchronisation calls per member lane.
+    expected_syncs: BTreeMap<Rank, Vec<SymbolicSync>>,
     /// Last put round observed per member lane (monotonicity).
     last_put_round: BTreeMap<Rank, u32>,
 }
@@ -189,7 +208,8 @@ impl ThreadPart {
             crash_seen: false,
             reelects_seen: Vec::new(),
             degrade_seen: false,
-            fences: BTreeMap::new(),
+            syncs: BTreeMap::new(),
+            expected_syncs: p.members.iter().map(|&m| (m, p.sync_labels(m))).collect(),
             last_put_round: BTreeMap::new(),
         }
     }
@@ -200,23 +220,6 @@ impl ThreadPart {
             Some((cr, _, standby)) if round >= cr => Some(standby),
             _ => self.aggregator,
         }
-    }
-
-    /// Fence labels one member lane must produce, in order: two per
-    /// round, three in the crash round, stopping at the degrade round.
-    fn expected_fences(&self) -> Vec<u32> {
-        let mut seq = Vec::new();
-        let end = self.nrounds.min(self.dr);
-        for r in 0..end {
-            let n = match self.crash {
-                Some((cr, _, _)) if r == cr => 3,
-                _ => 2,
-            };
-            for _ in 0..n {
-                seq.push(r);
-            }
-        }
-        seq
     }
 }
 
@@ -235,7 +238,7 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
             out.push(unmapped(e, "partition not in static schedule"));
             continue;
         };
-        if matches!(e.op, TraceOp::RmaPut | TraceOp::Fence) {
+        if e.op == TraceOp::RmaPut || sync_label(e).is_some() {
             let seen = first_seen.entry(e.rank).or_default();
             if !seen.contains(&e.partition) {
                 seen.push(e.partition);
@@ -305,10 +308,13 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
                 }
             }
             TraceOp::Fence => {
+                out.push(unmapped(e, "the round pipeline issues no fences"));
+            }
+            TraceOp::Post | TraceOp::Start | TraceOp::Complete | TraceOp::Wait => {
                 if !part.members.contains(&e.rank) {
-                    out.push(unmapped(e, "fence from a non-member"));
-                } else {
-                    part.fences.entry(e.rank).or_default().push(e.round);
+                    out.push(unmapped(e, "synchronisation call from a non-member"));
+                } else if let Some(label) = sync_label(e) {
+                    part.syncs.entry(e.rank).or_default().push(label);
                 }
             }
             TraceOp::Crash => match part.crash {
@@ -436,16 +442,20 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
                 ));
             }
         }
-        let expected = part.expected_fences();
-        for m in &part.members {
-            let got = part.fences.get(m).cloned().unwrap_or_default();
+        for (m, expected) in &part.expected_syncs {
+            let got = part.syncs.get(m).map_or(&[][..], Vec::as_slice);
             if got != expected {
+                let k = got.iter().zip(expected).take_while(|(a, b)| a == b).count();
                 out.push(StaticViolation::OrderViolation {
                     rank: *m,
                     detail: format!(
-                        "partition {}: fence labels {got:?} differ from static \
-                         sequence {expected:?}",
-                        part.index
+                        "partition {}: synchronisation call #{k} of {} observed is {:?} but \
+                         the static sequence ({} calls) has {:?} there",
+                        part.index,
+                        got.len(),
+                        got.get(k),
+                        expected.len(),
+                        expected.get(k),
                     ),
                 });
             }
@@ -616,7 +626,13 @@ fn conform_sim(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticViolat
                     out.push(unmapped(e, "flush on an unexpected lane"));
                 }
             }
-            TraceOp::Fence | TraceOp::Retry | TraceOp::Degrade => {
+            TraceOp::Fence
+            | TraceOp::Post
+            | TraceOp::Start
+            | TraceOp::Complete
+            | TraceOp::Wait
+            | TraceOp::Retry
+            | TraceOp::Degrade => {
                 out.push(unmapped(e, "the simulator never emits this event"));
             }
         }

@@ -9,7 +9,7 @@ fn ev(t: u64, rank: usize, round: u32, op: TraceOp, bytes: u64, offset: u64) -> 
     let phase = match op {
         TraceOp::RmaPut | TraceOp::Elect => Phase::Aggregation,
         TraceOp::Flush | TraceOp::Retry => Phase::Io,
-        TraceOp::Fence | TraceOp::Crash | TraceOp::Reelect | TraceOp::Degrade => Phase::Sync,
+        _ => Phase::Sync,
     };
     TraceEvent {
         t_ns: t,
@@ -20,35 +20,49 @@ fn ev(t: u64, rank: usize, round: u32, op: TraceOp, bytes: u64, offset: u64) -> 
         op,
         bytes,
         offset,
-        peer: if op == TraceOp::RmaPut { 0 } else { NO_PEER },
+        // Rank 0 is the aggregator of every hand-written trace here.
+        peer: if matches!(op, TraceOp::RmaPut | TraceOp::Start | TraceOp::Complete) {
+            0
+        } else {
+            NO_PEER
+        },
         coalesced: 0,
     }
 }
 
-/// A correct 2-rank, 2-round pipeline on partition 0: rank 0 is the
-/// aggregator (buffer 64 B, double-buffered window of 128 B), rank 1 a
-/// member. Each round: both put, close fence, flush, release fence.
+fn sync(t: u64, rank: usize, round: u32, op: TraceOp) -> TraceEvent {
+    ev(t, rank, round, op, 0, NO_OFFSET)
+}
+
+/// A correct 3-rank, 2-round pipeline on partition 0: rank 0 is the
+/// aggregator (buffer 64 B, double-buffered window of 128 B) and, with
+/// rank 1, a contributor of both rounds; rank 2 is a member that owns
+/// no chunk of either round and so records nothing at all. Each round:
+/// the contributors start, put and complete; the aggregator waits,
+/// flushes, and posts the next round.
 fn good_events() -> Vec<TraceEvent> {
     vec![
+        sync(5, 0, 0, TraceOp::Post),
         // round 0: puts into slot 0 ([0, 64))
+        sync(9, 0, 0, TraceOp::Start),
         ev(10, 0, 0, TraceOp::RmaPut, 32, 0),
+        sync(12, 0, 0, TraceOp::Complete),
+        sync(10, 1, 0, TraceOp::Start),
         ev(11, 1, 0, TraceOp::RmaPut, 32, 32),
-        // close fence of round 0
-        ev(20, 0, 0, TraceOp::Fence, 0, NO_OFFSET),
-        ev(20, 1, 0, TraceOp::Fence, 0, NO_OFFSET),
-        // flush of round 0 (file offset 0)
+        sync(13, 1, 0, TraceOp::Complete),
+        sync(20, 0, 0, TraceOp::Wait),
+        // flush of round 0 (file offset 0), then slot 1 is exposed
         ev(30, 0, 0, TraceOp::Flush, 64, 0),
-        // release fence of round 0
-        ev(40, 0, 0, TraceOp::Fence, 0, NO_OFFSET),
-        ev(40, 1, 0, TraceOp::Fence, 0, NO_OFFSET),
+        sync(40, 0, 1, TraceOp::Post),
         // round 1: puts into slot 1 ([64, 128))
+        sync(49, 0, 1, TraceOp::Start),
         ev(50, 0, 1, TraceOp::RmaPut, 32, 64),
+        sync(52, 0, 1, TraceOp::Complete),
+        sync(50, 1, 1, TraceOp::Start),
         ev(51, 1, 1, TraceOp::RmaPut, 32, 96),
-        ev(60, 0, 1, TraceOp::Fence, 0, NO_OFFSET),
-        ev(60, 1, 1, TraceOp::Fence, 0, NO_OFFSET),
+        sync(53, 1, 1, TraceOp::Complete),
+        sync(60, 0, 1, TraceOp::Wait),
         ev(70, 0, 1, TraceOp::Flush, 64, 64),
-        ev(80, 0, 1, TraceOp::Fence, 0, NO_OFFSET),
-        ev(80, 1, 1, TraceOp::Fence, 0, NO_OFFSET),
     ]
 }
 
@@ -69,8 +83,8 @@ fn empty_trace_passes() {
 #[test]
 fn put_outside_epoch_is_caught() {
     let mut evs = good_events();
-    // Rank 1's round-1 put escapes backwards past both round-0 fences:
-    // it now executes with 0 fences passed instead of 2.
+    // Rank 1's round-1 put escapes backwards into its round-0 bracket:
+    // it now executes before the start that should admit it.
     let put = evs
         .iter()
         .position(|e| e.rank == 1 && e.round == 1 && e.op == TraceOp::RmaPut)
@@ -89,7 +103,7 @@ fn put_outside_epoch_is_caught() {
 fn concurrent_overlapping_puts_are_caught() {
     let mut evs = good_events();
     // Rank 1's round-0 put now collides with rank 0's bytes [0, 32):
-    // both run in the same epoch with no fence between them.
+    // both run in the same exposure, with no signal between them.
     let put = evs
         .iter()
         .position(|e| e.rank == 1 && e.round == 0 && e.op == TraceOp::RmaPut)
@@ -105,8 +119,9 @@ fn concurrent_overlapping_puts_are_caught() {
 
 #[test]
 fn ordered_overlapping_puts_are_fine() {
-    // Same bytes rewritten two rounds later (slot reuse) is the normal
-    // pipeline pattern: fences order the rounds, so no race.
+    // Same bytes rewritten in a later round (slot reuse) is the normal
+    // pipeline pattern: complete → wait → post → start orders the
+    // rounds, so no race.
     let mut evs = good_events();
     for e in &mut evs {
         if e.round == 1 && e.op == TraceOp::RmaPut {
@@ -124,7 +139,8 @@ fn ordered_overlapping_puts_are_fine() {
 
 #[test]
 fn refill_before_flush_is_caught_in_sim_traces() {
-    // Fence-less (simulator-style) trace: the round-2 transfer finishes
+    // Simulator-style trace without synchronisation events: the round-2
+    // transfer finishes
     // at t=50, but the flush of round 0 — whose buffer round 2 reuses —
     // only completes at t=100.
     let evs = vec![
@@ -159,8 +175,8 @@ fn pipelined_sim_trace_passes() {
 #[test]
 fn flush_outside_epoch_is_caught() {
     let mut evs = good_events();
-    // The round-0 flush completes before the round-0 close fence: the
-    // aggregator flushed a buffer whose epoch was still open.
+    // The round-0 flush completes before the aggregator's round-0 wait:
+    // it flushed a buffer whose exposure was still open.
     let fl = evs
         .iter()
         .position(|e| e.op == TraceOp::Flush && e.round == 0)
@@ -175,14 +191,14 @@ fn flush_outside_epoch_is_caught() {
 
 #[test]
 fn refill_before_flush_via_hb_is_caught() {
-    // Thread-style fenced trace where the flush of round 0 is recorded
-    // *after* the release fence it should precede (e.g. an I/O worker
-    // that signals completion before recording): rounds 0 and 2 share a
-    // buffer slot but no happens-before edge orders flush 0 before the
-    // round-2 refill.
+    // Thread-style trace where the flush of round 0 is recorded *after*
+    // the post that re-exposes its slot (e.g. an I/O worker that signals
+    // completion before recording, or an aggregator that posts before
+    // draining): rounds 0 and 2 share a buffer slot but no
+    // happens-before edge orders flush 0 before the round-2 refill.
     let mut evs = good_events();
     // Re-label round 1 as round 2 (slot parity matches round 0) and
-    // delay the round-0 flush past every fence.
+    // delay the round-0 flush past everything.
     for e in &mut evs {
         if e.round == 1 {
             e.round = 2;
@@ -198,61 +214,75 @@ fn refill_before_flush_via_hb_is_caught() {
         .iter()
         .position(|e| e.op == TraceOp::Flush && e.round == 0)
         .unwrap();
-    evs[fl].t_ns = 95; // after the final fence at t=80
-    let v = check(&Trace::from_events(evs));
-    // The late flush is both outside its epoch window and unordered
-    // against the refill; the put epoch check also fires because the
-    // round jump breaks the fence schedule. What matters: the refill
-    // race is caught.
-    assert!(
-        v.iter().any(|v| v.kind == ViolationKind::RefillBeforeFlush),
-        "{v:?}"
+    evs[fl].t_ns = 95; // after the last event at t=70
+    assert_eq!(
+        kinds(&Trace::from_events(evs)),
+        vec![ViolationKind::RefillBeforeFlush, ViolationKind::RefillBeforeFlush],
+        "one per refilling put"
     );
 }
 
 #[test]
 fn collective_order_mismatch_is_caught() {
     let mut evs = good_events();
-    // Rank 1 drops its final release fence: the partition's ranks no
-    // longer agree on the collective sequence.
+    // Rank 1 drops its final complete: it started round 1 but never
+    // left it, so the ranks no longer agree on the exposure — and the
+    // aggregator's wait of round 1 can never return.
     let last = evs
         .iter()
-        .rposition(|e| e.rank == 1 && e.op == TraceOp::Fence)
+        .rposition(|e| e.rank == 1 && e.op == TraceOp::Complete)
         .unwrap();
     evs.remove(last);
     let v = check(&Trace::from_events(evs));
     assert_eq!(
         v.iter().map(|v| v.kind).collect::<Vec<_>>(),
+        vec![ViolationKind::CollectiveOrderMismatch, ViolationKind::CollectiveCycle]
+    );
+    assert!(v[0].message.contains("rank 1 recorded 1 start(s) but 0 complete(s)"), "{}", v[0].message);
+    assert!(v[1].message.contains("waiting for rank 1's complete"), "{}", v[1].message);
+    assert!(v[1].message.contains("rank 1's lane ended"), "{}", v[1].message);
+
+    // An unmatched post is a disagreement too, without any deadlock.
+    let mut evs = good_events();
+    evs.push(sync(80, 0, 2, TraceOp::Post));
+    let v = check(&Trace::from_events(evs));
+    assert_eq!(
+        v.iter().map(|v| v.kind).collect::<Vec<_>>(),
         vec![ViolationKind::CollectiveOrderMismatch]
     );
-    assert!(v[0].message.contains("3 fences"), "{}", v[0].message);
+    assert!(v[0].message.contains("posted round 2 1 time(s) but waited"), "{}", v[0].message);
 }
 
 #[test]
 fn collective_cycle_names_the_deadlocked_ranks() {
-    // Rank 0 fences partition 0 then 1; rank 1 fences 1 then 0. Classic
-    // lock-order inversion over collectives.
-    let mk = |t, rank, partition| TraceEvent {
+    // Rank 0 enters rank 1's exposure of partition 1 before posting its
+    // own of partition 0; rank 1 does the mirror image. Classic
+    // lock-order inversion over blocking calls.
+    let mk = |t, rank, partition, op, peer| TraceEvent {
         t_ns: t,
         rank,
         partition,
         round: 0,
         phase: Phase::Sync,
-        op: TraceOp::Fence,
+        op,
         bytes: 0,
         offset: NO_OFFSET,
-        peer: NO_PEER,
+        peer,
         coalesced: 0,
     };
-    let evs = vec![mk(10, 0, 0), mk(20, 0, 1), mk(10, 1, 1), mk(20, 1, 0)];
+    let evs = vec![
+        mk(10, 0, 1, TraceOp::Start, 1),
+        mk(20, 0, 0, TraceOp::Post, NO_PEER),
+        mk(10, 1, 0, TraceOp::Start, 0),
+        mk(20, 1, 1, TraceOp::Post, NO_PEER),
+    ];
     let v = check(&Trace::from_events(evs));
-    assert_eq!(
-        v.iter().map(|v| v.kind).collect::<Vec<_>>(),
-        vec![ViolationKind::CollectiveCycle]
-    );
-    assert!(v[0].message.contains("rank 0"), "{}", v[0].message);
-    assert!(v[0].message.contains("rank 1"), "{}", v[0].message);
-    assert!(v[0].message.contains("cycle over ranks [0, 1]"), "{}", v[0].message);
+    let cycles: Vec<_> = v.iter().filter(|v| v.kind == ViolationKind::CollectiveCycle).collect();
+    assert_eq!(cycles.len(), 1, "{v:?}");
+    let msg = &cycles[0].message;
+    assert!(msg.contains("rank 0 blocks at its start"), "{msg}");
+    assert!(msg.contains("rank 1 blocks at its start"), "{msg}");
+    assert!(msg.contains("cycle over ranks [0, 1]"), "{msg}");
 }
 
 #[test]
@@ -277,12 +307,11 @@ fn conflicting_elections_are_caught() {
 }
 
 /// A correct crash-recovery execution on partition 0: rank 0 (the
-/// elected aggregator) crashes at round 0 after the close fence; rank 1
-/// is re-elected, round 0 is replayed into the fresh window, and round 1
-/// proceeds through the standby. Fence schedule per rank:
-/// close(r0)=#0, replay-close(r0)=#1, release(r0)=#2, close(r1)=#3,
-/// release(r1)=#4 — so post-recovery epochs are deltas from base
-/// (1 fence seen at Reelect, crash round 0).
+/// elected aggregator) crashes at round 0 after the wait that closed
+/// it; rank 1 is re-elected, posts round 0 again on its fresh window,
+/// round 0 is replayed into it, and round 1 proceeds through the
+/// standby. The crash round is exposed twice under the same label, by
+/// different targets.
 fn recovery_events() -> Vec<TraceEvent> {
     let mk = |t: u64, rank: usize, round: u32, op: TraceOp, bytes: u64, offset: u64, peer| {
         TraceEvent {
@@ -302,35 +331,44 @@ fn recovery_events() -> Vec<TraceEvent> {
             coalesced: 0,
         }
     };
+    let sy = |t, rank, round, op, peer| mk(t, rank, round, op, 0, NO_OFFSET, peer);
     vec![
         mk(5, 0, 0, TraceOp::Elect, 128, NO_OFFSET, 0),
+        sy(6, 0, 0, TraceOp::Post, NO_PEER),
         // round 0 fill into slot 0 of the doomed window
+        sy(9, 0, 0, TraceOp::Start, 0),
         mk(10, 0, 0, TraceOp::RmaPut, 32, 0, 0),
+        sy(12, 0, 0, TraceOp::Complete, 0),
+        sy(10, 1, 0, TraceOp::Start, 0),
         mk(11, 1, 0, TraceOp::RmaPut, 32, 32, 0),
-        mk(20, 0, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
-        mk(20, 1, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
+        sy(13, 1, 0, TraceOp::Complete, 0),
+        sy(20, 0, 0, TraceOp::Wait, NO_PEER),
         // crash detected; standby rank 1 takes over, both lanes mark it
         mk(25, 0, 0, TraceOp::Crash, 0, NO_OFFSET, 0),
         mk(26, 0, 0, TraceOp::Reelect, 0, NO_OFFSET, 1),
         mk(26, 1, 0, TraceOp::Reelect, 0, NO_OFFSET, 1),
+        sy(27, 1, 0, TraceOp::Post, NO_PEER),
         // replay of round 0 into slot 0 of the fresh window
+        sy(29, 0, 0, TraceOp::Start, 1),
         mk(30, 0, 0, TraceOp::RmaPut, 32, 0, 1),
+        sy(32, 0, 0, TraceOp::Complete, 1),
+        sy(30, 1, 0, TraceOp::Start, 1),
         mk(31, 1, 0, TraceOp::RmaPut, 32, 32, 1),
-        mk(40, 0, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
-        mk(40, 1, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
+        sy(33, 1, 0, TraceOp::Complete, 1),
+        sy(40, 1, 0, TraceOp::Wait, NO_PEER),
         // the standby retries once, then the flush lands
         mk(45, 1, 0, TraceOp::Retry, 64, 0, NO_PEER),
         mk(50, 1, 0, TraceOp::Flush, 64, 0, NO_PEER),
-        mk(60, 0, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
-        mk(60, 1, 0, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
+        sy(60, 1, 1, TraceOp::Post, NO_PEER),
         // round 1 through the standby, slot 1
+        sy(69, 0, 1, TraceOp::Start, 1),
         mk(70, 0, 1, TraceOp::RmaPut, 32, 64, 1),
+        sy(72, 0, 1, TraceOp::Complete, 1),
+        sy(70, 1, 1, TraceOp::Start, 1),
         mk(71, 1, 1, TraceOp::RmaPut, 32, 96, 1),
-        mk(80, 0, 1, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
-        mk(80, 1, 1, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
+        sy(73, 1, 1, TraceOp::Complete, 1),
+        sy(80, 1, 1, TraceOp::Wait, NO_PEER),
         mk(90, 1, 1, TraceOp::Flush, 64, 64, NO_PEER),
-        mk(95, 0, 1, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
-        mk(95, 1, 1, TraceOp::Fence, 0, NO_OFFSET, NO_PEER),
     ]
 }
 
@@ -341,8 +379,8 @@ fn crash_recovery_trace_passes() {
 
 #[test]
 fn replayed_put_outside_recovery_epoch_is_caught() {
-    // Relabel rank 1's replayed put as round 1: in the recovery epoch it
-    // would need base + 2 = 3 fences passed, but it runs with 1.
+    // Relabel rank 1's replayed put as round 1: it runs inside the
+    // bracket of the replayed round 0, not of round 1.
     let mut evs = recovery_events();
     let i = evs
         .iter()

@@ -8,15 +8,35 @@
 //! 1. the members form a sub-communicator and elect their aggregator
 //!    with an `allreduce(MINLOC)` over the placement cost;
 //! 2. the aggregator exposes **two** pipeline buffers in an RMA window;
-//! 3. for each round `r`: members `put` their chunks into buffer
-//!    `r % 2`; a fence closes the epoch; the aggregator launches a
-//!    *non-blocking* flush of that buffer and — before releasing the next
-//!    round — waits for the flush that previously used the *other*
-//!    buffer (round `r-1`'s fill target is only reused in round `r+1`);
-//!    a second fence releases the members into round `r + 1`.
+//! 3. round `r` is synchronised between the aggregator and the ranks
+//!    that own a chunk of it (its *contributors*, a pure function of
+//!    the schedule — [`RoundRoster`]) and nobody else, with MPI's
+//!    post/start/complete/wait:
+//!    * the aggregator **posts** buffer `r % 2` to round `r`'s
+//!      contributors once the flush that last used it (round `r - 2`)
+//!      has drained — for round 0 at partition entry, for round `r + 1`
+//!      at the end of round `r`;
+//!    * a contributor **starts** (blocks only until that post), `put`s
+//!      its chunks into the buffer and **completes** (a signal);
+//!    * the aggregator alone **waits** for the round's contributors,
+//!      then launches a *non-blocking* flush of the buffer.
+//!
+//!    A rank with no chunk in round `r` makes no call in it and runs
+//!    straight on to its next contributing round
+//!    (`PartitionRun::skip_idle`).
 //!
 //! The net effect is the paper's overlap: the flush of round `r` runs
 //! concurrently with the puts of round `r + 1`.
+//!
+//! **Deviation from the paper.** Algorithm 3 closes and re-opens every
+//! round with `MPI_Win_fence`, a collective over *all* members of the
+//! partition. We use MPI's generalized active-target calls instead
+//! because the shared schedule tells every rank who contributes to each
+//! round: the other members have nothing to put and nothing to wait
+//! for, so waking them twice a round is pure cost. What stays
+//! collective: partition entry (sub-communicator, election, window
+//! allocation), the crash-round re-election, and the closing barrier of
+//! `PartitionRun::finish`.
 //!
 //! ## Execution drivers
 //!
@@ -52,12 +72,13 @@
 //!   config's [`tapioca_mpi::IoPolicy`]); the aggregator records one
 //!   `Retry` trace event per failed attempt.
 //! * **Aggregator crash** at round `cr`: the crashed aggregator is
-//!   demoted after the fence that closes round `cr` (its in-flight
-//!   flushes are drained first, so rounds `< cr` are durable); the
-//!   members re-elect a standby via the same MINLOC with the dead
-//!   candidate's cost forced to infinity, allocate a fresh window (a new
-//!   fence epoch), and *replay* the lost round's puts into it. Rounds
-//!   `>= cr` then flow through the standby.
+//!   demoted after its wait that closes round `cr` (its in-flight
+//!   flushes are drained first, so rounds `< cr` are durable); *all*
+//!   members — contributors of `cr` or not — re-elect a standby via the
+//!   same MINLOC with the dead candidate's cost forced to infinity and
+//!   allocate a fresh window (fresh synchronisation counters); the
+//!   standby posts round `cr` again and its contributors *replay* their
+//!   puts into it. Rounds `>= cr` then flow through the standby.
 //! * **Graceful degradation**: a fault that exhausts the retry budget
 //!   (or a declared stall) is detected *before* the round runs — every
 //!   member writes its own remaining chunks directly to the file and the
@@ -68,7 +89,7 @@
 
 use std::sync::Arc;
 
-use tapioca_mpi::{Comm, DepositBoard, IoError, IoHandle, Rank, SharedFile, Window};
+use tapioca_mpi::{Comm, IoError, IoHandle, Rank, RoundTag, SharedFile, Window};
 use tapioca_topology::TopologyProvider;
 
 #[cfg(feature = "trace")]
@@ -78,13 +99,17 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result};
 use crate::placement::election_cost;
 use crate::schedule::{
-    compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, Schedule,
+    compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, RoundRoster, Schedule,
 };
 
 /// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
 fn subgroup_key(epoch: u64, partition: usize) -> u64 {
     epoch * 1_000_000 + partition as u64
+}
+
+fn tag(part: &PartitionInfo, r: usize) -> RoundTag {
+    RoundTag { partition: part.index as u32, round: r as u32 }
 }
 
 /// Per-rank instrumentation of one pipeline run — what this rank's
@@ -102,7 +127,12 @@ pub struct IoStats {
     pub puts: u64,
     /// Bytes deposited via puts.
     pub put_bytes: u64,
-    /// Fences passed.
+    /// Synchronisation calls this rank issued: every post, start,
+    /// complete and wait of the round protocol (on the aggregation
+    /// window and, with coalescing, the node leader's gather window).
+    /// A rank makes none in a round it does not take part in. (The
+    /// name dates from the two `MPI_Win_fence` calls per round per
+    /// member that Algorithm 3 prescribes.)
     pub fences: u64,
     /// Flush operations issued (as aggregator).
     pub flushes: u64,
@@ -226,7 +256,8 @@ fn settle_flight(
 /// What [`PartitionRun::run_round`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RoundOutcome {
-    /// The round's puts, fences, and flush executed; the run advanced.
+    /// The round's puts, synchronisation and flush executed; the run
+    /// advanced.
     Ran,
     /// The partition degraded *at* this round: the fault schedule
     /// exhausts the retry budget here, so no collective work ran. The
@@ -236,22 +267,26 @@ pub(crate) enum RoundOutcome {
     Degraded,
 }
 
-/// Per-rank coalescing state of one partition: the shared run plan,
+/// Per-rank coalescing state of one partition: the shared run plan and
 /// the node-leader gather window (one full aggregation buffer on
-/// leaders, empty elsewhere, finely paned so concurrent member
-/// deposits rarely contend), and the deposit board tracking how many
-/// chunks of the leader's runs have landed this round. Deposits land
-/// at their chunk's `buf_offset`, so every run the leader owns in a
-/// round reads its packed range directly; fences separate rounds, so
-/// a single gather buffer (no double buffering) suffices. The
-/// rendezvous is wait-free: the depositor whose counter bump reaches
-/// the round's expected total (a pure function of the plan) forwards
-/// the leader's merged runs itself and retires the count, so no
-/// thread ever blocks waiting for co-members.
+/// leaders, empty elsewhere, finely paned so concurrent member deposits
+/// rarely contend). Deposits land at their chunk's `buf_offset`, so
+/// every run the leader owns in a round reads its packed range
+/// directly. The rendezvous is the window's own complete/wait: a member
+/// deposits, then *completes* toward the leader; the leader *waits* for
+/// the round's depositors (a pure function of the plan) and forwards
+/// its runs itself, inside its own start…complete bracket on the
+/// aggregation window. Rounds are serialised by the aggregator's post
+/// (round `r + 1` is posted after the wait of round `r`), so a single
+/// gather buffer suffices: nobody deposits for `r + 1` before every
+/// forward of `r` has completed.
 pub(crate) struct GatherCtx {
     plan: Arc<CoalescePlan>,
     gather: Window,
-    board: DepositBoard,
+    /// Scratch, reused every round: the leaders this rank deposited to
+    /// and, on a leader, the other ranks depositing into its runs.
+    leaders: Vec<Rank>,
+    depositors: Vec<Rank>,
 }
 
 /// Partition state worth keeping across epochs when the declarations —
@@ -270,8 +305,7 @@ pub(crate) struct CachedPart {
 
 /// The live pipeline state of one partition on this rank, between
 /// [`PartitionRun::enter`] and [`PartitionRun::finish`]. Drivers feed
-/// it rounds in ascending order; it performs the collective sequence of
-/// Algorithm 3 exactly as the historical batch loop did.
+/// it rounds in ascending order.
 pub(crate) struct PartitionRun {
     pcomm: Comm,
     #[cfg(feature = "trace")]
@@ -282,6 +316,9 @@ pub(crate) struct PartitionRun {
     win: Window,
     inflight: [Vec<Flight>; 2],
     coalesce: Option<GatherCtx>,
+    /// Who contributes to each round: the ranks a round is synchronised
+    /// between.
+    roster: Arc<RoundRoster>,
     /// First round replayed through a re-elected standby; window slot
     /// of round r is (r - base) % 2 so the fresh window starts at 0.
     base: usize,
@@ -310,6 +347,7 @@ impl PartitionRun {
         epoch: u64,
         cache: Option<CachedPart>,
         coalesce: Option<&Arc<CoalescePlan>>,
+        roster: &Arc<RoundRoster>,
         stats: &mut IoStats,
     ) -> PartitionRun {
         let b = cfg.buffer_size as usize;
@@ -345,9 +383,9 @@ impl PartitionRun {
                     if !plan.runs().iter().any(|run| run.partition == part.index) {
                         return None;
                     }
-                    // Collective pair: every member agrees on whether
-                    // the partition has runs (the plan is pure shared
-                    // data) and passes through both allocations.
+                    // Collective: every member agrees on whether the
+                    // partition has runs (the plan is pure shared data)
+                    // and passes through the allocation.
                     let leads = plan.runs().iter().any(|run| {
                         run.partition == part.index && run.leader == part.members[my_idx]
                     });
@@ -356,8 +394,12 @@ impl PartitionRun {
                         if leads { b } else { 0 },
                         (b / 16).max(64),
                     );
-                    let board = DepositBoard::allocate(&pcomm);
-                    Some(GatherCtx { plan: Arc::clone(plan), gather, board })
+                    Some(GatherCtx {
+                        plan: Arc::clone(plan),
+                        gather,
+                        leaders: Vec::new(),
+                        depositors: Vec::new(),
+                    })
                 });
                 (pcomm, agg_idx, my_cost, win, ctx)
             }
@@ -379,7 +421,7 @@ impl PartitionRun {
         let degrade_at = faults.degrade.map(|r| r as usize);
 
         // Attach this rank's trace scope to the window so puts and
-        // fences are recorded at their call sites. The election result
+        // synchronisation calls are recorded at their call sites. The election result
         // is recorded once per partition, by the lowest member.
         #[cfg(feature = "trace")]
         if let Some(tracer) = &cfg.tracer {
@@ -395,7 +437,7 @@ impl PartitionRun {
             win.set_trace_scope(scope);
         }
 
-        PartitionRun {
+        let run = PartitionRun {
             pcomm,
             #[cfg(feature = "trace")]
             me: comm.rank(),
@@ -405,12 +447,53 @@ impl PartitionRun {
             win,
             inflight: [Vec::new(), Vec::new()],
             coalesce,
+            roster: Arc::clone(roster),
             base: 0,
             crash_round,
             degrade_at,
             next_round: 0,
             degraded: false,
+        };
+        // Both buffers are free at entry (a cached window was drained by
+        // the previous epoch's `finish`).
+        run.post_round(part, 0, stats);
+        run
+    }
+
+    /// Aggregator only: open round `r`'s exposure to its contributors —
+    /// unless the round never runs (past the end, or the degrade round).
+    fn post_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
+        if self.my_idx == self.agg_idx && r < part.rounds.len() && self.degrade_at != Some(r) {
+            self.win.post(self.roster.contributors(r), tag(part, r));
+            stats.fences += 1;
         }
+    }
+
+    /// Aggregator only: close round `r`'s exposure — returns once every
+    /// contributor's puts have landed.
+    fn wait_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
+        if self.my_idx == self.agg_idx {
+            self.win.wait(self.roster.contributors(r), tag(part, r));
+            stats.fences += 1;
+        }
+    }
+
+    /// Advance past the rounds this rank has no part in — it owns no
+    /// chunk of them, is not their aggregator, and they are neither the
+    /// crash round (a collective re-election) nor the degrade round —
+    /// without a single synchronisation call. Returns how many rounds
+    /// were skipped.
+    pub(crate) fn skip_idle(&mut self, part: &PartitionInfo) -> u64 {
+        let first = self.next_round;
+        while self.next_round < part.rounds.len()
+            && self.my_idx != self.agg_idx
+            && !self.roster.contributes(self.next_round, self.my_idx)
+            && self.crash_round != Some(self.next_round)
+            && self.degrade_at != Some(self.next_round)
+        {
+            self.next_round += 1;
+        }
+        (self.next_round - first) as u64
     }
 
     /// Blocking drain of one in-flight slot, in launch order.
@@ -422,64 +505,111 @@ impl PartitionRun {
         Ok(())
     }
 
-    /// Completer half of coalescing for round `r`: forward every run
-    /// `leader_global` leads this round as **one** merged put from the
-    /// leader's gather buffer into the aggregator's slot. Called by
-    /// whichever co-located depositor's counter bump completed the
-    /// round's expected total — possibly the leader itself, possibly a
-    /// co-member — so the traced operation is pinned to the leader's
-    /// lane via `put_from`'s `lane` argument, keeping the wire-put
-    /// schedule deterministic for the static conformance bridge.
+    /// This rank's part in filling round `r`: enter the aggregator's
+    /// exposure, move every chunk of the round, leave. A chunk outside
+    /// any coalesced run is one put into the window at `slot_base`; a
+    /// chunk inside one is deposited into the run leader's gather
+    /// buffer (intra-node staging, not a wire op, so untraced) and the
+    /// leader — after waiting for the round's depositors — forwards
+    /// each of its runs as **one** merged put.
+    ///
+    /// `replay` re-issues the round into a fresh post-crash window: the
+    /// gather buffers survived the crash with every deposit of the
+    /// round in them (the lost fill's forward waited for them), so
+    /// nobody re-deposits and each leader forwards again directly.
     #[allow(clippy::too_many_arguments)]
-    fn forward_merged_runs(
-        &self,
+    fn contribute(
+        &mut self,
         part: &PartitionInfo,
+        chunks: &[Chunk],
+        src: &dyn ChunkSource,
         r: usize,
-        leader_global: Rank,
-        leader_local: usize,
-        buf: usize,
-        b: usize,
+        slot_base: usize,
+        replay: bool,
         stats: &mut IoStats,
     ) {
-        let ctx = self.coalesce.as_ref().expect("completer fires only with coalescing active");
-        for run in ctx.plan.runs_led_by(part.index, r as u32, leader_global) {
-            self.win.put_from(
-                self.agg_idx,
-                buf * b + run.buf_offset as usize,
-                &ctx.gather,
-                leader_local,
-                run.buf_offset as usize,
-                run.len as usize,
-                run.chunks.len() as u32,
-                leader_global,
-            );
-            stats.puts += 1;
-            stats.coalesced_puts += 1;
+        let at = tag(part, r);
+        self.win.start(self.agg_idx, at);
+        stats.fences += 1;
+        if let Some(ctx) = self.coalesce.as_mut() {
+            ctx.leaders.clear();
         }
-    }
-
-    /// Re-issue this rank's merged puts of round `r` into a fresh
-    /// post-crash window (slot 0). The gather buffer survived the
-    /// crash with its bytes intact and the round's completer retired
-    /// the deposit count before the lost fill's fence, so no member
-    /// re-deposits and each leader replays its own runs directly.
-    fn replay_merged_runs(&mut self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
-        let Some(ctx) = self.coalesce.as_ref() else { return };
-        let me = part.members[self.my_idx];
-        for run in ctx.plan.runs_led_by(part.index, r as u32, me) {
-            self.win.put_from(
-                self.agg_idx,
-                run.buf_offset as usize,
-                &ctx.gather,
-                self.my_idx,
-                run.buf_offset as usize,
-                run.len as usize,
-                run.chunks.len() as u32,
-                me,
-            );
-            stats.puts += 1;
-            stats.coalesced_puts += 1;
+        for (i, c) in chunks.iter().enumerate() {
+            if c.round as usize != r {
+                continue;
+            }
+            let leader = self
+                .coalesce
+                .as_ref()
+                .and_then(|ctx| ctx.plan.run_for_chunk(c))
+                .map(|run| run.leader);
+            match (leader, self.coalesce.as_mut()) {
+                (Some(leader_global), Some(ctx)) => {
+                    if replay {
+                        continue;
+                    }
+                    let leader = part
+                        .members
+                        .binary_search(&leader_global)
+                        .expect("run leader is a partition member");
+                    ctx.gather.put(leader, c.buf_offset as usize, src.chunk_data(i, c));
+                    stats.put_bytes += c.len;
+                    stats.coalesced_chunks += 1;
+                    if leader != self.my_idx && !ctx.leaders.contains(&leader) {
+                        ctx.leaders.push(leader);
+                    }
+                }
+                _ => {
+                    self.win.put(
+                        self.agg_idx,
+                        slot_base + c.buf_offset as usize,
+                        src.chunk_data(i, c),
+                    );
+                    stats.puts += 1;
+                    stats.put_bytes += c.len;
+                }
+            }
         }
+        if let Some(ctx) = self.coalesce.as_mut() {
+            let me = part.members[self.my_idx];
+            for &leader in &ctx.leaders {
+                ctx.gather.complete(leader, at);
+                stats.fences += 1;
+            }
+            if !replay {
+                ctx.depositors.clear();
+                for run in ctx.plan.runs_led_by(part.index, r as u32, me) {
+                    for c in run.chunks.iter().filter(|c| c.rank != me) {
+                        let d = part
+                            .members
+                            .binary_search(&c.rank)
+                            .expect("run members are partition members");
+                        ctx.depositors.push(d);
+                    }
+                }
+                ctx.depositors.sort_unstable();
+                ctx.depositors.dedup();
+                if !ctx.depositors.is_empty() {
+                    ctx.gather.wait(&ctx.depositors, at);
+                    stats.fences += 1;
+                }
+            }
+            for run in ctx.plan.runs_led_by(part.index, r as u32, me) {
+                self.win.put_from(
+                    self.agg_idx,
+                    slot_base + run.buf_offset as usize,
+                    &ctx.gather,
+                    self.my_idx,
+                    run.buf_offset as usize,
+                    run.len as usize,
+                    run.chunks.len() as u32,
+                );
+                stats.puts += 1;
+                stats.coalesced_puts += 1;
+            }
+        }
+        self.win.complete(self.agg_idx, at);
+        stats.fences += 1;
     }
 
     /// Execute round `self.next_round` of `part`. `chunks` is this
@@ -538,58 +668,17 @@ impl PartitionRun {
         }
 
         let mut buf = (r - self.base) % 2;
-        for (i, c) in chunks.iter().enumerate() {
-            if c.round as usize != r {
-                continue;
-            }
-            let data = src.chunk_data(i, c);
-            match self.coalesce.as_ref().and_then(|ctx| ctx.plan.run_for_chunk(c)) {
-                Some(run) => {
-                    // Intra-node staging, not a wire op: deposit into
-                    // the node leader's gather buffer and bump its
-                    // deposit counter. Untraced — only the merged put
-                    // is a window access the checker models. The
-                    // depositor whose bump completes the round's
-                    // expected total (a pure function of the plan, so
-                    // exactly one member observes it) retires the
-                    // count and forwards the leader's packed runs
-                    // inline; nobody ever blocks on the board.
-                    let leader_global = run.leader;
-                    let leader = part
-                        .members
-                        .binary_search(&leader_global)
-                        .expect("run leader is a partition member");
-                    let ctx =
-                        self.coalesce.as_ref().expect("a coalesced run implies a gather context");
-                    ctx.gather.put(leader, c.buf_offset as usize, data);
-                    stats.put_bytes += c.len;
-                    stats.coalesced_chunks += 1;
-                    let expected: u64 = ctx
-                        .plan
-                        .runs_led_by(part.index, r as u32, leader_global)
-                        .map(|rn| rn.chunks.len() as u64)
-                        .sum();
-                    if ctx.board.add(leader, 1) == expected {
-                        ctx.board.sub(leader, expected);
-                        self.forward_merged_runs(part, r, leader_global, leader, buf, b, stats);
-                    }
-                }
-                None => {
-                    self.win.put(self.agg_idx, buf * b + c.buf_offset as usize, data);
-                    stats.puts += 1;
-                    stats.put_bytes += c.len;
-                }
-            }
+        let contributes = self.roster.contributes(r, self.my_idx);
+        if contributes {
+            self.contribute(part, chunks, src, r, buf * b, false, stats);
         }
-        // Close the access epoch of round r.
-        self.win.fence(&self.pcomm);
-        stats.fences += 1;
+        self.wait_round(part, r, stats);
 
         // Aggregator crash: the fill of round r is lost with the
         // crashed window. Drain the old aggregator's in-flight
         // flushes (rounds < r stay durable), re-elect a standby with
-        // the dead candidate excluded, open a fresh window (a new
-        // fence epoch for the checker), and replay round r into it.
+        // the dead candidate excluded, open a fresh window (fresh
+        // synchronisation counters), and replay round r into it.
         if self.crash_round == Some(r) {
             let old_agg = self.agg_idx;
             if self.my_idx == old_agg {
@@ -633,25 +722,11 @@ impl PartitionRun {
             }
             self.base = r;
             buf = 0;
-            for (i, c) in chunks.iter().enumerate() {
-                if c.round as usize != r {
-                    continue;
-                }
-                if let Some(ctx) = &self.coalesce {
-                    if ctx.plan.run_for_chunk(c).is_some() {
-                        // Already deposited before the lost fill; the
-                        // leader alone replays the merged put below.
-                        continue;
-                    }
-                }
-                let data = src.chunk_data(i, c);
-                self.win.put(self.agg_idx, c.buf_offset as usize, data);
-                stats.puts += 1;
-                stats.put_bytes += c.len;
+            self.post_round(part, r, stats);
+            if contributes {
+                self.contribute(part, chunks, src, r, 0, true, stats);
             }
-            self.replay_merged_runs(part, r, stats);
-            self.win.fence(&self.pcomm);
-            stats.fences += 1;
+            self.wait_round(part, r, stats);
         }
 
         if self.my_idx == self.agg_idx {
@@ -706,11 +781,9 @@ impl PartitionRun {
                     settle_flight(f, &self.win, self.my_idx, b, file, policy.op_timeout)?;
                 }
             }
+            // The buffer round r+1 fills is free again: expose it.
+            self.post_round(part, r + 1, stats);
         }
-        // Release every member into round r+1 only after the
-        // aggregator confirmed the reused buffer is free.
-        self.win.fence(&self.pcomm);
-        stats.fences += 1;
         self.next_round = r + 1;
         Ok(RoundOutcome::Ran)
     }
@@ -775,9 +848,23 @@ pub fn run_write_pipeline(
             .copied()
             .collect();
 
-        let mut run =
-            PartitionRun::enter(comm, part, cfg, topo, epoch, None, coalesce.as_ref(), &mut stats);
-        while run.next_round < part.rounds.len() {
+        let roster = Arc::new(RoundRoster::new(schedule, part));
+        let mut run = PartitionRun::enter(
+            comm,
+            part,
+            cfg,
+            topo,
+            epoch,
+            None,
+            coalesce.as_ref(),
+            &roster,
+            &mut stats,
+        );
+        loop {
+            run.skip_idle(part);
+            if run.next_round == part.rounds.len() {
+                break;
+            }
             match run.run_round(part, &my_chunks, file, cfg, &src, &mut stats)? {
                 RoundOutcome::Ran => {}
                 RoundOutcome::Degraded => {
@@ -802,8 +889,12 @@ pub fn run_write_pipeline(
 /// chunks with one-sided `get`s. Returns one buffer per declared var.
 ///
 /// Reads use a single buffer (no flush to overlap with); the paper's
-/// machinery — partitions, election, rounds, fences — is identical.
-/// Faults are not injected on the read path.
+/// machinery — partitions, election, rounds — is identical, and the
+/// round synchronisation is the write path's with the roles mirrored:
+/// the aggregator *posts* "data ready" to the round's getters, they
+/// start, `get` and complete, and the aggregator *waits* for them
+/// before overwriting the buffer with the next round. Faults are not
+/// injected on the read path.
 pub fn run_read_pipeline(
     comm: &Comm,
     schedule: &Schedule,
@@ -841,7 +932,9 @@ pub fn run_read_pipeline(
             .filter(|c| c.partition == part.index)
             .collect();
 
+        let roster = RoundRoster::new(schedule, part);
         for (r, round) in part.rounds.iter().enumerate() {
+            let at = tag(part, r);
             if my_idx == agg_idx {
                 for seg in &round.segments {
                     let data = file
@@ -849,18 +942,25 @@ pub fn run_read_pipeline(
                         .map_err(|e| io_err("read_at", e))?;
                     win.write_local(my_idx, seg.buf_offset as usize, &data);
                 }
+                win.post(roster.contributors(r), at);
             }
-            win.fence(&pcomm);
-            for c in my_chunks.iter().filter(|c| c.round as usize == r) {
-                // One-sided read straight into the output buffer — no
-                // intermediate Vec per chunk.
-                win.get_into(
-                    agg_idx,
-                    c.buf_offset as usize,
-                    &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
-                );
+            if roster.contributes(r, my_idx) {
+                win.start(agg_idx, at);
+                for c in my_chunks.iter().filter(|c| c.round as usize == r) {
+                    // One-sided read straight into the output buffer —
+                    // no intermediate Vec per chunk.
+                    win.get_into(
+                        agg_idx,
+                        c.buf_offset as usize,
+                        &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
+                    );
+                }
+                win.complete(agg_idx, at);
             }
-            win.fence(&pcomm);
+            if my_idx == agg_idx {
+                // Nobody is still reading when round r+1 overwrites.
+                win.wait(roster.contributors(r), at);
+            }
         }
         pcomm.barrier();
     }

@@ -18,5 +18,5 @@ pub use passes::{
 };
 pub use symbolic::{
     derive_symbolic, SymbolicCrash, SymbolicFlush, SymbolicGroup, SymbolicPartition,
-    SymbolicPut, SymbolicRound, SymbolicSchedule,
+    SymbolicPut, SymbolicRound, SymbolicSchedule, SymbolicSync, SyncKind,
 };

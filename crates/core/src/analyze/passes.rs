@@ -97,7 +97,8 @@ pub enum StaticViolation {
         detail: String,
     },
     /// The collective visit order induces a cycle over partitions —
-    /// ranks would deadlock on fences.
+    /// ranks would deadlock on the partitions' collectives (election,
+    /// closing barrier).
     FenceCycle {
         /// Global partition indices forming the cycle.
         cycle: Vec<u32>,
@@ -408,7 +409,8 @@ fn check_round_agreement(part: &SymbolicPartition, out: &mut Vec<StaticViolation
 /// Pass 4: the visit-order digraph over partitions is acyclic. Edges
 /// go from each partition a rank visits to the next one it visits;
 /// a cycle means two ranks enter a pair of partitions in opposite
-/// orders and would deadlock on the subgroup fences.
+/// orders and would deadlock on the subgroups' collectives (election,
+/// closing barrier).
 fn check_fence_acyclic(sym: &SymbolicSchedule, out: &mut Vec<StaticViolation>) {
     for group in &sym.groups {
         let n = group.partitions.len();

@@ -91,6 +91,31 @@ pub struct SymbolicCrash {
     pub standby: Rank,
 }
 
+/// Which of the four round-protocol calls a [`SymbolicSync`] predicts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncKind {
+    /// The exposing rank opens the round's exposure.
+    Post,
+    /// A contributor enters the exposure (blocking).
+    Start,
+    /// A contributor leaves the exposure.
+    Complete,
+    /// The exposing rank closes the exposure (blocking).
+    Wait,
+}
+
+/// One predicted synchronisation call on a rank's lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SymbolicSync {
+    /// Which call.
+    pub kind: SyncKind,
+    /// Round the call belongs to.
+    pub round: u32,
+    /// Global rank exposing the window: the lane itself for
+    /// `Post`/`Wait`, the put target for `Start`/`Complete`.
+    pub target: Rank,
+}
+
 /// The complete predicted behaviour of one partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolicPartition {
@@ -117,6 +142,70 @@ pub struct SymbolicPartition {
     pub rounds: Vec<SymbolicRound>,
     /// Total payload bytes across all rounds.
     pub total_bytes: u64,
+}
+
+impl SymbolicPartition {
+    /// The synchronisation calls the thread executor makes on `rank`'s
+    /// lane in this partition, in order — derived from the per-rank puts
+    /// listed above, not from a per-member count: a round is
+    /// synchronised between its exposing rank and the ranks that put
+    /// into it, and a rank that does neither makes no call in it.
+    ///
+    /// The partition's exposures run in round order up to the degrade
+    /// round; a crash round has two (the fill into the dying
+    /// aggregator's window, then the replay into the standby's). Per
+    /// exposure a contributor records `Start, Complete` and the target
+    /// `Wait`; a target posts its exposure right after the previous one
+    /// closed (the first at partition entry), so on its lane `Post(e+1)`
+    /// follows `Wait(e)` — or, for the standby, its own part in the
+    /// lost fill.
+    pub fn sync_labels(&self, rank: Rank) -> Vec<SymbolicSync> {
+        // (round, target, contributors) per exposure, in execution order.
+        let mut exposures: Vec<(u32, Rank, Vec<Rank>)> = Vec::new();
+        let end = self.degrade_round.unwrap_or(u32::MAX);
+        for round in self.rounds.iter().filter(|r| r.round < end) {
+            let crashed = self.crash.is_some_and(|c| c.round == round.round);
+            for replay in [false, true] {
+                if replay && !crashed {
+                    continue;
+                }
+                let target = match self.crash {
+                    Some(c) if round.round > c.round || replay => c.standby,
+                    _ => match self.aggregator {
+                        Some(a) => a,
+                        None => continue,
+                    },
+                };
+                let mut origins: Vec<Rank> =
+                    round.puts.iter().filter(|p| p.replay == replay).map(|p| p.rank).collect();
+                origins.sort_unstable();
+                origins.dedup();
+                exposures.push((round.round, target, origins));
+            }
+        }
+        let mut labels = Vec::new();
+        let mut push = |kind, round, target| labels.push(SymbolicSync { kind, round, target });
+        if let Some(&(round, target, _)) = exposures.first() {
+            if target == rank {
+                push(SyncKind::Post, round, target);
+            }
+        }
+        for (i, (round, target, origins)) in exposures.iter().enumerate() {
+            if origins.binary_search(&rank).is_ok() {
+                push(SyncKind::Start, *round, *target);
+                push(SyncKind::Complete, *round, *target);
+            }
+            if *target == rank {
+                push(SyncKind::Wait, *round, *target);
+            }
+            if let Some(&(next_round, next_target, _)) = exposures.get(i + 1) {
+                if next_target == rank {
+                    push(SyncKind::Post, next_round, next_target);
+                }
+            }
+        }
+        labels
+    }
 }
 
 /// The predicted schedule of one file group.

@@ -15,8 +15,8 @@
 //! *streams* the payload of one declared variable straight into the
 //! round pipeline of [`crate::aggregation`]: as soon as every
 //! contribution this rank owes to round *r* of the current partition
-//! has arrived, that round's puts, fences, and double-buffered flush
-//! execute inside the `write` call — payload bytes flow from the
+//! has arrived, that round's puts, synchronisation, and double-buffered
+//! flush execute inside the `write` call — payload bytes flow from the
 //! caller's slice into the RMA window with no whole-payload staging
 //! copy. Bytes that arrive *before* the round that consumes them can
 //! run (out-of-order call sequences) are held in small per-chunk
@@ -54,8 +54,8 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
 use crate::schedule::{
-    compute_coalesce_plan, compute_schedule, Chunk, CoalescePlan, RankStreamPlan, Schedule,
-    ScheduleParams, WriteDecl,
+    compute_coalesce_plan, compute_schedule, Chunk, CoalescePlan, RankStreamPlan, RoundRoster,
+    Schedule, ScheduleParams, WriteDecl,
 };
 
 /// Outcome of a [`Session::write`] call.
@@ -235,6 +235,11 @@ impl<'c> SessionBuilder<'c> {
             align_to_buffer: true,
         });
         let plan = RankStreamPlan::new(&schedule, comm.rank());
+        let rosters = plan
+            .parts
+            .iter()
+            .map(|pp| Arc::new(RoundRoster::new(&schedule, &schedule.partitions[pp.part_index])))
+            .collect();
         let coalesce = cfg
             .coalescing
             .then(|| Arc::new(compute_coalesce_plan(&schedule, |rk| topo.node_of_rank(rk))));
@@ -258,6 +263,7 @@ impl<'c> SessionBuilder<'c> {
             by_extent,
             schedule,
             plan,
+            rosters,
             coalesce,
             var_chunks,
             seq,
@@ -292,6 +298,9 @@ pub struct Session<'c> {
     by_extent: Vec<usize>,
     schedule: Schedule,
     plan: RankStreamPlan,
+    /// Per plan part: who contributes to each round — the ranks a round
+    /// is synchronised between.
+    rosters: Vec<Arc<RoundRoster>>,
     /// Intra-node put-coalescing runs shared by every partition entry
     /// this session makes (`None` unless `cfg.coalescing`); computed
     /// once — the schedule and placement are fixed for the session's
@@ -394,7 +403,8 @@ impl<'c> Session<'c> {
     /// Drive the round pipeline as far as the issued payloads allow:
     /// partitions in ascending order, rounds in ascending order within
     /// each — the identical global total order of the batch driver, so
-    /// pausing between collectives is deadlock-free.
+    /// pausing between rounds is deadlock-free. Rounds this rank has no
+    /// part in are skipped without a synchronisation call.
     fn advance(&mut self, live_var: usize, live: &[u8]) -> Result<()> {
         let Session {
             comm,
@@ -403,6 +413,7 @@ impl<'c> Session<'c> {
             topo,
             schedule,
             plan,
+            rosters,
             coalesce,
             seq,
             cache,
@@ -419,18 +430,23 @@ impl<'c> Session<'c> {
         while *cur_part < plan.parts.len() {
             let pp = &plan.parts[*cur_part];
             let part = &schedule.partitions[pp.part_index];
+            let roster = &rosters[*cur_part];
             let nrounds = part.rounds.len();
+            if let Some(run) = active.as_mut() {
+                *rounds_completed += run.skip_idle(part);
+            }
             let r = active.as_ref().map_or(0, |a| a.next_round);
             if r < nrounds {
                 // Round-readiness: every chunk this rank owes to round r
                 // must be at hand (an empty range is vacuously ready —
-                // the rank only participates in the fences).
+                // the rank is the round's aggregator, or the round is a
+                // collective crash or degrade point).
                 let (s, e) = pp.round_ranges[r];
                 if !pp.chunks[s..e].iter().all(|c| avail[c.var]) {
                     break;
                 }
             }
-            if active.is_none() {
+            let Some(run) = active.as_mut() else {
                 // Enter the partition only once its first round is
                 // ready, so no rank sits in the election before it has
                 // anything to contribute.
@@ -442,10 +458,11 @@ impl<'c> Session<'c> {
                     *seq * 2,
                     cache[*cur_part].take(),
                     coalesce.as_ref(),
+                    roster,
                     epoch_stats,
                 ));
-            }
-            let run = active.as_mut().expect("entered above");
+                continue;
+            };
             if r == nrounds {
                 run.finish(file, cfg)?;
                 let run = active.take().expect("still active");
@@ -755,7 +772,8 @@ mod tests {
                 assert_eq!(io.write(r * per, &payload).unwrap(), WriteOutcome::Flushed);
                 let s = *io.stats().unwrap();
                 // Identical work every epoch: same elections, puts,
-                // fences, flushes (determinism of the reused session).
+                // synchronisation calls, flushes (determinism of the
+                // reused session).
                 match &first {
                     None => first = Some(s),
                     Some(f) => assert_eq!(&s, f, "rank {r} epoch {e}"),

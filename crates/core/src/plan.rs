@@ -1,11 +1,12 @@
 //! Execution plans: the dependency DAG handed to the simulator.
 //!
-//! Thread mode enforces ordering with fences and `IoHandle::wait`;
-//! simulation mode expresses the *same* ordering as explicit dependencies
-//! between operations:
+//! Thread mode enforces ordering with post/start/complete/wait and
+//! `IoHandle::wait`; simulation mode expresses the *same* ordering as
+//! explicit dependencies between operations:
 //!
-//! * puts of round `r` wait for the fence closing round `r-1` (modelled
-//!   as depending on every transfer of round `r-1`);
+//! * puts of round `r` wait for the close of round `r-1` — the
+//!   aggregator posts `r` only after its wait of `r-1` (modelled as
+//!   depending on every transfer of round `r-1`);
 //! * reusing a pipeline buffer in round `r` waits for the flush of round
 //!   `r-2` (`r-1` when pipelining is disabled);
 //! * flushes of one aggregator serialize on its file handle.

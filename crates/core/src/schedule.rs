@@ -194,8 +194,9 @@ pub struct RankPartPlan {
     /// (partitions concatenated in ascending index order).
     pub chunk_base: usize,
     /// Per round `r` of the partition: half-open local index range into
-    /// `chunks` of this rank's round-`r` contributions. Empty ranges
-    /// mean the rank only participates in the round's fences.
+    /// `chunks` of this rank's round-`r` contributions. An empty range
+    /// means the rank takes no part in the round (unless it is the
+    /// round's aggregator).
     pub round_ranges: Vec<(usize, usize)>,
 }
 
@@ -250,6 +251,63 @@ impl RankStreamPlan {
             i = j;
         }
         RankStreamPlan { parts, total_chunks: chunk_base }
+    }
+}
+
+/// Who takes part in each round of one partition: per round, the
+/// members (as indices into [`PartitionInfo::members`], ascending) that
+/// own at least one chunk of it. The thread executor synchronises a
+/// round between exactly these ranks and the aggregator; everyone else
+/// makes no call in it. A pure function of the shared schedule, so
+/// every member derives the identical roster.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoundRoster {
+    /// `ranks[starts[r]..starts[r + 1]]` are round `r`'s contributors.
+    starts: Vec<usize>,
+    ranks: Vec<Rank>,
+}
+
+impl RoundRoster {
+    /// Build the roster of `part` from the schedule it belongs to.
+    pub fn new(schedule: &Schedule, part: &PartitionInfo) -> RoundRoster {
+        // Each member's chunks of the partition, ascending by round.
+        let of_member = |&m: &Rank| {
+            let chunks = &schedule.chunks_by_rank[m];
+            let lo = chunks.partition_point(|c| c.partition < part.index);
+            let hi = chunks.partition_point(|c| c.partition <= part.index);
+            &chunks[lo..hi]
+        };
+        let nrounds = part.rounds.len();
+        let mut starts = vec![0usize; nrounds + 1];
+        for chunks in part.members.iter().map(of_member) {
+            let mut last = None;
+            for c in chunks.iter().filter(|c| last.replace(c.round) != Some(c.round)) {
+                starts[c.round as usize + 1] += 1;
+            }
+        }
+        for r in 0..nrounds {
+            starts[r + 1] += starts[r];
+        }
+        let mut fill = starts.clone();
+        let mut ranks = vec![0; starts[nrounds]];
+        for (mi, chunks) in part.members.iter().map(of_member).enumerate() {
+            let mut last = None;
+            for c in chunks.iter().filter(|c| last.replace(c.round) != Some(c.round)) {
+                ranks[fill[c.round as usize]] = mi;
+                fill[c.round as usize] += 1;
+            }
+        }
+        RoundRoster { starts, ranks }
+    }
+
+    /// Round `r`'s contributors: member indices, ascending.
+    pub fn contributors(&self, r: usize) -> &[Rank] {
+        &self.ranks[self.starts[r]..self.starts[r + 1]]
+    }
+
+    /// Whether member index `member` owns a chunk of round `r`.
+    pub fn contributes(&self, r: usize, member: Rank) -> bool {
+        self.contributors(r).binary_search(&member).is_ok()
     }
 }
 
@@ -684,6 +742,44 @@ mod tests {
         assert_eq!(pp.round_ranges[2], (0, 1));
         assert_eq!(pp.round_ranges[3], (1, 2));
         assert_eq!(plan.total_chunks, 2);
+    }
+
+    #[test]
+    fn round_roster_lists_each_rounds_chunk_owners() {
+        // 4 ranks x 3 vars of 32 B, SoA: var v of rank r at (4v + r) * 32.
+        // 2 partitions of 192 B, 64 B buffers -> 3 rounds each, two
+        // chunk owners per round.
+        let decls: Vec<Vec<WriteDecl>> = (0..4u64)
+            .map(|r| (0..3u64).map(|v| WriteDecl { offset: (4 * v + r) * 32, len: 32 }).collect())
+            .collect();
+        let s = compute_schedule(&decls, ScheduleParams {
+            num_aggregators: 2,
+            buffer_size: 64,
+            align_to_buffer: true,
+        });
+        assert_eq!(s.partitions.len(), 2);
+        let owners = |p: usize| {
+            let part = &s.partitions[p];
+            let roster = RoundRoster::new(&s, part);
+            (0..part.rounds.len())
+                .map(|r| roster.contributors(r).iter().map(|&m| part.members[m]).collect())
+                .collect::<Vec<Vec<Rank>>>()
+        };
+        assert_eq!(owners(0), vec![vec![0, 1], vec![2, 3], vec![0, 1]]);
+        assert_eq!(owners(1), vec![vec![2, 3], vec![0, 1], vec![2, 3]]);
+        let roster = RoundRoster::new(&s, &s.partitions[0]);
+        assert!(roster.contributes(1, 2) && !roster.contributes(1, 0));
+        // Agrees with every rank's own stream plan.
+        for rank in 0..4 {
+            for pp in &RankStreamPlan::new(&s, rank).parts {
+                let part = &s.partitions[pp.part_index];
+                let roster = RoundRoster::new(&s, part);
+                let mi = part.members.binary_search(&rank).unwrap();
+                for (r, &(lo, hi)) in pp.round_ranges.iter().enumerate() {
+                    assert_eq!(roster.contributes(r, mi), lo < hi, "rank {rank} round {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub struct WorldShared {
     /// through this world; `None` disables the watchdog.
     pub(crate) watchdog: Option<Duration>,
     /// Schedule perturbation for this world, if any: synchronization
-    /// boundaries (barriers, collectives, puts, fences, I/O dispatch)
+    /// boundaries (barriers, collectives, puts, window synchronisation
+    /// calls, I/O dispatch)
     /// call [`Perturber::point`] before proceeding.
     pub(crate) perturb: Option<Arc<Perturber>>,
 }
@@ -441,7 +442,8 @@ pub(crate) fn make_world_with_watchdog(n: usize, watchdog: Option<Duration>) -> 
 
 /// Like [`make_world_with_watchdog`], additionally installing a
 /// [`Perturber`] whose points fire at every synchronization boundary of
-/// the world (barriers, collectives, RMA puts/fences, I/O dispatch).
+/// the world (barriers, collectives, RMA puts and synchronisation calls,
+/// I/O dispatch).
 pub(crate) fn make_world_perturbed(
     n: usize,
     watchdog: Option<Duration>,

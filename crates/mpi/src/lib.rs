@@ -3,23 +3,29 @@
 //! An in-process MPI-like runtime: ranks are OS threads inside one
 //! process, communicators provide the collectives TAPIOCA needs
 //! (barrier, broadcast, allgather, allreduce with MINLOC), one-sided
-//! **RMA windows** provide `put` + `fence` epochs, and **shared files**
+//! **RMA windows** provide `put` with post/start/complete/wait (and
+//! `fence`) synchronisation, and **shared files**
 //! provide positioned writes with non-blocking flushes.
 //!
 //! This is the substitute for the paper's MPI substrate (MPICH2 on Mira,
-//! Cray MPI on Theta): the TAPIOCA algorithm — Algorithm 3's fence-driven
-//! double buffering, the MINLOC aggregator election — runs *unmodified*
-//! on these primitives, with real threads racing through real memory, so
-//! ordering bugs are observable instead of simulated away.
+//! Cray MPI on Theta): the TAPIOCA algorithm — Algorithm 3's double
+//! buffering, the MINLOC aggregator election — runs on these primitives,
+//! with real threads racing through real memory, so ordering bugs are
+//! observable instead of simulated away.
 //!
 //! ## Semantics guaranteed
 //!
 //! * [`comm::Comm::barrier`] is a reusable sense-reversing barrier; all
 //!   memory writes made by a rank before the barrier are visible to every
 //!   rank after it (mutex release/acquire ordering).
-//! * [`rma::Window::fence`] closes an RMA epoch: all `put`s issued before
-//!   the fence are deposited in the target buffers and visible to every
-//!   member after the fence returns — MPI_Win_fence semantics.
+//! * [`rma::Window::post`] / [`rma::Window::start`] /
+//!   [`rma::Window::complete`] / [`rma::Window::wait`] are MPI's
+//!   generalized active-target calls: every `put` an origin issued before
+//!   its `complete` is visible to the target once the target's `wait`
+//!   returns, and only the ranks named in the post's group take part.
+//! * [`rma::Window::fence`] closes an RMA epoch for *all* members: all
+//!   `put`s issued before the fence are visible to every member after it
+//!   returns — MPI_Win_fence semantics.
 //! * [`file::SharedFile::iwrite_at`] is a non-blocking positioned write
 //!   served by a dedicated I/O thread per file; [`file::IoHandle::wait`]
 //!   blocks until durable in the page cache (matching the paper's use of
@@ -56,7 +62,7 @@ pub use comm::Comm;
 pub use fault::{FaultHint, FaultPlan, FaultSpec, IoError, IoPolicy};
 pub use file::{IoHandle, JobData, SharedFile};
 pub use perturb::Perturber;
-pub use rma::{DepositBoard, WinSegment, Window};
+pub use rma::{RoundTag, WinSegment, Window};
 pub use runtime::Runtime;
 
 /// Lock a mutex, recovering from poisoning.

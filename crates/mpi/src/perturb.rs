@@ -3,8 +3,9 @@
 //! Real-thread executions of the pipeline explore only the interleavings
 //! the OS scheduler happens to produce, which on an idle CI machine is a
 //! narrow, highly repetitive set. A [`Perturber`] widens that set: every
-//! traced synchronization boundary (RMA put, fence, barrier, collective
-//! entry, I/O worker dispatch) calls [`Perturber::point`], which draws
+//! traced synchronization boundary (RMA put, post/start/complete/wait,
+//! barrier, collective entry, I/O worker dispatch) calls
+//! [`Perturber::point`], which draws
 //! from a seeded SplitMix64 stream and either proceeds immediately,
 //! yields the thread, spins, or sleeps for a few microseconds. Different
 //! seeds push the ranks through different interleavings of the same

@@ -1,11 +1,34 @@
-//! One-sided communication: RMA windows with fence synchronization.
+//! One-sided communication: RMA windows with generalized active-target
+//! synchronisation.
 //!
-//! TAPIOCA fills aggregation buffers with `MPI_Put` between
-//! `MPI_Win_fence` calls (paper Sec. IV-A, Algorithm 3). A [`Window`]
-//! exposes one byte region per communicator member; any member can `put`
-//! into any member's region. [`Window::fence`] is a collective that
-//! closes the access epoch: after it returns, every put issued before it
-//! (by any member) is deposited and visible.
+//! TAPIOCA fills aggregation buffers with `MPI_Put` (paper Sec. IV-A,
+//! Algorithm 3). A [`Window`] exposes one byte region per communicator
+//! member; any member can `put` into any member's region. Two
+//! synchronisation styles order those accesses:
+//!
+//! * **post / start / complete / wait** (`MPI_Win_post` & co.) — what
+//!   the round pipeline uses. The *target* [`Window::post`]s an exposure
+//!   to the group of origins that will access it; an *origin* blocks in
+//!   [`Window::start`] only until that post, issues its accesses and
+//!   signals [`Window::complete`] (non-blocking); the target alone
+//!   blocks in [`Window::wait`] until every origin of the group has
+//!   completed. Members outside the group make no call at all. After
+//!   `wait` returns, every access an origin issued before its
+//!   `complete` is visible to the target.
+//! * [`Window::fence`] — the all-member collective of Algorithm 3
+//!   (`MPI_Win_fence`), a barrier over the window's communicator. Kept
+//!   as a primitive; the pipeline no longer calls it.
+//!
+//! The synchronisation state is four monotone counters per (target,
+//! origin) pair — exposures opened / started, completes signalled /
+//! consumed — under **one** lock per window, allocated once with the
+//! window (only for members that expose memory). Every member sleeps on
+//! its *own* condvar, and a signal wakes exactly the members it
+//! unblocks: a `post` its group's parked starters, the `complete` that
+//! satisfies a parked `wait` that one target. Nothing spins, nothing is
+//! allocated per call, and every blocking call honours the world's
+//! watchdog deadline with a diagnosis naming the member that has not
+//! signalled.
 //!
 //! Target regions are guarded by `RwLock`, split into independently
 //! locked **panes** ([`Window::allocate_paned`]): an aggregator exposing
@@ -14,10 +37,10 @@
 //! other is concurrently filled by next-round puts. MPI leaves
 //! overlapping concurrent puts undefined; TAPIOCA only issues disjoint
 //! puts, so lock serialization affects timing (which this runtime does
-//! not model) but never correctness. Lock release/acquire provides the
-//! happens-before edges the fence semantics require.
+//! not model) but never correctness.
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 
 use crate::comm::{Comm, RegistryKind};
 use crate::lock_ok;
@@ -112,14 +135,87 @@ impl Region {
     }
 }
 
+/// Schedule coordinates of a synchronisation call: carried into the
+/// watchdog diagnosis and the trace label of the call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundTag {
+    /// Schedule partition the window serves.
+    pub partition: u32,
+    /// Pipeline round the call belongs to.
+    pub round: u32,
+}
+
+/// Exposure bookkeeping of one member that exposes memory: four
+/// monotone counters per origin. `opened - started` is the number of
+/// posted exposures the origin has not entered yet; `signalled -
+/// consumed` the completes the target's `wait` has not consumed yet.
+struct Exposure {
+    opened: Vec<u64>,
+    started: Vec<u64>,
+    signalled: Vec<u64>,
+    consumed: Vec<u64>,
+}
+
+impl Exposure {
+    fn new(n: usize) -> Exposure {
+        Exposure {
+            opened: vec![0; n],
+            started: vec![0; n],
+            signalled: vec![0; n],
+            consumed: vec![0; n],
+        }
+    }
+
+    /// Origins of `group` whose complete this target has not received.
+    fn missing<'a>(&'a self, group: &'a [Rank]) -> impl Iterator<Item = Rank> + 'a {
+        group.iter().copied().filter(|&o| self.signalled[o] == self.consumed[o])
+    }
+}
+
+/// What a parked member sleeps on, so a signal can tell whom it
+/// unblocks without waking anyone else.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Parked {
+    No,
+    /// In `start`, until `target` posts to this member.
+    Start { target: Rank },
+    /// In `wait`, until `missing` more origins have completed.
+    Wait { missing: usize },
+}
+
+struct SyncState {
+    /// Per member: `Some` iff its region is non-empty.
+    exposures: Vec<Option<Exposure>>,
+    parked: Vec<Parked>,
+}
+
+impl SyncState {
+    fn exposure(&mut self, target: Rank) -> &mut Exposure {
+        self.exposures[target]
+            .as_mut()
+            .expect("synchronisation target exposes a non-empty window region")
+    }
+}
+
 struct WinShared {
     /// One region per comm rank.
     regions: Vec<Region>,
+    /// World rank of each member, for watchdog diagnoses.
+    world_ranks: Vec<Rank>,
+    /// Post/start/complete/wait state: every counter under this lock.
+    sync: Mutex<SyncState>,
+    /// One condvar per member, all paired with `sync`: a member only
+    /// ever sleeps on its own, so a signal wakes whom it unblocks.
+    wake: Vec<Condvar>,
 }
 
 /// An RMA window over a communicator.
 pub struct Window {
     shared: Arc<WinShared>,
+    /// This handle's rank in the window's communicator.
+    me: Rank,
+    /// Watchdog deadline of every blocking call (from the world).
+    timeout: Option<Duration>,
     /// Schedule perturbation inherited from the world, if any.
     perturb: Option<Arc<Perturber>>,
     /// Per-handle tracing context; when set, puts and fences record
@@ -207,11 +303,23 @@ impl Window {
         let sizes = comm.allgather_u64(local_size as u64);
         let seq = comm.next_win_seq();
         let key = (comm.uid(), RegistryKind::Window, seq, 0);
-        let shared = comm.world().get_or_create(key, move || WinShared {
-            regions: sizes.iter().map(|&s| Region::new(s as usize, pane_size)).collect(),
+        let world_ranks = comm.members();
+        let shared = comm.world().get_or_create(key, move || {
+            let n = sizes.len();
+            WinShared {
+                regions: sizes.iter().map(|&s| Region::new(s as usize, pane_size)).collect(),
+                world_ranks: world_ranks.to_vec(),
+                sync: Mutex::new(SyncState {
+                    exposures: sizes.iter().map(|&s| (s > 0).then(|| Exposure::new(n))).collect(),
+                    parked: vec![Parked::No; n],
+                }),
+                wake: (0..n).map(|_| Condvar::new()).collect(),
+            }
         });
         Window {
             shared,
+            me: comm.rank(),
+            timeout: comm.world().watchdog,
             perturb: comm.perturber(),
             #[cfg(feature = "trace")]
             scope: None,
@@ -237,9 +345,7 @@ impl Window {
     /// # Panics
     /// Panics if the write exceeds the target region.
     pub fn put(&self, target: Rank, offset: usize, data: &[u8]) {
-        if let Some(p) = &self.perturb {
-            p.point();
-        }
+        self.perturb_point();
         self.shared.regions[target].write(offset, data);
         #[cfg(feature = "trace")]
         if let Some(scope) = &self.scope {
@@ -251,11 +357,7 @@ impl Window {
     /// directly from `src_rank`'s region of another window `src` — the
     /// coalesced put: the packed gather buffer forwarded as one merged
     /// RMA operation covering `coalesced` original chunks, without
-    /// materializing an intermediate copy. The traced event is
-    /// attributed to `lane` (the run leader's global rank), not to this
-    /// handle's rank: whichever co-located member's deposit completed
-    /// the run issues the forward, but the operation logically belongs
-    /// to the gather buffer's owner.
+    /// materializing an intermediate copy.
     ///
     /// # Panics
     /// Panics on out-of-bounds ranges, or if `src` aliases this window
@@ -272,15 +374,12 @@ impl Window {
         src_offset: usize,
         len: usize,
         coalesced: u32,
-        lane: Rank,
     ) {
         assert!(
             !Arc::ptr_eq(&self.shared, &src.shared),
             "put_from within one window would nest its own pane locks"
         );
-        if let Some(p) = &self.perturb {
-            p.point();
-        }
+        self.perturb_point();
         let dst = &self.shared.regions[target];
         dst.check_bounds("put", offset, len);
         let mut done = 0;
@@ -291,7 +390,7 @@ impl Window {
         });
         #[cfg(feature = "trace")]
         if let Some(scope) = &self.scope {
-            scope.rma_put_coalesced(lane, target, offset as u64, len as u64, coalesced);
+            scope.rma_put_coalesced(target, offset as u64, len as u64, coalesced);
         }
     }
 
@@ -328,9 +427,7 @@ impl Window {
     /// with an application-owned receive buffer): reads `out.len()`
     /// bytes from `target`'s region at `offset` without allocating.
     pub fn get_into(&self, target: Rank, offset: usize, out: &mut [u8]) {
-        if let Some(p) = &self.perturb {
-            p.point();
-        }
+        self.perturb_point();
         self.shared.regions[target].read("get", offset, out);
     }
 
@@ -343,6 +440,170 @@ impl Window {
         if let Some(scope) = &self.scope {
             scope.fence();
         }
+    }
+
+    fn perturb_point(&self) {
+        if let Some(p) = &self.perturb {
+            p.point();
+        }
+    }
+
+    /// Open an exposure of this member's region to `origins`
+    /// (`MPI_Win_post`). Non-blocking: bumps each origin's `opened`
+    /// counter and wakes exactly those of them already parked in
+    /// [`Window::start`] on this member.
+    ///
+    /// # Panics
+    /// Panics if this member's region is empty (it exposes nothing).
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    pub fn post(&self, origins: &[Rank], at: RoundTag) {
+        self.perturb_point();
+        #[cfg(feature = "trace")]
+        if let Some(scope) = &self.scope {
+            scope.post(at.round);
+        }
+        let mut st = lock_ok(&self.shared.sync);
+        for &o in origins {
+            st.exposure(self.me).opened[o] += 1;
+            if st.parked[o] == (Parked::Start { target: self.me }) {
+                self.shared.wake[o].notify_one();
+            }
+        }
+    }
+
+    /// Enter `target`'s exposure (`MPI_Win_start`): blocks until
+    /// `target` has posted one more exposure to this member than this
+    /// member has started — and no longer.
+    ///
+    /// # Panics
+    /// Panics with a diagnosis naming `target` if the watchdog deadline
+    /// elapses first.
+    pub fn start(&self, target: Rank, at: RoundTag) {
+        self.perturb_point();
+        let deadline = self.timeout.map(|t| Instant::now() + t);
+        let mut st = lock_ok(&self.shared.sync);
+        loop {
+            let ex = st.exposure(target);
+            if ex.opened[self.me] > ex.started[self.me] {
+                ex.started[self.me] += 1;
+                break;
+            }
+            st.parked[self.me] = Parked::Start { target };
+            st = self.park(st, deadline, at, |st| {
+                let posted = st.exposure(target).opened[self.me];
+                format!(
+                    "start: member {target} (world rank {}) has not posted its exposure \
+                     (it posted {posted} to this member so far, all of them entered)",
+                    self.shared.world_ranks[target]
+                )
+            });
+        }
+        st.parked[self.me] = Parked::No;
+        drop(st);
+        #[cfg(feature = "trace")]
+        if let Some(scope) = &self.scope {
+            scope.start(target, at.round);
+        }
+    }
+
+    /// Leave `target`'s exposure (`MPI_Win_complete`). Non-blocking:
+    /// every access this member issued before the call is visible to
+    /// `target` once its [`Window::wait`] returns. Wakes `target` only
+    /// if this is the last complete its parked `wait` was missing.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    pub fn complete(&self, target: Rank, at: RoundTag) {
+        self.perturb_point();
+        #[cfg(feature = "trace")]
+        if let Some(scope) = &self.scope {
+            scope.complete(target, at.round);
+        }
+        let mut st = lock_ok(&self.shared.sync);
+        let ex = st.exposure(target);
+        ex.signalled[self.me] += 1;
+        let newly = ex.signalled[self.me] - ex.consumed[self.me] == 1;
+        if let Parked::Wait { missing } = &mut st.parked[target] {
+            if newly && *missing > 0 {
+                *missing -= 1;
+                if *missing == 0 {
+                    self.shared.wake[target].notify_one();
+                }
+            }
+        }
+    }
+
+    /// Close this member's exposure (`MPI_Win_wait`): blocks until every
+    /// member of `origins` has completed once more than earlier waits
+    /// consumed, then consumes those completes. Only the exposing member
+    /// ever blocks here.
+    ///
+    /// # Panics
+    /// Panics with a diagnosis naming the origins that have not
+    /// completed if the watchdog deadline elapses first.
+    pub fn wait(&self, origins: &[Rank], at: RoundTag) {
+        self.perturb_point();
+        let deadline = self.timeout.map(|t| Instant::now() + t);
+        let me = self.me;
+        let mut st = lock_ok(&self.shared.sync);
+        loop {
+            let missing = st.exposure(me).missing(origins).count();
+            if missing == 0 {
+                break;
+            }
+            st.parked[me] = Parked::Wait { missing };
+            st = self.park(st, deadline, at, |st| {
+                let late: Vec<String> = st
+                    .exposure(me)
+                    .missing(origins)
+                    .map(|o| format!("{o} (world rank {})", self.shared.world_ranks[o]))
+                    .collect();
+                format!(
+                    "wait: {} of {} origins have not completed — member(s) {}",
+                    late.len(),
+                    origins.len(),
+                    late.join(", ")
+                )
+            });
+        }
+        st.parked[me] = Parked::No;
+        let ex = st.exposure(me);
+        for &o in origins {
+            ex.consumed[o] += 1;
+        }
+        drop(st);
+        #[cfg(feature = "trace")]
+        if let Some(scope) = &self.scope {
+            scope.wait(at.round);
+        }
+    }
+
+    /// Sleep on this member's condvar until signalled or the watchdog
+    /// deadline passes; `what` renders the diagnosis only when it fires.
+    fn park<'a>(
+        &self,
+        mut st: MutexGuard<'a, SyncState>,
+        deadline: Option<Instant>,
+        at: RoundTag,
+        what: impl FnOnce(&mut SyncState) -> String,
+    ) -> MutexGuard<'a, SyncState> {
+        let cv = &self.shared.wake[self.me];
+        let Some(deadline) = deadline else {
+            return cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            panic!(
+                "watchdog: {} (member {}, world rank {}) stuck for {:?} in partition {} \
+                 round {} {}",
+                std::thread::current().name().unwrap_or("<unnamed thread>"),
+                self.me,
+                self.shared.world_ranks[self.me],
+                self.timeout.unwrap_or_default(),
+                at.partition,
+                at.round,
+                what(&mut st),
+            );
+        }
+        cv.wait_timeout(st, deadline - now).unwrap_or_else(PoisonError::into_inner).0
     }
 }
 
@@ -373,66 +634,6 @@ impl Window {
         assert_eq!(region.panes.len(), 1, "with_local needs a single-pane region");
         let pane = region.panes[0].read().expect("RMA pane lock poisoned");
         f(&pane)
-    }
-}
-
-/// A collective deposit counter: one `u64` per communicator member.
-///
-/// The intra-node put-coalescing rendezvous is built on this: members
-/// deposit their chunks into the run leader's gather window, then
-/// `add(leader, 1)`. [`DepositBoard::add`] returns the updated count,
-/// so the member whose deposit completes a round's expected total can
-/// detect it, retire the count with [`DepositBoard::sub`], and forward
-/// the merged puts itself — a wait-free rendezvous in which no thread
-/// ever blocks on co-members. Fences separate rounds, so a round's
-/// deposits all land before the next round's first `add`; the
-/// completer's `sub` runs after its round's last `add` by definition,
-/// which is what keeps per-round counts unambiguous.
-pub struct DepositBoard {
-    /// Cumulative deposit count per member.
-    slots: Arc<Vec<Mutex<u64>>>,
-    perturb: Option<Arc<Perturber>>,
-}
-
-impl std::fmt::Debug for DepositBoard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DepositBoard").field("members", &self.slots.len()).finish()
-    }
-}
-
-impl DepositBoard {
-    /// Collectively allocate a board with one counter per member, all
-    /// starting at zero. Same collective discipline as
-    /// [`Window::allocate`].
-    pub fn allocate(comm: &Comm) -> DepositBoard {
-        let n = comm.size();
-        let seq = comm.next_win_seq();
-        let key = (comm.uid(), RegistryKind::Window, seq, 1);
-        let slots = comm
-            .world()
-            .get_or_create(key, move || (0..n).map(|_| Mutex::new(0u64)).collect::<Vec<_>>());
-        comm.barrier();
-        DepositBoard { slots, perturb: comm.perturber() }
-    }
-
-    /// Add `n` to `target`'s counter and return the updated count.
-    pub fn add(&self, target: Rank, n: u64) -> u64 {
-        if let Some(p) = &self.perturb {
-            p.point();
-        }
-        let mut c = lock_ok(&self.slots[target]);
-        *c += n;
-        *c
-    }
-
-    /// Subtract `n` from `target`'s counter (a completer retiring a
-    /// fully deposited round so counts stay per-round).
-    ///
-    /// # Panics
-    /// Panics if the counter would underflow.
-    pub fn sub(&self, target: Rank, n: u64) {
-        let mut c = lock_ok(&self.slots[target]);
-        *c = c.checked_sub(n).expect("deposit counter underflow");
     }
 }
 
@@ -637,7 +838,7 @@ mod tests {
             let agg = Window::allocate_paned(&c, 32, 16);
             if c.rank() == 1 {
                 gather.put(1, 2, &[7u8; 12]);
-                agg.put_from(0, 18, &gather, 1, 2, 12, 3, 1);
+                agg.put_from(0, 18, &gather, 1, 2, 12, 3);
             }
             agg.fence(&c);
             if c.rank() == 0 {
@@ -647,22 +848,166 @@ mod tests {
         });
     }
 
+    const AT: RoundTag = RoundTag { partition: 0, round: 0 };
+
     #[test]
-    fn deposit_board_completer_detection() {
-        run(3, |c| {
-            let board = DepositBoard::allocate(&c);
-            // Exactly one depositor observes the final count and
-            // becomes the completer; it retires the round with sub.
-            let completed = board.add(1, 1) == 3;
-            if completed {
-                board.sub(1, 3);
+    fn puts_visible_to_the_waiter_after_wait() {
+        run(4, |c| {
+            // Only rank 0 exposes memory; ranks 1 and 2 are the origins,
+            // rank 3 takes no part and makes no call.
+            let win = Window::allocate(&c, if c.rank() == 0 { 4 } else { 0 });
+            match c.rank() {
+                0 => {
+                    win.post(&[1, 2], AT);
+                    win.wait(&[1, 2], AT);
+                    assert_eq!(win.read_local(0, 0, 4), vec![0, 11, 12, 0]);
+                }
+                r @ (1 | 2) => {
+                    win.start(0, AT);
+                    win.put(0, r, &[10 + r as u8]);
+                    win.complete(0, AT);
+                }
+                _ => {}
             }
-            c.barrier();
-            // After retirement the next round starts from zero.
-            let n = board.add(1, 1);
-            assert!((1..=3).contains(&n));
-            c.barrier();
         });
+    }
+
+    /// Round `r` of 200 has one origin, `1 + r % 3`; each origin runs
+    /// straight from one of its rounds to its next without a call in
+    /// between, so it parks in `start` up to two rounds ahead of the
+    /// target. The target checks every round's byte before re-posting
+    /// the (single) slot.
+    #[test]
+    fn non_contributors_run_ahead_over_200_rounds() {
+        run(4, |c| {
+            let win = Window::allocate(&c, if c.rank() == 0 { 1 } else { 0 });
+            let origin = |r: u32| 1 + (r % 3) as usize;
+            for r in 0..200u32 {
+                let at = RoundTag { partition: 0, round: r };
+                if c.rank() == 0 {
+                    win.post(&[origin(r)], at);
+                    win.wait(&[origin(r)], at);
+                    assert_eq!(win.read_local(0, 0, 1), vec![r as u8], "round {r}");
+                } else if c.rank() == origin(r) {
+                    win.start(0, at);
+                    win.put(0, 0, &[r as u8]);
+                    win.complete(0, at);
+                }
+            }
+        });
+    }
+
+    /// The counters are monotone and live with the window, so a window
+    /// kept across epochs (as `CachedPart` does) needs no reset: epoch
+    /// `e + 1` starts where epoch `e` stopped.
+    #[test]
+    fn three_epochs_on_one_cached_window() {
+        run(3, |c| {
+            let win = Window::allocate(&c, if c.rank() == 0 { 2 } else { 0 });
+            for epoch in 0..3u8 {
+                for r in 0..4u32 {
+                    let at = RoundTag { partition: 0, round: r };
+                    if c.rank() == 0 {
+                        win.post(&[1, 2], at);
+                        win.wait(&[1, 2], at);
+                        let want = 10 * epoch + r as u8;
+                        assert_eq!(win.read_local(0, 0, 2), vec![want, want]);
+                    } else {
+                        win.start(0, at);
+                        win.put(0, c.rank() - 1, &[10 * epoch + r as u8]);
+                        win.complete(0, at);
+                    }
+                }
+                c.barrier(); // the pipeline's closing barrier
+            }
+        });
+    }
+
+    #[test]
+    fn post_start_complete_wait_under_16_perturbed_seeds() {
+        use crate::runtime::Runtime;
+        for seed in 0..16 {
+            Runtime::run_perturbed(5, seed, |c| {
+                let win = Window::allocate(&c, if c.rank() == 4 { 8 } else { 0 });
+                // Even rounds: origins 0 and 1; odd rounds: 2 and 3.
+                for r in 0..24u32 {
+                    let at = RoundTag { partition: 0, round: r };
+                    let group = if r % 2 == 0 { [0, 1] } else { [2, 3] };
+                    if c.rank() == 4 {
+                        win.post(&group, at);
+                        win.wait(&group, at);
+                        let got = win.read_local(4, 0, 8);
+                        for o in group {
+                            assert_eq!(got[2 * o], r as u8, "seed {seed} round {r} origin {o}");
+                        }
+                    } else if group.contains(&c.rank()) {
+                        win.start(4, at);
+                        win.put(4, 2 * c.rank(), &[r as u8, 0xEE]);
+                        win.complete(4, at);
+                    }
+                }
+            });
+        }
+    }
+
+    /// The barrier's watchdog can only say "1/2 parties arrived"; this
+    /// one names the member that has not signalled.
+    #[test]
+    fn watchdog_names_the_member_that_has_not_signalled() {
+        use crate::comm::make_world_with_watchdog;
+        let panic_text = |f: &(dyn Fn(Comm) + Sync)| {
+            let comms = make_world_with_watchdog(3, Some(Duration::from_millis(50)));
+            let texts: Vec<Option<String>> = std::thread::scope(|s| {
+                let handles: Vec<_> = comms
+                    .into_iter()
+                    .map(|c| {
+                        std::thread::Builder::new()
+                            .name(format!("rank-{}", c.rank()))
+                            .spawn_scoped(s, move || f(c))
+                            .unwrap()
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().err().map(|e| e.downcast_ref::<String>().unwrap().clone()))
+                    .collect()
+            });
+            texts
+        };
+        let at = RoundTag { partition: 3, round: 7 };
+        // Origin 2 never completes: the target's wait names it.
+        let texts = panic_text(&|c| {
+            let win = Window::allocate(&c, if c.rank() == 0 { 4 } else { 0 });
+            match c.rank() {
+                0 => {
+                    win.post(&[1, 2], at);
+                    win.wait(&[1, 2], at);
+                }
+                1 => {
+                    win.start(0, at);
+                    win.complete(0, at);
+                }
+                _ => {}
+            }
+        });
+        let msg = texts[0].as_deref().expect("the waiting target times out");
+        for needle in ["watchdog", "rank-0", "partition 3", "round 7", "wait", "member(s) 2 (world rank 2)"]
+        {
+            assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
+        }
+        assert!(!msg.contains("member(s) 1"), "origin 1 did complete: {msg}");
+        assert!(texts[1].is_none() && texts[2].is_none());
+        // The target never posts: the origin's start names it.
+        let texts = panic_text(&|c| {
+            let win = Window::allocate(&c, if c.rank() == 0 { 4 } else { 0 });
+            if c.rank() == 1 {
+                win.start(0, at);
+            }
+        });
+        let msg = texts[1].as_deref().expect("the starting origin times out");
+        for needle in ["watchdog", "rank-1", "partition 3", "round 7", "start", "member 0 (world rank 0)"] {
+            assert!(msg.contains(needle), "missing {needle:?} in: {msg}");
+        }
     }
 
     #[test]

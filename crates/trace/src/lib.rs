@@ -34,7 +34,7 @@ pub enum Phase {
     Aggregation,
     /// Data movement between aggregation buffers and storage.
     Io,
-    /// Synchronization (fences, barriers).
+    /// Synchronization (post/start/complete/wait, fences, barriers).
     Sync,
 }
 
@@ -45,8 +45,27 @@ pub enum TraceOp {
     RmaPut,
     /// A buffer segment written to (or read from) storage.
     Flush,
-    /// A window fence / epoch close.
+    /// A window fence (`Window::fence`, the all-member collective). The
+    /// round pipeline no longer issues fences; `tapioca-check` derives
+    /// no ordering from them.
     Fence,
+    /// Signal: an aggregator opened the exposure of `round` to that
+    /// round's contributors (recorded on the exposing rank's lane).
+    Post,
+    /// Blocking wait: this rank entered the exposure of `round` on
+    /// `peer`'s window — it returned once `peer`'s matching [`Post`]
+    /// had been issued.
+    ///
+    /// [`Post`]: TraceOp::Post
+    Start,
+    /// Signal: this rank finished its accesses of `round` on `peer`'s
+    /// window.
+    Complete,
+    /// Blocking wait: the exposing rank closed the exposure of `round`
+    /// — it returned once every contributor's [`Complete`] had arrived.
+    ///
+    /// [`Complete`]: TraceOp::Complete
+    Wait,
     /// Aggregator election result (`peer` = elected global rank).
     Elect,
     /// An aggregator failed (`peer` = crashed global rank, `round` =
@@ -221,6 +240,8 @@ impl Trace {
         let mut puts = 0usize;
         let mut flushes = 0usize;
         let mut fences = 0usize;
+        let mut signals = 0usize;
+        let mut waits = 0usize;
         let mut fills: std::collections::BTreeMap<Rank, u64> = std::collections::BTreeMap::new();
         for e in &self.events {
             match e.op {
@@ -238,6 +259,8 @@ impl Trace {
                     flushes += 1;
                 }
                 TraceOp::Fence => fences += 1,
+                TraceOp::Post | TraceOp::Complete => signals += 1,
+                TraceOp::Start | TraceOp::Wait => waits += 1,
                 TraceOp::Elect => {}
                 // Fault/recovery events are not data movement.
                 TraceOp::Crash | TraceOp::Reelect | TraceOp::Retry | TraceOp::Degrade => {}
@@ -250,6 +273,8 @@ impl Trace {
             puts,
             flushes,
             fences,
+            signals,
+            waits,
             overlap_fraction: self.overlap_fraction(),
             aggregator_fill_bytes: fills.into_iter().collect(),
         }
@@ -323,7 +348,11 @@ impl Trace {
                     r.io_bytes += e.bytes;
                     r.flush_segments += 1;
                 }
-                TraceOp::Fence => {}
+                TraceOp::Fence
+                | TraceOp::Post
+                | TraceOp::Start
+                | TraceOp::Complete
+                | TraceOp::Wait => {}
                 // Recovery events are executor-specific timing artifacts;
                 // structural equivalence is only asserted for fault-free
                 // runs, where none occur.
@@ -354,6 +383,10 @@ impl Trace {
                 TraceOp::RmaPut => "rma_put",
                 TraceOp::Flush => "flush",
                 TraceOp::Fence => "fence",
+                TraceOp::Post => "post",
+                TraceOp::Start => "start",
+                TraceOp::Complete => "complete",
+                TraceOp::Wait => "wait",
                 TraceOp::Elect => "elect",
                 TraceOp::Crash => "crash",
                 TraceOp::Reelect => "reelect",
@@ -395,6 +428,10 @@ pub struct TraceSummary {
     pub flushes: usize,
     /// Number of fence events.
     pub fences: usize,
+    /// Number of synchronisation signals (`Post` + `Complete`).
+    pub signals: usize,
+    /// Number of blocking synchronisation waits (`Start` + `Wait`).
+    pub waits: usize,
     /// Fraction of flushes overlapping later-round aggregation.
     pub overlap_fraction: f64,
     /// Bytes deposited per aggregator (global rank, bytes), ascending.
@@ -486,25 +523,13 @@ impl TraceScope {
     }
 
     /// Record a merged put: one wire operation carrying `coalesced`
-    /// original chunks (each deposited into the run leader's gather
-    /// buffer by a co-located rank) into communicator-local rank
-    /// `target`'s window region at byte `offset`. Attributed to `lane`
-    /// (the run leader's global rank) rather than this scope's rank:
-    /// the thread that physically issues the forward is whichever
-    /// member's deposit completed the run, but the operation logically
-    /// belongs to the gather buffer's owner, and a deterministic lane
-    /// is what lets the static conformance bridge match the event.
-    pub fn rma_put_coalesced(
-        &self,
-        lane: Rank,
-        target_local: Rank,
-        offset: u64,
-        bytes: u64,
-        coalesced: u32,
-    ) {
+    /// original chunks (each deposited into this rank's gather buffer
+    /// by a co-located rank) into communicator-local rank `target`'s
+    /// window region at byte `offset`.
+    pub fn rma_put_coalesced(&self, target_local: Rank, offset: u64, bytes: u64, coalesced: u32) {
         self.tracer.record(TraceEvent {
             t_ns: self.tracer.now_ns(),
-            rank: lane,
+            rank: self.rank,
             partition: self.partition,
             round: self.round.get(),
             phase: Phase::Aggregation,
@@ -528,6 +553,44 @@ impl TraceScope {
             NO_PEER,
             NO_OFFSET,
         );
+    }
+
+    /// One synchronisation event of `round` (not the scope's current
+    /// round: an aggregator posts round `r + 1` while still in `r`).
+    fn sync(&self, op: TraceOp, round: u32, peer: Rank) {
+        self.tracer.record_now(
+            self.rank,
+            self.partition,
+            round,
+            Phase::Sync,
+            op,
+            0,
+            peer,
+            NO_OFFSET,
+        );
+    }
+
+    /// Record this rank opening its exposure of `round`.
+    pub fn post(&self, round: u32) {
+        self.sync(TraceOp::Post, round, NO_PEER);
+    }
+
+    /// Record this rank's return from the blocking start of `round` on
+    /// communicator-local rank `target`'s window.
+    pub fn start(&self, target_local: Rank, round: u32) {
+        self.sync(TraceOp::Start, round, self.peer_global(target_local));
+    }
+
+    /// Record this rank's complete of `round` toward communicator-local
+    /// rank `target`.
+    pub fn complete(&self, target_local: Rank, round: u32) {
+        self.sync(TraceOp::Complete, round, self.peer_global(target_local));
+    }
+
+    /// Record this rank's return from the blocking wait closing its
+    /// exposure of `round`.
+    pub fn wait(&self, round: u32) {
+        self.sync(TraceOp::Wait, round, NO_PEER);
     }
 
     /// Record the election winner (global rank) for this partition.
@@ -656,7 +719,13 @@ mod tests {
         let phase = match op {
             TraceOp::RmaPut | TraceOp::Elect => Phase::Aggregation,
             TraceOp::Flush | TraceOp::Retry | TraceOp::Degrade => Phase::Io,
-            TraceOp::Fence | TraceOp::Crash | TraceOp::Reelect => Phase::Sync,
+            TraceOp::Fence
+            | TraceOp::Post
+            | TraceOp::Start
+            | TraceOp::Complete
+            | TraceOp::Wait
+            | TraceOp::Crash
+            | TraceOp::Reelect => Phase::Sync,
         };
         TraceEvent {
             t_ns: t,
@@ -691,7 +760,11 @@ mod tests {
             ev(1, 0, 0, 0, TraceOp::RmaPut, 100, 1),
             ev(2, 1, 0, 0, TraceOp::RmaPut, 50, 1),
             ev(3, 0, 0, 0, TraceOp::Fence, 0, NO_PEER),
+            ev(3, 0, 0, 0, TraceOp::Complete, 0, 1),
+            ev(3, 1, 0, 0, TraceOp::Wait, 0, NO_PEER),
             ev(4, 1, 0, 0, TraceOp::Flush, 150, NO_PEER),
+            ev(4, 1, 0, 1, TraceOp::Post, 0, NO_PEER),
+            ev(5, 0, 0, 1, TraceOp::Start, 0, 1),
             ev(5, 0, 0, 1, TraceOp::RmaPut, 25, 1),
         ]);
         let s = t.summary();
@@ -701,6 +774,7 @@ mod tests {
         assert_eq!(s.puts, 3);
         assert_eq!(s.flushes, 1);
         assert_eq!(s.fences, 1);
+        assert_eq!((s.signals, s.waits), (2, 2));
         assert_eq!(s.aggregator_fill_bytes, vec![(1, 175)]);
     }
 
@@ -767,8 +841,26 @@ mod tests {
         scope.rma_put(0, 0, 32); // local rank 0 -> global 4
         scope.fence();
         scope.stamp().flush_done(4096, 96);
+        // sync events carry their own round: a post of round 2 issued
+        // while the scope is still in round 1
+        scope.post(2);
+        scope.start(2, 1);
+        scope.complete(2, 1);
+        scope.wait(1);
         let t = tr.drain();
-        assert_eq!(t.len(), 5);
+        let sync: Vec<_> = t
+            .events()
+            .iter()
+            .filter(|e| e.phase == Phase::Sync && e.op != TraceOp::Fence)
+            .map(|e| (e.op, e.round, e.peer))
+            .collect();
+        assert_eq!(sync, vec![
+            (TraceOp::Post, 2, NO_PEER),
+            (TraceOp::Start, 1, 7),
+            (TraceOp::Complete, 1, 7),
+            (TraceOp::Wait, 1, NO_PEER),
+        ]);
+        assert_eq!(t.len(), 9);
         let puts: Vec<_> =
             t.events().iter().filter(|e| e.op == TraceOp::RmaPut).cloned().collect();
         assert_eq!(puts[0].peer, 7);
@@ -833,15 +925,14 @@ mod tests {
     fn coalesced_puts_serialize_and_stay_structurally_equivalent() {
         let tr = Tracer::new(4);
         let scope = TraceScope::new(Arc::clone(&tr), 1, 0, vec![0, 1, 2, 3]);
-        // 3 chunks merged into one wire put, attributed to leader lane 2
-        // even though rank 1's scope records it (completer forwarding)
-        scope.rma_put_coalesced(2, 3, 256, 96, 3);
+        // 3 chunks merged into one wire put on the leader's own lane
+        scope.rma_put_coalesced(3, 256, 96, 3);
         scope.rma_put(3, 352, 32); // a raw singleton alongside
         let t = tr.drain();
         let merged = t.events().iter().find(|e| e.coalesced != 0).unwrap();
         assert_eq!(
             (merged.op, merged.rank, merged.peer, merged.bytes, merged.coalesced),
-            (TraceOp::RmaPut, 2, 3, 96, 3)
+            (TraceOp::RmaPut, 1, 3, 96, 3)
         );
         let mut buf = Vec::new();
         t.write_jsonl(&mut buf).unwrap();

@@ -140,6 +140,64 @@ fn total(stats: &[IoStats]) -> IoStats {
     t
 }
 
+/// The `thr-hacc-rounds` / `thr-hacc-coalesced` benchmark shape: 16
+/// ranks on one Mira node, 9 SoA variables of 8 KiB each, 2 aggregators,
+/// 32 KiB buffers. Both partitions have all 16 ranks as members and 18
+/// rounds, but a round holds the chunks of only 4 ranks — the other 12
+/// take no part in it and run ahead. Under Algorithm 3's fences every
+/// member synchronised twice per round: 16 x 36 x 2 = 1,152 calls.
+#[test]
+fn hacc_rounds_shape_pins_the_synchronisation_calls() {
+    const KIB: u64 = 1024;
+    let profile = mira_profile(128, 16);
+    let decls: Vec<Vec<WriteDecl>> = (0..16u64)
+        .map(|r| (0..9u64).map(|v| WriteDecl { offset: (v * 16 + r) * 8 * KIB, len: 8 * KIB }).collect())
+        .collect();
+    let mut image = vec![0u8; 16 * 9 * 8 * KIB as usize];
+    for (r, mine) in decls.iter().enumerate() {
+        for (v, d) in mine.iter().enumerate() {
+            image[d.offset as usize..][..d.len as usize].copy_from_slice(&payload(r, v, d.len));
+        }
+    }
+    // Per round: 4 contributors start and complete, the aggregator
+    // posts and waits = 10 calls; coalesced, the 3 non-leaders also
+    // complete toward the run leader and the leader waits for them
+    // = 14. A crash replays one round (10 more calls either way: the
+    // gather buffer is not re-deposited).
+    for (coalescing, crash, pinned) in
+        [(false, false, 360), (true, false, 504), (false, true, 370), (true, true, 514)]
+    {
+        let name = format!("hacc-rounds-{coalescing}-{crash}");
+        let cfg = TapiocaConfig {
+            num_aggregators: 2,
+            buffer_size: 32 * KIB,
+            coalescing,
+            faults: crash.then(|| {
+                FaultPlan::seeded(3).with(FaultSpec::AggregatorCrash { partition: 0, round: 3 })
+            }),
+            ..Default::default()
+        };
+        let (reference, staged_stats) = staged(&format!("{name}-staged"), &profile, &decls, &cfg);
+        assert!(reference == image, "{name}: staged reference diverges from the payload image");
+        assert_eq!(total(&staged_stats).fences, pinned, "{name}: staged driver");
+        for run in 0..2 {
+            let (bytes, stats) = streamed(&format!("{name}-{run}"), &profile, &decls, &cfg, None);
+            assert!(bytes == reference, "{name} run {run}: file diverges from the staged reference");
+            let t = total(&stats);
+            assert_eq!(t.fences, pinned, "{name} run {run}: the count must repeat exactly");
+            assert_eq!(t.flushes, 36, "{name}");
+            assert_eq!(t.reelections, u64::from(crash), "{name}");
+            let replayed = if crash { 4 } else { 0 };
+            if coalescing {
+                assert_eq!((t.puts, t.coalesced_chunks), (36 + u64::from(crash), 144), "{name}");
+            } else {
+                assert_eq!(t.puts, 144 + replayed, "{name}");
+            }
+        }
+        assert!(pinned < 1152);
+    }
+}
+
 /// The grid is shaped to actually coalesce: every cell's plan folds at
 /// least one run, and the planned wire put count drops accordingly.
 #[test]

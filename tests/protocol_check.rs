@@ -10,7 +10,7 @@ use tapioca_check::{check, parse_jsonl, ViolationKind};
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
 use tapioca_topology::{theta_profile, MachineProfile, TopologyProvider};
-use tapioca_trace::{Trace, TraceOp, Tracer};
+use tapioca_trace::{Trace, TraceEvent, TraceOp, Tracer};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
 
@@ -74,7 +74,9 @@ fn thread_pipeline_trace_is_protocol_clean() {
     let w = HaccIo { num_ranks: 16, particles_per_rank: 100, layout: Layout::StructOfArrays };
     let cfg = TapiocaConfig { num_aggregators: 4, buffer_size: 2048, ..Default::default() };
     let trace = thread_trace("thread-clean", &profile, &w.decls(), &cfg, None);
-    assert!(trace.events().iter().any(|e| e.op == TraceOp::Fence), "expected a fenced trace");
+    let s = trace.summary();
+    assert!(s.signals > 0 && s.signals == s.waits, "expected a synchronised trace: {s:?}");
+    assert_eq!(s.fences, 0, "the round pipeline issues no fences");
     let v = check(&trace);
     assert!(v.is_empty(), "thread trace has violations: {v:?}");
 }
@@ -118,24 +120,109 @@ fn perturbed_interleavings_stay_protocol_clean() {
     }
 }
 
-#[test]
-fn tampered_trace_is_caught() {
-    // Take a genuine thread trace, violate the epoch discipline by
-    // relabelling one put's round, and expect the checker to object.
+/// A genuine thread trace of a small IOR run, as raw events.
+fn genuine_events(name: &str) -> Vec<TraceEvent> {
     let profile = theta_profile(4, 2);
     let w = IorSpec { num_ranks: 8, bytes_per_rank: 1024 };
     let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 512, ..Default::default() };
-    let trace = thread_trace("tampered", &profile, &w.decls(), &cfg, None);
-    let mut events = trace.events().to_vec();
+    let trace = thread_trace(name, &profile, &w.decls(), &cfg, None);
+    assert!(check(&trace).is_empty(), "the untampered trace is clean");
+    trace.events().to_vec()
+}
+
+fn violations(events: Vec<TraceEvent>) -> Vec<tapioca_check::Violation> {
+    check(&Trace::from_events(events))
+}
+
+#[test]
+fn tampered_trace_is_caught() {
+    // Take a genuine thread trace, violate the bracket discipline by
+    // relabelling one put's round, and expect the checker to object.
+    let mut events = genuine_events("tampered");
     let put = events
         .iter()
         .position(|e| e.op == TraceOp::RmaPut && e.round == 0)
         .expect("trace has a round-0 put");
     events[put].round += 1;
-    let v = check(&Trace::from_events(events));
+    let v = violations(events);
     assert!(
         v.iter().any(|v| v.kind == ViolationKind::PutOutsideEpoch),
         "tampering went undetected: {v:?}"
+    );
+}
+
+#[test]
+fn put_moved_before_its_start_is_caught() {
+    let mut events = genuine_events("tamper-early-put");
+    let put = events
+        .iter()
+        .position(|e| e.op == TraceOp::RmaPut && e.round == 1)
+        .expect("trace has a round-1 put");
+    let (rank, partition) = (events[put].rank, events[put].partition);
+    let start = events
+        .iter()
+        .position(|e| {
+            e.op == TraceOp::Start && (e.rank, e.partition, e.round) == (rank, partition, 1)
+        })
+        .expect("the put's rank started round 1");
+    // The put now sits just before the start that should admit it.
+    events[put].t_ns = events[start].t_ns - 1;
+    let v = violations(events);
+    assert!(
+        v.iter().any(|v| {
+            v.kind == ViolationKind::PutOutsideEpoch && v.message.contains(&format!("rank {rank} "))
+        }),
+        "early put went undetected: {v:?}"
+    );
+}
+
+#[test]
+fn dropped_complete_is_caught_with_a_witness_naming_the_rank() {
+    let mut events = genuine_events("tamper-no-complete");
+    let i = events
+        .iter()
+        .position(|e| e.op == TraceOp::Complete && e.rank != e.peer)
+        .expect("a non-aggregator contributor completed");
+    let dropped = events.remove(i);
+    let v = violations(events);
+    assert!(v.iter().any(|v| v.kind == ViolationKind::CollectiveOrderMismatch), "{v:?}");
+    let witness = v
+        .iter()
+        .find(|v| v.kind == ViolationKind::CollectiveCycle)
+        .unwrap_or_else(|| panic!("no deadlock witness: {v:?}"));
+    let culprit = format!("waiting for rank {}'s complete", dropped.rank);
+    assert!(witness.message.contains(&culprit), "{}", witness.message);
+    assert!(
+        witness.message.contains(&format!("rank {} blocks at its wait", dropped.peer)),
+        "{}",
+        witness.message
+    );
+}
+
+#[test]
+fn refill_recorded_before_the_post_that_follows_the_flush_is_caught() {
+    // The aggregator re-exposes a slot (post of round r + 2) before the
+    // flush of round r — which last used the slot — has drained.
+    let mut events = genuine_events("tamper-early-post");
+    let flush = events
+        .iter()
+        .position(|e| e.op == TraceOp::Flush && e.round == 0)
+        .expect("round 0 was flushed");
+    let (agg, partition) = (events[flush].rank, events[flush].partition);
+    let repost = events
+        .iter()
+        .position(|e| {
+            e.op == TraceOp::Post && (e.rank, e.partition, e.round) == (agg, partition, 2)
+        })
+        .expect("the aggregator posted round 2");
+    // Record the flush completion just after that post.
+    events[flush].t_ns = events[repost].t_ns + 1;
+    let v = violations(events);
+    assert!(
+        v.iter().any(|v| {
+            v.kind == ViolationKind::RefillBeforeFlush && v.message.contains("for round 2")
+        }),
+        "early re-exposure went undetected: {v:?}"
     );
 }
 
@@ -148,6 +235,9 @@ fn jsonl_roundtrip_preserves_the_verdict() {
     let w = IorSpec { num_ranks: 8, bytes_per_rank: 1024 };
     let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 512, ..Default::default() };
     let trace = thread_trace("jsonl-roundtrip", &profile, &w.decls(), &cfg, None);
+    for op in [TraceOp::Post, TraceOp::Start, TraceOp::Complete, TraceOp::Wait] {
+        assert!(trace.events().iter().any(|e| e.op == op), "trace carries {op:?} events");
+    }
     let mut buf = Vec::new();
     trace.write_jsonl(&mut buf).unwrap();
     let parsed = parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();

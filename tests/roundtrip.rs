@@ -142,7 +142,8 @@ fn io_stats_match_the_schedule() {
     assert_eq!(total.flush_bytes, n as u64 * per, "every byte flushed exactly once");
     assert_eq!(total.elected, 3, "one aggregator elected per partition");
     assert!(total.puts >= n as u64, "at least one put per rank");
-    // each member passes two fences per round of each of its partitions
+    // synchronisation calls pair up: a start with a complete on every
+    // contributor, a post with a wait on every aggregator
     assert!(total.fences > 0 && total.fences % 2 == 0);
     std::fs::remove_file(&path).ok();
 }

@@ -390,16 +390,35 @@ fn tampering_is_detected_with_the_right_class() {
         render(&v)
     );
 
-    // Relabelling a fence breaks the static fence-label sequence.
+    // Relabelling a synchronisation call breaks its lane's static label
+    // sequence; so does a call on a lane the schedule gives no part in
+    // that round (an extra start/complete pair of a non-contributor).
+    for op in [TraceOp::Post, TraceOp::Start, TraceOp::Complete, TraceOp::Wait] {
+        let t = tampered(&clean, |ev| {
+            if let Some(e) = ev.iter_mut().find(|e| e.op == op) {
+                e.round += 1;
+            }
+        });
+        let v = conformance(&sym, &t);
+        assert!(
+            v.iter().any(|x| x.code() == "order-violation"),
+            "relabelled {op:?} must break the lane's static sequence: {}",
+            render(&v)
+        );
+    }
     let t = tampered(&clean, |ev| {
-        if let Some(e) = ev.iter_mut().find(|e| e.op == TraceOp::Fence) {
-            e.round += 1;
-        }
+        let pair: Vec<_> = ev
+            .iter()
+            .filter(|e| matches!(e.op, TraceOp::Start | TraceOp::Complete))
+            .take(2)
+            .copied()
+            .collect();
+        ev.extend(pair);
     });
     let v = conformance(&sym, &t);
     assert!(
         v.iter().any(|x| x.code() == "order-violation"),
-        "relabelled fence must break collective order: {}",
+        "an extra start/complete pair must break the lane's static sequence: {}",
         render(&v)
     );
 

@@ -261,8 +261,8 @@ mod traced {
         for (name, profile, decls) in grid() {
             let trace = streamed_trace(&format!("tr-{name}"), &profile, &decls, &base_cfg(), None);
             assert!(
-                trace.events().iter().any(|e| e.op == TraceOp::Fence),
-                "{name}: expected a fenced trace"
+                trace.events().iter().any(|e| e.op == TraceOp::Wait),
+                "{name}: expected a synchronised trace"
             );
             let v = check(&trace);
             assert!(v.is_empty(), "{name}: streamed trace has violations: {v:?}");

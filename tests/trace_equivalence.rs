@@ -11,8 +11,8 @@
 //! * how many bytes and segments each round flushed.
 //!
 //! [`Trace::structural`] projects a trace onto exactly that structure —
-//! dropping timestamps (wall-clock vs simulated), `Sync` events (fences
-//! have no simulation counterpart) and put granularity (thread mode
+//! dropping timestamps (wall-clock vs simulated), `Sync` events (the
+//! post/start/complete/wait calls have no simulation counterpart) and put granularity (thread mode
 //! records one put per chunk, the simulator one per source node). The
 //! contract is spelled out in DESIGN.md.
 //!
@@ -26,7 +26,7 @@ use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfi
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
 use tapioca_topology::{theta_profile, MachineProfile, TopologyProvider};
-use tapioca_trace::{StructuralTrace, TraceOp, Tracer};
+use tapioca_trace::{Phase, StructuralTrace, Tracer};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
 
@@ -161,7 +161,8 @@ fn ior_unpipelined_structures_agree() {
 
 #[test]
 fn thread_trace_has_sync_events_the_structure_ignores() {
-    // The raw thread trace records fences; the simulator's does not.
+    // The raw thread trace records the round protocol's synchronisation
+    // calls; the simulator's does not.
     // Equivalence holds *because* the structural projection drops them —
     // pin that contract here.
     let profile = theta_profile(4, 2);
@@ -192,9 +193,12 @@ fn thread_trace_has_sync_events_the_structure_ignores() {
     std::fs::remove_file(&path).ok();
 
     let trace = tracer.drain();
-    let fences = trace.events().iter().filter(|e| e.op == TraceOp::Fence).count();
-    assert!(fences > 0, "thread mode must record fences");
     let summary = trace.summary();
+    assert!(
+        summary.signals > 0 && summary.signals == summary.waits,
+        "thread mode must record its posts/completes and the starts/waits they release"
+    );
+    assert!(trace.events().iter().filter(|e| e.phase == Phase::Sync).count() >= summary.signals);
     assert_eq!(summary.aggregation_bytes, 8 * 1024);
     assert_eq!(summary.io_bytes, 8 * 1024);
     // every byte reached exactly one aggregator's buffers
