@@ -15,11 +15,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v6`):
+//! Schema (`tapioca-perfbench/v7`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v6",
+//!   "schema": "tapioca-perfbench/v7",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -28,7 +28,8 @@
 //!                     "fast_ns", "speedup", "same_winner" } ],
 //!     "scale":    { "workload", "threads", "setup_exponent",
 //!                   "rows": [ { "ranks", "nodes", "groups", "reps",
-//!                               "setup_s", "epoch_s", "peak_rss_mib" } ] },
+//!                               "setup_s", "first_epoch_s", "epoch_s",
+//!                               "peak_rss_mib" } ] },
 //!     "netsim_incremental":
 //!                 [ { "workload", "links", "flows", "parts", "reps",
 //!                     "full_ns", "incr_ns", "speedup", "identical" } ],
@@ -65,8 +66,11 @@
 //! `scale` builds and runs Mira HACC-IO SoA (≈1 MiB per rank, one file
 //! per Pset, 16 aggregators per Pset, 16 MiB buffers — the
 //! `sim-mira-hacc` workload of `BENCHMARK.json`) through `SimSession`
-//! at growing rank counts: `setup_s` is the median `SimSession::build`,
-//! `epoch_s` the median `run_epoch`, `peak_rss_mib` the process
+//! at growing rank counts, up to the whole machine (49,152 nodes,
+//! 786,432 ranks, 384 Psets): `setup_s` is the median
+//! `SimSession::build`, `first_epoch_s` the median first `run_epoch` of
+//! a session (which lowers the plan to its flow program), `epoch_s` the
+//! median of the later, warm ones, `peak_rss_mib` the process
 //! high-water mark (`VmHWM`) once that size has run — the suite runs
 //! first and sizes ascend, so it is that size's peak. `setup_exponent`
 //! is the least-squares slope of `ln setup_s` over `ln ranks`;
@@ -296,15 +300,20 @@ fn median_s(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// ROADMAP item 3's sweep: the paper's largest workload shape at growing
-/// rank counts, so "set-up scales to the paper's largest run" is a row.
+/// ROADMAP item 4's sweep: the paper's largest workload shape at growing
+/// rank counts, so "set-up scales to the paper's largest run" — and past
+/// it, to all 48 racks of Mira — is a row.
 fn scale_suite(smoke: bool, json: &mut String) {
-    // 8,192 nodes is the largest BG/Q shape the torus model knows.
-    let node_counts: &[usize] = if smoke { &[256, 1024] } else { &[256, 1024, 4096, 8192] };
+    let node_counts: &[usize] = if smoke {
+        &[256, 1024]
+    } else {
+        &[256, 1024, 4096, 8192, 16384, 24576, 32768, 49152]
+    };
     let rpn = 16;
     let cfg = TapiocaConfig { num_aggregators: 16, buffer_size: 16 * MIB, ..Default::default() };
     let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
-    let (reps, epochs) = if smoke { (3, 1) } else { (5, 2) };
+    // One first epoch per session, then the warm ones.
+    let (reps, warm_epochs) = if smoke { (3, 1) } else { (5, 2) };
 
     let mut rows = String::new();
     let mut points: Vec<(f64, f64)> = Vec::new();
@@ -313,23 +322,26 @@ fn scale_suite(smoke: bool, json: &mut String) {
         let spec =
             hacc_mira(nodes, rpn, HaccIo::particles_for_bytes(MIB), Layout::StructOfArrays);
         let mut setups = Vec::new();
-        let mut epoch_times = Vec::new();
+        let mut first_epochs = Vec::new();
+        let mut warm_epoch_times = Vec::new();
         for _ in 0..reps {
             let t = Instant::now();
             let mut session =
                 SimSession::build(&profile, &storage, &spec, &cfg).expect("scale build failed");
             setups.push(t.elapsed().as_secs_f64());
-            for _ in 0..epochs {
+            for epoch in 0..=warm_epochs {
                 let t = Instant::now();
                 black_box(session.run_epoch().expect("scale epoch failed"));
-                epoch_times.push(t.elapsed().as_secs_f64());
+                let times = if epoch == 0 { &mut first_epochs } else { &mut warm_epoch_times };
+                times.push(t.elapsed().as_secs_f64());
             }
         }
-        let (setup_s, epoch_s) = (median_s(setups), median_s(epoch_times));
+        let (setup_s, first_epoch_s, epoch_s) =
+            (median_s(setups), median_s(first_epochs), median_s(warm_epoch_times));
         let (ranks, groups, rss) = (nodes * rpn, spec.groups.len(), peak_rss_mib());
         eprintln!(
             "scale mira-hacc-soa ranks={ranks} groups={groups}: setup {setup_s:.4} s, \
-             epoch {epoch_s:.4} s, peak rss {rss:.1} MiB"
+             first epoch {first_epoch_s:.4} s, warm epoch {epoch_s:.4} s, peak rss {rss:.1} MiB"
         );
         points.push(((ranks as f64).ln(), setup_s.ln()));
         if !rows.is_empty() {
@@ -338,7 +350,8 @@ fn scale_suite(smoke: bool, json: &mut String) {
         let _ = write!(
             rows,
             "\n     {{\"ranks\": {ranks}, \"nodes\": {nodes}, \"groups\": {groups}, \
-             \"reps\": {reps}, \"setup_s\": {setup_s:.6}, \"epoch_s\": {epoch_s:.6}, \
+             \"reps\": {reps}, \"setup_s\": {setup_s:.6}, \
+             \"first_epoch_s\": {first_epoch_s:.6}, \"epoch_s\": {epoch_s:.6}, \
              \"peak_rss_mib\": {rss:.1}}}"
         );
     }
@@ -965,7 +978,7 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v6\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v7\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \

@@ -54,8 +54,8 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
 use crate::schedule::{
-    compute_coalesce_plan, compute_schedule, Chunk, CoalescePlan, RankStreamPlan, RoundRoster,
-    Schedule, ScheduleParams, WriteDecl,
+    check_decl_extents, compute_coalesce_plan, compute_schedule, Chunk, CoalescePlan,
+    RankStreamPlan, RoundRoster, Schedule, ScheduleParams, WriteDecl,
 };
 
 /// Outcome of a [`Session::write`] call.
@@ -199,9 +199,11 @@ impl<'c> SessionBuilder<'c> {
     /// shared round schedule, and return the reusable [`Session`].
     ///
     /// # Errors
-    /// [`TapiocaError::InvalidConfig`] if the config fails validation;
-    /// the check runs *before* any collective call, so all ranks bail
-    /// out symmetrically.
+    /// [`TapiocaError::InvalidConfig`] if the config fails validation —
+    /// checked *before* any collective call — or if some rank declared a
+    /// write whose `offset + len` overflows `u64` — checked on the
+    /// allgathered declarations; either way all ranks bail out
+    /// symmetrically.
     pub fn build(self) -> Result<Session<'c>> {
         let SessionBuilder { comm, file, decls, cfg, topo } = self;
         cfg.validate()?;
@@ -228,6 +230,10 @@ impl<'c> SessionBuilder<'c> {
                     .collect()
             })
             .collect();
+        // Every rank holds every declaration now, so a bad one fails the
+        // build on all of them at the same point: nobody is left waiting
+        // in a later collective.
+        check_decl_extents(&all_decls)?;
 
         let schedule = compute_schedule(&all_decls, ScheduleParams {
             num_aggregators: cfg.num_aggregators,
@@ -952,6 +958,35 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, TapiocaError::InvalidConfig(_)));
         });
+    }
+
+    #[test]
+    fn overflowing_declaration_is_rejected_on_every_rank() {
+        let path = tmp("overflow");
+        // Only rank 1's declaration is bad, yet every rank must come
+        // back from `build` with the error (and join a barrier after
+        // it): a rank left behind in a collective trips the watchdog.
+        let errs = Runtime::run_with_watchdog(3, Some(std::time::Duration::from_secs(10)), |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let r = comm.rank() as u64;
+            let mine = if r == 1 {
+                WriteDecl { offset: u64::MAX - 10, len: 100 }
+            } else {
+                WriteDecl { offset: r * 8, len: 8 }
+            };
+            let err = Session::builder(&comm, file)
+                .declarations(vec![mine])
+                .config(cfg(2, 8))
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            comm.barrier();
+            assert!(matches!(err, TapiocaError::InvalidConfig(_)));
+            err.to_string()
+        });
+        for e in &errs {
+            assert!(e.contains("declaration 0 of rank 1 overflows"), "{e}");
+        }
     }
 
     #[test]

@@ -17,6 +17,8 @@
 use tapioca_mpi::{FaultPlan, IoPolicy};
 use tapioca_topology::Rank;
 
+use crate::error::{Result, TapiocaError};
+
 /// One declared upcoming write of a rank: `len` bytes at file `offset`.
 ///
 /// Mirrors one `(count[i], type[i], ofst[i])` entry of `TAPIOCA_Init`.
@@ -311,15 +313,109 @@ impl RoundRoster {
     }
 }
 
+/// Reject declarations whose extent leaves the file offset range:
+/// `offset + len` must fit `u64`. Both executors run this over the
+/// complete declaration set (thread mode after its allgather) before
+/// [`compute_schedule`], so every rank reaches the same verdict.
+///
+/// # Errors
+/// [`TapiocaError::InvalidConfig`] naming the first offending
+/// declaration.
+pub fn check_decl_extents(decls: &[Vec<WriteDecl>]) -> Result<()> {
+    for (rank, rd) in decls.iter().enumerate() {
+        for (var, d) in rd.iter().enumerate() {
+            if d.offset.checked_add(d.len).is_none() {
+                return Err(TapiocaError::InvalidConfig(format!(
+                    "declaration {var} of rank {rank} overflows the file offset range \
+                     (offset {} + len {})",
+                    d.offset, d.len
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The round window the cut is in: round `round` of partition
+/// `partition`, covering file bytes `[start, end)` (clipped to the
+/// partition). Windows tile the span in file order, so walking to the
+/// next one is two additions; only a declaration that starts somewhere
+/// else pays the divisions of [`RoundWindow::locate`].
+struct RoundWindow {
+    partition: usize,
+    round: u32,
+    /// Index of the window in the global numbering (partitions
+    /// ascending, rounds ascending within each).
+    slot: usize,
+    start: u64,
+    end: u64,
+    part_end: u64,
+}
+
+/// Span geometry shared by every window computation.
+#[derive(Clone, Copy)]
+struct SpanGrid {
+    lo: u64,
+    hi: u64,
+    psize: u64,
+    buffer: u64,
+}
+
+impl RoundWindow {
+    /// The window containing file offset `at` (`lo <= at < hi`);
+    /// `slot_base[p]` is the global index of partition `p`'s round 0.
+    fn locate(grid: SpanGrid, slot_base: &[usize], at: u64) -> RoundWindow {
+        let partition = ((at - grid.lo) / grid.psize) as usize;
+        let part_start = grid.lo + partition as u64 * grid.psize;
+        let part_end = part_start.saturating_add(grid.psize).min(grid.hi);
+        let round = ((at - part_start) / grid.buffer) as u32;
+        let start = part_start + round as u64 * grid.buffer;
+        RoundWindow {
+            partition,
+            round,
+            slot: slot_base[partition] + round as usize,
+            start,
+            end: start.saturating_add(grid.buffer).min(part_end),
+            part_end,
+        }
+    }
+
+    /// Move to the window that starts where this one ends (`end < hi`).
+    fn step(&mut self, grid: SpanGrid) {
+        if self.end == self.part_end {
+            self.partition += 1;
+            self.round = 0;
+            self.part_end = self.part_end.saturating_add(grid.psize).min(grid.hi);
+        } else {
+            self.round += 1;
+        }
+        self.slot += 1;
+        self.start = self.end;
+        self.end = self.start.saturating_add(grid.buffer).min(self.part_end);
+    }
+}
+
 /// Compute the schedule from every rank's declarations.
 ///
 /// `decls[rank]` lists that rank's declared writes. Declarations may
 /// leave holes in the file; flush segments then cover only written
-/// ranges. Overlapping declarations between ranks are not meaningful for
-/// collective I/O and are rejected only in debug builds (cost).
+/// ranges. Overlapping or duplicate declarations — within a rank or
+/// between ranks — are accepted: each is cut into its own chunks (every
+/// declared byte is put into the aggregation buffer, later puts
+/// overwriting earlier ones at the same offset) and their coverage
+/// merges into one flush segment.
+///
+/// The function is four linear passes: the span; the cut, which walks
+/// the round windows in file order (`RoundWindow`) and counts chunks
+/// per window; a counting sort of every chunk's `(offset, len)` into one
+/// flat array by window; and the merge of each window's ranges into
+/// flush segments. A rank's chunks, and a window's ranges, are sorted
+/// only when they did not already come out ascending.
 ///
 /// # Panics
-/// Panics if `params` are invalid (zero aggregators / buffer).
+/// Panics if `params` are invalid (zero aggregators / buffer) or a
+/// declaration's `offset + len` overflows `u64` (callers holding
+/// untrusted declarations reject those with [`check_decl_extents`]).
 pub fn compute_schedule(decls: &[Vec<WriteDecl>], params: ScheduleParams) -> Schedule {
     assert!(params.num_aggregators > 0, "need at least one aggregator");
     assert!(params.buffer_size > 0, "buffer size must be positive");
@@ -328,10 +424,8 @@ pub fn compute_schedule(decls: &[Vec<WriteDecl>], params: ScheduleParams) -> Sch
     // File span.
     let mut lo = u64::MAX;
     let mut hi = 0u64;
-    for d in decls.iter().flatten() {
-        if d.len == 0 {
-            continue;
-        }
+    for d in decls.iter().flatten().filter(|d| d.len > 0) {
+        assert!(d.len <= u64::MAX - d.offset, "declaration extent overflows u64");
         lo = lo.min(d.offset);
         hi = hi.max(d.offset + d.len);
     }
@@ -345,111 +439,131 @@ pub fn compute_schedule(decls: &[Vec<WriteDecl>], params: ScheduleParams) -> Sch
         };
     }
     let span = hi - lo;
-    let nparts = params.num_aggregators;
-    let mut psize = span.div_ceil(nparts as u64).max(1);
+    let mut psize = span.div_ceil(params.num_aggregators as u64).max(1);
     if params.align_to_buffer {
         psize = psize.div_ceil(params.buffer_size) * params.buffer_size;
     }
     // Partitions with actual extent (span may not need all of them).
     let used_parts = span.div_ceil(psize) as usize;
-    let b = params.buffer_size;
+    let grid = SpanGrid { lo, hi, psize, buffer: params.buffer_size };
 
-    let part_start = |p: usize| lo + p as u64 * psize;
-    let part_end = |p: usize| (lo + (p as u64 + 1) * psize).min(hi);
+    // Partition extents, and each partition's first global window slot.
+    let mut partitions: Vec<PartitionInfo> = Vec::with_capacity(used_parts);
+    let mut slot_base: Vec<usize> = Vec::with_capacity(used_parts);
+    let mut nslots = 0usize;
+    for p in 0..used_parts {
+        let start = lo + p as u64 * psize;
+        let end = start.saturating_add(psize).min(hi);
+        let nrounds = (end - start).div_ceil(grid.buffer) as usize;
+        slot_base.push(nslots);
+        nslots += nrounds;
+        partitions.push(PartitionInfo {
+            index: p,
+            start,
+            end,
+            members: Vec::new(),
+            member_bytes: Vec::new(),
+            rounds: vec![RoundInfo::default(); nrounds],
+        });
+    }
 
-    // Cut every declaration into chunks.
-    let mut chunks_by_rank: Vec<Vec<Chunk>> = vec![Vec::new(); nranks];
+    // Cut every declaration into chunks, rank by rank into one scratch
+    // vector (each rank keeps an exact-size copy), counting the chunks
+    // of every window on the way.
+    let mut chunks_by_rank: Vec<Vec<Chunk>> = Vec::with_capacity(nranks);
+    let mut slot_fill = vec![0usize; nslots];
+    let mut cut: Vec<Chunk> = Vec::new();
+    let mut win = RoundWindow::locate(grid, &slot_base, lo);
     for (rank, rd) in decls.iter().enumerate() {
-        for (var, d) in rd.iter().enumerate() {
-            if d.len == 0 {
-                continue;
-            }
-            let mut cur = d.offset;
+        cut.clear();
+        let mut ascending = true;
+        for (var, d) in rd.iter().enumerate().filter(|(_, d)| d.len > 0) {
             let end = d.offset + d.len;
-            while cur < end {
-                let p = ((cur - lo) / psize) as usize;
-                let ps = part_start(p);
-                let round = ((cur - ps) / b) as u32;
-                let win_end = ps + (round as u64 + 1) * b;
-                let stop = end.min(win_end).min(part_end(p));
-                chunks_by_rank[rank].push(Chunk {
+            let mut cur = d.offset;
+            ascending &= cut.last().is_none_or(|c| c.file_offset <= cur);
+            if cur == win.end {
+                win.step(grid);
+            } else if cur < win.start || cur > win.end {
+                win = RoundWindow::locate(grid, &slot_base, cur);
+            }
+            loop {
+                let stop = end.min(win.end);
+                cut.push(Chunk {
                     rank,
                     var,
                     var_offset: cur - d.offset,
                     file_offset: cur,
                     len: stop - cur,
-                    partition: p,
-                    round,
-                    buf_offset: (cur - ps) - round as u64 * b,
+                    partition: win.partition,
+                    round: win.round,
+                    buf_offset: cur - win.start,
                 });
+                slot_fill[win.slot] += 1;
+                if stop == end {
+                    break;
+                }
                 cur = stop;
+                win.step(grid);
             }
         }
-        chunks_by_rank[rank]
-            .sort_unstable_by_key(|c| (c.partition, c.round, c.file_offset));
-    }
-
-    // Partition summaries.
-    let mut partitions: Vec<PartitionInfo> = (0..used_parts)
-        .map(|p| {
-            let start = part_start(p);
-            let end = part_end(p);
-            let nrounds = (end - start).div_ceil(b) as usize;
-            PartitionInfo {
-                index: p,
-                start,
-                end,
-                members: Vec::new(),
-                member_bytes: Vec::new(),
-                rounds: vec![RoundInfo::default(); nrounds],
-            }
-        })
-        .collect();
-
-    // Accumulate member weights and per-round coverage.
-    // Coverage is collected as (offset, len) then merged into segments.
-    let mut coverage: Vec<Vec<Vec<(u64, u64)>>> = partitions
-        .iter()
-        .map(|p| vec![Vec::new(); p.rounds.len()])
-        .collect();
-    for rd in &chunks_by_rank {
-        for c in rd {
-            let part = &mut partitions[c.partition];
-            match part.members.binary_search(&c.rank) {
-                Ok(i) => part.member_bytes[i] += c.len,
-                Err(i) => {
-                    part.members.insert(i, c.rank);
-                    part.member_bytes.insert(i, c.len);
-                }
-            }
-            part.rounds[c.round as usize].bytes += c.len;
-            coverage[c.partition][c.round as usize].push((c.file_offset, c.len));
+        // Partition and round grow with the file offset, so ascending
+        // offsets are already in (partition, round, file_offset) order.
+        if !ascending {
+            cut.sort_unstable_by_key(|c| (c.partition, c.round, c.file_offset));
         }
+        // Ranks are visited in ascending order and a rank's chunks of one
+        // partition are consecutive: appending keeps `members` sorted.
+        for run in cut.chunk_by(|a, b| a.partition == b.partition) {
+            let part = &mut partitions[run[0].partition];
+            part.members.push(rank);
+            part.member_bytes.push(run.iter().map(|c| c.len).sum());
+        }
+        chunks_by_rank.push(cut.clone());
     }
 
-    // Merge coverage into flush segments.
-    for (p, part) in partitions.iter_mut().enumerate() {
-        for (r, round) in part.rounds.iter_mut().enumerate() {
-            let ranges = &mut coverage[p][r];
+    // Counting sort of every chunk's file range by window: turn the
+    // counts into start positions, then let each placement advance its
+    // window's position — afterwards `slot_fill[s]` is where window `s`
+    // ends and window `s + 1` begins.
+    let mut total = 0usize;
+    for n in &mut slot_fill {
+        let count = *n;
+        *n = total;
+        total += count;
+    }
+    let mut cover = vec![(0u64, 0u64); total];
+    for c in chunks_by_rank.iter().flatten() {
+        let at = &mut slot_fill[slot_base[c.partition] + c.round as usize];
+        cover[*at] = (c.file_offset, c.len);
+        *at += 1;
+    }
+
+    // Merge each window's ranges into flush segments.
+    let windows = partitions.iter_mut().flat_map(|part| {
+        let part_start = part.start;
+        part.rounds.iter_mut().zip((0u64..).map(move |r| part_start + r * grid.buffer))
+    });
+    let mut segs: Vec<FlushSegment> = Vec::new();
+    let mut covered = 0usize;
+    for ((round, win_start), &slot_end) in windows.zip(&slot_fill) {
+        let ranges = &mut cover[covered..slot_end];
+        covered = slot_end;
+        if !ranges.is_sorted() {
             ranges.sort_unstable();
-            let win_start = part.start + r as u64 * b;
-            let mut segs: Vec<FlushSegment> = Vec::new();
-            for &(off, len) in ranges.iter() {
-                match segs.last_mut() {
-                    Some(s) if s.file_offset + s.len >= off => {
-                        // extend (ranges may duplicate only if decls overlap)
-                        let new_end = (off + len).max(s.file_offset + s.len);
-                        s.len = new_end - s.file_offset;
-                    }
-                    _ => segs.push(FlushSegment {
-                        file_offset: off,
-                        len,
-                        buf_offset: off - win_start,
-                    }),
-                }
-            }
-            round.segments = segs;
         }
+        segs.clear();
+        for &(off, len) in ranges.iter() {
+            round.bytes += len;
+            match segs.last_mut() {
+                Some(s) if s.file_offset + s.len >= off => {
+                    // extend (ranges overlap only if declarations do)
+                    let new_end = (off + len).max(s.file_offset + s.len);
+                    s.len = new_end - s.file_offset;
+                }
+                _ => segs.push(FlushSegment { file_offset: off, len, buf_offset: off - win_start }),
+            }
+        }
+        round.segments = segs.clone();
     }
 
     Schedule { params, span: (lo, hi), partitions, chunks_by_rank }
@@ -864,6 +978,26 @@ mod tests {
         let c = &s.chunks_by_rank[0][0];
         assert_eq!(c.buf_offset, 0);
         assert_eq!(c.file_offset, 1000);
+    }
+
+    #[test]
+    fn extent_ending_just_below_u64_max_is_scheduled() {
+        // Partition and window ends are clipped to the span before they
+        // can leave the offset range (debug builds check the additions).
+        let hi = u64::MAX - 50;
+        let decls = vec![vec![WriteDecl { offset: hi - 150, len: 150 }]];
+        assert!(check_decl_extents(&decls).is_ok());
+        let s = compute_schedule(&decls, ScheduleParams {
+            num_aggregators: 2,
+            buffer_size: 64,
+            align_to_buffer: true,
+        });
+        assert_eq!(s.span, (hi - 150, hi));
+        assert_eq!(s.total_bytes(), 150);
+        assert_eq!(s.partitions.last().map(|p| p.end), Some(hi));
+        let overflowing = vec![vec![], vec![WriteDecl { offset: u64::MAX - 10, len: 100 }]];
+        let err = check_decl_extents(&overflowing).unwrap_err();
+        assert!(err.to_string().contains("declaration 0 of rank 1 overflows"), "{err}");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! plan (see [`crate::plan`]) and executed here with link contention,
 //! storage service stations, and lock penalties.
 
+use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, TryRecvError};
 use std::time::{Duration, Instant};
 
@@ -23,7 +24,9 @@ use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
 use crate::placement::{elect_schedule, election_costs, PartitionElection};
 use crate::plan::{append_tapioca_plan, ExecutionPlan, OpKind, PlanCrash, TapiocaPlanInput};
-use crate::schedule::{compute_schedule, Schedule, ScheduleParams, WriteDecl};
+use crate::schedule::{
+    check_decl_extents, compute_schedule, Schedule, ScheduleParams, WriteDecl,
+};
 
 /// Filesystem tunables for a simulation (must match the profile's
 /// storage kind).
@@ -113,6 +116,10 @@ pub fn simulate(
 /// charged, matching the thread runtime's early fallback to direct
 /// writes.
 ///
+/// Two steps: the plan is lowered to a flow program — a pure function
+/// of the arguments — and the program is run on a fresh simulator.
+/// [`SimSession`] keeps the program and repeats only the second step.
+///
 /// # Errors
 /// [`TapiocaError::InvalidConfig`] on a storage/profile kind mismatch.
 pub fn simulate_faulty(
@@ -122,29 +129,109 @@ pub fn simulate_faulty(
     faults: Option<&FaultPlan>,
     policy: &IoPolicy,
 ) -> Result<SimReport> {
+    let program = lower_plan(profile, storage, plan, faults, policy)?;
+    Ok(run_program(profile, plan, &program))
+}
+
+/// One flow of a [`FlowProgram`].
+#[derive(Debug, Clone, Copy)]
+struct FlowSpec {
+    /// `(start, len)` of the flow's route in [`FlowProgram::routes`].
+    route: (u32, u32),
+    /// Effective bytes charged (payload plus filesystem inflation).
+    bytes: f64,
+    /// Fixed delay after release: hop latency, lock set-up, and the
+    /// retry/backoff cost of an injected flush fault.
+    delay: f64,
+}
+
+/// An [`ExecutionPlan`] lowered to what the flow simulator consumes:
+/// every op's flows with their routes resolved, filesystem waves planned
+/// and fault penalties charged. A pure function of `(plan, profile,
+/// storage, faults, policy)`, so it is derived once and run any number
+/// of times ([`run_program`]); the op dependencies and kinds stay in the
+/// plan it was lowered from.
+#[derive(Debug)]
+struct FlowProgram {
+    /// Capacity factor of a `LinkDegrade` fault: scales the fabric
+    /// before the virtual links (which keep nominal rates) are installed.
+    link_degrade: Option<f64>,
+    /// Capacities of the storage model's virtual links, in installation
+    /// order; link `i` of them is simulator link `fabric links + i`.
+    virtual_links: Vec<f64>,
+    /// Every flow's route, back to back.
+    routes: Vec<LinkIx>,
+    /// Flows in submission order: a fresh simulator numbers them
+    /// `0, 1, ...`, so an index here is the flow's [`FlowId`].
+    flows: Vec<FlowSpec>,
+    /// Op `i` owns `flows[op_flows[i]..op_flows[i + 1]]`.
+    op_flows: Vec<u32>,
+    /// Failed flush attempts injected from the fault plan.
+    faults_injected: u64,
+    /// Flush retries the modelled I/O worker performs.
+    retries: u64,
+    /// Partitions whose retry budget a fault exhausts.
+    degraded: u64,
+}
+
+/// Lower `plan` for `profile` + `storage` under `faults` (see
+/// [`FlowProgram`]). Nothing is simulated.
+fn lower_plan(
+    profile: &MachineProfile,
+    storage: &StorageConfig,
+    plan: &ExecutionPlan,
+    faults: Option<&FaultPlan>,
+    policy: &IoPolicy,
+) -> Result<FlowProgram> {
     let machine = &profile.machine;
     let net = machine.interconnect();
-    let mut sim = Simulator::from_interconnect(net);
-    // Collapse near-simultaneous completions (symmetric flows of one
-    // round) into single events: 20 us against multi-ms rounds is a
-    // <1% perturbation for an order-of-magnitude event reduction.
-    sim.set_completion_slack(20e-6);
-    // Degrade the fabric before the storage models append their virtual
-    // service stations (those keep nominal rates).
-    if let Some(f) = faults.and_then(FaultPlan::link_degrade) {
-        sim.scale_capacities(f);
-    }
+
+    // The storage model numbers its virtual links as it installs them.
+    // A link-less scratch simulator hands out 0, 1, ...; `run_program`
+    // re-installs the same capacities behind the fabric's links, so
+    // storage link `l` becomes simulator link `first_virtual + l`.
+    let mut scratch = Simulator::with_capacities(Vec::new());
+    let first_virtual = net.num_links();
+    let mut model = match (&profile.storage, storage) {
+        (StorageProfile::Gpfs { ion_link_bw, ion_service_bw }, StorageConfig::Gpfs(tun)) => {
+            let torus = machine
+                .fabric()
+                .as_torus()
+                .expect("GPFS profile implies a torus fabric");
+            StorageModel::Gpfs(GpfsModel::new(
+                &mut scratch,
+                torus.num_psets(),
+                *ion_link_bw,
+                *ion_service_bw,
+                *tun,
+            ))
+        }
+        (
+            StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw },
+            StorageConfig::Lustre(tun),
+        ) => StorageModel::Lustre(LustreModel::new(
+            &mut scratch,
+            *total_osts,
+            *ost_write_bw,
+            *ost_read_bw,
+            *lnet_bw,
+            lnet_nodes(net.num_nodes()),
+            *tun,
+        )),
+        _ => {
+            return Err(TapiocaError::InvalidConfig(
+                "storage config kind does not match the machine profile".into(),
+            ))
+        }
+    };
 
     // Per-flush fault hints: segment ordinals within (partition, round)
     // follow flush emission order, the same coordinates thread mode
     // hashes. The prepass also finds each partition's degrade round.
-    let mut seg_of_op: std::collections::HashMap<usize, (u32, u32, u32)> =
-        std::collections::HashMap::new();
-    let mut degrade_round: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let mut faults_injected = 0u64;
-    let mut retries = 0u64;
+    let mut seg_of_op: HashMap<usize, (u32, u32, u32)> = HashMap::new();
+    let mut degrade_round: HashMap<u32, u32> = HashMap::new();
     if let Some(fp) = faults {
-        let mut ord: std::collections::HashMap<(u32, u32), u32> = std::collections::HashMap::new();
+        let mut ord: HashMap<(u32, u32), u32> = HashMap::new();
         for (id, op) in plan.ops.iter().enumerate() {
             let (OpKind::Flush { mode: AccessMode::Write, .. }, Some(m)) = (&op.kind, op.meta)
             else {
@@ -163,72 +250,26 @@ pub fn simulate_faulty(
         }
     }
 
-    // Install the storage model's virtual links.
-    let model = match (&profile.storage, storage) {
-        (StorageProfile::Gpfs { ion_link_bw, ion_service_bw }, StorageConfig::Gpfs(tun)) => {
-            let torus = machine
-                .fabric()
-                .as_torus()
-                .expect("GPFS profile implies a torus fabric");
-            StorageModel::Gpfs(GpfsModel::new(
-                &mut sim,
-                torus.num_psets(),
-                *ion_link_bw,
-                *ion_service_bw,
-                *tun,
-            ))
-        }
-        (
-            StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw },
-            StorageConfig::Lustre(tun),
-        ) => StorageModel::Lustre(LustreModel::new(
-            &mut sim,
-            *total_osts,
-            *ost_write_bw,
-            *ost_read_bw,
-            *lnet_bw,
-            lnet_nodes(net.num_nodes()),
-            *tun,
-        )),
-        _ => {
-            return Err(TapiocaError::InvalidConfig(
-                "storage config kind does not match the machine profile".into(),
-            ))
-        }
-    };
-    let mut model = model;
-
     // Cross-wave lock analysis: the models must see the whole operation
-    // before any wave is planned.
-    let all_reqs: Vec<FlushReq> = plan
-        .ops
-        .iter()
-        .filter_map(|op| match op.kind {
-            OpKind::Flush { src, file, offset, len, mode, .. } => {
-                Some(FlushReq { src_node: src, file, offset, len, mode })
-            }
-            _ => None,
-        })
-        .collect();
+    // before any wave is planned. Flushes are grouped by wave id on the
+    // way.
+    let mut all_reqs: Vec<FlushReq> = Vec::new();
+    let mut waves: BTreeMap<u64, Vec<(usize, FlushReq)>> = BTreeMap::new();
+    for (id, op) in plan.ops.iter().enumerate() {
+        if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
+            let req = FlushReq { src_node: src, file, offset, len, mode };
+            all_reqs.push(req);
+            waves.entry(wave).or_default().push((id, req));
+        }
+    }
     match &mut model {
         StorageModel::Gpfs(g) => g.register_operation(&all_reqs),
         StorageModel::Lustre(l) => l.register_operation(&all_reqs),
     }
 
-    // Plan filesystem waves: group flush ops by wave id.
-    let mut waves: std::collections::BTreeMap<u64, Vec<(usize, FlushReq)>> =
-        std::collections::BTreeMap::new();
-    for (id, op) in plan.ops.iter().enumerate() {
-        if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
-            waves.entry(wave).or_default().push((
-                id,
-                FlushReq { src_node: src, file, offset, len, mode },
-            ));
-        }
-    }
-    let mut flows_of_flush: std::collections::HashMap<usize, Vec<PlannedFlow>> =
-        std::collections::HashMap::new();
-    for (_, reqs) in waves {
+    // Plan the filesystem waves; each flush op collects its flows.
+    let mut planned_of_op: Vec<Vec<PlannedFlow>> = vec![Vec::new(); plan.ops.len()];
+    for reqs in waves.into_values() {
         let plain: Vec<FlushReq> = reqs.iter().map(|(_, r)| *r).collect();
         let planned = match &model {
             StorageModel::Gpfs(g) => {
@@ -239,30 +280,31 @@ pub fn simulate_faulty(
             StorageModel::Lustre(l) => l.plan_wave(&plain),
         };
         for pf in planned {
-            let (op_id, _) = reqs[pf.req_index];
-            flows_of_flush.entry(op_id).or_default().push(pf);
+            planned_of_op[reqs[pf.req_index].0].push(pf);
         }
     }
 
-    // Submit the DAG. Routes are built in one scratch buffer — the
-    // simulator interns them, so nothing here needs an owned Vec.
+    // Lower every op to its flows, routes appended to one arena.
     let latency = net.hop_latency();
-    let mut route_buf: Vec<LinkIx> = Vec::new();
-    let mut flows_of_op: Vec<Vec<FlowId>> = Vec::with_capacity(plan.ops.len());
+    let mut routes: Vec<LinkIx> = Vec::new();
+    let mut flows: Vec<FlowSpec> = Vec::new();
+    let mut op_flows: Vec<u32> = Vec::with_capacity(plan.ops.len() + 1);
+    let mut faults_injected = 0u64;
+    let mut retries = 0u64;
     for (id, op) in plan.ops.iter().enumerate() {
-        let dep_flows: Vec<FlowId> = op
-            .deps
-            .iter()
-            .flat_map(|&d| flows_of_op[d].iter().copied())
-            .collect();
-        let submitted = match &op.kind {
+        op_flows.push(flows.len() as u32);
+        match &op.kind {
             OpKind::Transfer { src, dst, bytes } => {
-                route_buf.clear();
+                let start = routes.len();
                 if src != dst {
-                    net.route_into(*src, *dst, &mut route_buf);
+                    net.route_into(*src, *dst, &mut routes);
                 }
-                let delay = latency * route_buf.len() as f64;
-                vec![sim.submit_with_deps(0.0, delay, &route_buf, *bytes, &dep_flows)]
+                let hops = routes.len() - start;
+                flows.push(FlowSpec {
+                    route: (start as u32, hops as u32),
+                    bytes: *bytes,
+                    delay: latency * hops as f64,
+                });
             }
             OpKind::Flush { .. } => {
                 // Recovery cost of an injected transient fault: the
@@ -272,66 +314,104 @@ pub fn simulate_faulty(
                 // degrade round on (thread mode detects the exhausted
                 // budget *before* the round and writes directly).
                 let fault_delay = match (faults, seg_of_op.get(&id)) {
-                    (Some(fp), Some(&(p, r, s))) => {
-                        if degrade_round.get(&p).is_some_and(|&dr| r >= dr) {
-                            0.0
-                        } else {
-                            match fp.flush_fault(p, r, s) {
-                                Some(h) => {
-                                    faults_injected += h.fail_attempts as u64;
-                                    retries += h.fail_attempts as u64;
-                                    h.penalty(policy).as_secs_f64()
-                                }
-                                None => 0.0,
+                    (Some(fp), Some(&(p, r, s)))
+                        if degrade_round.get(&p).is_none_or(|&dr| r < dr) =>
+                    {
+                        match fp.flush_fault(p, r, s) {
+                            Some(h) => {
+                                faults_injected += h.fail_attempts as u64;
+                                retries += h.fail_attempts as u64;
+                                h.penalty(policy).as_secs_f64()
                             }
+                            None => 0.0,
                         }
                     }
                     _ => 0.0,
                 };
-                let planned = flows_of_flush.remove(&id).unwrap_or_default();
-                planned
-                    .into_iter()
-                    .map(|pf| {
-                        route_buf.clear();
-                        match (&model, pf.attach_node) {
-                            (StorageModel::Gpfs(_), _) => {
-                                let torus = machine.fabric().as_torus().expect("torus");
-                                torus.io_route_into(pf.src_node, &mut route_buf);
-                            }
-                            (StorageModel::Lustre(_), Some(attach)) => {
-                                if pf.src_node != attach {
-                                    net.route_into(pf.src_node, attach, &mut route_buf);
-                                }
-                            }
-                            (StorageModel::Lustre(_), None) => {}
+                for pf in &planned_of_op[id] {
+                    let start = routes.len();
+                    match (&model, pf.attach_node) {
+                        (StorageModel::Gpfs(_), _) => {
+                            let torus = machine.fabric().as_torus().expect("torus");
+                            torus.io_route_into(pf.src_node, &mut routes);
                         }
-                        let fabric_hops = route_buf.len();
-                        route_buf.extend_from_slice(&pf.storage_route);
-                        let delay = pf.delay + latency * fabric_hops as f64 + fault_delay;
-                        sim.submit_with_deps(0.0, delay, &route_buf, pf.bytes, &dep_flows)
-                    })
-                    .collect()
+                        (StorageModel::Lustre(_), Some(attach)) => {
+                            if pf.src_node != attach {
+                                net.route_into(pf.src_node, attach, &mut routes);
+                            }
+                        }
+                        (StorageModel::Lustre(_), None) => {}
+                    }
+                    let fabric_hops = routes.len() - start;
+                    routes.extend(pf.storage_route.iter().map(|&l| first_virtual + l));
+                    flows.push(FlowSpec {
+                        route: (start as u32, (routes.len() - start) as u32),
+                        bytes: pf.bytes,
+                        delay: pf.delay + latency * fabric_hops as f64 + fault_delay,
+                    });
+                }
             }
-        };
-        flows_of_op.push(submitted);
+        }
+    }
+    op_flows.push(flows.len() as u32);
+    assert!(routes.len().max(flows.len()) <= u32::MAX as usize, "flow program exceeds u32 indices");
+
+    Ok(FlowProgram {
+        link_degrade: faults.and_then(FaultPlan::link_degrade),
+        virtual_links: scratch.link_capacities().to_vec(),
+        routes,
+        flows,
+        op_flows,
+        faults_injected,
+        retries,
+        degraded: degrade_round.len() as u64,
+    })
+}
+
+/// Run a lowered program on a fresh simulator and fold the outcome into
+/// a [`SimReport`]. `plan` is the plan `program` was lowered from.
+fn run_program(profile: &MachineProfile, plan: &ExecutionPlan, program: &FlowProgram) -> SimReport {
+    let mut sim = Simulator::from_interconnect(profile.machine.interconnect());
+    // Collapse near-simultaneous completions (symmetric flows of one
+    // round) into single events: 20 us against multi-ms rounds is a
+    // <1% perturbation for an order-of-magnitude event reduction.
+    sim.set_completion_slack(20e-6);
+    // Degrade the fabric before the storage model's virtual service
+    // stations are appended (those keep nominal rates).
+    if let Some(f) = program.link_degrade {
+        sim.scale_capacities(f);
+    }
+    for &capacity in &program.virtual_links {
+        sim.add_virtual_link(capacity);
+    }
+
+    // Submit the DAG: every flow of an op waits for every flow of the
+    // ops it depends on.
+    let flows_of = |op: usize| program.op_flows[op] as usize..program.op_flows[op + 1] as usize;
+    let mut dep_flows: Vec<FlowId> = Vec::new();
+    for (id, op) in plan.ops.iter().enumerate() {
+        dep_flows.clear();
+        for &d in &op.deps {
+            dep_flows.extend(flows_of(d));
+        }
+        for spec in &program.flows[flows_of(id)] {
+            let (start, len) = (spec.route.0 as usize, spec.route.1 as usize);
+            let route = &program.routes[start..start + len];
+            sim.submit_with_deps(0.0, spec.delay, route, spec.bytes, &dep_flows);
+        }
     }
 
     let elapsed = sim.run_to_idle();
-    let op_finish: Vec<SimTime> = flows_of_op
-        .iter()
-        .map(|flows| {
-            flows
-                .iter()
-                .map(|&f| sim.finish_time(f).expect("plan flows all complete"))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let bytes = plan.payload_bytes;
+    let mut op_finish: Vec<SimTime> = Vec::with_capacity(plan.ops.len());
     let mut transfers = 0;
     let mut flushes = 0;
     let mut last_transfer_finish: SimTime = 0.0;
     let mut last_flush_finish: SimTime = 0.0;
-    for (op, &t) in plan.ops.iter().zip(&op_finish) {
+    for (id, op) in plan.ops.iter().enumerate() {
+        let t = flows_of(id)
+            .map(|f| sim.finish_time(f).expect("plan flows all complete"))
+            .fold(0.0, f64::max);
+        op_finish.push(t);
         match op.kind {
             OpKind::Transfer { .. } => {
                 transfers += 1;
@@ -343,7 +423,8 @@ pub fn simulate_faulty(
             }
         }
     }
-    Ok(SimReport {
+    let bytes = plan.payload_bytes;
+    SimReport {
         elapsed,
         bytes,
         bandwidth: if elapsed > 0.0 { bytes / elapsed } else { 0.0 },
@@ -352,11 +433,11 @@ pub fn simulate_faulty(
         flushes,
         last_transfer_finish,
         last_flush_finish,
-        faults_injected,
-        retries,
+        faults_injected: program.faults_injected,
+        retries: program.retries,
         reelections: 0,
-        degraded: degrade_round.len() as u64,
-    })
+        degraded: program.degraded,
+    }
 }
 
 /// One file group of a collective operation: the ranks writing one file
@@ -531,6 +612,7 @@ pub(crate) fn plan_group(
             )));
         }
     }
+    check_decl_extents(&group.decls)?;
     let sched = compute_schedule(&group.decls, ScheduleParams {
         num_aggregators: cfg.num_aggregators,
         buffer_size: cfg.buffer_size,
@@ -586,10 +668,11 @@ pub(crate) fn plan_group(
 /// back before planning their next group. A lane therefore holds at
 /// most one plan, so no more than `W` group plans (schedules) exist at
 /// once and no more than `W` threads are runnable; and every plan is
-/// freed by the thread that allocated it (a schedule is ~10^4 heap
-/// blocks — freeing them from the consumer contends with the planner's
-/// allocator and made both sides 2-4x slower). The first error in group
-/// order is returned, as in a serial loop.
+/// freed by the thread that allocated it (a schedule is a heap block
+/// per rank, one per round and three per partition — 2,226 for a
+/// 2,048-rank HACC group; freeing them from the consumer contends with
+/// the planner's allocator and made both sides 2-4x slower). The first
+/// error in group order is returned, as in a serial loop.
 fn for_each_group_plan(
     machine: &Machine,
     spec: &CollectiveSpec,
@@ -687,17 +770,25 @@ fn append_group(
     })
 }
 
-/// A reusable simulation session: the compiled plan DAG of one
-/// collective spec — schedule, election, crash compilation, trace
-/// bookkeeping — kept alive so weather-restart-style timestep loops
-/// re-execute the collective without re-paying the planning phase.
-/// The simulator-side mirror of the thread-mode [`crate::api::Session`]
+/// A reusable simulation session: everything about one collective spec
+/// that does not change between epochs, kept alive so
+/// weather-restart-style timestep loops re-execute the collective
+/// without re-paying for it — the compiled plan DAG (schedule, election,
+/// crash compilation, trace bookkeeping) from [`SimSession::build`], and
+/// from the first [`SimSession::run_epoch`] on the plan's lowered
+/// flow program (storage model registered, filesystem waves planned,
+/// routes resolved, fault penalties charged), so a later epoch only
+/// submits the program to a fresh simulator and runs it. The
+/// simulator-side mirror of the thread-mode [`crate::api::Session`]
 /// epoch reuse, so the two executors keep the same cost structure.
 pub struct SimSession<'a> {
     profile: &'a MachineProfile,
     storage: StorageConfig,
     cfg: TapiocaConfig,
     plan: ExecutionPlan,
+    /// `plan` lowered for the session's profile, storage and fault plan;
+    /// `None` until the first epoch needs it.
+    program: Option<FlowProgram>,
     ncrashes: u64,
     #[cfg(feature = "trace")]
     group_infos: Vec<GroupTraceInfo>,
@@ -725,7 +816,7 @@ impl<'a> SimSession<'a> {
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] if the config fails validation or
     /// the spec is inconsistent (rank/declaration mismatch, ranks beyond
-    /// the machine).
+    /// the machine, a declaration whose `offset + len` overflows `u64`).
     pub fn build(
         profile: &'a MachineProfile,
         storage: &StorageConfig,
@@ -789,6 +880,7 @@ impl<'a> SimSession<'a> {
             storage: *storage,
             cfg: cfg.clone(),
             plan,
+            program: None,
             ncrashes,
             #[cfg(feature = "trace")]
             group_infos,
@@ -796,10 +888,11 @@ impl<'a> SimSession<'a> {
         })
     }
 
-    /// Execute the compiled plan once (one epoch / timestep). The fault
-    /// plan is re-derived purely each epoch, so every epoch injects the
-    /// identical faults — exactly like the thread runtime re-running a
-    /// reused session.
+    /// Execute the compiled plan once (one epoch / timestep). The first
+    /// epoch lowers the plan (so `build` stays pure planning) and keeps
+    /// the program; the fault plan is part of what is lowered, so every
+    /// epoch injects the identical faults — exactly like the thread
+    /// runtime re-running a reused session.
     ///
     /// With the `trace` feature, a tracer in the session's config
     /// receives the simulated collective's events per epoch (see
@@ -810,13 +903,17 @@ impl<'a> SimSession<'a> {
     /// [`TapiocaError::InvalidConfig`] on a storage/profile kind
     /// mismatch.
     pub fn run_epoch(&mut self) -> Result<SimReport> {
-        let mut report = simulate_faulty(
-            self.profile,
-            &self.storage,
-            &self.plan,
-            self.cfg.faults.as_ref(),
-            &self.cfg.io_policy,
-        )?;
+        let program = match &self.program {
+            Some(program) => program,
+            None => self.program.insert(lower_plan(
+                self.profile,
+                &self.storage,
+                &self.plan,
+                self.cfg.faults.as_ref(),
+                &self.cfg.io_policy,
+            )?),
+        };
+        let mut report = run_program(self.profile, &self.plan, program);
         report.reelections += self.ncrashes;
         report.faults_injected += self.ncrashes;
         #[cfg(feature = "trace")]
@@ -902,25 +999,114 @@ mod tests {
         assert!(rep.bandwidth <= ceiling * 1.001, "bw {} above physics", rep.bandwidth);
     }
 
+    /// Every field of two reports, times compared bit for bit.
+    fn assert_reports_equal(got: &SimReport, want: &SimReport, what: &str) {
+        let bits = |r: &SimReport| r.op_finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.elapsed.to_bits(), want.elapsed.to_bits(), "{what}: elapsed");
+        assert_eq!(bits(got), bits(want), "{what}: op finish times");
+        assert_eq!(got.bytes.to_bits(), want.bytes.to_bits(), "{what}: bytes");
+        assert_eq!(got.bandwidth.to_bits(), want.bandwidth.to_bits(), "{what}: bandwidth");
+        assert_eq!((got.transfers, got.flushes), (want.transfers, want.flushes), "{what}: op counts");
+        assert_eq!(
+            got.last_transfer_finish.to_bits(),
+            want.last_transfer_finish.to_bits(),
+            "{what}: last transfer"
+        );
+        assert_eq!(
+            got.last_flush_finish.to_bits(),
+            want.last_flush_finish.to_bits(),
+            "{what}: last flush"
+        );
+        assert_eq!(
+            (got.faults_injected, got.retries, got.reelections, got.degraded),
+            (want.faults_injected, want.retries, want.reelections, want.degraded),
+            "{what}: fault accounting"
+        );
+    }
+
+    /// A session's epochs run the program it lowered once; they must
+    /// equal what lowering afresh gives — `run_tapioca_sim` on the spec
+    /// and `simulate_faulty` on the session's plan — in every report
+    /// field, with and without faults, in both directions, on both
+    /// machines.
     #[test]
     fn sim_session_epochs_are_deterministic_and_match_one_shot() {
-        let profile = mira_profile(128, 4);
-        let spec = mira_spec(128, 4, MIB);
-        let cfg = TapiocaConfig {
-            num_aggregators: 8,
-            buffer_size: 4 * MIB,
-            ..Default::default()
-        };
-        let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
-        let one_shot = run_tapioca_sim(&profile, &storage, &spec, &cfg).unwrap();
-        let mut session = SimSession::build(&profile, &storage, &spec, &cfg).unwrap();
-        for epoch in 0..3 {
-            let rep = session.run_epoch().unwrap();
-            assert_eq!(rep.elapsed, one_shot.elapsed, "epoch {epoch} diverged");
-            assert_eq!(rep.bytes, one_shot.bytes);
-            assert_eq!(rep.reelections, one_shot.reelections);
+        use tapioca_mpi::FaultSpec;
+        // An aggregator crash, transient flush faults everywhere (a few
+        // long enough to exhaust the retry budget), a stall that is
+        // certain to exhaust partition 2's at round 1, and a degraded
+        // fabric.
+        let faults = FaultPlan::seeded(11)
+            .with(FaultSpec::AggregatorCrash { partition: 1, round: 1 })
+            .with(FaultSpec::TransientFlushError { probability: 0.3 })
+            .with(FaultSpec::FlushStall { partition: 2, round: 1 })
+            .with(FaultSpec::LinkDegrade { factor: 0.5 });
+        let mira = (
+            mira_profile(256, 4),
+            StorageConfig::Gpfs(GpfsTunables::mira_optimized()),
+            mira_spec(256, 4, MIB),
+            TapiocaConfig { num_aggregators: 8, buffer_size: MIB, ..Default::default() },
+        );
+        let theta = (
+            theta_profile(64, 4),
+            StorageConfig::Lustre(LustreTunables::theta_optimized()),
+            theta_spec(64, 4, MIB),
+            TapiocaConfig { num_aggregators: 8, buffer_size: 8 * MIB, ..Default::default() },
+        );
+        for (machine, (profile, storage, spec, base)) in [("mira", mira), ("theta", theta)] {
+            for mode in [AccessMode::Write, AccessMode::Read] {
+                for faulty in [false, true] {
+                    let what = format!("{machine} {mode:?} faults={faulty}");
+                    let spec = CollectiveSpec { mode, ..spec.clone() };
+                    let cfg =
+                        TapiocaConfig { faults: faulty.then(|| faults.clone()), ..base.clone() };
+                    #[cfg(feature = "trace")]
+                    let tracer = tapioca_trace::Tracer::new(profile.machine.num_ranks());
+                    #[cfg(feature = "trace")]
+                    let cfg = TapiocaConfig { tracer: Some(tracer.clone()), ..cfg };
+
+                    let one_shot = run_tapioca_sim(&profile, &storage, &spec, &cfg).unwrap();
+                    #[cfg(feature = "trace")]
+                    let want_events = tracer.drain();
+                    let mut session = SimSession::build(&profile, &storage, &spec, &cfg).unwrap();
+                    // `simulate_faulty` knows nothing of the session's
+                    // compiled crashes; `run_epoch` accounts for them.
+                    let mut lowered_afresh = simulate_faulty(
+                        &profile,
+                        &storage,
+                        &session.plan,
+                        cfg.faults.as_ref(),
+                        &cfg.io_policy,
+                    )
+                    .unwrap();
+                    lowered_afresh.reelections += session.ncrashes;
+                    lowered_afresh.faults_injected += session.ncrashes;
+                    assert_reports_equal(&lowered_afresh, &one_shot, &format!("{what}: simulate"));
+                    if !faulty {
+                        let plain = simulate(&profile, &storage, &session.plan).unwrap();
+                        assert_reports_equal(&plain, &one_shot, &format!("{what}: plain simulate"));
+                    }
+                    if faulty && mode == AccessMode::Write {
+                        // The plan really exercises every fault kind.
+                        assert_eq!(one_shot.reelections, spec.groups.len() as u64, "{what}");
+                        assert!(one_shot.degraded >= 1, "{what}");
+                        assert!(one_shot.retries > 0, "{what}");
+                    }
+
+                    for epoch in 1..=3 {
+                        let rep = session.run_epoch().unwrap();
+                        assert_reports_equal(&rep, &one_shot, &format!("{what}: epoch {epoch}"));
+                        #[cfg(feature = "trace")]
+                        {
+                            let events = tracer.drain();
+                            assert!(!events.is_empty(), "{what}: epoch {epoch} traced nothing");
+                            assert_eq!(events, want_events, "{what}: epoch {epoch} trace");
+                        }
+                    }
+                    assert_eq!(session.epochs_completed(), 3);
+                }
+            }
         }
-        assert_eq!(session.epochs_completed(), 3);
     }
 
     #[test]
@@ -1030,6 +1216,18 @@ mod tests {
         // writes end at the storage: the last flush defines the makespan
         assert!((rep.last_flush_finish - rep.elapsed).abs() < 1e-9);
         assert!(rep.last_transfer_finish <= rep.elapsed);
+    }
+
+    #[test]
+    fn overflowing_declaration_is_rejected_at_build() {
+        let profile = mira_profile(128, 4);
+        let mut spec = mira_spec(128, 4, 1024);
+        spec.groups[0].decls[7] = vec![WriteDecl { offset: u64::MAX - 10, len: 100 }];
+        let cfg = TapiocaConfig { num_aggregators: 4, buffer_size: 1024, ..Default::default() };
+        let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
+        let err = SimSession::build(&profile, &storage, &spec, &cfg).unwrap_err();
+        assert!(matches!(err, TapiocaError::InvalidConfig(_)));
+        assert!(err.to_string().contains("declaration 0 of rank 7 overflows"), "{err}");
     }
 
     #[test]

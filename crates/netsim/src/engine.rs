@@ -283,6 +283,11 @@ impl Simulator {
         self.caps.len() - 1
     }
 
+    /// Capacity of every link, in index order (virtual links last).
+    pub fn link_capacities(&self) -> &[f64] {
+        &self.caps
+    }
+
     /// Scale every *existing* link capacity by `factor` — the
     /// fault-injection hook for modelling a degraded fabric (e.g. a
     /// `LinkDegrade` spec). Call before installing storage models so

@@ -179,8 +179,11 @@ mod tests {
     #[test]
     fn closed_form_metrics_equal_route_walks_on_every_fabric() {
         // Odd, even, extent-2 (both directions reach the same neighbour)
-        // and extent-1 rings.
-        for dims in [&[5usize, 3][..], &[4, 2, 3], &[2, 2, 2], &[7], &[3, 1, 4], &[2, 4, 4, 2, 2]] {
+        // and extent-1 rings; extent 12 is the one ring of whole-machine
+        // Mira (8x12x16x16x2) that is not a power of two.
+        let shapes: [&[usize]; 7] =
+            [&[5, 3], &[4, 2, 3], &[2, 2, 2], &[7], &[3, 1, 4], &[2, 4, 4, 2, 2], &[12, 2, 3]];
+        for dims in shapes {
             let t = Torus::new(dims, 2.0 * GIB as f64, 600e-9);
             assert_closed_forms_match_routes(&format!("torus{dims:?}"), &t);
         }

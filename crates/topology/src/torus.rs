@@ -260,7 +260,8 @@ impl Interconnect for Torus {
 }
 
 /// Realistic BG/Q-style 5D torus shapes for the node counts used in the
-/// paper's evaluation (a midplane is 4x4x4x4x2 = 512 nodes).
+/// paper's evaluation (a midplane is 4x4x4x4x2 = 512 nodes), up to the
+/// whole of Mira: 48 racks, 49,152 nodes, 8x12x16x16x2.
 ///
 /// Returns `None` for unsupported counts.
 pub fn bgq_dims_for_nodes(nodes: usize) -> Option<[usize; 5]> {
@@ -272,6 +273,10 @@ pub fn bgq_dims_for_nodes(nodes: usize) -> Option<[usize; 5]> {
         2048 => Some([8, 8, 4, 4, 2]),
         4096 => Some([8, 8, 8, 4, 2]),
         8192 => Some([8, 8, 8, 8, 2]),
+        16384 => Some([4, 8, 16, 16, 2]),
+        24576 => Some([4, 12, 16, 16, 2]),
+        32768 => Some([8, 8, 16, 16, 2]),
+        49152 => Some([8, 12, 16, 16, 2]),
         _ => None,
     }
 }
@@ -391,7 +396,7 @@ mod tests {
 
     #[test]
     fn bgq_shapes_multiply_out() {
-        for n in [128, 256, 512, 1024, 2048, 4096, 8192] {
+        for n in [128, 256, 512, 1024, 2048, 4096, 8192, 16384, 24576, 32768, 49152] {
             let d = bgq_dims_for_nodes(n).unwrap();
             assert_eq!(d.iter().product::<usize>(), n);
         }
