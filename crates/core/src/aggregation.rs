@@ -7,7 +7,9 @@
 //!
 //! 1. the members form a sub-communicator and elect their aggregator
 //!    with an `allreduce(MINLOC)` over the placement cost;
-//! 2. the aggregator exposes **two** pipeline buffers in an RMA window;
+//! 2. the aggregator exposes **two** pipeline buffers in an RMA window
+//!    (steps 1–2 are `PartCtx::form`, the one place a partition's
+//!    collective context is built, for writes and reads alike);
 //! 3. round `r` is synchronised between the aggregator and the ranks
 //!    that own a chunk of it (its *contributors*, a pure function of
 //!    the schedule — [`RoundRoster`]) and nobody else, with MPI's
@@ -27,6 +29,12 @@
 //!
 //! The net effect is the paper's overlap: the flush of round `r` runs
 //! concurrently with the puts of round `r + 1`.
+//!
+//! The **read** direction (`PartCtx::read_rounds`) is the same rounds on
+//! the same context with the roles mirrored: the aggregator fills the
+//! window's first slot from the file and posts, the round's
+//! contributors `get` their chunks, and the aggregator waits for them
+//! before it reads round `r + 1` into that slot.
 //!
 //! **Deviation from the paper.** Algorithm 3 closes and re-opens every
 //! round with `MPI_Win_fence`, a collective over *all* members of the
@@ -51,10 +59,10 @@
 //!   partition back to back. The baseline and equivalence tests use it
 //!   as the reference executor.
 //! * the *streaming* session in [`crate::api`] — rounds run as soon as
-//!   their contributions arrive at `write()` call sites, and partition
-//!   state is cached across epochs (`CachedPart`) so repeated
-//!   checkpoints skip subgroup formation, election, and window
-//!   allocation.
+//!   their contributions arrive at `write()` call sites, and each
+//!   partition's context (`PartCtx`) is kept across epochs and reads so
+//!   repeated checkpoints and restarts skip subgroup formation,
+//!   election, and window allocation.
 //!
 //! Both drivers issue the identical collective sequence, so file bytes,
 //! traces, and stats cannot diverge between them.
@@ -96,10 +104,11 @@ use tapioca_topology::TopologyProvider;
 use tapioca_trace::TraceScope;
 
 use crate::config::TapiocaConfig;
-use crate::error::{io_err, Result};
+use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
 use crate::schedule::{
-    compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, RoundRoster, Schedule,
+    compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, RankPartPlan,
+    RoundRoster, Schedule,
 };
 
 /// Key namespace so several `Session`s on one communicator
@@ -164,6 +173,15 @@ pub struct IoStats {
     /// streamed payload then flows straight from the caller's slice
     /// into the RMA window.
     pub staging_copy_bytes: u64,
+    /// Read direction: file segments read into the window (as
+    /// aggregator), one per flush segment of the round plan.
+    pub reads: u64,
+    /// Bytes read from the file into the window (as aggregator).
+    pub read_bytes: u64,
+    /// Read direction: one-sided gets issued, one per chunk.
+    pub gets: u64,
+    /// Bytes fetched via gets.
+    pub get_bytes: u64,
 }
 
 impl IoStats {
@@ -183,6 +201,10 @@ impl IoStats {
         self.coalesced_puts += other.coalesced_puts;
         self.coalesced_chunks += other.coalesced_chunks;
         self.staging_copy_bytes += other.staging_copy_bytes;
+        self.reads += other.reads;
+        self.read_bytes += other.read_bytes;
+        self.gets += other.gets;
+        self.get_bytes += other.get_bytes;
     }
 }
 
@@ -289,13 +311,16 @@ pub(crate) struct GatherCtx {
     depositors: Vec<Rank>,
 }
 
-/// Partition state worth keeping across epochs when the declarations —
-/// and therefore the schedule and the election inputs — are unchanged:
-/// the sub-communicator, the MINLOC winner and this rank's cost, the
-/// RMA window (with both pipeline buffers), and the coalescing gather
-/// state. Only cacheable for fault-free configs (a crash replaces the
-/// window mid-run).
-pub(crate) struct CachedPart {
+/// One partition's collective context on this rank: the
+/// sub-communicator, the MINLOC winner and this rank's cost, the RMA
+/// window (two `buffer_size` panes on the aggregator, nothing
+/// elsewhere), and the coalescing gather state. Both directions run on
+/// it — [`PartitionRun`] for writes, [`PartCtx::read_rounds`] for reads
+/// — and the session keeps it from one epoch or read to the next (the
+/// declarations are fixed). It holds structure, never file bytes:
+/// whoever uses a slot fills it first. Only kept for fault-free
+/// configs (a crash replaces the window mid-run).
+pub(crate) struct PartCtx {
     pcomm: Comm,
     agg_idx: usize,
     my_cost: f64,
@@ -303,19 +328,153 @@ pub(crate) struct CachedPart {
     coalesce: Option<GatherCtx>,
 }
 
+impl PartCtx {
+    /// Collective over `part`'s members: form the sub-communicator
+    /// (keyed by `epoch`), elect the aggregator with `allreduce(MINLOC)`
+    /// over the placement cost, and allocate the windows.
+    pub(crate) fn form(
+        comm: &Comm,
+        part: &PartitionInfo,
+        cfg: &TapiocaConfig,
+        topo: &dyn TopologyProvider,
+        epoch: u64,
+        coalesce: Option<&Arc<CoalescePlan>>,
+    ) -> PartCtx {
+        let b = cfg.buffer_size as usize;
+        let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
+        let my_idx = pcomm.rank();
+        let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
+        let my_cost = election_cost(
+            topo,
+            &part.members,
+            &part.member_bytes,
+            io,
+            part.index,
+            cfg.strategy,
+            my_idx,
+        );
+        let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
+        // One pane per pipeline slot: a flush draining slot A in place
+        // coexists with round r+1's puts filling slot B instead of
+        // serializing on one region lock. Reads use slot A only.
+        let win = Window::allocate_paned(&pcomm, if my_idx == agg_idx { 2 * b } else { 0 }, b);
+        let coalesce = coalesce.and_then(|plan| {
+            if !plan.runs().iter().any(|run| run.partition == part.index) {
+                return None;
+            }
+            // Collective: every member agrees on whether the partition
+            // has runs (the plan is pure shared data) and passes
+            // through the allocation.
+            let leads = plan
+                .runs()
+                .iter()
+                .any(|run| run.partition == part.index && run.leader == part.members[my_idx]);
+            let gather =
+                Window::allocate_paned(&pcomm, if leads { b } else { 0 }, (b / 16).max(64));
+            Some(GatherCtx {
+                plan: Arc::clone(plan),
+                gather,
+                leaders: Vec::new(),
+                depositors: Vec::new(),
+            })
+        });
+        PartCtx { pcomm, agg_idx, my_cost, win, coalesce }
+    }
+
+    /// The two-phase *read* of one partition — the write rounds with the
+    /// roles mirrored. The aggregator reads round `r`'s segments from
+    /// the file straight into the window's first slot and *posts* "data
+    /// ready" to the round's getters (the write side's contributors); a
+    /// getter starts, `get`s its chunks into `out[var]` and completes;
+    /// the aggregator serves its own gets, *waits* for the others, and
+    /// only then fills the slot with round `r + 1`. One slot, whatever
+    /// `cfg.pipelining` says: overlapping the next file read with the
+    /// gets has no measured workload behind it yet (DESIGN.md, *Read
+    /// path*). Untraced; no fault injection.
+    ///
+    /// # Errors
+    /// [`TapiocaError::Io`] on every member if the aggregator could not
+    /// read a segment: it records its first error and keeps driving the
+    /// protocol (the getters are parked in `start`), and one flag
+    /// reduction closes the partition with a common verdict.
+    pub(crate) fn read_rounds(
+        &self,
+        part: &PartitionInfo,
+        roster: &RoundRoster,
+        mine: &RankPartPlan,
+        file: &SharedFile,
+        out: &mut [Vec<u8>],
+        stats: &mut IoStats,
+    ) -> Result<()> {
+        let (me, agg) = (self.pcomm.rank(), self.agg_idx);
+        let mut failed: Option<TapiocaError> = None;
+        stats.partitions += 1;
+        if me == agg {
+            stats.elected += 1;
+        }
+        for (r, round) in part.rounds.iter().enumerate() {
+            let at = tag(part, r);
+            if me == agg {
+                // The wait of round r - 1 released the slot.
+                for seg in &round.segments {
+                    let mut from = seg.file_offset;
+                    let res =
+                        self.win.fill_local(seg.buf_offset as usize, seg.len as usize, |pane| {
+                            let pos = from;
+                            from += pane.len() as u64;
+                            file.read_at_into(pos, pane)
+                        });
+                    if let Err(e) = res {
+                        failed.get_or_insert(io_err("read_at", e));
+                    }
+                    stats.reads += 1;
+                    stats.read_bytes += seg.len;
+                }
+                self.win.post(roster.contributors(r), at);
+                stats.fences += 1;
+            }
+            let (s, e) = mine.round_ranges[r];
+            if s < e {
+                self.win.start(agg, at);
+                for c in &mine.chunks[s..e] {
+                    // One-sided read straight into the output buffer.
+                    self.win.get_into(
+                        agg,
+                        c.buf_offset as usize,
+                        &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
+                    );
+                    stats.gets += 1;
+                    stats.get_bytes += c.len;
+                }
+                self.win.complete(agg, at);
+                stats.fences += 2;
+            }
+            if me == agg {
+                self.win.wait(roster.contributors(r), at);
+                stats.fences += 1;
+            }
+        }
+        let (ok, _) = self.pcomm.allreduce_min_loc(if failed.is_some() { 0.0 } else { 1.0 });
+        match failed {
+            Some(e) => Err(e),
+            None if ok == 0.0 => {
+                let why = "the partition's aggregator could not read its file segments";
+                Err(io_err("read_at", std::io::Error::other(why)))
+            }
+            None => Ok(()),
+        }
+    }
+}
+
 /// The live pipeline state of one partition on this rank, between
 /// [`PartitionRun::enter`] and [`PartitionRun::finish`]. Drivers feed
 /// it rounds in ascending order.
 pub(crate) struct PartitionRun {
-    pcomm: Comm,
+    ctx: PartCtx,
     #[cfg(feature = "trace")]
     me: usize,
     my_idx: usize,
-    agg_idx: usize,
-    my_cost: f64,
-    win: Window,
     inflight: [Vec<Flight>; 2],
-    coalesce: Option<GatherCtx>,
     /// Who contributes to each round: the ranks a round is synchronised
     /// between.
     roster: Arc<RoundRoster>,
@@ -331,82 +490,22 @@ pub(crate) struct PartitionRun {
 }
 
 impl PartitionRun {
-    /// Join partition `part`: form (or restore) the sub-communicator,
-    /// elect (or restore) the aggregator, allocate (or reuse) the RMA
-    /// window, and derive the fault schedule. With a [`CachedPart`] the
-    /// collective prologue — subgroup formation, `allreduce(MINLOC)`,
-    /// window allocation — is skipped entirely; the trace scope and the
-    /// election event are still re-recorded so every epoch's trace is
-    /// self-contained.
-    #[allow(clippy::too_many_arguments)]
+    /// Join partition `part` on its context — freshly formed
+    /// ([`PartCtx::form`]) or kept from an earlier epoch or read, in
+    /// which case no collective runs here — and derive the fault
+    /// schedule. The trace scope and the election event are recorded
+    /// either way, so every epoch's trace is self-contained.
     pub(crate) fn enter(
         comm: &Comm,
         part: &PartitionInfo,
         cfg: &TapiocaConfig,
-        topo: &dyn TopologyProvider,
-        epoch: u64,
-        cache: Option<CachedPart>,
-        coalesce: Option<&Arc<CoalescePlan>>,
+        #[allow(unused_mut)] mut ctx: PartCtx,
         roster: &Arc<RoundRoster>,
         stats: &mut IoStats,
     ) -> PartitionRun {
-        let b = cfg.buffer_size as usize;
-        #[allow(unused_mut)]
-        let (pcomm, agg_idx, my_cost, mut win, coalesce) = match cache {
-            Some(c) => (c.pcomm, c.agg_idx, c.my_cost, c.win, c.coalesce),
-            None => {
-                let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
-                let my_idx = pcomm.rank();
-
-                // Aggregator election: my cost, MINLOC across the
-                // partition.
-                let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
-                let my_cost = election_cost(
-                    topo,
-                    &part.members,
-                    &part.member_bytes,
-                    io,
-                    part.index,
-                    cfg.strategy,
-                    my_idx,
-                );
-                let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
-                // One pane per pipeline slot: a flush draining slot A
-                // in place coexists with round r+1's puts filling
-                // slot B instead of serializing on one region lock.
-                let win = Window::allocate_paned(
-                    &pcomm,
-                    if my_idx == agg_idx { 2 * b } else { 0 },
-                    b,
-                );
-                let ctx = coalesce.and_then(|plan| {
-                    if !plan.runs().iter().any(|run| run.partition == part.index) {
-                        return None;
-                    }
-                    // Collective: every member agrees on whether the
-                    // partition has runs (the plan is pure shared data)
-                    // and passes through the allocation.
-                    let leads = plan.runs().iter().any(|run| {
-                        run.partition == part.index && run.leader == part.members[my_idx]
-                    });
-                    let gather = Window::allocate_paned(
-                        &pcomm,
-                        if leads { b } else { 0 },
-                        (b / 16).max(64),
-                    );
-                    Some(GatherCtx {
-                        plan: Arc::clone(plan),
-                        gather,
-                        leaders: Vec::new(),
-                        depositors: Vec::new(),
-                    })
-                });
-                (pcomm, agg_idx, my_cost, win, ctx)
-            }
-        };
-        let my_idx = pcomm.rank();
+        let my_idx = ctx.pcomm.rank();
         stats.partitions += 1;
-        if my_idx == agg_idx {
+        if my_idx == ctx.agg_idx {
             stats.elected += 1;
         }
 
@@ -432,21 +531,17 @@ impl PartitionRun {
                 part.members.clone(),
             );
             if my_idx == 0 {
-                scope.elect(part.members[agg_idx], part.total_bytes());
+                scope.elect(part.members[ctx.agg_idx], part.total_bytes());
             }
-            win.set_trace_scope(scope);
+            ctx.win.set_trace_scope(scope);
         }
 
         let run = PartitionRun {
-            pcomm,
+            ctx,
             #[cfg(feature = "trace")]
             me: comm.rank(),
             my_idx,
-            agg_idx,
-            my_cost,
-            win,
             inflight: [Vec::new(), Vec::new()],
-            coalesce,
             roster: Arc::clone(roster),
             base: 0,
             crash_round,
@@ -454,8 +549,8 @@ impl PartitionRun {
             next_round: 0,
             degraded: false,
         };
-        // Both buffers are free at entry (a cached window was drained by
-        // the previous epoch's `finish`).
+        // Both buffers are free at entry (a kept window was drained by
+        // the previous epoch's `finish`, or released by a read's waits).
         run.post_round(part, 0, stats);
         run
     }
@@ -463,8 +558,8 @@ impl PartitionRun {
     /// Aggregator only: open round `r`'s exposure to its contributors —
     /// unless the round never runs (past the end, or the degrade round).
     fn post_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
-        if self.my_idx == self.agg_idx && r < part.rounds.len() && self.degrade_at != Some(r) {
-            self.win.post(self.roster.contributors(r), tag(part, r));
+        if self.my_idx == self.ctx.agg_idx && r < part.rounds.len() && self.degrade_at != Some(r) {
+            self.ctx.win.post(self.roster.contributors(r), tag(part, r));
             stats.fences += 1;
         }
     }
@@ -472,8 +567,8 @@ impl PartitionRun {
     /// Aggregator only: close round `r`'s exposure — returns once every
     /// contributor's puts have landed.
     fn wait_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
-        if self.my_idx == self.agg_idx {
-            self.win.wait(self.roster.contributors(r), tag(part, r));
+        if self.my_idx == self.ctx.agg_idx {
+            self.ctx.win.wait(self.roster.contributors(r), tag(part, r));
             stats.fences += 1;
         }
     }
@@ -486,7 +581,7 @@ impl PartitionRun {
     pub(crate) fn skip_idle(&mut self, part: &PartitionInfo) -> u64 {
         let first = self.next_round;
         while self.next_round < part.rounds.len()
-            && self.my_idx != self.agg_idx
+            && self.my_idx != self.ctx.agg_idx
             && !self.roster.contributes(self.next_round, self.my_idx)
             && self.crash_round != Some(self.next_round)
             && self.degrade_at != Some(self.next_round)
@@ -500,7 +595,7 @@ impl PartitionRun {
     fn drain_slot(&mut self, slot: usize, file: &SharedFile, cfg: &TapiocaConfig) -> Result<()> {
         let b = cfg.buffer_size as usize;
         for f in std::mem::take(&mut self.inflight[slot]) {
-            settle_flight(f, &self.win, self.my_idx, b, file, cfg.io_policy.op_timeout)?;
+            settle_flight(f, &self.ctx.win, self.my_idx, b, file, cfg.io_policy.op_timeout)?;
         }
         Ok(())
     }
@@ -529,22 +624,19 @@ impl PartitionRun {
         stats: &mut IoStats,
     ) {
         let at = tag(part, r);
-        self.win.start(self.agg_idx, at);
+        self.ctx.win.start(self.ctx.agg_idx, at);
         stats.fences += 1;
-        if let Some(ctx) = self.coalesce.as_mut() {
-            ctx.leaders.clear();
+        if let Some(co) = self.ctx.coalesce.as_mut() {
+            co.leaders.clear();
         }
         for (i, c) in chunks.iter().enumerate() {
             if c.round as usize != r {
                 continue;
             }
-            let leader = self
-                .coalesce
-                .as_ref()
-                .and_then(|ctx| ctx.plan.run_for_chunk(c))
-                .map(|run| run.leader);
-            match (leader, self.coalesce.as_mut()) {
-                (Some(leader_global), Some(ctx)) => {
+            let coalesce = self.ctx.coalesce.as_ref();
+            let leader = coalesce.and_then(|co| co.plan.run_for_chunk(c)).map(|run| run.leader);
+            match (leader, self.ctx.coalesce.as_mut()) {
+                (Some(leader_global), Some(co)) => {
                     if replay {
                         continue;
                     }
@@ -552,16 +644,16 @@ impl PartitionRun {
                         .members
                         .binary_search(&leader_global)
                         .expect("run leader is a partition member");
-                    ctx.gather.put(leader, c.buf_offset as usize, src.chunk_data(i, c));
+                    co.gather.put(leader, c.buf_offset as usize, src.chunk_data(i, c));
                     stats.put_bytes += c.len;
                     stats.coalesced_chunks += 1;
-                    if leader != self.my_idx && !ctx.leaders.contains(&leader) {
-                        ctx.leaders.push(leader);
+                    if leader != self.my_idx && !co.leaders.contains(&leader) {
+                        co.leaders.push(leader);
                     }
                 }
                 _ => {
-                    self.win.put(
-                        self.agg_idx,
+                    self.ctx.win.put(
+                        self.ctx.agg_idx,
                         slot_base + c.buf_offset as usize,
                         src.chunk_data(i, c),
                     );
@@ -570,35 +662,35 @@ impl PartitionRun {
                 }
             }
         }
-        if let Some(ctx) = self.coalesce.as_mut() {
+        if let Some(co) = self.ctx.coalesce.as_mut() {
             let me = part.members[self.my_idx];
-            for &leader in &ctx.leaders {
-                ctx.gather.complete(leader, at);
+            for &leader in &co.leaders {
+                co.gather.complete(leader, at);
                 stats.fences += 1;
             }
             if !replay {
-                ctx.depositors.clear();
-                for run in ctx.plan.runs_led_by(part.index, r as u32, me) {
+                co.depositors.clear();
+                for run in co.plan.runs_led_by(part.index, r as u32, me) {
                     for c in run.chunks.iter().filter(|c| c.rank != me) {
                         let d = part
                             .members
                             .binary_search(&c.rank)
                             .expect("run members are partition members");
-                        ctx.depositors.push(d);
+                        co.depositors.push(d);
                     }
                 }
-                ctx.depositors.sort_unstable();
-                ctx.depositors.dedup();
-                if !ctx.depositors.is_empty() {
-                    ctx.gather.wait(&ctx.depositors, at);
+                co.depositors.sort_unstable();
+                co.depositors.dedup();
+                if !co.depositors.is_empty() {
+                    co.gather.wait(&co.depositors, at);
                     stats.fences += 1;
                 }
             }
-            for run in ctx.plan.runs_led_by(part.index, r as u32, me) {
-                self.win.put_from(
-                    self.agg_idx,
+            for run in co.plan.runs_led_by(part.index, r as u32, me) {
+                self.ctx.win.put_from(
+                    self.ctx.agg_idx,
                     slot_base + run.buf_offset as usize,
-                    &ctx.gather,
+                    &co.gather,
                     self.my_idx,
                     run.buf_offset as usize,
                     run.len as usize,
@@ -608,7 +700,7 @@ impl PartitionRun {
                 stats.coalesced_puts += 1;
             }
         }
-        self.win.complete(self.agg_idx, at);
+        self.ctx.win.complete(self.ctx.agg_idx, at);
         stats.fences += 1;
     }
 
@@ -638,7 +730,7 @@ impl PartitionRun {
         let plan = cfg.faults.as_ref();
 
         #[cfg(feature = "trace")]
-        if let Some(scope) = self.win.trace_scope() {
+        if let Some(scope) = self.ctx.win.trace_scope() {
             scope.set_round(r as u32);
         }
 
@@ -650,12 +742,12 @@ impl PartitionRun {
         if self.degrade_at == Some(r) {
             #[cfg(feature = "trace")]
             if self.my_idx == 0 {
-                if let Some(scope) = self.win.trace_scope() {
+                if let Some(scope) = self.ctx.win.trace_scope() {
                     let remaining: u64 = part.rounds[r..].iter().map(|rd| rd.bytes).sum();
                     scope.degrade(remaining);
                 }
             }
-            if self.my_idx == self.agg_idx {
+            if self.my_idx == self.ctx.agg_idx {
                 self.drain_slot(0, file, cfg)?;
                 self.drain_slot(1, file, cfg)?;
             }
@@ -680,30 +772,31 @@ impl PartitionRun {
         // the dead candidate excluded, open a fresh window (fresh
         // synchronisation counters), and replay round r into it.
         if self.crash_round == Some(r) {
-            let old_agg = self.agg_idx;
+            let old_agg = self.ctx.agg_idx;
             if self.my_idx == old_agg {
                 self.drain_slot(0, file, cfg)?;
                 self.drain_slot(1, file, cfg)?;
             }
             #[cfg(feature = "trace")]
             if self.my_idx == 0 {
-                if let Some(scope) = self.win.trace_scope() {
+                if let Some(scope) = self.ctx.win.trace_scope() {
                     scope.crash(part.members[old_agg]);
                 }
             }
-            let standby_cost = if self.my_idx == old_agg { f64::INFINITY } else { self.my_cost };
-            let (_, new_agg) = self.pcomm.allreduce_min_loc(standby_cost);
-            self.agg_idx = new_agg;
+            let standby_cost =
+                if self.my_idx == old_agg { f64::INFINITY } else { self.ctx.my_cost };
+            let (_, new_agg) = self.ctx.pcomm.allreduce_min_loc(standby_cost);
+            self.ctx.agg_idx = new_agg;
             if self.my_idx == 0 {
                 stats.reelections += 1;
                 stats.faults_injected += 1;
             }
-            if self.my_idx == self.agg_idx {
+            if self.my_idx == self.ctx.agg_idx {
                 stats.elected += 1;
             }
-            self.win = Window::allocate_paned(
-                &self.pcomm,
-                if self.my_idx == self.agg_idx { 2 * b } else { 0 },
+            self.ctx.win = Window::allocate_paned(
+                &self.ctx.pcomm,
+                if self.my_idx == self.ctx.agg_idx { 2 * b } else { 0 },
                 b,
             );
             #[cfg(feature = "trace")]
@@ -717,8 +810,8 @@ impl PartitionRun {
                 scope.set_round(r as u32);
                 // Every member marks the epoch reset on its own lane
                 // before any replayed put.
-                scope.reelect(part.members[self.agg_idx]);
-                self.win.set_trace_scope(scope);
+                scope.reelect(part.members[self.ctx.agg_idx]);
+                self.ctx.win.set_trace_scope(scope);
             }
             self.base = r;
             buf = 0;
@@ -729,7 +822,7 @@ impl PartitionRun {
             self.wait_round(part, r, stats);
         }
 
-        if self.my_idx == self.agg_idx {
+        if self.my_idx == self.ctx.agg_idx {
             let mut handles: Vec<Flight> = Vec::with_capacity(round.segments.len());
             for (s, seg) in round.segments.iter().enumerate() {
                 let hint =
@@ -741,7 +834,7 @@ impl PartitionRun {
                     stats.faults_injected += h.fail_attempts as u64;
                     stats.retries += h.fail_attempts as u64;
                     #[cfg(feature = "trace")]
-                    if let Some(scope) = self.win.trace_scope() {
+                    if let Some(scope) = self.ctx.win.trace_scope() {
                         for _ in 0..h.fail_attempts {
                             scope.retry(seg.file_offset, seg.len);
                         }
@@ -752,7 +845,7 @@ impl PartitionRun {
                 // buffer. The slot is refilled two rounds later, after
                 // this flush has drained, so the bytes stay stable for
                 // the write and for the failure fallback's re-read.
-                let view = self.win.segment(
+                let view = self.ctx.win.segment(
                     self.my_idx,
                     buf * b + seg.buf_offset as usize,
                     seg.len as usize,
@@ -765,7 +858,7 @@ impl PartitionRun {
                     view,
                     policy,
                     hint,
-                    self.win.trace_scope().map(|s| s.stamp()),
+                    self.ctx.win.trace_scope().map(|s| s.stamp()),
                 );
                 #[cfg(not(feature = "trace"))]
                 let h = file.iwrite_at_policy(seg.file_offset, view, policy, hint);
@@ -778,7 +871,7 @@ impl PartitionRun {
                 self.drain_slot((buf + 1) % 2, file, cfg)?;
             } else {
                 for f in handles {
-                    settle_flight(f, &self.win, self.my_idx, b, file, policy.op_timeout)?;
+                    settle_flight(f, &self.ctx.win, self.my_idx, b, file, policy.op_timeout)?;
                 }
             }
             // The buffer round r+1 fills is free again: expose it.
@@ -792,30 +885,28 @@ impl PartitionRun {
     /// the closing barrier — all flushes of this partition are durable
     /// before anyone leaves.
     pub(crate) fn finish(&mut self, file: &SharedFile, cfg: &TapiocaConfig) -> Result<()> {
-        if self.my_idx == self.agg_idx {
+        if self.my_idx == self.ctx.agg_idx {
             self.drain_slot(0, file, cfg)?;
             self.drain_slot(1, file, cfg)?;
         }
-        self.pcomm.barrier();
+        self.ctx.pcomm.barrier();
         Ok(())
     }
 
-    /// Keep the reusable state for the next epoch. Only valid after
-    /// [`PartitionRun::finish`] on a fault-free run: a crash replaces
-    /// the window mid-run and a degrade abandons the pipeline, so both
-    /// invalidate the cache.
-    pub(crate) fn into_cache(self) -> CachedPart {
+    /// Hand the context back for the next epoch or read. Only valid
+    /// after [`PartitionRun::finish`] on a fault-free run: a crash
+    /// replaces the window mid-run and a degrade abandons the pipeline,
+    /// so neither leaves a context worth keeping.
+    pub(crate) fn into_ctx(#[allow(unused_mut)] mut self) -> PartCtx {
         debug_assert!(
             !self.degraded && self.crash_round.is_none(),
-            "faulted partitions must not be cached"
+            "faulted partitions must not be kept"
         );
-        CachedPart {
-            pcomm: self.pcomm,
-            agg_idx: self.agg_idx,
-            my_cost: self.my_cost,
-            win: self.win,
-            coalesce: self.coalesce,
-        }
+        // Reads on the kept window record nothing; the next epoch's
+        // `enter` attaches a fresh scope.
+        #[cfg(feature = "trace")]
+        self.ctx.win.clear_trace_scope();
+        self.ctx
     }
 }
 
@@ -849,17 +940,8 @@ pub fn run_write_pipeline(
             .collect();
 
         let roster = Arc::new(RoundRoster::new(schedule, part));
-        let mut run = PartitionRun::enter(
-            comm,
-            part,
-            cfg,
-            topo,
-            epoch,
-            None,
-            coalesce.as_ref(),
-            &roster,
-            &mut stats,
-        );
+        let ctx = PartCtx::form(comm, part, cfg, topo, epoch, coalesce.as_ref());
+        let mut run = PartitionRun::enter(comm, part, cfg, ctx, &roster, &mut stats);
         loop {
             run.skip_idle(part);
             if run.next_round == part.rounds.len() {
@@ -882,87 +964,4 @@ pub fn run_write_pipeline(
         run.finish(file, cfg)?;
     }
     Ok(stats)
-}
-
-/// Run the two-phase *read* pipeline: aggregators read each round's
-/// segments from the file into their window buffer; members fetch their
-/// chunks with one-sided `get`s. Returns one buffer per declared var.
-///
-/// Reads use a single buffer (no flush to overlap with); the paper's
-/// machinery — partitions, election, rounds — is identical, and the
-/// round synchronisation is the write path's with the roles mirrored:
-/// the aggregator *posts* "data ready" to the round's getters, they
-/// start, `get` and complete, and the aggregator *waits* for them
-/// before overwriting the buffer with the next round. Faults are not
-/// injected on the read path.
-pub fn run_read_pipeline(
-    comm: &Comm,
-    schedule: &Schedule,
-    var_lens: &[u64],
-    file: &SharedFile,
-    cfg: &TapiocaConfig,
-    topo: &dyn TopologyProvider,
-    epoch: u64,
-) -> Result<Vec<Vec<u8>>> {
-    let me = comm.rank();
-    let b = cfg.buffer_size as usize;
-    let mut out: Vec<Vec<u8>> = var_lens.iter().map(|&l| vec![0u8; l as usize]).collect();
-
-    for part in &schedule.partitions {
-        if part.members.binary_search(&me).is_err() {
-            continue;
-        }
-        let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
-        let my_idx = pcomm.rank();
-        let io = topo.io_nodes_for(&part.members).first().copied().unwrap_or(0);
-        let my_cost = election_cost(
-            topo,
-            &part.members,
-            &part.member_bytes,
-            io,
-            part.index,
-            cfg.strategy,
-            my_idx,
-        );
-        let (_, agg_idx) = pcomm.allreduce_min_loc(my_cost);
-        let win = Window::allocate(&pcomm, if my_idx == agg_idx { b } else { 0 });
-
-        let my_chunks: Vec<_> = schedule.chunks_by_rank[me]
-            .iter()
-            .filter(|c| c.partition == part.index)
-            .collect();
-
-        let roster = RoundRoster::new(schedule, part);
-        for (r, round) in part.rounds.iter().enumerate() {
-            let at = tag(part, r);
-            if my_idx == agg_idx {
-                for seg in &round.segments {
-                    let data = file
-                        .read_at(seg.file_offset, seg.len as usize)
-                        .map_err(|e| io_err("read_at", e))?;
-                    win.write_local(my_idx, seg.buf_offset as usize, &data);
-                }
-                win.post(roster.contributors(r), at);
-            }
-            if roster.contributes(r, my_idx) {
-                win.start(agg_idx, at);
-                for c in my_chunks.iter().filter(|c| c.round as usize == r) {
-                    // One-sided read straight into the output buffer —
-                    // no intermediate Vec per chunk.
-                    win.get_into(
-                        agg_idx,
-                        c.buf_offset as usize,
-                        &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
-                    );
-                }
-                win.complete(agg_idx, at);
-            }
-            if my_idx == agg_idx {
-                // Nobody is still reading when round r+1 overwrites.
-                win.wait(roster.contributors(r), at);
-            }
-        }
-        pcomm.barrier();
-    }
-    Ok(out)
 }

@@ -32,6 +32,13 @@
 //! loops stop re-paying allgather + `compute_schedule` + election every
 //! checkpoint.
 //!
+//! [`Session::read_declared`] is the same pipeline in the other
+//! direction, between epochs: it runs on the same per-partition
+//! contexts, rosters and stream plan as the write epochs (forming a
+//! context first if it gets there before any write, as a restart does),
+//! moves file bytes into the aggregator's window with no staging copy,
+//! and leaves its counters in [`Session::read_stats`].
+//!
 //! Every rank must issue **all** of its declared writes each epoch (in
 //! any order); the pipeline's collectives are only deadlock-free under
 //! that contract, which [`Session::finalize`] enforces loudly.
@@ -42,14 +49,13 @@
 //! documented exception is [`Session::finalize`], where panicking is
 //! the only alternative to deadlocking the peers).
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use tapioca_mpi::{Comm, SharedFile};
 use tapioca_topology::TopologyProvider;
 
-use crate::aggregation::{
-    run_read_pipeline, CachedPart, ChunkSource, IoStats, PartitionRun, RoundOutcome,
-};
+use crate::aggregation::{ChunkSource, IoStats, PartCtx, PartitionRun, RoundOutcome};
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
@@ -273,7 +279,7 @@ impl<'c> SessionBuilder<'c> {
             coalesce,
             var_chunks,
             seq,
-            cache: std::iter::repeat_with(|| None).take(nparts).collect(),
+            ctxs: RefCell::new(std::iter::repeat_with(|| None).take(nparts).collect()),
             avail: vec![false; ndecls],
             issued: 0,
             chunk_state: std::iter::repeat_with(ChunkState::default).take(nchunks).collect(),
@@ -284,6 +290,7 @@ impl<'c> SessionBuilder<'c> {
             pool: Vec::new(),
             epoch_stats: IoStats::default(),
             last_stats: None,
+            read_stats: Cell::new(None),
             epochs_completed: 0,
         })
     }
@@ -315,9 +322,11 @@ pub struct Session<'c> {
     /// Per declared var: its chunks as `(plan part slot, local index)`.
     var_chunks: Vec<Vec<(usize, usize)>>,
     seq: u64,
-    /// Per plan part: state kept from the previous epoch (fault-free
-    /// configs only).
-    cache: Vec<Option<CachedPart>>,
+    /// Per plan part: the partition context, formed by whichever of a
+    /// write epoch and `read_declared` needs it first and kept for
+    /// every later one (fault-free configs only). In a cell because
+    /// `read_declared` takes `&self`.
+    ctxs: RefCell<Vec<Option<PartCtx>>>,
     /// Per declared var: payload issued this epoch.
     avail: Vec<bool>,
     issued: usize,
@@ -333,6 +342,8 @@ pub struct Session<'c> {
     pool: Vec<Vec<u8>>,
     epoch_stats: IoStats,
     last_stats: Option<IoStats>,
+    /// Counters of the most recent `read_declared`.
+    read_stats: Cell<Option<IoStats>>,
     epochs_completed: u64,
 }
 
@@ -358,10 +369,20 @@ impl<'c> Session<'c> {
         &self.schedule
     }
 
-    /// Instrumentation counters of the most recently *completed* epoch
-    /// (`None` until the first epoch finishes).
+    /// Instrumentation counters of the most recently *completed* write
+    /// epoch (`None` until the first epoch finishes). Reads do not
+    /// touch it; see [`Session::read_stats`].
     pub fn stats(&self) -> Option<&IoStats> {
         self.last_stats.as_ref()
+    }
+
+    /// Instrumentation counters of the most recent
+    /// [`Session::read_declared`] that ran its collective, failed or
+    /// not (`None` before the first): `reads` / `read_bytes` on
+    /// aggregators, `gets` / `get_bytes`, `partitions`, `elected`,
+    /// `fences`.
+    pub fn read_stats(&self) -> Option<IoStats> {
+        self.read_stats.get()
     }
 
     /// Write epochs completed so far.
@@ -422,7 +443,7 @@ impl<'c> Session<'c> {
             rosters,
             coalesce,
             seq,
-            cache,
+            ctxs,
             avail,
             chunk_state,
             cur_part,
@@ -456,24 +477,17 @@ impl<'c> Session<'c> {
                 // Enter the partition only once its first round is
                 // ready, so no rank sits in the election before it has
                 // anything to contribute.
-                *active = Some(PartitionRun::enter(
-                    comm,
-                    part,
-                    cfg,
-                    topo.as_ref(),
-                    *seq * 2,
-                    cache[*cur_part].take(),
-                    coalesce.as_ref(),
-                    roster,
-                    epoch_stats,
-                ));
+                let ctx = ctxs.get_mut()[*cur_part].take().unwrap_or_else(|| {
+                    PartCtx::form(comm, part, cfg, topo.as_ref(), *seq * 2, coalesce.as_ref())
+                });
+                *active = Some(PartitionRun::enter(comm, part, cfg, ctx, roster, epoch_stats));
                 continue;
             };
             if r == nrounds {
                 run.finish(file, cfg)?;
                 let run = active.take().expect("still active");
                 if cfg.faults.is_none() {
-                    cache[*cur_part] = Some(run.into_cache());
+                    ctxs.get_mut()[*cur_part] = Some(run.into_ctx());
                 }
                 *cur_part += 1;
                 continue;
@@ -595,11 +609,17 @@ impl<'c> Session<'c> {
 
     /// Collective two-phase read of every declared extent; returns one
     /// buffer per declared write of this rank. Only valid *between*
-    /// epochs (no partially-issued writes outstanding).
+    /// epochs (no partially-issued writes outstanding). Runs the write
+    /// pipeline's partitions in the same ascending order on the same
+    /// kept contexts (`PartCtx::read_rounds`), forming — and keeping —
+    /// a context no write epoch has formed yet.
     ///
     /// # Errors
-    /// [`TapiocaError::InvalidConfig`] mid-epoch; [`TapiocaError::Io`]
-    /// if an aggregator's file read fails.
+    /// [`TapiocaError::InvalidConfig`] mid-epoch, before any collective
+    /// call. [`TapiocaError::Io`] if an aggregator's file read fails
+    /// (e.g. the file ends before a declared extent): every member of
+    /// that aggregator's partition gets it, after all partitions have
+    /// run, and the session stays usable.
     pub fn read_declared(&self) -> Result<Vec<Vec<u8>>> {
         if self.issued != 0 {
             return Err(TapiocaError::InvalidConfig(format!(
@@ -608,16 +628,31 @@ impl<'c> Session<'c> {
                 self.decls.len()
             )));
         }
-        let lens: Vec<u64> = self.decls.iter().map(|d| d.len).collect();
-        run_read_pipeline(
-            self.comm,
-            &self.schedule,
-            &lens,
-            &self.file,
-            &self.cfg,
-            self.topo.as_ref(),
-            self.seq * 2 + 1,
-        )
+        let mut out: Vec<Vec<u8>> =
+            self.decls.iter().map(|d| vec![0u8; d.len as usize]).collect();
+        let mut stats = IoStats::default();
+        let Session { comm, file, cfg, topo, coalesce, .. } = self;
+        let mut ctxs = self.ctxs.borrow_mut();
+        // A context formed here under a fault plan is dropped after the
+        // read: no write round will use its gather window.
+        let gather = coalesce.as_ref().filter(|_| cfg.faults.is_none());
+        let mut verdict = Ok(());
+        for (slot, mine) in self.plan.parts.iter().enumerate() {
+            let part = &self.schedule.partitions[mine.part_index];
+            let ctx = ctxs[slot].take().unwrap_or_else(|| {
+                PartCtx::form(comm, part, cfg, topo.as_ref(), self.seq * 2 + 1, gather)
+            });
+            let roster = &self.rosters[slot];
+            let res = ctx.read_rounds(part, roster, mine, file, &mut out, &mut stats);
+            // A partition's failure must not keep this rank from the
+            // later ones: their other members are waiting for it.
+            verdict = verdict.and(res);
+            if cfg.faults.is_none() {
+                ctxs[slot] = Some(ctx);
+            }
+        }
+        self.read_stats.set(Some(stats));
+        verdict.map(|()| out)
     }
 
     /// Finish the session.

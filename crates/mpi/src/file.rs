@@ -471,8 +471,16 @@ impl SharedFile {
     /// Blocking positioned read of exactly `len` bytes.
     pub fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
-        self.inner.file.read_exact_at(&mut buf, offset)?;
+        self.read_at_into(offset, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Blocking positioned read filling all of `out` — the
+    /// allocation-free variant: the read pipeline points it at a window
+    /// slot ([`crate::Window::fill_local`]). Fails with `UnexpectedEof`
+    /// when the file ends before `offset + out.len()`.
+    pub fn read_at_into(&self, offset: u64, out: &mut [u8]) -> std::io::Result<()> {
+        self.inner.file.read_exact_at(out, offset)
     }
 
     /// Current file length in bytes.

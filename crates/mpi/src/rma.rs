@@ -81,14 +81,30 @@ impl Region {
         );
     }
 
+    /// The panes a linear range touches, ascending: `(pane index, offset
+    /// inside the pane, byte count)` per contiguous part.
+    fn spans(
+        &self,
+        op: &str,
+        offset: usize,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> {
+        self.check_bounds(op, offset, len);
+        let (pane_size, end) = (self.pane_size, offset + len);
+        let mut pos = offset;
+        std::iter::from_fn(move || {
+            let po = pos % pane_size;
+            let take = (pane_size - po).min(end - pos);
+            let span = (take > 0).then_some((pos / pane_size, po, take));
+            pos += take;
+            span
+        })
+    }
+
     /// Copy `data` into the region at `offset`, pane by pane.
     fn write(&self, offset: usize, data: &[u8]) {
-        self.check_bounds("put", offset, data.len());
         let mut done = 0;
-        while done < data.len() {
-            let pos = offset + done;
-            let (p, po) = (pos / self.pane_size, pos % self.pane_size);
-            let take = (self.pane_size - po).min(data.len() - done);
+        for (p, po, take) in self.spans("put", offset, data.len()) {
             let mut pane = self.panes[p].write().expect("RMA pane lock poisoned");
             pane[po..po + take].copy_from_slice(&data[done..done + take]);
             done += take;
@@ -97,12 +113,8 @@ impl Region {
 
     /// Copy `out.len()` bytes from the region at `offset`, pane by pane.
     fn read(&self, op: &str, offset: usize, out: &mut [u8]) {
-        self.check_bounds(op, offset, out.len());
         let mut done = 0;
-        while done < out.len() {
-            let pos = offset + done;
-            let (p, po) = (pos / self.pane_size, pos % self.pane_size);
-            let take = (self.pane_size - po).min(out.len() - done);
+        for (p, po, take) in self.spans(op, offset, out.len()) {
             let pane = self.panes[p].read().expect("RMA pane lock poisoned");
             out[done..done + take].copy_from_slice(&pane[po..po + take]);
             done += take;
@@ -121,17 +133,25 @@ impl Region {
         len: usize,
         mut f: impl FnMut(&[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.check_bounds(op, offset, len);
-        let mut done = 0;
-        while done < len {
-            let pos = offset + done;
-            let (p, po) = (pos / self.pane_size, pos % self.pane_size);
-            let take = (self.pane_size - po).min(len - done);
-            let pane = self.panes[p].read().expect("RMA pane lock poisoned");
-            f(&pane[po..po + take])?;
-            done += take;
-        }
-        Ok(())
+        self.spans(op, offset, len).try_for_each(|(p, po, take)| {
+            f(&self.panes[p].read().expect("RMA pane lock poisoned")[po..po + take])
+        })
+    }
+
+    /// [`Region::for_parts`] with the parts write-locked and lent as
+    /// `&mut [u8]`: the read pipeline fills a window slot straight from
+    /// the file with this, so no staging buffer exists between the file
+    /// descriptor and the window.
+    fn for_parts_mut<E>(
+        &self,
+        op: &str,
+        offset: usize,
+        len: usize,
+        mut f: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.spans(op, offset, len).try_for_each(|(p, po, take)| {
+            f(&mut self.panes[p].write().expect("RMA pane lock poisoned")[po..po + take])
+        })
     }
 }
 
@@ -334,6 +354,13 @@ impl Window {
         self.scope = Some(scope);
     }
 
+    /// Detach the tracing scope: this handle records nothing until the
+    /// next [`Window::set_trace_scope`].
+    #[cfg(feature = "trace")]
+    pub fn clear_trace_scope(&mut self) {
+        self.scope = None;
+    }
+
     /// The attached tracing scope, if any.
     #[cfg(feature = "trace")]
     pub fn trace_scope(&self) -> Option<&TraceScope> {
@@ -417,10 +444,21 @@ impl Window {
         self.shared.regions[rank].len
     }
 
-    /// Write into this member's *own* region (used by aggregators to
-    /// stage data read from a file before members `get` it).
-    pub fn write_local(&self, me: Rank, offset: usize, data: &[u8]) {
-        self.put(me, offset, data);
+    /// Lend `len` bytes of this member's *own* region at `offset` to
+    /// `f`, in place and write-locked, as contiguous parts in ascending
+    /// order (one per touched pane), stopping at the first error. An
+    /// aggregator fills its buffer from the file through this before
+    /// members `get` it ([`crate::SharedFile::read_at_into`]).
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the region.
+    pub fn fill_local<E>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnMut(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.shared.regions[self.me].for_parts_mut("fill", offset, len, f)
     }
 
     /// One-sided read into a caller-provided buffer (MPI_Get
@@ -898,7 +936,7 @@ mod tests {
     }
 
     /// The counters are monotone and live with the window, so a window
-    /// kept across epochs (as `CachedPart` does) needs no reset: epoch
+    /// kept across epochs (as the session's `PartCtx` is) needs no reset: epoch
     /// `e + 1` starts where epoch `e` stopped.
     #[test]
     fn three_epochs_on_one_cached_window() {

@@ -120,6 +120,59 @@ fn perturbed_interleavings_stay_protocol_clean() {
     }
 }
 
+/// Reads run on the window the write epochs keep, with its trace scope
+/// detached: a traced session that reads before, between and after its
+/// write epochs records exactly the write epochs. Drained at every
+/// epoch boundary (rank 0, between barriers), each trace is as long as
+/// a read-free epoch's and checker-clean.
+#[test]
+fn reads_around_traced_write_epochs_leave_the_trace_clean() {
+    let profile = theta_profile(8, 2);
+    let decls = IorSpec { num_ranks: 16, bytes_per_rank: 4096 }.decls();
+    let cfg = TapiocaConfig { num_aggregators: 4, buffer_size: 1024, ..Default::default() };
+    let read_free = thread_trace("interleaved-ref", &profile, &decls, &cfg, None);
+
+    let tracer = Tracer::new(profile.machine.num_ranks());
+    let cfg = TapiocaConfig { tracer: Some(Arc::clone(&tracer)), ..cfg };
+    let machine = Arc::new(profile.machine.clone());
+    let path = tmp("interleaved");
+    for seed in 0..8 {
+        let epochs = std::sync::Mutex::new(Vec::new());
+        Runtime::run_perturbed(decls.len(), seed, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let d = decls[comm.rank()][0];
+            if comm.rank() == 0 {
+                file.write_at(0, &vec![0u8; 16 * 4096]).unwrap();
+            }
+            comm.barrier();
+            let mut io = Session::builder(&comm, file)
+                .declarations(vec![d])
+                .config(cfg.clone())
+                .topology(machine.clone())
+                .build()
+                .unwrap();
+            assert_eq!(io.read_declared().unwrap()[0], vec![0u8; d.len as usize]);
+            for epoch in 0..3u8 {
+                let data = vec![epoch + 1; d.len as usize];
+                io.write(d.offset, &data).unwrap();
+                assert_eq!(io.read_declared().unwrap()[0], data);
+                comm.barrier();
+                if comm.rank() == 0 {
+                    epochs.lock().unwrap().push(tracer.drain());
+                }
+                comm.barrier();
+            }
+            io.finalize();
+        });
+        for (epoch, trace) in epochs.into_inner().unwrap().iter().enumerate() {
+            assert_eq!(trace.len(), read_free.len(), "seed {seed} epoch {epoch}: reads traced");
+            let v = check(trace);
+            assert!(v.is_empty(), "seed {seed} epoch {epoch}: violations: {v:?}");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// A genuine thread trace of a small IOR run, as raw events.
 fn genuine_events(name: &str) -> Vec<TraceEvent> {
     let profile = theta_profile(4, 2);
