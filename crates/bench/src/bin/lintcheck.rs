@@ -6,6 +6,9 @@
 //! * `unwrap` — `.unwrap()` in non-test library code;
 //! * `expect` — `.expect(...)` in non-test library code;
 //! * `panic` — `panic!(...)` in non-test library code;
+//! * `zero-fill` — `vec![0u8; n]` in non-test library code: a buffer
+//!   that is about to be overwritten should be filled by appending to
+//!   `Vec::with_capacity(n)`, not zeroed and then written again;
 //! * `lock-in-loop` — acquiring a `Mutex` inside a loop while another
 //!   lock guard bound outside the loop is still live (lock-ordering /
 //!   contention smell).
@@ -16,6 +19,10 @@
 //! ```text
 //! <rule> <path> -- <justification>
 //! ```
+//!
+//! One entry covers every finding of its rule in its file. Several
+//! entries for the same rule and file justify one site each, in file
+//! order, and the last covers any further sites.
 //!
 //! Exit status is non-zero on any unjustified finding, and on any
 //! stale allowlist entry (so justifications cannot outlive the code
@@ -119,9 +126,12 @@ fn scan_source(rel: &str, src: &str, findings: &mut Vec<Finding>) {
         let line = sanitize(raw);
         let lineno = i + 1;
         let excerpt = raw.trim().chars().take(90).collect::<String>();
-        for (rule, pat) in
-            [("unwrap", ".unwrap()"), ("expect", ".expect("), ("panic", "panic!(")]
-        {
+        for (rule, pat) in [
+            ("unwrap", ".unwrap()"),
+            ("expect", ".expect("),
+            ("panic", "panic!("),
+            ("zero-fill", "vec![0u8;"),
+        ] {
             if line.contains(pat) {
                 findings.push(Finding { rule, path: rel.to_string(), line: lineno, excerpt: excerpt.clone() });
             }
@@ -194,6 +204,24 @@ fn load_allowlist(root: &Path) -> Vec<Allow> {
         .collect()
 }
 
+/// Match `findings` (in file order) against the allowlist: a finding
+/// marks the first unused entry of its rule and file, or — with all of
+/// them used — is covered by them anyway. Returns the findings no entry
+/// covers; entries still unused afterwards are stale.
+fn justify<'f>(findings: &'f [Finding], allows: &mut [Allow]) -> Vec<&'f Finding> {
+    let mut denied = Vec::new();
+    for f in findings {
+        let mut matching =
+            allows.iter_mut().filter(|a| a.rule == f.rule && a.path == f.path).peekable();
+        if matching.peek().is_none() {
+            denied.push(f);
+        } else if let Some(a) = matching.find(|a| !a.used) {
+            a.used = true;
+        }
+    }
+    denied
+}
+
 fn main() {
     let root = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let root = if root.join("crates").is_dir() {
@@ -212,17 +240,9 @@ fn main() {
     }
     let mut allows = load_allowlist(&root);
     let mut bad = 0usize;
-    for f in &findings {
-        let allowed = allows
-            .iter_mut()
-            .find(|a| a.rule == f.rule && f.path == a.path);
-        match allowed {
-            Some(a) => a.used = true,
-            None => {
-                println!("DENY  {f}");
-                bad += 1;
-            }
-        }
+    for f in justify(&findings, &mut allows) {
+        println!("DENY  {f}");
+        bad += 1;
     }
     for a in &allows {
         if !a.used {
@@ -263,6 +283,34 @@ mod tests {
     fn flags_unwrap_expect_panic() {
         let src = "fn f() {\n    x.unwrap();\n    y.expect(\"why\");\n    panic!(\"no\");\n}\n";
         assert_eq!(rules(src), vec![("unwrap", 2), ("expect", 3), ("panic", 4)]);
+    }
+
+    #[test]
+    fn flags_zero_fill_outside_comments_strings_and_tests() {
+        let src = "fn f(n: usize) {\n    let a = vec![0u8; n];\n    \
+                   let b = Vec::<u8>::with_capacity(n);\n    // vec![0u8; n]\n    \
+                   let s = \"vec![0u8; n]\";\n    let c = vec![0u64; n];\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() { let d = vec![0u8; 4]; }\n}\n";
+        assert_eq!(rules(src), vec![("zero-fill", 2)]);
+    }
+
+    /// Two entries for one rule and file justify one site each; a
+    /// third is stale, and a lone entry covers every site of its file.
+    #[test]
+    fn entries_for_one_file_justify_one_site_each() {
+        let src = "fn f(n: usize) {\n    let a = vec![0u8; n];\n    let b = vec![0u8; 2 * n];\n}\n";
+        let mut findings = Vec::new();
+        scan_source("x.rs", src, &mut findings);
+        let entry = |rule: &str| Allow { rule: rule.into(), path: "x.rs".into(), used: false };
+        let mut allows = vec![entry("zero-fill"), entry("zero-fill"), entry("zero-fill")];
+        assert!(justify(&findings, &mut allows).is_empty());
+        assert_eq!(allows.iter().map(|a| a.used).collect::<Vec<_>>(), [true, true, false]);
+        let mut allows = vec![entry("zero-fill")];
+        assert!(justify(&findings, &mut allows).is_empty());
+        assert!(allows[0].used);
+        let mut allows = vec![entry("expect")];
+        assert_eq!(justify(&findings, &mut allows).len(), 2);
+        assert!(!allows[0].used);
     }
 
     #[test]

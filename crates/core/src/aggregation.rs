@@ -385,9 +385,12 @@ impl PartCtx {
     /// roles mirrored. The aggregator reads round `r`'s segments from
     /// the file straight into the window's first slot and *posts* "data
     /// ready" to the round's getters (the write side's contributors); a
-    /// getter starts, `get`s its chunks into `out[var]` and completes;
-    /// the aggregator serves its own gets, *waits* for the others, and
-    /// only then fills the slot with round `r + 1`. One slot, whatever
+    /// getter starts, appends its chunks to `out[var]` straight from the
+    /// window (`Window::get_with`) and completes; the aggregator serves
+    /// its own gets, *waits* for the others, and only then fills the
+    /// slot with round `r + 1`. `out[var]` must hold exactly the bytes
+    /// of `var` that lie before this partition (nothing, for the first
+    /// partition the var reaches). One slot, whatever
     /// `cfg.pipelining` says: overlapping the next file read with the
     /// gets has no measured workload behind it yet (DESIGN.md, *Read
     /// path*). Untraced; no fault injection.
@@ -437,12 +440,18 @@ impl PartCtx {
             if s < e {
                 self.win.start(agg, at);
                 for c in &mine.chunks[s..e] {
-                    // One-sided read straight into the output buffer.
-                    self.win.get_into(
-                        agg,
-                        c.buf_offset as usize,
-                        &mut out[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize],
-                    );
+                    // One-sided read appended straight to the output
+                    // buffer. Appending puts the chunk at `var_offset`
+                    // because a rank visits the chunks of one
+                    // declaration in ascending `var_offset`: plan parts
+                    // and their rounds run in ascending order, a part's
+                    // chunks are sorted by `(round, file_offset)`, and a
+                    // declaration is one contiguous extent.
+                    let dst = &mut out[c.var];
+                    debug_assert_eq!(dst.len() as u64, c.var_offset, "var {} out of order", c.var);
+                    self.win.get_with(agg, c.buf_offset as usize, c.len as usize, |part| {
+                        dst.extend_from_slice(part);
+                    });
                     stats.gets += 1;
                     stats.get_bytes += c.len;
                 }
@@ -495,6 +504,7 @@ impl PartitionRun {
     /// which case no collective runs here — and derive the fault
     /// schedule. The trace scope and the election event are recorded
     /// either way, so every epoch's trace is self-contained.
+    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub(crate) fn enter(
         comm: &Comm,
         part: &PartitionInfo,
@@ -629,10 +639,11 @@ impl PartitionRun {
         if let Some(co) = self.ctx.coalesce.as_mut() {
             co.leaders.clear();
         }
-        for (i, c) in chunks.iter().enumerate() {
-            if c.round as usize != r {
-                continue;
-            }
+        // `chunks` is sorted by `(round, file_offset)`, so the round's
+        // chunks are one range of it; `i` stays the slice index.
+        let lo = chunks.partition_point(|c| (c.round as usize) < r);
+        let hi = chunks.partition_point(|c| c.round as usize <= r);
+        for (i, c) in (lo..).zip(&chunks[lo..hi]) {
             let coalesce = self.ctx.coalesce.as_ref();
             let leader = coalesce.and_then(|co| co.plan.run_for_chunk(c)).map(|run| run.leader);
             match (leader, self.ctx.coalesce.as_mut()) {

@@ -37,7 +37,9 @@
 //! contexts, rosters and stream plan as the write epochs (forming a
 //! context first if it gets there before any write, as a restart does),
 //! moves file bytes into the aggregator's window with no staging copy,
-//! and leaves its counters in [`Session::read_stats`].
+//! appends each chunk from the window to its output buffer — the outputs
+//! are not zero-filled first, so every output byte is written once — and
+//! leaves its counters in [`Session::read_stats`].
 //!
 //! Every rank must issue **all** of its declared writes each epoch (in
 //! any order); the pipeline's collectives are only deadlock-free under
@@ -612,7 +614,10 @@ impl<'c> Session<'c> {
     /// epochs (no partially-issued writes outstanding). Runs the write
     /// pipeline's partitions in the same ascending order on the same
     /// kept contexts (`PartCtx::read_rounds`), forming — and keeping —
-    /// a context no write epoch has formed yet.
+    /// a context no write epoch has formed yet. The buffers are not
+    /// zero-filled: each starts empty with its declared capacity and
+    /// every chunk is appended straight from the aggregator's window,
+    /// so each output byte is written once.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] mid-epoch, before any collective
@@ -629,7 +634,7 @@ impl<'c> Session<'c> {
             )));
         }
         let mut out: Vec<Vec<u8>> =
-            self.decls.iter().map(|d| vec![0u8; d.len as usize]).collect();
+            self.decls.iter().map(|d| Vec::with_capacity(d.len as usize)).collect();
         let mut stats = IoStats::default();
         let Session { comm, file, cfg, topo, coalesce, .. } = self;
         let mut ctxs = self.ctxs.borrow_mut();
@@ -651,6 +656,10 @@ impl<'c> Session<'c> {
                 ctxs[slot] = Some(ctx);
             }
         }
+        debug_assert!(
+            out.iter().zip(&self.decls).all(|(o, d)| o.len() as u64 == d.len),
+            "every declared byte appended"
+        );
         self.read_stats.set(Some(stats));
         verdict.map(|()| out)
     }

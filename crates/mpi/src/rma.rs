@@ -461,12 +461,32 @@ impl Window {
         self.shared.regions[self.me].for_parts_mut("fill", offset, len, f)
     }
 
+    /// One-sided read that lends the bytes instead of copying them:
+    /// `f` sees `len` bytes of `target`'s region at `offset` in place,
+    /// as contiguous read-locked parts in ascending order (one per
+    /// touched pane; none for an empty range). The read pipeline
+    /// appends a chunk to its output buffer with this, so the buffer
+    /// need not be zero-filled first.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds the region.
+    pub fn get_with(&self, target: Rank, offset: usize, len: usize, mut f: impl FnMut(&[u8])) {
+        self.perturb_point();
+        let Ok(()) = self.shared.regions[target].for_parts("get", offset, len, |part| {
+            f(part);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    }
+
     /// One-sided read into a caller-provided buffer (MPI_Get
     /// with an application-owned receive buffer): reads `out.len()`
     /// bytes from `target`'s region at `offset` without allocating.
     pub fn get_into(&self, target: Rank, offset: usize, out: &mut [u8]) {
-        self.perturb_point();
-        self.shared.regions[target].read("get", offset, out);
+        let mut done = 0;
+        self.get_with(target, offset, out.len(), |part| {
+            out[done..done + part.len()].copy_from_slice(part);
+            done += part.len();
+        });
     }
 
     /// Close the current access epoch (collective over the window's
@@ -836,6 +856,33 @@ mod tests {
                 ok.unwrap();
                 assert_eq!(parts, vec![5, 10, 9], "pane-boundary split");
                 assert_eq!(seg.to_bytes(), (0..24u8).collect::<Vec<u8>>());
+            }
+            win.fence(&c);
+        });
+    }
+
+    #[test]
+    fn get_with_lends_pane_parts_and_get_into_agrees() {
+        run(2, |c| {
+            // 32-byte regions in 10-byte panes, as above.
+            let win = Window::allocate_paned(&c, 32, 10);
+            if c.rank() == 1 {
+                win.put(0, 0, &(100..132u8).collect::<Vec<u8>>());
+            }
+            win.fence(&c);
+            let (mut lent, mut parts) = (Vec::new(), Vec::new());
+            win.get_with(0, 7, 16, |p| {
+                parts.push(p.len());
+                lent.extend_from_slice(p);
+            });
+            assert_eq!(parts, vec![3, 10, 3], "split at the pane boundaries 10 and 20");
+            assert_eq!(lent, (107..123u8).collect::<Vec<u8>>());
+            let mut copied = [0u8; 16];
+            win.get_into(0, 7, &mut copied);
+            assert_eq!(copied.as_slice(), lent.as_slice());
+            // An empty range lends nothing, at any in-bounds offset.
+            for at in [0, 10, 32] {
+                win.get_with(0, at, 0, |p| panic!("empty get lent {} bytes at {at}", p.len()));
             }
             win.fence(&c);
         });

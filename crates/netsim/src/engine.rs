@@ -573,6 +573,10 @@ impl Simulator {
 
         // Apply: settle flows whose rate changed bitwise, rebuild the
         // component's completion heap, publish one event-index entry.
+        // The heap is built once, by `BinaryHeap::from` over the old
+        // heap's cleared vector; its keys `(TimeKey, FlowId)` are
+        // unique, so the pop order does not depend on how it was built.
+        let mut completions = std::mem::take(&mut self.comps.slots[rix].completions).into_vec();
         let mut min_ct = f64::INFINITY;
         for k in 0..n {
             let id = self.comps.slots[rix].flows[k];
@@ -590,11 +594,12 @@ impl Simulator {
             } else {
                 f.anchor + f.remaining / f.rate
             };
-            self.comps.slots[rix].completions.push(Reverse((TimeKey(ct), id)));
+            completions.push(Reverse((TimeKey(ct), id)));
             if TimeKey(ct) < TimeKey(min_ct) {
                 min_ct = ct;
             }
         }
+        self.comps.slots[rix].completions = BinaryHeap::from(completions);
         let version = self.comps.slots[rix].version;
         self.comps.index.push(Reverse((TimeKey(min_ct), root, version)));
     }

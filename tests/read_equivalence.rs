@@ -6,7 +6,9 @@
 //! rounds with holes, pipelining on and off, coalescing, a fault plan
 //! (nothing kept), the one-node HACC shape where most members skip most
 //! rounds — under perturbed schedules, and byte-compared with the
-//! pre-change read loop, which lives on below as the oracle.
+//! pre-change read loop, which lives on below as the oracle. One more
+//! input checks that appending chunks to the outputs places them: a
+//! declaration across partitions beside empty and overlapping ones.
 //!
 //! Also here: the kept context must never serve stale bytes, a failed
 //! aggregator read must reach every member as an `Err` instead of
@@ -238,6 +240,82 @@ fn uneven_partitions_with_holes_read_back_under_every_config() {
 fn one_node_hacc_reads_back_under_every_config() {
     let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 4 * 2048, ..Default::default() };
     cross_product("hacc", &hacc_one_node(), &cfg, mira_profile(128, 16).machine);
+}
+
+/// Rank 0 declares an extent crossing both partitions, several rounds in
+/// each, a zero-length extent, and two extents overlapping each other;
+/// the other ranks overlap it as well and put two or more members in
+/// every partition.
+fn crossing() -> Vec<Vec<WriteDecl>> {
+    let d = |offset, len| WriteDecl { offset, len };
+    vec![
+        vec![d(256, 3328), d(1000, 0), d(3000, 500), d(3300, 600)],
+        vec![d(0, 256), d(2048, 252)],
+        vec![d(3900, 196), d(1024, 76)],
+        vec![d(1500, 1100)],
+    ]
+}
+
+/// Payload as a function of the file offset, so every write of an
+/// overlapped byte agrees on it.
+fn image(epoch: u64, d: &WriteDecl) -> Vec<u8> {
+    (d.offset..d.offset + d.len).map(|x| (epoch * 101 + x * 7 + x / 251) as u8).collect()
+}
+
+/// `read_declared` appends each chunk to its output buffer, which is
+/// only right if a rank meets the chunks of a declaration in ascending
+/// `var_offset` — across partitions and rounds, beside empty and
+/// overlapping declarations.
+#[test]
+fn declaration_across_partitions_beside_empty_and_overlapping_ones_reads_back() {
+    const BUF: u64 = 256;
+    let decls = crossing();
+    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: BUF, ..Default::default() };
+    let schedule = tapioca::compute_schedule(&decls, tapioca::ScheduleParams {
+        num_aggregators: 2,
+        buffer_size: BUF,
+        align_to_buffer: true,
+    });
+    assert_eq!(schedule.partitions.len(), 2);
+    assert!(schedule.partitions.iter().all(|p| p.members.len() >= 2), "multi-member partitions");
+    for p in 0..2 {
+        let rounds = schedule.chunks_by_rank[0]
+            .iter()
+            .filter(|c| c.var == 0 && c.partition == p)
+            .count();
+        assert!(rounds >= 3, "rank 0's first extent has {rounds} rounds in partition {p}");
+    }
+    let topo = Arc::new(theta_profile(8, 2).machine);
+    for seed in 0..SEEDS {
+        let path = tmp(&format!("crossing-{seed}"));
+        Runtime::run_perturbed(decls.len(), seed, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let r = comm.rank();
+            let mine = &decls[r];
+            let lens: Vec<u64> = mine.iter().map(|d| d.len).collect();
+            let mut io = Session::builder(&comm, file.clone())
+                .declarations(mine.clone())
+                .config(cfg.clone())
+                .topology(topo.clone())
+                .build()
+                .unwrap();
+            for epoch in 0..2u64 {
+                let data: Vec<Vec<u8>> = mine.iter().map(|d| image(epoch, d)).collect();
+                write_epoch(&mut io, mine, &data);
+                let back = io.read_declared().unwrap();
+                for (v, (buf, d)) in back.iter().zip(mine).enumerate() {
+                    assert_eq!(buf.len() as u64, d.len, "rank {r} var {v}: buffer length");
+                }
+                let at = format!("rank {r} seed {seed} epoch {epoch}");
+                assert_eq!(back, data, "{at}: differs from the payload");
+                let key = 9_000 + epoch;
+                let old = oracle_read(&comm, io.schedule(), &lens, &file, &cfg, topo.as_ref(), key);
+                assert_eq!(back, old, "{at}: differs from the oracle");
+            }
+            io.finalize();
+        });
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// A restart: the session reads an existing file *before* its first
