@@ -13,17 +13,17 @@
 //! `--smoke` shrinks the workloads to CI-sized shapes while keeping the
 //! output schema identical.
 //!
-//! Schema (`tapioca-tunebench/v2`):
+//! Schema (`tapioca-tunebench/v3`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-tunebench/v2",
+//!   "schema": "tapioca-tunebench/v3",
 //!   "smoke": false,
 //!   "rows": [ { "machine", "workload", "mode", "ranks",
 //!               "rule_aggregators", "rule_buffer", "rule_bw",
 //!               "tuned_aggregators", "tuned_buffer", "tuned_strategy",
 //!               "tuned_pipelining", "tuned_tier", "tuned_bw",
-//!               "grid_size", "model_evals", "sims_run", "cache_hits",
+//!               "grid_size", "model_evals", "sims_run",
 //!               "sim_savings", "sim_wall_ms" } ]
 //! }
 //! ```
@@ -174,7 +174,7 @@ fn main() {
              \"tuned_strategy\": \"{}\", \"tuned_pipelining\": {}, \
              \"tuned_tier\": \"{}\", \"tuned_bw\": {:.1}, \
              \"grid_size\": {}, \"model_evals\": {}, \"sims_run\": {}, \
-             \"cache_hits\": {}, \"sim_savings\": {:.3}, \"sim_wall_ms\": {:.3}}}",
+             \"sim_savings\": {:.3}, \"sim_wall_ms\": {:.3}}}",
             case.machine,
             case.workload,
             mode_name(case.spec.mode),
@@ -188,16 +188,15 @@ fn main() {
             outcome.tier.name(),
             outcome.tuned_bandwidth,
             r.grid_size,
-            r.model_evals + r.refine_evals,
+            r.model_evals,
             r.sims_run,
-            r.cache_hits,
             r.sim_savings(),
             r.sim_wall_ns as f64 / 1e6,
         );
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-tunebench/v2\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-tunebench/v3\",\n  \"smoke\": {smoke},\n  \
          \"rows\": [{rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write BENCH_tune.json");

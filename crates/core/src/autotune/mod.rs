@@ -9,24 +9,19 @@
 //!
 //! * [`rule_based`] — the paper's own hand-tuning, generalized, as the
 //!   seed and the regression anchor;
-//! * [`model`] — an analytic cost model ω(A) reproducing the paper's
-//!   latency/bandwidth aggregation formula over cached topology
-//!   distances, cheap enough to score an entire configuration grid;
-//! * [`search`] — a coarse-to-fine search over aggregator count ×
-//!   buffer size × placement strategy × pipelining × tier assignment
-//!   that prunes with ω and confirms only a short-list in the
-//!   simulator, in parallel, memoized through [`cache`];
+//! * [`model`] — an analytic cost model ω(A) whose aggregation term is
+//!   the election's own `C1 + C2` vector, read once per file group, so
+//!   scoring an entire configuration grid is arithmetic;
+//! * [`search`] — a grid search over aggregator count × buffer size ×
+//!   placement strategy × pipelining × tier assignment that prunes with
+//!   ω and confirms only a short-list in the simulator, in parallel;
 //! * [`report`] — work accounting (the ≥4× fewer-sims acceptance
-//!   metric);
-//! * [`empirical_sweep`] — the original 1-D aggregator sweep, kept as a
-//!   baseline.
+//!   metric).
 
-pub mod cache;
 pub mod model;
 pub mod report;
 pub mod search;
 
-pub use cache::SimCache;
 pub use model::{Candidate, CostModel, TierAssignment};
 pub use report::TuneReport;
 pub use search::{autotune, autotune_from, SearchSpace, TuneOutcome};
@@ -35,7 +30,7 @@ use tapioca_topology::{MachineProfile, StorageProfile};
 
 use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
-use crate::sim_exec::{run_tapioca_sim, CollectiveSpec, StorageConfig};
+use crate::sim_exec::{CollectiveSpec, StorageConfig};
 
 /// Rule-based tuning: the paper's own settings, generalized.
 ///
@@ -80,76 +75,15 @@ pub fn rule_based(
 /// count. (Every group elects `num_aggregators` aggregators from its own
 /// members, so a count valid for the first group only is a bug — the
 /// cap must hold for *all* groups.)
-fn min_group_ranks(spec: &CollectiveSpec) -> usize {
+fn min_group(spec: &CollectiveSpec) -> usize {
     spec.groups.iter().map(|g| g.ranks.len()).min().unwrap_or(1).max(1)
-}
-
-/// Result of an empirical sweep.
-#[derive(Debug, Clone)]
-pub struct TuneResult {
-    /// The winning configuration.
-    pub best: TapiocaConfig,
-    /// Every candidate with its simulated bandwidth (bytes/s).
-    pub candidates: Vec<(TapiocaConfig, f64)>,
-}
-
-/// Empirical tuning: sweep aggregator counts around the rule-based
-/// guess (x1/4 .. x4) through the simulator and keep the fastest.
-///
-/// The ladder is capped by the **smallest** file group in the spec, so
-/// every candidate is electable in every group. For the full
-/// multi-dimensional, model-pruned search see [`search::autotune`].
-///
-/// # Errors
-/// Propagates [`TapiocaError`] from [`rule_based`] and the simulator.
-pub fn empirical_sweep(
-    profile: &MachineProfile,
-    storage: &StorageConfig,
-    spec: &CollectiveSpec,
-) -> Result<TuneResult> {
-    let group_ranks = min_group_ranks(spec);
-    let seed = rule_based(profile, storage, group_ranks)?;
-    let base = seed.num_aggregators.max(4);
-    let mut counts: Vec<usize> = [base / 4, base / 2, base, base * 2, base * 4]
-        .into_iter()
-        .filter(|&a| a >= 1 && a <= group_ranks)
-        .collect();
-    counts.dedup();
-    if counts.is_empty() {
-        counts.push(group_ranks);
-    }
-
-    let mut candidates = Vec::new();
-    for a in counts {
-        let cfg = TapiocaConfig { num_aggregators: a, ..seed.clone() };
-        let rep = run_tapioca_sim(profile, storage, spec, &cfg)?;
-        candidates.push((cfg, rep.bandwidth));
-    }
-    let best = candidates
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("at least one candidate")
-        .0
-        .clone();
-    Ok(TuneResult { best, candidates })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::WriteDecl;
-    use crate::sim_exec::GroupSpec;
-    use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
+    use tapioca_pfs::{GpfsTunables, LustreTunables};
     use tapioca_topology::{mira_profile, theta_profile, MIB};
-
-    fn group(file: usize, ranks: std::ops::Range<usize>, per: u64) -> GroupSpec {
-        let n = ranks.len() as u64;
-        GroupSpec {
-            file,
-            ranks: ranks.collect(),
-            decls: (0..n).map(|r| vec![WriteDecl { offset: r * per, len: per }]).collect(),
-        }
-    }
 
     #[test]
     fn rule_based_matches_paper_tuning() {
@@ -180,66 +114,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cfg.num_aggregators, 10);
-    }
-
-    #[test]
-    fn empirical_sweep_never_picks_a_loser() {
-        let profile = theta_profile(64, 4);
-        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = CollectiveSpec {
-            groups: vec![group(0, 0..256, MIB)],
-            mode: AccessMode::Write,
-        };
-        let result = empirical_sweep(&profile, &storage, &spec).unwrap();
-        let best_bw = result
-            .candidates
-            .iter()
-            .find(|(c, _)| c.num_aggregators == result.best.num_aggregators)
-            .expect("best is a candidate")
-            .1;
-        for (cfg, bw) in &result.candidates {
-            assert!(best_bw >= *bw, "{:?} beats the chosen config", cfg.num_aggregators);
-        }
-        assert!(result.candidates.len() >= 3);
-    }
-
-    /// Regression for the first-group-only bug: with two groups of
-    /// unequal size, every swept candidate must be electable in the
-    /// *smaller* group too — under the old `groups.first()` derivation a
-    /// large leading group let the ladder exceed the trailing group's
-    /// rank count and the sweep either failed or tuned garbage.
-    #[test]
-    fn empirical_sweep_caps_at_the_smallest_group() {
-        let profile = theta_profile(64, 4);
-        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = CollectiveSpec {
-            groups: vec![group(0, 0..240, MIB), group(1, 240..246, MIB)],
-            mode: AccessMode::Write,
-        };
-        let result = empirical_sweep(&profile, &storage, &spec).unwrap();
-        for (cfg, _) in &result.candidates {
-            assert!(
-                cfg.num_aggregators <= 6,
-                "candidate {} exceeds the 6-rank trailing group",
-                cfg.num_aggregators
-            );
-        }
-        assert!(result.best.num_aggregators <= 6);
-    }
-
-    /// `group_ranks = 1` boundary: the ladder collapses but the sweep
-    /// still returns a (single) valid candidate.
-    #[test]
-    fn empirical_sweep_single_rank_group() {
-        let profile = theta_profile(4, 1);
-        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = CollectiveSpec {
-            groups: vec![group(0, 0..1, MIB)],
-            mode: AccessMode::Write,
-        };
-        let result = empirical_sweep(&profile, &storage, &spec).unwrap();
-        assert_eq!(result.best.num_aggregators, 1);
-        assert!(!result.candidates.is_empty());
     }
 
     #[test]

@@ -5,26 +5,23 @@
 //! formula (Sec. IV-B): the aggregation phase pays
 //! `Σ_i l·d(i, A) + ω(i, A)/B(i → A)` into each aggregator plus
 //! `l·d(A, IO) + ω(A, IO)/B(A → IO)` out of it, and the I/O phase pays
-//! the storage backend's service time. Every topology distance and path
-//! bandwidth is read through the memoized [`NodeMetricCache`], folded
-//! per node like the fast election path — an ω evaluation after
-//! the one-time [`CostModel::new`] precomputation is pure arithmetic,
-//! about six orders of magnitude cheaper than a `run_tapioca_sim` call.
+//! the storage backend's service time. The aggregation term is the
+//! election's own evaluator: each group is one [`PartitionElection`]
+//! whose node-folded `C1 + C2` vector (`placement::folded_costs`) is
+//! read at the member each strategy elects — an ω evaluation after the
+//! one-time [`CostModel::new`] precomputation is pure arithmetic, about
+//! six orders of magnitude cheaper than a `run_tapioca_sim` call.
 //!
 //! ω is used to *rank* candidates, not to predict absolute bandwidth:
 //! the short-list it produces is confirmed in the simulator (see
 //! [`crate::autotune::search`]), so the model only has to order
 //! configurations roughly right for the search to converge.
 
-use std::collections::HashMap;
-
 use tapioca_pfs::{AccessMode, LockMode};
-use tapioca_topology::{
-    IoNodeId, MachineProfile, NodeId, NodeMetricCache, StorageProfile, TopologyProvider, GIB,
-};
+use tapioca_topology::{MachineProfile, StorageProfile, TopologyProvider, GIB};
 
 use crate::error::{Result, TapiocaError};
-use crate::placement::PlacementStrategy;
+use crate::placement::{elect_partitions, folded_costs, PartitionElection, PlacementStrategy};
 use crate::sim_exec::{CollectiveSpec, StorageConfig};
 
 /// Where aggregation buffers live and where flushes land — the tier
@@ -89,36 +86,27 @@ pub struct Candidate {
     pub strategy: PlacementStrategy,
     /// Double-buffered flush pipeline on/off.
     pub pipelining: bool,
-    /// Intra-node put coalescing on/off. Model-scored only: the flow
-    /// simulator already batches transfers per (round, source node), so
-    /// its bandwidth is coalescing-invariant and the dimension is
-    /// excluded from [`Candidate::sim_key`].
-    pub coalescing: bool,
     /// Buffer/staging tier.
     pub tier: TierAssignment,
 }
 
 impl Candidate {
     /// Materialize the candidate as a [`crate::config::TapiocaConfig`],
-    /// inheriting every non-tuned field (faults, I/O policy, tracer)
-    /// from `base`.
+    /// inheriting every non-tuned field (coalescing, faults, I/O policy,
+    /// tracer) from `base`.
     pub fn to_config(&self, base: &crate::config::TapiocaConfig) -> crate::config::TapiocaConfig {
         crate::config::TapiocaConfig {
             num_aggregators: self.aggregators,
             buffer_size: self.buffer_size,
             strategy: self.strategy,
             pipelining: self.pipelining,
-            coalescing: self.coalescing,
             ..base.clone()
         }
     }
 
-    /// Hash of the *simulator-visible* dimensions (tier and coalescing
-    /// excluded): two candidates with equal keys produce bit-identical
-    /// `run_tapioca_sim` results, which is the memoization contract of
-    /// [`crate::autotune::cache::SimCache`]. Coalescing is excluded
-    /// because the flow simulator batches per (round, source node)
-    /// regardless — only ω and the thread executor see the difference.
+    /// Hash of the *simulator-visible* dimensions (the tier excluded):
+    /// two candidates with equal keys produce bit-identical
+    /// `run_tapioca_sim` results, so the short-list keeps one of them.
     pub fn sim_key(&self) -> u64 {
         let strat = match self.strategy {
             PlacementStrategy::TopologyAware => 1u64,
@@ -137,7 +125,7 @@ impl Candidate {
 }
 
 /// Aggregation-time estimates per placement strategy: seconds for one
-/// aggregator on the strategy's chosen node to absorb the *whole*
+/// aggregator on the strategy's elected member to absorb the *whole*
 /// group's traffic (divided by the partition count at scoring time).
 #[derive(Debug, Clone, Copy)]
 struct StrategyTimes {
@@ -169,9 +157,6 @@ struct GroupFacts {
     bytes: f64,
     /// Members (for capping the useful aggregator count).
     ranks: usize,
-    /// Mean co-located members per compute node — the merge factor an
-    /// intra-node coalescing run can reach.
-    rpn: f64,
     agg: StrategyTimes,
 }
 
@@ -216,11 +201,6 @@ const MODEL_LNET_GATEWAYS: f64 = 8.0;
 /// Node-local SSD write bandwidth (burst buffer), bytes/s.
 const SSD_WRITE_BW: f64 = 2.0 * GIB as f64;
 
-/// Cost of one intra-node gather deposit as a fraction of the network
-/// injection latency: a shared-memory store plus a counter bump, far
-/// below a NIC doorbell but not free.
-const INTRA_DEPOSIT_FRACTION: f64 = 0.1;
-
 /// The cost model: build once per `(profile, storage, spec)`, then call
 /// [`CostModel::score`] per candidate.
 #[derive(Debug)]
@@ -232,9 +212,9 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Precompute per-group topology folds and storage facts. Cost is
-    /// `O(Σ_g nodes(g)²)` memoized topology queries — paid once for the
-    /// whole search, not per candidate.
+    /// Precompute per-group election costs and storage facts. Cost is
+    /// `O(Σ_g nodes(g)²)` topology queries — paid once for the whole
+    /// search, not per candidate.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] when the storage config kind does
@@ -275,8 +255,7 @@ impl CostModel {
         }
 
         let machine = &profile.machine;
-        let mut cache = NodeMetricCache::new();
-        let groups = spec.groups.iter().map(|g| group_facts(machine, &mut cache, g)).collect();
+        let groups = spec.groups.iter().map(|g| group_facts(machine, g)).collect();
         Ok(CostModel {
             latency: machine.latency(),
             mode: spec.mode,
@@ -323,27 +302,14 @@ impl CostModel {
         let fence_overhead = rounds as f64 * 4.0 * self.latency;
         let copy = g.bytes / parts as f64 / cand.tier.buffer_bw();
 
-        // Per-op latency of the write-plane window fill: every RMA put
-        // pays one injection latency. Raw mode issues one put per member
-        // per round. Coalescing folds each node's co-located members
-        // into one merged put per round (a ~rpn× op reduction) but pays
-        // an intra-node deposit per member plus one extra staging pass
-        // through the leader's gather buffer — so it only wins when the
-        // latency saved on many small puts beats the added copy, which
-        // is exactly the high-ranks-per-node, small-chunk regime. Reads
-        // drain through a different (uncoalesced) pipeline and carry no
-        // such term.
+        // Per-op latency of the write-plane window fill: every member
+        // issues one RMA put per round, each paying one injection
+        // latency. Reads carry no such term.
         let members = (g.ranks as f64 / parts as f64).max(1.0);
-        let t_ops = if self.mode != AccessMode::Write {
-            0.0
-        } else if cand.coalescing && g.rpn >= 2.0 {
-            let wire = (members / g.rpn).ceil().max(1.0);
-            rounds as f64
-                * self.latency
-                * (wire + members * INTRA_DEPOSIT_FRACTION)
-                + g.bytes / parts as f64 / cand.tier.buffer_bw()
-        } else {
+        let t_ops = if self.mode == AccessMode::Write {
             rounds as f64 * members * self.latency
+        } else {
+            0.0
         };
         let t_agg =
             g.agg.of(cand.strategy) / parts as f64 + fence_overhead + copy + t_ops;
@@ -389,14 +355,11 @@ impl CostModel {
     }
 }
 
-/// Fold one group's member set per node and evaluate the paper's
-/// aggregation-cost formula for an aggregator on every distinct node,
-/// reducing to the per-strategy chosen-node times.
-fn group_facts(
-    machine: &dyn TopologyProvider,
-    cache: &mut NodeMetricCache,
-    group: &crate::sim_exec::GroupSpec,
-) -> GroupFacts {
+/// Evaluate the paper's `C1 + C2` for every member of one group as the
+/// election does — the whole group is one partition whose `omega` is
+/// each member's declared bytes — and read each strategy's time at the
+/// member that strategy elects.
+fn group_facts(machine: &dyn TopologyProvider, group: &crate::sim_exec::GroupSpec) -> GroupFacts {
     let mut lo = u64::MAX;
     let mut hi = 0u64;
     let mut total = 0u64;
@@ -415,74 +378,26 @@ fn group_facts(
     }
     let span = hi.saturating_sub(lo);
 
-    // Per-node member count and byte totals, insertion-ordered so the
-    // fold below is deterministic.
-    let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let mut count: Vec<f64> = Vec::new();
-    let mut bytes: Vec<f64> = Vec::new();
-    for (&r, &w) in group.ranks.iter().zip(&by_rank_bytes) {
-        let node = machine.node_of_rank(r);
-        let s = *slot_of.entry(node).or_insert_with(|| {
-            nodes.push(node);
-            count.push(0.0);
-            bytes.push(0.0);
-            nodes.len() - 1
-        });
-        count[s] += 1.0;
-        bytes[s] += w as f64;
-    }
-
-    let rpn = if nodes.is_empty() {
-        1.0
-    } else {
-        group.ranks.len() as f64 / nodes.len() as f64
+    let part = PartitionElection {
+        members: &group.ranks,
+        weights: &by_rank_bytes,
+        io: machine.io_nodes_for(&group.ranks).first().copied().unwrap_or(0),
+        partition_index: 0,
     };
-    let io: IoNodeId = machine.io_nodes_for(&group.ranks).first().copied().unwrap_or(0);
-    let l = machine.latency();
-    let nn = nodes.len();
-
-    // t(s): whole-group aggregation time into a candidate node s —
-    // the folded `Σ_i l·d(i,A) + ω(i)/B(i→A)` plus `C2(s)`.
-    let mut t = vec![0.0f64; nn];
-    let mut io_dist = vec![u32::MAX; nn];
-    for s in 0..nn {
-        let intra = cache.pair(machine, nodes[s], nodes[s]).bw;
-        let mut acc = bytes[s] / intra;
-        for k in 0..nn {
-            if k == s {
-                continue;
-            }
-            let pm = cache.pair(machine, nodes[k], nodes[s]);
-            acc += count[k] * l * pm.dist as f64 + bytes[k] / pm.bw;
-        }
-        let im = cache.io(machine, nodes[s], io);
-        if let (Some(d), Some(bw)) = (im.dist, im.bw) {
-            acc += l * d as f64 + total as f64 / bw;
-            io_dist[s] = d;
-        }
-        t[s] = acc;
-    }
-
-    let min = t.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = t.iter().copied().fold(0.0f64, f64::max);
-    let mean = t.iter().sum::<f64>() / nn as f64;
-    // ShortestPathToIo elects the member closest to the I/O node
-    // (first node on a tie, matching MINLOC); unknown distances (Theta)
-    // degenerate to the first node, like the election itself.
-    let io_pick = (0..nn).min_by_key(|&s| io_dist[s]).unwrap_or(0);
+    let t = folded_costs(machine, &part);
+    let shortest_io = elect_partitions(machine, &[part], PlacementStrategy::ShortestPathToIo)[0];
 
     GroupFacts {
         span,
         bytes: total as f64,
         ranks: group.ranks.len().max(1),
-        rpn,
         agg: StrategyTimes {
-            topo_aware: min,
+            topo_aware: t.iter().copied().fold(f64::INFINITY, f64::min),
+            // RankOrder's MINLOC always elects member 0.
             rank_order: t[0],
-            shortest_io: t[io_pick],
-            worst_case: max,
-            mean,
+            shortest_io: t[shortest_io],
+            worst_case: t.iter().copied().fold(0.0f64, f64::max),
+            mean: t.iter().sum::<f64>() / t.len() as f64,
         },
     }
 }
@@ -495,7 +410,7 @@ mod tests {
     use tapioca_pfs::{GpfsTunables, LustreTunables};
     use tapioca_topology::{mira_profile, theta_profile, MIB};
 
-    fn theta_spec(n: usize, per: u64) -> CollectiveSpec {
+    fn block_spec(n: usize, per: u64) -> CollectiveSpec {
         CollectiveSpec {
             groups: vec![GroupSpec {
                 file: 0,
@@ -514,7 +429,6 @@ mod tests {
             buffer_size: buffer,
             strategy: PlacementStrategy::TopologyAware,
             pipelining: true,
-            coalescing: false,
             tier: TierAssignment::DramDirect,
         }
     }
@@ -523,7 +437,7 @@ mod tests {
     fn model_prefers_stripe_aligned_buffers() {
         let profile = theta_profile(64, 4);
         let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = theta_spec(256, 4 * MIB);
+        let spec = block_spec(256, 4 * MIB);
         let m = CostModel::new(&profile, &storage, &spec).unwrap();
         let aligned = m.score(&cand(48, 8 * MIB));
         let misaligned = m.score(&cand(48, 8 * MIB + 4096));
@@ -534,7 +448,7 @@ mod tests {
     fn model_rewards_parallel_osts_up_to_the_stripe_count() {
         let profile = theta_profile(64, 4);
         let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = theta_spec(256, 4 * MIB);
+        let spec = block_spec(256, 4 * MIB);
         let m = CostModel::new(&profile, &storage, &spec).unwrap();
         assert!(m.score(&cand(32, 8 * MIB)) < m.score(&cand(1, 8 * MIB)));
     }
@@ -564,7 +478,7 @@ mod tests {
     fn infeasible_candidates_score_infinite() {
         let profile = theta_profile(64, 4);
         let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let m = CostModel::new(&profile, &storage, &theta_spec(64, MIB)).unwrap();
+        let m = CostModel::new(&profile, &storage, &block_spec(64, MIB)).unwrap();
         assert_eq!(m.score(&cand(0, MIB)), f64::INFINITY);
         let too_big = Candidate {
             tier: TierAssignment::McdramDirect,
@@ -593,7 +507,7 @@ mod tests {
     fn mismatched_storage_kind_is_rejected() {
         let profile = mira_profile(128, 4);
         let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let err = CostModel::new(&profile, &storage, &theta_spec(16, MIB)).unwrap_err();
+        let err = CostModel::new(&profile, &storage, &block_spec(16, MIB)).unwrap_err();
         assert!(err.to_string().contains("does not match"));
     }
 
@@ -602,36 +516,58 @@ mod tests {
         let a = cand(8, MIB);
         let b = Candidate { tier: TierAssignment::McdramBurstBuffer, ..a };
         assert_eq!(a.sim_key(), b.sim_key());
-        let co = Candidate { coalescing: true, ..a };
-        assert_eq!(a.sim_key(), co.sim_key());
         let c = Candidate { aggregators: 9, ..a };
         assert_ne!(a.sim_key(), c.sim_key());
+        // Coalescing is not a candidate dimension: the tuned config
+        // carries the caller's setting through unchanged.
+        for on in [false, true] {
+            let base = crate::config::TapiocaConfig { coalescing: on, ..Default::default() };
+            assert_eq!(a.to_config(&base).coalescing, on);
+        }
     }
 
+    /// One evaluator: on the golden machines and workloads, each
+    /// strategy's ω aggregation term is the election's own `C1 + C2`
+    /// (`election_costs`) at the member `elect_partitions` picks under
+    /// that strategy. The tuner reads the node-folded vector, so the
+    /// two agree to summation-order rounding, not bit for bit.
     #[test]
-    fn coalescing_wins_on_dense_nodes_and_loses_on_sparse_ones() {
-        // 16 ranks/node, many small chunks: the merged-put latency
-        // saving dominates the extra gather copy.
-        let dense = theta_profile(16, 16);
-        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let spec = theta_spec(256, 8 * 1024);
-        let m = CostModel::new(&dense, &storage, &spec).unwrap();
-        let raw = cand(8, MIB);
-        let co = Candidate { coalescing: true, ..raw };
-        assert!(
-            m.score(&co) < m.score(&raw),
-            "16 rpn small chunks must favour coalescing: {} vs {}",
-            m.score(&co),
-            m.score(&raw)
-        );
-
-        // 1 rank/node: no runs can form, so coalescing must not be
-        // scored cheaper than raw.
-        let sparse = theta_profile(64, 1);
-        let spec = theta_spec(64, 4 * MIB);
-        let m = CostModel::new(&sparse, &storage, &spec).unwrap();
-        let raw = cand(8, MIB);
-        let co = Candidate { coalescing: true, ..raw };
-        assert!(m.score(&co) >= m.score(&raw), "1 rpn has nothing to merge");
+    fn strategy_times_are_the_election_costs_of_the_elected_members() {
+        use crate::placement::election_costs;
+        // IOR: 1 MiB per rank; HACC AoS: 1 MiB / 38 particles of 38 B.
+        let (ior, hacc) = (MIB, MIB / 38 * 38);
+        let machines = [
+            (mira_profile(128, 4), "mira"),
+            (theta_profile(32, 4), "theta"),
+        ];
+        for (profile, name) in &machines {
+            let n = profile.machine.num_ranks();
+            for per in [ior, hacc] {
+                let spec = block_spec(n, per);
+                let g = &spec.groups[0];
+                let weights: Vec<u64> = g.decls.iter().map(|d| d[0].len).collect();
+                let part = PartitionElection {
+                    members: &g.ranks,
+                    weights: &weights,
+                    io: profile.machine.io_nodes_for(&g.ranks).first().copied().unwrap_or(0),
+                    partition_index: 0,
+                };
+                let exact = election_costs(&profile.machine, &part, PlacementStrategy::TopologyAware);
+                let facts = group_facts(&profile.machine, g);
+                for strategy in [
+                    PlacementStrategy::TopologyAware,
+                    PlacementStrategy::RankOrder,
+                    PlacementStrategy::ShortestPathToIo,
+                ] {
+                    let winner = elect_partitions(&profile.machine, &[part], strategy)[0];
+                    let (got, want) = (facts.agg.of(strategy), exact[winner]);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs(),
+                        "{name} per={per} {strategy:?}: ω term {got} vs election cost {want} \
+                         at member {winner}"
+                    );
+                }
+            }
+        }
     }
 }

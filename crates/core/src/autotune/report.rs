@@ -4,24 +4,17 @@
 /// Counters of one [`crate::autotune::autotune`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TuneReport {
-    /// Size of the exhaustive search grid the coarse stage enumerated.
+    /// Size of the exhaustive search grid.
     pub grid_size: usize,
     /// Grid points the static analyzer proved illegal and discarded
     /// before any model or simulator work (see
     /// `crate::analyze::screen_candidate`).
     pub static_pruned: usize,
-    /// ω evaluations in the coarse stage (= `grid_size` minus the
-    /// statically pruned points).
+    /// ω evaluations (= `grid_size` minus the statically pruned points).
     pub model_evals: usize,
-    /// Additional ω evaluations in the refinement stage.
-    pub refine_evals: usize,
-    /// Short-list size handed to the simulator (after sim-key dedup,
-    /// including the rule-based anchor).
-    pub shortlist: usize,
-    /// Full simulations actually run (cache misses).
-    pub sims_run: u64,
-    /// Simulator evaluations served from the memo cache.
-    pub cache_hits: u64,
+    /// Full simulations run: the short-list after sim-key dedup,
+    /// including the rule-based anchor.
+    pub sims_run: usize,
     /// Wall time of the confirmation stage (the short-list simulations),
     /// in nanoseconds. The one non-deterministic field: compare the
     /// counters, report the wall time.
@@ -41,14 +34,11 @@ impl std::fmt::Display for TuneReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "grid {} | static pruned {} | model evals {} (+{} refine) | shortlist {} | sims {} ({} cached, {:.1} ms) | {:.1}x fewer sims than exhaustive",
+            "grid {} | static pruned {} | model evals {} | sims {} ({:.1} ms) | {:.1}x fewer sims than exhaustive",
             self.grid_size,
             self.static_pruned,
             self.model_evals,
-            self.refine_evals,
-            self.shortlist,
             self.sims_run,
-            self.cache_hits,
             self.sim_wall_ns as f64 / 1e6,
             self.sim_savings()
         )
@@ -71,16 +61,13 @@ mod tests {
     #[test]
     fn display_mentions_the_headline_numbers() {
         let r = TuneReport {
-            grid_size: 240,
+            grid_size: 120,
             static_pruned: 12,
-            model_evals: 228,
-            refine_evals: 6,
-            shortlist: 9,
+            model_evals: 108,
             sims_run: 9,
-            cache_hits: 3,
             sim_wall_ns: 1_500_000,
         };
         let s = r.to_string();
-        assert!(s.contains("grid 240") && s.contains("sims 9"));
+        assert!(s.contains("grid 120") && s.contains("sims 9"));
     }
 }

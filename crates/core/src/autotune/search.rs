@@ -1,15 +1,12 @@
-//! Coarse-to-fine, cost-model-guided configuration search.
+//! Cost-model-guided configuration search.
 //!
-//! Stage 1 (*coarse*) enumerates the full multi-dimensional grid —
+//! Stage 1 (*score*) enumerates the full multi-dimensional grid —
 //! aggregator count × buffer size × placement strategy × pipelining ×
-//! coalescing × tier assignment — and scores every point with the
-//! analytic model ω
+//! tier assignment — and scores every point with the analytic model ω
 //! ([`CostModel`]), which costs arithmetic, not simulations. Stage 2
-//! (*refine*) densifies the aggregator ladder around the coarse winner
-//! and rescores. Stage 3 (*confirm*) hands the model's short-list — plus
-//! the rule-based configuration as a regression anchor — to
-//! `run_tapioca_sim`, fanned out over std threads with results memoized
-//! in a [`SimCache`] keyed by the simulator-visible config hash.
+//! (*confirm*) hands the model's short-list, deduplicated by the
+//! simulator-visible config hash, plus the rule-based configuration as a
+//! regression anchor, to `run_tapioca_sim`, fanned out over std threads.
 //!
 //! Because the rule-based anchor is always confirmed, the tuned result
 //! can never be slower than the paper's hand-tuning *as measured by the
@@ -24,10 +21,9 @@ use std::time::Instant;
 
 use tapioca_topology::{MachineProfile, StorageProfile};
 
-use crate::autotune::cache::SimCache;
 use crate::autotune::model::{Candidate, CostModel, TierAssignment};
 use crate::autotune::report::TuneReport;
-use crate::autotune::rule_based;
+use crate::autotune::{min_group, rule_based};
 use crate::config::TapiocaConfig;
 use crate::error::Result;
 use crate::placement::PlacementStrategy;
@@ -46,11 +42,6 @@ pub struct SearchSpace {
     pub strategies: Vec<PlacementStrategy>,
     /// Pipelining on/off.
     pub pipelining: Vec<bool>,
-    /// Intra-node put coalescing on/off. Like the tier, this dimension
-    /// is decided by ω alone: the flow simulator's bandwidth is
-    /// coalescing-invariant (it batches per node already), so the
-    /// short-list dedup keeps whichever variant the model prefers.
-    pub coalescing: Vec<bool>,
     /// Tier assignments (KNL tiers only exist on Lustre machines).
     pub tiers: Vec<TierAssignment>,
 }
@@ -69,12 +60,12 @@ impl SearchSpace {
         storage: &StorageConfig,
         spec: &CollectiveSpec,
     ) -> Result<SearchSpace> {
-        let min_group = spec.groups.iter().map(|g| g.ranks.len()).min().unwrap_or(1).max(1);
-        let seed = rule_based(profile, storage, min_group)?;
+        let cap = min_group(spec);
+        let seed = rule_based(profile, storage, cap)?;
         let base = seed.num_aggregators.max(4);
         let mut aggregators: Vec<usize> = [base / 4, base / 2, base, base * 2, base * 4]
             .into_iter()
-            .map(|a| a.clamp(1, min_group))
+            .map(|a| a.clamp(1, cap))
             .collect();
         aggregators.sort_unstable();
         aggregators.dedup();
@@ -110,7 +101,6 @@ impl SearchSpace {
                 PlacementStrategy::RankOrder,
             ],
             pipelining: vec![true, false],
-            coalescing: vec![false, true],
             tiers,
         })
     }
@@ -121,7 +111,6 @@ impl SearchSpace {
             * self.buffers.len()
             * self.strategies.len()
             * self.pipelining.len()
-            * self.coalescing.len()
             * self.tiers.len()
     }
 
@@ -132,17 +121,14 @@ impl SearchSpace {
             for &buffer_size in &self.buffers {
                 for &strategy in &self.strategies {
                     for &pipelining in &self.pipelining {
-                        for &coalescing in &self.coalescing {
-                            for &tier in &self.tiers {
-                                out.push(Candidate {
-                                    aggregators,
-                                    buffer_size,
-                                    strategy,
-                                    pipelining,
-                                    coalescing,
-                                    tier,
-                                });
-                            }
+                        for &tier in &self.tiers {
+                            out.push(Candidate {
+                                aggregators,
+                                buffer_size,
+                                strategy,
+                                pipelining,
+                                tier,
+                            });
                         }
                     }
                 }
@@ -169,7 +155,8 @@ pub struct TuneOutcome {
     /// Simulated bandwidth of `rule`, bytes/s.
     pub rule_bandwidth: f64,
     /// Every simulator-confirmed candidate with its bandwidth, in
-    /// confirmation order (the rule-based anchor is last).
+    /// confirmation order (the rule-based anchor is last unless the
+    /// model short-listed it already).
     pub confirmed: Vec<(TapiocaConfig, f64)>,
     /// Work accounting.
     pub report: TuneReport,
@@ -202,7 +189,6 @@ pub fn autotune_from(
 ) -> Result<TuneOutcome> {
     let space = SearchSpace::derive(profile, storage, spec)?;
     let model = CostModel::new(profile, storage, spec)?;
-    let min_group = spec.groups.iter().map(|g| g.ranks.len()).min().unwrap_or(1).max(1);
 
     // Stage 0 — static screen: discard grid points the static analyzer
     // proves illegal (double buffer over tier capacity) before spending
@@ -214,34 +200,14 @@ pub fn autotune_from(
         .partition(|c| crate::analyze::screen_candidate(c).is_some());
     let static_pruned = pruned.len();
 
-    // Stage 1 — coarse: score the surviving grid with ω.
-    let mut scored: Vec<(f64, Candidate)> =
-        legal.iter().map(|c| (model.score(c), *c)).collect();
-    let model_evals = scored.len();
+    // Stage 1 — score the surviving grid with ω.
+    let scored: Vec<(f64, Candidate)> = legal.iter().map(|c| (model.score(c), *c)).collect();
 
-    // Stage 2 — refine: densify the aggregator ladder around the coarse
-    // winner (geometric midpoints towards its neighbors) and rescore.
-    let mut refine_evals = 0usize;
-    if let Some(&(_, coarse_best)) = scored
-        .iter()
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-    {
-        let a = coarse_best.aggregators;
-        for next in [a * 3 / 4, a * 3 / 2] {
-            let next = next.clamp(1, min_group);
-            if next != a && !space.aggregators.contains(&next) {
-                let c = Candidate { aggregators: next, ..coarse_best };
-                scored.push((model.score(&c), c));
-                refine_evals += 1;
-            }
-        }
-    }
-
-    // Stage 3 — confirm: short-list the model's best points (dedup by
-    // sim key, keeping the model-preferred tier variant of each), append
-    // the rule-based anchor, and simulate in parallel. The short-list
-    // budget stays well under a quarter of the grid — the savings the
-    // model buys.
+    // Stage 2 — confirm: short-list the model's best points (dedup by
+    // sim key, keeping the model-preferred tier variant of each), add
+    // the rule-based anchor if it is not on it yet, and simulate in
+    // parallel. The short-list budget stays well under a quarter of the
+    // grid — the savings the model buys.
     let budget = (space.grid_size() / 16).clamp(4, 10);
     let mut order: Vec<usize> = (0..scored.len()).collect();
     order.sort_by(|&i, &j| scored[i].0.total_cmp(&scored[j].0).then(i.cmp(&j)));
@@ -258,18 +224,21 @@ pub fn autotune_from(
             }
         }
     }
-    let rule = rule_based(profile, storage, min_group)?;
+    let rule = rule_based(profile, storage, min_group(spec))?;
     let rule_cand = Candidate {
         aggregators: rule.num_aggregators,
         buffer_size: rule.buffer_size,
         strategy: rule.strategy,
         pipelining: rule.pipelining,
-        coalescing: false,
         tier: TierAssignment::DramDirect,
     };
-    if shortlist.iter().all(|c| c.sim_key() != rule_cand.sim_key()) {
-        shortlist.push(rule_cand);
-    }
+    let anchor = match shortlist.iter().position(|c| c.sim_key() == rule_cand.sim_key()) {
+        Some(i) => i,
+        None => {
+            shortlist.push(rule_cand);
+            shortlist.len() - 1
+        }
+    };
 
     // Clean evaluation config: no faults, no tracer, default policy.
     let clean = TapiocaConfig {
@@ -277,16 +246,11 @@ pub fn autotune_from(
         buffer_size: base.buffer_size,
         ..TapiocaConfig::default()
     };
-    let cache = SimCache::new();
     let confirm_start = Instant::now();
-    let bandwidths = confirm_parallel(profile, storage, spec, &clean, &cache, &shortlist)?;
+    let bandwidths = confirm_parallel(profile, storage, spec, &clean, &shortlist)?;
     let sim_wall_ns = confirm_start.elapsed().as_nanos() as u64;
 
-    let rule_bandwidth = *bandwidths.last().expect("anchor always confirmed");
-    let rule_bw_of = |c: &Candidate| {
-        if c.sim_key() == rule_cand.sim_key() { Some(rule_bandwidth) } else { None }
-    };
-    let _ = rule_bw_of; // (anchor may also appear mid-list; bandwidths carry it)
+    let rule_bandwidth = bandwidths[anchor];
 
     // Winner: max simulated bandwidth, ties to the earlier (model-
     // preferred) short-list entry.
@@ -300,11 +264,8 @@ pub fn autotune_from(
     let report = TuneReport {
         grid_size: space.grid_size(),
         static_pruned,
-        model_evals,
-        refine_evals,
-        shortlist: shortlist.len(),
-        sims_run: cache.misses(),
-        cache_hits: cache.hits(),
+        model_evals: scored.len(),
+        sims_run: shortlist.len(),
         sim_wall_ns,
     };
     Ok(TuneOutcome {
@@ -330,22 +291,17 @@ pub fn autotune_from(
 
 /// Confirm the short-list in the simulator, one std thread per chunk,
 /// results written into pre-assigned slots (deterministic regardless of
-/// scheduling). Keys are deduped by construction, so no two threads
-/// ever evaluate the same cache key.
+/// scheduling). Sim keys are deduped by construction, so every entry is
+/// one distinct simulation.
 fn confirm_parallel(
     profile: &MachineProfile,
     storage: &StorageConfig,
     spec: &CollectiveSpec,
     clean: &TapiocaConfig,
-    cache: &SimCache,
     shortlist: &[Candidate],
 ) -> Result<Vec<f64>> {
     let eval_one = |cand: &Candidate| -> Result<f64> {
-        cache.eval(cand.sim_key(), || {
-            let cfg = cand.to_config(clean);
-            let rep = run_tapioca_sim(profile, storage, spec, &cfg)?;
-            Ok(rep.bandwidth)
-        })
+        Ok(run_tapioca_sim(profile, storage, spec, &cand.to_config(clean))?.bandwidth)
     };
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     if shortlist.len() < 2 || threads < 2 {
@@ -421,7 +377,28 @@ mod tests {
         assert!(out.tuned_bandwidth >= out.rule_bandwidth);
         assert!(out.best.num_aggregators >= 1 && out.best.num_aggregators <= 256);
         assert!(out.report.sim_savings() >= 4.0, "{}", out.report);
-        assert!(out.report.sims_run as usize <= out.report.grid_size / 4);
+        assert!(out.report.sims_run <= out.report.grid_size / 4);
+    }
+
+    /// Here ω short-lists the rule config itself, so the anchor is not
+    /// the last confirmed entry; the rule bandwidth must still be its own.
+    #[test]
+    fn rule_bandwidth_is_the_anchors_even_mid_list() {
+        let profile = theta_profile(16, 1);
+        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
+        let spec = CollectiveSpec { mode: AccessMode::Read, ..theta_spec(16, 16 * MIB) };
+        let out = autotune(&profile, &storage, &spec).unwrap();
+        let r = &out.rule;
+        let anchor = out
+            .confirmed
+            .iter()
+            .position(|(c, _)| {
+                (c.num_aggregators, c.buffer_size, c.strategy, c.pipelining)
+                    == (r.num_aggregators, r.buffer_size, r.strategy, r.pipelining)
+            })
+            .expect("the anchor is always confirmed");
+        assert!(anchor + 1 < out.confirmed.len(), "case no longer short-lists the rule config");
+        assert_eq!(out.rule_bandwidth.to_bits(), out.confirmed[anchor].1.to_bits());
     }
 
     #[test]

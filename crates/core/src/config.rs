@@ -32,10 +32,10 @@ pub struct TapiocaConfig {
     /// Merge intra-node contiguous puts into one RMA operation per
     /// (node, round): co-located ranks deposit into a node leader's
     /// gather buffer and the leader forwards the packed range as a
-    /// single put. Off by default — the autotuner enables it when the
-    /// ω(A) per-op latency saved exceeds the gather overhead (high
-    /// ranks-per-node, many small chunks). File bytes are bit-identical
-    /// either way.
+    /// single put. Off by default, and the autotuner never enables it:
+    /// it loses to raw puts on every paired benchmark run, and stays
+    /// only until the runtime fork is deleted (ROADMAP item 1). File
+    /// bytes are bit-identical either way.
     pub coalescing: bool,
     /// Deterministic fault schedule consumed by both executors. `None`
     /// (the default) injects nothing; recovery machinery stays off the

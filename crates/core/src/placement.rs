@@ -229,6 +229,48 @@ impl PartitionTable {
         }
         self.sign * (c1 + self.c2[s])
     }
+
+    /// The node-folded, unsigned `C1 + C2` of every member, paired with
+    /// the [`fold_tolerance`] bound on its divergence from
+    /// [`PartitionTable::cost`]. `C1` folds into a sum over nodes of
+    /// per-node member counts and weight totals, less the candidate's
+    /// own weight: `nodes²` work however many members a node holds.
+    fn folded(&self, weights: &[u64]) -> Vec<(f64, f64)> {
+        let nn = self.nn;
+        let mut count = vec![0.0f64; nn];
+        let mut w_sum = vec![0.0f64; nn];
+        for (&s, &w) in self.slot.iter().zip(weights) {
+            count[s] += 1.0;
+            w_sum[s] += w as f64;
+        }
+        let base: Vec<f64> = (0..nn)
+            .map(|s| {
+                let mut cross = 0.0;
+                for t in (0..nn).filter(|&t| t != s) {
+                    cross += count[t] * self.lat[s * nn + t] + w_sum[t] / self.bw[s * nn + t];
+                }
+                cross + self.c2[s]
+            })
+            .collect();
+        self.slot
+            .iter()
+            .zip(weights)
+            .map(|(&s, &w)| {
+                let intra_bw = self.bw[s * nn + s];
+                let f = base[s] + (w_sum[s] - w as f64) / intra_bw;
+                (f, fold_tolerance(weights.len(), base[s] + w_sum[s] / intra_bw))
+            })
+            .collect()
+    }
+}
+
+/// The node-folded `TopologyAware` cost of every member: within
+/// [`fold_tolerance`] of [`election_costs`] under `TopologyAware`, from
+/// the same `nodes²` table, but without the exact per-member replay.
+/// The autotuner's ω(A) reads its aggregation term from this vector.
+pub(crate) fn folded_costs(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> Vec<f64> {
+    let table = PartitionTable::new(topo, part, false);
+    table.folded(part.weights).into_iter().map(|(f, _)| f).collect()
 }
 
 /// Upper bound on `|oracle_cost - folded_cost|` for one candidate.
@@ -250,8 +292,8 @@ fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
 /// same winner as [`elect_aggregator`], with `nodes²` topology queries
 /// instead of `P²`.
 ///
-/// The member sum of `C1` folds into a node sum over per-node member
-/// counts and weight totals. Folding reassociates the floating-point
+/// The member sum of `C1` folds into a node sum
+/// ([`PartitionTable::folded`]). Folding reassociates the floating-point
 /// sum, so a folded cost can differ from the oracle's pairwise sum by a
 /// few ulps — enough to flip a MINLOC tie. To stay *bit-identical* to
 /// the oracle, the folded costs are only used to prune: every candidate
@@ -268,33 +310,10 @@ fn elect_folded(topo: &dyn TopologyProvider, part: &PartitionElection<'_>, worst
     let weights = part.weights;
     let p = weights.len();
     let table = PartitionTable::new(topo, part, worst);
-    let (nn, sign) = (table.nn, table.sign);
-
-    // Per-node member count and weight total.
-    let mut count = vec![0.0f64; nn];
-    let mut w_sum = vec![0.0f64; nn];
-    for (&s, &w) in table.slot.iter().zip(weights) {
-        count[s] += 1.0;
-        w_sum[s] += w as f64;
-    }
-
-    // Folded signed cost per candidate node (less the candidate's own
-    // weight), and the magnitude bound for the prune tolerance.
-    let base: Vec<f64> = (0..nn)
-        .map(|s| {
-            let mut cross = 0.0;
-            for t in (0..nn).filter(|&t| t != s) {
-                cross += count[t] * table.lat[s * nn + t] + w_sum[t] / table.bw[s * nn + t];
-            }
-            cross + table.c2[s]
-        })
-        .collect();
+    let folded = table.folded(weights);
     let window = |i: usize| {
-        let s = table.slot[i];
-        let intra_bw = table.bw[s * nn + s];
-        let f = base[s] + (w_sum[s] - weights[i] as f64) / intra_bw;
-        let d = fold_tolerance(p, base[s] + w_sum[s] / intra_bw);
-        (sign * f - d, sign * f + d)
+        let (f, d) = folded[i];
+        (table.sign * f - d, table.sign * f + d)
     };
     let best_upper = (0..p).map(|i| window(i).1).fold(f64::INFINITY, f64::min);
 
@@ -580,6 +599,51 @@ mod tests {
         let weights = vec![1u64; 3];
         let w = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::ShortestPathToIo);
         assert_eq!(w, 0);
+    }
+
+    /// The folded vector the autotuner reads stays within a relative
+    /// 1e-12 of the exact per-candidate cost, on every machine, for
+    /// block, straddling, strided and single-member partitions under
+    /// uniform, spread, one-dominant and mostly-zero weights.
+    #[test]
+    fn folded_costs_stay_within_the_bound_of_election_costs() {
+        let machines: [Box<dyn TopologyProvider>; 3] = [
+            Box::new(mira_profile(512, 16).machine),
+            Box::new(theta_profile(512, 16).machine),
+            Box::new(tapioca_topology::cluster_profile(128, 16).machine),
+        ];
+        for topo in &machines {
+            let topo = topo.as_ref();
+            let shapes: [Vec<Rank>; 4] = [
+                (0..128).collect(),
+                (1000..1129).collect(),
+                (0..64).map(|i| i * 37 + 5).collect(),
+                vec![77],
+            ];
+            for members in &shapes {
+                let n = members.len();
+                for pattern in 0..4 {
+                    let weights: Vec<u64> = (0..n as u64)
+                        .map(|i| match pattern {
+                            0 => 1 << 20,
+                            1 => (i * 0x9E37_79B9) % (64 << 20),
+                            2 => if i == n as u64 / 2 { 1 << 34 } else { 1 },
+                            _ => if i % 5 == 0 { i << 12 } else { 0 },
+                        })
+                        .collect();
+                    let io = topo.io_nodes_for(members).first().copied().unwrap_or(0);
+                    let part =
+                        PartitionElection { members, weights: &weights, io, partition_index: 0 };
+                    let exact = election_costs(topo, &part, PlacementStrategy::TopologyAware);
+                    for (i, (f, e)) in folded_costs(topo, &part).iter().zip(&exact).enumerate() {
+                        assert!(
+                            (f - e).abs() <= 1e-12 * e.abs(),
+                            "members={n} pattern={pattern} candidate={i}: folded {f} vs exact {e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

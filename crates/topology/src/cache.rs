@@ -7,10 +7,11 @@
 //! the rank itself (co-located ranks are 0 hops apart and communicate at
 //! intra-node bandwidth; cross-node pairs route between the two nodes).
 //! A cost evaluation over P ranks spread across N nodes therefore needs
-//! at most N² metric computations instead of P². This lazy memo serves
-//! callers whose node set is open-ended (the autotuner's ω(A), which
-//! scores many configurations against one machine); the election knows
-//! its nodes up front and fills a dense per-partition table instead.
+//! at most N² metric computations instead of P². The election and the
+//! autotuner both read a dense per-partition table instead
+//! (`tapioca::placement`); this lazy memo's only remaining caller is
+//! `benchmark/src/probes.rs`, and it goes when that probe moves to the
+//! election's cost vector (ROADMAP item 2).
 //!
 //! The cache is caller-owned, lazy, and strategy-agnostic:
 //!

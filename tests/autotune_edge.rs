@@ -4,7 +4,7 @@
 //! tuning sweep feeds the pipeline while exploring, so both the thread
 //! runtime and the tuner itself must take them without panicking.
 
-use tapioca::autotune::{autotune, empirical_sweep};
+use tapioca::autotune::autotune;
 use tapioca::prelude::*;
 use tapioca::sim_exec::{CollectiveSpec, GroupSpec, StorageConfig};
 use tapioca_mpi::{Runtime, SharedFile};
@@ -116,8 +116,6 @@ fn tuner_accepts_zero_length_extents() {
     let out = autotune(&profile, &storage, &spec).unwrap();
     assert!(out.tuned_bandwidth >= out.rule_bandwidth);
     assert!(out.best.num_aggregators >= 1);
-    let sweep = empirical_sweep(&profile, &storage, &spec).unwrap();
-    assert!(sweep.best.num_aggregators >= 1);
 }
 
 #[test]
@@ -164,38 +162,4 @@ fn tuner_accepts_one_rank_groups() {
     for (cfg, _) in &out.confirmed {
         assert_eq!(cfg.num_aggregators, 1, "a 1-rank group admits exactly one aggregator");
     }
-    let sweep = empirical_sweep(&profile, &storage, &spec).unwrap();
-    assert_eq!(sweep.best.num_aggregators, 1);
-}
-
-#[test]
-fn tuner_enables_coalescing_only_where_it_pays() {
-    // 16 ranks/node with many small chunks: the merged-put latency
-    // saving dominates, so the model-preferred variant of the winning
-    // sim key must carry coalescing.
-    let profile = theta_profile(16, 16);
-    let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-    let n = 256;
-    let decls: Vec<Vec<WriteDecl>> = (0..n as u64)
-        .map(|r| vec![WriteDecl { offset: r * 8 * 1024, len: 8 * 1024 }])
-        .collect();
-    let spec = CollectiveSpec {
-        groups: vec![GroupSpec { file: 0, ranks: (0..n).collect(), decls }],
-        mode: AccessMode::Write,
-    };
-    let out = autotune(&profile, &storage, &spec).unwrap();
-    assert!(out.best.coalescing, "dense nodes with small chunks must tune coalescing on");
-    assert!(out.tuned_bandwidth >= out.rule_bandwidth);
-
-    // 1 rank/node: no run can ever form, so coalescing must stay off.
-    let profile = theta_profile(16, 1);
-    let n = 16;
-    let decls: Vec<Vec<WriteDecl>> =
-        (0..n as u64).map(|r| vec![WriteDecl { offset: r * MIB, len: MIB }]).collect();
-    let spec = CollectiveSpec {
-        groups: vec![GroupSpec { file: 0, ranks: (0..n).collect(), decls }],
-        mode: AccessMode::Write,
-    };
-    let out = autotune(&profile, &storage, &spec).unwrap();
-    assert!(!out.best.coalescing, "one rank per node has nothing to merge");
 }
