@@ -1,9 +1,8 @@
 //! Tracked performance harness: self-times the aggregator election
 //! (`elect_partitions` vs. the pairwise `elect_aggregator` reference),
 //! simulator set-up across rank counts, the netsim engine (incremental
-//! vs. full re-waterfilling), the streaming write path and the
-//! coalescing data plane, then writes `BENCH_perf.json` at the repo
-//! root in a stable schema.
+//! vs. full re-waterfilling) and the streaming write path, then writes
+//! `BENCH_perf.json` at the repo root in a stable schema.
 //!
 //! Usage:
 //!
@@ -15,11 +14,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v7`):
+//! Schema (`tapioca-perfbench/v8`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v7",
+//!   "schema": "tapioca-perfbench/v8",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -37,16 +36,7 @@
 //!                 [ { "machine", "workload", "ranks", "bytes_per_rank",
 //!                     "epochs", "reps", "staged_ns", "streamed_ns",
 //!                     "speedup", "staged_copy_bytes",
-//!                     "streamed_copy_bytes", "identical" } ],
-//!     "dataplane":
-//!                 [ { "machine", "workload", "ranks", "ranks_per_node",
-//!                     "bytes_per_rank", "epochs", "reps", "raw_puts",
-//!                     "coalesced_puts", "merged_puts",
-//!                     "coalesced_chunks", "put_op_reduction",
-//!                     "copy_bytes_eliminated", "raw_ns", "coalesced_ns",
-//!                     "speedup", "sim_raw_elapsed_s",
-//!                     "sim_coalesced_elapsed_s", "sim_speedup",
-//!                     "identical" } ]
+//!                     "streamed_copy_bytes", "identical" } ]
 //!   }
 //! }
 //! ```
@@ -92,49 +82,24 @@
 //! straight into the round pipeline. `*_copy_bytes` count staging-buffer
 //! copies — the streamed column must be 0 on these in-order workloads —
 //! and `identical` asserts both legs produce bitwise-equal files.
-//!
-//! `dataplane` measures intra-node put coalescing on small-chunk
-//! collective writes whose round windows span several co-located ranks.
-//! Each row runs the same batch pipeline twice through the thread
-//! executor — `coalescing: false` (one wire put per chunk) vs
-//! `coalescing: true` (co-located contiguous chunks deposited into a
-//! node leader's gather buffer and forwarded as one merged put) — and
-//! reports the wire-op accounting (`put_op_reduction` is
-//! `raw_puts / coalesced_puts`; `merged_puts`/`coalesced_chunks` are
-//! the leader-issued merges and the chunks folded into them) plus wall
-//! times. `copy_bytes_eliminated` counts flushed bytes submitted as
-//! refcounted in-place window segments — bytes the pre-vectored flush
-//! path memcpy'd into an owned staging buffer per segment. The `sim_*`
-//! columns run the same workload through the simulator executor, whose
-//! transfer granularity is already per (round, source node): coalescing
-//! is intrinsic there, so its elapsed ratio documents invariance
-//! (~1.0x) rather than a win. `identical` asserts the raw and coalesced
-//! legs produce bitwise-equal files. The thread-executor `speedup`
-//! column depends on host parallelism: the coalesced leg trades one
-//! extra intra-node copy per chunk for far fewer window-pane lock
-//! acquisitions and wire ops, so it wins when member threads actually
-//! run concurrently, while on a single-CPU host the two legs time
-//! within scheduler noise of parity and the deterministic
-//! `put_op_reduction` / `copy_bytes_eliminated` columns carry the
-//! signal.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tapioca::aggregation::{run_write_pipeline, IoStats};
+use tapioca::aggregation::run_write_pipeline;
 use tapioca::placement::{
     elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
 };
 use tapioca::prelude::*;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
-use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, SimSession, StorageConfig};
+use tapioca::sim_exec::{SimSession, StorageConfig};
 use tapioca_bench::hacc_mira;
 use tapioca_bench::loc::code_lines_per_crate;
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_netsim::{Recompute, Simulator};
-use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
+use tapioca_pfs::GpfsTunables;
 use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider, MIB};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 
@@ -738,217 +703,6 @@ fn streaming_suite(smoke: bool, json: &mut String) {
     }
 }
 
-/// One dataplane-suite case: a machine and a declaration layout shaped
-/// so each round window spans several co-located ranks (the
-/// precondition for intra-node put coalescing), plus the schedule knobs
-/// that keep it that way.
-struct DataplaneCase {
-    machine: &'static str,
-    workload: &'static str,
-    profile: MachineProfile,
-    decls: Vec<Vec<WriteDecl>>,
-    aggregators: usize,
-    buffer: u64,
-    epochs: u64,
-}
-
-impl DataplaneCase {
-    fn cfg(&self, coalescing: bool) -> TapiocaConfig {
-        TapiocaConfig {
-            num_aggregators: self.aggregators,
-            buffer_size: self.buffer,
-            coalescing,
-            ..Default::default()
-        }
-    }
-
-    /// The same workload as a single-group collective spec for the
-    /// simulator executor.
-    fn spec(&self) -> CollectiveSpec {
-        CollectiveSpec {
-            groups: vec![GroupSpec {
-                file: 0,
-                ranks: (0..self.decls.len()).collect(),
-                decls: self.decls.clone(),
-            }],
-            mode: AccessMode::Write,
-        }
-    }
-
-    fn storage(&self) -> StorageConfig {
-        match self.machine {
-            "mira" => StorageConfig::Gpfs(GpfsTunables::mira_optimized()),
-            _ => StorageConfig::Lustre(LustreTunables::theta_optimized()),
-        }
-    }
-}
-
-/// One thread-mode run: a single reused [`Session`] streaming `epochs`
-/// timesteps of identical payloads, so window/gather allocations are
-/// paid once and the measurement is the steady-state put + flush path.
-/// Returns the stats merged across all ranks and epochs.
-fn run_dataplane(case: &DataplaneCase, coalescing: bool, path: &std::path::Path) -> IoStats {
-    let machine = Arc::new(case.profile.machine.clone());
-    let cfg = case.cfg(coalescing);
-    let decls = case.decls.clone();
-    let epochs = case.epochs;
-    let path = path.to_path_buf();
-    let stats = Runtime::run(decls.len(), move |comm| {
-        let file = SharedFile::open_shared(&comm, &path);
-        let r = comm.rank();
-        let mine = decls[r].clone();
-        let data: Vec<Vec<u8>> =
-            mine.iter().enumerate().map(|(v, d)| stream_payload(r, v, d.len, 0)).collect();
-        let mut io = Session::builder(&comm, file)
-            .declarations(mine.clone())
-            .config(cfg.clone())
-            .topology(machine.clone())
-            .build()
-            .expect("session build failed");
-        let mut total = IoStats::default();
-        for _ in 0..epochs {
-            for (v, d) in mine.iter().enumerate() {
-                io.write(d.offset, &data[v]).expect("write failed");
-            }
-            total.merge(io.stats().expect("epoch completed"));
-        }
-        io.finalize();
-        total
-    });
-    let mut t = IoStats::default();
-    for s in &stats {
-        t.merge(s);
-    }
-    t
-}
-
-fn dataplane_suite(smoke: bool, json: &mut String) {
-    let (ranks, epochs) = if smoke { (32usize, 2u64) } else { (64, 4) };
-    // 16 ranks per node on Mira (the put-op-reduction shape the paper's
-    // machines actually run), 8 on Theta; chunks small enough that
-    // per-operation overhead — not the memcpy — dominates the
-    // aggregation phase, which is the regime coalescing targets.
-    // One aggregator per 16 contiguous ranks keeps every partition
-    // entirely within one or two nodes.
-    let cases = vec![
-        DataplaneCase {
-            machine: "mira",
-            workload: "ior",
-            profile: mira_profile(128, 16),
-            decls: ior_decls(ranks, 8 * 1024),
-            aggregators: ranks / 16,
-            buffer: 64 * 1024,
-            epochs,
-        },
-        DataplaneCase {
-            machine: "mira",
-            workload: "hacc",
-            profile: mira_profile(128, 16),
-            decls: soa_decls(ranks, 9, 2 * 1024),
-            aggregators: ranks / 16,
-            buffer: 32 * 1024,
-            epochs,
-        },
-        DataplaneCase {
-            machine: "theta",
-            workload: "ior",
-            profile: theta_profile(8, 8),
-            decls: ior_decls(ranks, 8 * 1024),
-            aggregators: ranks / 16,
-            buffer: 64 * 1024,
-            epochs,
-        },
-        DataplaneCase {
-            machine: "theta",
-            workload: "hacc",
-            profile: theta_profile(8, 8),
-            decls: soa_decls(ranks, 9, 2 * 1024),
-            aggregators: ranks / 16,
-            buffer: 32 * 1024,
-            epochs,
-        },
-    ];
-
-    let dir = std::env::temp_dir().join("tapioca-perfbench-dataplane");
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let mut first = true;
-    for case in &cases {
-        let name = format!("{}-{}", case.machine, case.workload);
-        let p_raw = dir.join(format!("{name}-raw-{}", std::process::id()));
-        let p_co = dir.join(format!("{name}-co-{}", std::process::id()));
-
-        // correctness pass (untimed): identical bytes, wire accounting
-        let raw = run_dataplane(case, false, &p_raw);
-        let co = run_dataplane(case, true, &p_co);
-        let identical = std::fs::read(&p_raw).expect("read raw file")
-            == std::fs::read(&p_co).expect("read coalesced file");
-        assert_eq!(raw.put_bytes, co.put_bytes, "wire byte totals must agree");
-        assert_eq!(
-            co.puts + co.coalesced_chunks - co.coalesced_puts,
-            raw.puts,
-            "merged-put arithmetic must hold"
-        );
-
-        let reps = if smoke { 3 } else { 5 };
-        let raw_ns = median_ns(reps, || {
-            black_box(run_dataplane(case, false, &p_raw));
-        });
-        let coalesced_ns = median_ns(reps, || {
-            black_box(run_dataplane(case, true, &p_co));
-        });
-        std::fs::remove_file(&p_raw).ok();
-        std::fs::remove_file(&p_co).ok();
-
-        // Simulator executor: transfers are already batched per
-        // (round, source node), so coalescing must be a no-op there.
-        let storage = case.storage();
-        let spec = case.spec();
-        let sim_raw = run_tapioca_sim(&case.profile, &storage, &spec, &case.cfg(false))
-            .expect("sim (raw) failed");
-        let sim_co = run_tapioca_sim(&case.profile, &storage, &spec, &case.cfg(true))
-            .expect("sim (coalesced) failed");
-        let sim_speedup = sim_raw.elapsed / sim_co.elapsed.max(f64::MIN_POSITIVE);
-
-        let put_op_reduction = raw.puts as f64 / (co.puts as f64).max(1.0);
-        let speedup = raw_ns as f64 / (coalesced_ns as f64).max(1.0);
-        let bytes_per_rank: u64 = case.decls[0].iter().map(|d| d.len).sum();
-        let rpn = case.profile.machine.ranks_per_node();
-        eprintln!(
-            "dataplane {name} ranks={ranks} rpn={rpn} bytes/rank={bytes_per_rank}: \
-             puts {} -> {} ({put_op_reduction:.1}x fewer ops, {} merged), \
-             raw {raw_ns} ns, coalesced {coalesced_ns} ns ({speedup:.2}x, \
-             sim {sim_speedup:.3}x, identical={identical})",
-            raw.puts, co.puts, co.coalesced_puts,
-        );
-        if !first {
-            json.push(',');
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "\n    {{\"machine\": \"{}\", \"workload\": \"{}\", \"ranks\": {ranks}, \
-             \"ranks_per_node\": {rpn}, \"bytes_per_rank\": {bytes_per_rank}, \
-             \"epochs\": {}, \"reps\": {reps}, \"raw_puts\": {}, \
-             \"coalesced_puts\": {}, \"merged_puts\": {}, \"coalesced_chunks\": {}, \
-             \"put_op_reduction\": {put_op_reduction:.3}, \
-             \"copy_bytes_eliminated\": {}, \"raw_ns\": {raw_ns}, \
-             \"coalesced_ns\": {coalesced_ns}, \"speedup\": {speedup:.3}, \
-             \"sim_raw_elapsed_s\": {:.9}, \"sim_coalesced_elapsed_s\": {:.9}, \
-             \"sim_speedup\": {sim_speedup:.3}, \"identical\": {identical}}}",
-            case.machine,
-            case.workload,
-            case.epochs,
-            raw.puts,
-            co.puts,
-            co.coalesced_puts,
-            co.coalesced_chunks,
-            co.flush_bytes,
-            sim_raw.elapsed,
-            sim_co.elapsed,
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -968,8 +722,6 @@ fn main() {
     election_suite(smoke, &mut election);
     netsim_incremental_suite(smoke, &mut incremental);
     streaming_suite(smoke, &mut streaming);
-    let mut dataplane = String::new();
-    dataplane_suite(smoke, &mut dataplane);
 
     let loc: Vec<String> = code_lines_per_crate(std::path::Path::new(root))
         .iter()
@@ -978,13 +730,12 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v7\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v8\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \
          \"netsim_incremental\": [{incremental}\n   ],\n   \
-         \"streaming\": [{streaming}\n   ],\n   \
-         \"dataplane\": [{dataplane}\n   ]\n  }}\n}}\n"
+         \"streaming\": [{streaming}\n   ]\n  }}\n}}\n"
     );
     std::fs::write(&out, json).expect("write BENCH_perf.json");
     eprintln!("wrote {out}");

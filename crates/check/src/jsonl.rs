@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `offset` and `peer` are optional (omitted at their sentinel
-//! values), as is `coalesced` (omitted when 0).
+//! values).
 //! The workspace is std-only, so this is a hand-rolled parser for
 //! exactly this shape: flat objects, integer and plain-word string
 //! values, no escapes or nesting. Unknown keys are ignored so the
@@ -45,7 +45,6 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
     let mut bytes = None;
     let mut offset = NO_OFFSET;
     let mut peer = NO_PEER;
-    let mut coalesced = 0u32;
     for field in body.split(',') {
         let (key, value) = field.split_once(':').ok_or("expected \"key\":value")?;
         let key = key.trim().trim_matches('"');
@@ -58,7 +57,6 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
             "bytes" => bytes = Some(parse_u64(value)?),
             "offset" => offset = parse_u64(value)?,
             "peer" => peer = parse_u64(value)? as usize,
-            "coalesced" => coalesced = parse_u64(value)? as u32,
             "phase" => {
                 phase = Some(match value.trim_matches('"') {
                     "aggregation" => Phase::Aggregation,
@@ -97,7 +95,6 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
         bytes: bytes.ok_or("missing bytes")?,
         peer,
         offset,
-        coalesced,
     })
 }
 
@@ -122,7 +119,6 @@ mod tests {
                 bytes: 64,
                 offset: 128,
                 peer: 0,
-                coalesced: 0,
             },
             TraceEvent {
                 t_ns: 9,
@@ -134,7 +130,6 @@ mod tests {
                 bytes: 64,
                 offset: 4096,
                 peer: NO_PEER,
-                coalesced: 0,
             },
             TraceEvent {
                 t_ns: 12,
@@ -146,7 +141,6 @@ mod tests {
                 bytes: 0,
                 offset: NO_OFFSET,
                 peer: NO_PEER,
-                coalesced: 0,
             },
         ]);
         // One event of each synchronisation op, with and without a peer.
@@ -168,7 +162,6 @@ mod tests {
                 bytes: 0,
                 offset: NO_OFFSET,
                 peer,
-                coalesced: 0,
             });
         }
         let t = Trace::from_events(events);
@@ -204,5 +197,17 @@ mod tests {
         let doc = "{\"t_ns\":1,\"rank\":0,\"partition\":0,\"round\":0,\
                    \"phase\":\"sync\",\"op\":\"fence\",\"bytes\":0,\"future\":7}";
         assert_eq!(parse_jsonl(doc).unwrap().len(), 1);
+    }
+
+    /// Older dumps carry a `coalesced` count on some puts. It is an
+    /// unknown key now, so such a line loads as the same put without it.
+    #[test]
+    fn old_dumps_with_a_coalesced_count_still_load() {
+        let put = "{\"t_ns\":5,\"rank\":1,\"partition\":0,\"round\":0,\
+                   \"phase\":\"aggregation\",\"op\":\"rma_put\",\"bytes\":96,\
+                   \"offset\":256,\"peer\":3";
+        let old = parse_jsonl(&format!("{put},\"coalesced\":3}}")).unwrap();
+        assert_eq!(old, parse_jsonl(&format!("{put}}}")).unwrap());
+        assert_eq!((old.events()[0].bytes, old.events()[0].offset), (96, 256));
     }
 }

@@ -18,14 +18,14 @@
 //!
 //! The two executors emit at different granularities, so the bridge
 //! detects the producer and applies the matching refinement map:
-//! thread-mode traces carry per-member puts with window offsets and
-//! synchronisation/retry/degrade events (matched against the schedule's
-//! wire-level view, so coalesced runs expect one merged put on the
-//! leader's lane); simulator traces carry per-(round,
-//! source-node) transfer batches on the aggregator's lane and execute
-//! degraded rounds normally. What both must agree on — elections,
-//! crash/re-election points, flush extents, byte volumes, and the
-//! round structure — is checked identically.
+//! thread-mode traces carry one put per chunk, with its window offset,
+//! and synchronisation/retry/degrade events, matched one for one
+//! against [`SymbolicRound::puts`](tapioca::analyze::SymbolicRound::puts);
+//! simulator traces carry per-(round, source-node) transfer batches on
+//! the aggregator's lane and execute degraded rounds normally. What
+//! both must agree on — elections, crash/re-election points, flush
+//! extents, byte volumes, and the round structure — is checked
+//! identically.
 
 use std::collections::BTreeMap;
 
@@ -37,11 +37,8 @@ use tapioca_topology::Rank;
 use tapioca_trace::{Trace, TraceEvent, TraceOp, NO_OFFSET, NO_PEER};
 
 /// Remaining expected puts for one partition, keyed by (round, rank);
-/// each entry is (window_offset, bytes, peer, coalesced). The entries
-/// come from the schedule's *wire-level* view, so with coalescing on a
-/// node leader's lane expects one merged put (`coalesced >= 2`) in
-/// place of its run's per-chunk puts.
-type PutMap = BTreeMap<(u32, Rank), Vec<(u64, u64, Rank, u32)>>;
+/// each entry is (window_offset, bytes, peer).
+type PutMap = BTreeMap<(u32, Rank), Vec<(u64, u64, Rank)>>;
 
 /// Which executor produced a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,12 +164,11 @@ impl ThreadPart {
             if round.round >= dr {
                 break;
             }
-            for put in &round.wire_puts {
+            for put in &round.puts {
                 puts.entry((round.round, put.rank)).or_default().push((
                     put.window_offset,
                     put.bytes,
                     put.peer,
-                    put.coalesced,
                 ));
             }
             for seg in &round.flushes {
@@ -276,11 +272,8 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
                 let entry = part.puts.get_mut(&(e.round, e.rank));
                 let found = entry.and_then(|v| {
                     v.iter()
-                        .position(|&(off, bytes, peer, coalesced)| {
-                            off == e.offset
-                                && bytes == e.bytes
-                                && peer == e.peer
-                                && coalesced == e.coalesced
+                        .position(|&(off, bytes, peer)| {
+                            off == e.offset && bytes == e.bytes && peer == e.peer
                         })
                         .map(|i| v.swap_remove(i))
                 });

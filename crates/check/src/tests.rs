@@ -26,7 +26,6 @@ fn ev(t: u64, rank: usize, round: u32, op: TraceOp, bytes: u64, offset: u64) -> 
         } else {
             NO_PEER
         },
-        coalesced: 0,
     }
 }
 
@@ -268,7 +267,6 @@ fn collective_cycle_names_the_deadlocked_ranks() {
         bytes: 0,
         offset: NO_OFFSET,
         peer,
-        coalesced: 0,
     };
     let evs = vec![
         mk(10, 0, 1, TraceOp::Start, 1),
@@ -297,7 +295,6 @@ fn conflicting_elections_are_caught() {
         bytes: 64,
         offset: NO_OFFSET,
         peer: winner,
-        coalesced: 0,
     };
     let v = check(&Trace::from_events(vec![mk(0, 0), mk(1, 1)]));
     assert_eq!(
@@ -328,7 +325,6 @@ fn recovery_events() -> Vec<TraceEvent> {
             bytes,
             offset,
             peer,
-            coalesced: 0,
         }
     };
     let sy = |t, rank, round, op, peer| mk(t, rank, round, op, 0, NO_OFFSET, peer);

@@ -97,7 +97,7 @@
 
 use std::sync::Arc;
 
-use tapioca_mpi::{Comm, IoError, IoHandle, Rank, RoundTag, SharedFile, Window};
+use tapioca_mpi::{Comm, IoError, IoHandle, RoundTag, SharedFile, Window};
 use tapioca_topology::TopologyProvider;
 
 #[cfg(feature = "trace")]
@@ -106,10 +106,7 @@ use tapioca_trace::TraceScope;
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
-use crate::schedule::{
-    compute_coalesce_plan, Chunk, CoalescePlan, FlushSegment, PartitionInfo, RankPartPlan,
-    RoundRoster, Schedule,
-};
+use crate::schedule::{Chunk, FlushSegment, PartitionInfo, RankPartPlan, RoundRoster, Schedule};
 
 /// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
@@ -131,16 +128,14 @@ pub struct IoStats {
     /// Partitions this rank was elected aggregator of (re-elections
     /// included).
     pub elected: usize,
-    /// One-sided wire puts issued: one per uncoalesced chunk plus one
-    /// per merged run led by this rank (crash replays re-count).
+    /// One-sided puts issued, one per chunk (crash replays re-count).
     pub puts: u64,
     /// Bytes deposited via puts.
     pub put_bytes: u64,
     /// Synchronisation calls this rank issued: every post, start,
-    /// complete and wait of the round protocol (on the aggregation
-    /// window and, with coalescing, the node leader's gather window).
-    /// A rank makes none in a round it does not take part in. (The
-    /// name dates from the two `MPI_Win_fence` calls per round per
+    /// complete and wait of the round protocol on the aggregation
+    /// window. A rank makes none in a round it does not take part in.
+    /// (The name dates from the two `MPI_Win_fence` calls per round per
     /// member that Algorithm 3 prescribes.)
     pub fences: u64,
     /// Flush operations issued (as aggregator).
@@ -160,12 +155,11 @@ pub struct IoStats {
     /// per-rank writes (every member counts its own participation, so
     /// each rank can report a degraded outcome).
     pub degraded: u64,
-    /// Merged puts issued by this rank as a node leader (each replaces
-    /// `>= 2` ordinary puts on the wire).
+    /// Always 0: every chunk travels as its own put. Kept because
+    /// `benchmark/src/main.rs` reads it; goes with ROADMAP item 2.
     pub coalesced_puts: u64,
-    /// This rank's chunks that travelled inside a merged put (deposited
-    /// into a node leader's gather buffer instead of being put
-    /// individually).
+    /// Always 0, like [`IoStats::coalesced_puts`] and for the same
+    /// reason.
     pub coalesced_chunks: u64,
     /// Bytes copied into pending staging buffers by the streaming
     /// session because they arrived before (or after) the round that
@@ -289,56 +283,32 @@ pub(crate) enum RoundOutcome {
     Degraded,
 }
 
-/// Per-rank coalescing state of one partition: the shared run plan and
-/// the node-leader gather window (one full aggregation buffer on
-/// leaders, empty elsewhere, finely paned so concurrent member deposits
-/// rarely contend). Deposits land at their chunk's `buf_offset`, so
-/// every run the leader owns in a round reads its packed range
-/// directly. The rendezvous is the window's own complete/wait: a member
-/// deposits, then *completes* toward the leader; the leader *waits* for
-/// the round's depositors (a pure function of the plan) and forwards
-/// its runs itself, inside its own start…complete bracket on the
-/// aggregation window. Rounds are serialised by the aggregator's post
-/// (round `r + 1` is posted after the wait of round `r`), so a single
-/// gather buffer suffices: nobody deposits for `r + 1` before every
-/// forward of `r` has completed.
-pub(crate) struct GatherCtx {
-    plan: Arc<CoalescePlan>,
-    gather: Window,
-    /// Scratch, reused every round: the leaders this rank deposited to
-    /// and, on a leader, the other ranks depositing into its runs.
-    leaders: Vec<Rank>,
-    depositors: Vec<Rank>,
-}
-
 /// One partition's collective context on this rank: the
-/// sub-communicator, the MINLOC winner and this rank's cost, the RMA
-/// window (two `buffer_size` panes on the aggregator, nothing
-/// elsewhere), and the coalescing gather state. Both directions run on
-/// it — [`PartitionRun`] for writes, [`PartCtx::read_rounds`] for reads
-/// — and the session keeps it from one epoch or read to the next (the
-/// declarations are fixed). It holds structure, never file bytes:
-/// whoever uses a slot fills it first. Only kept for fault-free
-/// configs (a crash replaces the window mid-run).
+/// sub-communicator, the MINLOC winner and this rank's cost, and the
+/// RMA window (two `buffer_size` panes on the aggregator, nothing
+/// elsewhere). Both directions run on it — [`PartitionRun`] for
+/// writes, [`PartCtx::read_rounds`] for reads — and the session keeps
+/// it from one epoch or read to the next (the declarations are fixed).
+/// It holds structure, never file bytes: whoever uses a slot fills it
+/// first. Only kept for fault-free configs (a crash replaces the window
+/// mid-run).
 pub(crate) struct PartCtx {
     pcomm: Comm,
     agg_idx: usize,
     my_cost: f64,
     win: Window,
-    coalesce: Option<GatherCtx>,
 }
 
 impl PartCtx {
     /// Collective over `part`'s members: form the sub-communicator
     /// (keyed by `epoch`), elect the aggregator with `allreduce(MINLOC)`
-    /// over the placement cost, and allocate the windows.
+    /// over the placement cost, and allocate the window.
     pub(crate) fn form(
         comm: &Comm,
         part: &PartitionInfo,
         cfg: &TapiocaConfig,
         topo: &dyn TopologyProvider,
         epoch: u64,
-        coalesce: Option<&Arc<CoalescePlan>>,
     ) -> PartCtx {
         let b = cfg.buffer_size as usize;
         let pcomm = comm.subgroup(&part.members, subgroup_key(epoch, part.index));
@@ -358,27 +328,7 @@ impl PartCtx {
         // coexists with round r+1's puts filling slot B instead of
         // serializing on one region lock. Reads use slot A only.
         let win = Window::allocate_paned(&pcomm, if my_idx == agg_idx { 2 * b } else { 0 }, b);
-        let coalesce = coalesce.and_then(|plan| {
-            if !plan.runs().iter().any(|run| run.partition == part.index) {
-                return None;
-            }
-            // Collective: every member agrees on whether the partition
-            // has runs (the plan is pure shared data) and passes
-            // through the allocation.
-            let leads = plan
-                .runs()
-                .iter()
-                .any(|run| run.partition == part.index && run.leader == part.members[my_idx]);
-            let gather =
-                Window::allocate_paned(&pcomm, if leads { b } else { 0 }, (b / 16).max(64));
-            Some(GatherCtx {
-                plan: Arc::clone(plan),
-                gather,
-                leaders: Vec::new(),
-                depositors: Vec::new(),
-            })
-        });
-        PartCtx { pcomm, agg_idx, my_cost, win, coalesce }
+        PartCtx { pcomm, agg_idx, my_cost, win }
     }
 
     /// The two-phase *read* of one partition — the write rounds with the
@@ -611,108 +561,32 @@ impl PartitionRun {
     }
 
     /// This rank's part in filling round `r`: enter the aggregator's
-    /// exposure, move every chunk of the round, leave. A chunk outside
-    /// any coalesced run is one put into the window at `slot_base`; a
-    /// chunk inside one is deposited into the run leader's gather
-    /// buffer (intra-node staging, not a wire op, so untraced) and the
-    /// leader — after waiting for the round's depositors — forwards
-    /// each of its runs as **one** merged put.
-    ///
-    /// `replay` re-issues the round into a fresh post-crash window: the
-    /// gather buffers survived the crash with every deposit of the
-    /// round in them (the lost fill's forward waited for them), so
-    /// nobody re-deposits and each leader forwards again directly.
-    #[allow(clippy::too_many_arguments)]
+    /// exposure, put every chunk of the round into the window at
+    /// `slot_base`, leave. A crash replay calls it again into the fresh
+    /// window.
     fn contribute(
-        &mut self,
+        &self,
         part: &PartitionInfo,
         chunks: &[Chunk],
         src: &dyn ChunkSource,
         r: usize,
         slot_base: usize,
-        replay: bool,
         stats: &mut IoStats,
     ) {
         let at = tag(part, r);
         self.ctx.win.start(self.ctx.agg_idx, at);
-        stats.fences += 1;
-        if let Some(co) = self.ctx.coalesce.as_mut() {
-            co.leaders.clear();
-        }
         // `chunks` is sorted by `(round, file_offset)`, so the round's
         // chunks are one range of it; `i` stays the slice index.
         let lo = chunks.partition_point(|c| (c.round as usize) < r);
         let hi = chunks.partition_point(|c| c.round as usize <= r);
         for (i, c) in (lo..).zip(&chunks[lo..hi]) {
-            let coalesce = self.ctx.coalesce.as_ref();
-            let leader = coalesce.and_then(|co| co.plan.run_for_chunk(c)).map(|run| run.leader);
-            match (leader, self.ctx.coalesce.as_mut()) {
-                (Some(leader_global), Some(co)) => {
-                    if replay {
-                        continue;
-                    }
-                    let leader = part
-                        .members
-                        .binary_search(&leader_global)
-                        .expect("run leader is a partition member");
-                    co.gather.put(leader, c.buf_offset as usize, src.chunk_data(i, c));
-                    stats.put_bytes += c.len;
-                    stats.coalesced_chunks += 1;
-                    if leader != self.my_idx && !co.leaders.contains(&leader) {
-                        co.leaders.push(leader);
-                    }
-                }
-                _ => {
-                    self.ctx.win.put(
-                        self.ctx.agg_idx,
-                        slot_base + c.buf_offset as usize,
-                        src.chunk_data(i, c),
-                    );
-                    stats.puts += 1;
-                    stats.put_bytes += c.len;
-                }
-            }
-        }
-        if let Some(co) = self.ctx.coalesce.as_mut() {
-            let me = part.members[self.my_idx];
-            for &leader in &co.leaders {
-                co.gather.complete(leader, at);
-                stats.fences += 1;
-            }
-            if !replay {
-                co.depositors.clear();
-                for run in co.plan.runs_led_by(part.index, r as u32, me) {
-                    for c in run.chunks.iter().filter(|c| c.rank != me) {
-                        let d = part
-                            .members
-                            .binary_search(&c.rank)
-                            .expect("run members are partition members");
-                        co.depositors.push(d);
-                    }
-                }
-                co.depositors.sort_unstable();
-                co.depositors.dedup();
-                if !co.depositors.is_empty() {
-                    co.gather.wait(&co.depositors, at);
-                    stats.fences += 1;
-                }
-            }
-            for run in co.plan.runs_led_by(part.index, r as u32, me) {
-                self.ctx.win.put_from(
-                    self.ctx.agg_idx,
-                    slot_base + run.buf_offset as usize,
-                    &co.gather,
-                    self.my_idx,
-                    run.buf_offset as usize,
-                    run.len as usize,
-                    run.chunks.len() as u32,
-                );
-                stats.puts += 1;
-                stats.coalesced_puts += 1;
-            }
+            let at_offset = slot_base + c.buf_offset as usize;
+            self.ctx.win.put(self.ctx.agg_idx, at_offset, src.chunk_data(i, c));
+            stats.puts += 1;
+            stats.put_bytes += c.len;
         }
         self.ctx.win.complete(self.ctx.agg_idx, at);
-        stats.fences += 1;
+        stats.fences += 2;
     }
 
     /// Execute round `self.next_round` of `part`. `chunks` is this
@@ -773,7 +647,7 @@ impl PartitionRun {
         let mut buf = (r - self.base) % 2;
         let contributes = self.roster.contributes(r, self.my_idx);
         if contributes {
-            self.contribute(part, chunks, src, r, buf * b, false, stats);
+            self.contribute(part, chunks, src, r, buf * b, stats);
         }
         self.wait_round(part, r, stats);
 
@@ -828,7 +702,7 @@ impl PartitionRun {
             buf = 0;
             self.post_round(part, r, stats);
             if contributes {
-                self.contribute(part, chunks, src, r, 0, true, stats);
+                self.contribute(part, chunks, src, r, 0, stats);
             }
             self.wait_round(part, r, stats);
         }
@@ -936,9 +810,6 @@ pub fn run_write_pipeline(
     let me = comm.rank();
     let mut stats = IoStats::default();
     let src = StagedSource(staged);
-    let coalesce: Option<Arc<CoalescePlan>> = cfg
-        .coalescing
-        .then(|| Arc::new(compute_coalesce_plan(schedule, |rk| topo.node_of_rank(rk))));
 
     for part in &schedule.partitions {
         if part.members.binary_search(&me).is_err() {
@@ -951,7 +822,7 @@ pub fn run_write_pipeline(
             .collect();
 
         let roster = Arc::new(RoundRoster::new(schedule, part));
-        let ctx = PartCtx::form(comm, part, cfg, topo, epoch, coalesce.as_ref());
+        let ctx = PartCtx::form(comm, part, cfg, topo, epoch);
         let mut run = PartitionRun::enter(comm, part, cfg, ctx, &roster, &mut stats);
         loop {
             run.skip_idle(part);

@@ -17,11 +17,6 @@
 //!    (partition, round, segment); degraded paths stay byte-covering.
 //! 6. **Tier capacity** — the double buffer fits the assigned memory
 //!    tier.
-//! 7. **Merged-put arithmetic** — the wire-level put view is an exact
-//!    repartition of the per-chunk view: every merged put is the
-//!    back-to-back concatenation of the chunk puts it claims to carry
-//!    (same slot, peer, replay class) and per-round wire bytes equal
-//!    per-round chunk bytes.
 //!
 //! The conformance variants (`UnmappedDynamicEvent`,
 //! `UndischargedStaticEvent`, `OrderViolation`) are emitted by the
@@ -137,17 +132,6 @@ pub enum StaticViolation {
         /// Tier capacity.
         capacity: u64,
     },
-    /// The wire-level put view disagrees with the per-chunk view: a
-    /// merged put is not the exact concatenation of the chunk puts it
-    /// claims to carry, or the round's wire bytes diverge.
-    MergedPutMismatch {
-        /// Global partition index.
-        partition: u32,
-        /// Round of the disagreement.
-        round: u32,
-        /// Human-readable witness.
-        detail: String,
-    },
     /// A dynamic trace event has no counterpart in the static schedule.
     UnmappedDynamicEvent {
         /// Lane the event was recorded on.
@@ -185,7 +169,6 @@ impl StaticViolation {
             StaticViolation::NoStandby { .. } => "no-standby",
             StaticViolation::UncoveredBytes { .. } => "uncovered-bytes",
             StaticViolation::CapacityExceeded { .. } => "capacity-exceeded",
-            StaticViolation::MergedPutMismatch { .. } => "merged-put-mismatch",
             StaticViolation::UnmappedDynamicEvent { .. } => "unmapped-dynamic-event",
             StaticViolation::UndischargedStaticEvent { .. } => "undischarged-static-event",
             StaticViolation::OrderViolation { .. } => "order-violation",
@@ -258,9 +241,6 @@ impl fmt::Display for StaticViolation {
                 "[capacity-exceeded] tier {tier}: double buffer needs {required} bytes, \
                  capacity is {capacity}"
             ),
-            StaticViolation::MergedPutMismatch { partition, round, detail } => {
-                write!(f, "[merged-put-mismatch] partition {partition} round {round}: {detail}")
-            }
             StaticViolation::UnmappedDynamicEvent { rank, detail } => {
                 write!(f, "[unmapped-dynamic-event] rank {rank}: {detail}")
             }
@@ -594,89 +574,6 @@ fn check_capacity(
     }
 }
 
-/// Pass 7: the wire-level put view is an exact repartition of the
-/// per-chunk view. Per round and replay class: each ordinary
-/// (`coalesced == 0`) wire put must match a chunk put verbatim; each
-/// merged (`coalesced == n >= 2`) wire put must be the back-to-back
-/// concatenation of exactly `n` chunk puts — contiguous window
-/// offsets summing to its byte count, all in the same slot with the
-/// same peer. Byte totals must agree, so coalescing provably moves no
-/// byte and invents none.
-fn check_merged_put_arithmetic(part: &SymbolicPartition, out: &mut Vec<StaticViolation>) {
-    for round in &part.rounds {
-        for replay in [false, true] {
-            let mut chunk: Vec<_> = round
-                .puts
-                .iter()
-                .filter(|p| p.replay == replay)
-                .map(|p| (p.window_offset, p.bytes, p.slot, p.peer))
-                .collect();
-            chunk.sort_unstable();
-            let chunk_bytes: u64 = chunk.iter().map(|&(_, b, _, _)| b).sum();
-            let mut wire: Vec<_> =
-                round.wire_puts.iter().filter(|p| p.replay == replay).collect();
-            wire.sort_unstable_by_key(|p| p.window_offset);
-            let wire_bytes: u64 = wire.iter().map(|p| p.bytes).sum();
-            if wire_bytes != chunk_bytes {
-                out.push(StaticViolation::MergedPutMismatch {
-                    partition: part.partition,
-                    round: round.round,
-                    detail: format!(
-                        "wire puts carry {wire_bytes} bytes, chunk puts {chunk_bytes}                          (replay={replay})"
-                    ),
-                });
-            }
-            for w in wire {
-                if w.coalesced == 1 {
-                    out.push(StaticViolation::MergedPutMismatch {
-                        partition: part.partition,
-                        round: round.round,
-                        detail: format!(
-                            "wire put at {} claims to coalesce a single chunk — runs                              require >= 2",
-                            w.window_offset
-                        ),
-                    });
-                    continue;
-                }
-                // Ordinary puts must match one chunk; merged puts must
-                // concatenate exactly `coalesced` contiguous chunks.
-                let want = if w.coalesced == 0 { 1 } else { w.coalesced as usize };
-                let mut cursor = w.window_offset;
-                let mut taken = 0usize;
-                while taken < want && cursor < w.window_offset + w.bytes {
-                    match chunk
-                        .iter()
-                        .position(|&(off, _, slot, peer)| {
-                            off == cursor && slot == w.slot && peer == w.peer
-                        }) {
-                        Some(i) => {
-                            cursor += chunk[i].1;
-                            chunk.swap_remove(i);
-                            taken += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if taken != want || cursor != w.window_offset + w.bytes {
-                    out.push(StaticViolation::MergedPutMismatch {
-                        partition: part.partition,
-                        round: round.round,
-                        detail: format!(
-                            "wire put rank {} at [{}, {}) (coalesced={}) matched {taken}                              chunk puts covering [{}, {}) (replay={replay})",
-                            w.rank,
-                            w.window_offset,
-                            w.window_offset + w.bytes,
-                            w.coalesced,
-                            w.window_offset,
-                            cursor
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// Run every static pass over a symbolic schedule, bounding the double
 /// buffer by the given tier capacity. Violations are returned in pass
 /// order; an empty vector is a proof the predicted schedule is safe.
@@ -691,7 +588,6 @@ pub fn analyze_with_capacity(
         check_extent_overlap(part, &mut out);
         check_window_bounds(part, sym.buffer_size, &mut out);
         check_round_agreement(part, &mut out);
-        check_merged_put_arithmetic(part, &mut out);
     }
     check_fence_acyclic(sym, &mut out);
     check_fault_reachability(sym, cfg, &mut out);

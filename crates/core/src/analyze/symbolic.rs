@@ -4,16 +4,19 @@
 //! election outcomes, re-election standbys, and degrade points — with
 //! zero executor or netsim involvement.
 //!
+//! Puts are predicted one per chunk, the granularity thread-mode traces
+//! record, so the static passes and the conformance bridge in
+//! `tapioca-check` read the same [`SymbolicRound::puts`] list.
+//!
 //! The derivation reuses [`plan_group`](crate::sim_exec) verbatim, so
 //! the symbolic schedule cannot drift from what the executors actually
 //! compile: both start from the same `GroupPlan`.
 
 use tapioca_pfs::{AccessMode, FileId};
-use tapioca_topology::{MachineProfile, Rank, TopologyProvider};
+use tapioca_topology::{MachineProfile, Rank};
 
 use crate::config::TapiocaConfig;
 use crate::error::Result;
-use crate::schedule::compute_coalesce_plan;
 use crate::sim_exec::{plan_group, CollectiveSpec};
 
 /// One predicted RMA put: a member deposits one chunk into the
@@ -34,10 +37,6 @@ pub struct SymbolicPut {
     pub peer: Rank,
     /// True for the post-re-election replay copy of a crash-round put.
     pub replay: bool,
-    /// Chunks this put carries on the wire: 0 for an ordinary per-chunk
-    /// put, `>= 2` for a merged put forwarding a coalesced run. Only
-    /// ever non-zero in [`SymbolicRound::wire_puts`].
-    pub coalesced: u32,
 }
 
 /// One predicted flush segment: the aggregator writes a contiguous
@@ -64,18 +63,10 @@ pub struct SymbolicRound {
     pub slot: u64,
     /// Aggregated payload bytes this round.
     pub bytes: u64,
-    /// Member puts filling the round's window (crash rounds list the
-    /// doomed fill *and* the replay copies). Always per-chunk — the
-    /// byte-attribution view passes 1-3 sweep.
+    /// Member puts filling the round's window, one per chunk (crash
+    /// rounds list the doomed fill *and* the replay copies): what the
+    /// static passes sweep and what thread-mode traces record.
     pub puts: Vec<SymbolicPut>,
-    /// The *wire-level* view: the RMA operations that actually cross
-    /// the interconnect. Without coalescing this mirrors `puts`
-    /// exactly; with coalescing each [`CoalescedRun`]'s chunks are
-    /// replaced by one merged put on the node leader's lane carrying
-    /// `coalesced >= 2` chunks. This is what thread-mode traces record.
-    ///
-    /// [`CoalescedRun`]: crate::schedule::CoalescedRun
-    pub wire_puts: Vec<SymbolicPut>,
     /// Flush segments draining the window.
     pub flushes: Vec<SymbolicFlush>,
 }
@@ -282,12 +273,6 @@ pub fn derive_symbolic(
 
     for group in &spec.groups {
         let gp = plan_group(machine, group, cfg, spec.mode)?;
-        // Schedule ranks are group-local; coalescing is decided by the
-        // *global* rank's node, exactly as the thread executor does.
-        let cplan = (cfg.coalescing && spec.mode == AccessMode::Write)
-            .then(|| compute_coalesce_plan(&gp.sched, |local| {
-                machine.node_of_rank(group.ranks[local])
-            }));
         let mut partitions = Vec::with_capacity(gp.sched.partitions.len());
 
         for part in &gp.sched.partitions {
@@ -306,12 +291,8 @@ pub fn derive_symbolic(
             let degrade_round = gp.degrade_round[part.index];
 
             // Gather puts per round from the per-rank chunk lists; the
-            // thread executor performs exactly one put per chunk (or,
-            // coalesced, one merged put per run on the leader's lane —
-            // collected separately as the wire-level view).
+            // thread executor performs exactly one put per chunk.
             let mut puts_by_round: Vec<Vec<SymbolicPut>> =
-                vec![Vec::new(); part.rounds.len()];
-            let mut wire_by_round: Vec<Vec<SymbolicPut>> =
                 vec![Vec::new(); part.rounds.len()];
             for (local, chunks) in gp.sched.chunks_by_rank.iter().enumerate() {
                 for c in chunks {
@@ -336,66 +317,17 @@ pub fn derive_symbolic(
                         slot: fill_slot,
                         peer: if replayed { fill_peer } else { live_peer },
                         replay: false,
-                        coalesced: 0,
                     };
-                    let in_run =
-                        cplan.as_ref().is_some_and(|p| p.run_for_chunk(c).is_some());
                     puts_by_round[c.round as usize].push(fill);
-                    if !in_run {
-                        wire_by_round[c.round as usize].push(fill);
-                    }
                     if replayed {
                         // Replay copy into slot 0 of the fresh window.
-                        let replay = SymbolicPut {
+                        puts_by_round[c.round as usize].push(SymbolicPut {
                             rank,
                             window_offset: c.buf_offset,
                             bytes: c.len,
                             slot: 0,
                             peer: live_peer,
                             replay: true,
-                            coalesced: 0,
-                        };
-                        puts_by_round[c.round as usize].push(replay);
-                        if !in_run {
-                            wire_by_round[c.round as usize].push(replay);
-                        }
-                    }
-                }
-            }
-            // Merged wire puts: one per coalesced run, on the node
-            // leader's lane, mirroring the fill/replay structure of the
-            // chunks they fold.
-            if let Some(plan) = &cplan {
-                for run in plan.runs().iter().filter(|run| run.partition == part.index) {
-                    let r = run.round;
-                    let rank = group.ranks[run.leader];
-                    let replayed = crash.is_some_and(|cr| r == cr.round);
-                    let slot = round_slot(r, crash.map(|cr| cr.round));
-                    let fill_slot = if replayed { u64::from(r % 2) } else { slot };
-                    let fill_peer = aggregator.unwrap_or(rank);
-                    let live_peer = match crash {
-                        Some(cr) if r >= cr.round => cr.standby,
-                        _ => fill_peer,
-                    };
-                    let n = run.chunks.len() as u32;
-                    wire_by_round[r as usize].push(SymbolicPut {
-                        rank,
-                        window_offset: fill_slot * b + run.buf_offset,
-                        bytes: run.len,
-                        slot: fill_slot,
-                        peer: if replayed { fill_peer } else { live_peer },
-                        replay: false,
-                        coalesced: n,
-                    });
-                    if replayed {
-                        wire_by_round[r as usize].push(SymbolicPut {
-                            rank,
-                            window_offset: run.buf_offset,
-                            bytes: run.len,
-                            slot: 0,
-                            peer: live_peer,
-                            replay: true,
-                            coalesced: n,
                         });
                     }
                 }
@@ -428,7 +360,6 @@ pub fn derive_symbolic(
                         slot: round_slot(r32, crash.map(|c| c.round)),
                         bytes: round.bytes,
                         puts: std::mem::take(&mut puts_by_round[r]),
-                        wire_puts: std::mem::take(&mut wire_by_round[r]),
                         flushes,
                     }
                 })

@@ -62,8 +62,8 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
 use crate::schedule::{
-    check_decl_extents, compute_coalesce_plan, compute_schedule, Chunk, CoalescePlan,
-    RankStreamPlan, RoundRoster, Schedule, ScheduleParams, WriteDecl,
+    check_decl_extents, compute_schedule, Chunk, RankStreamPlan, RoundRoster, Schedule,
+    ScheduleParams, WriteDecl,
 };
 
 /// Outcome of a [`Session::write`] call.
@@ -254,9 +254,6 @@ impl<'c> SessionBuilder<'c> {
             .iter()
             .map(|pp| Arc::new(RoundRoster::new(&schedule, &schedule.partitions[pp.part_index])))
             .collect();
-        let coalesce = cfg
-            .coalescing
-            .then(|| Arc::new(compute_coalesce_plan(&schedule, |rk| topo.node_of_rank(rk))));
         let mut var_chunks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); decls.len()];
         for (pslot, pp) in plan.parts.iter().enumerate() {
             for (li, c) in pp.chunks.iter().enumerate() {
@@ -278,7 +275,6 @@ impl<'c> SessionBuilder<'c> {
             schedule,
             plan,
             rosters,
-            coalesce,
             var_chunks,
             seq,
             ctxs: RefCell::new(std::iter::repeat_with(|| None).take(nparts).collect()),
@@ -316,11 +312,6 @@ pub struct Session<'c> {
     /// Per plan part: who contributes to each round — the ranks a round
     /// is synchronised between.
     rosters: Vec<Arc<RoundRoster>>,
-    /// Intra-node put-coalescing runs shared by every partition entry
-    /// this session makes (`None` unless `cfg.coalescing`); computed
-    /// once — the schedule and placement are fixed for the session's
-    /// lifetime, so the plan is too.
-    coalesce: Option<Arc<CoalescePlan>>,
     /// Per declared var: its chunks as `(plan part slot, local index)`.
     var_chunks: Vec<Vec<(usize, usize)>>,
     seq: u64,
@@ -443,7 +434,6 @@ impl<'c> Session<'c> {
             schedule,
             plan,
             rosters,
-            coalesce,
             seq,
             ctxs,
             avail,
@@ -479,9 +469,9 @@ impl<'c> Session<'c> {
                 // Enter the partition only once its first round is
                 // ready, so no rank sits in the election before it has
                 // anything to contribute.
-                let ctx = ctxs.get_mut()[*cur_part].take().unwrap_or_else(|| {
-                    PartCtx::form(comm, part, cfg, topo.as_ref(), *seq * 2, coalesce.as_ref())
-                });
+                let ctx = ctxs.get_mut()[*cur_part]
+                    .take()
+                    .unwrap_or_else(|| PartCtx::form(comm, part, cfg, topo.as_ref(), *seq * 2));
                 *active = Some(PartitionRun::enter(comm, part, cfg, ctx, roster, epoch_stats));
                 continue;
             };
@@ -636,16 +626,13 @@ impl<'c> Session<'c> {
         let mut out: Vec<Vec<u8>> =
             self.decls.iter().map(|d| Vec::with_capacity(d.len as usize)).collect();
         let mut stats = IoStats::default();
-        let Session { comm, file, cfg, topo, coalesce, .. } = self;
+        let Session { comm, file, cfg, topo, .. } = self;
         let mut ctxs = self.ctxs.borrow_mut();
-        // A context formed here under a fault plan is dropped after the
-        // read: no write round will use its gather window.
-        let gather = coalesce.as_ref().filter(|_| cfg.faults.is_none());
         let mut verdict = Ok(());
         for (slot, mine) in self.plan.parts.iter().enumerate() {
             let part = &self.schedule.partitions[mine.part_index];
             let ctx = ctxs[slot].take().unwrap_or_else(|| {
-                PartCtx::form(comm, part, cfg, topo.as_ref(), self.seq * 2 + 1, gather)
+                PartCtx::form(comm, part, cfg, topo.as_ref(), self.seq * 2 + 1)
             });
             let roster = &self.rosters[slot];
             let res = ctx.read_rounds(part, roster, mine, file, &mut out, &mut stats);

@@ -92,8 +92,8 @@ pub struct Candidate {
 
 impl Candidate {
     /// Materialize the candidate as a [`crate::config::TapiocaConfig`],
-    /// inheriting every non-tuned field (coalescing, faults, I/O policy,
-    /// tracer) from `base`.
+    /// inheriting every non-tuned field (faults, I/O policy, tracer)
+    /// from `base`.
     pub fn to_config(&self, base: &crate::config::TapiocaConfig) -> crate::config::TapiocaConfig {
         crate::config::TapiocaConfig {
             num_aggregators: self.aggregators,
@@ -512,18 +512,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_keys_ignore_the_tier_and_coalescing_dimensions() {
+    fn sim_keys_ignore_the_tier_dimension() {
         let a = cand(8, MIB);
         let b = Candidate { tier: TierAssignment::McdramBurstBuffer, ..a };
         assert_eq!(a.sim_key(), b.sim_key());
         let c = Candidate { aggregators: 9, ..a };
         assert_ne!(a.sim_key(), c.sim_key());
-        // Coalescing is not a candidate dimension: the tuned config
-        // carries the caller's setting through unchanged.
-        for on in [false, true] {
-            let base = crate::config::TapiocaConfig { coalescing: on, ..Default::default() };
-            assert_eq!(a.to_config(&base).coalescing, on);
-        }
     }
 
     /// One evaluator: on the golden machines and workloads, each

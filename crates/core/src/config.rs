@@ -29,13 +29,9 @@ pub struct TapiocaConfig {
     pub pipelining: bool,
     /// Aggregator election strategy.
     pub strategy: PlacementStrategy,
-    /// Merge intra-node contiguous puts into one RMA operation per
-    /// (node, round): co-located ranks deposit into a node leader's
-    /// gather buffer and the leader forwards the packed range as a
-    /// single put. Off by default, and the autotuner never enables it:
-    /// it loses to raw puts on every paired benchmark run, and stays
-    /// only until the runtime fork is deleted (ROADMAP item 1). File
-    /// bytes are bit-identical either way.
+    /// Ignored by both executors: every chunk travels as its own put.
+    /// Kept because `benchmark/src/workloads.rs` sets it; goes with
+    /// ROADMAP item 2.
     pub coalescing: bool,
     /// Deterministic fault schedule consumed by both executors. `None`
     /// (the default) injects nothing; recovery machinery stays off the
@@ -174,13 +170,6 @@ impl ConfigBuilder {
     #[must_use]
     pub fn pipelining(mut self, on: bool) -> Self {
         self.cfg.pipelining = on;
-        self
-    }
-
-    /// Enable/disable intra-node put coalescing.
-    #[must_use]
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.cfg.coalescing = on;
         self
     }
 

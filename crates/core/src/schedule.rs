@@ -571,10 +571,10 @@ pub fn compute_schedule(decls: &[Vec<WriteDecl>], params: ScheduleParams) -> Sch
 
 /// A maximal group of same-(partition, round) chunks from ranks
 /// co-located on one node whose aggregation-buffer extents are
-/// contiguous: instead of one RMA put per chunk, the members deposit
-/// into the `leader`'s node-local gather buffer and the leader forwards
-/// the packed range as **one** merged put of `len` bytes at
-/// `buf_offset`.
+/// contiguous, which one merged put of `len` bytes at `buf_offset`
+/// could carry. No executor merges puts; this type, [`CoalescePlan`]
+/// and [`compute_coalesce_plan`] stay because `benchmark/src/probes.rs`
+/// times the plan, and go with ROADMAP item 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoalescedRun {
     /// Partition the run belongs to.
@@ -595,9 +595,10 @@ pub struct CoalescedRun {
     pub chunks: Vec<Chunk>,
 }
 
-/// Which puts of a [`Schedule`] merge into [`CoalescedRun`]s under a
-/// given rank-to-node placement. Pure data: every rank computes an
-/// identical plan from the shared schedule, like the schedule itself.
+/// Which puts of a [`Schedule`] could merge into [`CoalescedRun`]s
+/// under a given rank-to-node placement. Pure data. Kept for
+/// `benchmark/src/probes.rs` until ROADMAP item 2 (see
+/// [`CoalescedRun`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoalescePlan {
     runs: Vec<CoalescedRun>,
@@ -656,18 +657,16 @@ impl CoalescePlan {
 
 /// Find every maximal run of contiguous-in-buffer chunks produced by
 /// ranks sharing a node, per (partition, round). Runs of at least two
-/// chunks coalesce; singletons stay ordinary puts. `node_of` maps a
-/// rank to its node (e.g. [`tapioca_topology::TopologyProvider::node_of_rank`]).
+/// chunks count; singletons do not. `node_of` maps a rank to its node
+/// (e.g. [`tapioca_topology::TopologyProvider::node_of_rank`]). No
+/// executor calls it: `benchmark/src/probes.rs` times it, until
+/// ROADMAP item 2.
 ///
 /// Invariants (proved per run by construction, tested below):
 /// - chunks are back to back: `chunks[i].buf_offset + chunks[i].len ==
-///   chunks[i+1].buf_offset`, so the merged put's bytes are the exact
-///   concatenation of the members' chunk bytes — file output is
-///   bit-identical to the uncoalesced path;
-/// - all producing ranks map to `node`, so deposits into the leader's
-///   gather buffer are intra-node traffic;
-/// - `leader` produces `chunks[0]` and therefore participates in the
-///   round.
+///   chunks[i+1].buf_offset`;
+/// - all producing ranks map to `node`;
+/// - `leader` produces `chunks[0]`.
 pub fn compute_coalesce_plan(
     schedule: &Schedule,
     node_of: impl Fn(Rank) -> usize,

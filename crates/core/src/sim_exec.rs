@@ -504,7 +504,6 @@ fn emit_sim_trace(
                 bytes,
                 offset: NO_OFFSET,
                 peer: agg,
-                coalesced: 0,
             });
             // Injected crash: demotion + standby re-election, recorded
             // on the lowest member's lane like thread mode does.
@@ -520,7 +519,6 @@ fn emit_sim_trace(
                         bytes: 0,
                         offset: NO_OFFSET,
                         peer,
-                        coalesced: 0,
                     });
                 }
             }
@@ -544,7 +542,6 @@ fn emit_sim_trace(
                     bytes: bytes.round() as u64,
                     offset: NO_OFFSET,
                     peer: agg,
-                    coalesced: 0,
                 }),
                 OpKind::Flush { len, offset, .. } => tracer.record(TraceEvent {
                     t_ns,
@@ -556,7 +553,6 @@ fn emit_sim_trace(
                     bytes: len,
                     offset,
                     peer: NO_PEER,
-                    coalesced: 0,
                 }),
             }
         }

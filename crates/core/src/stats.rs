@@ -181,7 +181,6 @@ mod tests {
                 bytes: 64,
                 offset: NO_OFFSET,
                 peer: 1,
-                coalesced: 0,
             },
             TraceEvent {
                 t_ns: 2,
@@ -193,7 +192,6 @@ mod tests {
                 bytes: 64,
                 offset: NO_OFFSET,
                 peer: NO_PEER,
-                coalesced: 0,
             },
         ]);
         let rep = trace_report(&t.summary());

@@ -380,47 +380,6 @@ impl Window {
         }
     }
 
-    /// Deposit `len` bytes into `target`'s region at `offset`, read
-    /// directly from `src_rank`'s region of another window `src` — the
-    /// coalesced put: the packed gather buffer forwarded as one merged
-    /// RMA operation covering `coalesced` original chunks, without
-    /// materializing an intermediate copy.
-    ///
-    /// # Panics
-    /// Panics on out-of-bounds ranges, or if `src` aliases this window
-    /// (the nested pane locks would deadlock against a concurrent
-    /// opposite-direction transfer).
-    #[allow(clippy::too_many_arguments)]
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
-    pub fn put_from(
-        &self,
-        target: Rank,
-        offset: usize,
-        src: &Window,
-        src_rank: Rank,
-        src_offset: usize,
-        len: usize,
-        coalesced: u32,
-    ) {
-        assert!(
-            !Arc::ptr_eq(&self.shared, &src.shared),
-            "put_from within one window would nest its own pane locks"
-        );
-        self.perturb_point();
-        let dst = &self.shared.regions[target];
-        dst.check_bounds("put", offset, len);
-        let mut done = 0;
-        let Ok(()) = src.shared.regions[src_rank].for_parts("get", src_offset, len, |part| {
-            dst.write(offset + done, part);
-            done += part.len();
-            Ok::<(), std::convert::Infallible>(())
-        });
-        #[cfg(feature = "trace")]
-        if let Some(scope) = &self.scope {
-            scope.rma_put_coalesced(target, offset as u64, len as u64, coalesced);
-        }
-    }
-
     /// Read a member's region into a caller-provided buffer —
     /// the allocation-free variant for drain loops that recycle flush
     /// buffers. Reads `out.len()` bytes starting at `offset`.
@@ -914,23 +873,6 @@ mod tests {
                 assert_eq!(parts, 1, "seed {seed}: region split into {parts} panes");
             });
         }
-    }
-
-    #[test]
-    fn put_from_copies_between_windows() {
-        run(2, |c| {
-            let gather = Window::allocate_paned(&c, 16, 4);
-            let agg = Window::allocate_paned(&c, 32, 16);
-            if c.rank() == 1 {
-                gather.put(1, 2, &[7u8; 12]);
-                agg.put_from(0, 18, &gather, 1, 2, 12, 3);
-            }
-            agg.fence(&c);
-            if c.rank() == 0 {
-                assert_eq!(agg.read_local(0, 18, 12), vec![7u8; 12]);
-            }
-            agg.fence(&c);
-        });
     }
 
     const AT: RoundTag = RoundTag { partition: 0, round: 0 };

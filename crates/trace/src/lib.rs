@@ -113,13 +113,6 @@ pub struct TraceEvent {
     /// of the segment. `tapioca-check` uses put offsets to detect
     /// concurrent overlapping deposits.
     pub offset: u64,
-    /// For `RmaPut`: the number of original schedule chunks this wire
-    /// operation carries. `0` for an ordinary (uncoalesced) put; `>= 2`
-    /// for a node-leader's merged put covering that many co-located
-    /// ranks' contiguous chunks. Other ops leave it `0`. `tapioca-check`
-    /// and the static conformance bridge use this to re-derive per-rank
-    /// extent coverage from merged operations.
-    pub coalesced: u32,
 }
 
 /// A contention-free per-rank event recorder.
@@ -186,7 +179,6 @@ impl Tracer {
             bytes,
             peer,
             offset,
-            coalesced: 0,
         });
     }
 
@@ -404,9 +396,6 @@ impl Trace {
             if e.peer != NO_PEER {
                 write!(w, ",\"peer\":{}", e.peer)?;
             }
-            if e.coalesced != 0 {
-                write!(w, ",\"coalesced\":{}", e.coalesced)?;
-            }
             writeln!(w, "}}")?;
         }
         Ok(())
@@ -520,25 +509,6 @@ impl TraceScope {
             self.peer_global(target_local),
             offset,
         );
-    }
-
-    /// Record a merged put: one wire operation carrying `coalesced`
-    /// original chunks (each deposited into this rank's gather buffer
-    /// by a co-located rank) into communicator-local rank `target`'s
-    /// window region at byte `offset`.
-    pub fn rma_put_coalesced(&self, target_local: Rank, offset: u64, bytes: u64, coalesced: u32) {
-        self.tracer.record(TraceEvent {
-            t_ns: self.tracer.now_ns(),
-            rank: self.rank,
-            partition: self.partition,
-            round: self.round.get(),
-            phase: Phase::Aggregation,
-            op: TraceOp::RmaPut,
-            bytes,
-            peer: self.peer_global(target_local),
-            offset,
-            coalesced,
-        });
     }
 
     /// Record a fence (epoch close).
@@ -737,7 +707,6 @@ mod tests {
             bytes,
             peer,
             offset: NO_OFFSET,
-            coalesced: 0,
         }
     }
 
@@ -919,48 +888,6 @@ mod tests {
         for needle in ["\"crash\"", "\"reelect\"", "\"retry\"", "\"degrade\""] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }
-    }
-
-    #[test]
-    fn coalesced_puts_serialize_and_stay_structurally_equivalent() {
-        let tr = Tracer::new(4);
-        let scope = TraceScope::new(Arc::clone(&tr), 1, 0, vec![0, 1, 2, 3]);
-        // 3 chunks merged into one wire put on the leader's own lane
-        scope.rma_put_coalesced(3, 256, 96, 3);
-        scope.rma_put(3, 352, 32); // a raw singleton alongside
-        let t = tr.drain();
-        let merged = t.events().iter().find(|e| e.coalesced != 0).unwrap();
-        assert_eq!(
-            (merged.op, merged.rank, merged.peer, merged.bytes, merged.coalesced),
-            (TraceOp::RmaPut, 1, 3, 96, 3)
-        );
-        let mut buf = Vec::new();
-        t.write_jsonl(&mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = s.trim().lines().collect();
-        assert!(lines[0].contains("\"coalesced\":3"));
-        assert!(!lines[1].contains("coalesced"), "raw puts omit the field");
-        // structural projection only sees byte totals: a merged put and
-        // the equivalent per-chunk puts project identically
-        let fine = Trace::from_events(vec![
-            {
-                let mut e = ev(1, 0, 0, 0, TraceOp::RmaPut, 64, 3);
-                e.offset = 256;
-                e
-            },
-            {
-                let mut e = ev(2, 2, 0, 0, TraceOp::RmaPut, 64, 3);
-                e.offset = 320;
-                e
-            },
-        ]);
-        let coarse = Trace::from_events(vec![{
-            let mut e = ev(9, 0, 0, 0, TraceOp::RmaPut, 128, 3);
-            e.offset = 256;
-            e.coalesced = 2;
-            e
-        }]);
-        assert_eq!(fine.structural(), coarse.structural());
     }
 
     #[test]

@@ -4,12 +4,14 @@
 
 use std::sync::Arc;
 
+use tapioca::aggregation::run_write_pipeline;
 use tapioca::prelude::*;
 use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
+use tapioca::{compute_schedule, FaultPlan, FaultSpec, ScheduleParams};
 use tapioca_check::{check, parse_jsonl, ViolationKind};
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
-use tapioca_topology::{theta_profile, MachineProfile, TopologyProvider};
+use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider};
 use tapioca_trace::{Trace, TraceEvent, TraceOp, Tracer};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
@@ -296,4 +298,110 @@ fn jsonl_roundtrip_preserves_the_verdict() {
     let parsed = parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap();
     assert_eq!(parsed, trace);
     assert!(check(&parsed).is_empty());
+}
+
+/// Recognisable payload: a function of (rank, var, byte index).
+fn payload(rank: usize, var: usize, len: u64) -> Vec<u8> {
+    (0..len).map(|i| (rank as u64 * 131 + var as u64 * 17 + i * 3) as u8).collect()
+}
+
+/// One write epoch of `decls` carrying [`payload`], through the batch
+/// driver (`staged`) or a streaming session; returns the file and the
+/// ranks' merged stats.
+fn payload_run(
+    name: &str,
+    profile: &MachineProfile,
+    decls: &[Vec<WriteDecl>],
+    cfg: &TapiocaConfig,
+    staged: bool,
+) -> (Vec<u8>, IoStats) {
+    let path = tmp(name);
+    let machine = Arc::new(profile.machine.clone());
+    let schedule = compute_schedule(decls, ScheduleParams {
+        num_aggregators: cfg.num_aggregators,
+        buffer_size: cfg.buffer_size,
+        align_to_buffer: true,
+    });
+    let per_rank = Runtime::run(decls.len(), |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let r = comm.rank();
+        let data: Vec<Vec<u8>> =
+            decls[r].iter().enumerate().map(|(v, d)| payload(r, v, d.len)).collect();
+        if staged {
+            let epoch = comm.next_user_seq() * 2;
+            return run_write_pipeline(&comm, &schedule, &data, &file, cfg, machine.as_ref(), epoch)
+                .unwrap();
+        }
+        let mut io = Session::builder(&comm, file)
+            .declarations(decls[r].clone())
+            .config(cfg.clone())
+            .topology(machine.clone())
+            .build()
+            .unwrap();
+        for (d, bytes) in decls[r].iter().zip(&data) {
+            io.write(d.offset, bytes).unwrap();
+        }
+        let stats = *io.stats().unwrap();
+        io.finalize();
+        stats
+    });
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut total = IoStats::default();
+    per_rank.iter().for_each(|s| total.merge(s));
+    (bytes, total)
+}
+
+/// The `thr-hacc-rounds` / `thr-hacc-coalesced` benchmark shape: 16
+/// ranks on one Mira node, 9 SoA variables of 8 KiB each, 2 aggregators,
+/// 32 KiB buffers. Both partitions have all 16 ranks as members and 18
+/// rounds, but a round holds the chunks of only 4 ranks — the other 12
+/// take no part in it and run ahead. Under Algorithm 3's fences every
+/// member synchronised twice per round: 16 x 36 x 2 = 1,152 calls.
+/// `TapiocaConfig::coalescing` is ignored, so both of its values give
+/// the same calls, puts and file.
+#[test]
+fn hacc_rounds_shape_pins_the_synchronisation_calls() {
+    const KIB: u64 = 1024;
+    let profile = mira_profile(128, 16);
+    let decls: Vec<Vec<WriteDecl>> = (0..16u64)
+        .map(|r| (0..9u64).map(|v| WriteDecl { offset: (v * 16 + r) * 8 * KIB, len: 8 * KIB }).collect())
+        .collect();
+    let mut image = vec![0u8; 16 * 9 * 8 * KIB as usize];
+    for (r, mine) in decls.iter().enumerate() {
+        for (v, d) in mine.iter().enumerate() {
+            image[d.offset as usize..][..d.len as usize].copy_from_slice(&payload(r, v, d.len));
+        }
+    }
+    // Per round: 4 contributors start and complete, the aggregator
+    // posts and waits = 10 calls. A crash replays one round: 10 more
+    // calls and its 4 puts again.
+    for (coalescing, crash, pinned, puts) in [
+        (false, false, 360, 144),
+        (true, false, 360, 144),
+        (false, true, 370, 148),
+        (true, true, 370, 148),
+    ] {
+        let name = format!("hacc-rounds-{coalescing}-{crash}");
+        let cfg = TapiocaConfig {
+            num_aggregators: 2,
+            buffer_size: 32 * KIB,
+            coalescing,
+            faults: crash.then(|| {
+                FaultPlan::seeded(3).with(FaultSpec::AggregatorCrash { partition: 0, round: 3 })
+            }),
+            ..Default::default()
+        };
+        for (staged, run) in [(true, 0), (false, 0), (false, 1)] {
+            let name = format!("{name}-{}{run}", if staged { "staged" } else { "streamed" });
+            let (bytes, t) = payload_run(&name, &profile, &decls, &cfg, staged);
+            assert!(bytes == image, "{name}: file diverges from the payload image");
+            assert_eq!(t.fences, pinned, "{name}: the count must repeat exactly");
+            assert_eq!(t.puts, puts, "{name}");
+            assert_eq!((t.coalesced_puts, t.coalesced_chunks), (0, 0), "{name}");
+            assert_eq!(t.flushes, 36, "{name}");
+            assert_eq!(t.reelections, u64::from(crash), "{name}");
+        }
+        assert!(pinned < 1152);
+    }
 }

@@ -3,7 +3,7 @@
 //! partition for both directions, file → window with no staging
 //! copy), so it is exercised here against everything
 //! the write path is — uneven multi-member partitions, multi-segment
-//! rounds with holes, pipelining on and off, coalescing, a fault plan
+//! rounds with holes, pipelining on and off, a fault plan
 //! (nothing kept), the one-node HACC shape where most members skip most
 //! rounds — under perturbed schedules, and byte-compared with the
 //! pre-change read loop, which lives on below as the oracle. One more
@@ -187,25 +187,9 @@ fn cross_product(name: &str, decls: &[Vec<WriteDecl>], base: &TapiocaConfig, top
     let configs = [
         ("pipelined", base.clone()),
         ("unpipelined", TapiocaConfig { pipelining: false, ..base.clone() }),
-        ("coalescing", TapiocaConfig { coalescing: true, ..base.clone() }),
         (
             "faults",
-            TapiocaConfig {
-                faults: Some(faults.clone()),
-                io_policy: fast_retries,
-                ..base.clone()
-            },
-        ),
-        // Nothing kept, and the read forms its contexts without the
-        // gather window the write epochs allocate.
-        (
-            "faults-coalescing",
-            TapiocaConfig {
-                faults: Some(faults),
-                io_policy: fast_retries,
-                coalescing: true,
-                ..base.clone()
-            },
+            TapiocaConfig { faults: Some(faults), io_policy: fast_retries, ..base.clone() },
         ),
     ];
     for (label, cfg) in &configs {

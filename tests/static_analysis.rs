@@ -237,120 +237,6 @@ fn zero_capacity_tier_is_rejected() {
     );
 }
 
-// ---- pass 7: merged-put arithmetic -------------------------------------
-
-#[test]
-fn coalesced_schedules_prove_out_with_merged_wire_puts() {
-    // 2 ranks/node with contiguous extents: coalescing must replace
-    // co-located chunk pairs with merged wire puts, and the repartition
-    // must prove out across the pass catalogue.
-    let profile = theta_profile(8, 2);
-    let decls = IorSpec { num_ranks: 16, bytes_per_rank: 512 }.decls();
-    let cfg = TapiocaConfig {
-        num_aggregators: 2,
-        buffer_size: 2048,
-        coalescing: true,
-        ..Default::default()
-    };
-    let sym = symbolic(&profile, decls, &cfg);
-    let rounds: Vec<_> =
-        sym.groups.iter().flat_map(|g| &g.partitions).flat_map(|p| &p.rounds).collect();
-    let chunk_puts: usize = rounds.iter().map(|r| r.puts.len()).sum();
-    let wire_puts: usize = rounds.iter().map(|r| r.wire_puts.len()).sum();
-    let merged: usize = rounds
-        .iter()
-        .flat_map(|r| &r.wire_puts)
-        .filter(|p| p.coalesced >= 2)
-        .count();
-    assert!(merged > 0, "coalescing must produce at least one merged wire put");
-    assert!(wire_puts < chunk_puts, "the wire view must be strictly smaller");
-    assert!(
-        rounds.iter().flat_map(|r| &r.wire_puts).all(|p| p.coalesced != 1),
-        "a run of one chunk is not a run"
-    );
-    let v = analyze(&sym, &cfg);
-    assert!(v.is_empty(), "coalesced schedule must prove out: {v:?}");
-}
-
-#[test]
-fn uncoalesced_wire_view_mirrors_chunk_puts() {
-    let profile = theta_profile(8, 2);
-    let decls = IorSpec { num_ranks: 16, bytes_per_rank: 2048 }.decls();
-    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 2048, ..Default::default() };
-    let sym = symbolic(&profile, decls, &cfg);
-    for round in sym.groups.iter().flat_map(|g| &g.partitions).flat_map(|p| &p.rounds) {
-        assert_eq!(round.wire_puts, round.puts, "without coalescing the views coincide");
-    }
-}
-
-#[test]
-fn tampered_wire_view_yields_merged_put_mismatch() {
-    let profile = theta_profile(8, 2);
-    let decls = IorSpec { num_ranks: 16, bytes_per_rank: 512 }.decls();
-    let cfg = TapiocaConfig {
-        num_aggregators: 2,
-        buffer_size: 2048,
-        coalescing: true,
-        ..Default::default()
-    };
-    let clean = symbolic(&profile, decls, &cfg);
-    assert!(analyze(&clean, &cfg).is_empty());
-    let merged_at = |sym: &SymbolicSchedule| -> (usize, usize, usize) {
-        for (gi, g) in sym.groups.iter().enumerate() {
-            for (pi, p) in g.partitions.iter().enumerate() {
-                for (ri, r) in p.rounds.iter().enumerate() {
-                    if r.wire_puts.iter().any(|w| w.coalesced >= 2) {
-                        return (gi, pi, ri);
-                    }
-                }
-            }
-        }
-        panic!("no merged wire put in the clean schedule");
-    };
-
-    // Inflating a merged put's byte count breaks the concatenation.
-    let mut sym = clean.clone();
-    let (gi, pi, ri) = merged_at(&sym);
-    let w = sym.groups[gi].partitions[pi].rounds[ri]
-        .wire_puts
-        .iter_mut()
-        .find(|w| w.coalesced >= 2)
-        .unwrap();
-    w.bytes += 8;
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| x.code() == "merged-put-mismatch"),
-        "inflated merged put must be caught: {v:?}"
-    );
-
-    // A "run" of one chunk is a schedule bug, not a merge.
-    let mut sym = clean.clone();
-    let (gi, pi, ri) = merged_at(&sym);
-    let w = sym.groups[gi].partitions[pi].rounds[ri]
-        .wire_puts
-        .iter_mut()
-        .find(|w| w.coalesced >= 2)
-        .unwrap();
-    w.coalesced = 1;
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| x.code() == "merged-put-mismatch"),
-        "coalesced=1 must be rejected: {v:?}"
-    );
-
-    // Dropping a merged put entirely breaks the byte account.
-    let mut sym = clean.clone();
-    let (gi, pi, ri) = merged_at(&sym);
-    let wire = &mut sym.groups[gi].partitions[pi].rounds[ri].wire_puts;
-    let i = wire.iter().position(|w| w.coalesced >= 2).unwrap();
-    wire.remove(i);
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| x.code() == "merged-put-mismatch"),
-        "dropped merged put must be caught: {v:?}"
-    );
-}
-
 // ---- builder integration -----------------------------------------------
 
 #[test]

@@ -163,90 +163,6 @@ fn ior_unpipelined_conforms() {
     assert_conformant("ior-nopipe", &profile, &w.decls(), &cfg);
 }
 
-// ---- coalesced data plane ----------------------------------------------
-
-#[test]
-fn coalesced_runs_conform() {
-    // With coalescing on, the thread trace carries merged puts
-    // (`coalesced >= 2`) on node-leader lanes; the bridge matches them
-    // against the schedule's wire-level view and must still fully
-    // discharge it.
-    let profile = theta_profile(8, 2);
-    let w = IorSpec { num_ranks: 16, bytes_per_rank: 512 };
-    let cfg = TapiocaConfig {
-        num_aggregators: 2,
-        buffer_size: 2048,
-        coalescing: true,
-        ..Default::default()
-    };
-    let sym = symbolic(&profile, &w.decls(), &cfg);
-    let merged: usize = sym
-        .groups
-        .iter()
-        .flat_map(|g| &g.partitions)
-        .flat_map(|p| &p.rounds)
-        .flat_map(|r| &r.wire_puts)
-        .filter(|p| p.coalesced >= 2)
-        .count();
-    assert!(merged > 0, "the wire view must predict merged puts");
-    assert_conformant("ior-coalesced", &profile, &w.decls(), &cfg);
-
-    let thread = thread_trace("ior-coalesced-t", &profile, &w.decls(), &cfg, None);
-    let observed = thread
-        .events()
-        .iter()
-        .filter(|e| e.op == TraceOp::RmaPut && e.coalesced >= 2)
-        .count();
-    assert_eq!(observed, merged, "every predicted merged put must be observed");
-}
-
-#[test]
-fn coalesced_crash_recovery_conforms() {
-    // The crash round replays merged runs from the surviving gather
-    // buffers: the wire view predicts both the doomed fill and the
-    // slot-0 replay copy of each merged put.
-    let profile = theta_profile(8, 2);
-    let w = IorSpec { num_ranks: 16, bytes_per_rank: 512 };
-    let faults = FaultPlan::seeded(11)
-        .with(FaultSpec::AggregatorCrash { partition: 1, round: 1 });
-    let cfg = TapiocaConfig {
-        num_aggregators: 2,
-        buffer_size: 1024,
-        coalescing: true,
-        faults: Some(faults),
-        ..Default::default()
-    };
-    let sym = symbolic(&profile, &w.decls(), &cfg);
-    let replayed_merged: usize = sym
-        .groups
-        .iter()
-        .flat_map(|g| &g.partitions)
-        .flat_map(|p| &p.rounds)
-        .flat_map(|r| &r.wire_puts)
-        .filter(|p| p.coalesced >= 2 && p.replay)
-        .count();
-    assert!(replayed_merged > 0, "the crash round must replay a merged put");
-    assert_conformant("ior-coalesced-crash", &profile, &w.decls(), &cfg);
-}
-
-#[test]
-fn coalesced_perturbation_seeds_conform() {
-    let profile = theta_profile(8, 2);
-    let w = IorSpec { num_ranks: 16, bytes_per_rank: 512 };
-    let cfg = TapiocaConfig {
-        num_aggregators: 2,
-        buffer_size: 2048,
-        coalescing: true,
-        ..Default::default()
-    };
-    let sym = symbolic(&profile, &w.decls(), &cfg);
-    for seed in 0..8u64 {
-        let t = thread_trace("perturb-coalesced", &profile, &w.decls(), &cfg, Some(seed));
-        let v = conformance_as(&sym, &t, Executor::Thread);
-        assert!(v.is_empty(), "coalesced seed {seed}: {}", render(&v));
-    }
-}
-
 // ---- fault-laden runs --------------------------------------------------
 
 #[test]
