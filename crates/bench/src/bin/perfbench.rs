@@ -1,8 +1,8 @@
 //! Tracked performance harness: self-times the aggregator election
 //! (`elect_partitions` vs. the pairwise `elect_aggregator` reference),
-//! simulator set-up across rank counts, the netsim engine (incremental
-//! vs. full re-waterfilling) and the streaming write path, then writes
-//! `BENCH_perf.json` at the repo root in a stable schema.
+//! simulator set-up across rank counts and the netsim engine
+//! (incremental vs. full re-waterfilling), then writes `BENCH_perf.json`
+//! at the repo root in a stable schema.
 //!
 //! Usage:
 //!
@@ -14,11 +14,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v8`):
+//! Schema (`tapioca-perfbench/v9`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v8",
+//!   "schema": "tapioca-perfbench/v9",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -31,12 +31,7 @@
 //!                               "peak_rss_mib" } ] },
 //!     "netsim_incremental":
 //!                 [ { "workload", "links", "flows", "parts", "reps",
-//!                     "full_ns", "incr_ns", "speedup", "identical" } ],
-//!     "streaming":
-//!                 [ { "machine", "workload", "ranks", "bytes_per_rank",
-//!                     "epochs", "reps", "staged_ns", "streamed_ns",
-//!                     "speedup", "staged_copy_bytes",
-//!                     "streamed_copy_bytes", "identical" } ]
+//!                     "full_ns", "incr_ns", "speedup", "identical" } ]
 //!   }
 //! }
 //! ```
@@ -73,31 +68,18 @@
 //! (`Recompute::Full`, the reference) and `incr_ns` re-waterfills only
 //! dirty components. `speedup` is `full_ns / incr_ns`; `identical`
 //! asserts both produce bitwise-equal schedules.
-//!
-//! `streaming` times the thread-mode write path over multi-epoch
-//! timestep loops: `staged_ns` replays the pre-streaming behaviour (per
-//! epoch: allgather declarations, recompute the schedule, copy the
-//! payload into staging buffers, run the batch pipeline) while
-//! `streamed_ns` reuses one `Session` whose `write()` feeds bytes
-//! straight into the round pipeline. `*_copy_bytes` count staging-buffer
-//! copies — the streamed column must be 0 on these in-order workloads —
-//! and `identical` asserts both legs produce bitwise-equal files.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
-use tapioca::aggregation::run_write_pipeline;
 use tapioca::placement::{
     elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
 };
 use tapioca::prelude::*;
-use tapioca::schedule::{compute_schedule, ScheduleParams};
 use tapioca::sim_exec::{SimSession, StorageConfig};
 use tapioca_bench::hacc_mira;
 use tapioca_bench::loc::code_lines_per_crate;
-use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_netsim::{Recompute, Simulator};
 use tapioca_pfs::GpfsTunables;
 use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider, MIB};
@@ -485,224 +467,6 @@ fn netsim_incremental_suite(smoke: bool, json: &mut String) {
     }
 }
 
-/// One streaming-suite case: a machine topology, a declaration layout,
-/// and a timestep count.
-struct StreamCase {
-    machine: &'static str,
-    workload: &'static str,
-    profile: MachineProfile,
-    decls: Vec<Vec<WriteDecl>>,
-    cfg: TapiocaConfig,
-    epochs: u64,
-}
-
-/// Contiguous per-rank blocks — the IOR shape.
-fn ior_decls(ranks: usize, per: u64) -> Vec<Vec<WriteDecl>> {
-    (0..ranks as u64).map(|r| vec![WriteDecl { offset: r * per, len: per }]).collect()
-}
-
-/// Field-major struct-of-arrays — the HACC shape, with variable extents
-/// aligned to the pipeline buffer so in-order writes stream copy-free.
-fn soa_decls(ranks: usize, vars: u64, var_bytes: u64) -> Vec<Vec<WriteDecl>> {
-    (0..ranks as u64)
-        .map(|r| {
-            (0..vars)
-                .map(|v| WriteDecl {
-                    offset: v * ranks as u64 * var_bytes + r * var_bytes,
-                    len: var_bytes,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Payload of declared write `var` of `rank` at timestep `epoch`.
-fn stream_payload(rank: usize, var: usize, len: u64, epoch: u64) -> Vec<u8> {
-    (0..len).map(|i| (rank as u64 * 131 + var as u64 * 17 + i * 3 + epoch * 59) as u8).collect()
-}
-
-/// One streamed run: a single reused [`Session`] over `epochs`
-/// timesteps. Returns the total staging-copy bytes across all ranks.
-fn run_streamed(case: &StreamCase, path: &std::path::Path) -> u64 {
-    let machine = Arc::new(case.profile.machine.clone());
-    let decls = case.decls.clone();
-    let cfg = case.cfg.clone();
-    let epochs = case.epochs;
-    let path = path.to_path_buf();
-    let copies = Runtime::run(decls.len(), move |comm| {
-        let file = SharedFile::open_shared(&comm, &path);
-        let r = comm.rank();
-        let mine = decls[r].clone();
-        let mut io = Session::builder(&comm, file)
-            .declarations(mine.clone())
-            .config(cfg.clone())
-            .topology(machine.clone())
-            .build()
-            .expect("session build failed");
-        let mut copied = 0u64;
-        for epoch in 0..epochs {
-            for (v, d) in mine.iter().enumerate() {
-                io.write(d.offset, &stream_payload(r, v, d.len, epoch)).expect("write failed");
-            }
-            copied += io.stats().expect("epoch completed").staging_copy_bytes;
-        }
-        io.finalize();
-        copied
-    });
-    copies.iter().sum()
-}
-
-/// One staged-replay run: the pre-streaming per-epoch behaviour —
-/// allgather the declarations, recompute the schedule, copy the payload
-/// into staging buffers, run the batch pipeline. Returns the total
-/// staging-copy bytes across all ranks.
-fn run_staged(case: &StreamCase, path: &std::path::Path) -> u64 {
-    let machine = Arc::new(case.profile.machine.clone());
-    let decls = case.decls.clone();
-    let cfg = case.cfg.clone();
-    let epochs = case.epochs;
-    let params = ScheduleParams {
-        num_aggregators: cfg.num_aggregators,
-        buffer_size: cfg.buffer_size,
-        align_to_buffer: true,
-    };
-    let path = path.to_path_buf();
-    let copies = Runtime::run(decls.len(), move |comm| {
-        let file = SharedFile::open_shared(&comm, &path);
-        let r = comm.rank();
-        let mine = decls[r].clone();
-        let mut copied = 0u64;
-        for epoch in 0..epochs {
-            // what every init-per-epoch caller used to pay: decl
-            // exchange + schedule recomputation + payload staging
-            let mut header = Vec::with_capacity(mine.len() * 16);
-            for d in &mine {
-                header.extend_from_slice(&d.offset.to_le_bytes());
-                header.extend_from_slice(&d.len.to_le_bytes());
-            }
-            let all = comm.allgather_bytes(header);
-            let all_decls: Vec<Vec<WriteDecl>> = all
-                .iter()
-                .map(|buf| {
-                    buf.chunks_exact(16)
-                        .map(|c| WriteDecl {
-                            offset: u64::from_le_bytes(c[..8].try_into().expect("8-byte field")),
-                            len: u64::from_le_bytes(c[8..].try_into().expect("8-byte field")),
-                        })
-                        .collect()
-                })
-                .collect();
-            let schedule = compute_schedule(&all_decls, params);
-            let staged: Vec<Vec<u8>> = mine
-                .iter()
-                .enumerate()
-                .map(|(v, d)| stream_payload(r, v, d.len, epoch))
-                .collect();
-            copied += staged.iter().map(|b| b.len() as u64).sum::<u64>();
-            let seq = comm.next_user_seq();
-            run_write_pipeline(&comm, &schedule, &staged, &file, &cfg, machine.as_ref(), seq * 2)
-                .expect("staged pipeline failed");
-        }
-        copied
-    });
-    copies.iter().sum()
-}
-
-fn streaming_suite(smoke: bool, json: &mut String) {
-    let (ranks, buffer, ior_per, soa_var, epochs) = if smoke {
-        (8usize, 32 * 1024u64, 256 * 1024u64, 32 * 1024u64, 4u64)
-    } else {
-        (16, 256 * 1024, 1 << 20, 128 * 1024, 6)
-    };
-    let cfg = |aggr: usize| TapiocaConfig {
-        num_aggregators: aggr,
-        buffer_size: buffer,
-        ..Default::default()
-    };
-    let cases = vec![
-        StreamCase {
-            machine: "mira",
-            workload: "ior",
-            profile: mira_profile(128, 4),
-            decls: ior_decls(ranks, ior_per),
-            cfg: cfg(4),
-            epochs,
-        },
-        StreamCase {
-            machine: "mira",
-            workload: "hacc",
-            profile: mira_profile(128, 4),
-            decls: soa_decls(ranks, 9, soa_var),
-            cfg: cfg(4),
-            epochs,
-        },
-        StreamCase {
-            machine: "theta",
-            workload: "ior",
-            profile: theta_profile(8, 2),
-            decls: ior_decls(ranks, ior_per),
-            cfg: cfg(4),
-            epochs,
-        },
-        StreamCase {
-            machine: "theta",
-            workload: "hacc",
-            profile: theta_profile(8, 2),
-            decls: soa_decls(ranks, 9, soa_var),
-            cfg: cfg(4),
-            epochs,
-        },
-    ];
-
-    let dir = std::env::temp_dir().join("tapioca-perfbench-streaming");
-    std::fs::create_dir_all(&dir).expect("create bench dir");
-    let mut first = true;
-    for case in &cases {
-        let name = format!("{}-{}", case.machine, case.workload);
-        let p_str = dir.join(format!("{name}-str-{}", std::process::id()));
-        let p_stg = dir.join(format!("{name}-stg-{}", std::process::id()));
-
-        // correctness pass (untimed): both legs must write the same file
-        let streamed_copy_bytes = run_streamed(case, &p_str);
-        let staged_copy_bytes = run_staged(case, &p_stg);
-        let identical = std::fs::read(&p_str).expect("read streamed file")
-            == std::fs::read(&p_stg).expect("read staged file");
-
-        let reps = 3;
-        let streamed_ns = median_ns(reps, || {
-            black_box(run_streamed(case, &p_str));
-        });
-        let staged_ns = median_ns(reps, || {
-            black_box(run_staged(case, &p_stg));
-        });
-        std::fs::remove_file(&p_str).ok();
-        std::fs::remove_file(&p_stg).ok();
-
-        let bytes_per_rank: u64 = case.decls[0].iter().map(|d| d.len).sum();
-        let speedup = staged_ns as f64 / (streamed_ns as f64).max(1.0);
-        eprintln!(
-            "streaming {name} ranks={ranks} bytes/rank={bytes_per_rank} epochs={}: \
-             staged {staged_ns} ns ({staged_copy_bytes} copied), \
-             streamed {streamed_ns} ns ({streamed_copy_bytes} copied) \
-             ({speedup:.2}x, identical={identical})",
-            case.epochs,
-        );
-        if !first {
-            json.push(',');
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "\n    {{\"machine\": \"{}\", \"workload\": \"{}\", \"ranks\": {ranks}, \
-             \"bytes_per_rank\": {bytes_per_rank}, \"epochs\": {}, \"reps\": {reps}, \
-             \"staged_ns\": {staged_ns}, \"streamed_ns\": {streamed_ns}, \
-             \"speedup\": {speedup:.3}, \"staged_copy_bytes\": {staged_copy_bytes}, \
-             \"streamed_copy_bytes\": {streamed_copy_bytes}, \"identical\": {identical}}}",
-            case.machine, case.workload, case.epochs,
-        );
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -718,10 +482,8 @@ fn main() {
     scale_suite(smoke, &mut scale);
     let mut election = String::new();
     let mut incremental = String::new();
-    let mut streaming = String::new();
     election_suite(smoke, &mut election);
     netsim_incremental_suite(smoke, &mut incremental);
-    streaming_suite(smoke, &mut streaming);
 
     let loc: Vec<String> = code_lines_per_crate(std::path::Path::new(root))
         .iter()
@@ -730,12 +492,11 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v8\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v9\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \
-         \"netsim_incremental\": [{incremental}\n   ],\n   \
-         \"streaming\": [{streaming}\n   ]\n  }}\n}}\n"
+         \"netsim_incremental\": [{incremental}\n   ]\n  }}\n}}\n"
     );
     std::fs::write(&out, json).expect("write BENCH_perf.json");
     eprintln!("wrote {out}");

@@ -43,29 +43,12 @@
 //! round: the other members have nothing to put and nothing to wait
 //! for, so waking them twice a round is pure cost. What stays
 //! collective: partition entry (sub-communicator, election, window
-//! allocation), the crash-round re-election, and the closing barrier of
-//! `PartitionRun::finish`.
+//! allocation), the crash-round re-election, and the closing flag
+//! reduction of `PartitionRun::finish`.
 //!
-//! ## Execution drivers
-//!
-//! The pipeline state of one partition lives in `PartitionRun`:
-//! election results, the RMA window, the in-flight flush slots, and the
-//! fault schedule. Rounds are executed one at a time through
-//! `PartitionRun::run_round`, pulling payload bytes from a
-//! `ChunkSource`. Two drivers share this machinery:
-//!
-//! * [`run_write_pipeline`] — the *batch* driver: all payloads are at
-//!   hand (a `StagedSource`), so it simply runs every round of every
-//!   partition back to back. The baseline and equivalence tests use it
-//!   as the reference executor.
-//! * the *streaming* session in [`crate::api`] — rounds run as soon as
-//!   their contributions arrive at `write()` call sites, and each
-//!   partition's context (`PartCtx`) is kept across epochs and reads so
-//!   repeated checkpoints and restarts skip subgroup formation,
-//!   election, and window allocation.
-//!
-//! Both drivers issue the identical collective sequence, so file bytes,
-//! traces, and stats cannot diverge between them.
+//! A failed flush never strands the partition: the aggregator records
+//! its first error and keeps posting and waiting, and `finish`'s flag
+//! reduction hands the verdict to every member.
 //!
 //! ## Fault handling
 //!
@@ -90,10 +73,9 @@
 //! * **Graceful degradation**: a fault that exhausts the retry budget
 //!   (or a declared stall) is detected *before* the round runs — every
 //!   member writes its own remaining chunks directly to the file and the
-//!   partition exits through one barrier. Slower, but deadlock-free and
-//!   byte-identical. `run_round` reports the degrade to its driver,
-//!   which performs the direct writes (the batch driver immediately;
-//!   the streaming session as the remaining bytes arrive).
+//!   partition exits through `finish`. Slower, but deadlock-free and
+//!   byte-identical. `run_round` reports the degrade to the session,
+//!   which performs the direct writes as the remaining bytes arrive.
 
 use std::sync::Arc;
 
@@ -103,10 +85,11 @@ use tapioca_topology::TopologyProvider;
 #[cfg(feature = "trace")]
 use tapioca_trace::TraceScope;
 
+use crate::api::StreamSource;
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
-use crate::schedule::{Chunk, FlushSegment, PartitionInfo, RankPartPlan, RoundRoster, Schedule};
+use crate::schedule::{Chunk, FlushSegment, PartitionInfo, RankPartPlan, RoundRoster};
 
 /// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
@@ -202,23 +185,20 @@ impl IoStats {
     }
 }
 
-/// Where `run_round` reads the payload of a chunk from. `idx` is the
-/// chunk's position in the partition chunk slice handed to `run_round`,
-/// letting the streaming session address its per-chunk state without
-/// searching.
-pub(crate) trait ChunkSource {
-    /// The bytes of chunk `c` (this rank's `idx`-th chunk of the
-    /// partition being run).
-    fn chunk_data(&self, idx: usize, c: &Chunk) -> &[u8];
-}
-
-/// Batch source: every declared variable fully materialized, indexed by
-/// `Chunk::var` / `Chunk::var_offset`.
-pub(crate) struct StagedSource<'a>(pub &'a [Vec<u8>]);
-
-impl ChunkSource for StagedSource<'_> {
-    fn chunk_data(&self, _idx: usize, c: &Chunk) -> &[u8] {
-        &self.0[c.var][c.var_offset as usize..(c.var_offset + c.len) as usize]
+/// Close a partition with one flag reduction over its members: `Ok` on
+/// all of them, or `Err` on all of them if any recorded a failure — its
+/// own error where it has one, an `op` error saying `why` elsewhere.
+fn shared_verdict(
+    pcomm: &Comm,
+    failed: Option<TapiocaError>,
+    op: &'static str,
+    why: &str,
+) -> Result<()> {
+    let (ok, _) = pcomm.allreduce_min_loc(if failed.is_some() { 0.0 } else { 1.0 });
+    match failed {
+        Some(e) => Err(e),
+        None if ok == 0.0 => Err(io_err(op, std::io::Error::other(why))),
+        None => Ok(()),
     }
 }
 
@@ -413,15 +393,8 @@ impl PartCtx {
                 stats.fences += 1;
             }
         }
-        let (ok, _) = self.pcomm.allreduce_min_loc(if failed.is_some() { 0.0 } else { 1.0 });
-        match failed {
-            Some(e) => Err(e),
-            None if ok == 0.0 => {
-                let why = "the partition's aggregator could not read its file segments";
-                Err(io_err("read_at", std::io::Error::other(why)))
-            }
-            None => Ok(()),
-        }
+        let why = "the partition's aggregator could not read its file segments";
+        shared_verdict(&self.pcomm, failed, "read_at", why)
     }
 }
 
@@ -446,6 +419,9 @@ pub(crate) struct PartitionRun {
     /// degrade round.
     pub(crate) next_round: usize,
     degraded: bool,
+    /// First write error on this rank; [`PartitionRun::finish`] shares
+    /// it with every member.
+    failed: Option<TapiocaError>,
 }
 
 impl PartitionRun {
@@ -508,6 +484,7 @@ impl PartitionRun {
             degrade_at,
             next_round: 0,
             degraded: false,
+            failed: None,
         };
         // Both buffers are free at entry (a kept window was drained by
         // the previous epoch's `finish`, or released by a read's waits).
@@ -551,13 +528,22 @@ impl PartitionRun {
         (self.next_round - first) as u64
     }
 
+    /// Keep the first write error of this partition on this rank; the
+    /// run goes on, and [`PartitionRun::finish`] reports it.
+    pub(crate) fn record(&mut self, res: Result<()>) {
+        if let Err(e) = res {
+            self.failed.get_or_insert(e);
+        }
+    }
+
     /// Blocking drain of one in-flight slot, in launch order.
-    fn drain_slot(&mut self, slot: usize, file: &SharedFile, cfg: &TapiocaConfig) -> Result<()> {
+    fn drain_slot(&mut self, slot: usize, file: &SharedFile, cfg: &TapiocaConfig) {
         let b = cfg.buffer_size as usize;
         for f in std::mem::take(&mut self.inflight[slot]) {
-            settle_flight(f, &self.ctx.win, self.my_idx, b, file, cfg.io_policy.op_timeout)?;
+            let res =
+                settle_flight(f, &self.ctx.win, self.my_idx, b, file, cfg.io_policy.op_timeout);
+            self.record(res);
         }
-        Ok(())
     }
 
     /// This rank's part in filling round `r`: enter the aggregator's
@@ -568,7 +554,7 @@ impl PartitionRun {
         &self,
         part: &PartitionInfo,
         chunks: &[Chunk],
-        src: &dyn ChunkSource,
+        src: &StreamSource<'_>,
         r: usize,
         slot_base: usize,
         stats: &mut IoStats,
@@ -594,20 +580,20 @@ impl PartitionRun {
     /// `(round, file_offset)`); `src` supplies each chunk's bytes.
     ///
     /// On [`RoundOutcome::Ran`] the run advanced to the next round. On
-    /// [`RoundOutcome::Degraded`] the in-flight flushes were drained and
-    /// the barrier obligations recorded, but the remaining chunks are
-    /// the *driver's* to write directly (their offsets are disjoint from
-    /// everything the pipeline flushed, so ordering cannot change file
-    /// bytes).
+    /// [`RoundOutcome::Degraded`] the in-flight flushes were drained,
+    /// but the remaining chunks are the *session's* to write directly
+    /// (their offsets are disjoint from everything the pipeline flushed,
+    /// so ordering cannot change file bytes). A flush that fails is
+    /// recorded, not returned: the round protocol runs on.
     pub(crate) fn run_round(
         &mut self,
         part: &PartitionInfo,
         chunks: &[Chunk],
         file: &SharedFile,
         cfg: &TapiocaConfig,
-        src: &dyn ChunkSource,
+        src: &StreamSource<'_>,
         stats: &mut IoStats,
-    ) -> Result<RoundOutcome> {
+    ) -> RoundOutcome {
         let r = self.next_round;
         let round = &part.rounds[r];
         let b = cfg.buffer_size as usize;
@@ -633,15 +619,15 @@ impl PartitionRun {
                 }
             }
             if self.my_idx == self.ctx.agg_idx {
-                self.drain_slot(0, file, cfg)?;
-                self.drain_slot(1, file, cfg)?;
+                self.drain_slot(0, file, cfg);
+                self.drain_slot(1, file, cfg);
             }
             stats.degraded += 1;
             if self.my_idx == 0 {
                 stats.faults_injected += 1;
             }
             self.degraded = true;
-            return Ok(RoundOutcome::Degraded);
+            return RoundOutcome::Degraded;
         }
 
         let mut buf = (r - self.base) % 2;
@@ -659,8 +645,8 @@ impl PartitionRun {
         if self.crash_round == Some(r) {
             let old_agg = self.ctx.agg_idx;
             if self.my_idx == old_agg {
-                self.drain_slot(0, file, cfg)?;
-                self.drain_slot(1, file, cfg)?;
+                self.drain_slot(0, file, cfg);
+                self.drain_slot(1, file, cfg);
             }
             #[cfg(feature = "trace")]
             if self.my_idx == 0 {
@@ -749,33 +735,33 @@ impl PartitionRun {
                 let h = file.iwrite_at_policy(seg.file_offset, view, policy, hint);
                 handles.push(Flight { handle: h, seg: *seg, slot: buf });
             }
-            if cfg.pipelining {
-                self.inflight[buf] = handles;
-                // Round r+1 fills the other buffer; its previous
-                // flush (round r-1) must have drained first.
-                self.drain_slot((buf + 1) % 2, file, cfg)?;
-            } else {
-                for f in handles {
-                    settle_flight(f, &self.ctx.win, self.my_idx, b, file, policy.op_timeout)?;
-                }
-            }
+            self.inflight[buf] = handles;
+            // Pipelined, round r+1 fills the other buffer, whose
+            // previous flush (round r-1) must have drained first;
+            // unpipelined, it refills this one.
+            self.drain_slot(if cfg.pipelining { (buf + 1) % 2 } else { buf }, file, cfg);
             // The buffer round r+1 fills is free again: expose it.
             self.post_round(part, r + 1, stats);
         }
         self.next_round = r + 1;
-        Ok(RoundOutcome::Ran)
+        RoundOutcome::Ran
     }
 
     /// Leave the partition: drain both in-flight slots in order, then
-    /// the closing barrier — all flushes of this partition are durable
-    /// before anyone leaves.
+    /// one flag reduction — all flushes of this partition are settled
+    /// before anyone leaves, and every member learns whether any write
+    /// of the partition failed.
+    ///
+    /// # Errors
+    /// [`TapiocaError::Io`] on every member if any member recorded a
+    /// write error ([`PartitionRun::record`]).
     pub(crate) fn finish(&mut self, file: &SharedFile, cfg: &TapiocaConfig) -> Result<()> {
         if self.my_idx == self.ctx.agg_idx {
-            self.drain_slot(0, file, cfg)?;
-            self.drain_slot(1, file, cfg)?;
+            self.drain_slot(0, file, cfg);
+            self.drain_slot(1, file, cfg);
         }
-        self.ctx.pcomm.barrier();
-        Ok(())
+        let why = "a write of the partition failed on another member";
+        shared_verdict(&self.ctx.pcomm, self.failed.take(), "write_at", why)
     }
 
     /// Hand the context back for the next epoch or read. Only valid
@@ -793,57 +779,4 @@ impl PartitionRun {
         self.ctx.win.clear_trace_scope();
         self.ctx
     }
-}
-
-/// Run the write pipeline for this rank, batch-style. `staged[var]`
-/// holds the data of the rank's declared write `var`; lengths must
-/// match the declarations used to compute `schedule`.
-pub fn run_write_pipeline(
-    comm: &Comm,
-    schedule: &Schedule,
-    staged: &[Vec<u8>],
-    file: &SharedFile,
-    cfg: &TapiocaConfig,
-    topo: &dyn TopologyProvider,
-    epoch: u64,
-) -> Result<IoStats> {
-    let me = comm.rank();
-    let mut stats = IoStats::default();
-    let src = StagedSource(staged);
-
-    for part in &schedule.partitions {
-        if part.members.binary_search(&me).is_err() {
-            continue;
-        }
-        let my_chunks: Vec<Chunk> = schedule.chunks_by_rank[me]
-            .iter()
-            .filter(|c| c.partition == part.index)
-            .copied()
-            .collect();
-
-        let roster = Arc::new(RoundRoster::new(schedule, part));
-        let ctx = PartCtx::form(comm, part, cfg, topo, epoch);
-        let mut run = PartitionRun::enter(comm, part, cfg, ctx, &roster, &mut stats);
-        loop {
-            run.skip_idle(part);
-            if run.next_round == part.rounds.len() {
-                break;
-            }
-            match run.run_round(part, &my_chunks, file, cfg, &src, &mut stats)? {
-                RoundOutcome::Ran => {}
-                RoundOutcome::Degraded => {
-                    let dr = run.next_round;
-                    for (i, c) in my_chunks.iter().enumerate() {
-                        if c.round as usize >= dr {
-                            file.write_at(c.file_offset, src.chunk_data(i, c))
-                                .map_err(|e| io_err("write_at", e))?;
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-        run.finish(file, cfg)?;
-    }
-    Ok(stats)
 }

@@ -93,7 +93,7 @@ pub enum StaticViolation {
     },
     /// The collective visit order induces a cycle over partitions —
     /// ranks would deadlock on the partitions' collectives (election,
-    /// closing barrier).
+    /// closing flag reduction).
     FenceCycle {
         /// Global partition indices forming the cycle.
         cycle: Vec<u32>,
@@ -390,7 +390,7 @@ fn check_round_agreement(part: &SymbolicPartition, out: &mut Vec<StaticViolation
 /// go from each partition a rank visits to the next one it visits;
 /// a cycle means two ranks enter a pair of partitions in opposite
 /// orders and would deadlock on the subgroups' collectives (election,
-/// closing barrier).
+/// closing flag reduction).
 fn check_fence_acyclic(sym: &SymbolicSchedule, out: &mut Vec<StaticViolation>) {
     for group in &sym.groups {
         let n = group.partitions.len();

@@ -57,7 +57,7 @@ use std::sync::Arc;
 use tapioca_mpi::{Comm, SharedFile};
 use tapioca_topology::TopologyProvider;
 
-use crate::aggregation::{ChunkSource, IoStats, PartCtx, PartitionRun, RoundOutcome};
+use crate::aggregation::{IoStats, PartCtx, PartitionRun, RoundOutcome};
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
@@ -101,18 +101,20 @@ enum ChunkState {
     Done,
 }
 
-/// [`ChunkSource`] of the streaming path: the variable being written
+/// Where a round's puts read their payload: the variable being written
 /// right now is served from the caller's slice; earlier out-of-order
 /// arrivals from their pending buffers.
-struct StreamSource<'a> {
+pub(crate) struct StreamSource<'a> {
     chunk_base: usize,
     states: &'a [ChunkState],
     live_var: usize,
     live: &'a [u8],
 }
 
-impl ChunkSource for StreamSource<'_> {
-    fn chunk_data(&self, idx: usize, c: &Chunk) -> &[u8] {
+impl StreamSource<'_> {
+    /// The bytes of chunk `c`, this rank's `idx`-th chunk of the
+    /// partition being run.
+    pub(crate) fn chunk_data(&self, idx: usize, c: &Chunk) -> &[u8] {
         match &self.states[self.chunk_base + idx] {
             ChunkState::Pending(buf) => buf,
             ChunkState::Waiting => {
@@ -125,6 +127,29 @@ impl ChunkSource for StreamSource<'_> {
             ChunkState::Done => unreachable!("chunk consumed twice in one epoch"),
         }
     }
+}
+
+/// Collective: every member's declarations, indexed by comm rank. Each
+/// declaration travels as its `(offset, len)` pair of little-endian
+/// `u64`s in one `allgather`.
+pub fn allgather_declarations(comm: &Comm, decls: &[WriteDecl]) -> Vec<Vec<WriteDecl>> {
+    let mine = decls.iter().flat_map(|d| [d.offset, d.len]).flat_map(u64::to_le_bytes).collect();
+    let field = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    comm.allgather_bytes(mine)
+        .iter()
+        .map(|bytes| {
+            bytes
+                .chunks_exact(16)
+                .map(|c| WriteDecl { offset: field(&c[..8]), len: field(&c[8..]) })
+                .collect()
+        })
+        .collect()
+}
+
+/// Write chunk `c`'s bytes `d` straight to the file: the degrade
+/// fallback.
+fn direct_write(file: &SharedFile, c: &Chunk, d: &[u8]) -> Result<()> {
+    file.write_at(c.file_offset, d).map_err(|e| io_err("write_at", e))
 }
 
 /// Builder for a [`Session`] — the single entry point.
@@ -218,26 +243,7 @@ impl<'c> SessionBuilder<'c> {
         let topo =
             topo.unwrap_or_else(|| Arc::new(UniformTopology { num_ranks: comm.size() }));
         let seq = comm.next_user_seq();
-
-        // Allgather declarations: (offset, len) pairs.
-        let mut mine = Vec::with_capacity(decls.len() * 16);
-        for d in &decls {
-            mine.extend_from_slice(&d.offset.to_le_bytes());
-            mine.extend_from_slice(&d.len.to_le_bytes());
-        }
-        let all = comm.allgather_bytes(mine);
-        let all_decls: Vec<Vec<WriteDecl>> = all
-            .into_iter()
-            .map(|bytes| {
-                bytes
-                    .chunks_exact(16)
-                    .map(|c| WriteDecl {
-                        offset: u64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
-                        len: u64::from_le_bytes(c[8..].try_into().expect("8 bytes")),
-                    })
-                    .collect()
-            })
-            .collect();
+        let all_decls = allgather_declarations(comm, &decls);
         // Every rank holds every declaration now, so a bad one fails the
         // build on all of them at the same point: nobody is left waiting
         // in a later collective.
@@ -286,6 +292,7 @@ impl<'c> SessionBuilder<'c> {
             degraded_from: vec![None; nparts],
             rounds_completed: 0,
             pool: Vec::new(),
+            epoch_failed: None,
             epoch_stats: IoStats::default(),
             last_stats: None,
             read_stats: Cell::new(None),
@@ -333,6 +340,9 @@ pub struct Session<'c> {
     rounds_completed: u64,
     /// Recycled pending-chunk buffers.
     pool: Vec<Vec<u8>>,
+    /// First write error of the current epoch, returned by its last
+    /// `write`; the epoch runs on so no peer is left waiting.
+    epoch_failed: Option<TapiocaError>,
     epoch_stats: IoStats,
     last_stats: Option<IoStats>,
     /// Counters of the most recent `read_declared`.
@@ -391,9 +401,11 @@ impl<'c> Session<'c> {
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] if `(offset, data.len())` matches
     /// no outstanding declared write of this rank in the current epoch
-    /// (detected locally, before any collective call). I/O errors from
-    /// the pipeline propagate from whichever `write` call ran the
-    /// failing round.
+    /// (detected locally, before any collective call).
+    /// [`TapiocaError::Io`] from the epoch's last `write` if a write of
+    /// any partition this rank took part in failed — on every member of
+    /// that partition. The epoch still ran to its end on every rank, and
+    /// the session stays usable.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<WriteOutcome> {
         let key = (offset, data.len() as u64);
         let extent = |&i: &usize| (self.decls[i].offset, self.decls[i].len);
@@ -411,10 +423,10 @@ impl<'c> Session<'c> {
             })?;
         self.avail[var] = true;
         self.issued += 1;
-        self.advance(var, data)?;
-        self.stash_or_direct(var, data)?;
+        self.advance(var, data);
+        self.stash_or_direct(var, data);
         if self.issued == self.decls.len() {
-            Ok(self.complete_epoch())
+            self.complete_epoch()
         } else {
             Ok(WriteOutcome::Streamed { rounds_completed: self.rounds_completed })
         }
@@ -422,10 +434,12 @@ impl<'c> Session<'c> {
 
     /// Drive the round pipeline as far as the issued payloads allow:
     /// partitions in ascending order, rounds in ascending order within
-    /// each — the identical global total order of the batch driver, so
-    /// pausing between rounds is deadlock-free. Rounds this rank has no
-    /// part in are skipped without a synchronisation call.
-    fn advance(&mut self, live_var: usize, live: &[u8]) -> Result<()> {
+    /// each — one global total order, so pausing between rounds is
+    /// deadlock-free. Rounds this rank has no part in are skipped
+    /// without a synchronisation call. Write errors are kept in
+    /// `epoch_failed`, never returned early: the peers of a partition
+    /// are waiting in its collectives.
+    fn advance(&mut self, live_var: usize, live: &[u8]) {
         let Session {
             comm,
             file,
@@ -443,9 +457,15 @@ impl<'c> Session<'c> {
             degraded_from,
             rounds_completed,
             pool,
+            epoch_failed,
             epoch_stats,
             ..
         } = self;
+        let mut finish = |run: &mut PartitionRun| {
+            if let Err(e) = run.finish(file, cfg) {
+                epoch_failed.get_or_insert(e);
+            }
+        };
         while *cur_part < plan.parts.len() {
             let pp = &plan.parts[*cur_part];
             let part = &schedule.partitions[pp.part_index];
@@ -476,7 +496,7 @@ impl<'c> Session<'c> {
                 continue;
             };
             if r == nrounds {
-                run.finish(file, cfg)?;
+                finish(run);
                 let run = active.take().expect("still active");
                 if cfg.faults.is_none() {
                     ctxs.get_mut()[*cur_part] = Some(run.into_ctx());
@@ -491,7 +511,7 @@ impl<'c> Session<'c> {
                     live_var,
                     live,
                 };
-                run.run_round(part, &pp.chunks, file, cfg, &src, epoch_stats)?
+                run.run_round(part, &pp.chunks, file, cfg, &src, epoch_stats)
             };
             match outcome {
                 RoundOutcome::Ran => {
@@ -521,8 +541,7 @@ impl<'c> Session<'c> {
                         chunk_state[gi] = match std::mem::take(&mut chunk_state[gi]) {
                             ChunkState::Done => ChunkState::Done,
                             ChunkState::Pending(mut b) => {
-                                file.write_at(c.file_offset, &b)
-                                    .map_err(|e| io_err("write_at", e))?;
+                                run.record(direct_write(file, c, &b));
                                 b.clear();
                                 pool.push(b);
                                 ChunkState::Done
@@ -531,8 +550,7 @@ impl<'c> Session<'c> {
                                 if c.var == live_var {
                                     let d = &live[c.var_offset as usize
                                         ..(c.var_offset + c.len) as usize];
-                                    file.write_at(c.file_offset, d)
-                                        .map_err(|e| io_err("write_at", e))?;
+                                    run.record(direct_write(file, c, d));
                                     ChunkState::Done
                                 } else {
                                     ChunkState::Waiting
@@ -540,20 +558,19 @@ impl<'c> Session<'c> {
                             }
                         };
                     }
-                    run.finish(file, cfg)?;
+                    finish(run);
                     *active = None;
                     degraded_from[*cur_part] = Some(dr);
                     *cur_part += 1;
                 }
             }
         }
-        Ok(())
     }
 
     /// Park the chunks of `var` that `advance` did not consume: copy
     /// them into pending buffers (counted), or — when their partition
     /// already degraded — write them straight to the file.
-    fn stash_or_direct(&mut self, var: usize, live: &[u8]) -> Result<()> {
+    fn stash_or_direct(&mut self, var: usize, live: &[u8]) {
         for &(pslot, li) in &self.var_chunks[var] {
             let pp = &self.plan.parts[pslot];
             let c = pp.chunks[li];
@@ -563,7 +580,9 @@ impl<'c> Session<'c> {
             }
             let d = &live[c.var_offset as usize..(c.var_offset + c.len) as usize];
             if self.degraded_from[pslot].is_some_and(|dr| c.round as usize >= dr) {
-                self.file.write_at(c.file_offset, d).map_err(|e| io_err("write_at", e))?;
+                if let Err(e) = direct_write(&self.file, &c, d) {
+                    self.epoch_failed.get_or_insert(e);
+                }
                 self.chunk_state[gi] = ChunkState::Done;
                 continue;
             }
@@ -573,12 +592,11 @@ impl<'c> Session<'c> {
             self.chunk_state[gi] = ChunkState::Pending(b);
             self.epoch_stats.staging_copy_bytes += c.len;
         }
-        Ok(())
     }
 
     /// Close the epoch: publish its stats and reset the per-epoch
-    /// progress so the next `write` starts the next epoch.
-    fn complete_epoch(&mut self) -> WriteOutcome {
+    /// progress so the next `write` starts the next epoch, failed or not.
+    fn complete_epoch(&mut self) -> Result<WriteOutcome> {
         debug_assert_eq!(self.cur_part, self.plan.parts.len(), "all partitions finished");
         let degraded = self.epoch_stats.degraded > 0;
         self.last_stats = Some(self.epoch_stats);
@@ -592,10 +610,10 @@ impl<'c> Session<'c> {
             *st = ChunkState::Waiting;
         }
         self.degraded_from.iter_mut().for_each(|d| *d = None);
-        if degraded {
-            WriteOutcome::Degraded
-        } else {
-            WriteOutcome::Flushed
+        match self.epoch_failed.take() {
+            Some(e) => Err(e),
+            None if degraded => Ok(WriteOutcome::Degraded),
+            None => Ok(WriteOutcome::Flushed),
         }
     }
 

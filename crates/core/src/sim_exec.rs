@@ -17,7 +17,7 @@ use tapioca_pfs::{
     PlannedFlow,
 };
 use tapioca_topology::{
-    LinkIx, Machine, MachineProfile, NodeId, Rank, StorageProfile, TopologyProvider,
+    lnet_gateway_nodes, LinkIx, Machine, MachineProfile, Rank, StorageProfile, TopologyProvider,
 };
 
 use crate::config::TapiocaConfig;
@@ -80,18 +80,6 @@ impl SimReport {
     pub fn bandwidth_gib(&self) -> f64 {
         self.bandwidth / (1u64 << 30) as f64
     }
-}
-
-/// Number of LNET gateway nodes modelled on a dragonfly machine.
-const LNET_GATEWAYS: usize = 8;
-
-/// Deterministic LNET gateway node placement: spread across the machine
-/// (their real mapping on Theta is irregular and undocumented; what
-/// matters is that the placement cost model cannot see them while the
-/// simulator still routes through them).
-fn lnet_nodes(num_nodes: usize) -> Vec<NodeId> {
-    let g = LNET_GATEWAYS.min(num_nodes);
-    (0..g).map(|i| (i * num_nodes) / g + num_nodes / (2 * g)).collect()
 }
 
 /// Execute `plan` against `profile` + `storage`.
@@ -215,7 +203,7 @@ fn lower_plan(
             *ost_write_bw,
             *ost_read_bw,
             *lnet_bw,
-            lnet_nodes(net.num_nodes()),
+            lnet_gateway_nodes(net.num_nodes()),
             *tun,
         )),
         _ => {

@@ -99,7 +99,27 @@ pub(crate) struct CommShared {
     /// rank of comm rank `i`.
     pub(crate) members: Vec<Rank>,
     barrier: Barrier,
-    slots: Mutex<Vec<Option<Vec<u8>>>>,
+    slots: Mutex<Slots>,
+}
+
+/// The contributions of the slot collectives (`allgather_bytes`,
+/// `bcast`), in two sets used alternately: a member's `k`-th slot
+/// collective on the communicator uses set `k % 2`. It writes that set
+/// again only in call `k + 2`, after the barrier of call `k + 1`, which
+/// every member enters after reading call `k` — so one barrier per call
+/// suffices. The call counts live here, not in the handle, so they
+/// survive a handle formed again for the same communicator.
+struct Slots {
+    sets: [Vec<Option<Vec<u8>>>; 2],
+    calls: Vec<u64>,
+}
+
+impl Slots {
+    /// The set of member `me`'s next slot collective.
+    fn next_set(&mut self, me: usize) -> usize {
+        self.calls[me] += 1;
+        (self.calls[me] % 2) as usize
+    }
 }
 
 impl CommShared {
@@ -109,7 +129,7 @@ impl CommShared {
             uid,
             members,
             barrier: Barrier::with_timeout(n, watchdog),
-            slots: Mutex::new(vec![None; n]),
+            slots: Mutex::new(Slots { sets: [vec![None; n], vec![None; n]], calls: vec![0; n] }),
         }
     }
 }
@@ -271,36 +291,30 @@ impl Comm {
     /// Gather every member's byte vector; result indexed by comm rank.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> Vec<Vec<u8>> {
         self.perturb_point();
-        {
+        let set = {
             let mut slots = crate::lock_ok(&self.shared.slots);
-            slots[self.my_index] = Some(mine);
-        }
-        self.shared.barrier.wait();
-        let all: Vec<Vec<u8>> = {
-            let slots = crate::lock_ok(&self.shared.slots);
-            slots
-                .iter()
-                .map(|o| o.clone().expect("every member contributed"))
-                .collect()
+            let set = slots.next_set(self.my_index);
+            slots.sets[set][self.my_index] = Some(mine);
+            set
         };
-        // Second phase: nobody overwrites a slot before all have read.
         self.shared.barrier.wait();
-        all
+        let slots = crate::lock_ok(&self.shared.slots);
+        slots.sets[set].iter().map(|o| o.clone().expect("every member contributed")).collect()
     }
 
     /// Broadcast `bytes` from comm rank `root` to everyone.
     pub fn bcast(&self, root: Rank, bytes: Vec<u8>) -> Vec<u8> {
-        if self.my_index == root {
+        let set = {
             let mut slots = crate::lock_ok(&self.shared.slots);
-            slots[root] = Some(bytes);
-        }
-        self.shared.barrier.wait();
-        let out = {
-            let slots = crate::lock_ok(&self.shared.slots);
-            slots[root].clone().expect("root contributed")
+            let set = slots.next_set(self.my_index);
+            if self.my_index == root {
+                slots.sets[set][root] = Some(bytes);
+            }
+            set
         };
         self.shared.barrier.wait();
-        out
+        let slots = crate::lock_ok(&self.shared.slots);
+        slots.sets[set][root].clone().expect("root contributed")
     }
 
     /// Allgather of one `u64` per member.
@@ -489,14 +503,41 @@ mod tests {
 
     #[test]
     fn repeated_collectives_do_not_cross_talk() {
-        run(6, |c| {
-            for round in 0..50u64 {
-                let all = c.allgather_u64(round * 100 + c.rank() as u64);
-                for (r, v) in all.iter().enumerate() {
-                    assert_eq!(*v, round * 100 + r as u64);
+        // Back-to-back slot collectives, on the world and on a subgroup
+        // whose handle is formed again every round over the same shared
+        // slots, under perturbed schedules.
+        for seed in 0..4 {
+            let watchdog = Some(Duration::from_secs(10));
+            let comms = make_world_perturbed(6, watchdog, Some(Perturber::new(seed)));
+            std::thread::scope(|s| {
+                for c in comms {
+                    s.spawn(move || {
+                        for round in 0..50u64 {
+                            let all = c.allgather_u64(round * 100 + c.rank() as u64);
+                            for (r, v) in all.iter().enumerate() {
+                                assert_eq!(*v, round * 100 + r as u64);
+                            }
+                            if c.rank() % 3 == 1 {
+                                continue;
+                            }
+                            // Three slot collectives per handle: an odd
+                            // count, so a set count that restarted with
+                            // the handle would reuse the set just read.
+                            for i in round * 4..round * 4 + 4 {
+                                let g = c.subgroup(&[0, 2, 3, 5], 7);
+                                let root = i as usize % 4;
+                                let b = g.bcast(root, vec![i as u8; g.rank() + 1]);
+                                assert_eq!(b, vec![i as u8; root + 1]);
+                                let (v, at) = g.allreduce_min_loc((g.rank() as u64 + i) as f64);
+                                assert_eq!((v, at), (i as f64, 0));
+                                let all = g.allgather_u64(i * 10 + g.rank() as u64);
+                                assert_eq!(all, (0..4).map(|r| i * 10 + r).collect::<Vec<_>>());
+                            }
+                        }
+                    });
                 }
-            }
-        });
+            });
+        }
     }
 
     #[test]

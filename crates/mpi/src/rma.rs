@@ -945,7 +945,7 @@ mod tests {
                         win.complete(0, at);
                     }
                 }
-                c.barrier(); // the pipeline's closing barrier
+                c.barrier(); // the pipeline's closing collective
             }
         });
     }

@@ -23,7 +23,9 @@ use tapioca::schedule::{compute_schedule, ScheduleParams};
 use tapioca::sim_exec::CollectiveSpec;
 use tapioca_netsim::{FlowId, SimTime, Simulator};
 use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables};
-use tapioca_topology::{LinkIx, MachineProfile, NodeId, StorageProfile, TopologyProvider};
+use tapioca_topology::{
+    lnet_gateway_nodes, LinkIx, MachineProfile, NodeId, StorageProfile, TopologyProvider,
+};
 
 use crate::tier::{Destination, Tier, TierSpec, TieredConfig};
 
@@ -42,13 +44,6 @@ pub struct TieredReport {
     pub perceived_bandwidth: f64,
     /// `bytes / time_to_pfs` — the end-to-end bandwidth.
     pub end_to_end_bandwidth: f64,
-}
-
-/// Deterministic LNET gateway placement (same policy as the base
-/// executor).
-fn lnet_nodes(num_nodes: usize) -> Vec<NodeId> {
-    let g = 8usize.min(num_nodes);
-    (0..g).map(|i| (i * num_nodes) / g + num_nodes / (2 * g)).collect()
 }
 
 /// Run a tier-aware simulated collective write.
@@ -82,7 +77,7 @@ pub fn run_tiered_sim(
         ost_write_bw,
         ost_read_bw,
         lnet_bw,
-        lnet_nodes(net.num_nodes()),
+        lnet_gateway_nodes(net.num_nodes()),
         *lustre_tun,
     );
 

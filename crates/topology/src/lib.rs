@@ -37,7 +37,10 @@ pub use cache::{IoMetrics, NodeMetricCache, PairMetrics};
 pub use coords::CoordSpace;
 pub use dragonfly::{Dragonfly, DragonflyParams};
 pub use fattree::{FatTree, FatTreeParams};
-pub use profiles::{cluster_profile, mira_profile, theta_profile, MachineProfile, Platform, StorageProfile};
+pub use profiles::{
+    cluster_profile, lnet_gateway_nodes, mira_profile, theta_profile, MachineProfile, Platform,
+    StorageProfile,
+};
 pub use provider::{Fabric, IoNodeId, Machine, TopologyProvider};
 pub use torus::{PsetConfig, Torus};
 

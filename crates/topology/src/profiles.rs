@@ -59,6 +59,19 @@ pub enum StorageProfile {
     },
 }
 
+/// Number of LNET gateway nodes modelled on a Lustre machine.
+const LNET_GATEWAYS: usize = 8;
+
+/// The fabric nodes hosting a Lustre machine's LNET gateways:
+/// `LNET_GATEWAYS` (8) of them, fewer on a smaller machine, spread evenly
+/// over `num_nodes`. Their real mapping on Theta is irregular and
+/// undocumented; what matters is that the placement cost model cannot
+/// see them while the simulator still routes through them.
+pub fn lnet_gateway_nodes(num_nodes: usize) -> Vec<crate::NodeId> {
+    let g = LNET_GATEWAYS.min(num_nodes);
+    (0..g).map(|i| (i * num_nodes) / g + num_nodes / (2 * g)).collect()
+}
+
 /// A fully-specified machine: fabric + rank mapping + storage constants.
 #[derive(Debug, Clone)]
 pub struct MachineProfile {

@@ -215,6 +215,51 @@ fn exhausted_budget_degrades_without_deadlock() {
     assert_eq!(flushed, 4, "the healthy partition is unaffected");
 }
 
+/// Two write epochs to `file`, each expected to fail on this rank; the
+/// second runs on the contexts the first one kept.
+fn write_to_full_device(comm: tapioca_mpi::Comm, file: &std::path::Path, pipelining: bool) {
+    // Rank 1's 1,280 bytes straddle the two 1 KiB partitions.
+    let decls = [(0, 384), (384, 1280), (1664, 128), (1792, 256)];
+    let r = comm.rank();
+    let (offset, len) = decls[r];
+    let cfg = TapiocaConfig { pipelining, io_policy: fast_policy(1), ..base_cfg() };
+    let mut io = Session::builder(&comm, SharedFile::open_shared(&comm, file))
+        .declarations(vec![WriteDecl { offset, len }])
+        .config(cfg)
+        .build()
+        .unwrap();
+    let straddler = &io.schedule().chunks_by_rank[1];
+    assert!((0..2).all(|p| straddler.iter().any(|c| c.partition == p)), "rank 1 in both");
+    for epoch in 0..2 {
+        let err = io.write(offset, &vec![r as u8; len as usize]).unwrap_err();
+        let at = format!("rank {r} epoch {epoch} pipelining {pipelining}");
+        assert!(matches!(err, TapiocaError::Io { op: "write_at", .. }), "{at}: {err}");
+    }
+    io.finalize();
+}
+
+/// Every write to `/dev/full` fails. Every rank's epoch must end in
+/// `TapiocaError::Io` from its last `write`: an aggregator that returned
+/// alone would leave the others in `Window::start` until the watchdog
+/// fired, and the rank in both partitions must still join the second
+/// after the first failed.
+#[test]
+fn failed_flush_reaches_every_rank_within_the_watchdog() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full");
+        return;
+    }
+    for pipelining in [true, false] {
+        Runtime::run_with_watchdog(4, Some(Duration::from_secs(10)), |comm| {
+            write_to_full_device(comm, full, pipelining);
+        });
+        for seed in 0..4 {
+            Runtime::run_perturbed(4, seed, |comm| write_to_full_device(comm, full, pipelining));
+        }
+    }
+}
+
 #[test]
 fn recovery_thread_trace_passes_the_checker() {
     // Crash + flaky flushes: the recorded trace must satisfy every

@@ -4,10 +4,9 @@
 
 use std::sync::Arc;
 
-use tapioca::aggregation::run_write_pipeline;
 use tapioca::prelude::*;
 use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
-use tapioca::{compute_schedule, FaultPlan, FaultSpec, ScheduleParams};
+use tapioca::{FaultPlan, FaultSpec};
 use tapioca_check::{check, parse_jsonl, ViolationKind};
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
@@ -305,41 +304,27 @@ fn payload(rank: usize, var: usize, len: u64) -> Vec<u8> {
     (0..len).map(|i| (rank as u64 * 131 + var as u64 * 17 + i * 3) as u8).collect()
 }
 
-/// One write epoch of `decls` carrying [`payload`], through the batch
-/// driver (`staged`) or a streaming session; returns the file and the
-/// ranks' merged stats.
+/// One write epoch of `decls` carrying [`payload`] through a streaming
+/// session; returns the file and the ranks' merged stats.
 fn payload_run(
     name: &str,
     profile: &MachineProfile,
     decls: &[Vec<WriteDecl>],
     cfg: &TapiocaConfig,
-    staged: bool,
 ) -> (Vec<u8>, IoStats) {
     let path = tmp(name);
     let machine = Arc::new(profile.machine.clone());
-    let schedule = compute_schedule(decls, ScheduleParams {
-        num_aggregators: cfg.num_aggregators,
-        buffer_size: cfg.buffer_size,
-        align_to_buffer: true,
-    });
     let per_rank = Runtime::run(decls.len(), |comm| {
         let file = SharedFile::open_shared(&comm, &path);
         let r = comm.rank();
-        let data: Vec<Vec<u8>> =
-            decls[r].iter().enumerate().map(|(v, d)| payload(r, v, d.len)).collect();
-        if staged {
-            let epoch = comm.next_user_seq() * 2;
-            return run_write_pipeline(&comm, &schedule, &data, &file, cfg, machine.as_ref(), epoch)
-                .unwrap();
-        }
         let mut io = Session::builder(&comm, file)
             .declarations(decls[r].clone())
             .config(cfg.clone())
             .topology(machine.clone())
             .build()
             .unwrap();
-        for (d, bytes) in decls[r].iter().zip(&data) {
-            io.write(d.offset, bytes).unwrap();
+        for (v, d) in decls[r].iter().enumerate() {
+            io.write(d.offset, &payload(r, v, d.len)).unwrap();
         }
         let stats = *io.stats().unwrap();
         io.finalize();
@@ -392,9 +377,9 @@ fn hacc_rounds_shape_pins_the_synchronisation_calls() {
             }),
             ..Default::default()
         };
-        for (staged, run) in [(true, 0), (false, 0), (false, 1)] {
-            let name = format!("{name}-{}{run}", if staged { "staged" } else { "streamed" });
-            let (bytes, t) = payload_run(&name, &profile, &decls, &cfg, staged);
+        for run in 0..2 {
+            let name = format!("{name}-{run}");
+            let (bytes, t) = payload_run(&name, &profile, &decls, &cfg);
             assert!(bytes == image, "{name}: file diverges from the payload image");
             assert_eq!(t.fences, pinned, "{name}: the count must repeat exactly");
             assert_eq!(t.puts, puts, "{name}");
