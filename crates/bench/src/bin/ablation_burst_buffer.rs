@@ -48,7 +48,8 @@ fn main() {
         let x = mib(pp * PARTICLE_BYTES);
         let spec = hacc_theta(nodes, RANKS_PER_NODE, pp, Layout::ArrayOfStructs);
         for (name, tiered) in configs {
-            let r = run_tiered_sim(&profile, &tun, &spec, &cfg, &tiered);
+            let r = run_tiered_sim(&profile, &tun, &spec, &cfg, &tiered)
+                .expect("tiered simulation failed");
             println!(
                 "{name},{x:.3},{:.4},{:.4},{:.2},{:.2}",
                 r.time_to_safe,

@@ -8,16 +8,17 @@
 //! record, so the static passes and the conformance bridge in
 //! `tapioca-check` read the same [`SymbolicRound::puts`] list.
 //!
-//! The derivation reuses [`plan_group`](crate::sim_exec) verbatim, so
-//! the symbolic schedule cannot drift from what the executors actually
-//! compile: both start from the same `GroupPlan`.
+//! The derivation plans its groups through the simulator's per-layout
+//! table (`sim_exec::LayoutTable`, serially here), so the symbolic
+//! schedule cannot drift from what the executors actually compile: both
+//! start from the same `GroupPlan`.
 
 use tapioca_pfs::{AccessMode, FileId};
 use tapioca_topology::{MachineProfile, Rank};
 
 use crate::config::TapiocaConfig;
 use crate::error::Result;
-use crate::sim_exec::{plan_group, CollectiveSpec};
+use crate::sim_exec::{CollectiveSpec, LayoutTable};
 
 /// One predicted RMA put: a member deposits one chunk into the
 /// aggregator's window.
@@ -271,8 +272,9 @@ pub fn derive_symbolic(
     let mut groups = Vec::with_capacity(spec.groups.len());
     let mut partition_base = 0u32;
 
-    for group in &spec.groups {
-        let gp = plan_group(machine, group, cfg, spec.mode)?;
+    let layouts = LayoutTable::new(&spec.groups);
+    for (g, group) in spec.groups.iter().enumerate() {
+        let gp = layouts.plan_group(machine, g, cfg, spec.mode)?;
         let mut partitions = Vec::with_capacity(gp.sched.partitions.len());
 
         for part in &gp.sched.partitions {

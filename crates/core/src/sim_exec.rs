@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{sync_channel, Receiver, RecvError, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use tapioca_mpi::{FaultPlan, IoPolicy};
@@ -552,12 +553,16 @@ fn emit_sim_trace(
 /// election outcome, the compiled crashes, and each partition's degrade
 /// round. [`run_tapioca_sim`] compiles this into a plan DAG; the
 /// symbolic deriver in [`crate::analyze`] expands it into the predicted
-/// event structure. Sharing the derivation is what keeps the static
-/// schedule from drifting out from under the executors.
+/// event structure. Sharing the derivation ([`LayoutTable::plan_group`])
+/// is what keeps the static schedule from drifting out from under the
+/// executors.
 #[derive(Debug)]
 pub(crate) struct GroupPlan {
-    /// The round schedule over group-local rank ids.
-    pub sched: Schedule,
+    /// The round schedule over group-local rank ids. Groups that declare
+    /// the same layout share one (see [`LayoutTable`]): a schedule is a
+    /// pure function of the declarations, the aggregator count and the
+    /// buffer size, and the last two are fixed for a build.
+    pub sched: Arc<Schedule>,
     /// Per partition: members as global ranks (parallel to
     /// `sched.partitions`).
     pub members_global: Vec<Vec<Rank>>,
@@ -573,90 +578,206 @@ pub(crate) struct GroupPlan {
     pub degrade_round: Vec<Option<u32>>,
 }
 
-/// Shared planning of one file group: schedule, election, crash
-/// compilation, degrade derivation. Pure — no simulator, no threads.
-pub(crate) fn plan_group(
-    machine: &Machine,
-    group: &GroupSpec,
-    cfg: &TapiocaConfig,
-    mode: AccessMode,
-) -> Result<GroupPlan> {
-    if group.ranks.len() != group.decls.len() {
-        return Err(TapiocaError::InvalidConfig(format!(
-            "group has {} ranks but {} declaration lists",
-            group.ranks.len(),
-            group.decls.len()
-        )));
+/// The distinct declaration layouts of a spec's file groups, each
+/// planned into one [`Schedule`] that every group of the layout shares
+/// — under subfiling every Pset declares the same layout, so
+/// `sim-mira-hacc` computes one schedule instead of 32.
+///
+/// Groups are keyed by a hash of their declarations, with equality
+/// checked on a hash match. Whichever caller first plans a group of a
+/// layout checks its extents and computes the schedule (later callers
+/// of that layout wait on the slot's lock, then share the result); the
+/// slot lets go of it once the layout's last group has been planned, so
+/// a spec whose groups all differ keeps no schedule here at all. A
+/// layout whose extents fail the check caches nothing: each of its
+/// groups re-runs the check and gets the same error.
+///
+/// It spawns nothing: [`for_each_group_plan`] calls it from its lanes,
+/// the static analyzer serially.
+#[derive(Debug)]
+pub(crate) struct LayoutTable<'s> {
+    groups: &'s [GroupSpec],
+    /// Layout index of each group.
+    layout_of: Vec<usize>,
+    slots: Vec<Mutex<LayoutSlot>>,
+}
+
+#[derive(Debug)]
+struct LayoutSlot {
+    /// The layout's schedule, from its first planned group until its
+    /// last.
+    sched: Option<Arc<Schedule>>,
+    /// Groups of the layout not yet planned.
+    pending: usize,
+}
+
+/// Hash of a group's declarations. Every layout match is confirmed by
+/// equality, so this only has to separate layouts cheaply: one multiply
+/// per declaration, none of them chained.
+fn layout_hash(decls: &[Vec<WriteDecl>]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = decls.len() as u64;
+    for (rank, rd) in decls.iter().enumerate() {
+        h = h.wrapping_add((rank as u64 ^ ((rd.len() as u64) << 32)).wrapping_mul(K));
+        for (var, d) in rd.iter().enumerate() {
+            let x = d.offset ^ d.len.rotate_left(29) ^ ((var as u64) << 40) ^ rank as u64;
+            h = h.wrapping_add(x.wrapping_mul(K).rotate_left(17));
+        }
     }
-    if let Some(&max_rank) = group.ranks.iter().max() {
-        if max_rank >= machine.num_ranks() {
+    h
+}
+
+impl<'s> LayoutTable<'s> {
+    /// Group `groups` by layout. Nothing is planned yet.
+    pub(crate) fn new(groups: &'s [GroupSpec]) -> Self {
+        // Hash -> layouts with that hash; a layout is named by its first
+        // group.
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut first_group: Vec<usize> = Vec::new();
+        let mut pending: Vec<usize> = Vec::new();
+        let mut layout_of = Vec::with_capacity(groups.len());
+        for (g, group) in groups.iter().enumerate() {
+            let same_hash = by_hash.entry(layout_hash(&group.decls)).or_default();
+            let found = same_hash.iter().find(|&&l| groups[first_group[l]].decls == group.decls);
+            let layout = match found {
+                Some(&l) => l,
+                None => {
+                    same_hash.push(first_group.len());
+                    first_group.push(g);
+                    pending.push(0);
+                    first_group.len() - 1
+                }
+            };
+            pending[layout] += 1;
+            layout_of.push(layout);
+        }
+        let slots = pending
+            .into_iter()
+            .map(|pending| Mutex::new(LayoutSlot { sched: None, pending }))
+            .collect();
+        LayoutTable { groups, layout_of, slots }
+    }
+
+    /// Shared planning of group `g`: schedule (shared with the other
+    /// groups of its layout), election, crash compilation, degrade
+    /// derivation. Pure — no simulator; every group is planned at most
+    /// once per table.
+    pub(crate) fn plan_group(
+        &self,
+        machine: &Machine,
+        g: usize,
+        cfg: &TapiocaConfig,
+        mode: AccessMode,
+    ) -> Result<GroupPlan> {
+        let group = &self.groups[g];
+        if group.ranks.len() != group.decls.len() {
             return Err(TapiocaError::InvalidConfig(format!(
-                "spec rank {max_rank} exceeds the machine's {} ranks",
-                machine.num_ranks()
+                "group has {} ranks but {} declaration lists",
+                group.ranks.len(),
+                group.decls.len()
             )));
         }
-    }
-    check_decl_extents(&group.decls)?;
-    let sched = compute_schedule(&group.decls, ScheduleParams {
-        num_aggregators: cfg.num_aggregators,
-        buffer_size: cfg.buffer_size,
-        align_to_buffer: true,
-    });
-    let io_nodes = machine.io_nodes_for(&group.ranks);
-    let io = io_nodes.first().copied().unwrap_or(0);
-
-    // Elect one aggregator per partition (node-folded); each election
-    // is exactly the distributed MINLOC of thread mode.
-    let (members_global, choices) = elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
-
-    // Per-partition fault rounds (write mode only, partition indices
-    // are schedule-local like thread mode's) — the same pure derivation
-    // every thread-mode member performs. The standby of a surviving
-    // crash is the argmin of the same election costs (one exact vector
-    // per crashed partition) with the dead candidate excluded, ties to
-    // the lowest index — bit-identical to the thread runtime's MINLOC
-    // with an infinite cost entry.
-    let mut degrade_round: Vec<Option<u32>> = vec![None; sched.partitions.len()];
-    let mut crashes: Vec<PlanCrash> = Vec::new();
-    if let (Some(fp), AccessMode::Write) = (&cfg.faults, mode) {
-        for part in &sched.partitions {
-            let faults = part.fault_rounds(fp, &cfg.io_policy);
-            degrade_round[part.index] = faults.degrade;
-            let Some(round) = faults.crash else { continue };
-            let election = PartitionElection {
-                members: &members_global[part.index],
-                weights: &part.member_bytes,
-                io,
-                partition_index: part.index,
-            };
-            let costs = election_costs(machine, &election, cfg.strategy);
-            let standby = (0..costs.len())
-                .filter(|&idx| idx != choices[part.index])
-                .reduce(|best, idx| if costs[idx] < costs[best] { idx } else { best });
-            if let Some(standby) = standby {
-                crashes.push(PlanCrash { partition: part.index, round, standby });
+        if let Some(&max_rank) = group.ranks.iter().max() {
+            if max_rank >= machine.num_ranks() {
+                return Err(TapiocaError::InvalidConfig(format!(
+                    "spec rank {max_rank} exceeds the machine's {} ranks",
+                    machine.num_ranks()
+                )));
             }
         }
+        let sched = self.schedule(g, cfg)?;
+        let io_nodes = machine.io_nodes_for(&group.ranks);
+        let io = io_nodes.first().copied().unwrap_or(0);
+
+        // Elect one aggregator per partition (node-folded); each election
+        // is exactly the distributed MINLOC of thread mode.
+        let (members_global, choices) =
+            elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
+
+        // Per-partition fault rounds (write mode only, partition indices
+        // are schedule-local like thread mode's) — the same pure derivation
+        // every thread-mode member performs. The standby of a surviving
+        // crash is the argmin of the same election costs (one exact vector
+        // per crashed partition) with the dead candidate excluded, ties to
+        // the lowest index — bit-identical to the thread runtime's MINLOC
+        // with an infinite cost entry.
+        let mut degrade_round: Vec<Option<u32>> = vec![None; sched.partitions.len()];
+        let mut crashes: Vec<PlanCrash> = Vec::new();
+        if let (Some(fp), AccessMode::Write) = (&cfg.faults, mode) {
+            for part in &sched.partitions {
+                let faults = part.fault_rounds(fp, &cfg.io_policy);
+                degrade_round[part.index] = faults.degrade;
+                let Some(round) = faults.crash else { continue };
+                let election = PartitionElection {
+                    members: &members_global[part.index],
+                    weights: &part.member_bytes,
+                    io,
+                    partition_index: part.index,
+                };
+                let costs = election_costs(machine, &election, cfg.strategy);
+                let standby = (0..costs.len())
+                    .filter(|&idx| idx != choices[part.index])
+                    .reduce(|best, idx| if costs[idx] < costs[best] { idx } else { best });
+                if let Some(standby) = standby {
+                    crashes.push(PlanCrash { partition: part.index, round, standby });
+                }
+            }
+        }
+
+        Ok(GroupPlan { sched, members_global, choices, crashes, degrade_round })
     }
 
-    Ok(GroupPlan { sched, members_global, choices, crashes, degrade_round })
+    /// Group `g`'s schedule: computed by the first group of its layout,
+    /// shared by the rest, dropped from the slot with the last.
+    fn schedule(&self, g: usize, cfg: &TapiocaConfig) -> Result<Arc<Schedule>> {
+        // A poisoned slot means a lane panicked, and the scope re-raises
+        // that panic; the slot itself is never left half-written.
+        let slot = &self.slots[self.layout_of[g]];
+        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let sched = match &slot.sched {
+            Some(sched) => Arc::clone(sched),
+            None => {
+                let decls = &self.groups[g].decls;
+                check_decl_extents(decls)?;
+                let sched = Arc::new(compute_schedule(decls, ScheduleParams {
+                    num_aggregators: cfg.num_aggregators,
+                    buffer_size: cfg.buffer_size,
+                    align_to_buffer: true,
+                }));
+                slot.sched = Some(Arc::clone(&sched));
+                sched
+            }
+        };
+        slot.pending -= 1;
+        if slot.pending == 0 {
+            slot.sched = None;
+        }
+        Ok(sched)
+    }
 }
 
 /// Plan every file group of `spec` and show the plans to `consume`
 /// strictly in group order — the one place set-up fans out.
 ///
-/// Groups are independent and [`plan_group`] is pure, so with `W =
-/// min(cores, groups)` above 1, lane `w` plans groups `w, w + W, ...`:
-/// lane 0 on the calling thread between its `consume` calls, the others
-/// on scoped threads that lend each plan out over a channel and take it
-/// back before planning their next group. A lane therefore holds at
-/// most one plan, so no more than `W` group plans (schedules) exist at
-/// once and no more than `W` threads are runnable; and every plan is
-/// freed by the thread that allocated it (a schedule is a heap block
-/// per rank, one per round and three per partition — 2,226 for a
-/// 2,048-rank HACC group; freeing them from the consumer contends with
-/// the planner's allocator and made both sides 2-4x slower). The first
-/// error in group order is returned, as in a serial loop.
+/// Groups are independent and [`LayoutTable::plan_group`] is pure, so
+/// with `W = min(cores, groups)` above 1, lane `w` plans groups `w, w +
+/// W, ...`: lane 0 on the calling thread between its `consume` calls,
+/// the others on scoped threads that lend each plan out over a channel
+/// and take it back before planning their next group. A lane therefore
+/// holds at most one plan, so no more than `W` threads are runnable and
+/// no more than `W` group plans exist at once. Their schedules are
+/// shared per layout: at most one schedule per layout with a group in
+/// flight, each released by the table once its layout's last group has
+/// been planned — so a spec whose groups all differ keeps the bound of
+/// one schedule per lane, and one whose groups are all alike holds a
+/// single schedule for the whole build. A plan is dropped by the lane
+/// that made it, and a shared schedule is freed once, by whichever lane
+/// drops its last owner — never by `consume`, which only borrows (a
+/// schedule is a heap block per rank, one per round and three per
+/// partition — 2,226 for a 2,048-rank HACC group; freeing them from the
+/// consumer contends with the planner's allocator and made both sides
+/// 2-4x slower). The first error in group order is returned, as in a
+/// serial loop.
 fn for_each_group_plan(
     machine: &Machine,
     spec: &CollectiveSpec,
@@ -664,6 +785,8 @@ fn for_each_group_plan(
     mut consume: impl FnMut(&GroupSpec, &GroupPlan),
 ) -> Result<()> {
     let groups = &spec.groups;
+    let layouts = LayoutTable::new(groups);
+    let plan = |g: usize| layouts.plan_group(machine, g, cfg, spec.mode);
     let lanes = if groups.len() < 2 {
         1
     } else {
@@ -677,10 +800,10 @@ fn for_each_group_plan(
                 let (lend, borrowed) = sync_channel(1);
                 let (give_back, returned) = sync_channel::<GroupPlan>(1);
                 s.spawn(move || {
-                    for group in groups.iter().skip(w).step_by(lanes) {
+                    for g in (w..groups.len()).step_by(lanes) {
                         // Either end is gone once an earlier group
                         // failed: nobody wants the remaining plans.
-                        let plan = plan_group(machine, group, cfg, spec.mode);
+                        let plan = plan(g);
                         let lent = plan.is_ok();
                         if lend.send(plan).is_err() || (lent && recv_handoff(&returned).is_err()) {
                             break;
@@ -692,7 +815,7 @@ fn for_each_group_plan(
             .collect();
         for (g, group) in groups.iter().enumerate() {
             match g % lanes {
-                0 => consume(group, &plan_group(machine, group, cfg, spec.mode)?),
+                0 => consume(group, &plan(g)?),
                 w => {
                     let (borrowed, give_back) = &remote[w - 1];
                     let gp = recv_handoff(borrowed).expect("group planner panicked")?;
@@ -1093,43 +1216,134 @@ mod tests {
         }
     }
 
+    /// Plan `group` on a table of its own, so its schedule is computed
+    /// for it alone.
+    fn plan_alone(machine: &Machine, group: &GroupSpec, cfg: &TapiocaConfig) -> Result<GroupPlan> {
+        LayoutTable::new(std::slice::from_ref(group)).plan_group(machine, 0, cfg, AccessMode::Write)
+    }
+
+    /// Five Pset groups of 256 ranks × 1 MiB whose layouts run A, B, A,
+    /// A, B: a B group is an A group whose last declaration is 5 MiB
+    /// instead of 1 MiB, so the two differ in one declaration's `len`.
+    /// That widens B's span, so its partitions are longer and its last
+    /// one has only two rounds.
+    fn abaab_spec() -> CollectiveSpec {
+        let mut spec = mira_spec(1024, 2, MIB);
+        spec.groups.truncate(5);
+        for g in [1, 4] {
+            spec.groups[g].decls[255][0].len = 5 * MIB;
+        }
+        spec
+    }
+
+    /// The first error of a serial loop over the groups, each planned
+    /// alone.
+    fn first_error_alone(machine: &Machine, spec: &CollectiveSpec, cfg: &TapiocaConfig) -> String {
+        let err = spec.groups.iter().find_map(|g| plan_alone(machine, g, cfg).err());
+        err.expect("some group fails").to_string()
+    }
+
     #[test]
     fn fanned_out_build_equals_planning_groups_one_at_a_time() {
-        // Four Pset groups, with a crash in the plan so standby election
-        // and crash compilation cross the lanes too.
-        let profile = mira_profile(512, 4);
+        // More groups than lanes on a 2-4 core host, two layouts, and a
+        // crash in the plan so standby election and crash compilation
+        // cross the lanes too. A fault plan names schedule-local
+        // partitions, so every group of a layout crashes alike: round 5
+        // of partition 7 exists in the A groups only.
+        let profile = mira_profile(1024, 2);
         let machine = &profile.machine;
-        let spec = mira_spec(512, 4, MIB);
+        let spec = abaab_spec();
         let cfg = TapiocaConfig {
             num_aggregators: 8,
             buffer_size: 4 * MIB,
             faults: Some(
                 FaultPlan::seeded(7)
-                    .with(tapioca_mpi::FaultSpec::AggregatorCrash { partition: 3, round: 0 }),
+                    .with(tapioca_mpi::FaultSpec::AggregatorCrash { partition: 7, round: 5 }),
             ),
             ..Default::default()
         };
         let storage = StorageConfig::Gpfs(GpfsTunables::mira_optimized());
+        let layout = [0, 1, 0, 0, 1];
+        assert_eq!(LayoutTable::new(&spec.groups).layout_of, layout);
 
+        let alone: Vec<GroupPlan> =
+            spec.groups.iter().map(|g| plan_alone(machine, g, &cfg).unwrap()).collect();
+        let crashed: Vec<usize> = alone.iter().map(|gp| gp.crashes.len()).collect();
+        assert_eq!(crashed, [1, 0, 1, 1, 0], "the crash hits the A groups only");
         let mut serial = ExecutionPlan::new();
-        for group in &spec.groups {
-            let gp = plan_group(machine, group, &cfg, spec.mode).unwrap();
-            append_group(&mut serial, machine, group, &gp, spec.mode, cfg.pipelining);
+        for (group, gp) in spec.groups.iter().zip(&alone) {
+            append_group(&mut serial, machine, group, gp, spec.mode, cfg.pipelining);
         }
-        let want =
+        let mut want =
             simulate_faulty(&profile, &storage, &serial, cfg.faults.as_ref(), &cfg.io_policy)
                 .unwrap();
+        want.reelections += 3;
+        want.faults_injected += 3;
 
         for run in 0..2 {
+            let mut scheds: Vec<Arc<Schedule>> = Vec::new();
+            for_each_group_plan(machine, &spec, &cfg, |group, gp| {
+                let one = &alone[scheds.len()];
+                assert_eq!(group.file, scheds.len(), "run {run}: group order");
+                assert_eq!(*gp.sched, *one.sched, "run {run}: schedule of group {}", group.file);
+                assert_eq!(gp.members_global, one.members_global, "run {run}");
+                assert_eq!(gp.choices, one.choices, "run {run}: choices");
+                assert_eq!(gp.crashes, one.crashes, "run {run}: crashes");
+                assert_eq!(gp.degrade_round, one.degrade_round, "run {run}");
+                scheds.push(Arc::clone(&gp.sched));
+            })
+            .unwrap();
+            for (a, sa) in scheds.iter().enumerate() {
+                for (b, sb) in scheds.iter().enumerate() {
+                    let shared = Arc::ptr_eq(sa, sb);
+                    assert_eq!(shared, layout[a] == layout[b], "run {run}: groups {a} and {b}");
+                }
+            }
+
             let mut session = SimSession::build(&profile, &storage, &spec, &cfg).unwrap();
             assert_eq!(session.plan.ops, serial.ops, "run {run}: plan ops differ");
-            assert_eq!(session.ncrashes, spec.groups.len() as u64);
+            assert_eq!(session.ncrashes, 3);
             let got = session.run_epoch().unwrap();
-            assert_eq!(got.elapsed.to_bits(), want.elapsed.to_bits(), "run {run}");
-            let bits = |r: &SimReport| r.op_finish.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "run {run}: op finish times differ");
-            assert_eq!(got.bytes, want.bytes);
+            assert_reports_equal(&got, &want, &format!("run {run}"));
         }
+
+        // A bad rank in a later group of a shared layout, and a second
+        // error after it: the build reports the first in group order,
+        // as a serial loop does.
+        let mut bad = spec.clone();
+        bad.groups[3].ranks[0] = machine.num_ranks();
+        bad.groups[4].ranks.pop();
+        let err = SimSession::build(&profile, &storage, &bad, &cfg).unwrap_err().to_string();
+        assert!(err.contains("spec rank"), "{err}");
+        assert_eq!(err, first_error_alone(machine, &bad, &cfg));
+        // An overflowing extent in a shared layout: its first group's
+        // error, as when planned alone.
+        let mut bad = spec.clone();
+        bad.groups[1].decls[7][0] = WriteDecl { offset: u64::MAX - 10, len: 100 };
+        bad.groups[4].decls[7][0] = WriteDecl { offset: u64::MAX - 10, len: 100 };
+        let err = SimSession::build(&profile, &storage, &bad, &cfg).unwrap_err().to_string();
+        assert!(err.contains("declaration 0 of rank 7 overflows"), "{err}");
+        assert_eq!(err, first_error_alone(machine, &bad, &cfg));
+    }
+
+    /// The memory bound: with all-distinct layouts, the table lets go of
+    /// each schedule as its only group is planned, so the plan a lane
+    /// lends out is the schedule's one owner.
+    #[test]
+    fn distinct_layouts_keep_no_schedule_in_the_table() {
+        let profile = mira_profile(1024, 2);
+        let mut spec = mira_spec(1024, 2, MIB);
+        for (g, group) in spec.groups.iter_mut().enumerate() {
+            group.decls[255][0].len = MIB + g as u64;
+        }
+        let cfg = TapiocaConfig { num_aggregators: 8, buffer_size: 4 * MIB, ..Default::default() };
+        let mut seen = 0;
+        for_each_group_plan(&profile.machine, &spec, &cfg, |_, gp| {
+            assert_eq!(Arc::strong_count(&gp.sched), 1, "group {seen}");
+            seen += 1;
+        })
+        .unwrap();
+        assert_eq!(seen, spec.groups.len());
     }
 
     #[test]

@@ -21,6 +21,7 @@ use tapioca::config::TapiocaConfig;
 use tapioca::placement::elect_schedule;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
 use tapioca::sim_exec::CollectiveSpec;
+use tapioca::{Result, TapiocaError};
 use tapioca_netsim::{FlowId, SimTime, Simulator};
 use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables};
 use tapioca_topology::{
@@ -48,26 +49,40 @@ pub struct TieredReport {
 
 /// Run a tier-aware simulated collective write.
 ///
+/// # Errors
+/// [`TapiocaError::InvalidConfig`] if `cfg` fails validation, the spec
+/// is a read, `profile` is not a Lustre (KNL) machine, or a group's rank
+/// and declaration counts differ.
+///
 /// # Panics
-/// Panics unless `profile` is a Lustre (dragonfly) machine, the spec is
-/// a write, and the tier configuration is valid.
+/// Panics if the tier configuration is invalid ([`TieredConfig::validate`]).
 pub fn run_tiered_sim(
     profile: &MachineProfile,
     lustre_tun: &LustreTunables,
     spec: &CollectiveSpec,
     cfg: &TapiocaConfig,
     tiered: &TieredConfig,
-) -> TieredReport {
-    cfg.validate().expect("invalid TAPIOCA config");
+) -> Result<TieredReport> {
+    cfg.validate()?;
     tiered.validate();
-    assert_eq!(spec.mode, AccessMode::Write, "tiered staging is a write-path extension");
+    let invalid = |msg: String| Err(TapiocaError::InvalidConfig(msg));
+    if spec.mode != AccessMode::Write {
+        return invalid("tiered staging is a write-path extension".into());
+    }
     let machine = &profile.machine;
     let net = machine.interconnect();
     let StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw } =
         profile.storage
     else {
-        panic!("tiered staging targets the KNL/Lustre platform");
+        return invalid("tiered staging targets the KNL/Lustre platform".into());
     };
+    if let Some(group) = spec.groups.iter().find(|g| g.ranks.len() != g.decls.len()) {
+        return invalid(format!(
+            "group has {} ranks but {} declaration lists",
+            group.ranks.len(),
+            group.decls.len()
+        ));
+    }
 
     let mut sim = Simulator::from_interconnect(net);
     sim.set_completion_slack(20e-6);
@@ -104,7 +119,6 @@ pub fn run_tiered_sim(
     let mut parts: Vec<PartPlan> = Vec::new();
     let mut total_bytes = 0.0f64;
     for group in &spec.groups {
-        assert_eq!(group.ranks.len(), group.decls.len());
         let sched = compute_schedule(&group.decls, ScheduleParams {
             num_aggregators: cfg.num_aggregators,
             buffer_size: cfg.buffer_size,
@@ -309,13 +323,13 @@ pub fn run_tiered_sim(
     };
     let time_to_safe = finish(&safe_flows);
     let time_to_pfs = finish(&pfs_flows).max(time_to_safe);
-    TieredReport {
+    Ok(TieredReport {
         time_to_safe,
         time_to_pfs,
         bytes: total_bytes,
         perceived_bandwidth: if time_to_safe > 0.0 { total_bytes / time_to_safe } else { 0.0 },
         end_to_end_bandwidth: if time_to_pfs > 0.0 { total_bytes / time_to_pfs } else { 0.0 },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -351,7 +365,8 @@ mod tests {
             &spec(256, MIB),
             &base_cfg(),
             &TieredConfig::default(),
-        );
+        )
+        .unwrap();
         assert!(rep.time_to_safe > 0.0);
         assert_eq!(rep.time_to_safe, rep.time_to_pfs, "direct writes are safe when on the PFS");
         assert_eq!(rep.bytes, 256.0 * MIB as f64);
@@ -362,11 +377,13 @@ mod tests {
         let profile = theta_profile(64, 4);
         let tun = LustreTunables::theta_optimized();
         let s = spec(256, 4 * MIB);
-        let direct = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig::default());
+        let direct = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig::default())
+            .unwrap();
         let bb = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig {
             buffer_tier: Tier::Dram,
             destination: Destination::BurstBufferThenDrain,
-        });
+        })
+        .unwrap();
         assert!(
             bb.time_to_safe < 0.5 * direct.time_to_safe,
             "staging on flash must beat the PFS round trip: {} vs {}",
@@ -388,6 +405,7 @@ mod tests {
                 buffer_tier: tier,
                 destination: Destination::BurstBufferThenDrain,
             })
+            .unwrap()
         };
         let dram = mk(Tier::Dram);
         let mcdram = mk(Tier::Mcdram);
@@ -404,8 +422,10 @@ mod tests {
         let bb = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig {
             buffer_tier: Tier::Dram,
             destination: Destination::BurstBufferThenDrain,
-        });
-        let direct = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig::default());
+        })
+        .unwrap();
+        let direct = run_tiered_sim(&profile, &tun, &s, &base_cfg(), &TieredConfig::default())
+            .unwrap();
         assert!(
             bb.time_to_pfs < bb.time_to_safe + direct.time_to_pfs,
             "drain must overlap with staging ({} vs {} + {})",
@@ -415,16 +435,41 @@ mod tests {
         );
     }
 
+    /// `run_tiered_sim`'s error on `profile` + `spec` + `cfg`, as text.
+    fn rejection(profile: &MachineProfile, spec: &CollectiveSpec, cfg: &TapiocaConfig) -> String {
+        let tun = LustreTunables::theta_optimized();
+        match run_tiered_sim(profile, &tun, spec, cfg, &TieredConfig::default()) {
+            Err(e @ TapiocaError::InvalidConfig(_)) => e.to_string(),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "KNL/Lustre")]
     fn rejects_gpfs_machines() {
         let profile = tapioca_topology::mira_profile(128, 4);
-        run_tiered_sim(
-            &profile,
-            &LustreTunables::theta_optimized(),
-            &spec(64, MIB),
-            &base_cfg(),
-            &TieredConfig::default(),
-        );
+        let err = rejection(&profile, &spec(64, MIB), &base_cfg());
+        assert!(err.contains("KNL/Lustre"), "{err}");
+    }
+
+    #[test]
+    fn rejects_an_invalid_config() {
+        let cfg = TapiocaConfig { num_aggregators: 0, ..base_cfg() };
+        let err = rejection(&theta_profile(16, 4), &spec(64, MIB), &cfg);
+        assert!(err.contains("at least one aggregator"), "{err}");
+    }
+
+    #[test]
+    fn rejects_reads() {
+        let read = CollectiveSpec { mode: AccessMode::Read, ..spec(64, MIB) };
+        let err = rejection(&theta_profile(16, 4), &read, &base_cfg());
+        assert!(err.contains("write-path extension"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_rank_declaration_count_mismatch() {
+        let mut s = spec(64, MIB);
+        s.groups[0].decls.pop();
+        let err = rejection(&theta_profile(16, 4), &s, &base_cfg());
+        assert!(err.contains("64 ranks but 63 declaration lists"), "{err}");
     }
 }

@@ -11,7 +11,7 @@ use tapioca_pfs::{AccessMode, LustreTunables};
 use tapioca_tiers::{run_tiered_sim, Destination, Tier, TieredConfig};
 use tapioca_topology::{theta_profile, MIB};
 
-fn main() {
+fn main() -> tapioca::Result<()> {
     let nodes = 256;
     let rpn = 16;
     let nranks = nodes * rpn;
@@ -46,7 +46,7 @@ fn main() {
         ),
         ("MCDRAM buffers + SSD staging", TieredConfig::mcdram_burst_buffer()),
     ] {
-        let r = run_tiered_sim(&profile, &tun, &spec, &cfg, &tiered);
+        let r = run_tiered_sim(&profile, &tun, &spec, &cfg, &tiered)?;
         println!("{name}:");
         println!(
             "  application blocked for {:.2} s ({:.2} GiB/s perceived)",
@@ -61,4 +61,5 @@ fn main() {
     }
     println!("staging moves the Lustre round trip off the critical path;");
     println!("the drain overlaps with the application's next compute phase.");
+    Ok(())
 }
