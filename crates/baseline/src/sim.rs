@@ -8,8 +8,9 @@
 
 use tapioca::placement::{elect_schedule, PlacementStrategy};
 use tapioca::plan::{append_tapioca_plan, ExecutionPlan, OpId, OpKind, TapiocaPlanInput};
-use tapioca::schedule::{compute_schedule, ScheduleParams, WriteDecl};
+use tapioca::schedule::{check_decl_extents, compute_schedule, ScheduleParams, WriteDecl};
 use tapioca::sim_exec::{simulate, CollectiveSpec, SimReport, StorageConfig};
+use tapioca::TapiocaError;
 use tapioca_topology::{MachineProfile, Rank, TopologyProvider};
 
 use crate::romio::MpiIoConfig;
@@ -21,8 +22,10 @@ use crate::romio::MpiIoConfig;
 /// "aggregators per OST" for both systems identically).
 ///
 /// # Errors
-/// Propagates [`tapioca::TapiocaError`] from the simulator (e.g. a
-/// storage/profile kind mismatch).
+/// [`TapiocaError::InvalidConfig`] if a group's rank and declaration
+/// counts differ, a rank lies beyond the machine, or a declaration's
+/// `offset + len` overflows `u64`; otherwise what the simulator returns
+/// (e.g. a storage/profile kind mismatch).
 pub fn run_mpiio_sim(
     profile: &MachineProfile,
     storage: &StorageConfig,
@@ -33,14 +36,22 @@ pub fn run_mpiio_sim(
     let mut plan = ExecutionPlan::new();
 
     for group in &spec.groups {
-        assert_eq!(group.ranks.len(), group.decls.len());
-        if let Some(&max_rank) = group.ranks.iter().max() {
-            assert!(
-                max_rank < machine.num_ranks(),
-                "spec rank {max_rank} exceeds the machine's {} ranks",
-                machine.num_ranks()
-            );
+        if group.ranks.len() != group.decls.len() {
+            return Err(TapiocaError::InvalidConfig(format!(
+                "group has {} ranks but {} declaration lists",
+                group.ranks.len(),
+                group.decls.len()
+            )));
         }
+        if let Some(&max_rank) = group.ranks.iter().max() {
+            if max_rank >= machine.num_ranks() {
+                return Err(TapiocaError::InvalidConfig(format!(
+                    "spec rank {max_rank} exceeds the machine's {} ranks",
+                    machine.num_ranks()
+                )));
+            }
+        }
+        check_decl_extents(&group.decls)?;
         let max_vars = group.decls.iter().map(Vec::len).max().unwrap_or(0);
         let io_nodes = machine.io_nodes_for(&group.ranks);
         let io = io_nodes.first().copied().unwrap_or(0);
@@ -176,5 +187,40 @@ mod tests {
         let aos = ratio(Layout::ArrayOfStructs);
         assert!(soa > aos, "SoA speedup {soa:.2} should exceed AoS speedup {aos:.2}");
         assert!(aos >= 0.9, "TAPIOCA must not lose badly on AoS (got {aos:.2})");
+    }
+
+    /// `run_mpiio_sim`'s error on `spec` for a small Theta machine (64
+    /// ranks), as text.
+    fn rejection(spec: &CollectiveSpec) -> String {
+        let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
+        let cfg = MpiIoConfig { cb_aggregators: 4, cb_buffer_size: MIB };
+        match run_mpiio_sim(&theta_profile(16, 4), &storage, spec, &cfg) {
+            Err(e @ TapiocaError::InvalidConfig(_)) => e.to_string(),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_rank_declaration_count_mismatch() {
+        let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
+        spec.groups[0].decls.pop();
+        let err = rejection(&spec);
+        assert!(err.contains("64 ranks but 63 declaration lists"), "{err}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_ranks() {
+        let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
+        spec.groups[0].ranks[63] = 5000;
+        let err = rejection(&spec);
+        assert!(err.contains("spec rank 5000 exceeds the machine's 64 ranks"), "{err}");
+    }
+
+    #[test]
+    fn rejects_overflowing_extents() {
+        let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
+        spec.groups[0].decls[7][2] = WriteDecl { offset: u64::MAX - 10, len: 100 };
+        let err = rejection(&spec);
+        assert!(err.contains("declaration 2 of rank 7 overflows"), "{err}");
     }
 }

@@ -1031,6 +1031,12 @@ impl<'a> SimSession<'a> {
         Ok(report)
     }
 
+    /// The compiled plan every epoch runs: the one round structure that
+    /// other lowerings (the tier-aware executor) consume.
+    pub fn plan(&self) -> &ExecutionPlan {
+        &self.plan
+    }
+
     /// Epochs executed so far.
     pub fn epochs_completed(&self) -> u64 {
         self.epochs

@@ -5,12 +5,11 @@
 //! flow progresses at its max-min fair rate; the engine advances directly
 //! from event to event, so simulated time is exact up to floating point.
 //!
-//! The driver pattern used by `tapioca::sim_exec` is incremental:
-//! submit a batch of flows, [`Simulator::run_until_done`] on that batch
-//! (other flows may still be in flight), inspect completion times, decide
-//! the start time of the next batch, repeat. This is how fence-ordered
-//! aggregation rounds overlap with asynchronous flushes exactly as in
-//! Algorithm 3 of the paper.
+//! Executors submit a whole execution DAG up front
+//! ([`Simulator::submit_with_deps`]) and run it with one
+//! [`Simulator::run_to_idle`]: a flow is released when its dependencies
+//! complete, so fence-ordered aggregation rounds overlap with
+//! asynchronous flushes exactly as in Algorithm 3 of the paper.
 //!
 //! # Component-sharded incremental rates
 //!
@@ -127,10 +126,6 @@ pub struct Simulator {
     /// Reusable waterfilling scratch (see `refill_component`): dense
     /// per-link state plus the list of links touched by member flows.
     scratch: Scratch,
-    /// Recorded events, when tracing is enabled.
-    trace: Option<Vec<TraceEvent>>,
-    /// Payload bytes routed per link (accumulated at submission).
-    carried: Vec<f64>,
     /// Incremental vs full re-waterfilling (see [`Recompute`]).
     recompute: Recompute,
     /// Interference components over active flows.
@@ -143,26 +138,6 @@ pub struct Simulator {
     route_dedup: HashMap<u64, Vec<(u32, u32)>>,
     /// Reusable buffer of roots drained from the dirty queue.
     refill_roots: Vec<u32>,
-}
-
-/// One recorded simulation event (when tracing is enabled).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Simulated time of the event.
-    pub time: SimTime,
-    /// The flow involved.
-    pub flow: FlowId,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kinds of traced events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// The flow began transferring (or completed instantly).
-    Started,
-    /// The flow finished.
-    Finished,
 }
 
 /// Dense per-link scratch reused across component re-waterfills so the
@@ -207,8 +182,6 @@ impl Simulator {
             pending: BinaryHeap::new(),
             slack: 0.0,
             scratch: Scratch::default(),
-            trace: None,
-            carried: Vec::new(),
             recompute: Recompute::default(),
             comps: Components::default(),
             route_arena: Vec::new(),
@@ -222,43 +195,6 @@ impl Simulator {
     /// equivalence sweeps and benchmarks.
     pub fn set_recompute(&mut self, mode: Recompute) {
         self.recompute = mode;
-    }
-
-    /// Start recording start/finish events for every flow. Intended for
-    /// debugging and timeline analysis of small runs; large simulations
-    /// should leave it off (one record per flow transition).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The recorded events so far (empty slice when tracing is off).
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
-    /// Bytes routed over a link across all submitted flows — the
-    /// utilization accounting behind hot-spot analysis. (Effective
-    /// bytes: filesystem penalty inflation is included, by design.)
-    pub fn bytes_carried(&self, link: LinkIx) -> f64 {
-        self.carried.get(link).copied().unwrap_or(0.0)
-    }
-
-    /// The most-loaded link and its carried bytes (`None` if nothing
-    /// has completed yet).
-    pub fn hottest_link(&self) -> Option<(LinkIx, f64)> {
-        self.carried
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .filter(|(_, &b)| b > 0.0)
-            .map(|(l, &b)| (l, b))
-    }
-
-    fn record(&mut self, flow: FlowId, kind: TraceKind) {
-        let time = self.time;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(TraceEvent { time, flow, kind });
-        }
     }
 
     /// Set the completion batching window: flows finishing within
@@ -371,12 +307,6 @@ impl Simulator {
             assert!(l < self.caps.len(), "route link {l} out of range");
         }
         let id = self.flows.len();
-        if self.carried.len() < self.caps.len() {
-            self.carried.resize(self.caps.len(), 0.0);
-        }
-        for &l in route {
-            self.carried[l] += bytes;
-        }
         let span = self.intern(route);
         self.flows.push(Flow {
             span,
@@ -451,7 +381,6 @@ impl Simulator {
     fn complete(&mut self, id: FlowId, t: SimTime) {
         self.flows[id].remaining = 0.0;
         self.flows[id].status = FlowStatus::Done(t);
-        self.record(id, TraceKind::Finished);
         let dependents = std::mem::take(&mut self.flows[id].dependents);
         for dep in dependents {
             let f = &mut self.flows[dep];
@@ -668,7 +597,6 @@ impl Simulator {
             self.pending.pop();
             let (start, len) = self.flows[id].span;
             if self.flows[id].remaining <= BYTE_EPS || len == 0 {
-                self.record(id, TraceKind::Started);
                 self.complete(id, self.time);
             } else {
                 let f = &mut self.flows[id];
@@ -676,7 +604,6 @@ impl Simulator {
                 f.anchor = self.time;
                 f.rate = 0.0;
                 self.n_active += 1;
-                self.record(id, TraceKind::Started);
                 self.comps.ensure_links(self.caps.len());
                 let route = &self.route_arena[start as usize..start as usize + len as usize];
                 self.comps.attach(id, route);
@@ -728,24 +655,6 @@ impl Simulator {
         self.comps.mark_dirty(root);
     }
 
-    /// Run until every flow in `ids` has completed; returns the latest of
-    /// their finish times. Other flows keep progressing naturally.
-    ///
-    /// # Panics
-    /// Panics if the simulation goes idle while some of `ids` are still
-    /// incomplete (impossible unless the caller forgot to submit them).
-    pub fn run_until_done(&mut self, ids: &[FlowId]) -> SimTime {
-        while ids
-            .iter()
-            .any(|&id| !matches!(self.flows[id].status, FlowStatus::Done(_)))
-        {
-            assert!(self.step(), "simulator idle with flows outstanding");
-        }
-        ids.iter()
-            .map(|&id| self.finish_time(id).expect("just completed"))
-            .fold(0.0, f64::max)
-    }
-
     /// Run until no pending or active flows remain; returns the final time.
     pub fn run_to_idle(&mut self) -> SimTime {
         while self.step() {}
@@ -759,6 +668,15 @@ mod tests {
 
     fn sim(caps: &[f64]) -> Simulator {
         Simulator::with_capacities(caps.to_vec())
+    }
+
+    /// Step `s` until every flow in `ids` has completed, leaving other
+    /// flows in flight; returns the latest of their finish times.
+    fn run_until_done(s: &mut Simulator, ids: &[FlowId]) -> SimTime {
+        while ids.iter().any(|&id| s.finish_time(id).is_none()) {
+            assert!(s.step(), "simulator idle with flows outstanding");
+        }
+        ids.iter().filter_map(|&id| s.finish_time(id)).fold(0.0, f64::max)
     }
 
     #[test]
@@ -835,7 +753,7 @@ mod tests {
         let mut s = sim(&[100.0, 100.0]);
         let quick = s.submit(0.0, vec![0], 100.0);
         let slow = s.submit(0.0, vec![1], 1000.0);
-        let t = s.run_until_done(&[quick]);
+        let t = run_until_done(&mut s, &[quick]);
         assert!((t - 1.0).abs() < 1e-9);
         assert_eq!(s.status(slow), FlowStatus::Active);
         // submit a follow-up that contends with `slow`
@@ -938,49 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_lifecycle_in_order() {
-        let mut s = sim(&[10.0]);
-        s.enable_trace();
-        let a = s.submit(0.0, vec![0], 10.0); // 0..1
-        let b = s.submit_with_deps(0.0, 0.0, vec![0], 20.0, &[a]); // 1..3
-        s.run_to_idle();
-        let t = s.trace();
-        assert_eq!(t.len(), 4);
-        assert_eq!((t[0].flow, t[0].kind), (a, TraceKind::Started));
-        assert_eq!((t[1].flow, t[1].kind), (a, TraceKind::Finished));
-        assert_eq!((t[2].flow, t[2].kind), (b, TraceKind::Started));
-        assert_eq!((t[3].flow, t[3].kind), (b, TraceKind::Finished));
-        assert!((t[1].time - 1.0).abs() < 1e-9);
-        assert!((t[3].time - 3.0).abs() < 1e-9);
-        // times are non-decreasing
-        assert!(t.windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
-    fn link_byte_accounting() {
-        let mut s = sim(&[10.0, 10.0]);
-        s.submit(0.0, vec![0], 100.0);
-        s.submit(0.0, vec![0, 1], 50.0);
-        s.run_to_idle();
-        assert_eq!(s.bytes_carried(0), 150.0);
-        assert_eq!(s.bytes_carried(1), 50.0);
-        assert_eq!(s.hottest_link(), Some((0, 150.0)));
-        // virtual links participate too
-        let v = s.add_virtual_link(5.0);
-        s.submit(s.now(), vec![v], 20.0);
-        s.run_to_idle();
-        assert_eq!(s.bytes_carried(v), 20.0);
-    }
-
-    #[test]
-    fn trace_off_by_default() {
-        let mut s = sim(&[10.0]);
-        s.submit(0.0, vec![0], 10.0);
-        s.run_to_idle();
-        assert!(s.trace().is_empty());
-    }
-
-    #[test]
     fn route_interning_dedups_identical_routes() {
         let mut s = sim(&[10.0, 10.0, 10.0]);
         for _ in 0..100 {
@@ -1003,7 +878,7 @@ mod tests {
         let mut s = sim(&[10.0, 10.0]);
         let a = s.submit(0.0, vec![0], 200.0);
         let b = s.submit(0.0, vec![1], 10.0);
-        s.run_until_done(&[b]);
+        run_until_done(&mut s, &[b]);
         assert!((s.now() - 1.0).abs() < 1e-12);
         s.scale_capacities(0.5);
         s.run_to_idle();
@@ -1023,7 +898,7 @@ mod tests {
         let r1: Vec<_> = (0..6)
             .map(|i| s1.submit(0.0, vec![i % 3], 10.0 + i as f64))
             .collect();
-        let t_round = s1.run_until_done(&r1);
+        let t_round = run_until_done(&mut s1, &r1);
         s1.scale_capacities(0.25);
         let r2: Vec<_> = (0..6)
             .map(|i| s1.submit(t_round + 1.0, vec![(i + 1) % 3, i % 3], 7.0 * (i + 1) as f64))
@@ -1048,7 +923,7 @@ mod tests {
     fn add_virtual_link_mid_flight_joins_components() {
         let mut s = sim(&[10.0]);
         let a = s.submit(0.0, vec![0], 100.0); // 10 s alone
-        s.run_until_done(&[]); // no-op, still at t=0
+        run_until_done(&mut s, &[]); // no-op, still at t=0
         let v = s.add_virtual_link(2.0);
         let b = s.submit(0.0, vec![0, v], 20.0);
         s.run_to_idle();

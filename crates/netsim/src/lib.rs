@@ -20,14 +20,14 @@
 //!
 //! Entry point: [`Simulator`]. The driver in `tapioca::sim_exec` submits
 //! aggregation-phase flows (rank -> aggregator) and I/O-phase flows
-//! (aggregator -> storage) with start times derived from TAPIOCA's fence
-//! semantics, and reads back completion times.
+//! (aggregator -> storage) gated on dependencies derived from TAPIOCA's
+//! fence semantics, and reads back completion times.
 
 mod components;
 pub mod engine;
 pub mod fairshare;
 
-pub use engine::{FlowId, FlowStatus, Recompute, Simulator, TraceEvent, TraceKind};
+pub use engine::{FlowId, FlowStatus, Recompute, Simulator};
 pub use fairshare::{max_min_rates, FlowDemand};
 
 /// Simulated time, in seconds since simulation start.

@@ -16,9 +16,10 @@
 //! * [`TieredConfig`] — where aggregation buffers live (DRAM vs MCDRAM)
 //!   and where flushes land (directly on the PFS, or on the node-local
 //!   burst buffer with an asynchronous drain to the PFS);
-//! * [`sim::run_tiered_sim`] — the simulation executor: the same
-//!   schedule/placement machinery as `tapioca`, with per-(node, tier)
-//!   service stations added to the flow simulator. For burst-buffer
+//! * [`sim::run_tiered_sim`] — the simulation executor: it lowers the
+//!   plan of a `tapioca` `SimSession` (the same schedule, election and
+//!   round DAG as the base executor) with per-(node, tier) service
+//!   stations added to the flow simulator. For burst-buffer
 //!   runs it reports both **time-to-safe** (all data on node-local
 //!   flash; the application can resume computing) and **time-to-PFS**
 //!   (the drain has finished).

@@ -2,30 +2,34 @@
 //! machines (KNL + Lustre — the hardware the paper's future-work
 //! paragraph names).
 //!
-//! Differences from the base executor in `tapioca::sim_exec`:
+//! The round structure is not derived here. [`run_tiered_sim`] builds a
+//! [`SimSession`] — the base executor's validation, schedule, election
+//! and plan DAG — and lowers the session's [`ExecutionPlan`] with tier
+//! physics of its own:
 //!
-//! * every aggregation transfer ends in the aggregator node's **buffer
+//! * every aggregation transfer ends in the destination node's **buffer
 //!   tier** service station (DRAM or MCDRAM), so memory bandwidth is
 //!   part of the pipeline — the MCDRAM/DRAM contrast the paper
 //!   motivates;
-//! * with [`Destination::BurstBufferThenDrain`], each round's flush is a
-//!   node-local SSD write (no network, no Lustre locks), and a **drain**
-//!   flow ships the data to the PFS asynchronously, serialized per node
-//!   and overlapping with everything else. The report separates
-//!   *time-to-safe* (checkpoint durable on flash, application resumes)
-//!   from *time-to-PFS* (drain complete).
+//! * with [`Destination::BurstBufferThenDrain`], each flush is a
+//!   node-local SSD write (no network, no Lustre locks), and **drain**
+//!   flows ship the data to the PFS asynchronously, serialized per
+//!   aggregator and overlapping with everything else. The report
+//!   separates *time-to-safe* (checkpoint durable on flash, application
+//!   resumes) from *time-to-PFS* (drain complete).
+//!
+//! [`ExecutionPlan`]: tapioca::plan::ExecutionPlan
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use tapioca::config::TapiocaConfig;
-use tapioca::placement::elect_schedule;
-use tapioca::schedule::{compute_schedule, ScheduleParams};
-use tapioca::sim_exec::CollectiveSpec;
+use tapioca::plan::OpKind;
+use tapioca::sim_exec::{CollectiveSpec, SimSession, StorageConfig};
 use tapioca::{Result, TapiocaError};
 use tapioca_netsim::{FlowId, SimTime, Simulator};
-use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables};
+use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables, PlannedFlow};
 use tapioca_topology::{
-    lnet_gateway_nodes, LinkIx, MachineProfile, NodeId, StorageProfile, TopologyProvider,
+    lnet_gateway_nodes, Interconnect, LinkIx, MachineProfile, NodeId, StorageProfile,
 };
 
 use crate::tier::{Destination, Tier, TierSpec, TieredConfig};
@@ -50,12 +54,11 @@ pub struct TieredReport {
 /// Run a tier-aware simulated collective write.
 ///
 /// # Errors
-/// [`TapiocaError::InvalidConfig`] if `cfg` fails validation, the spec
-/// is a read, `profile` is not a Lustre (KNL) machine, or a group's rank
-/// and declaration counts differ.
-///
-/// # Panics
-/// Panics if the tier configuration is invalid ([`TieredConfig::validate`]).
+/// [`TapiocaError::InvalidConfig`] if `tiered` fails
+/// [`TieredConfig::validate`], `cfg` carries a fault plan (the tier
+/// lowering charges no flush penalties and degrades no links), the spec
+/// is a read, `profile` is not a Lustre (KNL) machine, or
+/// [`SimSession::build`] rejects `cfg` or the spec.
 pub fn run_tiered_sim(
     profile: &MachineProfile,
     lustre_tun: &LustreTunables,
@@ -63,26 +66,22 @@ pub fn run_tiered_sim(
     cfg: &TapiocaConfig,
     tiered: &TieredConfig,
 ) -> Result<TieredReport> {
-    cfg.validate()?;
-    tiered.validate();
+    tiered.validate().map_err(TapiocaError::InvalidConfig)?;
     let invalid = |msg: String| Err(TapiocaError::InvalidConfig(msg));
+    if cfg.faults.is_some() {
+        return invalid("tiered staging does not model fault plans".into());
+    }
     if spec.mode != AccessMode::Write {
         return invalid("tiered staging is a write-path extension".into());
     }
-    let machine = &profile.machine;
-    let net = machine.interconnect();
     let StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw } =
         profile.storage
     else {
         return invalid("tiered staging targets the KNL/Lustre platform".into());
     };
-    if let Some(group) = spec.groups.iter().find(|g| g.ranks.len() != g.decls.len()) {
-        return invalid(format!(
-            "group has {} ranks but {} declaration lists",
-            group.ranks.len(),
-            group.decls.len()
-        ));
-    }
+    let session = SimSession::build(profile, &StorageConfig::Lustre(*lustre_tun), spec, cfg)?;
+    let plan = session.plan();
+    let net = profile.machine.interconnect();
 
     let mut sim = Simulator::from_interconnect(net);
     sim.set_completion_slack(20e-6);
@@ -96,222 +95,96 @@ pub fn run_tiered_sim(
         *lustre_tun,
     );
 
-    let buffer_spec = TierSpec::knl_default(tiered.buffer_tier);
-    let ssd = TierSpec::knl_default(Tier::NodeLocalSsd);
-
-    // Lazily-created per-node tier stations.
-    let mut buf_links: HashMap<NodeId, usize> = HashMap::new();
-    let mut ssd_w_links: HashMap<NodeId, usize> = HashMap::new();
-    let mut ssd_r_links: HashMap<NodeId, usize> = HashMap::new();
-
-    // Per-partition structures shared between the scheduling pass and
-    // the flow submission pass.
-    struct PartPlan {
-        agg_node: NodeId,
-        /// per round: (source node, bytes)
-        transfers: Vec<Vec<(NodeId, f64)>>,
-        /// per round: PFS-bound request (drain or direct flush)
-        pfs_reqs: Vec<FlushReq>,
-        /// per round: payload bytes
-        round_bytes: Vec<f64>,
-    }
-
-    let mut parts: Vec<PartPlan> = Vec::new();
-    let mut total_bytes = 0.0f64;
-    for group in &spec.groups {
-        let sched = compute_schedule(&group.decls, ScheduleParams {
-            num_aggregators: cfg.num_aggregators,
-            buffer_size: cfg.buffer_size,
-            align_to_buffer: true,
-        });
-        total_bytes += sched.total_bytes() as f64;
-        let io = machine.io_nodes_for(&group.ranks).first().copied().unwrap_or(0);
-        let (members_global_all, choices) =
-            elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
-        for (part, (members_global, &choice)) in
-            sched.partitions.iter().zip(members_global_all.iter().zip(&choices))
-        {
-            let agg_node = machine.node_of_rank(members_global[choice]);
-            let nrounds = part.rounds.len();
-            let mut transfers: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); nrounds];
-            for &m in &part.members {
-                for c in &sched.chunks_by_rank[m] {
-                    if c.partition != part.index {
-                        continue;
-                    }
-                    let node = machine.node_of_rank(group.ranks[m]);
-                    let row = &mut transfers[c.round as usize];
-                    match row.iter_mut().find(|(n, _)| *n == node) {
-                        Some((_, b)) => *b += c.len as f64,
-                        None => row.push((node, c.len as f64)),
-                    }
-                }
-            }
-            let pfs_reqs: Vec<FlushReq> = part
-                .rounds
-                .iter()
-                .map(|round| {
-                    let seg = round.segments.first();
-                    FlushReq {
-                        src_node: agg_node,
-                        file: group.file,
-                        offset: seg.map(|s| s.file_offset).unwrap_or(0),
-                        len: round.bytes,
-                        mode: AccessMode::Write,
-                    }
-                })
-                .collect();
-            let round_bytes = part.rounds.iter().map(|r| r.bytes as f64).collect();
-            parts.push(PartPlan { agg_node, transfers, pfs_reqs, round_bytes });
+    // Lock analysis over the whole operation, then the flush waves the
+    // plan names; each flush op collects its PFS-bound flows.
+    let mut all_reqs: Vec<FlushReq> = Vec::new();
+    let mut waves: BTreeMap<u64, Vec<(usize, FlushReq)>> = BTreeMap::new();
+    for (id, op) in plan.ops.iter().enumerate() {
+        if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
+            let req = FlushReq { src_node: src, file, offset, len, mode };
+            all_reqs.push(req);
+            waves.entry(wave).or_default().push((id, req));
         }
     }
-
-    // Lock analysis + wave planning for the PFS-bound flows (waves by
-    // round index, as in the base executor).
-    let all_reqs: Vec<FlushReq> = parts.iter().flat_map(|p| p.pfs_reqs.iter().copied()).collect();
     lustre.register_operation(&all_reqs);
-    let max_rounds = parts.iter().map(|p| p.pfs_reqs.len()).max().unwrap_or(0);
-    let mut planned_by_part_round: HashMap<(usize, usize), Vec<tapioca_pfs::PlannedFlow>> =
-        HashMap::new();
-    for r in 0..max_rounds {
-        let mut wave = Vec::new();
-        let mut owners = Vec::new();
-        for (pi, p) in parts.iter().enumerate() {
-            if let Some(req) = p.pfs_reqs.get(r) {
-                if req.len > 0 {
-                    owners.push(pi);
-                    wave.push(*req);
-                }
-            }
-        }
-        for pf in lustre.plan_wave(&wave) {
-            planned_by_part_round
-                .entry((owners[pf.req_index], r))
-                .or_default()
-                .push(pf);
+    let mut planned_of_op: Vec<Vec<PlannedFlow>> = vec![Vec::new(); plan.ops.len()];
+    for reqs in waves.into_values() {
+        let plain: Vec<FlushReq> = reqs.iter().map(|(_, r)| *r).collect();
+        for pf in lustre.plan_wave(&plain) {
+            planned_of_op[reqs[pf.req_index].0].push(pf);
         }
     }
 
-    // Submit flows. One scratch route buffer serves every submission —
-    // the simulator interns routes, so owned Vecs buy nothing.
+    // One pass over the ops in order. An op's dependents wait for its
+    // `done` flows: a transfer's flow, a direct flush's PFS flows, a
+    // staged flush's flash write. A drain waits for its own stage and
+    // for the drains of the flushes its op depends on, so drains
+    // serialize per aggregator like the flushes they follow.
+    let buffer_bw = TierSpec::knl_default(tiered.buffer_tier).write_bw;
+    let ssd = TierSpec::knl_default(Tier::NodeLocalSsd);
+    let mut buf_links: HashMap<NodeId, LinkIx> = HashMap::new();
+    let mut ssd_links: HashMap<NodeId, (LinkIx, LinkIx)> = HashMap::new();
     let latency = net.hop_latency();
-    let mut route_buf: Vec<LinkIx> = Vec::new();
+    let mut done_of: Vec<Vec<FlowId>> = Vec::with_capacity(plan.ops.len());
+    let mut drains_of: Vec<Vec<FlowId>> = Vec::with_capacity(plan.ops.len());
     let mut safe_flows: Vec<FlowId> = Vec::new();
     let mut pfs_flows: Vec<FlowId> = Vec::new();
-    for (pi, part) in parts.iter().enumerate() {
-        let agg = part.agg_node;
-        let buf_link = *buf_links
-            .entry(agg)
-            .or_insert_with(|| sim.add_virtual_link(buffer_spec.write_bw));
-
-        let mut prev_transfers: Vec<FlowId> = Vec::new();
-        let mut stage_hist: Vec<Vec<FlowId>> = Vec::new(); // flush-to-destination per round
-        let mut drain_hist: Vec<Vec<FlowId>> = Vec::new();
-        for (r, row) in part.transfers.iter().enumerate() {
-            // fence + buffer reuse gating (reuse waits on the *staging*
-            // flush of r-2: with a burst buffer the app never waits for
-            // the drain)
-            let mut gate = prev_transfers.clone();
-            let reuse = if cfg.pipelining { r.checked_sub(2) } else { r.checked_sub(1) };
-            if let Some(fr) = reuse {
-                gate.extend_from_slice(&stage_hist[fr]);
+    // One scratch route buffer serves every submission — the simulator
+    // interns routes, so owned Vecs buy nothing.
+    let mut route: Vec<LinkIx> = Vec::new();
+    for (id, op) in plan.ops.iter().enumerate() {
+        let deps: Vec<FlowId> = op.deps.iter().flat_map(|&d| done_of[d].iter().copied()).collect();
+        let mut drains = Vec::new();
+        let done = match op.kind {
+            OpKind::Transfer { src, dst, bytes } => {
+                let buf = *buf_links.entry(dst).or_insert_with(|| sim.add_virtual_link(buffer_bw));
+                route.clear();
+                if src != dst {
+                    net.route_into(src, dst, &mut route);
+                }
+                let hops = route.len();
+                route.push(buf);
+                vec![sim.submit_with_deps(0.0, latency * hops as f64, &route, bytes, &deps)]
             }
-            let transfers: Vec<FlowId> = row
-                .iter()
-                .map(|&(node, bytes)| {
-                    route_buf.clear();
-                    if node != agg {
-                        net.route_into(node, agg, &mut route_buf);
-                    }
-                    let hops = route_buf.len();
-                    route_buf.push(buf_link); // tier ingestion
-                    sim.submit_with_deps(0.0, latency * hops as f64, &route_buf, bytes, &gate)
-                })
-                .collect();
-
-            let bytes = part.round_bytes[r];
-            match tiered.destination {
+            OpKind::Flush { src, len, .. } => match tiered.destination {
                 Destination::DirectPfs => {
-                    let mut deps = transfers.clone();
-                    if let Some(prev) = stage_hist.last() {
-                        deps.extend_from_slice(prev);
-                    }
-                    let flows: Vec<FlowId> = planned_by_part_round
-                        .remove(&(pi, r))
-                        .unwrap_or_default()
-                        .into_iter()
+                    let flows: Vec<FlowId> = planned_of_op[id]
+                        .iter()
                         .map(|pf| {
-                            route_buf.clear();
-                            if let Some(a) = pf.attach_node {
-                                if a != agg {
-                                    net.route_into(agg, a, &mut route_buf);
-                                }
-                            }
-                            let hops = route_buf.len();
-                            route_buf.extend_from_slice(&pf.storage_route);
-                            sim.submit_with_deps(
-                                0.0,
-                                pf.delay + latency * hops as f64,
-                                &route_buf,
-                                pf.bytes,
-                                &deps,
-                            )
+                            let hops = pfs_route(net, src, None, pf, &mut route);
+                            let delay = pf.delay + latency * hops as f64;
+                            sim.submit_with_deps(0.0, delay, &route, pf.bytes, &deps)
                         })
                         .collect();
                     safe_flows.extend_from_slice(&flows);
                     pfs_flows.extend_from_slice(&flows);
-                    stage_hist.push(flows);
-                    drain_hist.push(Vec::new());
+                    flows
                 }
                 Destination::BurstBufferThenDrain => {
-                    let ssd_w = *ssd_w_links
-                        .entry(agg)
-                        .or_insert_with(|| sim.add_virtual_link(ssd.write_bw));
-                    let ssd_r = *ssd_r_links
-                        .entry(agg)
-                        .or_insert_with(|| sim.add_virtual_link(ssd.read_bw));
-                    // stage: node-local flash write
-                    let mut deps = transfers.clone();
-                    if let Some(prev) = stage_hist.last() {
-                        deps.extend_from_slice(prev);
+                    let (ssd_w, ssd_r) = *ssd_links.entry(src).or_insert_with(|| {
+                        (sim.add_virtual_link(ssd.write_bw), sim.add_virtual_link(ssd.read_bw))
+                    });
+                    let stage = sim.submit_with_deps(0.0, 0.0, [ssd_w], len as f64, &deps);
+                    let mut drain_deps = vec![stage];
+                    for &d in &op.deps {
+                        drain_deps.extend_from_slice(&drains_of[d]);
                     }
-                    let stage = sim.submit_with_deps(0.0, 0.0, [ssd_w], bytes, &deps);
-                    safe_flows.push(stage);
-                    // drain: flash -> fabric -> Lustre, serialized per node
-                    let mut ddeps = vec![stage];
-                    if let Some(prev) = drain_hist.last() {
-                        ddeps.extend_from_slice(prev);
-                    }
-                    let drains: Vec<FlowId> = planned_by_part_round
-                        .remove(&(pi, r))
-                        .unwrap_or_default()
-                        .into_iter()
+                    drains = planned_of_op[id]
+                        .iter()
                         .map(|pf| {
-                            route_buf.clear();
-                            route_buf.push(ssd_r);
-                            if let Some(a) = pf.attach_node {
-                                if a != agg {
-                                    net.route_into(agg, a, &mut route_buf);
-                                }
-                            }
-                            let hops = route_buf.len() - 1;
-                            route_buf.extend_from_slice(&pf.storage_route);
-                            sim.submit_with_deps(
-                                0.0,
-                                pf.delay + latency * hops as f64,
-                                &route_buf,
-                                pf.bytes,
-                                &ddeps,
-                            )
+                            let hops = pfs_route(net, src, Some(ssd_r), pf, &mut route);
+                            let delay = pf.delay + latency * hops as f64;
+                            sim.submit_with_deps(0.0, delay, &route, pf.bytes, &drain_deps)
                         })
                         .collect();
+                    safe_flows.push(stage);
                     pfs_flows.extend_from_slice(&drains);
-                    stage_hist.push(vec![stage]);
-                    drain_hist.push(drains);
+                    vec![stage]
                 }
-            }
-            prev_transfers = transfers;
-        }
+            },
+        };
+        done_of.push(done);
+        drains_of.push(drains);
     }
 
     sim.run_to_idle();
@@ -323,13 +196,34 @@ pub fn run_tiered_sim(
     };
     let time_to_safe = finish(&safe_flows);
     let time_to_pfs = finish(&pfs_flows).max(time_to_safe);
+    let bytes = plan.payload_bytes;
     Ok(TieredReport {
         time_to_safe,
         time_to_pfs,
-        bytes: total_bytes,
-        perceived_bandwidth: if time_to_safe > 0.0 { total_bytes / time_to_safe } else { 0.0 },
-        end_to_end_bandwidth: if time_to_pfs > 0.0 { total_bytes / time_to_pfs } else { 0.0 },
+        bytes,
+        perceived_bandwidth: if time_to_safe > 0.0 { bytes / time_to_safe } else { 0.0 },
+        end_to_end_bandwidth: if time_to_pfs > 0.0 { bytes / time_to_pfs } else { 0.0 },
     })
+}
+
+/// Fill `route` with `head` (the flash read-out of a drain), the fabric
+/// from `src` to `pf`'s LNET attach node, then `pf`'s storage route;
+/// returns the fabric hop count.
+fn pfs_route(
+    net: &dyn Interconnect,
+    src: NodeId,
+    head: Option<LinkIx>,
+    pf: &PlannedFlow,
+    route: &mut Vec<LinkIx>,
+) -> usize {
+    route.clear();
+    route.extend(head);
+    if let Some(attach) = pf.attach_node.filter(|&a| a != src) {
+        net.route_into(src, attach, route);
+    }
+    let hops = route.len() - usize::from(head.is_some());
+    route.extend_from_slice(&pf.storage_route);
+    hops
 }
 
 #[cfg(test)]
@@ -471,5 +365,95 @@ mod tests {
         s.groups[0].decls.pop();
         let err = rejection(&theta_profile(16, 4), &s, &base_cfg());
         assert!(err.contains("64 ranks but 63 declaration lists"), "{err}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_ranks() {
+        let mut s = spec(64, MIB);
+        s.groups[0].ranks[63] = 5000;
+        let err = rejection(&theta_profile(16, 4), &s, &base_cfg());
+        assert!(err.contains("spec rank 5000 exceeds the machine's 64 ranks"), "{err}");
+    }
+
+    #[test]
+    fn rejects_overflowing_extents() {
+        let mut s = spec(64, MIB);
+        s.groups[0].decls[7][0] = WriteDecl { offset: u64::MAX - 10, len: 100 };
+        let err = rejection(&theta_profile(16, 4), &s, &base_cfg());
+        assert!(err.contains("declaration 0 of rank 7 overflows"), "{err}");
+    }
+
+    #[test]
+    fn rejects_fault_plans() {
+        let faults = tapioca::FaultPlan::seeded(1)
+            .with(tapioca::FaultSpec::LinkDegrade { factor: 0.5 });
+        let cfg = TapiocaConfig { faults: Some(faults), ..base_cfg() };
+        let err = rejection(&theta_profile(16, 4), &spec(64, MIB), &cfg);
+        assert!(err.contains("fault plans"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_buffer_tier_that_is_not_memory() {
+        let tiered = TieredConfig { buffer_tier: Tier::NodeLocalSsd, ..TieredConfig::default() };
+        let tun = LustreTunables::theta_optimized();
+        let got = run_tiered_sim(&theta_profile(16, 4), &tun, &spec(64, MIB), &base_cfg(), &tiered);
+        assert!(
+            matches!(&got, Err(TapiocaError::InvalidConfig(m)) if m.contains("addressable memory")),
+            "{got:?}"
+        );
+    }
+
+    /// Every report field, as bits, for the four tiered configurations ×
+    /// pipelining on/off on a 32-node Theta shape (128 ranks × 4 MiB,
+    /// 16 aggregators, 8 MiB buffers), recorded from an independent
+    /// derivation of the tiered round DAG: lowering the shared plan must
+    /// reproduce every bit.
+    #[test]
+    fn reports_match_the_recorded_golden_bits() {
+        type Bits = [u64; 4];
+        // (pipelining, buffer tier, destination) ->
+        // [time_to_safe, time_to_pfs, perceived, end-to-end]
+        let golden: [(bool, Tier, Destination, Bits); 8] = {
+            use Destination::{BurstBufferThenDrain as Bb, DirectPfs as Direct};
+            use Tier::{Dram, Mcdram};
+            [
+                (true, Dram, Direct, [
+                    0x3fb577e1e33b5adf, 0x3fb577e1e33b5adf, 0x41f7d9606d275dd6, 0x41f7d9606d275dd6,
+                ]),
+                (true, Mcdram, Direct, [
+                    0x3fb57379364a2565, 0x3fb57379364a2565, 0x41f7de474766d2bd, 0x41f7de474766d2bd,
+                ]),
+                (true, Dram, Bb, [
+                    0x3f9016c16c16c16c, 0x3fb677e1e33b5adf, 0x421fd2bd865d591b, 0x41f6c9a4c54a55de,
+                ]),
+                (true, Mcdram, Bb, [
+                    0x3f90051eb851eb85, 0x3fb67379364a2565, 0x421ff5c5d52c6caa, 0x41f6ce1e5e3cdacc,
+                ]),
+                (false, Dram, Direct, [
+                    0x3fb5792158dcf3fc, 0x3fb5792158dcf3fc, 0x41f7d7fd9e8cb13f, 0x41f7d7fd9e8cb13f,
+                ]),
+                (false, Mcdram, Direct, [
+                    0x3fb5704ffefa8909, 0x3fb5704ffefa8909, 0x41f7e1cc33270316, 0x41f7e1cc33270316,
+                ]),
+                (false, Dram, Bb, [
+                    0x3f91a24b4f3dbf3f, 0x3fb677e1e33b5adf, 0x421d08ee0b6d79ed, 0x41f6c9a4c54a55de,
+                ]),
+                (false, Mcdram, Bb, [
+                    0x3f917f05e7b41371, 0x3fb67379364a2565, 0x421d437652c6453c, 0x41f6ce1e5e3cdacc,
+                ]),
+            ]
+        };
+        let profile = theta_profile(32, 4);
+        let tun = LustreTunables::theta_optimized();
+        let s = spec(128, 4 * MIB);
+        for (pipelining, buffer_tier, destination, want) in golden {
+            let cfg = TapiocaConfig { pipelining, ..base_cfg() };
+            let tiered = TieredConfig { buffer_tier, destination };
+            let r = run_tiered_sim(&profile, &tun, &s, &cfg, &tiered).unwrap();
+            let got = [r.time_to_safe, r.time_to_pfs, r.perceived_bandwidth, r.end_to_end_bandwidth]
+                .map(f64::to_bits);
+            assert_eq!(got, want, "pipelining {pipelining}, {tiered:?}");
+            assert_eq!(r.bytes, 128.0 * 4.0 * MIB as f64);
+        }
     }
 }

@@ -104,13 +104,13 @@ impl TieredConfig {
 
     /// Validate tier roles.
     ///
-    /// # Panics
-    /// Panics if the buffer tier is not node-local addressable memory.
-    pub fn validate(&self) {
-        assert!(
-            matches!(self.buffer_tier, Tier::Dram | Tier::Mcdram),
-            "aggregation buffers must live in addressable memory"
-        );
+    /// # Errors
+    /// A message if the buffer tier is not node-local addressable memory.
+    pub fn validate(&self) -> Result<(), String> {
+        if !matches!(self.buffer_tier, Tier::Dram | Tier::Mcdram) {
+            return Err("aggregation buffers must live in addressable memory".into());
+        }
+        Ok(())
     }
 }
 
@@ -140,10 +140,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "addressable memory")]
     fn ssd_cannot_host_buffers() {
-        TieredConfig { buffer_tier: Tier::NodeLocalSsd, destination: Destination::DirectPfs }
-            .validate();
+        let ssd = TieredConfig { buffer_tier: Tier::NodeLocalSsd, ..TieredConfig::default() };
+        let err = ssd.validate().unwrap_err();
+        assert!(err.contains("addressable memory"), "{err}");
     }
 
     #[test]
