@@ -14,11 +14,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v9`):
+//! Schema (`tapioca-perfbench/v10`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v9",
+//!   "schema": "tapioca-perfbench/v10",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -28,7 +28,7 @@
 //!     "scale":    { "workload", "threads", "setup_exponent",
 //!                   "rows": [ { "ranks", "nodes", "groups", "reps",
 //!                               "setup_s", "first_epoch_s", "epoch_s",
-//!                               "peak_rss_mib" } ] },
+//!                               "peak_rss_mib", "replay_identical" } ] },
 //!     "netsim_incremental":
 //!                 [ { "workload", "links", "flows", "parts", "reps",
 //!                     "full_ns", "incr_ns", "speedup", "identical" } ]
@@ -54,10 +54,13 @@
 //! at growing rank counts, up to the whole machine (49,152 nodes,
 //! 786,432 ranks, 384 Psets): `setup_s` is the median
 //! `SimSession::build`, `first_epoch_s` the median first `run_epoch` of
-//! a session (which lowers the plan to its flow program), `epoch_s` the
-//! median of the later, warm ones, `peak_rss_mib` the process
-//! high-water mark (`VmHWM`) once that size has run — the suite runs
-//! first and sizes ascend, so it is that size's peak. `setup_exponent`
+//! a session (which lowers the plan onto a simulator the session keeps
+//! unrun), `epoch_s` the median of the later, warm ones (each runs a
+//! clone of that simulator), `peak_rss_mib` the process high-water mark
+//! (`VmHWM`) once that size has run — the suite runs first and sizes
+//! ascend, so it is that size's peak. `replay_identical` says every
+//! epoch's `SimReport`, `op_finish` included, is bit-identical to the
+//! first epoch of the row's first session. `setup_exponent`
 //! is the least-squares slope of `ln setup_s` over `ln ranks`;
 //! `threads` is `available_parallelism`, which bounds the group
 //! fan-out of `build`.
@@ -77,7 +80,7 @@ use tapioca::placement::{
     elect_aggregator, elect_partitions, PartitionElection, PlacementStrategy,
 };
 use tapioca::prelude::*;
-use tapioca::sim_exec::{SimSession, StorageConfig};
+use tapioca::sim_exec::{SimReport, SimSession, StorageConfig};
 use tapioca_bench::hacc_mira;
 use tapioca_bench::loc::code_lines_per_crate;
 use tapioca_netsim::{Recompute, Simulator};
@@ -242,6 +245,25 @@ fn peak_rss_mib() -> f64 {
         .map_or(0.0, |kib| kib / 1024.0)
 }
 
+/// Every field of a report, times as bits, for a bitwise comparison.
+fn report_bits(r: &SimReport) -> Vec<u64> {
+    let mut bits = vec![
+        r.elapsed.to_bits(),
+        r.bytes.to_bits(),
+        r.bandwidth.to_bits(),
+        r.transfers as u64,
+        r.flushes as u64,
+        r.last_transfer_finish.to_bits(),
+        r.last_flush_finish.to_bits(),
+        r.faults_injected,
+        r.retries,
+        r.reelections,
+        r.degraded,
+    ];
+    bits.extend(r.op_finish.iter().map(|t| t.to_bits()));
+    bits
+}
+
 fn median_s(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
@@ -271,6 +293,8 @@ fn scale_suite(smoke: bool, json: &mut String) {
         let mut setups = Vec::new();
         let mut first_epochs = Vec::new();
         let mut warm_epoch_times = Vec::new();
+        let mut first_report: Option<Vec<u64>> = None;
+        let mut replay_identical = true;
         for _ in 0..reps {
             let t = Instant::now();
             let mut session =
@@ -278,9 +302,11 @@ fn scale_suite(smoke: bool, json: &mut String) {
             setups.push(t.elapsed().as_secs_f64());
             for epoch in 0..=warm_epochs {
                 let t = Instant::now();
-                black_box(session.run_epoch().expect("scale epoch failed"));
+                let report = black_box(session.run_epoch().expect("scale epoch failed"));
                 let times = if epoch == 0 { &mut first_epochs } else { &mut warm_epoch_times };
                 times.push(t.elapsed().as_secs_f64());
+                let bits = report_bits(&report);
+                replay_identical &= *first_report.get_or_insert_with(|| bits.clone()) == bits;
             }
         }
         let (setup_s, first_epoch_s, epoch_s) =
@@ -288,7 +314,8 @@ fn scale_suite(smoke: bool, json: &mut String) {
         let (ranks, groups, rss) = (nodes * rpn, spec.groups.len(), peak_rss_mib());
         eprintln!(
             "scale mira-hacc-soa ranks={ranks} groups={groups}: setup {setup_s:.4} s, \
-             first epoch {first_epoch_s:.4} s, warm epoch {epoch_s:.4} s, peak rss {rss:.1} MiB"
+             first epoch {first_epoch_s:.4} s, warm epoch {epoch_s:.4} s, peak rss {rss:.1} MiB, \
+             replay identical {replay_identical}"
         );
         points.push(((ranks as f64).ln(), setup_s.ln()));
         if !rows.is_empty() {
@@ -299,7 +326,7 @@ fn scale_suite(smoke: bool, json: &mut String) {
             "\n     {{\"ranks\": {ranks}, \"nodes\": {nodes}, \"groups\": {groups}, \
              \"reps\": {reps}, \"setup_s\": {setup_s:.6}, \
              \"first_epoch_s\": {first_epoch_s:.6}, \"epoch_s\": {epoch_s:.6}, \
-             \"peak_rss_mib\": {rss:.1}}}"
+             \"peak_rss_mib\": {rss:.1}, \"replay_identical\": {replay_identical}}}"
         );
     }
     // Least-squares slope of ln(setup_s) over ln(ranks).
@@ -492,7 +519,7 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v9\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v10\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \

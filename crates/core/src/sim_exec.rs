@@ -105,9 +105,9 @@ pub fn simulate(
 /// charged, matching the thread runtime's early fallback to direct
 /// writes.
 ///
-/// Two steps: the plan is lowered to a flow program — a pure function
-/// of the arguments — and the program is run on a fresh simulator.
-/// [`SimSession`] keeps the program and repeats only the second step.
+/// Two steps: every flow of the plan is submitted to a fresh simulator
+/// — a pure function of the arguments — and the simulator is run. [`SimSession`] takes the first step once and runs a clone
+/// of the submitted simulator each epoch.
 ///
 /// # Errors
 /// [`TapiocaError::InvalidConfig`] on a storage/profile kind mismatch.
@@ -118,42 +118,17 @@ pub fn simulate_faulty(
     faults: Option<&FaultPlan>,
     policy: &IoPolicy,
 ) -> Result<SimReport> {
-    let program = lower_plan(profile, storage, plan, faults, policy)?;
-    Ok(run_program(profile, plan, &program))
+    let (program, sim) = lower_plan(profile, storage, plan, faults, policy)?;
+    Ok(run_submitted(plan, &program, sim))
 }
 
-/// One flow of a [`FlowProgram`].
-#[derive(Debug, Clone, Copy)]
-struct FlowSpec {
-    /// `(start, len)` of the flow's route in [`FlowProgram::routes`].
-    route: (u32, u32),
-    /// Effective bytes charged (payload plus filesystem inflation).
-    bytes: f64,
-    /// Fixed delay after release: hop latency, lock set-up, and the
-    /// retry/backoff cost of an injected flush fault.
-    delay: f64,
-}
-
-/// An [`ExecutionPlan`] lowered to what the flow simulator consumes:
-/// every op's flows with their routes resolved, filesystem waves planned
-/// and fault penalties charged. A pure function of `(plan, profile,
-/// storage, faults, policy)`, so it is derived once and run any number
-/// of times ([`run_program`]); the op dependencies and kinds stay in the
-/// plan it was lowered from.
+/// What reading back a run of a lowered plan needs besides the
+/// simulator it was submitted to: which flows each op owns, and the
+/// fault accounting the lowering charged. The op dependencies and kinds
+/// stay in the plan.
 #[derive(Debug)]
 struct FlowProgram {
-    /// Capacity factor of a `LinkDegrade` fault: scales the fabric
-    /// before the virtual links (which keep nominal rates) are installed.
-    link_degrade: Option<f64>,
-    /// Capacities of the storage model's virtual links, in installation
-    /// order; link `i` of them is simulator link `fabric links + i`.
-    virtual_links: Vec<f64>,
-    /// Every flow's route, back to back.
-    routes: Vec<LinkIx>,
-    /// Flows in submission order: a fresh simulator numbers them
-    /// `0, 1, ...`, so an index here is the flow's [`FlowId`].
-    flows: Vec<FlowSpec>,
-    /// Op `i` owns `flows[op_flows[i]..op_flows[i + 1]]`.
+    /// Op `i` owns flows `op_flows[i]..op_flows[i + 1]`.
     op_flows: Vec<u32>,
     /// Failed flush attempts injected from the fault plan.
     faults_injected: u64,
@@ -163,24 +138,31 @@ struct FlowProgram {
     degraded: u64,
 }
 
-/// Lower `plan` for `profile` + `storage` under `faults` (see
-/// [`FlowProgram`]). Nothing is simulated.
+/// Lower `plan` for `profile` + `storage` under `faults` onto a fresh
+/// simulator: filesystem waves planned, routes resolved, fault
+/// penalties charged, and every op's flows submitted, gated on the
+/// flows of the ops it depends on. Nothing is run; the simulator is
+/// what [`run_submitted`] consumes, and a clone of it runs identically.
 fn lower_plan(
     profile: &MachineProfile,
     storage: &StorageConfig,
     plan: &ExecutionPlan,
     faults: Option<&FaultPlan>,
     policy: &IoPolicy,
-) -> Result<FlowProgram> {
+) -> Result<(FlowProgram, Simulator)> {
     let machine = &profile.machine;
     let net = machine.interconnect();
 
-    // The storage model numbers its virtual links as it installs them.
-    // A link-less scratch simulator hands out 0, 1, ...; `run_program`
-    // re-installs the same capacities behind the fabric's links, so
-    // storage link `l` becomes simulator link `first_virtual + l`.
-    let mut scratch = Simulator::with_capacities(Vec::new());
-    let first_virtual = net.num_links();
+    let mut sim = Simulator::from_interconnect(net);
+    // Collapse near-simultaneous completions (symmetric flows of one
+    // round) into single events: 20 us against multi-ms rounds is a
+    // <1% perturbation for an order-of-magnitude event reduction.
+    sim.set_completion_slack(20e-6);
+    // Degrade the fabric before the storage model's virtual service
+    // stations are appended (those keep nominal rates).
+    if let Some(f) = faults.and_then(FaultPlan::link_degrade) {
+        sim.scale_capacities(f);
+    }
     let mut model = match (&profile.storage, storage) {
         (StorageProfile::Gpfs { ion_link_bw, ion_service_bw }, StorageConfig::Gpfs(tun)) => {
             let torus = machine
@@ -188,7 +170,7 @@ fn lower_plan(
                 .as_torus()
                 .expect("GPFS profile implies a torus fabric");
             StorageModel::Gpfs(GpfsModel::new(
-                &mut scratch,
+                &mut sim,
                 torus.num_psets(),
                 *ion_link_bw,
                 *ion_service_bw,
@@ -199,7 +181,7 @@ fn lower_plan(
             StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw },
             StorageConfig::Lustre(tun),
         ) => StorageModel::Lustre(LustreModel::new(
-            &mut scratch,
+            &mut sim,
             *total_osts,
             *ost_write_bw,
             *ost_read_bw,
@@ -273,27 +255,29 @@ fn lower_plan(
         }
     }
 
-    // Lower every op to its flows, routes appended to one arena.
+    // Submit every op's flows in op order: each waits for every flow of
+    // the ops it depends on. One scratch route serves every submission
+    // (the simulator interns routes).
     let latency = net.hop_latency();
-    let mut routes: Vec<LinkIx> = Vec::new();
-    let mut flows: Vec<FlowSpec> = Vec::new();
+    let mut route: Vec<LinkIx> = Vec::new();
+    let mut dep_flows: Vec<FlowId> = Vec::new();
     let mut op_flows: Vec<u32> = Vec::with_capacity(plan.ops.len() + 1);
+    op_flows.push(0);
     let mut faults_injected = 0u64;
     let mut retries = 0u64;
     for (id, op) in plan.ops.iter().enumerate() {
-        op_flows.push(flows.len() as u32);
+        dep_flows.clear();
+        for &d in &op.deps {
+            dep_flows.extend(op_flows[d] as usize..op_flows[d + 1] as usize);
+        }
         match &op.kind {
             OpKind::Transfer { src, dst, bytes } => {
-                let start = routes.len();
+                route.clear();
                 if src != dst {
-                    net.route_into(*src, *dst, &mut routes);
+                    net.route_into(*src, *dst, &mut route);
                 }
-                let hops = routes.len() - start;
-                flows.push(FlowSpec {
-                    route: (start as u32, hops as u32),
-                    bytes: *bytes,
-                    delay: latency * hops as f64,
-                });
+                let delay = latency * route.len() as f64;
+                sim.submit_with_deps(0.0, delay, &route, *bytes, &dep_flows);
             }
             OpKind::Flush { .. } => {
                 // Recovery cost of an injected transient fault: the
@@ -318,78 +302,43 @@ fn lower_plan(
                     _ => 0.0,
                 };
                 for pf in &planned_of_op[id] {
-                    let start = routes.len();
+                    route.clear();
                     match (&model, pf.attach_node) {
                         (StorageModel::Gpfs(_), _) => {
                             let torus = machine.fabric().as_torus().expect("torus");
-                            torus.io_route_into(pf.src_node, &mut routes);
+                            torus.io_route_into(pf.src_node, &mut route);
                         }
                         (StorageModel::Lustre(_), Some(attach)) => {
                             if pf.src_node != attach {
-                                net.route_into(pf.src_node, attach, &mut routes);
+                                net.route_into(pf.src_node, attach, &mut route);
                             }
                         }
                         (StorageModel::Lustre(_), None) => {}
                     }
-                    let fabric_hops = routes.len() - start;
-                    routes.extend(pf.storage_route.iter().map(|&l| first_virtual + l));
-                    flows.push(FlowSpec {
-                        route: (start as u32, (routes.len() - start) as u32),
-                        bytes: pf.bytes,
-                        delay: pf.delay + latency * fabric_hops as f64 + fault_delay,
-                    });
+                    let fabric_hops = route.len();
+                    route.extend_from_slice(&pf.storage_route);
+                    let delay = pf.delay + latency * fabric_hops as f64 + fault_delay;
+                    sim.submit_with_deps(0.0, delay, &route, pf.bytes, &dep_flows);
                 }
             }
         }
+        op_flows.push(sim.num_flows() as u32);
     }
-    op_flows.push(flows.len() as u32);
-    assert!(routes.len().max(flows.len()) <= u32::MAX as usize, "flow program exceeds u32 indices");
 
-    Ok(FlowProgram {
-        link_degrade: faults.and_then(FaultPlan::link_degrade),
-        virtual_links: scratch.link_capacities().to_vec(),
-        routes,
-        flows,
+    let program = FlowProgram {
         op_flows,
         faults_injected,
         retries,
         degraded: degrade_round.len() as u64,
-    })
+    };
+    Ok((program, sim))
 }
 
-/// Run a lowered program on a fresh simulator and fold the outcome into
-/// a [`SimReport`]. `plan` is the plan `program` was lowered from.
-fn run_program(profile: &MachineProfile, plan: &ExecutionPlan, program: &FlowProgram) -> SimReport {
-    let mut sim = Simulator::from_interconnect(profile.machine.interconnect());
-    // Collapse near-simultaneous completions (symmetric flows of one
-    // round) into single events: 20 us against multi-ms rounds is a
-    // <1% perturbation for an order-of-magnitude event reduction.
-    sim.set_completion_slack(20e-6);
-    // Degrade the fabric before the storage model's virtual service
-    // stations are appended (those keep nominal rates).
-    if let Some(f) = program.link_degrade {
-        sim.scale_capacities(f);
-    }
-    for &capacity in &program.virtual_links {
-        sim.add_virtual_link(capacity);
-    }
-
-    // Submit the DAG: every flow of an op waits for every flow of the
-    // ops it depends on.
+/// Run `sim`, submitted by [`lower_plan`] from `plan` (or a clone of
+/// such a simulator), to idle and fold the outcome into a
+/// [`SimReport`].
+fn run_submitted(plan: &ExecutionPlan, program: &FlowProgram, mut sim: Simulator) -> SimReport {
     let flows_of = |op: usize| program.op_flows[op] as usize..program.op_flows[op + 1] as usize;
-    let mut dep_flows: Vec<FlowId> = Vec::new();
-    for (id, op) in plan.ops.iter().enumerate() {
-        dep_flows.clear();
-        for &d in &op.deps {
-            dep_flows.extend(flows_of(d));
-        }
-        for spec in &program.flows[flows_of(id)] {
-            let (start, len) = (spec.route.0 as usize, spec.route.1 as usize);
-            let route = &program.routes[start..start + len];
-            sim.submit_with_deps(0.0, spec.delay, route, spec.bytes, &dep_flows);
-        }
-    }
-
     let elapsed = sim.run_to_idle();
     let mut op_finish: Vec<SimTime> = Vec::with_capacity(plan.ops.len());
     let mut transfers = 0;
@@ -882,20 +831,22 @@ fn append_group(
 /// weather-restart-style timestep loops re-execute the collective
 /// without re-paying for it — the compiled plan DAG (schedule, election,
 /// crash compilation, trace bookkeeping) from [`SimSession::build`], and
-/// from the first [`SimSession::run_epoch`] on the plan's lowered
-/// flow program (storage model registered, filesystem waves planned,
-/// routes resolved, fault penalties charged), so a later epoch only
-/// submits the program to a fresh simulator and runs it. The
-/// simulator-side mirror of the thread-mode [`crate::api::Session`]
-/// epoch reuse, so the two executors keep the same cost structure.
+/// from the first [`SimSession::run_epoch`] on the plan lowered onto a
+/// simulator that has not run (storage model registered, filesystem
+/// waves planned, routes resolved, fault penalties charged, every flow
+/// submitted), so a later epoch only clones that simulator and runs the
+/// clone. The simulator-side mirror of the thread-mode
+/// [`crate::api::Session`] epoch reuse, so the two executors keep the
+/// same cost structure.
 pub struct SimSession<'a> {
     profile: &'a MachineProfile,
     storage: StorageConfig,
     cfg: TapiocaConfig,
     plan: ExecutionPlan,
-    /// `plan` lowered for the session's profile, storage and fault plan;
-    /// `None` until the first epoch needs it.
-    program: Option<FlowProgram>,
+    /// `plan` lowered for the session's profile, storage and fault plan,
+    /// beside the simulator it was submitted to, which never runs: each
+    /// epoch runs a clone. `None` until the first epoch needs it.
+    submitted: Option<(FlowProgram, Simulator)>,
     ncrashes: u64,
     #[cfg(feature = "trace")]
     group_infos: Vec<GroupTraceInfo>,
@@ -987,7 +938,7 @@ impl<'a> SimSession<'a> {
             storage: *storage,
             cfg: cfg.clone(),
             plan,
-            program: None,
+            submitted: None,
             ncrashes,
             #[cfg(feature = "trace")]
             group_infos,
@@ -996,10 +947,11 @@ impl<'a> SimSession<'a> {
     }
 
     /// Execute the compiled plan once (one epoch / timestep). The first
-    /// epoch lowers the plan (so `build` stays pure planning) and keeps
-    /// the program; the fault plan is part of what is lowered, so every
-    /// epoch injects the identical faults — exactly like the thread
-    /// runtime re-running a reused session.
+    /// epoch lowers the plan onto a simulator and keeps it unrun (so
+    /// `build` stays pure planning); every epoch runs a clone of it. The
+    /// fault plan is part of what is lowered, so every epoch injects the
+    /// identical faults — exactly like the thread runtime re-running a
+    /// reused session.
     ///
     /// With the `trace` feature, a tracer in the session's config
     /// receives the simulated collective's events per epoch (see
@@ -1010,9 +962,9 @@ impl<'a> SimSession<'a> {
     /// [`TapiocaError::InvalidConfig`] on a storage/profile kind
     /// mismatch.
     pub fn run_epoch(&mut self) -> Result<SimReport> {
-        let program = match &self.program {
-            Some(program) => program,
-            None => self.program.insert(lower_plan(
+        let (program, template) = match &self.submitted {
+            Some(submitted) => submitted,
+            None => self.submitted.insert(lower_plan(
                 self.profile,
                 &self.storage,
                 &self.plan,
@@ -1020,7 +972,7 @@ impl<'a> SimSession<'a> {
                 &self.cfg.io_policy,
             )?),
         };
-        let mut report = run_program(self.profile, &self.plan, program);
+        let mut report = run_submitted(&self.plan, program, template.clone());
         report.reelections += self.ncrashes;
         report.faults_injected += self.ncrashes;
         #[cfg(feature = "trace")]
@@ -1137,11 +1089,11 @@ mod tests {
         );
     }
 
-    /// A session's epochs run the program it lowered once; they must
-    /// equal what lowering afresh gives — `run_tapioca_sim` on the spec
-    /// and `simulate_faulty` on the session's plan — in every report
-    /// field, with and without faults, in both directions, on both
-    /// machines.
+    /// A session's epochs run clones of the simulator it lowered the
+    /// plan onto once; they must equal what lowering afresh gives —
+    /// `run_tapioca_sim` on the spec and `simulate_faulty` on the
+    /// session's plan — in every report field, with and without faults,
+    /// in both directions, on both machines.
     #[test]
     fn sim_session_epochs_are_deterministic_and_match_one_shot() {
         use tapioca_mpi::FaultSpec;

@@ -40,7 +40,7 @@ const NO_COMP: u32 = u32::MAX;
 /// per arrival) and never reused; a slot that loses a union keeps an
 /// empty shell so stale parent pointers and index entries stay safe to
 /// resolve.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct CompSlot {
     /// Member flows in activation order (merge appends the loser's list
     /// to the winner's). Completed flows are compacted out at the next
@@ -65,7 +65,7 @@ pub(crate) struct CompSlot {
 
 /// Union-find over component slots plus the link-ownership table and
 /// the global completion index.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Components {
     parent: Vec<u32>,
     pub slots: Vec<CompSlot>,

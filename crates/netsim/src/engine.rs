@@ -32,6 +32,23 @@
 //! identical floating-point operations on every flow and produce
 //! **bit-identical** schedules — asserted by the equivalence sweeps here
 //! and in `tests/netsim_incremental.rs`.
+//!
+//! # Submission state
+//!
+//! A submitted DAG costs a few allocations, not one per flow, so that
+//! building, cloning and dropping a simulator stays cheap next to
+//! running it. Flows are plain records in one `Vec`. Dependency edges
+//! live in one append-only arena: each flow holds the head of a linked
+//! list of `(dependent, next)` entries, and a completion walks its list
+//! once and strands it. The walk releases dependents in reverse
+//! submission order, which is harmless: a released flow enters the
+//! pending heap under its unique `(start time, flow id)` key, so the
+//! order it is pushed in never shows. Routes are interned into one link
+//! arena with one span per content hash; a route whose hash is taken by
+//! different content goes to a collision list. A [`Clone`] of a
+//! submitted simulator therefore copies a few flat vectors, and runs
+//! bit-identically to the original — `SimSession` in `tapioca::sim_exec`
+//! submits each plan once and runs a clone per epoch.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -43,6 +60,9 @@ use crate::{SimTime, BYTE_EPS, TIME_EPS};
 
 /// Identifier of a submitted flow.
 pub type FlowId = usize;
+
+/// End of a dependent list in `Simulator::dep_edges`.
+const NO_EDGE: u32 = u32::MAX;
 
 /// Lifecycle of a flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +77,7 @@ pub enum FlowStatus {
     Done(SimTime),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Flow {
     /// Route as a `(start, len)` span into the interned link arena.
     span: (u32, u32),
@@ -70,15 +90,16 @@ struct Flow {
     /// as `rate * (now - anchor)`.
     anchor: SimTime,
     /// Unsatisfied dependencies (count) for dependency-gated flows.
-    deps_left: usize,
+    deps_left: u32,
     /// Earliest allowed start (fixed part).
     start_min: SimTime,
     /// Extra fixed delay applied after release (latency, lock setup).
     extra_delay: f64,
     /// Release time accumulated from completed dependencies.
     dep_release: SimTime,
-    /// Flows waiting on this one.
-    dependents: Vec<FlowId>,
+    /// Head of the list of flows waiting on this one, an index into
+    /// `Simulator::dep_edges` (`NO_EDGE` when the list is empty).
+    dependents: u32,
 }
 
 /// Total-ordered f64 key for the event heaps.
@@ -111,11 +132,17 @@ pub enum Recompute {
 }
 
 /// Flow-level network simulator over a fixed link-capacity table.
-#[derive(Debug)]
+///
+/// Cloning copies the whole state — submitted flows, pending arrivals,
+/// flows in flight — and the clone runs bit-identically to the original.
+#[derive(Debug, Clone)]
 pub struct Simulator {
     caps: Vec<f64>,
     time: SimTime,
     flows: Vec<Flow>,
+    /// Dependency edges `(dependent, next)`, append-only: the linked
+    /// lists headed by `Flow::dependents` (see the module docs).
+    dep_edges: Vec<(u32, u32)>,
     /// Count of currently transferring flows (the membership lists live
     /// in the component slots).
     n_active: usize,
@@ -134,8 +161,11 @@ pub struct Simulator {
     /// and identical routes share one span, so per-round resubmission of
     /// the same routes allocates nothing.
     route_arena: Vec<LinkIx>,
-    /// Route-content hash → spans already present in the arena.
-    route_dedup: HashMap<u64, Vec<(u32, u32)>>,
+    /// Route-content hash → the span of the first route with that hash.
+    route_dedup: HashMap<u64, (u32, u32)>,
+    /// Spans of routes whose hash `route_dedup` already holds for
+    /// different content.
+    route_collisions: Vec<(u64, (u32, u32))>,
     /// Reusable buffer of roots drained from the dirty queue.
     refill_roots: Vec<u32>,
 }
@@ -143,7 +173,7 @@ pub struct Simulator {
 /// Dense per-link scratch reused across component re-waterfills so the
 /// hot path performs no allocation and touches only links the member
 /// flows use.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Scratch {
     cap_rem: Vec<f64>,
     unfixed: Vec<u32>,
@@ -165,6 +195,11 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Content hash of a route, the key of the interning table.
+fn route_hash(route: &[LinkIx]) -> u64 {
+    route.iter().fold(0x9E37_79B9_7F4A_7C15, |h, &l| mix64(h ^ l as u64))
+}
+
 impl Simulator {
     /// Build from an interconnect's link table.
     pub fn from_interconnect(net: &dyn Interconnect) -> Self {
@@ -178,6 +213,7 @@ impl Simulator {
             caps,
             time: 0.0,
             flows: Vec::new(),
+            dep_edges: Vec::new(),
             n_active: 0,
             pending: BinaryHeap::new(),
             slack: 0.0,
@@ -186,6 +222,7 @@ impl Simulator {
             comps: Components::default(),
             route_arena: Vec::new(),
             route_dedup: HashMap::new(),
+            route_collisions: Vec::new(),
             refill_roots: Vec::new(),
         }
     }
@@ -217,11 +254,6 @@ impl Simulator {
         self.caps.push(capacity);
         self.comps.ensure_links(self.caps.len());
         self.caps.len() - 1
-    }
-
-    /// Capacity of every link, in index order (virtual links last).
-    pub fn link_capacities(&self) -> &[f64] {
-        &self.caps
     }
 
     /// Scale every *existing* link capacity by `factor` — the
@@ -307,6 +339,7 @@ impl Simulator {
             assert!(l < self.caps.len(), "route link {l} out of range");
         }
         let id = self.flows.len();
+        assert!(id < NO_EDGE as usize, "flow ids exceed u32");
         let span = self.intern(route);
         self.flows.push(Flow {
             span,
@@ -318,7 +351,7 @@ impl Simulator {
             start_min,
             extra_delay,
             dep_release: 0.0,
-            dependents: Vec::new(),
+            dependents: NO_EDGE,
         });
         let mut deps_left = 0;
         let mut dep_release: SimTime = 0.0;
@@ -327,7 +360,10 @@ impl Simulator {
             match self.flows[d].status {
                 FlowStatus::Done(t) => dep_release = dep_release.max(t),
                 _ => {
-                    self.flows[d].dependents.push(id);
+                    let edge = self.dep_edges.len();
+                    assert!(edge < NO_EDGE as usize, "dependency edges exceed u32");
+                    self.dep_edges.push((id as u32, self.flows[d].dependents));
+                    self.flows[d].dependents = edge as u32;
                     deps_left += 1;
                 }
             }
@@ -347,24 +383,32 @@ impl Simulator {
         if route.is_empty() {
             return (0, 0);
         }
-        let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-        for &l in route {
-            h = mix64(h ^ l as u64);
-        }
-        if let Some(spans) = self.route_dedup.get(&h) {
-            for &(s, len) in spans {
-                if len as usize == route.len()
-                    && &self.route_arena[s as usize..s as usize + len as usize] == route
-                {
-                    return (s, len);
-                }
-            }
+        let h = route_hash(route);
+        let arena = &self.route_arena;
+        let holds = |&(s, len): &(u32, u32)| &arena[s as usize..s as usize + len as usize] == route;
+        let first = self.route_dedup.get(&h).copied();
+        let known = match first {
+            Some(span) if holds(&span) => Some(span),
+            Some(_) => self
+                .route_collisions
+                .iter()
+                .filter(|(c, _)| *c == h)
+                .map(|&(_, span)| span)
+                .find(holds),
+            None => None,
+        };
+        if let Some(span) = known {
+            return span;
         }
         let start = self.route_arena.len();
         assert!(start + route.len() <= u32::MAX as usize, "route arena overflow");
         self.route_arena.extend_from_slice(route);
         let span = (start as u32, route.len() as u32);
-        self.route_dedup.entry(h).or_default().push(span);
+        if first.is_some() {
+            self.route_collisions.push((h, span));
+        } else {
+            self.route_dedup.insert(h, span);
+        }
         span
     }
 
@@ -379,16 +423,19 @@ impl Simulator {
 
     /// Mark a flow done at `t` and release any satisfied dependents.
     fn complete(&mut self, id: FlowId, t: SimTime) {
-        self.flows[id].remaining = 0.0;
-        self.flows[id].status = FlowStatus::Done(t);
-        let dependents = std::mem::take(&mut self.flows[id].dependents);
-        for dep in dependents {
-            let f = &mut self.flows[dep];
+        let f = &mut self.flows[id];
+        f.remaining = 0.0;
+        f.status = FlowStatus::Done(t);
+        let mut edge = std::mem::replace(&mut f.dependents, NO_EDGE);
+        while edge != NO_EDGE {
+            let (dep, next) = self.dep_edges[edge as usize];
+            let f = &mut self.flows[dep as usize];
             f.dep_release = f.dep_release.max(t);
             f.deps_left -= 1;
             if f.deps_left == 0 {
-                self.release(dep);
+                self.release(dep as usize);
             }
+            edge = next;
         }
     }
 
@@ -870,6 +917,88 @@ mod tests {
     }
 
     #[test]
+    fn route_hash_collision_falls_back_to_the_list() {
+        let mut s = sim(&[10.0; 4]);
+        let (a, b) = ([0, 1], [2, 3]);
+        // Plant `b`'s span under `a`'s hash, as a colliding route would.
+        let span_b = s.intern(&b);
+        s.route_dedup.insert(route_hash(&a), span_b);
+        let span_a = s.intern(&a);
+        assert_ne!(span_a, span_b);
+        assert_eq!(s.route_collisions, [(route_hash(&a), span_a)]);
+        // Both are found again without growing the arena.
+        assert_eq!((s.intern(&a), s.intern(&b)), (span_a, span_b));
+        assert_eq!(s.route_arena, [2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn one_completion_releases_64_dependents() {
+        // The gate (32 B at 16 B/s) ends at t=2; its 64 dependents then
+        // share a 64 B/s link at 1 B/s each and all end at t=3.
+        let mut s = sim(&[16.0, 64.0]);
+        let gate = s.submit(0.0, vec![0], 32.0);
+        let deps: Vec<_> =
+            (0..64).map(|_| s.submit_with_deps(0.0, 0.0, vec![1], 1.0, &[gate])).collect();
+        assert!(deps.iter().all(|&d| s.status(d) == FlowStatus::Waiting));
+        s.run_to_idle();
+        assert_eq!(s.finish_time(gate), Some(2.0));
+        for d in deps {
+            assert!((s.finish_time(d).unwrap() - 3.0).abs() < 1e-9, "dependent {d}");
+        }
+    }
+
+    /// A DAG on a degraded fabric with a virtual sink and completion
+    /// slack: a staggered first wave through the sink, a zero-byte fence
+    /// behind it, and a second wave gated on the fence and one
+    /// first-wave flow each.
+    fn submitted_dag() -> Simulator {
+        let mut s = sim(&[40.0, 30.0, 20.0, 50.0]);
+        s.set_completion_slack(1e-3);
+        s.scale_capacities(0.5);
+        let sink = s.add_virtual_link(15.0);
+        let first: Vec<_> = (0..8)
+            .map(|i| s.submit(0.1 * i as f64, vec![i % 4, sink], 10.0 + i as f64))
+            .collect();
+        let fence = s.submit_with_deps(0.0, 0.0, Vec::<LinkIx>::new(), 0.0, &first);
+        for (i, &f) in first.iter().enumerate() {
+            let route = vec![(i + 1) % 4, i % 4];
+            s.submit_with_deps(0.0, 0.01 * i as f64, route, 5.0 * (i + 1) as f64, &[fence, f]);
+        }
+        s
+    }
+
+    fn finish_bits(s: &Simulator) -> Vec<u64> {
+        (0..s.num_flows()).map(|f| s.finish_time(f).expect("flow completed").to_bits()).collect()
+    }
+
+    #[test]
+    fn clone_of_a_submitted_simulator_runs_bit_identically() {
+        let mut fresh = submitted_dag();
+        fresh.run_to_idle();
+        let want = finish_bits(&fresh);
+
+        let mut original = submitted_dag();
+        let mut clone = original.clone();
+        clone.run_to_idle();
+        assert_eq!(finish_bits(&clone), want, "clone vs fresh resubmission");
+        assert_eq!(original.now(), 0.0, "running the clone moved the original");
+        assert!((0..original.num_flows()).all(|f| original.finish_time(f).is_none()));
+        original.run_to_idle();
+        assert_eq!(finish_bits(&original), want, "original vs fresh resubmission");
+
+        // A clone taken mid-run carries the flows in flight with it.
+        let mut s = submitted_dag();
+        for _ in 0..5 {
+            s.step();
+        }
+        let mut mid = s.clone();
+        s.run_to_idle();
+        mid.run_to_idle();
+        assert_eq!(finish_bits(&s), want);
+        assert_eq!(finish_bits(&mid), want);
+    }
+
+    #[test]
     fn scale_capacities_mid_flight_recomputes_rates() {
         // A (200 B, link 0 @ 10 B/s) runs alone; B (10 B, link 1) is a
         // disjoint component finishing at t=1. Degrading to 50% after
@@ -1000,6 +1129,49 @@ mod tests {
                 for _ in 0..64 {
                     s.submit(0.0, vec![0], 10.0);
                 }
+            });
+        }
+
+        /// The dependency store's corner cases against the Full
+        /// reference: one completion releasing 64 dependents, a
+        /// dependency on a flow that is already done, and a submission
+        /// after a partial run.
+        #[test]
+        fn dependency_store_scenarios_bit_identical() {
+            assert_identical_labeled("64 dependents", |s| {
+                for _ in 0..4 {
+                    s.add_virtual_link(16.0);
+                }
+                let gate = s.submit(0.0, vec![0], 32.0);
+                for i in 0..64 {
+                    let delay = (i % 5) as f64 * 0.01;
+                    s.submit_with_deps(0.0, delay, vec![i % 4], 1.0 + i as f64, &[gate]);
+                }
+            });
+            assert_identical_labeled("dependency on a done flow", |s| {
+                s.add_virtual_link(10.0);
+                let a = s.submit(0.0, vec![0], 10.0);
+                s.run_to_idle();
+                let b = s.submit(0.0, vec![0], 30.0);
+                s.submit_with_deps(0.0, 0.0, vec![0], 10.0, &[a, b]);
+            });
+            assert_identical_labeled("submission after a partial run", |s| {
+                for c in [10.0, 20.0, 5.0] {
+                    s.add_virtual_link(c);
+                }
+                let first: Vec<FlowId> =
+                    (0..6).map(|i| s.submit(0.1 * i as f64, vec![i % 3], 7.0 + i as f64)).collect();
+                for _ in 0..4 {
+                    s.step();
+                }
+                let later: Vec<FlowId> = (0..6)
+                    .map(|i| {
+                        let deps = [first[i], first[(i + 2) % 6]];
+                        let route = vec![(i + 1) % 3, i % 3];
+                        s.submit_with_deps(0.0, 0.0, route, 3.0 * (i + 1) as f64, &deps)
+                    })
+                    .collect();
+                s.submit_with_deps(0.0, 0.0, vec![1], 4.0, &later);
             });
         }
 
