@@ -14,11 +14,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v10`):
+//! Schema (`tapioca-perfbench/v11`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v10",
+//!   "schema": "tapioca-perfbench/v11",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -67,10 +67,12 @@
 //!
 //! `netsim_incremental` times the component-sharded engine on
 //! multi-partition round workloads (the shape `sim_exec` submits):
-//! `full_ns` re-waterfills every component per event
+//! `full_ns` re-waterfills every component whole per event
 //! (`Recompute::Full`, the reference) and `incr_ns` re-waterfills only
-//! dirty components. `speedup` is `full_ns / incr_ns`; `identical`
-//! asserts both produce bitwise-equal schedules.
+//! the dirty rate-coupled blocks of dirty components. `speedup` is
+//! `full_ns / incr_ns`; `identical` asserts both produce bitwise-equal
+//! schedules. The `shared_sinks` workload is the one whose partitions
+//! merge into a single component that the engine splits into blocks.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -360,6 +362,11 @@ enum RoundWorkload {
     Disjoint,
     /// Partitions share a small pool of gateway links (theta/hacc shape).
     SharedGateways,
+    /// Every flow also crosses one of a few roomy gateways into one of
+    /// a few narrow storage sinks (theta/ior flush shape): the
+    /// partitions merge into one interference component, which the
+    /// sinks split into rate-coupled blocks.
+    SharedSinks,
 }
 
 /// Shape of one incremental-suite case.
@@ -384,10 +391,15 @@ impl RoundShape {
 /// Build one multi-partition round workload.
 fn build_rounds(s: &mut Simulator, shape: &RoundShape, kind: RoundWorkload) {
     let mut rng = Rng(0x0a99_0000 ^ (shape.links() * 131 + shape.flows()) as u64);
-    for _ in 0..shape.links() {
-        s.add_virtual_link(1.0 + rng.below(64) as f64);
-    }
     let gateway_base = shape.parts * shape.links_per_part;
+    // With sinks, the first half of the shared pool are the gateways.
+    let gateways = if kind == RoundWorkload::SharedSinks { shape.shared / 2 } else { shape.shared };
+    for l in 0..shape.links() {
+        let cap = 1.0 + rng.below(64) as f64;
+        let roomy = kind == RoundWorkload::SharedSinks
+            && (gateway_base..gateway_base + gateways).contains(&l);
+        s.add_virtual_link(if roomy { 1e3 } else { cap });
+    }
     for p in 0..shape.parts {
         let base = p * shape.links_per_part;
         let mut prev_round: Vec<usize> = Vec::new();
@@ -402,8 +414,16 @@ fn build_rounds(s: &mut Simulator, shape: &RoundShape, kind: RoundWorkload) {
                         route.push(l);
                     }
                 }
-                if kind == RoundWorkload::SharedGateways && rng.below(4) == 0 {
-                    route.push(gateway_base + rng.below(shape.shared as u64) as usize);
+                match kind {
+                    RoundWorkload::SharedGateways if rng.below(4) == 0 => {
+                        route.push(gateway_base + rng.below(shape.shared as u64) as usize);
+                    }
+                    RoundWorkload::SharedSinks => {
+                        let sinks = (shape.shared - gateways) as u64;
+                        route.push(gateway_base + rng.below(gateways as u64) as usize);
+                        route.push(gateway_base + gateways + rng.below(sinks) as usize);
+                    }
+                    _ => {}
                 }
                 let bytes = (1 + rng.below(5000)) as f64 / 7.0;
                 let start = rng.below(10) as f64 / 10.0;
@@ -438,13 +458,15 @@ fn netsim_incremental_suite(smoke: bool, json: &mut String) {
     };
     let mut first = true;
     for shape in shapes {
-        for kind in [RoundWorkload::Disjoint, RoundWorkload::SharedGateways] {
+        use RoundWorkload::{Disjoint, SharedGateways, SharedSinks};
+        for kind in [Disjoint, SharedGateways, SharedSinks] {
             let kind_name = match kind {
-                RoundWorkload::Disjoint => "disjoint_rounds",
-                RoundWorkload::SharedGateways => "shared_gateways",
+                Disjoint => "disjoint_rounds",
+                SharedGateways => "shared_gateways",
+                SharedSinks => "shared_sinks",
             };
             // Disjoint cases carry no gateway links at all.
-            let shared = if kind == RoundWorkload::Disjoint { 0 } else { shape.shared };
+            let shared = if kind == Disjoint { 0 } else { shape.shared };
             let shape = RoundShape { shared, ..*shape };
             let reps = if shape.flows() >= 2048 { 3 } else { 7 };
             // median_ns times the whole closure (the event loop consumes
@@ -519,7 +541,7 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v10\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v11\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \

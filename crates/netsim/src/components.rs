@@ -1,4 +1,5 @@
-//! Interference components over active flows.
+//! Interference components over active flows, and the rate-coupled
+//! blocks inside them.
 //!
 //! Two active flows *interfere* when their routes share a link (directly
 //! or transitively); max-min waterfilling factors exactly along these
@@ -18,6 +19,22 @@
 //! alone — and it keeps the union-find monotone (no slot reuse, no
 //! parent-chain surgery).
 //!
+//! # Rate-coupled blocks
+//!
+//! Sharing a link couples two flows' rates only when that link limits
+//! them. Each component's members are therefore partitioned further
+//! into *blocks*, labelled per flow: flows are in one block when they
+//! are joined through links that were a bottleneck of the waterfill
+//! that last set their rates, or that are loaded to within
+//! [`TIGHT_MARGIN`] of capacity. Between blocks lie only links with
+//! clear headroom. A membership event dirties just the blocks it
+//! touches, and the engine re-waterfills only those (see
+//! `Simulator::refill_component` for why the bits do not change).
+//! `link_load` keeps each link's total frozen rate, so the headroom a
+//! re-solved block leaves on a link it shares is checked without
+//! visiting the other blocks' flows. Components of at most
+//! [`BLOCKS_ABOVE`] members keep neither blocks nor loads.
+//!
 //! Event lookup is a two-level heap: each slot holds a min-heap of its
 //! members' completion times (rebuilt at each re-waterfill), and a
 //! global index heap holds one `(next completion, root, version)` entry
@@ -35,6 +52,33 @@ use crate::engine::{FlowId, TimeKey};
 
 /// Sentinel for "link currently owned by no component".
 const NO_COMP: u32 = u32::MAX;
+
+/// Relative headroom below which a link counts as full: a link loaded
+/// to `capacity * (1 - TIGHT_MARGIN)` or more couples every flow on it,
+/// bottleneck or not. The margin dwarfs the rounding of any waterfill
+/// or load sum (an ulp of capacity per flow on the link), so a link
+/// that separates two blocks never becomes a bottleneck when they are
+/// solved together.
+pub(crate) const TIGHT_MARGIN: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// Roundings a component's link loads may take (see `CompSlot::drift`)
+/// before the component is re-waterfilled whole, which sets every one
+/// of them afresh. Each rounding is at most an ulp of twice the
+/// capacity, so the drift stays below `2^-31` of capacity, far inside
+/// [`TIGHT_MARGIN`].
+pub(crate) const LOAD_DRIFT_MAX: u32 = 1 << 20;
+
+/// Components with at most this many members are always re-waterfilled
+/// whole and keep no blocks: splitting them cannot pay for its own
+/// bookkeeping. A component that grows past it is solved whole once
+/// more, which sets up its blocks and link loads. The crate's own tests
+/// keep blocks at every size, so their small scenarios exercise them.
+pub(crate) const BLOCKS_ABOVE: usize = if cfg!(test) { 0 } else { 16 };
+
+/// True when `load` leaves less than [`TIGHT_MARGIN`] of `cap` free.
+pub(crate) fn near_capacity(load: f64, cap: f64) -> bool {
+    load >= cap * (1.0 - TIGHT_MARGIN)
+}
 
 /// One component slot. Slots are allocated monotonically (at most one
 /// per arrival) and never reused; a slot that loses a union keeps an
@@ -61,6 +105,14 @@ pub(crate) struct CompSlot {
     pub route_entries: u32,
     /// Queued in the engine's dirty list.
     pub dirty: bool,
+    /// The members' blocks and link loads are not known (capacities
+    /// changed, or the component is small enough to keep none): the next
+    /// re-waterfill solves the whole component rather than its dirty
+    /// blocks.
+    pub stale: bool,
+    /// Roundings any one of the component's link loads may have taken
+    /// since a whole re-waterfill last set them (see [`LOAD_DRIFT_MAX`]).
+    pub drift: u32,
 }
 
 /// Union-find over component slots plus the link-ownership table and
@@ -73,7 +125,10 @@ pub(crate) struct Components {
     /// it). May lag behind unions; resolve through `find`.
     comp_of_link: Vec<u32>,
     /// Active flows currently routed over each link.
-    link_active: Vec<u32>,
+    pub link_active: Vec<u32>,
+    /// Total frozen rate of the active flows on each link, kept for
+    /// links of components that are not `stale`.
+    pub link_load: Vec<f64>,
     /// Roots awaiting re-waterfill (deduplicated via `CompSlot::dirty`;
     /// entries may be stale after a merge — re-resolved on drain).
     dirty: Vec<u32>,
@@ -87,6 +142,7 @@ impl Components {
         if self.comp_of_link.len() < n {
             self.comp_of_link.resize(n, NO_COMP);
             self.link_active.resize(n, 0);
+            self.link_load.resize(n, 0.0);
         }
     }
 
@@ -116,10 +172,12 @@ impl Components {
         }
     }
 
-    /// Queue every live component (capacity changes touch them all).
+    /// Queue every live component whole (capacity changes touch them
+    /// all, so no block's rates survive).
     pub fn mark_all_dirty(&mut self) {
         for i in 0..self.slots.len() as u32 {
             if self.parent[i as usize] == i && self.slots[i as usize].live > 0 {
+                self.slots[i as usize].stale = true;
                 self.mark_dirty(i);
             }
         }
@@ -179,7 +237,7 @@ impl Components {
         if base == NO_COMP {
             base = self.slots.len() as u32;
             self.parent.push(base);
-            self.slots.push(CompSlot::default());
+            self.slots.push(CompSlot { stale: true, ..CompSlot::default() });
         }
         let slot = &mut self.slots[base as usize];
         slot.flows.push(id);
@@ -193,14 +251,23 @@ impl Components {
         base
     }
 
-    /// Release a completed flow's links: decrement occupancy and return
-    /// fully idle links to the unowned pool so a later arrival starts a
-    /// fresh component instead of resurrecting this one.
-    pub fn release_links(&mut self, route: &[LinkIx]) {
+    /// Release a completed flow of component `root`: decrement link
+    /// occupancy, take its `rate` off the link loads, and return fully
+    /// idle links to the unowned pool so a later arrival starts a fresh
+    /// component instead of resurrecting this one.
+    pub fn release_links(&mut self, root: u32, route: &[LinkIx], rate: f64) {
+        let slot = &mut self.slots[root as usize];
+        slot.live -= 1;
+        slot.route_entries -= route.len() as u32;
+        let keep_loads = !slot.stale;
+        slot.drift = slot.drift.saturating_add(1);
         for &l in route {
             self.link_active[l] -= 1;
             if self.link_active[l] == 0 {
                 self.comp_of_link[l] = NO_COMP;
+                self.link_load[l] = 0.0;
+            } else if keep_loads {
+                self.link_load[l] -= rate;
             }
         }
     }
@@ -219,6 +286,8 @@ impl Components {
         let mut moved = std::mem::take(&mut loser.flows);
         let live = loser.live;
         let entries = loser.route_entries;
+        let stale = std::mem::take(&mut loser.stale);
+        let drift = std::mem::take(&mut loser.drift);
         loser.live = 0;
         loser.route_entries = 0;
         loser.dirty = false;
@@ -228,6 +297,8 @@ impl Components {
         winner.flows.append(&mut moved);
         winner.live += live;
         winner.route_entries += entries;
+        winner.stale |= stale;
+        winner.drift = winner.drift.max(drift);
         win
     }
 }

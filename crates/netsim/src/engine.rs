@@ -23,6 +23,15 @@
 //! through a global event index so [`Simulator::step`] never scans the
 //! active set.
 //!
+//! Inside a dirty component it goes one step further and re-waterfills
+//! only the dirty *rate-coupled blocks*: sets of flows joined by the
+//! links that limit them. Flows that share only links with headroom are
+//! solved apart, and the result is still bit for bit the whole
+//! component's waterfill (`Simulator::refill_component` says why).
+//! Storage-bound runs are where this pays: flushes that share a roomy
+//! gateway but write to different OSTs form one component of several
+//! blocks, and a completion at one OST re-solves just its block.
+//!
 //! Flow progress is anchored rather than settled eagerly: each active
 //! flow carries `(anchor, remaining, rate)` and its byte count is only
 //! re-settled when a re-waterfill changes its rate *bitwise*. Because
@@ -55,7 +64,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use tapioca_topology::{Interconnect, LinkIx};
 
-use crate::components::Components;
+use crate::components::{near_capacity, Components, BLOCKS_ABOVE, LOAD_DRIFT_MAX};
 use crate::{SimTime, BYTE_EPS, TIME_EPS};
 
 /// Identifier of a submitted flow.
@@ -77,17 +86,28 @@ pub enum FlowStatus {
     Done(SimTime),
 }
 
+/// [`FlowStatus`] without the finish time, which a done flow keeps in
+/// `Flow::anchor` (a flow record is copied with every clone of a
+/// submitted simulator, so it is kept small).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Waiting,
+    Pending,
+    Active,
+    Done,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     /// Route as a `(start, len)` span into the interned link arena.
     span: (u32, u32),
     remaining: f64,
-    status: FlowStatus,
-    /// Fair rate frozen at the last re-waterfill of this flow's
-    /// component (0 until first waterfilled).
+    phase: Phase,
+    /// Fair rate frozen at the last re-waterfill of this flow's block
+    /// (0 until first waterfilled).
     rate: f64,
     /// Time `remaining` was last settled; progress since then is implied
-    /// as `rate * (now - anchor)`.
+    /// as `rate * (now - anchor)`. The finish time once done.
     anchor: SimTime,
     /// Unsatisfied dependencies (count) for dependency-gated flows.
     deps_left: u32,
@@ -100,6 +120,13 @@ struct Flow {
     /// Head of the list of flows waiting on this one, an index into
     /// `Simulator::dep_edges` (`NO_EDGE` when the list is empty).
     dependents: u32,
+    /// While active, the rate-coupled block this flow is in (see the
+    /// `components` module), named by one of its flows: the block's
+    /// first member in component order when it was formed. That flow
+    /// keeps naming it after it completes.
+    block: u32,
+    /// On a flow that names a block: the block needs re-waterfilling.
+    block_dirty: bool,
 }
 
 /// Total-ordered f64 key for the event heaps.
@@ -118,15 +145,16 @@ impl Ord for TimeKey {
     }
 }
 
-/// Which components a membership event re-waterfills.
+/// Which flows a membership event re-waterfills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Recompute {
-    /// Re-waterfill every live component at every membership-changing
-    /// event — the reference engine, kept for equivalence sweeps and
-    /// benchmarking the sharded path against.
+    /// Re-waterfill every live component, whole, at every
+    /// membership-changing event — the reference engine, kept for
+    /// equivalence sweeps and benchmarking the sharded path against.
     Full,
-    /// Re-waterfill only dirtied components (the default). Bit-identical
-    /// to [`Recompute::Full`] by construction (see the module docs).
+    /// Re-waterfill only the dirty rate-coupled blocks of dirtied
+    /// components (the default). Bit-identical to [`Recompute::Full`] by
+    /// construction (see the module docs).
     #[default]
     Incremental,
 }
@@ -170,20 +198,139 @@ pub struct Simulator {
     refill_roots: Vec<u32>,
 }
 
-/// Dense per-link scratch reused across component re-waterfills so the
-/// hot path performs no allocation and touches only links the member
-/// flows use.
+/// Dense per-link scratch reused across re-waterfills so the hot path
+/// performs no allocation and touches only links the solved flows use.
 #[derive(Debug, Default, Clone)]
 struct Scratch {
-    cap_rem: Vec<f64>,
-    unfixed: Vec<u32>,
-    /// Member-flow indices per link (only `touched` entries are valid).
+    /// The flows being solved (the *group*), in component member order.
+    group: Vec<FlowId>,
+    /// Per-link solve state (only `touched` entries are valid).
+    link: Vec<LinkScratch>,
+    /// Group indices per link (only `touched` entries are valid).
     flows_on: Vec<Vec<usize>>,
     touched: Vec<LinkIx>,
-    /// Per-member solved rates for the component being refilled.
+    /// Per group flow: solved rate and frozen flag.
     rates: Vec<f64>,
-    /// Per-member frozen flags for the component being refilled.
     fixed: Vec<bool>,
+    /// Union-find over group indices, for splitting the solved group
+    /// into blocks.
+    uf: Vec<u32>,
+}
+
+/// One link's state in a solve.
+#[derive(Debug, Default, Clone, Copy)]
+struct LinkScratch {
+    /// Capacity not yet handed to frozen group flows.
+    cap_rem: f64,
+    /// Group flows on the link not frozen yet.
+    unfixed: u32,
+    /// Chosen as a bottleneck by the solve.
+    binding: bool,
+    /// Shared with a block outside the group and left without headroom
+    /// by the solve.
+    coupled: bool,
+}
+
+impl Scratch {
+    /// Max-min waterfilling over `self.group`, allocation-free: the
+    /// per-link scratch persists across calls and only the links the
+    /// previous solve touched are reset. Semantics identical to
+    /// [`crate::fairshare::max_min_rates`] restricted to the group
+    /// (tested against it). Leaves the rates in `rates`, the
+    /// bottlenecks in `binding`, and each link's capacity minus the
+    /// group's new load in `cap_rem`.
+    fn waterfill(&mut self, flows: &[Flow], arena: &[LinkIx], caps: &[f64]) {
+        if self.link.len() < caps.len() {
+            self.link.resize(caps.len(), LinkScratch::default());
+            self.flows_on.resize_with(caps.len(), Vec::new);
+        }
+        for &l in &self.touched {
+            self.flows_on[l].clear();
+        }
+        self.touched.clear();
+
+        let n = self.group.len();
+        self.rates.clear();
+        self.rates.resize(n, f64::INFINITY);
+        self.fixed.clear();
+        self.fixed.resize(n, false);
+        for (k, &id) in self.group.iter().enumerate() {
+            for &l in links(arena, flows[id].span) {
+                if self.flows_on[l].is_empty() {
+                    self.touched.push(l);
+                    self.link[l] = LinkScratch { cap_rem: caps[l], ..LinkScratch::default() };
+                }
+                self.link[l].unfixed += 1;
+                self.flows_on[l].push(k);
+            }
+        }
+        let mut n_unfixed = n;
+
+        while n_unfixed > 0 {
+            // bottleneck link among touched ones
+            let mut bott = usize::MAX;
+            let mut fair = f64::INFINITY;
+            for &l in &self.touched {
+                let s = &self.link[l];
+                if s.unfixed > 0 {
+                    let f = s.cap_rem / s.unfixed as f64;
+                    if f < fair {
+                        fair = f;
+                        bott = l;
+                    }
+                }
+            }
+            debug_assert_ne!(bott, usize::MAX);
+            let fair = fair.max(0.0);
+            self.link[bott].binding = true;
+            // freeze flows on the bottleneck; iterate over an
+            // index range to avoid aliasing the scratch borrow
+            for fi in 0..self.flows_on[bott].len() {
+                let k = self.flows_on[bott][fi];
+                if self.fixed[k] {
+                    continue;
+                }
+                self.fixed[k] = true;
+                n_unfixed -= 1;
+                self.rates[k] = fair;
+                for &l in links(arena, flows[self.group[k]].span) {
+                    let s = &mut self.link[l];
+                    s.unfixed -= 1;
+                    s.cap_rem = (s.cap_rem - fair).max(0.0);
+                }
+            }
+        }
+    }
+
+    /// The group's load on touched link `l` before the solve.
+    fn old_load(&self, l: LinkIx, flows: &[Flow]) -> f64 {
+        self.flows_on[l].iter().map(|&k| flows[self.group[k]].rate).sum()
+    }
+
+    /// The group's load on touched link `l` after the solve.
+    fn new_load(&self, l: LinkIx, caps: &[f64]) -> f64 {
+        caps[l] - self.link[l].cap_rem
+    }
+
+    /// Whether the solve left touched link `l` coupling every group flow
+    /// on it: a bottleneck, or loaded to within the tight margin.
+    fn tight(&self, l: LinkIx, caps: &[f64]) -> bool {
+        self.link[l].binding || near_capacity(self.new_load(l, caps), caps[l])
+    }
+}
+
+/// The links of an interned route span.
+fn links(arena: &[LinkIx], (start, len): (u32, u32)) -> &[LinkIx] {
+    &arena[start as usize..start as usize + len as usize]
+}
+
+/// Root of `k` in a union-find over group indices, with path halving.
+fn find(uf: &mut [u32], mut k: u32) -> u32 {
+    while uf[k as usize] != k {
+        uf[k as usize] = uf[uf[k as usize] as usize];
+        k = uf[k as usize];
+    }
+    k
 }
 
 /// SplitMix64 finalizer, used to hash route contents for interning.
@@ -252,7 +399,6 @@ impl Simulator {
     pub fn add_virtual_link(&mut self, capacity: f64) -> LinkIx {
         assert!(capacity > 0.0 && capacity.is_finite());
         self.caps.push(capacity);
-        self.comps.ensure_links(self.caps.len());
         self.caps.len() - 1
     }
 
@@ -288,15 +434,19 @@ impl Simulator {
 
     /// Status of a flow.
     pub fn status(&self, id: FlowId) -> FlowStatus {
-        self.flows[id].status
+        let f = &self.flows[id];
+        match f.phase {
+            Phase::Waiting => FlowStatus::Waiting,
+            Phase::Pending => FlowStatus::Pending,
+            Phase::Active => FlowStatus::Active,
+            Phase::Done => FlowStatus::Done(f.anchor),
+        }
     }
 
     /// Finish time of a flow, if it has completed.
     pub fn finish_time(&self, id: FlowId) -> Option<SimTime> {
-        match self.flows[id].status {
-            FlowStatus::Done(t) => Some(t),
-            _ => None,
-        }
+        let f = &self.flows[id];
+        (f.phase == Phase::Done).then_some(f.anchor)
     }
 
     /// Submit a flow of `bytes` over `route`, starting at `start`
@@ -344,7 +494,7 @@ impl Simulator {
         self.flows.push(Flow {
             span,
             remaining: bytes,
-            status: FlowStatus::Waiting,
+            phase: Phase::Waiting,
             rate: 0.0,
             anchor: 0.0,
             deps_left: 0,
@@ -352,13 +502,15 @@ impl Simulator {
             extra_delay,
             dep_release: 0.0,
             dependents: NO_EDGE,
+            block: id as u32,
+            block_dirty: false,
         });
         let mut deps_left = 0;
         let mut dep_release: SimTime = 0.0;
         for &d in deps {
             assert!(d < id, "dependency {d} not submitted yet");
-            match self.flows[d].status {
-                FlowStatus::Done(t) => dep_release = dep_release.max(t),
+            match self.flows[d] {
+                Flow { phase: Phase::Done, anchor: t, .. } => dep_release = dep_release.max(t),
                 _ => {
                     let edge = self.dep_edges.len();
                     assert!(edge < NO_EDGE as usize, "dependency edges exceed u32");
@@ -417,7 +569,7 @@ impl Simulator {
         let f = &mut self.flows[id];
         debug_assert_eq!(f.deps_left, 0);
         let start = f.start_min.max(f.dep_release) + f.extra_delay;
-        f.status = FlowStatus::Pending;
+        f.phase = Phase::Pending;
         self.pending.push(Reverse((TimeKey(start.max(self.time)), id)));
     }
 
@@ -425,7 +577,8 @@ impl Simulator {
     fn complete(&mut self, id: FlowId, t: SimTime) {
         let f = &mut self.flows[id];
         f.remaining = 0.0;
-        f.status = FlowStatus::Done(t);
+        f.phase = Phase::Done;
+        f.anchor = t;
         let mut edge = std::mem::replace(&mut f.dependents, NO_EDGE);
         while edge != NO_EDGE {
             let (dep, next) = self.dep_edges[edge as usize];
@@ -440,123 +593,188 @@ impl Simulator {
     }
 
     /// Re-waterfill whatever the current [`Recompute`] mode says needs
-    /// it: the dirtied components, or every live one.
+    /// it: the dirty blocks of the dirtied components, or every live
+    /// component whole.
     fn refill_dirty(&mut self) {
         if !self.comps.has_dirty() {
             return;
         }
         let mut roots = std::mem::take(&mut self.refill_roots);
-        match self.recompute {
-            Recompute::Incremental => self.comps.take_dirty(&mut roots),
-            Recompute::Full => self.comps.take_all_live(&mut roots),
+        let whole = self.recompute == Recompute::Full;
+        if whole {
+            self.comps.take_all_live(&mut roots);
+        } else {
+            self.comps.take_dirty(&mut roots);
         }
         for &r in &roots {
-            self.refill_component(r);
+            self.refill_component(r, whole);
         }
         self.refill_roots = roots;
     }
 
-    /// Max-min waterfilling over one component's member flows,
-    /// allocation-free: the per-link scratch persists across calls and
-    /// only touched links are reset. Semantics identical to
-    /// [`crate::fairshare::max_min_rates`] restricted to the component
-    /// (tested against it). Flows whose rate changed bitwise are settled
+    /// Re-waterfill one component: its dirty blocks, or every member when
+    /// `whole`, when the component is small, or when its blocks or link
+    /// loads are not known or trusted (see `CompSlot::stale` and
+    /// `CompSlot::drift`). Flows whose rate changed bitwise are settled
     /// and re-anchored at the current time; the component's completion
     /// heap is rebuilt and a fresh event-index entry published.
-    fn refill_component(&mut self, root: u32) {
-        let now = self.time;
+    ///
+    /// Solving only the dirty blocks gives the rates a whole-component
+    /// waterfill would, bit for bit. A block's rates come from its own
+    /// bottlenecks, and every link it shares with another block keeps
+    /// at least [`crate::components::TIGHT_MARGIN`] of its capacity free.
+    /// Such a link is never the least-loaded one in a joint waterfill:
+    /// each flow on it will get at least the current fair level, and
+    /// their sum stays below capacity. So the joint waterfill picks the
+    /// same bottlenecks as the blocks' own, in the same member order, and
+    /// performs the same subtractions on each one. The solve is
+    /// therefore widened until that headroom holds (`couple_blocks`).
+    fn refill_component(&mut self, root: u32, whole: bool) {
         let rix = root as usize;
-        {
+        let (whole, blocks) = {
             // Compact completed members. `retain` preserves the relative
             // order of live members, so the link touch order — and with
             // it the freeze order and the produced bits — is the same
             // whether or not a completed flow was already compacted out.
             let flows = &self.flows;
             let slot = &mut self.comps.slots[rix];
-            slot.flows.retain(|&id| matches!(flows[id].status, FlowStatus::Active));
+            slot.flows.retain(|&id| flows[id].phase == Phase::Active);
             slot.version = slot.version.wrapping_add(1);
             slot.completions.clear();
+            let blocks = slot.flows.len() > BLOCKS_ABOVE;
+            let stale = std::mem::replace(&mut slot.stale, !blocks);
             if slot.flows.is_empty() {
                 return;
             }
+            (whole || stale || !blocks || slot.drift >= LOAD_DRIFT_MAX, blocks)
+        };
+        let whole = loop {
+            let comps = &self.comps;
+            let flows = &self.flows;
+            let scr = &mut self.scratch;
+            let members = &comps.slots[rix].flows;
+            scr.group.clear();
+            scr.group.extend(
+                members.iter().filter(|&&id| whole || flows[flows[id].block as usize].block_dirty),
+            );
+            scr.waterfill(flows, &self.route_arena, &self.caps);
+            let all = scr.group.len() == members.len();
+            if all || !self.couple_blocks(rix) {
+                break all;
+            }
+        };
+        if blocks {
+            self.relabel_group();
+            self.update_loads(rix, whole);
         }
+        self.apply_group(rix, root);
+    }
 
+    /// Find the links the solved group shares with blocks outside it
+    /// that the solve made a bottleneck or left within the tight margin
+    /// of capacity, and mark every block crossing one dirty, so the next
+    /// pass solves them with the group. Returns whether any block was
+    /// added.
+    fn couple_blocks(&mut self, rix: usize) -> bool {
         let scr = &mut self.scratch;
-        if scr.cap_rem.len() < self.caps.len() {
-            scr.cap_rem.resize(self.caps.len(), 0.0);
-            scr.unfixed.resize(self.caps.len(), 0);
-            scr.flows_on.resize_with(self.caps.len(), Vec::new);
+        let comps = &self.comps;
+        let mut any = false;
+        for i in 0..scr.touched.len() {
+            let l = scr.touched[i];
+            if comps.link_active[l] as usize == scr.flows_on[l].len() {
+                continue;
+            }
+            let old = scr.old_load(l, &self.flows);
+            let load = comps.link_load[l] - old + scr.new_load(l, &self.caps);
+            let s = &mut scr.link[l];
+            if s.binding || near_capacity(load, self.caps[l]) {
+                s.coupled = true;
+                any = true;
+            }
         }
-        // Reset only what the previous refill touched.
+        if !any {
+            return false;
+        }
+        for &id in &comps.slots[rix].flows {
+            let Flow { span, block, .. } = self.flows[id];
+            if links(&self.route_arena, span)
+                .iter()
+                .any(|&l| !scr.flows_on[l].is_empty() && scr.link[l].coupled)
+            {
+                self.flows[block as usize].block_dirty = true;
+            }
+        }
+        true
+    }
+
+    /// Split the solved group into rate-coupled blocks: union its flows
+    /// across every link the solve left tight (a bottleneck, or loaded
+    /// to within the tight margin of capacity) and name each block after
+    /// its first member, clean.
+    fn relabel_group(&mut self) {
+        let scr = &mut self.scratch;
+        let n = scr.group.len();
+        scr.uf.clear();
+        scr.uf.extend(0..n as u32);
         for &l in &scr.touched {
-            scr.unfixed[l] = 0;
-            scr.flows_on[l].clear();
-        }
-        scr.touched.clear();
-
-        let members = &self.comps.slots[rix].flows;
-        let n = members.len();
-        scr.rates.clear();
-        scr.rates.resize(n, f64::INFINITY);
-        scr.fixed.clear();
-        scr.fixed.resize(n, false);
-        for (k, &id) in members.iter().enumerate() {
-            let (s, len) = self.flows[id].span;
-            let route = &self.route_arena[s as usize..s as usize + len as usize];
-            for &l in route {
-                if scr.unfixed[l] == 0 && scr.flows_on[l].is_empty() {
-                    scr.touched.push(l);
-                    scr.cap_rem[l] = self.caps[l];
-                }
-                scr.unfixed[l] += 1;
-                scr.flows_on[l].push(k);
-            }
-        }
-        let mut n_unfixed = n;
-
-        while n_unfixed > 0 {
-            // bottleneck link among touched ones
-            let mut bott = usize::MAX;
-            let mut fair = f64::INFINITY;
-            for &l in &scr.touched {
-                if scr.unfixed[l] > 0 {
-                    let f = scr.cap_rem[l] / scr.unfixed[l] as f64;
-                    if f < fair {
-                        fair = f;
-                        bott = l;
-                    }
-                }
-            }
-            debug_assert_ne!(bott, usize::MAX);
-            let fair = fair.max(0.0);
-            // freeze flows on the bottleneck; iterate over an
-            // index range to avoid aliasing the scratch borrow
-            for fi in 0..scr.flows_on[bott].len() {
-                let k = scr.flows_on[bott][fi];
-                if scr.fixed[k] {
-                    continue;
-                }
-                scr.fixed[k] = true;
-                n_unfixed -= 1;
-                scr.rates[k] = fair;
-                let (s, len) = self.flows[members[k]].span;
-                for &l in &self.route_arena[s as usize..s as usize + len as usize] {
-                    scr.unfixed[l] -= 1;
-                    scr.cap_rem[l] = (scr.cap_rem[l] - fair).max(0.0);
+            if scr.tight(l, &self.caps) {
+                let first = find(&mut scr.uf, scr.flows_on[l][0] as u32);
+                for i in 1..scr.flows_on[l].len() {
+                    let r = find(&mut scr.uf, scr.flows_on[l][i] as u32);
+                    scr.uf[r as usize] = first;
                 }
             }
         }
-
-        // Apply: settle flows whose rate changed bitwise, rebuild the
-        // component's completion heap, publish one event-index entry.
-        // The heap is built once, by `BinaryHeap::from` over the old
-        // heap's cleared vector; its keys `(TimeKey, FlowId)` are
-        // unique, so the pop order does not depend on how it was built.
-        let mut completions = std::mem::take(&mut self.comps.slots[rix].completions).into_vec();
-        let mut min_ct = f64::INFINITY;
+        // Point every root at its smallest index, the block's first
+        // member, which then names the block.
+        for k in 0..n as u32 {
+            let r = find(&mut scr.uf, k);
+            if k < r {
+                scr.uf[r as usize] = k;
+                scr.uf[k as usize] = k;
+            }
+        }
         for k in 0..n {
-            let id = self.comps.slots[rix].flows[k];
-            let r = self.scratch.rates[k];
+            let first = scr.group[find(&mut scr.uf, k as u32) as usize];
+            let f = &mut self.flows[scr.group[k]];
+            f.block = first as u32;
+            if first == scr.group[k] {
+                f.block_dirty = false;
+            }
+        }
+    }
+
+    /// Bring the link loads up to date with the solved rates, before they
+    /// are applied: exactly on links no flow outside the group uses
+    /// (every link, when the group is the `whole` component), by
+    /// difference on the others, whose roundings count as drift.
+    fn update_loads(&mut self, rix: usize, whole: bool) {
+        let scr = &self.scratch;
+        let comps = &mut self.comps;
+        let mut drift = 0;
+        for &l in &scr.touched {
+            let new = scr.new_load(l, &self.caps);
+            let on = scr.flows_on[l].len();
+            if comps.link_active[l] as usize == on {
+                comps.link_load[l] = new;
+            } else {
+                comps.link_load[l] = comps.link_load[l] - scr.old_load(l, &self.flows) + new;
+                // the two sums and the update
+                drift = drift.max(2 * on as u32 + 2);
+            }
+        }
+        let slot = &mut comps.slots[rix];
+        slot.drift = if whole { 0 } else { slot.drift.saturating_add(drift) };
+    }
+
+    /// Apply the group's solved rates: settle flows whose rate changed
+    /// bitwise, rebuild the component's completion heap and publish one
+    /// event-index entry.
+    fn apply_group(&mut self, rix: usize, root: u32) {
+        let scr = &self.scratch;
+        let now = self.time;
+        for (k, &id) in scr.group.iter().enumerate() {
+            let r = scr.rates[k];
             let f = &mut self.flows[id];
             if r.to_bits() != f.rate.to_bits() {
                 if now > f.anchor {
@@ -565,6 +783,16 @@ impl Simulator {
                 f.anchor = now;
                 f.rate = r;
             }
+        }
+
+        // The heap is built once, by `BinaryHeap::from` over the old
+        // heap's cleared vector; its keys `(TimeKey, FlowId)` are
+        // unique, so the pop order does not depend on how it was built.
+        let slot = &mut self.comps.slots[rix];
+        let mut completions = std::mem::take(&mut slot.completions).into_vec();
+        let mut min_ct = f64::INFINITY;
+        for &id in &slot.flows {
+            let f = &self.flows[id];
             let ct = if f.remaining <= BYTE_EPS {
                 f.anchor
             } else {
@@ -575,9 +803,8 @@ impl Simulator {
                 min_ct = ct;
             }
         }
-        self.comps.slots[rix].completions = BinaryHeap::from(completions);
-        let version = self.comps.slots[rix].version;
-        self.comps.index.push(Reverse((TimeKey(min_ct), root, version)));
+        slot.completions = BinaryHeap::from(completions);
+        self.comps.index.push(Reverse((TimeKey(min_ct), root, slot.version)));
     }
 
     /// Earliest cached completion across components, skipping index
@@ -642,18 +869,20 @@ impl Simulator {
                 break;
             }
             self.pending.pop();
-            let (start, len) = self.flows[id].span;
-            if self.flows[id].remaining <= BYTE_EPS || len == 0 {
+            let span = self.flows[id].span;
+            if self.flows[id].remaining <= BYTE_EPS || span.1 == 0 {
                 self.complete(id, self.time);
             } else {
                 let f = &mut self.flows[id];
-                f.status = FlowStatus::Active;
+                f.phase = Phase::Active;
                 f.anchor = self.time;
                 f.rate = 0.0;
+                // A new flow is a dirty block of its own.
+                f.block = id as u32;
+                f.block_dirty = true;
                 self.n_active += 1;
                 self.comps.ensure_links(self.caps.len());
-                let route = &self.route_arena[start as usize..start as usize + len as usize];
-                self.comps.attach(id, route);
+                self.comps.attach(id, links(&self.route_arena, span));
             }
         }
     }
@@ -689,13 +918,11 @@ impl Simulator {
                 break;
             }
             self.comps.slots[rix].completions.pop();
-            debug_assert!(matches!(self.flows[id].status, FlowStatus::Active));
-            let (start, len) = self.flows[id].span;
-            let slot = &mut self.comps.slots[rix];
-            slot.live -= 1;
-            slot.route_entries -= len;
-            self.comps
-                .release_links(&self.route_arena[start as usize..start as usize + len as usize]);
+            let f = &self.flows[id];
+            debug_assert_eq!(f.phase, Phase::Active);
+            let block = f.block as usize;
+            self.comps.release_links(root, links(&self.route_arena, f.span), f.rate);
+            self.flows[block].block_dirty = true;
             self.n_active -= 1;
             self.complete(id, t_evt);
         }
@@ -1173,6 +1400,110 @@ mod tests {
                     .collect();
                 s.submit_with_deps(0.0, 0.0, vec![1], 4.0, &later);
             });
+        }
+
+        /// Flushes into storage sinks through a shared gateway, the
+        /// shape that splits one component into rate-coupled blocks:
+        /// each sink saturates, the gateway does not (or does, exactly,
+        /// or to within the tight margin). Every case against the Full
+        /// reference.
+        #[test]
+        fn rate_coupled_block_scenarios_bit_identical() {
+            // (gateway capacity, sink capacities): roomy, exactly full at
+            // the start, and full to within the tight margin.
+            let cases = [
+                ("roomy gateway", 1000.0, [10.0, 10.0, 10.0, 10.0]),
+                ("gateway exactly full", 40.0, [10.0, 10.0, 10.0, 10.0]),
+                ("gateway within the margin", 40.0 * (1.0 + 1e-9), [10.0, 10.0, 10.0, 10.0]),
+                ("uneven sinks", 25.0, [3.0, 7.0, 11.0, 13.0]),
+            ];
+            for (label, gateway, sinks) in cases {
+                assert_identical_labeled(label, |s| {
+                    let g = s.add_virtual_link(gateway);
+                    let sink: Vec<LinkIx> = sinks.iter().map(|&c| s.add_virtual_link(c)).collect();
+                    let private: Vec<LinkIx> = (0..12).map(|_| s.add_virtual_link(50.0)).collect();
+                    let mut first = Vec::new();
+                    for i in 0..12 {
+                        let route = vec![private[i], g, sink[i % 4]];
+                        first.push(s.submit(0.05 * (i % 3) as f64, route, 5.0 + i as f64));
+                    }
+                    // A second wave: each flow waits for one of the first,
+                    // so arrivals land on sinks that are already full.
+                    for i in 0..12 {
+                        let route = vec![private[(i + 5) % 12], g, sink[(i + 1) % 4]];
+                        s.submit_with_deps(0.0, 0.0, route, 3.0 + i as f64, &[first[i]]);
+                    }
+                });
+            }
+            // Blocks through a capacity change, and with completion slack.
+            assert_identical_labeled("degrade with blocks", |s| {
+                let g = s.add_virtual_link(100.0);
+                let sinks: Vec<LinkIx> =
+                    (0..3).map(|i| s.add_virtual_link(4.0 + i as f64)).collect();
+                s.set_completion_slack(1e-3);
+                for i in 0..18 {
+                    s.submit(0.01 * i as f64, vec![g, sinks[i % 3]], 2.0 + (i % 5) as f64);
+                }
+                for _ in 0..6 {
+                    s.step();
+                }
+                s.scale_capacities(0.5);
+            });
+        }
+
+        /// The blocks the engine keeps follow the saturated links: flows
+        /// of two sinks behind a roomy gateway are two blocks, and one
+        /// block once the gateway is the bottleneck.
+        #[test]
+        fn blocks_split_at_unsaturated_links_only() {
+            let blocks_of = |gateway: f64| {
+                let mut s = sim(&[gateway, 10.0, 10.0]);
+                let ids: Vec<_> =
+                    (0..4).map(|i| s.submit(0.0, vec![0, 1 + i % 2], 100.0)).collect();
+                s.step(); // activate
+                s.step(); // waterfill, first completion
+                ids.iter().map(|&id| s.flows[id].block).collect::<Vec<_>>()
+            };
+            let roomy = blocks_of(100.0);
+            assert_eq!(roomy[0], roomy[2], "same sink, same block");
+            assert_eq!(roomy[1], roomy[3], "same sink, same block");
+            assert_ne!(roomy[0], roomy[1], "sinks behind a roomy gateway are apart");
+            let tight = blocks_of(8.0);
+            assert!(tight.iter().all(|&b| b == tight[0]), "a full gateway couples all: {tight:?}");
+        }
+
+        /// Seeded storage-shaped sweep: many flows through a few gateways
+        /// into a few sinks, with integer capacities so that exact ties
+        /// and exactly full shared links are common.
+        #[test]
+        fn seeded_block_sweep_bit_identical() {
+            for case in 0u64..40 {
+                let build = |s: &mut Simulator| {
+                    let gateways: Vec<LinkIx> = (0..1 + mix(case * 3) % 3)
+                        .map(|g| s.add_virtual_link((8 + mix(case * 5 + g) % 40) as f64))
+                        .collect();
+                    let sinks: Vec<LinkIx> = (0..2 + mix(case * 7) % 5)
+                        .map(|k| s.add_virtual_link((1 + mix(case * 11 + k) % 12) as f64))
+                        .collect();
+                    let nflows = 10 + (mix(case * 13) % 50) as usize;
+                    let mut ids: Vec<FlowId> = Vec::new();
+                    for i in 0..nflows as u64 {
+                        let pick = |links: &[LinkIx], salt: u64| {
+                            links[(mix(case * salt + i) % links.len() as u64) as usize]
+                        };
+                        let route = vec![pick(&gateways, 17), pick(&sinks, 19)];
+                        let bytes = (1 + mix(case * 23 + i) % 40) as f64;
+                        let start = (mix(case * 29 + i) % 4) as f64 / 2.0;
+                        let deps: Vec<FlowId> = if i % 4 == 3 {
+                            vec![ids[(mix(case * 31 + i) % ids.len() as u64) as usize]]
+                        } else {
+                            Vec::new()
+                        };
+                        ids.push(s.submit_with_deps(start, 0.0, route, bytes, &deps));
+                    }
+                };
+                assert_identical_labeled(&format!("block case {case}"), build);
+            }
         }
 
         /// Seeded sweep over irregular scenarios — staggered arrivals,

@@ -12,7 +12,11 @@
 //! * the op count and the fault accounting.
 //!
 //! The values were recorded before the engine's dependency store and
-//! `SimSession`'s submit-once template were introduced. The digest is
+//! `SimSession`'s submit-once template were introduced; those of the
+//! wider Theta shape (48 aggregators, whose flushes share gateways and
+//! OSTs in interference components large enough for the engine to
+//! re-waterfill them block by block) before the rate-coupled blocks
+//! were. The digest is
 //! order-sensitive on purpose: Mira's Pset groups are symmetric, so a
 //! commutative fold (XOR, sum) of their finish times cancels or repeats
 //! and would not see two groups trading places. The MPI I/O baseline
@@ -104,14 +108,30 @@ fn theta_ior() -> (MachineProfile, StorageConfig, CollectiveSpec, TapiocaConfig)
     )
 }
 
+/// Theta, 256 nodes × 4 ranks, IOR at 1 MiB per rank into one file; 48
+/// aggregators, 8 MiB buffers.
+fn theta_ior_wide() -> (MachineProfile, StorageConfig, CollectiveSpec, TapiocaConfig) {
+    let n = 256 * 4;
+    let decls = IorSpec { num_ranks: n, bytes_per_rank: MIB }.decls();
+    (
+        theta_profile(256, 4),
+        StorageConfig::Lustre(LustreTunables::theta_optimized()),
+        CollectiveSpec {
+            groups: vec![GroupSpec { file: 0, ranks: (0..n).collect(), decls }],
+            mode: AccessMode::Write,
+        },
+        TapiocaConfig { num_aggregators: 48, buffer_size: 8 * MIB, ..Default::default() },
+    )
+}
+
 /// `run_tapioca_sim` and the second epoch of a `SimSession` reproduce
-/// the recorded bits on both shapes × {write, read} × {no faults,
+/// the recorded bits on every shape × {write, read} × {no faults,
 /// faults}.
 #[test]
 fn tapioca_sim_matches_recorded_bits() {
     use AccessMode::{Read, Write};
     // (machine, mode, faulty) -> pin
-    let golden: [(&str, AccessMode, bool, Pin); 8] = [
+    let golden: [(&str, AccessMode, bool, Pin); 12] = [
         ("mira", Write, false, (0x3fb5215e594916c8, 0xe09f9d5664109c41, 554, [0, 0, 0, 0])),
         ("mira", Write, true, (0x3fc0c101e6b866a2, 0x1dab7d85e23a095f, 560, [53, 51, 2, 1])),
         ("mira", Read, false, (0x3f9d0e9b2560bb10, 0x82cdd3c7a4861e29, 554, [0, 0, 0, 0])),
@@ -120,10 +140,17 @@ fn tapioca_sim_matches_recorded_bits() {
         ("theta", Write, true, (0x3fa82eacd029125c, 0xc9d2b56e0c059f0b, 98, [14, 13, 1, 1])),
         ("theta", Read, false, (0x3f96520caccb2094, 0x7b09b08c22c3b2e5, 96, [0, 0, 0, 0])),
         ("theta", Read, true, (0x3f96e455d15d69b8, 0x82500394755c73d8, 96, [0, 0, 0, 0])),
+        ("theta-wide", Write, false, (0x3fbc6802a1387c5b, 0x1d9de609a9b47a7c, 384, [0, 0, 0, 0])),
+        ("theta-wide", Write, true, (0x3fbc2a47176b64a7, 0xb618edc2527f2c12, 386, [47, 46, 1, 1])),
+        ("theta-wide", Read, false, (0x3fa46a5b43b61988, 0x663898129d0f9d49, 384, [0, 0, 0, 0])),
+        ("theta-wide", Read, true, (0x3fa4b37fd5ff3e1b, 0x40497fd9ad9d1532, 384, [0, 0, 0, 0])),
     ];
     for (machine, mode, faulty, want) in golden {
-        let (profile, storage, spec, base) =
-            if machine == "mira" { mira_hacc() } else { theta_ior() };
+        let (profile, storage, spec, base) = match machine {
+            "mira" => mira_hacc(),
+            "theta" => theta_ior(),
+            _ => theta_ior_wide(),
+        };
         let spec = CollectiveSpec { mode, ..spec };
         let cfg = TapiocaConfig { faults: faulty.then(faults), ..base };
         let what = format!("{machine} {mode:?} faults={faulty}");
