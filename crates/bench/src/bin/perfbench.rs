@@ -14,11 +14,11 @@
 //! minutes) while keeping the output schema identical, so the CI job
 //! can validate the file without caring which mode produced it.
 //!
-//! Schema (`tapioca-perfbench/v11`):
+//! Schema (`tapioca-perfbench/v12`):
 //!
 //! ```json
 //! {
-//!   "schema": "tapioca-perfbench/v11",
+//!   "schema": "tapioca-perfbench/v12",
 //!   "smoke": false,
 //!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
@@ -46,7 +46,12 @@
 //! the fold. `"weights": "uniform"` is the shape HACC and IOR actually
 //! present — a contiguous rank block with equal byte counts — where
 //! fabric symmetry leaves a large share of the candidates inside the
-//! prune window and the exact replay carries the time.
+//! prune window and the exact replay carries the time; it replays one
+//! candidate per node, since a node's ranks form one run (consecutive
+//! members with one node and one weight). `"weights": "paired"` is the
+//! same block with byte counts alternating between two values every 8
+//! ranks, so each 16-rank node holds two runs and the replay count
+//! doubles.
 //!
 //! `scale` builds and runs Mira HACC-IO SoA (≈1 MiB per rank, one file
 //! per Pset, 16 aggregators per Pset, 16 MiB buffers — the
@@ -228,9 +233,12 @@ fn election_suite(smoke: bool, json: &mut String) {
         // Only the two cost-model strategies read the weights.
         for &members_n in block_sizes {
             let members: Vec<usize> = (0..members_n).collect();
-            let weights = vec![MIB; members_n];
-            for strategy in [PlacementStrategy::TopologyAware, PlacementStrategy::WorstCase] {
-                election_row(json, (name, topo), strategy, "uniform", &members, &weights);
+            let uniform = vec![MIB; members_n];
+            let paired: Vec<u64> = (0..members_n).map(|i| MIB << (i / 8 % 2)).collect();
+            for (kind, weights) in [("uniform", &uniform), ("paired", &paired)] {
+                for strategy in [PlacementStrategy::TopologyAware, PlacementStrategy::WorstCase] {
+                    election_row(json, (name, topo), strategy, kind, &members, weights);
+                }
             }
         }
     }
@@ -541,7 +549,7 @@ fn main() {
     let loc = loc.join(", ");
 
     let json = format!(
-        "{{\n  \"schema\": \"tapioca-perfbench/v11\",\n  \"smoke\": {smoke},\n  \
+        "{{\n  \"schema\": \"tapioca-perfbench/v12\",\n  \"smoke\": {smoke},\n  \
          \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \

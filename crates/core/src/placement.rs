@@ -18,6 +18,8 @@
 //! ablations compared in the benches: rank-order (MPICH-like), shortest
 //! path to storage only, worst-case, and seeded random placement.
 
+use std::ops::Range;
+
 use tapioca_topology::{IoNodeId, NodeId, Rank, TopologyProvider};
 
 use crate::schedule::Schedule;
@@ -217,6 +219,12 @@ impl PartitionTable {
     /// [`election_cost`]: members in oracle order, the oracle's
     /// expression per term (each table entry is the very `f64` the
     /// oracle computes per pair), `C2` added last, then the sign.
+    ///
+    /// Every member of one run (see [`PartitionTable::runs`]) gets the
+    /// same value, bit for bit: the candidate's slot picks the table
+    /// row, `C2` and the sign, and a run's members all contribute the
+    /// same term, so skipping any one of them leaves the same sequence
+    /// of f64 additions. One replay per run is therefore exact.
     fn cost(&self, weights: &[u64], cand: usize) -> f64 {
         let s = self.slot[cand];
         let lat = &self.lat[s * self.nn..][..self.nn];
@@ -228,6 +236,25 @@ impl PartitionTable {
             }
         }
         self.sign * (c1 + self.c2[s])
+    }
+
+    /// The partition's *runs*, ascending: maximal ranges of consecutive
+    /// members on one slot with one weight. Runs follow adjacency, not
+    /// slot equality — one node's members listed in two stretches form
+    /// two runs — because [`PartitionTable::cost`] is only invariant
+    /// under skipping one of several *adjacent* equal terms.
+    fn runs<'w>(&'w self, weights: &'w [u64]) -> impl Iterator<Item = Range<usize>> + 'w {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let key = (*self.slot.get(start)?, weights[start]);
+            let len = self.slot[start..]
+                .iter()
+                .zip(&weights[start..])
+                .take_while(|&(&s, &w)| (s, w) == key)
+                .count();
+            start += len;
+            Some(start - len..start)
+        })
     }
 
     /// The node-folded, unsigned `C1 + C2` of every member, paired with
@@ -288,6 +315,24 @@ fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
     8.0 * (p as f64 + 16.0) * f64::EPSILON * magnitude
 }
 
+/// The candidates [`elect_folded`] replays: the first member of every
+/// run (see [`PartitionTable::runs`]) whose folded cost window
+/// (`± fold_tolerance`) overlaps the best window, ascending.
+///
+/// A run's members share a slot and a weight, hence one folded cost and
+/// one window: they survive the prune together or fall together, and
+/// their exact costs are equal, so MINLOC's lowest-index tie-break picks
+/// the run's first member whenever the run holds the winner.
+fn replayed_candidates(table: &PartitionTable, weights: &[u64]) -> Vec<usize> {
+    let folded = table.folded(weights);
+    let window = |i: usize| {
+        let (f, d) = folded[i];
+        (table.sign * f - d, table.sign * f + d)
+    };
+    let best_upper = (0..weights.len()).map(|i| window(i).1).fold(f64::INFINITY, f64::min);
+    table.runs(weights).map(|run| run.start).filter(|&i| window(i).0 <= best_upper).collect()
+}
+
 /// Node-folded `TopologyAware` / `WorstCase` election of one partition:
 /// same winner as [`elect_aggregator`], with `nodes²` topology queries
 /// instead of `P²`.
@@ -296,32 +341,24 @@ fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
 /// ([`PartitionTable::folded`]). Folding reassociates the floating-point
 /// sum, so a folded cost can differ from the oracle's pairwise sum by a
 /// few ulps — enough to flip a MINLOC tie. To stay *bit-identical* to
-/// the oracle, the folded costs are only used to prune: every candidate
-/// whose folded cost window (`± fold_tolerance`, a rigorous bound on the
+/// the oracle, the folded costs are only used to prune: every run whose
+/// folded cost window (`± fold_tolerance`, a rigorous bound on the
 /// divergence between the two summation orders) overlaps the best window
-/// is replayed through [`PartitionTable::cost`] — the oracle's exact
-/// arithmetic — and the winner is chosen among those survivors with
-/// oracle MINLOC semantics. The true winner always survives the prune,
-/// so the result is provably the oracle's. Uniform weights on a
-/// symmetric fabric leave a large share of the members tied inside the
-/// window (38 of 129 per partition on Mira HACC), which is why the
-/// replay reads the table rather than the topology.
+/// is replayed once, at its first member, through
+/// [`PartitionTable::cost`] — the oracle's exact arithmetic, equal for
+/// every member of the run — and the winner is chosen among those
+/// survivors with oracle MINLOC semantics. The true winner's run always
+/// survives the prune, and the winner is that run's first member, so the
+/// result is provably the oracle's. Uniform weights on a symmetric
+/// fabric leave a large share of the members tied inside the window (123
+/// of 175 per partition on Theta IOR, 38 of 129 on Mira HACC), but they
+/// sit in runs of a node's co-located ranks, so one replay per node
+/// suffices: O(runs × P) exact arithmetic instead of O(survivors × P).
 fn elect_folded(topo: &dyn TopologyProvider, part: &PartitionElection<'_>, worst: bool) -> usize {
     let weights = part.weights;
-    let p = weights.len();
     let table = PartitionTable::new(topo, part, worst);
-    let folded = table.folded(weights);
-    let window = |i: usize| {
-        let (f, d) = folded[i];
-        (table.sign * f - d, table.sign * f + d)
-    };
-    let best_upper = (0..p).map(|i| window(i).1).fold(f64::INFINITY, f64::min);
-
-    // Prune, then replay the oracle's arithmetic on the survivors. The
-    // oracle winner's window always overlaps `best_upper`, so it is in
-    // the survivor set and the ascending MINLOC scan returns it.
     let mut best = (f64::INFINITY, usize::MAX);
-    for i in (0..p).filter(|&i| window(i).0 <= best_upper) {
+    for i in replayed_candidates(&table, weights) {
         let c = table.cost(weights, i);
         if c < best.0 || (c == best.0 && i < best.1) {
             best = (c, i);
@@ -347,37 +384,60 @@ pub struct PartitionElection<'a> {
 /// [`election_cost`] of candidate `i`, from one node-level metric table
 /// instead of `P²` topology queries. Standby re-election takes its
 /// argmin over this vector with the dead winner excluded.
+///
+/// Under `TopologyAware` / `WorstCase` the exact cost is computed once
+/// per *run* — a maximal range of consecutive members on one node with
+/// one weight, whose members all have the same cost, bit for bit — and
+/// copied to the run's other members: O(runs × P) arithmetic. Under
+/// `ShortestPathToIo` the topology is asked once per run of co-located
+/// members.
 pub fn election_costs(
     topo: &dyn TopologyProvider,
     part: &PartitionElection<'_>,
     strategy: PlacementStrategy,
 ) -> Vec<f64> {
     let PartitionElection { members, weights, io, partition_index } = *part;
-    let worst = matches!(strategy, PlacementStrategy::WorstCase);
-    if worst || matches!(strategy, PlacementStrategy::TopologyAware) {
-        let table = PartitionTable::new(topo, part, worst);
-        (0..members.len()).map(|i| table.cost(weights, i)).collect()
-    } else {
-        (0..members.len())
+    match strategy {
+        PlacementStrategy::TopologyAware | PlacementStrategy::WorstCase => {
+            let worst = matches!(strategy, PlacementStrategy::WorstCase);
+            let table = PartitionTable::new(topo, part, worst);
+            let mut costs = Vec::with_capacity(members.len());
+            for run in table.runs(weights) {
+                costs.resize(run.end, table.cost(weights, run.start));
+            }
+            costs
+        }
+        PlacementStrategy::ShortestPathToIo => io_distances(topo, part).collect(),
+        PlacementStrategy::RankOrder | PlacementStrategy::Random { .. } => (0..members.len())
             .map(|i| election_cost(topo, members, weights, io, partition_index, strategy, i))
-            .collect()
+            .collect(),
     }
 }
 
-/// `ShortestPathToIo` election: the oracle's ascending MINLOC scan over
-/// `d(member, IO)` (`u32 -> f64` is exact, so the values are the
-/// oracle's), asking the topology once per run of co-located members —
-/// the distance depends on the node only and members are rank-sorted.
-fn elect_nearest_io(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> usize {
-    let mut best = (f64::INFINITY, usize::MAX);
+/// `d(member, IO)` of every member, the oracle's `ShortestPathToIo`
+/// cost (`u32 -> f64` is exact), asking the topology once per run of
+/// co-located members — the distance depends on the node only.
+fn io_distances<'p>(
+    topo: &'p dyn TopologyProvider,
+    part: &'p PartitionElection<'p>,
+) -> impl Iterator<Item = f64> + 'p {
     let mut last: Option<(NodeId, f64)> = None;
-    for (i, &m) in part.members.iter().enumerate() {
+    part.members.iter().map(move |&m| {
         let node = topo.node_of_rank(m);
         let c = match last {
             Some((n, c)) if n == node => c,
             _ => topo.distance_to_io_node(m, part.io).map(|d| d as f64).unwrap_or(0.0),
         };
         last = Some((node, c));
+        c
+    })
+}
+
+/// `ShortestPathToIo` election: the oracle's ascending MINLOC scan over
+/// [`io_distances`].
+fn elect_nearest_io(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> usize {
+    let mut best = (f64::INFINITY, usize::MAX);
+    for (i, c) in io_distances(topo, part).enumerate() {
         if c < best.0 {
             best = (c, i);
         }
@@ -423,8 +483,9 @@ pub fn elect_partitions(
 /// (the file group's global ranks): translate members to global ranks,
 /// then [`elect_partitions`] with the schedule's `member_bytes` as
 /// `omega`. Returns the members as global ranks and the winner index,
-/// both parallel to `sched.partitions`. The one election step the
-/// simulator executors (TAPIOCA, ROMIO baseline, tiers) share.
+/// both parallel to `sched.partitions`; a memberless partition gets the
+/// placeholder choice 0. The one election step the simulator executors
+/// (TAPIOCA, ROMIO baseline, tiers) share.
 pub fn elect_schedule(
     topo: &dyn TopologyProvider,
     sched: &Schedule,
@@ -437,10 +498,13 @@ pub fn elect_schedule(
         .iter()
         .map(|part| part.members.iter().map(|&m| ranks[m]).collect())
         .collect();
+    // A partition a declaration gap spans has no members and nothing to
+    // elect; its placeholder choice is never read, as no op comes of it.
     let elections: Vec<PartitionElection<'_>> = sched
         .partitions
         .iter()
         .zip(&members_global)
+        .filter(|(_, members)| !members.is_empty())
         .map(|(part, members)| PartitionElection {
             members,
             weights: &part.member_bytes,
@@ -448,7 +512,17 @@ pub fn elect_schedule(
             partition_index: part.index,
         })
         .collect();
-    let choices = elect_partitions(topo, &elections, strategy);
+    let mut winners = elect_partitions(topo, &elections, strategy).into_iter();
+    let choices = members_global
+        .iter()
+        .map(|members| {
+            if members.is_empty() {
+                0
+            } else {
+                winners.next().expect("one winner per election")
+            }
+        })
+        .collect();
     (members_global, choices)
 }
 
@@ -643,6 +717,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One exact replay per surviving run, never one per survivor: a
+    /// uniform Theta block has one run per node, so a 2,048-member block
+    /// (128 nodes) replays at most 128 candidates, and the
+    /// `sim-theta-ior` shape (176 members, 11 nodes) at most 11. The
+    /// replayed set is the run starts whose window survives, and the
+    /// winner it yields is the argmin of the exact cost vector.
+    #[test]
+    fn election_replays_at_most_one_candidate_per_run() {
+        let theta = theta_profile(512, 16).machine;
+        for (start, n, max_replays) in [(0, 2048, 128), (176 * 3, 176, 11)] {
+            let members: Vec<Rank> = (start..start + n).collect();
+            let weights = vec![1u64 << 20; n];
+            let part = PartitionElection {
+                members: &members,
+                weights: &weights,
+                io: 0,
+                partition_index: 0,
+            };
+            let table = PartitionTable::new(&theta, &part, false);
+            let runs: Vec<usize> = table.runs(&weights).map(|run| run.start).collect();
+            assert_eq!(runs, (0..n).step_by(16).collect::<Vec<_>>(), "one run per node");
+            let replayed = replayed_candidates(&table, &weights);
+            let replays = replayed.len();
+            assert!(replays > 0 && replays <= max_replays, "{replays} replays");
+            assert!(replayed.iter().all(|i| runs.contains(i)));
+            let costs = election_costs(&theta, &part, PlacementStrategy::TopologyAware);
+            let argmin = (0..n).reduce(|b, i| if costs[i] < costs[b] { i } else { b }).unwrap();
+            assert_eq!(elect_folded(&theta, &part, false), argmin);
         }
     }
 

@@ -182,7 +182,9 @@ impl std::fmt::Debug for TapiocaPlanInput<'_> {
 /// Multiple groups (e.g. one per Pset file on Mira) can be appended to
 /// the same plan; without `entry_deps` they share no dependencies and
 /// run concurrently in the simulator, like independent subfiles do.
-/// Returns the range of appended op ids.
+/// Returns the range of appended op ids. A memberless partition (a
+/// declaration gap spans it) moves no bytes and gets no ops; its
+/// `aggregator_choice` entry is not read.
 pub fn append_tapioca_plan(
     plan: &mut ExecutionPlan,
     input: &TapiocaPlanInput<'_>,
@@ -191,7 +193,7 @@ pub fn append_tapioca_plan(
     let sched = input.schedule;
     assert_eq!(sched.partitions.len(), input.aggregator_choice.len());
 
-    for part in &sched.partitions {
+    for part in sched.partitions.iter().filter(|part| !part.members.is_empty()) {
         let p = part.index;
         let agg_member = input.aggregator_choice[p];
         let agg_node = (input.node_of_rank)(part.members[agg_member]);

@@ -6,14 +6,17 @@
 //! * the simulation executor must run the *same schedule objects* thread
 //!   mode runs, and its reports must obey physical invariants.
 
+use tapioca::analyze::derive_symbolic;
 use tapioca::prelude::*;
 use tapioca::schedule::{compute_schedule, ScheduleParams};
-use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, StorageConfig};
+use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, SimSession, StorageConfig};
 use tapioca_baseline::romio::{collective_write, MpiIoConfig};
 use tapioca_baseline::sim::run_mpiio_sim;
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
+use tapioca_tiers::{run_tiered_sim, TieredConfig};
 use tapioca_topology::{mira_profile, theta_profile, MIB};
+use tapioca_workloads::datagen::expected_range;
 use tapioca_workloads::hacc::{HaccIo, Layout};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -191,4 +194,70 @@ fn baseline_sim_never_beats_tapioca_on_multivar() {
     // and both moved every byte
     assert_eq!(t.bytes, w.total_bytes() as f64);
     assert_eq!(b.bytes, w.total_bytes() as f64);
+}
+
+/// A gap in the declarations that spans whole partitions leaves those
+/// partitions memberless: 2 ranks write 1 MiB each, at offsets 0 and
+/// 100 MiB, with 4 aggregators and 1 MiB buffers. Every simulator entry
+/// point plans the layout and accounts for both MiB, in both modes; the
+/// thread executor writes it and reads the same bytes back.
+#[test]
+fn gapped_layout_with_memberless_partitions_runs_on_both_executors() {
+    let decls_of = |r: u64| vec![WriteDecl { offset: r * 100 * MIB, len: MIB }];
+    let cfg = TapiocaConfig { num_aggregators: 4, buffer_size: MIB, ..Default::default() };
+    let params = ScheduleParams { num_aggregators: 4, buffer_size: MIB, align_to_buffer: true };
+    let decls: Vec<Vec<WriteDecl>> = (0..2).map(decls_of).collect();
+    let sched = compute_schedule(&decls, params);
+    let memberless = sched.partitions.iter().filter(|p| p.members.is_empty()).count();
+    assert!(memberless > 0, "the gap leaves a partition memberless");
+
+    let profile = theta_profile(8, 2);
+    let tunables = LustreTunables::theta_optimized();
+    let storage = StorageConfig::Lustre(tunables);
+    let total = (2 * MIB) as f64;
+    for mode in [AccessMode::Write, AccessMode::Read] {
+        let spec = CollectiveSpec {
+            groups: vec![GroupSpec { file: 0, ranks: vec![0, 1], decls: decls.clone() }],
+            mode,
+        };
+        let mut session = SimSession::build(&profile, &storage, &spec, &cfg).unwrap();
+        assert_eq!(session.run_epoch().unwrap().bytes, total, "{mode:?}");
+        let one_shot = run_tapioca_sim(&profile, &storage, &spec, &cfg).unwrap();
+        assert_eq!(one_shot.bytes, total, "{mode:?}");
+        let symbolic = derive_symbolic(&profile, &spec, &cfg).unwrap();
+        assert_eq!(symbolic.groups.len(), 1);
+        let baseline = MpiIoConfig { cb_aggregators: 4, cb_buffer_size: MIB };
+        assert_eq!(run_mpiio_sim(&profile, &storage, &spec, &baseline).unwrap().bytes, total);
+        if mode == AccessMode::Write {
+            let tiered = run_tiered_sim(&profile, &tunables, &spec, &cfg, &TieredConfig::default());
+            assert_eq!(tiered.unwrap().bytes, total);
+        }
+    }
+
+    let path = tmp("gapped");
+    let seed = 0x6A9;
+    let outcomes = Runtime::run(2, |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let r = comm.rank() as u64;
+        let d = decls_of(r)[0];
+        let payload = expected_range(seed, d.offset, d.len as usize);
+        let mut io = Session::builder(&comm, file)
+            .declarations(decls_of(r))
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        let outcome = io.write(d.offset, &payload).unwrap();
+        let back = io.read_declared().unwrap();
+        assert_eq!(back, vec![payload], "rank {r}: read-back");
+        io.finalize();
+        outcome
+    });
+    assert_eq!(outcomes, vec![WriteOutcome::Flushed; 2]);
+    let bytes = std::fs::read(&path).unwrap();
+    for d in decls.iter().flatten() {
+        let at = d.offset as usize;
+        let want = expected_range(seed, d.offset, d.len as usize);
+        assert_eq!(bytes[at..at + want.len()], want[..], "file bytes at {at}");
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -6,7 +6,8 @@
 //! `elect_partitions` is allowed to evaluate folded costs in a
 //! different floating-point order than the oracle only because it prunes
 //! with a tolerance and replays survivors through the oracle's exact
-//! arithmetic (`election_cost`). This sweep is the evidence that the
+//! arithmetic (`election_cost`), once per run of consecutive co-located,
+//! equal-weight members. This sweep is the evidence that the
 //! prune is conservative enough in practice: ties, cancellation-heavy
 //! weights, and single-node partitions all land on the oracle's answer.
 //! The random sweep rarely ties, so a second, workload-shaped sweep
@@ -293,5 +294,77 @@ fn large_batch_matches_oracle() {
             PlacementStrategy::TopologyAware,
         );
         assert_eq!(choice, naive, "large batch mismatch at partition {}", p.partition_index);
+    }
+}
+
+/// Run-structured partitions. A run is a maximal range of consecutive
+/// members on one node with one weight; the election replays one exact
+/// cost per run and `election_costs` copies it across the run. Each case
+/// here puts a different run boundary in play:
+///
+/// * `theta-ior`: the `sim-theta-ior` partition shape, 176 uniform
+///   1 MiB members on 11 nodes (one run per node), node-aligned and
+///   straddling;
+/// * `alternating`: the weight changes at every member, so every run
+///   has length 1;
+/// * `paired`: two weights per node, so one node holds two runs;
+/// * `zero-inside`: one zero-weight member splits its node's run;
+/// * `split-node`: one node's ranks are listed in two stretches with
+///   another node's between them — two runs, although one slot.
+#[test]
+fn run_structured_partitions_match_oracle_bit_for_bit() {
+    const MIB: u64 = 1 << 20;
+    for (name, topo) in machines() {
+        let topo = topo.as_ref();
+        let rpn = topo.ranks_per_node();
+        let block = |start: Rank, n: usize| -> Vec<Rank> { (start..start + n).collect() };
+        let cases: Vec<(&str, Vec<Rank>, Vec<u64>)> = vec![
+            ("theta-ior", block(176 * 3, 176), vec![MIB; 176]),
+            ("theta-ior-straddling", block(8, 175), vec![MIB; 175]),
+            (
+                "alternating",
+                block(0, 4 * rpn),
+                (0..4 * rpn as u64).map(|i| MIB + (i % 2) * 4096).collect(),
+            ),
+            (
+                "paired",
+                block(rpn, 6 * rpn),
+                (0..6 * rpn).map(|i| if i % rpn < rpn / 2 { MIB } else { 2 * MIB }).collect(),
+            ),
+            (
+                "zero-inside",
+                block(0, 5 * rpn),
+                (0..5 * rpn).map(|i| if i == 2 * rpn + rpn / 2 { 0 } else { MIB }).collect(),
+            ),
+            (
+                "split-node",
+                [block(0, rpn / 2), block(rpn, rpn), block(rpn / 2, rpn / 2)].concat(),
+                vec![MIB; 2 * rpn],
+            ),
+        ];
+        for (case, members, weights) in &cases {
+            assert_eq!(members.len(), weights.len());
+            let io = topo.io_nodes_for(members).first().copied().unwrap_or(0);
+            let part = PartitionElection { members, weights, io, partition_index: 2 };
+            for strategy in [
+                PlacementStrategy::TopologyAware,
+                PlacementStrategy::WorstCase,
+                PlacementStrategy::ShortestPathToIo,
+            ] {
+                let naive = elect_aggregator(topo, members, weights, io, 2, strategy);
+                let fast = elect_partitions(topo, &[part], strategy)[0];
+                assert_eq!(fast, naive, "winner: machine={name} case={case} strategy={strategy:?}");
+                let costs = election_costs(topo, &part, strategy);
+                assert_eq!(costs.len(), members.len());
+                for (i, c) in costs.iter().enumerate() {
+                    let want = election_cost(topo, members, weights, io, 2, strategy, i);
+                    assert_eq!(
+                        c.to_bits(),
+                        want.to_bits(),
+                        "cost: machine={name} case={case} strategy={strategy:?} candidate={i}"
+                    );
+                }
+            }
+        }
     }
 }
