@@ -20,7 +20,8 @@
 //! order, like the MPICH default): no topology, no pipelining.
 
 use tapioca::api::allgather_declarations;
-use tapioca::schedule::{compute_schedule, Chunk, ScheduleParams, WriteDecl};
+use tapioca::config::TapiocaConfig;
+use tapioca::schedule::{check_decl_extents, compute_schedule, Chunk, ScheduleParams, WriteDecl};
 use tapioca::TapiocaError;
 use tapioca_mpi::{Comm, SharedFile};
 
@@ -31,6 +32,15 @@ pub struct MpiIoConfig {
     pub cb_aggregators: usize,
     /// Collective buffer size per aggregator (`cb_buffer_size`).
     pub cb_buffer_size: u64,
+}
+
+impl MpiIoConfig {
+    /// `InvalidConfig` for hints that name no aggregator or no buffer —
+    /// the checks, and messages, of [`TapiocaConfig::validate`].
+    pub(crate) fn validate(&self) -> tapioca::Result<()> {
+        let (num_aggregators, buffer_size) = (self.cb_aggregators, self.cb_buffer_size);
+        TapiocaConfig { num_aggregators, buffer_size, ..TapiocaConfig::default() }.validate()
+    }
 }
 
 impl Default for MpiIoConfig {
@@ -77,6 +87,10 @@ fn unpack(mut bytes: &[u8]) -> impl Iterator<Item = (usize, usize, &[u8])> {
 /// order relative to other collectives.
 ///
 /// # Errors
+/// [`TapiocaError::InvalidConfig`] on every rank if `cfg` names no
+/// aggregator or no buffer (checked before any collective, so every
+/// member must pass the same hints) or if any member's `offset + len`
+/// overflows `u64` (checked on the allgathered declarations).
 /// [`TapiocaError::Io`] on every rank if an aggregator failed to write
 /// a segment. The aggregator keeps going after its first error, so the
 /// exchange and the closing reduction still complete everywhere.
@@ -87,9 +101,12 @@ pub fn collective_write(
     data: &[u8],
     cfg: &MpiIoConfig,
 ) -> tapioca::Result<()> {
+    cfg.validate()?;
     let mine = [WriteDecl { offset, len: data.len() as u64 }];
     let mine = if data.is_empty() { &[][..] } else { &mine[..] };
-    let schedule = compute_schedule(&allgather_declarations(comm, mine), ScheduleParams {
+    let decls = allgather_declarations(comm, mine);
+    check_decl_extents(&decls)?;
+    let schedule = compute_schedule(&decls, ScheduleParams {
         num_aggregators: cfg.cb_aggregators,
         buffer_size: cfg.cb_buffer_size,
         align_to_buffer: false,
@@ -218,6 +235,33 @@ mod tests {
         assert_eq!(bytes.len(), 364);
         assert!(bytes[..300].iter().all(|&b| b == 1));
         assert!(bytes[300..].iter().all(|&b| b == 3));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Hints with no aggregator or no buffer, and a declaration whose
+    /// end overflows `u64`, are `InvalidConfig` on every rank: the hints
+    /// before any collective, the declaration after the allgather, so
+    /// no rank is left waiting in the exchange.
+    #[test]
+    fn bad_hints_and_overflowing_declarations_fail_on_every_rank() {
+        let path = tmp("rejected");
+        Runtime::run_with_watchdog(4, Some(Duration::from_secs(10)), |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let r = comm.rank() as u64;
+            let ok = MpiIoConfig { cb_aggregators: 2, cb_buffer_size: 64 };
+            let overflowing = if r == 1 { u64::MAX - 4 } else { r * 8 };
+            for (cfg, offset, want) in [
+                (MpiIoConfig { cb_aggregators: 0, ..ok }, r * 8, "need at least one aggregator"),
+                (MpiIoConfig { cb_buffer_size: 0, ..ok }, r * 8, "buffer size must be positive"),
+                (ok, overflowing, "declaration 0 of rank 1 overflows"),
+            ] {
+                let err = collective_write(&comm, &file, offset, &[7; 8], &cfg).unwrap_err();
+                assert!(
+                    matches!(&err, TapiocaError::InvalidConfig(m) if m.contains(want)),
+                    "rank {r}: {err}"
+                );
+            }
+        });
         std::fs::remove_file(&path).ok();
     }
 

@@ -10,8 +10,7 @@ use tapioca::placement::{elect_schedule, PlacementStrategy};
 use tapioca::plan::{append_tapioca_plan, ExecutionPlan, OpId, OpKind, TapiocaPlanInput};
 use tapioca::schedule::{check_decl_extents, compute_schedule, ScheduleParams, WriteDecl};
 use tapioca::sim_exec::{simulate, CollectiveSpec, SimReport, StorageConfig};
-use tapioca::TapiocaError;
-use tapioca_topology::{MachineProfile, Rank, TopologyProvider};
+use tapioca_topology::{MachineProfile, TopologyProvider};
 
 use crate::romio::MpiIoConfig;
 
@@ -22,39 +21,28 @@ use crate::romio::MpiIoConfig;
 /// "aggregators per OST" for both systems identically).
 ///
 /// # Errors
-/// [`TapiocaError::InvalidConfig`] if a group's rank and declaration
-/// counts differ, a rank lies beyond the machine, or a declaration's
+/// [`TapiocaError::InvalidConfig`] if `cfg` names no aggregator or no
+/// buffer, a group fails [`GroupSpec::validate`], or a declaration's
 /// `offset + len` overflows `u64`; otherwise what the simulator returns
 /// (e.g. a storage/profile kind mismatch).
+///
+/// [`TapiocaError::InvalidConfig`]: tapioca::TapiocaError::InvalidConfig
+/// [`GroupSpec::validate`]: tapioca::sim_exec::GroupSpec::validate
 pub fn run_mpiio_sim(
     profile: &MachineProfile,
     storage: &StorageConfig,
     spec: &CollectiveSpec,
     cfg: &MpiIoConfig,
 ) -> tapioca::Result<SimReport> {
+    cfg.validate()?;
     let machine = &profile.machine;
     let mut plan = ExecutionPlan::new();
 
     for group in &spec.groups {
-        if group.ranks.len() != group.decls.len() {
-            return Err(TapiocaError::InvalidConfig(format!(
-                "group has {} ranks but {} declaration lists",
-                group.ranks.len(),
-                group.decls.len()
-            )));
-        }
-        if let Some(&max_rank) = group.ranks.iter().max() {
-            if max_rank >= machine.num_ranks() {
-                return Err(TapiocaError::InvalidConfig(format!(
-                    "spec rank {max_rank} exceeds the machine's {} ranks",
-                    machine.num_ranks()
-                )));
-            }
-        }
+        group.validate(machine)?;
         check_decl_extents(&group.decls)?;
         let max_vars = group.decls.iter().map(Vec::len).max().unwrap_or(0);
-        let io_nodes = machine.io_nodes_for(&group.ranks);
-        let io = io_nodes.first().copied().unwrap_or(0);
+        let io = machine.io_nodes_for(&group.ranks).first().copied().unwrap_or(0);
 
         let mut entry_deps: Vec<OpId> = Vec::new();
         for v in 0..max_vars {
@@ -75,14 +63,11 @@ pub fn run_mpiio_sim(
             let (_, choices) =
                 elect_schedule(machine, &sched, &group.ranks, io, PlacementStrategy::RankOrder);
 
-            let ranks = &group.ranks;
-            let node_of = |local: Rank| machine.node_of_rank(ranks[local]);
-            let file = group.file;
             let range = append_tapioca_plan(&mut plan, &TapiocaPlanInput {
                 schedule: &sched,
                 aggregator_choice: &choices,
-                node_of_rank: &node_of,
-                file_of_partition: &|_| file,
+                node_of_rank: &|local| machine.node_of_rank(group.ranks[local]),
+                file_of_partition: &|_| group.file,
                 mode: spec.mode,
                 pipelining: false, // single collective buffer
                 entry_deps: entry_deps.clone(),
@@ -93,9 +78,8 @@ pub fn run_mpiio_sim(
 
             // Barrier op: the next call starts only when this one is done
             // (bulk-synchronous application behaviour).
-            let deps: Vec<OpId> = range.collect();
-            let barrier = plan.push(OpKind::Transfer { src: 0, dst: 0, bytes: 0.0 }, deps);
-            entry_deps = vec![barrier];
+            let barrier = OpKind::Transfer { src: 0, dst: 0, bytes: 0.0 };
+            entry_deps = vec![plan.push(barrier, range.collect())];
         }
     }
     simulate(profile, storage, &plan)
@@ -106,6 +90,7 @@ mod tests {
     use super::*;
     use tapioca::config::TapiocaConfig;
     use tapioca::sim_exec::{run_tapioca_sim, GroupSpec};
+    use tapioca::TapiocaError;
     use tapioca_pfs::{AccessMode, GpfsTunables, LustreTunables};
     use tapioca_topology::{mira_profile, theta_profile, MIB};
     use tapioca_workloads::hacc::{HaccIo, Layout};
@@ -189,12 +174,14 @@ mod tests {
         assert!(aos >= 0.9, "TAPIOCA must not lose badly on AoS (got {aos:.2})");
     }
 
-    /// `run_mpiio_sim`'s error on `spec` for a small Theta machine (64
-    /// ranks), as text.
-    fn rejection(spec: &CollectiveSpec) -> String {
+    /// Hints every rejection case starts from.
+    const HINTS: MpiIoConfig = MpiIoConfig { cb_aggregators: 4, cb_buffer_size: MIB };
+
+    /// `run_mpiio_sim`'s error on `spec` + `cfg` for a small Theta
+    /// machine (64 ranks), as text.
+    fn rejection(spec: &CollectiveSpec, cfg: &MpiIoConfig) -> String {
         let storage = StorageConfig::Lustre(LustreTunables::theta_optimized());
-        let cfg = MpiIoConfig { cb_aggregators: 4, cb_buffer_size: MIB };
-        match run_mpiio_sim(&theta_profile(16, 4), &storage, spec, &cfg) {
+        match run_mpiio_sim(&theta_profile(16, 4), &storage, spec, cfg) {
             Err(e @ TapiocaError::InvalidConfig(_)) => e.to_string(),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
@@ -204,7 +191,7 @@ mod tests {
     fn rejects_a_rank_declaration_count_mismatch() {
         let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
         spec.groups[0].decls.pop();
-        let err = rejection(&spec);
+        let err = rejection(&spec, &HINTS);
         assert!(err.contains("64 ranks but 63 declaration lists"), "{err}");
     }
 
@@ -212,7 +199,7 @@ mod tests {
     fn rejects_out_of_range_ranks() {
         let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
         spec.groups[0].ranks[63] = 5000;
-        let err = rejection(&spec);
+        let err = rejection(&spec, &HINTS);
         assert!(err.contains("spec rank 5000 exceeds the machine's 64 ranks"), "{err}");
     }
 
@@ -220,7 +207,21 @@ mod tests {
     fn rejects_overflowing_extents() {
         let mut spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
         spec.groups[0].decls[7][2] = WriteDecl { offset: u64::MAX - 10, len: 100 };
-        let err = rejection(&spec);
+        let err = rejection(&spec, &HINTS);
         assert!(err.contains("declaration 2 of rank 7 overflows"), "{err}");
+    }
+
+    #[test]
+    fn rejects_zero_aggregators() {
+        let spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
+        let err = rejection(&spec, &MpiIoConfig { cb_aggregators: 0, ..HINTS });
+        assert!(err.contains("need at least one aggregator"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_zero_buffer() {
+        let spec = hacc_groups_single(64, 100, Layout::StructOfArrays);
+        let err = rejection(&spec, &MpiIoConfig { cb_buffer_size: 0, ..HINTS });
+        assert!(err.contains("buffer size must be positive"), "{err}");
     }
 }

@@ -11,7 +11,14 @@
 //!   `Vec::with_capacity(n)`, not zeroed and then written again;
 //! * `lock-in-loop` — acquiring a `Mutex` inside a loop while another
 //!   lock guard bound outside the loop is still live (lock-ordering /
-//!   contention smell).
+//!   contention smell);
+//! * `doc-path` — a backticked `*.rs` name in README.md, DESIGN.md or
+//!   EXPERIMENTS.md that names no file git tracks. A name matches a
+//!   tracked path's trailing components, also with `crates/` and `src/`
+//!   left out (`tiers/sim.rs`), and `*` matches within one component
+//!   (`ablation_*.rs` must match at least one file). A bare name under a
+//!   `### tapioca-<crate>` or `### tapioca (core)` heading must resolve
+//!   inside that crate.
 //!
 //! Findings must either be fixed or justified in `lint-allow.txt` at
 //! the workspace root, one entry per line:
@@ -31,6 +38,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use tapioca_bench::loc::{code_lines_per_crate, library_sources, non_test_lines};
 
@@ -181,6 +189,91 @@ fn scan_source(rel: &str, src: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The documents whose backticked `*.rs` names must resolve.
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// The crate directory a `### tapioca-<crate>` or `### tapioca (core)`
+/// heading describes.
+fn heading_crate(heading: &str) -> Option<String> {
+    let title = heading.strip_prefix("### tapioca")?;
+    match title.strip_prefix('-') {
+        Some(rest) => rest.split_whitespace().next().map(str::to_string),
+        None => title.trim().eq("(core)").then(|| "core".to_string()),
+    }
+}
+
+/// Whether glob `pat` (`*` matching any run of characters) matches `s`.
+fn glob(pat: &str, s: &str) -> bool {
+    match pat.split_once('*') {
+        None => pat == s,
+        Some((head, tail)) => s.strip_prefix(head).is_some_and(|rest| {
+            rest.char_indices().map(|(i, _)| i).chain([rest.len()]).any(|i| glob(tail, &rest[i..]))
+        }),
+    }
+}
+
+/// Whether `name` matches the trailing components of tracked `path`,
+/// as it stands or with `crates/` and then `src/` left out.
+fn names_path(name: &str, path: &str) -> bool {
+    let short = path.strip_prefix("crates/").unwrap_or(path);
+    let shorter = short.replacen("/src/", "/", 1);
+    [path, short, &shorter].iter().any(|p| {
+        let (want, have): (Vec<&str>, Vec<&str>) = (name.split('/').collect(), p.split('/').collect());
+        want.len() <= have.len()
+            && want.iter().zip(&have[have.len() - want.len()..]).all(|(w, h)| glob(w, h))
+    })
+}
+
+/// `doc-path` findings of document `rel` (text `doc`) against the
+/// `tracked` file list.
+fn scan_doc(rel: &str, doc: &str, tracked: &[String], findings: &mut Vec<Finding>) {
+    let mut krate: Option<String> = None;
+    let mut fenced = false;
+    for (i, line) in doc.lines().enumerate() {
+        if line.starts_with("```") {
+            fenced = !fenced;
+        }
+        if fenced {
+            continue;
+        }
+        if line.starts_with('#') {
+            krate = heading_crate(line);
+        }
+        // Odd pieces between backticks are code spans; `name.rs:12`
+        // cites a line.
+        for span in line.split('`').skip(1).step_by(2) {
+            let name = span.split(':').next().unwrap_or(span);
+            let pathlike =
+                name.chars().all(|c| c.is_ascii_alphanumeric() || "_-./*".contains(c));
+            if !pathlike || !name.ends_with(".rs") {
+                continue;
+            }
+            let within = krate.as_deref().filter(|_| !name.contains('/'));
+            let resolves = tracked.iter().any(|path| {
+                within.is_none_or(|k| path.starts_with(&format!("crates/{k}/")))
+                    && names_path(name, path)
+            });
+            if !resolves {
+                let place = within.map(|k| format!(" (in crates/{k})")).unwrap_or_default();
+                findings.push(Finding {
+                    rule: "doc-path",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    excerpt: format!("`{name}` names no tracked file{place}"),
+                });
+            }
+        }
+    }
+}
+
+/// The files git tracks under `root`, or `None` when git cannot list
+/// them.
+fn tracked_files(root: &Path) -> Option<Vec<String>> {
+    let out = Command::new("git").arg("-C").arg(root).arg("ls-files").output().ok()?;
+    let list = String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect();
+    out.status.success().then_some(list)
+}
+
 #[derive(Debug)]
 struct Allow {
     rule: String,
@@ -238,8 +331,21 @@ fn main() {
     for path in &sources {
         scan_file(&root, path, &mut findings);
     }
-    let mut allows = load_allowlist(&root);
     let mut bad = 0usize;
+    match tracked_files(&root) {
+        Some(tracked) => {
+            for doc in DOCS {
+                if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+                    scan_doc(doc, &text, &tracked, &mut findings);
+                }
+            }
+        }
+        None => {
+            println!("DENY  doc-path: `git ls-files` failed, so no document was checked");
+            bad += 1;
+        }
+    }
+    let mut allows = load_allowlist(&root);
     for f in justify(&findings, &mut allows) {
         println!("DENY  {f}");
         bad += 1;
@@ -311,6 +417,52 @@ mod tests {
         let mut allows = vec![entry("expect")];
         assert_eq!(justify(&findings, &mut allows).len(), 2);
         assert!(!allows[0].used);
+    }
+
+    fn doc_findings(doc: &str) -> Vec<(usize, String)> {
+        let tracked: Vec<String> = [
+            "crates/core/src/sim_exec.rs",
+            "crates/pfs/src/layout.rs",
+            "crates/tiers/src/sim.rs",
+            "crates/bench/src/bin/ablation_pipeline.rs",
+            "tests/sim_golden.rs",
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut findings = Vec::new();
+        scan_doc("DESIGN.md", doc, &tracked, &mut findings);
+        findings.into_iter().map(|f| (f.line, f.excerpt)).collect()
+    }
+
+    #[test]
+    fn doc_paths_resolve_to_tracked_files() {
+        let doc = "See `tests/sim_golden.rs`, `tiers/sim.rs:86` and `sim.rs`.\n\
+                   The `ablation_*.rs` binaries; `core/sim_exec.rs`.\n\
+                   ### tapioca-pfs\n- `layout.rs` — striping.\n\
+                   ### tapioca (core)\n- `sim_exec.rs`, `crates/pfs/src/layout.rs`\n\
+                   ```\n`stale.rs` in a code block\n```\n";
+        assert_eq!(doc_findings(doc), []);
+    }
+
+    /// A bare name must resolve in the crate its heading describes, a
+    /// glob must match something, and a path must exist.
+    #[test]
+    fn doc_paths_catch_stale_names() {
+        let doc = "### tapioca (core)\n- `layout.rs` — gone from core.\n\
+                   ## Experiments\n`layout.rs`, `fig*.rs`, `tests/golden.rs`, `tuning.rs`\n";
+        assert_eq!(doc_findings(doc), [
+            (2, "`layout.rs` names no tracked file (in crates/core)".to_string()),
+            (4, "`fig*.rs` names no tracked file".to_string()),
+            (4, "`tests/golden.rs` names no tracked file".to_string()),
+            (4, "`tuning.rs` names no tracked file".to_string()),
+        ]);
+    }
+
+    #[test]
+    fn headings_name_their_crate() {
+        assert_eq!(heading_crate("### tapioca-mpi (threads substrate)").as_deref(), Some("mpi"));
+        assert_eq!(heading_crate("### tapioca (core)").as_deref(), Some("core"));
+        assert_eq!(heading_crate("## Crate inventory"), None);
     }
 
     #[test]

@@ -18,13 +18,16 @@ use tapioca_pfs::{
     PlannedFlow,
 };
 use tapioca_topology::{
-    lnet_gateway_nodes, LinkIx, Machine, MachineProfile, Rank, StorageProfile, TopologyProvider,
+    lnet_gateway_nodes, LinkIx, Machine, MachineProfile, Rank, StorageProfile,
+    TopologyProvider, Torus,
 };
 
 use crate::config::TapiocaConfig;
 use crate::error::{Result, TapiocaError};
 use crate::placement::{elect_schedule, election_costs, PartitionElection};
-use crate::plan::{append_tapioca_plan, ExecutionPlan, OpKind, PlanCrash, TapiocaPlanInput};
+use crate::plan::{
+    append_tapioca_plan, ExecutionPlan, OpId, OpKind, PlanCrash, TapiocaPlanInput,
+};
 use crate::schedule::{
     check_decl_extents, compute_schedule, Schedule, ScheduleParams, WriteDecl,
 };
@@ -39,8 +42,11 @@ pub enum StorageConfig {
     Lustre(LustreTunables),
 }
 
-enum StorageModel {
-    Gpfs(GpfsModel),
+/// The filesystem model a lowering plans with; GPFS flows leave
+/// through the Pset bridges of its torus.
+#[derive(Debug)]
+enum StorageModel<'p> {
+    Gpfs(GpfsModel, &'p Torus),
     Lustre(LustreModel),
 }
 
@@ -106,12 +112,14 @@ pub fn simulate(
 /// writes.
 ///
 /// Two steps: every flow of the plan is submitted to a fresh simulator
-/// — a pure function of the arguments — and the simulator is run. [`SimSession`] takes the first step once and runs a clone
-/// of the submitted simulator each epoch.
+/// — a pure function of the arguments — and the simulator is run.
+/// [`SimSession`] takes the first step once and runs a clone of the
+/// submitted simulator each epoch; its tests hold the two to the same
+/// bits.
 ///
 /// # Errors
 /// [`TapiocaError::InvalidConfig`] on a storage/profile kind mismatch.
-pub fn simulate_faulty(
+fn simulate_faulty(
     profile: &MachineProfile,
     storage: &StorageConfig,
     plan: &ExecutionPlan,
@@ -138,11 +146,132 @@ struct FlowProgram {
     degraded: u64,
 }
 
+/// The storage half of lowering a plan, shared by every simulated
+/// executor: a fresh fabric simulator with the filesystem model's
+/// service stations behind the fabric's links, the model shown the
+/// whole operation, and every flush op's filesystem flows planned wave
+/// by wave. [`StorageLowering::append_route`] gives a planned flow its
+/// path; what each executor submits, and gated on what, stays with the
+/// executor.
+#[derive(Debug)]
+pub struct StorageLowering<'p> {
+    machine: &'p Machine,
+    model: StorageModel<'p>,
+    /// Planned filesystem flows of each op (empty unless a flush).
+    planned: Vec<Vec<PlannedFlow>>,
+}
+
+impl<'p> StorageLowering<'p> {
+    /// Lower the storage side of `plan` for `profile` + `storage` onto a
+    /// fresh simulator, returned beside the lowering with no flow
+    /// submitted. The simulator collapses completions within 20 us, and
+    /// `link_degrade` scales the fabric before any station exists (the
+    /// stations keep nominal rates).
+    ///
+    /// # Errors
+    /// [`TapiocaError::InvalidConfig`] when the storage config kind does
+    /// not match the profile's storage profile (Gpfs vs Lustre).
+    pub fn new(
+        profile: &'p MachineProfile,
+        storage: &StorageConfig,
+        plan: &ExecutionPlan,
+        link_degrade: Option<f64>,
+    ) -> Result<(Self, Simulator)> {
+        let machine = &profile.machine;
+        let mut sim = Simulator::from_interconnect(machine.interconnect());
+        // Collapse near-simultaneous completions (symmetric flows of one
+        // round) into single events: 20 us against multi-ms rounds is a
+        // <1% perturbation for an order-of-magnitude event reduction.
+        sim.set_completion_slack(20e-6);
+        if let Some(f) = link_degrade {
+            sim.scale_capacities(f);
+        }
+        let mut model = match (profile.storage, *storage) {
+            (StorageProfile::Gpfs { ion_link_bw, ion_service_bw }, StorageConfig::Gpfs(tun)) => {
+                let torus = machine.fabric().as_torus().expect("GPFS implies a torus");
+                let psets = torus.num_psets();
+                let gpfs = GpfsModel::new(&mut sim, psets, ion_link_bw, ion_service_bw, tun);
+                StorageModel::Gpfs(gpfs, torus)
+            }
+            (
+                StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw },
+                StorageConfig::Lustre(tun),
+            ) => StorageModel::Lustre(LustreModel::new(
+                &mut sim,
+                total_osts,
+                ost_write_bw,
+                ost_read_bw,
+                lnet_bw,
+                lnet_gateway_nodes(machine.interconnect().num_nodes()),
+                tun,
+            )),
+            _ => {
+                return Err(TapiocaError::InvalidConfig(
+                    "storage config kind does not match the machine profile".into(),
+                ))
+            }
+        };
+
+        // Cross-wave lock analysis: the model must see the whole
+        // operation before any wave is planned. Flushes are grouped by
+        // wave id on the way.
+        let mut all_reqs: Vec<FlushReq> = Vec::new();
+        let mut waves: BTreeMap<u64, Vec<(usize, FlushReq)>> = BTreeMap::new();
+        for (id, op) in plan.ops.iter().enumerate() {
+            if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
+                let req = FlushReq { src_node: src, file, offset, len, mode };
+                all_reqs.push(req);
+                waves.entry(wave).or_default().push((id, req));
+            }
+        }
+        match &mut model {
+            StorageModel::Gpfs(g, _) => g.register_operation(&all_reqs),
+            StorageModel::Lustre(l) => l.register_operation(&all_reqs),
+        }
+
+        // Plan the filesystem waves; each flush op collects its flows.
+        let mut planned: Vec<Vec<PlannedFlow>> = vec![Vec::new(); plan.ops.len()];
+        for reqs in waves.into_values() {
+            let plain: Vec<FlushReq> = reqs.iter().map(|(_, r)| *r).collect();
+            let wave = match &model {
+                StorageModel::Gpfs(g, torus) => g.plan_wave(&plain, |n| torus.pset_of(n)),
+                StorageModel::Lustre(l) => l.plan_wave(&plain),
+            };
+            for pf in wave {
+                planned[reqs[pf.req_index].0].push(pf);
+            }
+        }
+        Ok((StorageLowering { machine, model, planned }, sim))
+    }
+
+    /// The filesystem flows planned for op `op` (none unless a flush).
+    pub fn flows(&self, op: OpId) -> &[PlannedFlow] {
+        &self.planned[op]
+    }
+
+    /// Append `pf`'s path to `route` — the fabric from its node to the
+    /// Pset bridge or its LNET attach node, then its storage stations —
+    /// and return the number of fabric hops.
+    pub fn append_route(&self, pf: &PlannedFlow, route: &mut Vec<LinkIx>) -> usize {
+        let start = route.len();
+        match (&self.model, pf.attach_node) {
+            (StorageModel::Gpfs(_, torus), _) => torus.io_route_into(pf.src_node, route),
+            (StorageModel::Lustre(_), Some(attach)) if attach != pf.src_node => {
+                self.machine.interconnect().route_into(pf.src_node, attach, route);
+            }
+            (StorageModel::Lustre(_), _) => {}
+        }
+        let hops = route.len() - start;
+        route.extend_from_slice(&pf.storage_route);
+        hops
+    }
+}
+
 /// Lower `plan` for `profile` + `storage` under `faults` onto a fresh
-/// simulator: filesystem waves planned, routes resolved, fault
-/// penalties charged, and every op's flows submitted, gated on the
-/// flows of the ops it depends on. Nothing is run; the simulator is
-/// what [`run_submitted`] consumes, and a clone of it runs identically.
+/// simulator: the [`StorageLowering`], fault penalties charged, and
+/// every op's flows submitted, gated on the flows of the ops it depends
+/// on. Nothing is run; the simulator is what [`run_submitted`]
+/// consumes, and a clone of it runs identically.
 fn lower_plan(
     profile: &MachineProfile,
     storage: &StorageConfig,
@@ -150,51 +279,9 @@ fn lower_plan(
     faults: Option<&FaultPlan>,
     policy: &IoPolicy,
 ) -> Result<(FlowProgram, Simulator)> {
-    let machine = &profile.machine;
-    let net = machine.interconnect();
-
-    let mut sim = Simulator::from_interconnect(net);
-    // Collapse near-simultaneous completions (symmetric flows of one
-    // round) into single events: 20 us against multi-ms rounds is a
-    // <1% perturbation for an order-of-magnitude event reduction.
-    sim.set_completion_slack(20e-6);
-    // Degrade the fabric before the storage model's virtual service
-    // stations are appended (those keep nominal rates).
-    if let Some(f) = faults.and_then(FaultPlan::link_degrade) {
-        sim.scale_capacities(f);
-    }
-    let mut model = match (&profile.storage, storage) {
-        (StorageProfile::Gpfs { ion_link_bw, ion_service_bw }, StorageConfig::Gpfs(tun)) => {
-            let torus = machine
-                .fabric()
-                .as_torus()
-                .expect("GPFS profile implies a torus fabric");
-            StorageModel::Gpfs(GpfsModel::new(
-                &mut sim,
-                torus.num_psets(),
-                *ion_link_bw,
-                *ion_service_bw,
-                *tun,
-            ))
-        }
-        (
-            StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw },
-            StorageConfig::Lustre(tun),
-        ) => StorageModel::Lustre(LustreModel::new(
-            &mut sim,
-            *total_osts,
-            *ost_write_bw,
-            *ost_read_bw,
-            *lnet_bw,
-            lnet_gateway_nodes(net.num_nodes()),
-            *tun,
-        )),
-        _ => {
-            return Err(TapiocaError::InvalidConfig(
-                "storage config kind does not match the machine profile".into(),
-            ))
-        }
-    };
+    let degrade = faults.and_then(FaultPlan::link_degrade);
+    let (storage, mut sim) = StorageLowering::new(profile, storage, plan, degrade)?;
+    let net = profile.machine.interconnect();
 
     // Per-flush fault hints: segment ordinals within (partition, round)
     // follow flush emission order, the same coordinates thread mode
@@ -218,40 +305,6 @@ fn lower_plan(
                 *e = (*e).min(m.round);
             }
             *s += 1;
-        }
-    }
-
-    // Cross-wave lock analysis: the models must see the whole operation
-    // before any wave is planned. Flushes are grouped by wave id on the
-    // way.
-    let mut all_reqs: Vec<FlushReq> = Vec::new();
-    let mut waves: BTreeMap<u64, Vec<(usize, FlushReq)>> = BTreeMap::new();
-    for (id, op) in plan.ops.iter().enumerate() {
-        if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
-            let req = FlushReq { src_node: src, file, offset, len, mode };
-            all_reqs.push(req);
-            waves.entry(wave).or_default().push((id, req));
-        }
-    }
-    match &mut model {
-        StorageModel::Gpfs(g) => g.register_operation(&all_reqs),
-        StorageModel::Lustre(l) => l.register_operation(&all_reqs),
-    }
-
-    // Plan the filesystem waves; each flush op collects its flows.
-    let mut planned_of_op: Vec<Vec<PlannedFlow>> = vec![Vec::new(); plan.ops.len()];
-    for reqs in waves.into_values() {
-        let plain: Vec<FlushReq> = reqs.iter().map(|(_, r)| *r).collect();
-        let planned = match &model {
-            StorageModel::Gpfs(g) => {
-                let torus = machine.fabric().as_torus().expect("torus");
-                let npp = torus.pset_config().expect("psets").nodes_per_pset;
-                g.plan_wave(&plain, |n| n / npp)
-            }
-            StorageModel::Lustre(l) => l.plan_wave(&plain),
-        };
-        for pf in planned {
-            planned_of_op[reqs[pf.req_index].0].push(pf);
         }
     }
 
@@ -301,22 +354,9 @@ fn lower_plan(
                     }
                     _ => 0.0,
                 };
-                for pf in &planned_of_op[id] {
+                for pf in storage.flows(id) {
                     route.clear();
-                    match (&model, pf.attach_node) {
-                        (StorageModel::Gpfs(_), _) => {
-                            let torus = machine.fabric().as_torus().expect("torus");
-                            torus.io_route_into(pf.src_node, &mut route);
-                        }
-                        (StorageModel::Lustre(_), Some(attach)) => {
-                            if pf.src_node != attach {
-                                net.route_into(pf.src_node, attach, &mut route);
-                            }
-                        }
-                        (StorageModel::Lustre(_), None) => {}
-                    }
-                    let fabric_hops = route.len();
-                    route.extend_from_slice(&pf.storage_route);
+                    let fabric_hops = storage.append_route(pf, &mut route);
                     let delay = pf.delay + latency * fabric_hops as f64 + fault_delay;
                     sim.submit_with_deps(0.0, delay, &route, pf.bytes, &dep_flows);
                 }
@@ -389,6 +429,33 @@ pub struct GroupSpec {
     pub ranks: Vec<Rank>,
     /// Per-member declarations.
     pub decls: Vec<Vec<WriteDecl>>,
+}
+
+impl GroupSpec {
+    /// Check that every member has a declaration list and that every
+    /// rank exists on `machine`.
+    ///
+    /// # Errors
+    /// [`TapiocaError::InvalidConfig`] naming the count mismatch or the
+    /// highest rank beyond the machine.
+    pub fn validate(&self, machine: &Machine) -> Result<()> {
+        if self.ranks.len() != self.decls.len() {
+            return Err(TapiocaError::InvalidConfig(format!(
+                "group has {} ranks but {} declaration lists",
+                self.ranks.len(),
+                self.decls.len()
+            )));
+        }
+        if let Some(&max_rank) = self.ranks.iter().max() {
+            if max_rank >= machine.num_ranks() {
+                return Err(TapiocaError::InvalidConfig(format!(
+                    "spec rank {max_rank} exceeds the machine's {} ranks",
+                    machine.num_ranks()
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A full collective operation: one or more file groups plus direction.
@@ -619,21 +686,7 @@ impl<'s> LayoutTable<'s> {
         mode: AccessMode,
     ) -> Result<GroupPlan> {
         let group = &self.groups[g];
-        if group.ranks.len() != group.decls.len() {
-            return Err(TapiocaError::InvalidConfig(format!(
-                "group has {} ranks but {} declaration lists",
-                group.ranks.len(),
-                group.decls.len()
-            )));
-        }
-        if let Some(&max_rank) = group.ranks.iter().max() {
-            if max_rank >= machine.num_ranks() {
-                return Err(TapiocaError::InvalidConfig(format!(
-                    "spec rank {max_rank} exceeds the machine's {} ranks",
-                    machine.num_ranks()
-                )));
-            }
-        }
+        group.validate(machine)?;
         let sched = self.schedule(g, cfg)?;
         let io_nodes = machine.io_nodes_for(&group.ranks);
         let io = io_nodes.first().copied().unwrap_or(0);

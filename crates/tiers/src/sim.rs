@@ -2,10 +2,12 @@
 //! machines (KNL + Lustre — the hardware the paper's future-work
 //! paragraph names).
 //!
-//! The round structure is not derived here. [`run_tiered_sim`] builds a
-//! [`SimSession`] — the base executor's validation, schedule, election
-//! and plan DAG — and lowers the session's [`ExecutionPlan`] with tier
-//! physics of its own:
+//! Neither the round structure nor the storage path is derived here.
+//! [`run_tiered_sim`] builds a [`SimSession`] — the base executor's
+//! validation, schedule, election and plan DAG — and a
+//! [`StorageLowering`] of the session's [`ExecutionPlan`] — the Lustre
+//! model, its lock analysis, the planned filesystem waves and their
+//! routes — and submits the plan with tier physics of its own:
 //!
 //! * every aggregation transfer ends in the destination node's **buffer
 //!   tier** service station (DRAM or MCDRAM), so memory bandwidth is
@@ -20,17 +22,15 @@
 //!
 //! [`ExecutionPlan`]: tapioca::plan::ExecutionPlan
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use tapioca::config::TapiocaConfig;
 use tapioca::plan::OpKind;
-use tapioca::sim_exec::{CollectiveSpec, SimSession, StorageConfig};
+use tapioca::sim_exec::{CollectiveSpec, SimSession, StorageConfig, StorageLowering};
 use tapioca::{Result, TapiocaError};
-use tapioca_netsim::{FlowId, SimTime, Simulator};
-use tapioca_pfs::{AccessMode, FlushReq, LustreModel, LustreTunables, PlannedFlow};
-use tapioca_topology::{
-    lnet_gateway_nodes, Interconnect, LinkIx, MachineProfile, NodeId, StorageProfile,
-};
+use tapioca_netsim::{FlowId, SimTime};
+use tapioca_pfs::{AccessMode, LustreTunables};
+use tapioca_topology::{LinkIx, MachineProfile, NodeId, StorageProfile};
 
 use crate::tier::{Destination, Tier, TierSpec, TieredConfig};
 
@@ -67,53 +67,21 @@ pub fn run_tiered_sim(
     tiered: &TieredConfig,
 ) -> Result<TieredReport> {
     tiered.validate().map_err(TapiocaError::InvalidConfig)?;
-    let invalid = |msg: String| Err(TapiocaError::InvalidConfig(msg));
+    let invalid = |msg: &str| Err(TapiocaError::InvalidConfig(msg.into()));
     if cfg.faults.is_some() {
-        return invalid("tiered staging does not model fault plans".into());
+        return invalid("tiered staging does not model fault plans");
     }
     if spec.mode != AccessMode::Write {
-        return invalid("tiered staging is a write-path extension".into());
+        return invalid("tiered staging is a write-path extension");
     }
-    let StorageProfile::Lustre { total_osts, ost_write_bw, ost_read_bw, lnet_bw } =
-        profile.storage
-    else {
-        return invalid("tiered staging targets the KNL/Lustre platform".into());
-    };
-    let session = SimSession::build(profile, &StorageConfig::Lustre(*lustre_tun), spec, cfg)?;
+    if !matches!(profile.storage, StorageProfile::Lustre { .. }) {
+        return invalid("tiered staging targets the KNL/Lustre platform");
+    }
+    let storage = StorageConfig::Lustre(*lustre_tun);
+    let session = SimSession::build(profile, &storage, spec, cfg)?;
     let plan = session.plan();
+    let (pfs, mut sim) = StorageLowering::new(profile, &storage, plan, None)?;
     let net = profile.machine.interconnect();
-
-    let mut sim = Simulator::from_interconnect(net);
-    sim.set_completion_slack(20e-6);
-    let mut lustre = LustreModel::new(
-        &mut sim,
-        total_osts,
-        ost_write_bw,
-        ost_read_bw,
-        lnet_bw,
-        lnet_gateway_nodes(net.num_nodes()),
-        *lustre_tun,
-    );
-
-    // Lock analysis over the whole operation, then the flush waves the
-    // plan names; each flush op collects its PFS-bound flows.
-    let mut all_reqs: Vec<FlushReq> = Vec::new();
-    let mut waves: BTreeMap<u64, Vec<(usize, FlushReq)>> = BTreeMap::new();
-    for (id, op) in plan.ops.iter().enumerate() {
-        if let OpKind::Flush { src, file, offset, len, mode, wave } = op.kind {
-            let req = FlushReq { src_node: src, file, offset, len, mode };
-            all_reqs.push(req);
-            waves.entry(wave).or_default().push((id, req));
-        }
-    }
-    lustre.register_operation(&all_reqs);
-    let mut planned_of_op: Vec<Vec<PlannedFlow>> = vec![Vec::new(); plan.ops.len()];
-    for reqs in waves.into_values() {
-        let plain: Vec<FlushReq> = reqs.iter().map(|(_, r)| *r).collect();
-        for pf in lustre.plan_wave(&plain) {
-            planned_of_op[reqs[pf.req_index].0].push(pf);
-        }
-    }
 
     // One pass over the ops in order. An op's dependents wait for its
     // `done` flows: a transfer's flow, a direct flush's PFS flows, a
@@ -146,42 +114,47 @@ pub fn run_tiered_sim(
                 route.push(buf);
                 vec![sim.submit_with_deps(0.0, latency * hops as f64, &route, bytes, &deps)]
             }
-            OpKind::Flush { src, len, .. } => match tiered.destination {
-                Destination::DirectPfs => {
-                    let flows: Vec<FlowId> = planned_of_op[id]
-                        .iter()
-                        .map(|pf| {
-                            let hops = pfs_route(net, src, None, pf, &mut route);
-                            let delay = pf.delay + latency * hops as f64;
-                            sim.submit_with_deps(0.0, delay, &route, pf.bytes, &deps)
-                        })
-                        .collect();
-                    safe_flows.extend_from_slice(&flows);
-                    pfs_flows.extend_from_slice(&flows);
-                    flows
-                }
-                Destination::BurstBufferThenDrain => {
-                    let (ssd_w, ssd_r) = *ssd_links.entry(src).or_insert_with(|| {
-                        (sim.add_virtual_link(ssd.write_bw), sim.add_virtual_link(ssd.read_bw))
-                    });
-                    let stage = sim.submit_with_deps(0.0, 0.0, [ssd_w], len as f64, &deps);
-                    let mut drain_deps = vec![stage];
-                    for &d in &op.deps {
-                        drain_deps.extend_from_slice(&drains_of[d]);
+            OpKind::Flush { src, len, .. } => {
+                // Staged, the flash write is the op's `done` flow and the
+                // PFS flows are its drains, which read the flash first.
+                let (stage, head) = match tiered.destination {
+                    Destination::DirectPfs => (None, None),
+                    Destination::BurstBufferThenDrain => {
+                        let (ssd_w, ssd_r) = *ssd_links.entry(src).or_insert_with(|| {
+                            (sim.add_virtual_link(ssd.write_bw), sim.add_virtual_link(ssd.read_bw))
+                        });
+                        (Some(sim.submit_with_deps(0.0, 0.0, [ssd_w], len as f64, &deps)), Some(ssd_r))
                     }
-                    drains = planned_of_op[id]
-                        .iter()
-                        .map(|pf| {
-                            let hops = pfs_route(net, src, Some(ssd_r), pf, &mut route);
-                            let delay = pf.delay + latency * hops as f64;
-                            sim.submit_with_deps(0.0, delay, &route, pf.bytes, &drain_deps)
-                        })
-                        .collect();
-                    safe_flows.push(stage);
-                    pfs_flows.extend_from_slice(&drains);
-                    vec![stage]
+                };
+                let pfs_deps: Vec<FlowId> = match stage {
+                    None => deps,
+                    Some(stage) => std::iter::once(stage)
+                        .chain(op.deps.iter().flat_map(|&d| drains_of[d].iter().copied()))
+                        .collect(),
+                };
+                let flows: Vec<FlowId> = pfs
+                    .flows(id)
+                    .iter()
+                    .map(|pf| {
+                        route.clear();
+                        route.extend(head);
+                        let delay = pf.delay + latency * pfs.append_route(pf, &mut route) as f64;
+                        sim.submit_with_deps(0.0, delay, &route, pf.bytes, &pfs_deps)
+                    })
+                    .collect();
+                pfs_flows.extend_from_slice(&flows);
+                match stage {
+                    None => {
+                        safe_flows.extend_from_slice(&flows);
+                        flows
+                    }
+                    Some(stage) => {
+                        safe_flows.push(stage);
+                        drains = flows;
+                        vec![stage]
+                    }
                 }
-            },
+            }
         };
         done_of.push(done);
         drains_of.push(drains);
@@ -206,26 +179,6 @@ pub fn run_tiered_sim(
     })
 }
 
-/// Fill `route` with `head` (the flash read-out of a drain), the fabric
-/// from `src` to `pf`'s LNET attach node, then `pf`'s storage route;
-/// returns the fabric hop count.
-fn pfs_route(
-    net: &dyn Interconnect,
-    src: NodeId,
-    head: Option<LinkIx>,
-    pf: &PlannedFlow,
-    route: &mut Vec<LinkIx>,
-) -> usize {
-    route.clear();
-    route.extend(head);
-    if let Some(attach) = pf.attach_node.filter(|&a| a != src) {
-        net.route_into(src, attach, route);
-    }
-    let hops = route.len() - usize::from(head.is_some());
-    route.extend_from_slice(&pf.storage_route);
-    hops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,16 +187,23 @@ mod tests {
     use tapioca_topology::{theta_profile, MIB};
 
     fn spec(nranks: usize, per: u64) -> CollectiveSpec {
-        CollectiveSpec {
-            groups: vec![GroupSpec {
-                file: 0,
-                ranks: (0..nranks).collect(),
-                decls: (0..nranks as u64)
-                    .map(|r| vec![WriteDecl { offset: r * per, len: per }])
-                    .collect(),
-            }],
-            mode: AccessMode::Write,
-        }
+        spec_in_files(nranks, per, 1)
+    }
+
+    /// `nranks` ranks writing `per` bytes each, dealt round-robin over
+    /// `files` file groups: rank `r` is member `r / files` of file
+    /// `r % files`, so every node writes to every file.
+    fn spec_in_files(nranks: usize, per: u64, files: usize) -> CollectiveSpec {
+        let groups = (0..files)
+            .map(|f| {
+                let ranks: Vec<usize> = (f..nranks).step_by(files).collect();
+                let decls = (0..ranks.len() as u64)
+                    .map(|i| vec![WriteDecl { offset: i * per, len: per }])
+                    .collect();
+                GroupSpec { file: f, ranks, decls }
+            })
+            .collect();
+        CollectiveSpec { groups, mode: AccessMode::Write }
     }
 
     fn base_cfg() -> TapiocaConfig {
@@ -405,54 +365,62 @@ mod tests {
 
     /// Every report field, as bits, for the four tiered configurations ×
     /// pipelining on/off on a 32-node Theta shape (128 ranks × 4 MiB,
-    /// 16 aggregators, 8 MiB buffers), recorded from an independent
+    /// 16 aggregators per file, 8 MiB buffers) in one file, plus direct
+    /// and staged runs of the same ranks interleaved over two files (lock
+    /// analysis and waves span both), recorded from an independent
     /// derivation of the tiered round DAG: lowering the shared plan must
     /// reproduce every bit.
     #[test]
     fn reports_match_the_recorded_golden_bits() {
         type Bits = [u64; 4];
-        // (pipelining, buffer tier, destination) ->
+        // (files, pipelining, buffer tier, destination) ->
         // [time_to_safe, time_to_pfs, perceived, end-to-end]
-        let golden: [(bool, Tier, Destination, Bits); 8] = {
+        let golden: [(usize, bool, Tier, Destination, Bits); 10] = {
             use Destination::{BurstBufferThenDrain as Bb, DirectPfs as Direct};
             use Tier::{Dram, Mcdram};
             [
-                (true, Dram, Direct, [
+                (1, true, Dram, Direct, [
                     0x3fb577e1e33b5adf, 0x3fb577e1e33b5adf, 0x41f7d9606d275dd6, 0x41f7d9606d275dd6,
                 ]),
-                (true, Mcdram, Direct, [
+                (1, true, Mcdram, Direct, [
                     0x3fb57379364a2565, 0x3fb57379364a2565, 0x41f7de474766d2bd, 0x41f7de474766d2bd,
                 ]),
-                (true, Dram, Bb, [
+                (1, true, Dram, Bb, [
                     0x3f9016c16c16c16c, 0x3fb677e1e33b5adf, 0x421fd2bd865d591b, 0x41f6c9a4c54a55de,
                 ]),
-                (true, Mcdram, Bb, [
+                (1, true, Mcdram, Bb, [
                     0x3f90051eb851eb85, 0x3fb67379364a2565, 0x421ff5c5d52c6caa, 0x41f6ce1e5e3cdacc,
                 ]),
-                (false, Dram, Direct, [
+                (1, false, Dram, Direct, [
                     0x3fb5792158dcf3fc, 0x3fb5792158dcf3fc, 0x41f7d7fd9e8cb13f, 0x41f7d7fd9e8cb13f,
                 ]),
-                (false, Mcdram, Direct, [
+                (1, false, Mcdram, Direct, [
                     0x3fb5704ffefa8909, 0x3fb5704ffefa8909, 0x41f7e1cc33270316, 0x41f7e1cc33270316,
                 ]),
-                (false, Dram, Bb, [
+                (1, false, Dram, Bb, [
                     0x3f91a24b4f3dbf3f, 0x3fb677e1e33b5adf, 0x421d08ee0b6d79ed, 0x41f6c9a4c54a55de,
                 ]),
-                (false, Mcdram, Bb, [
+                (1, false, Mcdram, Bb, [
                     0x3f917f05e7b41371, 0x3fb67379364a2565, 0x421d437652c6453c, 0x41f6ce1e5e3cdacc,
+                ]),
+                (2, true, Dram, Direct, [
+                    0x3faece4950bdc001, 0x3faece4950bdc001, 0x42009ec846fe7d61, 0x42009ec846fe7d61,
+                ]),
+                (2, true, Dram, Bb, [
+                    0x3f9124c7f909c7c2, 0x3fb16724a85ee000, 0x421ddd805617498f, 0x41fd6b9df07ffcab,
                 ]),
             ]
         };
         let profile = theta_profile(32, 4);
         let tun = LustreTunables::theta_optimized();
-        let s = spec(128, 4 * MIB);
-        for (pipelining, buffer_tier, destination, want) in golden {
+        for (files, pipelining, buffer_tier, destination, want) in golden {
+            let s = spec_in_files(128, 4 * MIB, files);
             let cfg = TapiocaConfig { pipelining, ..base_cfg() };
             let tiered = TieredConfig { buffer_tier, destination };
             let r = run_tiered_sim(&profile, &tun, &s, &cfg, &tiered).unwrap();
             let got = [r.time_to_safe, r.time_to_pfs, r.perceived_bandwidth, r.end_to_end_bandwidth]
                 .map(f64::to_bits);
-            assert_eq!(got, want, "pipelining {pipelining}, {tiered:?}");
+            assert_eq!(got, want, "{files} file(s), pipelining {pipelining}, {tiered:?}");
             assert_eq!(r.bytes, 128.0 * 4.0 * MIB as f64);
         }
     }
