@@ -2,15 +2,17 @@
 //!
 //! A [`Comm`] is a per-thread handle onto shared group state. Collectives
 //! follow MPI semantics: every member must call the same collectives in
-//! the same order; the implementation uses a shared slot vector bracketed
-//! by two barrier phases (write / read), so a communicator's collectives
-//! are reusable back-to-back without extra synchronization.
+//! the same order. A slot collective (`allgather_bytes`, `bcast`, and
+//! every allreduce built on them) costs one barrier: each member writes
+//! its own slot, enters the barrier, and reads the slots it needs. Two
+//! slot sets used alternately make the collectives reusable back-to-back
+//! without a second barrier (see `MemberSlots`).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 use crate::p2p::Mailboxes;
@@ -99,26 +101,31 @@ pub(crate) struct CommShared {
     /// rank of comm rank `i`.
     pub(crate) members: Vec<Rank>,
     barrier: Barrier,
-    slots: Mutex<Slots>,
+    /// One entry per member, indexed by comm rank.
+    slots: Vec<MemberSlots>,
 }
 
-/// The contributions of the slot collectives (`allgather_bytes`,
-/// `bcast`), in two sets used alternately: a member's `k`-th slot
+/// One member's contributions to the slot collectives (`allgather_bytes`,
+/// `bcast`), in two sets used alternately: the member's `k`-th slot
 /// collective on the communicator uses set `k % 2`. It writes that set
 /// again only in call `k + 2`, after the barrier of call `k + 1`, which
 /// every member enters after reading call `k` — so one barrier per call
-/// suffices. The call counts live here, not in the handle, so they
-/// survive a handle formed again for the same communicator.
-struct Slots {
-    sets: [Vec<Option<Vec<u8>>>; 2],
-    calls: Vec<u64>,
+/// suffices, and no read ever waits on a write. Readers take only the
+/// read lock of the slots they need, so the members leaving a barrier
+/// do not queue on one lock. The call count lives here, not in the
+/// handle, so it survives a handle formed again for the same
+/// communicator.
+#[derive(Default)]
+struct MemberSlots {
+    /// Slot collectives this member has entered; written only by it.
+    calls: AtomicU64,
+    sets: [RwLock<Option<Vec<u8>>>; 2],
 }
 
-impl Slots {
-    /// The set of member `me`'s next slot collective.
-    fn next_set(&mut self, me: usize) -> usize {
-        self.calls[me] += 1;
-        (self.calls[me] % 2) as usize
+impl MemberSlots {
+    /// The set of this member's next slot collective.
+    fn next_set(&self) -> usize {
+        (self.calls.fetch_add(1, Ordering::Relaxed) % 2) as usize
     }
 }
 
@@ -129,7 +136,7 @@ impl CommShared {
             uid,
             members,
             barrier: Barrier::with_timeout(n, watchdog),
-            slots: Mutex::new(Slots { sets: [vec![None; n], vec![None; n]], calls: vec![0; n] }),
+            slots: (0..n).map(|_| MemberSlots::default()).collect(),
         }
     }
 }
@@ -291,30 +298,35 @@ impl Comm {
     /// Gather every member's byte vector; result indexed by comm rank.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> Vec<Vec<u8>> {
         self.perturb_point();
-        let set = {
-            let mut slots = crate::lock_ok(&self.shared.slots);
-            let set = slots.next_set(self.my_index);
-            slots.sets[set][self.my_index] = Some(mine);
-            set
-        };
+        let set = self.contribute(Some(mine));
         self.shared.barrier.wait();
-        let slots = crate::lock_ok(&self.shared.slots);
-        slots.sets[set].iter().map(|o| o.clone().expect("every member contributed")).collect()
+        (0..self.size()).map(|r| self.contribution(r, set)).collect()
     }
 
     /// Broadcast `bytes` from comm rank `root` to everyone.
     pub fn bcast(&self, root: Rank, bytes: Vec<u8>) -> Vec<u8> {
-        let set = {
-            let mut slots = crate::lock_ok(&self.shared.slots);
-            let set = slots.next_set(self.my_index);
-            if self.my_index == root {
-                slots.sets[set][root] = Some(bytes);
-            }
-            set
-        };
+        self.perturb_point();
+        let set = self.contribute((self.my_index == root).then_some(bytes));
         self.shared.barrier.wait();
-        let slots = crate::lock_ok(&self.shared.slots);
-        slots.sets[set][root].clone().expect("root contributed")
+        self.contribution(root, set)
+    }
+
+    /// Enter a slot collective: take this member's next set and write
+    /// `mine` to its slot there (`None` leaves the slot as it is).
+    fn contribute(&self, mine: Option<Vec<u8>>) -> usize {
+        let slots = &self.shared.slots[self.my_index];
+        let set = slots.next_set();
+        if let Some(bytes) = mine {
+            *slots.sets[set].write().unwrap_or_else(PoisonError::into_inner) = Some(bytes);
+        }
+        set
+    }
+
+    /// Member `r`'s contribution to the current slot collective, which
+    /// uses `set`; only valid after the collective's barrier.
+    fn contribution(&self, r: Rank, set: usize) -> Vec<u8> {
+        let slot = self.shared.slots[r].sets[set].read().unwrap_or_else(PoisonError::into_inner);
+        slot.clone().expect("the member contributed before the barrier")
     }
 
     /// Allgather of one `u64` per member.
@@ -537,6 +549,38 @@ mod tests {
                     });
                 }
             });
+        }
+    }
+
+    /// Collective entry is a perturbation point of every member, for
+    /// each collective.
+    #[test]
+    fn every_collective_entry_is_one_perturbation_point_per_member() {
+        let n = 4;
+        let p = Perturber::with_max_delay(3, 0);
+        let watchdog = Some(Duration::from_secs(20));
+        let mut comms = make_world_perturbed(n, watchdog, Some(Arc::clone(&p)));
+        type Op = (&'static str, fn(&Comm));
+        let ops: [Op; 3] = [
+            ("barrier", |c| c.barrier()),
+            ("allgather_bytes", |c| assert_eq!(c.allgather_bytes(vec![c.rank() as u8]).len(), 4)),
+            ("bcast", |c| assert_eq!(c.bcast(1, vec![c.rank() as u8]), vec![1])),
+        ];
+        for (name, op) in ops {
+            let before = p.points_fired();
+            comms = std::thread::scope(|s| {
+                let handles: Vec<_> = comms
+                    .into_iter()
+                    .map(|c| {
+                        s.spawn(move || {
+                            op(&c);
+                            c
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(p.points_fired() - before, n as u64, "{name}");
         }
     }
 

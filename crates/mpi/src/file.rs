@@ -89,6 +89,11 @@ impl From<Vec<WinSegment>> for JobData {
 /// Completion notification for a non-blocking write. Carries the
 /// written buffer back so drain loops can recycle it, and the error
 /// (if any) so callers can recover instead of aborting.
+///
+/// It has at most one waiter, because every blocking wait consumes the
+/// [`IoHandle`]. `signal` follows the runtime's wake rule: it decides
+/// under the lock whether that waiter is asleep, and wakes it after
+/// the unlock, so the waiter does not wake into a held lock.
 #[derive(Debug, Default)]
 struct Notify {
     state: Mutex<NotifyState>,
@@ -98,6 +103,8 @@ struct Notify {
 #[derive(Debug, Default)]
 struct NotifyState {
     done: bool,
+    /// The waiter is asleep on `cv` (or about to be).
+    sleeping: bool,
     /// The job's buffer, returned by the worker for reuse.
     reclaimed: Option<Vec<u8>>,
     /// Why the operation failed, when it did.
@@ -110,12 +117,17 @@ impl Notify {
         st.done = true;
         st.reclaimed = reclaimed;
         st.error = error;
-        self.cv.notify_all();
+        let sleeping = std::mem::replace(&mut st.sleeping, false);
+        drop(st);
+        if sleeping {
+            self.cv.notify_one();
+        }
     }
 
     fn wait_take(&self) -> (Option<Vec<u8>>, Option<IoError>) {
         let mut st = lock_ok(&self.state);
         while !st.done {
+            st.sleeping = true;
             st = self.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         (st.reclaimed.take(), st.error.clone())
@@ -131,6 +143,7 @@ impl Notify {
             if now >= deadline {
                 return Err(());
             }
+            st.sleeping = true;
             let (guard, _) = self
                 .cv
                 .wait_timeout(st, deadline - now)

@@ -15,9 +15,10 @@
 //!
 //! ## Semantics guaranteed
 //!
-//! * [`comm::Comm::barrier`] is a reusable sense-reversing barrier; all
+//! * [`comm::Comm::barrier`] is a reusable generation barrier; all
 //!   memory writes made by a rank before the barrier are visible to every
-//!   rank after it (mutex release/acquire ordering).
+//!   rank after it (arrivals ordered by a mutex, the generation published
+//!   with release/acquire ordering).
 //! * [`rma::Window::post`] / [`rma::Window::start`] /
 //!   [`rma::Window::complete`] / [`rma::Window::wait`] are MPI's
 //!   generalized active-target calls: every `put` an origin issued before

@@ -25,10 +25,18 @@
 //! window (only for members that expose memory). Every member sleeps on
 //! its *own* condvar, and a signal wakes exactly the members it
 //! unblocks: a `post` its group's parked starters, the `complete` that
-//! satisfies a parked `wait` that one target. Nothing spins, nothing is
-//! allocated per call, and every blocking call honours the world's
-//! watchdog deadline with a diagnosis naming the member that has not
-//! signalled.
+//! satisfies a parked `wait` that one target. Signals follow the
+//! runtime's wake rule (see `sync`): decide under the lock, wake after
+//! it, one wake per waiter that is unblocked. Under the lock a signal
+//! bumps its counters and marks each member it unblocks as no longer
+//! parked, so no later signal wakes it again; it notifies those members
+//! only after the unlock, so a woken member does not find the lock still
+//! held by its waker. A `post` lists the members it unblocks in a
+//! buffer its handle sized when the window was allocated. Nothing
+//! spins, nothing is allocated per call, and every blocking call
+//! honours the world's watchdog deadline with a diagnosis naming the
+//! member that has not signalled. A parked member re-checks its
+//! counters whenever it wakes, so a stray wake sends it back to sleep.
 //!
 //! Target regions are guarded by `RwLock`, split into independently
 //! locked **panes** ([`Window::allocate_paned`]): an aggregator exposing
@@ -39,6 +47,7 @@
 //! puts, so lock serialization affects timing (which this runtime does
 //! not model) but never correctness.
 
+use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -238,6 +247,10 @@ pub struct Window {
     timeout: Option<Duration>,
     /// Schedule perturbation inherited from the world, if any.
     perturb: Option<Arc<Perturber>>,
+    /// The members a `post` unblocks, listed under the lock and woken
+    /// after it; sized for every member at allocation, so a post never
+    /// allocates. Empty between calls.
+    woken: Cell<Vec<Rank>>,
     /// Per-handle tracing context; when set, puts and fences record
     /// events attributed to this handle's rank.
     #[cfg(feature = "trace")]
@@ -341,6 +354,7 @@ impl Window {
             me: comm.rank(),
             timeout: comm.world().watchdog,
             perturb: comm.perturber(),
+            woken: Cell::new(Vec::with_capacity(comm.size())),
             #[cfg(feature = "trace")]
             scope: None,
         }
@@ -467,8 +481,8 @@ impl Window {
 
     /// Open an exposure of this member's region to `origins`
     /// (`MPI_Win_post`). Non-blocking: bumps each origin's `opened`
-    /// counter and wakes exactly those of them already parked in
-    /// [`Window::start`] on this member.
+    /// counter and, after releasing the lock, wakes exactly those of
+    /// them already parked in [`Window::start`] on this member.
     ///
     /// # Panics
     /// Panics if this member's region is empty (it exposes nothing).
@@ -479,13 +493,20 @@ impl Window {
         if let Some(scope) = &self.scope {
             scope.post(at.round);
         }
+        let mut woken = self.woken.take();
         let mut st = lock_ok(&self.shared.sync);
         for &o in origins {
             st.exposure(self.me).opened[o] += 1;
             if st.parked[o] == (Parked::Start { target: self.me }) {
-                self.shared.wake[o].notify_one();
+                st.parked[o] = Parked::No;
+                woken.push(o);
             }
         }
+        drop(st);
+        for o in woken.drain(..) {
+            self.shared.wake[o].notify_one();
+        }
+        self.woken.set(woken);
     }
 
     /// Enter `target`'s exposure (`MPI_Win_start`): blocks until
@@ -525,8 +546,9 @@ impl Window {
 
     /// Leave `target`'s exposure (`MPI_Win_complete`). Non-blocking:
     /// every access this member issued before the call is visible to
-    /// `target` once its [`Window::wait`] returns. Wakes `target` only
-    /// if this is the last complete its parked `wait` was missing.
+    /// `target` once its [`Window::wait`] returns. Wakes `target`, after
+    /// releasing the lock, only if this is the last complete its parked
+    /// `wait` was missing.
     #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     pub fn complete(&self, target: Rank, at: RoundTag) {
         self.perturb_point();
@@ -538,13 +560,17 @@ impl Window {
         let ex = st.exposure(target);
         ex.signalled[self.me] += 1;
         let newly = ex.signalled[self.me] - ex.consumed[self.me] == 1;
-        if let Parked::Wait { missing } = &mut st.parked[target] {
-            if newly && *missing > 0 {
-                *missing -= 1;
-                if *missing == 0 {
-                    self.shared.wake[target].notify_one();
-                }
+        let wake = match st.parked[target] {
+            Parked::Wait { missing } if newly && missing > 0 => {
+                st.parked[target] =
+                    if missing == 1 { Parked::No } else { Parked::Wait { missing: missing - 1 } };
+                missing == 1
             }
+            _ => false,
+        };
+        drop(st);
+        if wake {
+            self.shared.wake[target].notify_one();
         }
     }
 
@@ -975,6 +1001,91 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// A member parked in `start` re-checks its counters on every wake:
+    /// woken while the target has not posted, it goes back to sleep.
+    #[test]
+    fn start_stays_blocked_through_stray_wakes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let entered = AtomicBool::new(false);
+        let comms = crate::comm::make_world_with_watchdog(2, Some(Duration::from_secs(20)));
+        std::thread::scope(|s| {
+            for c in comms {
+                let entered = &entered;
+                s.spawn(move || {
+                    let win = Window::allocate(&c, if c.rank() == 0 { 1 } else { 0 });
+                    if c.rank() == 1 {
+                        win.start(0, AT);
+                        entered.store(true, Ordering::SeqCst);
+                        win.complete(0, AT);
+                        return;
+                    }
+                    for _ in 0..50 {
+                        win.shared.wake[1].notify_all();
+                        std::thread::sleep(Duration::from_millis(1));
+                        assert!(!entered.load(Ordering::SeqCst), "start returned before the post");
+                    }
+                    win.post(&[1], AT);
+                    win.wait(&[1], AT);
+                    assert!(entered.load(Ordering::SeqCst));
+                });
+            }
+        });
+    }
+
+    /// 64 ranks on a 20 s watchdog: 500 barrier generations, then 500
+    /// rounds of post/start/complete/wait on two windows at once. Each
+    /// round, each window has one target and eight origins, so most
+    /// members run ahead and park in `start` rounds before their post.
+    /// A sleeper whose wake is lost gets up only at its watchdog
+    /// deadline, so every step must end within one watchdog period of
+    /// the start.
+    #[test]
+    fn sixty_four_ranks_barriers_and_two_windows_stress() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const N: usize = 64;
+        const ROUNDS: u32 = 500;
+        const WATCHDOG: Duration = Duration::from_secs(20);
+        let arrivals = AtomicUsize::new(0);
+        let began = Instant::now();
+        let on_time = || assert!(began.elapsed() < WATCHDOG, "a sleeper waited out its watchdog");
+        let comms = crate::comm::make_world_with_watchdog(N, Some(WATCHDOG));
+        std::thread::scope(|s| {
+            for c in comms {
+                let (arrivals, on_time) = (&arrivals, &on_time);
+                s.spawn(move || {
+                    for g in 1..=ROUNDS as usize {
+                        arrivals.fetch_add(1, Ordering::Relaxed);
+                        c.barrier();
+                        assert!(arrivals.load(Ordering::Relaxed) >= g * N, "generation {g}");
+                        on_time();
+                    }
+                    let wins = [Window::allocate(&c, N), Window::allocate(&c, N)];
+                    for r in 0..ROUNDS {
+                        let at = RoundTag { partition: 0, round: r };
+                        for (w, win) in wins.iter().enumerate() {
+                            let target = (r as usize * 7 + w * 32) % N;
+                            let origins: [Rank; 8] =
+                                std::array::from_fn(|k| (target + 1 + 5 * k + w) % N);
+                            let stamp = r as u8 ^ w as u8;
+                            if c.rank() == target {
+                                win.post(&origins, at);
+                                win.wait(&origins, at);
+                                for o in origins {
+                                    assert_eq!(win.read_local(target, o, 1), [stamp], "round {r}");
+                                }
+                            } else if origins.contains(&c.rank()) {
+                                win.start(target, at);
+                                win.put(target, c.rank(), &[stamp]);
+                                win.complete(target, at);
+                            }
+                        }
+                        on_time();
+                    }
+                });
+            }
+        });
     }
 
     /// The barrier's watchdog can only say "1/2 parties arrived"; this

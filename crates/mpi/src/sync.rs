@@ -1,34 +1,51 @@
 //! Reusable synchronization primitives.
 //!
-//! The central piece is a **sense-reversing barrier** built on a mutex
-//! and condvar (see *Rust Atomics and Locks*, ch. 9 for the pattern
-//! trade-offs). `std::sync::Barrier` would also work, but we need
-//! subgroup barriers created dynamically for split communicators, a
-//! barrier that hands back the generation for debugging, and a watchdog
-//! deadline so a deadlocked collective fails with a diagnosis instead
-//! of hanging CI forever.
+//! The central piece is a **generation barrier**: arrivals are counted
+//! under a mutex, and every party but the last parks its own thread.
+//! `std::sync::Barrier` would also work, but we need subgroup barriers
+//! created dynamically for split communicators, a barrier that hands
+//! back the generation for debugging, and a watchdog deadline so a
+//! deadlocked collective fails with a diagnosis instead of hanging CI
+//! forever.
+//!
+//! **Wake rule** (shared with `rma` and `file`): decide under the lock,
+//! wake after it, one wake per waiter that is unblocked. The last
+//! arriver publishes the next generation through an atomic, drops the
+//! mutex, and only then unparks the parties of the generation it closed,
+//! each exactly once. A woken party reads the atomic and returns: it
+//! never takes the mutex again, so a release is not followed by a
+//! convoy of woken threads queueing on the lock the releaser just held.
+//! A party checks the generation before every park, so a wake that
+//! lands first, or a stray one (park tokens are shared with std's
+//! channels), costs one loop turn and nothing else.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
+
+use crate::lock_ok;
 
 /// A reusable N-party barrier.
 ///
-/// Release/acquire ordering through the internal mutex guarantees that
-/// writes made before `wait` by any party are visible to all parties
-/// after `wait` returns.
+/// Every write a party made before `wait` is visible to every party
+/// after `wait` returns: arrivals are ordered by the internal mutex,
+/// and the last arriver publishes the generation with release ordering
+/// that the parked parties read with acquire ordering.
 #[derive(Debug)]
 pub struct Barrier {
     n: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
+    /// Parties arrived in the current generation.
+    arrived: Mutex<usize>,
+    /// Number of generations completed so far.
+    generation: AtomicU64,
+    /// The parked parties of generation `g`, in `parked[g % 2]`, each
+    /// with room for `n - 1` threads from the start. A list is written
+    /// again only in generation `g + 2`, which cannot open before the
+    /// releaser of `g` — who empties the list — arrives in `g + 1`.
+    parked: [Mutex<Vec<Thread>>; 2],
     /// Watchdog deadline per `wait` call; `None` waits forever.
     timeout: Option<Duration>,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
 }
 
 impl Barrier {
@@ -49,8 +66,9 @@ impl Barrier {
         assert!(n > 0, "barrier needs at least one party");
         Self {
             n,
-            state: Mutex::new(BarrierState { arrived: 0, generation: 0 }),
-            cv: Condvar::new(),
+            arrived: Mutex::new(0),
+            generation: AtomicU64::new(0),
+            parked: [Mutex::new(Vec::with_capacity(n - 1)), Mutex::new(Vec::with_capacity(n - 1))],
             timeout,
         }
     }
@@ -67,39 +85,61 @@ impl Barrier {
     /// Panics with a deadlock diagnosis if the barrier's watchdog
     /// timeout elapses before all parties arrive.
     pub fn wait(&self) -> u64 {
-        let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let gen = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.n {
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-        } else {
-            let deadline = self.timeout.map(|t| Instant::now() + t);
-            while st.generation == gen {
-                match deadline {
-                    None => st = self.cv.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            let who = std::thread::current();
-                            panic!(
-                                "watchdog: {} stuck in barrier for {:?} \
-                                 ({}/{} parties arrived, generation {})",
-                                who.name().unwrap_or("<unnamed thread>"),
-                                self.timeout.expect("deadline implies a configured timeout"),
-                                st.arrived,
-                                self.n,
-                                gen,
-                            );
-                        }
-                        let (g, _timed_out) = self.cv.wait_timeout(st, d - now).unwrap_or_else(std::sync::PoisonError::into_inner);
-                        st = g;
-                    }
-                }
-            }
+        let mut arrived = lock_ok(&self.arrived);
+        // Stable while the lock is held: only the last arriver, under
+        // the lock, moves it.
+        let gen = self.generation.load(Ordering::Relaxed);
+        let parked = &self.parked[(gen % 2) as usize];
+        *arrived += 1;
+        if *arrived < self.n {
+            lock_ok(parked).push(std::thread::current());
+            drop(arrived);
+            self.park_until_released(gen);
+            return gen;
+        }
+        *arrived = 0;
+        self.generation.store(gen + 1, Ordering::Release);
+        drop(arrived);
+        // The list's own lock, uncontended: generation `gen + 1` parks
+        // on the other list.
+        for t in lock_ok(parked).drain(..) {
+            t.unpark();
         }
         gen
+    }
+
+    /// Park until generation `gen` is closed, or panic with the
+    /// watchdog's diagnosis once its deadline passes.
+    fn park_until_released(&self, gen: u64) {
+        let released = || self.generation.load(Ordering::Acquire) != gen;
+        let Some(timeout) = self.timeout else {
+            while !released() {
+                std::thread::park();
+            }
+            return;
+        };
+        let deadline = Instant::now() + timeout;
+        while !released() {
+            let now = Instant::now();
+            if now < deadline {
+                std::thread::park_timeout(deadline - now);
+                continue;
+            }
+            // Only a party that timed out takes the lock again, to read
+            // the count for its diagnosis.
+            let arrived = *lock_ok(&self.arrived);
+            if released() {
+                return;
+            }
+            panic!(
+                "watchdog: {} stuck in barrier for {:?} ({}/{} parties arrived, generation {})",
+                std::thread::current().name().unwrap_or("<unnamed thread>"),
+                timeout,
+                arrived,
+                self.n,
+                gen,
+            );
+        }
     }
 }
 
@@ -181,6 +221,35 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("panic carries a String");
         assert!(msg.contains("watchdog"), "unexpected message: {msg}");
         assert!(msg.contains("1/2 parties"), "unexpected message: {msg}");
+    }
+
+    /// Park tokens are shared with std's channels and anyone holding a
+    /// `Thread`, so a party may be unparked before its generation
+    /// closes: it must go back to sleep, not leave the barrier.
+    #[test]
+    fn stray_unparks_do_not_release_a_waiter() {
+        let b = Barrier::with_timeout(2, Some(Duration::from_secs(20)));
+        let left = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let gen = b.wait();
+                left.store(true, Ordering::SeqCst);
+                gen
+            });
+            for _ in 0..50 {
+                waiter.thread().unpark();
+                std::thread::sleep(Duration::from_millis(1));
+                assert!(!left.load(Ordering::SeqCst), "a stray unpark released the waiter");
+            }
+            assert_eq!(b.wait(), 0);
+            assert_eq!(waiter.join().unwrap(), 0);
+        });
+        assert!(left.load(Ordering::SeqCst));
+        // The tokens left over do not disturb the next generation.
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(b.wait(), 1));
+            assert_eq!(b.wait(), 1);
+        });
     }
 
     #[test]
