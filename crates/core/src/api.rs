@@ -11,7 +11,9 @@
 //! ```
 //!
 //! [`SessionBuilder::build`] allgathers the declarations, computes the
-//! round schedule, and is collective over the communicator. `write`
+//! round schedule once per communicator (the first member to get there
+//! builds it, every member holds it), and is collective over the
+//! communicator. `write`
 //! *streams* the payload of one declared variable straight into the
 //! round pipeline of [`crate::aggregation`]: as soon as every
 //! contribution this rank owes to round *r* of the current partition
@@ -26,8 +28,8 @@
 //! A [`Session`] is reusable across **epochs**: once every declared
 //! write of an epoch has been issued (on every rank), the next `write`
 //! round starts the next epoch against the same schedule. The session
-//! keeps the allgathered declarations, the computed schedule, and — for
-//! fault-free configs — each partition's sub-communicator, election
+//! keeps its own declarations, the shared schedule and rosters, and —
+//! for fault-free configs — each partition's sub-communicator, election
 //! result, RMA window, and recycled flush buffers alive, so timestep
 //! loops stop re-paying allgather + `compute_schedule` + election every
 //! checkpoint.
@@ -62,7 +64,7 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
 use crate::schedule::{
-    check_decl_extents, compute_schedule, Chunk, RankStreamPlan, RoundRoster, Schedule,
+    compute_schedule, decl_extent_error, Chunk, RankStreamPlan, RoundRoster, Schedule,
     ScheduleParams, WriteDecl,
 };
 
@@ -144,6 +146,30 @@ pub fn allgather_declarations(comm: &Comm, decls: &[WriteDecl]) -> Vec<Vec<Write
                 .collect()
         })
         .collect()
+}
+
+/// What every member of a build derives alike from the allgathered
+/// declarations: the round schedule and each partition's roster. Built
+/// once per communicator ([`Comm::share`]) and held by every member's
+/// session.
+struct SessionLayout {
+    schedule: Schedule,
+    /// Per partition of the schedule: who contributes to each round —
+    /// the ranks a round is synchronised between.
+    rosters: Vec<Arc<RoundRoster>>,
+}
+
+impl SessionLayout {
+    fn new(all_decls: &[Vec<WriteDecl>], cfg: &TapiocaConfig) -> SessionLayout {
+        let schedule = compute_schedule(all_decls, ScheduleParams {
+            num_aggregators: cfg.num_aggregators,
+            buffer_size: cfg.buffer_size,
+            align_to_buffer: true,
+        });
+        let rosters =
+            schedule.partitions.iter().map(|p| Arc::new(RoundRoster::new(&schedule, p))).collect();
+        SessionLayout { schedule, rosters }
+    }
 }
 
 /// Write chunk `c`'s bytes `d` straight to the file: the degrade
@@ -229,7 +255,10 @@ impl<'c> SessionBuilder<'c> {
     }
 
     /// Collective: allgather every rank's declarations, compute the
-    /// shared round schedule, and return the reusable [`Session`].
+    /// shared round schedule, and return the reusable [`Session`]. The
+    /// schedule and its rosters are built once per communicator, by the
+    /// first member to get there ([`Comm::share`]): every member must
+    /// pass the same config.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] if the config fails validation —
@@ -244,22 +273,15 @@ impl<'c> SessionBuilder<'c> {
             topo.unwrap_or_else(|| Arc::new(UniformTopology { num_ranks: comm.size() }));
         let seq = comm.next_user_seq();
         let all_decls = allgather_declarations(comm, &decls);
-        // Every rank holds every declaration now, so a bad one fails the
-        // build on all of them at the same point: nobody is left waiting
-        // in a later collective.
-        check_decl_extents(&all_decls)?;
-
-        let schedule = compute_schedule(&all_decls, ScheduleParams {
-            num_aggregators: cfg.num_aggregators,
-            buffer_size: cfg.buffer_size,
-            align_to_buffer: true,
+        // Every rank gets the one verdict on every declaration, so a bad
+        // one fails the build on all of them at the same point: nobody
+        // is left waiting in a later collective.
+        let layout = comm.share(|| match decl_extent_error(&all_decls) {
+            Some(msg) => Err(msg),
+            None => Ok(Arc::new(SessionLayout::new(&all_decls, &cfg))),
         });
-        let plan = RankStreamPlan::new(&schedule, comm.rank());
-        let rosters = plan
-            .parts
-            .iter()
-            .map(|pp| Arc::new(RoundRoster::new(&schedule, &schedule.partitions[pp.part_index])))
-            .collect();
+        let layout = (*layout).clone().map_err(TapiocaError::InvalidConfig)?;
+        let plan = RankStreamPlan::new(&layout.schedule, comm.rank());
         let mut var_chunks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); decls.len()];
         for (pslot, pp) in plan.parts.iter().enumerate() {
             for (li, c) in pp.chunks.iter().enumerate() {
@@ -278,9 +300,8 @@ impl<'c> SessionBuilder<'c> {
             topo,
             decls,
             by_extent,
-            schedule,
+            layout,
             plan,
-            rosters,
             var_chunks,
             seq,
             ctxs: RefCell::new(std::iter::repeat_with(|| None).take(nparts).collect()),
@@ -314,11 +335,9 @@ pub struct Session<'c> {
     /// Declaration indices sorted by `(offset, len)`, declaration order
     /// among duplicates: `write` binary-searches its declaration here.
     by_extent: Vec<usize>,
-    schedule: Schedule,
+    /// Shared with every other member of the communicator.
+    layout: Arc<SessionLayout>,
     plan: RankStreamPlan,
-    /// Per plan part: who contributes to each round — the ranks a round
-    /// is synchronised between.
-    rosters: Vec<Arc<RoundRoster>>,
     /// Per declared var: its chunks as `(plan part slot, local index)`.
     var_chunks: Vec<Vec<(usize, usize)>>,
     seq: u64,
@@ -369,7 +388,7 @@ impl<'c> Session<'c> {
 
     /// The computed schedule (for inspection and tests).
     pub fn schedule(&self) -> &Schedule {
-        &self.schedule
+        &self.layout.schedule
     }
 
     /// Instrumentation counters of the most recently *completed* write
@@ -445,9 +464,8 @@ impl<'c> Session<'c> {
             file,
             cfg,
             topo,
-            schedule,
+            layout,
             plan,
-            rosters,
             seq,
             ctxs,
             avail,
@@ -468,8 +486,8 @@ impl<'c> Session<'c> {
         };
         while *cur_part < plan.parts.len() {
             let pp = &plan.parts[*cur_part];
-            let part = &schedule.partitions[pp.part_index];
-            let roster = &rosters[*cur_part];
+            let part = &layout.schedule.partitions[pp.part_index];
+            let roster = &layout.rosters[pp.part_index];
             let nrounds = part.rounds.len();
             if let Some(run) = active.as_mut() {
                 *rounds_completed += run.skip_idle(part);
@@ -648,11 +666,11 @@ impl<'c> Session<'c> {
         let mut ctxs = self.ctxs.borrow_mut();
         let mut verdict = Ok(());
         for (slot, mine) in self.plan.parts.iter().enumerate() {
-            let part = &self.schedule.partitions[mine.part_index];
+            let part = &self.layout.schedule.partitions[mine.part_index];
             let ctx = ctxs[slot].take().unwrap_or_else(|| {
                 PartCtx::form(comm, part, cfg, topo.as_ref(), self.seq * 2 + 1)
             });
-            let roster = &self.rosters[slot];
+            let roster = &self.layout.rosters[mine.part_index];
             let res = ctx.read_rounds(part, roster, mine, file, &mut out, &mut stats);
             // A partition's failure must not keep this rank from the
             // later ones: their other members are waiting for it.
@@ -1007,6 +1025,41 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, TapiocaError::InvalidConfig(_)));
         });
+    }
+
+    /// The members of a build hold one schedule, built once from the
+    /// allgathered declarations: 8 ranks, 8,192 strided declarations of
+    /// 1 KiB (the `thr-grid-restart` shape).
+    #[test]
+    fn every_rank_holds_the_one_schedule_of_its_build() {
+        let path = tmp("oneschedule");
+        let grid = tapioca_workloads::GridDecomp::new_3d(64, 64, 256, 2, 2, 2, 8);
+        let config = cfg(4, 1 << 20);
+        let addrs = Runtime::run(8, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            // The workloads crate links its own build of this one.
+            let decls: Vec<WriteDecl> = grid
+                .decls_of_rank(comm.rank())
+                .iter()
+                .map(|d| WriteDecl { offset: d.offset, len: d.len })
+                .collect();
+            let all_decls = allgather_declarations(&comm, &decls);
+            let io = session(&comm, file, decls, config.clone());
+            if comm.rank() == 0 {
+                let own = compute_schedule(&all_decls, ScheduleParams {
+                    num_aggregators: config.num_aggregators,
+                    buffer_size: config.buffer_size,
+                    align_to_buffer: true,
+                });
+                assert_eq!(io.schedule(), &own);
+                assert_eq!(all_decls.iter().map(Vec::len).sum::<usize>(), 8192);
+            }
+            // Every session is alive until all addresses are taken.
+            let addr = io.schedule() as *const Schedule as usize;
+            comm.barrier();
+            addr
+        });
+        assert!(addrs.iter().all(|&a| a == addrs[0]), "one allocation: {addrs:?}");
     }
 
     #[test]

@@ -315,25 +315,31 @@ impl RoundRoster {
 
 /// Reject declarations whose extent leaves the file offset range:
 /// `offset + len` must fit `u64`. Both executors run this over the
-/// complete declaration set (thread mode after its allgather) before
-/// [`compute_schedule`], so every rank reaches the same verdict.
+/// complete declaration set (thread mode after its allgather, once per
+/// communicator) before [`compute_schedule`], so every rank reaches the
+/// same verdict.
 ///
 /// # Errors
 /// [`TapiocaError::InvalidConfig`] naming the first offending
 /// declaration.
 pub fn check_decl_extents(decls: &[Vec<WriteDecl>]) -> Result<()> {
+    decl_extent_error(decls).map_or(Ok(()), |msg| Err(TapiocaError::InvalidConfig(msg)))
+}
+
+/// [`check_decl_extents`]'s verdict as the error message, if any.
+pub(crate) fn decl_extent_error(decls: &[Vec<WriteDecl>]) -> Option<String> {
     for (rank, rd) in decls.iter().enumerate() {
         for (var, d) in rd.iter().enumerate() {
             if d.offset.checked_add(d.len).is_none() {
-                return Err(TapiocaError::InvalidConfig(format!(
+                return Some(format!(
                     "declaration {var} of rank {rank} overflows the file offset range \
                      (offset {} + len {})",
                     d.offset, d.len
-                )));
+                ));
             }
         }
     }
-    Ok(())
+    None
 }
 
 /// The round window the cut is in: round `round` of partition

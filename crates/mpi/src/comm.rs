@@ -12,7 +12,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 use crate::p2p::Mailboxes;
@@ -27,17 +27,30 @@ pub(crate) enum RegistryKind {
     Subgroup,
     Window,
     File,
+    Share,
 }
 
 /// Key identifying one shared object created collectively.
 pub(crate) type RegistryKey = (u64, RegistryKind, u64, u64); // (comm uid, kind, seq, aux)
 
+/// A shared object, built at most once by whichever member runs the
+/// initialiser first.
+type SharedCell = OnceLock<Arc<dyn Any + Send + Sync>>;
+
+/// One registry entry: the object's cell and how many members of its
+/// group have taken it so far.
+struct RegistryEntry {
+    cell: Arc<SharedCell>,
+    taken: usize,
+}
+
 /// World-level shared state: mailboxes and the registry through which
 /// collectives materialize shared objects (sub-communicators, windows,
-/// shared files) exactly once per group.
+/// shared files, [`Comm::share`] values) exactly once per group.
 pub struct WorldShared {
     pub(crate) mailboxes: Mailboxes,
-    registry: Mutex<HashMap<RegistryKey, Arc<dyn Any + Send + Sync>>>,
+    /// Objects some but not yet all members of their group have taken.
+    registry: Mutex<HashMap<RegistryKey, RegistryEntry>>,
     uid_counter: AtomicU64,
     /// Watchdog deadline for blocking collectives and receives created
     /// through this world; `None` disables the watchdog.
@@ -76,20 +89,40 @@ impl WorldShared {
         self.uid_counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Get or create the shared object for `key`. The first member to
-    /// arrive runs `create`; everyone receives the same `Arc`.
-    pub(crate) fn get_or_create<T, F>(&self, key: RegistryKey, create: F) -> Arc<T>
+    /// Get or create the shared object for `key`, one of `takers`
+    /// members' calls (the size of the group that creates it). The
+    /// first member to arrive runs `create`; everyone receives the same
+    /// `Arc`. `create` runs outside the registry lock, so a member
+    /// waiting for it blocks on this entry only. The entry leaves the
+    /// registry when its last member takes it: the registry holds an
+    /// object only while some member has yet to arrive, so the object
+    /// lives exactly as long as its members' handles, and calling again
+    /// with the same key afterwards creates a new one.
+    pub(crate) fn get_or_create<T, F>(&self, key: RegistryKey, takers: usize, create: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let mut reg = crate::lock_ok(&self.registry);
-        let entry = reg
-            .entry(key)
-            .or_insert_with(|| Arc::new(create()) as Arc<dyn Any + Send + Sync>);
-        Arc::clone(entry)
-            .downcast::<T>()
-            .expect("registry entry type matches its key kind")
+        let cell = {
+            let mut reg = crate::lock_ok(&self.registry);
+            let entry = reg
+                .entry(key)
+                .or_insert_with(|| RegistryEntry { cell: Arc::default(), taken: 0 });
+            entry.taken += 1;
+            let cell = Arc::clone(&entry.cell);
+            if entry.taken == takers {
+                reg.remove(&key);
+            }
+            cell
+        };
+        let value = cell.get_or_init(|| Arc::new(create()));
+        Arc::clone(value).downcast::<T>().expect("registry entry type matches its key kind")
+    }
+
+    /// Entries some member has yet to take.
+    #[cfg(test)]
+    pub(crate) fn registry_len(&self) -> usize {
+        crate::lock_ok(&self.registry).len()
     }
 }
 
@@ -112,21 +145,11 @@ pub(crate) struct CommShared {
 /// every member enters after reading call `k` — so one barrier per call
 /// suffices, and no read ever waits on a write. Readers take only the
 /// read lock of the slots they need, so the members leaving a barrier
-/// do not queue on one lock. The call count lives here, not in the
-/// handle, so it survives a handle formed again for the same
-/// communicator.
+/// do not queue on one lock. The call count is the handle's
+/// (`Comm::slot_calls`): each member holds one handle per communicator.
 #[derive(Default)]
 struct MemberSlots {
-    /// Slot collectives this member has entered; written only by it.
-    calls: AtomicU64,
     sets: [RwLock<Option<Vec<u8>>>; 2],
-}
-
-impl MemberSlots {
-    /// The set of this member's next slot collective.
-    fn next_set(&self) -> usize {
-        (self.calls.fetch_add(1, Ordering::Relaxed) % 2) as usize
-    }
 }
 
 impl CommShared {
@@ -150,9 +173,12 @@ pub struct Comm {
     world: Arc<WorldShared>,
     shared: Arc<CommShared>,
     my_index: usize,
+    /// Slot collectives this member has entered (see `MemberSlots`).
+    slot_calls: Cell<u64>,
     split_calls: Cell<u64>,
     win_calls: Cell<u64>,
     file_calls: Cell<u64>,
+    share_calls: Cell<u64>,
     user_calls: Cell<u64>,
 }
 
@@ -172,9 +198,11 @@ impl Comm {
             world,
             shared,
             my_index,
+            slot_calls: Cell::new(0),
             split_calls: Cell::new(0),
             win_calls: Cell::new(0),
             file_calls: Cell::new(0),
+            share_calls: Cell::new(0),
             user_calls: Cell::new(0),
         }
     }
@@ -314,10 +342,12 @@ impl Comm {
     /// Enter a slot collective: take this member's next set and write
     /// `mine` to its slot there (`None` leaves the slot as it is).
     fn contribute(&self, mine: Option<Vec<u8>>) -> usize {
-        let slots = &self.shared.slots[self.my_index];
-        let set = slots.next_set();
+        let calls = self.slot_calls.get();
+        self.slot_calls.set(calls + 1);
+        let set = (calls % 2) as usize;
         if let Some(bytes) = mine {
-            *slots.sets[set].write().unwrap_or_else(PoisonError::into_inner) = Some(bytes);
+            let slot = &self.shared.slots[self.my_index].sets[set];
+            *slot.write().unwrap_or_else(PoisonError::into_inner) = Some(bytes);
         }
         set
     }
@@ -413,14 +443,11 @@ impl Comm {
         // Everyone in the group computes the same key; the registry makes
         // exactly one CommShared per (parent, call, color).
         let key: RegistryKey = (self.shared.uid, RegistryKind::Split, seq, color);
-        let world = Arc::clone(&self.world);
-        let uid_src = Arc::clone(&self.world);
-        let members_clone = members.clone();
-        let watchdog = self.world.watchdog;
-        let shared = world.get_or_create(key, move || {
-            CommShared::new(uid_src.next_uid(), members_clone, watchdog)
+        let world = &self.world;
+        let shared = world.get_or_create(key, members.len(), || {
+            CommShared::new(world.next_uid(), members, world.watchdog)
         });
-        Comm::new(Arc::clone(&self.world), shared, my_pos)
+        Comm::new(Arc::clone(world), shared, my_pos)
     }
 
     /// Form a sub-communicator from an explicit member list (parent comm
@@ -430,7 +457,9 @@ impl Comm {
     ///
     /// Every member must pass the identical `members` list and the same
     /// `key` (a caller-chosen id making this subgroup unique per parent
-    /// communicator, e.g. `epoch * 1_000_000 + partition`).
+    /// communicator, e.g. `epoch * 1_000_000 + partition`). Forming a
+    /// key again gives a new communicator once every member has taken
+    /// the previous one, which a collective on it guarantees.
     ///
     /// # Panics
     /// Panics if the caller is not in `members` or the list is not
@@ -443,13 +472,34 @@ impl Comm {
             .expect("caller must be a member of its own subgroup");
         let world_members: Vec<Rank> = members.iter().map(|&m| self.shared.members[m]).collect();
         let reg_key: RegistryKey = (self.shared.uid, RegistryKind::Subgroup, 0, key);
-        let world = Arc::clone(&self.world);
-        let uid_src = Arc::clone(&self.world);
-        let watchdog = self.world.watchdog;
-        let shared = world.get_or_create(reg_key, move || {
-            CommShared::new(uid_src.next_uid(), world_members, watchdog)
+        let world = &self.world;
+        let shared = world.get_or_create(reg_key, members.len(), || {
+            CommShared::new(world.next_uid(), world_members, world.watchdog)
         });
-        Comm::new(Arc::clone(&self.world), shared, my_pos)
+        Comm::new(Arc::clone(world), shared, my_pos)
+    }
+
+    /// Collective: one value per call, shared by every member. The first
+    /// member to arrive runs `create`; the others wait for it and every
+    /// member receives the same `Arc`. The ranks of a communicator share
+    /// one address space, so a product every member would derive alike
+    /// from the same inputs (a round schedule from allgathered
+    /// declarations) is built once instead of once per rank. `create`
+    /// must not call collectives, and every member must call `share`
+    /// the same number of times in the same order, like any collective.
+    ///
+    /// # Panics
+    /// Panics if members of the same call ask for different types `T`.
+    pub fn share<T, F>(&self, create: F) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce() -> T,
+    {
+        self.perturb_point();
+        let seq = self.share_calls.get();
+        self.share_calls.set(seq + 1);
+        let key: RegistryKey = (self.shared.uid, RegistryKind::Share, seq, 0);
+        self.world.get_or_create(key, self.size(), create)
     }
 }
 
@@ -516,8 +566,8 @@ mod tests {
     #[test]
     fn repeated_collectives_do_not_cross_talk() {
         // Back-to-back slot collectives, on the world and on a subgroup
-        // whose handle is formed again every round over the same shared
-        // slots, under perturbed schedules.
+        // formed again with the same key every round, under perturbed
+        // schedules.
         for seed in 0..4 {
             let watchdog = Some(Duration::from_secs(10));
             let comms = make_world_perturbed(6, watchdog, Some(Perturber::new(seed)));
@@ -533,8 +583,8 @@ mod tests {
                                 continue;
                             }
                             // Three slot collectives per handle: an odd
-                            // count, so a set count that restarted with
-                            // the handle would reuse the set just read.
+                            // count, so a handle formed again on the same
+                            // slots would reuse the set just read.
                             for i in round * 4..round * 4 + 4 {
                                 let g = c.subgroup(&[0, 2, 3, 5], 7);
                                 let root = i as usize % 4;
@@ -561,10 +611,11 @@ mod tests {
         let watchdog = Some(Duration::from_secs(20));
         let mut comms = make_world_perturbed(n, watchdog, Some(Arc::clone(&p)));
         type Op = (&'static str, fn(&Comm));
-        let ops: [Op; 3] = [
+        let ops: [Op; 4] = [
             ("barrier", |c| c.barrier()),
             ("allgather_bytes", |c| assert_eq!(c.allgather_bytes(vec![c.rank() as u8]).len(), 4)),
             ("bcast", |c| assert_eq!(c.bcast(1, vec![c.rank() as u8]), vec![1])),
+            ("share", |c| assert!(*c.share(|| c.rank()) < 4)),
         ];
         for (name, op) in ops {
             let before = p.points_fired();
@@ -582,6 +633,71 @@ mod tests {
             });
             assert_eq!(p.points_fired() - before, n as u64, "{name}");
         }
+    }
+
+    /// Every member of a `share` call gets the one value its first
+    /// arrival built, and the registry forgets each value once every
+    /// member holds it.
+    #[test]
+    fn share_builds_once_per_call_and_leaves_nothing_registered() {
+        use std::sync::atomic::AtomicUsize;
+        const CALLS: usize = 200;
+        let comms = make_world_with_watchdog(16, Some(Duration::from_secs(20)));
+        let world = Arc::clone(comms[0].world());
+        let built: Vec<AtomicUsize> = (0..CALLS).map(|_| AtomicUsize::new(0)).collect();
+        let got: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = comms
+                .into_iter()
+                .map(|c| {
+                    let built = &built;
+                    s.spawn(move || {
+                        (0..CALLS)
+                            .map(|i| {
+                                let v = c.share(|| {
+                                    built[i].fetch_add(1, Ordering::Relaxed);
+                                    vec![i; 64]
+                                });
+                                assert_eq!(v[0], i);
+                                Arc::as_ptr(&v) as usize
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(built.iter().all(|b| b.load(Ordering::Relaxed) == 1));
+        assert!(got.iter().all(|ptrs| ptrs == &got[0]), "one allocation per call");
+        assert_eq!(world.registry_len(), 0);
+    }
+
+    /// Every kind of collectively created object leaves the registry
+    /// once its whole group has taken it, so nothing outlives the
+    /// handles that use it.
+    #[test]
+    fn registry_is_empty_once_every_member_has_taken_its_objects() {
+        let comms = make_world(6);
+        let world = Arc::clone(comms[0].world());
+        let dir = std::env::temp_dir().join(format!("tapioca-registry-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::thread::scope(|s| {
+            for c in comms {
+                let dir = &dir;
+                s.spawn(move || {
+                    let half = c.split(c.rank() as u64 % 2);
+                    let _win = crate::Window::allocate(&half, 8);
+                    let path = dir.join(format!("half{}", c.rank() % 2));
+                    let _file = crate::SharedFile::open_shared(&half, path);
+                    if c.rank() < 4 {
+                        let g = c.subgroup(&[0, 1, 2, 3], 1);
+                        assert_eq!(*g.share(|| 5u8), 5);
+                    }
+                    c.barrier();
+                });
+            }
+        });
+        assert_eq!(world.registry_len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -416,7 +416,7 @@ impl SharedFile {
         let key = (comm.uid(), RegistryKind::File, seq, 0);
         let path = path.as_ref().to_path_buf();
         let perturb = comm.perturber();
-        let shared = comm.world().get_or_create(key, move || {
+        let shared = comm.world().get_or_create(key, comm.size(), move || {
             SharedFile::create_perturbed(&path, perturb).expect("create shared file")
         });
         comm.barrier(); // nobody writes before the file exists

@@ -337,7 +337,7 @@ impl Window {
         let seq = comm.next_win_seq();
         let key = (comm.uid(), RegistryKind::Window, seq, 0);
         let world_ranks = comm.members();
-        let shared = comm.world().get_or_create(key, move || {
+        let shared = comm.world().get_or_create(key, comm.size(), move || {
             let n = sizes.len();
             WinShared {
                 regions: sizes.iter().map(|&s| Region::new(s as usize, pane_size)).collect(),
@@ -754,6 +754,29 @@ mod tests {
                 assert_eq!(w2.read_local(0, 0, 8), vec![2; 8]);
             }
             w1.fence(&c);
+        });
+    }
+
+    /// A window allocated on a sub-communicator formed again with a
+    /// used key is a new, zero-filled one, not the previous formation's.
+    #[test]
+    fn window_on_a_reformed_subgroup_starts_zeroed() {
+        run(2, |c| {
+            let first = c.subgroup(&[0, 1], 7);
+            let w1 = Window::allocate(&first, 1);
+            if c.rank() == 1 {
+                w1.put(0, 0, &[10]);
+            }
+            w1.fence(&first);
+            let second = c.subgroup(&[0, 1], 7);
+            let w2 = Window::allocate(&second, 1);
+            let seen = w2.read_local(0, 0, 1);
+            // Checked after the fence, so a failure leaves no member
+            // waiting in it.
+            w2.fence(&second);
+            if c.rank() == 0 {
+                assert_eq!(seen, vec![0]);
+            }
         });
     }
 
