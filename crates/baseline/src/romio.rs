@@ -7,7 +7,8 @@
 //! Collective over the communicator, one call:
 //!
 //! 1. allgathers the call's `(offset, len)` and computes the per-call
-//!    schedule: `cb_aggregators` ROMIO-style unaligned file domains,
+//!    schedule once per communicator ([`Comm::share`]):
+//!    `cb_aggregators` ROMIO-style unaligned file domains,
 //!    `cb_buffer_size` rounds;
 //! 2. per round, every rank packs, for each aggregator, its chunks of
 //!    the round (offsets travel with the payload); one `alltoallv`
@@ -105,12 +106,18 @@ pub fn collective_write(
     let mine = [WriteDecl { offset, len: data.len() as u64 }];
     let mine = if data.is_empty() { &[][..] } else { &mine[..] };
     let decls = allgather_declarations(comm, mine);
-    check_decl_extents(&decls)?;
-    let schedule = compute_schedule(&decls, ScheduleParams {
-        num_aggregators: cfg.cb_aggregators,
-        buffer_size: cfg.cb_buffer_size,
-        align_to_buffer: false,
+    // Checked and scheduled once per communicator, so every rank gets
+    // the one verdict (and message) on an overflowing declaration.
+    let shared = comm.share(|| match check_decl_extents(&decls) {
+        Ok(()) => Ok(compute_schedule(&decls, ScheduleParams {
+            num_aggregators: cfg.cb_aggregators,
+            buffer_size: cfg.cb_buffer_size,
+            align_to_buffer: false,
+        })),
+        Err(TapiocaError::InvalidConfig(msg)) => Err(msg),
+        Err(e) => Err(e.to_string()),
     });
+    let schedule = (*shared).as_ref().map_err(|msg| TapiocaError::InvalidConfig(msg.clone()))?;
     let me = comm.rank();
     // A chunk's partition has its owner as a member, so `members[0]`
     // exists wherever a chunk is sent.

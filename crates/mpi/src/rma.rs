@@ -46,8 +46,23 @@
 //! overlapping concurrent puts undefined; TAPIOCA only issues disjoint
 //! puts, so lock serialization affects timing (which this runtime does
 //! not model) but never correctness.
+//!
+//! **Window memory outlives the world that allocated it.** Panes come
+//! from one process-wide pool of byte buffers keyed by exact length: a
+//! region takes a pooled buffer of its pane's length when there is one
+//! and zero-fills it, or allocates a zeroed one; it gives its panes back
+//! when the last reference to the window goes — every member's handle
+//! *and* every [`WinSegment`] an in-flight flush still reads — so a pane
+//! is never handed out while the file worker may read it. A pane
+//! poisoned by a panicking rank is freed, not pooled. The pool needs no
+//! tunable: pooled plus live pane bytes never exceed the most live pane
+//! bytes the process has held at once, and a miss that would cross that
+//! mark frees pooled buffers first. A program that builds a fresh
+//! session per checkpoint thus stops paying first-touch page faults for
+//! memory an identical session just released.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
@@ -68,14 +83,94 @@ struct Region {
     panes: Vec<RwLock<Vec<u8>>>,
 }
 
+/// Byte buffers of dropped regions, kept for the next region that asks
+/// for the same pane length (see the module doc).
+struct PanePool {
+    state: Mutex<PoolState>,
+}
+
+struct PoolState {
+    /// Buffers no region holds, by exact length.
+    free: BTreeMap<usize, Vec<Vec<u8>>>,
+    /// Bytes in `free`.
+    pooled: usize,
+    /// Bytes in the panes of live regions.
+    live: usize,
+    /// The most `live` has ever been; `live + pooled` never exceeds it.
+    high_water: usize,
+}
+
+impl PoolState {
+    /// Take pooled buffers out, largest first, until `live + pooled` is
+    /// back under the high-water mark; the caller frees them unlocked.
+    fn release_over_bound(&mut self) -> Vec<Vec<u8>> {
+        let mut released = Vec::new();
+        for bufs in self.free.values_mut().rev() {
+            while self.live + self.pooled > self.high_water {
+                let Some(buf) = bufs.pop() else { break };
+                self.pooled -= buf.len();
+                released.push(buf);
+            }
+        }
+        released
+    }
+}
+
+/// The pool every window region takes its panes from.
+static PANES: PanePool = PanePool::new();
+
+impl PanePool {
+    const fn new() -> PanePool {
+        PanePool {
+            state: Mutex::new(PoolState {
+                free: BTreeMap::new(),
+                pooled: 0,
+                live: 0,
+                high_water: 0,
+            }),
+        }
+    }
+
+    /// A zeroed pane of `len` bytes: a pooled buffer of exactly that
+    /// length, zero-filled, or else a new allocation, made after freeing
+    /// whatever pooled buffers the high-water mark no longer covers.
+    fn take(&self, len: usize) -> Vec<u8> {
+        let mut st = lock_ok(&self.state);
+        st.live += len;
+        if let Some(mut pane) = st.free.get_mut(&len).and_then(Vec::pop) {
+            st.pooled -= len;
+            drop(st);
+            pane.fill(0);
+            return pane;
+        }
+        st.high_water = st.high_water.max(st.live);
+        let released = st.release_over_bound();
+        drop(st);
+        drop(released);
+        vec![0u8; len]
+    }
+
+    /// Take back the pane of a dropped region. A pane poisoned by a
+    /// panicking rank is freed instead.
+    fn give(&self, pane: RwLock<Vec<u8>>) {
+        let (buf, poisoned) = match pane.into_inner() {
+            Ok(buf) => (buf, false),
+            Err(e) => (e.into_inner(), true),
+        };
+        let mut st = lock_ok(&self.state);
+        st.live -= buf.len();
+        if !poisoned {
+            st.pooled += buf.len();
+            st.free.entry(buf.len()).or_default().push(buf);
+        }
+    }
+}
+
 impl Region {
     fn new(len: usize, pane_size: usize) -> Region {
         let pane_size = if pane_size == 0 { len } else { pane_size.min(len) }.max(1);
         let panes = (0..len.div_ceil(pane_size))
-            .map(|i| {
-                let plen = pane_size.min(len - i * pane_size);
-                RwLock::new(vec![0u8; plen])
-            })
+            .map(|i| RwLock::new(PANES.take(pane_size.min(len - i * pane_size))))
             .collect();
         Region { pane_size, len, panes }
     }
@@ -161,6 +256,16 @@ impl Region {
         self.spans(op, offset, len).try_for_each(|(p, po, take)| {
             f(&mut self.panes[p].write().expect("RMA pane lock poisoned")[po..po + take])
         })
+    }
+}
+
+/// Runs once the last reference to the window is gone: no member
+/// handle and no in-flight flush's [`WinSegment`] can reach the panes.
+impl Drop for Region {
+    fn drop(&mut self) {
+        for pane in self.panes.drain(..) {
+            PANES.give(pane);
+        }
     }
 }
 
@@ -304,19 +409,17 @@ impl WinSegment {
     pub fn for_each_part<E>(&self, f: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
         self.shared.regions[self.rank].for_parts("segment read", self.offset, self.len, f)
     }
-
-    /// Materialize the viewed bytes (fallback paths and tests).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        self.shared.regions[self.rank].read("segment read", self.offset, &mut out);
-        out
-    }
 }
 
 impl Window {
     /// Collectively allocate a window; every member exposes a region of
     /// `local_size` bytes (zero-initialized) as a single pane. Sizes may
     /// differ per rank.
+    ///
+    /// The memory may be reused: a pane of a window dropped earlier in
+    /// the process, by this world or another, is zero-filled and handed
+    /// out again. A window's panes return to that pool only once no
+    /// handle and no [`WinSegment`] of it is left (see the module doc).
     ///
     /// All members must call this the same number of times in the same
     /// order (it is a collective).
@@ -331,7 +434,8 @@ impl Window {
     /// Accesses remain linear-offset addressed; only lock granularity
     /// changes: accesses to different panes never contend, so an
     /// aggregator's two pipeline buffers (two panes) can be filled and
-    /// drained concurrently.
+    /// drained concurrently. Each pane is zeroed, possibly reused memory,
+    /// as in [`Window::allocate`].
     pub fn allocate_paned(comm: &Comm, local_size: usize, pane_size: usize) -> Window {
         let sizes = comm.allgather_u64(local_size as u64);
         let seq = comm.next_win_seq();
@@ -681,6 +785,28 @@ impl Window {
 }
 
 #[cfg(test)]
+impl WinSegment {
+    /// Materialize the viewed bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = vec![0u8; self.len];
+        self.shared.regions[self.rank].read("segment read", self.offset, &mut out);
+        out
+    }
+}
+
+#[cfg(test)]
+impl PanePool {
+    /// `(live, pooled, high_water)` bytes, checking the pool's bound.
+    fn counts(&self) -> (usize, usize, usize) {
+        let st = lock_ok(&self.state);
+        assert!(st.live + st.pooled <= st.high_water, "pool over its high-water mark");
+        let listed: usize = st.free.values().flatten().map(Vec::len).sum();
+        assert_eq!(listed, st.pooled, "pooled bytes miscounted");
+        (st.live, st.pooled, st.high_water)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::make_world;
@@ -900,6 +1026,87 @@ mod tests {
     fn zero_pane_size_means_one_pane() {
         assert_eq!(Region::new(4096, 0).panes.len(), 1);
         assert_eq!(Region::new(0, 0).panes.len(), 0);
+    }
+
+    #[test]
+    fn pane_pool_hit_returns_the_pooled_buffer_zeroed() {
+        let pool = PanePool::new();
+        let mut pane = pool.take(64);
+        pane.fill(0xAB);
+        let at = pane.as_ptr();
+        pool.give(RwLock::new(pane));
+        assert_eq!(pool.counts(), (0, 64, 64));
+        let again = pool.take(64);
+        assert_eq!(again.as_ptr(), at, "a hit hands out the pooled buffer");
+        assert_eq!(again, vec![0u8; 64]);
+        assert_eq!(pool.counts(), (64, 0, 64));
+    }
+
+    #[test]
+    fn pane_pool_miss_allocates_zeroed() {
+        let pool = PanePool::new();
+        assert_eq!(pool.take(16), vec![0u8; 16]);
+        assert_eq!(pool.counts(), (16, 0, 16));
+    }
+
+    /// A miss of a new length frees pooled buffers of other lengths,
+    /// largest first, only as far as the high-water mark requires.
+    #[test]
+    fn pane_pool_miss_frees_only_what_would_cross_the_high_water_mark() {
+        let pool = PanePool::new();
+        let (big, small) = (pool.take(100), pool.take(10));
+        pool.give(RwLock::new(small));
+        pool.give(RwLock::new(big));
+        assert_eq!(pool.counts(), (0, 110, 110));
+        let mid = pool.take(50);
+        assert_eq!(pool.counts(), (50, 10, 110), "the 100 is freed, the 10 kept");
+        let small = pool.take(10);
+        assert_eq!(pool.counts(), (60, 0, 110), "the kept 10 is a hit");
+        pool.give(RwLock::new(mid));
+        pool.give(RwLock::new(small));
+        assert_eq!(pool.counts(), (0, 60, 110));
+    }
+
+    /// Seeded takes and gives of four lengths: `live + pooled` stays
+    /// within the high-water mark after every step (`counts` asserts
+    /// it), and `live` is exactly the bytes handed out.
+    #[test]
+    fn pane_pool_bound_holds_after_every_take_and_give() {
+        let pool = PanePool::new();
+        let mut held: Vec<Vec<u8>> = Vec::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let pick = (x >> 33) as usize;
+            if !pick.is_multiple_of(3) || held.is_empty() {
+                let mut pane = pool.take([8, 24, 24, 64][pick % 4]);
+                assert!(pane.iter().all(|&b| b == 0));
+                pane.fill(0xEE);
+                held.push(pane);
+            } else {
+                pool.give(RwLock::new(held.swap_remove(pick % held.len())));
+            }
+            let (live, _, _) = pool.counts();
+            assert_eq!(live, held.iter().map(Vec::len).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn pane_pool_frees_a_poisoned_pane() {
+        let pool = PanePool::new();
+        let pane = RwLock::new(pool.take(32));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = pane.write();
+                panic!("a rank panics while holding the pane");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(pane.is_poisoned());
+        pool.give(pane);
+        assert_eq!(pool.counts(), (0, 0, 32), "the poisoned pane is not pooled");
+        assert_eq!(pool.take(32).len(), 32);
+        assert_eq!(pool.counts(), (32, 0, 32));
     }
 
     /// Whichever member creates the window after the allgather (an OS
