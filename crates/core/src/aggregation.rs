@@ -144,11 +144,16 @@ pub struct IoStats {
     /// Always 0, like [`IoStats::coalesced_puts`] and for the same
     /// reason.
     pub coalesced_chunks: u64,
-    /// Bytes copied into pending staging buffers by the streaming
-    /// session because they arrived before (or after) the round that
-    /// consumes them could run. Zero for in-order call sequences — the
-    /// streamed payload then flows straight from the caller's slice
-    /// into the RMA window.
+    /// Bytes the streaming session copied into its staging arena
+    /// because the round that consumes them could not run yet. A chunk
+    /// is copied unless the `write` that delivers it completes its
+    /// round: every chunk this rank owes that round, and every earlier
+    /// round of the epoch, has then arrived, and the chunk's bytes go
+    /// straight from the caller's slice into the RMA window. In-order
+    /// call sequences copy nothing only when no round takes chunks of
+    /// two of this rank's declarations; with many small declarations
+    /// per round (strided rows), all but the last chunk of each round
+    /// are copied, whatever the order.
     pub staging_copy_bytes: u64,
     /// Read direction: file segments read into the window (as
     /// aggregator), one per flush segment of the round plan.
@@ -548,8 +553,8 @@ impl PartitionRun {
 
     /// This rank's part in filling round `r`: enter the aggregator's
     /// exposure, put every chunk of the round into the window at
-    /// `slot_base`, leave. A crash replay calls it again into the fresh
-    /// window.
+    /// `slot_base` with one vectored put, leave. A crash replay calls it
+    /// again into the fresh window.
     fn contribute(
         &self,
         part: &PartitionInfo,
@@ -565,12 +570,13 @@ impl PartitionRun {
         // chunks are one range of it; `i` stays the slice index.
         let lo = chunks.partition_point(|c| (c.round as usize) < r);
         let hi = chunks.partition_point(|c| c.round as usize <= r);
-        for (i, c) in (lo..).zip(&chunks[lo..hi]) {
-            let at_offset = slot_base + c.buf_offset as usize;
-            self.ctx.win.put(self.ctx.agg_idx, at_offset, src.chunk_data(i, c));
-            stats.puts += 1;
-            stats.put_bytes += c.len;
-        }
+        let parts: Vec<(usize, &[u8])> = (lo..)
+            .zip(&chunks[lo..hi])
+            .map(|(i, c)| (slot_base + c.buf_offset as usize, src.chunk_data(i, c)))
+            .collect();
+        self.ctx.win.put_vectored(self.ctx.agg_idx, &parts);
+        stats.puts += parts.len() as u64;
+        stats.put_bytes += chunks[lo..hi].iter().map(|c| c.len).sum::<u64>();
         self.ctx.win.complete(self.ctx.agg_idx, at);
         stats.fences += 2;
     }

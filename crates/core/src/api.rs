@@ -20,10 +20,14 @@
 //! has arrived, that round's puts, synchronisation, and double-buffered
 //! flush execute inside the `write` call — payload bytes flow from the
 //! caller's slice into the RMA window with no whole-payload staging
-//! copy. Bytes that arrive *before* the round that consumes them can
-//! run (out-of-order call sequences) are held in small per-chunk
-//! pending buffers and counted in [`IoStats::staging_copy_bytes`]; an
-//! in-order sequence copies nothing.
+//! copy. A chunk whose round cannot run yet when its `write` arrives —
+//! some chunk this rank owes that round, or an earlier one, is still
+//! outstanding — is appended to the session's staging arena (one byte
+//! buffer, cleared every epoch, its capacity kept) and counted in
+//! [`IoStats::staging_copy_bytes`]. So an in-order sequence copies
+//! nothing only when each round takes chunks of one declaration of this
+//! rank; many small declarations per round (strided rows) stage all but
+//! the last chunk of every round, in any order.
 //!
 //! A [`Session`] is reusable across **epochs**: once every declared
 //! write of an epoch has been issued (on every rank), the next `write`
@@ -96,19 +100,21 @@ enum ChunkState {
     /// Payload not yet at hand.
     #[default]
     Waiting,
-    /// Payload arrived before its round could run; copied into a
-    /// pending buffer (counted in [`IoStats::staging_copy_bytes`]).
-    Pending(Vec<u8>),
+    /// Payload arrived before its round could run; copied into the
+    /// staging arena at this offset (counted in
+    /// [`IoStats::staging_copy_bytes`]).
+    Pending(usize),
     /// Consumed by its round (or direct-written after a degrade).
     Done,
 }
 
 /// Where a round's puts read their payload: the variable being written
-/// right now is served from the caller's slice; earlier out-of-order
-/// arrivals from their pending buffers.
+/// right now is served from the caller's slice; earlier arrivals from
+/// the staging arena.
 pub(crate) struct StreamSource<'a> {
     chunk_base: usize,
     states: &'a [ChunkState],
+    stage: &'a [u8],
     live_var: usize,
     live: &'a [u8],
 }
@@ -118,7 +124,7 @@ impl StreamSource<'_> {
     /// partition being run.
     pub(crate) fn chunk_data(&self, idx: usize, c: &Chunk) -> &[u8] {
         match &self.states[self.chunk_base + idx] {
-            ChunkState::Pending(buf) => buf,
+            &ChunkState::Pending(at) => &self.stage[at..at + c.len as usize],
             ChunkState::Waiting => {
                 debug_assert_eq!(c.var, self.live_var, "waiting chunk of a non-live var");
                 &self.live[c.var_offset as usize..(c.var_offset + c.len) as usize]
@@ -312,7 +318,7 @@ impl<'c> SessionBuilder<'c> {
             active: None,
             degraded_from: vec![None; nparts],
             rounds_completed: 0,
-            pool: Vec::new(),
+            stage: Vec::new(),
             epoch_failed: None,
             epoch_stats: IoStats::default(),
             last_stats: None,
@@ -357,8 +363,9 @@ pub struct Session<'c> {
     /// this epoch (late arrivals for it go straight to the file).
     degraded_from: Vec<Option<usize>>,
     rounds_completed: u64,
-    /// Recycled pending-chunk buffers.
-    pool: Vec<Vec<u8>>,
+    /// Staging arena: the bytes of every `Pending` chunk of the epoch,
+    /// appended as they arrive, cleared when the epoch completes.
+    stage: Vec<u8>,
     /// First write error of the current epoch, returned by its last
     /// `write`; the epoch runs on so no peer is left waiting.
     epoch_failed: Option<TapiocaError>,
@@ -474,7 +481,7 @@ impl<'c> Session<'c> {
             active,
             degraded_from,
             rounds_completed,
-            pool,
+            stage,
             epoch_failed,
             epoch_stats,
             ..
@@ -526,6 +533,7 @@ impl<'c> Session<'c> {
                 let src = StreamSource {
                     chunk_base: pp.chunk_base,
                     states: chunk_state,
+                    stage,
                     live_var,
                     live,
                 };
@@ -534,15 +542,8 @@ impl<'c> Session<'c> {
             match outcome {
                 RoundOutcome::Ran => {
                     let (s, e) = pp.round_ranges[r];
-                    for i in s..e {
-                        let gi = pp.chunk_base + i;
-                        if let ChunkState::Pending(mut b) =
-                            std::mem::replace(&mut chunk_state[gi], ChunkState::Done)
-                        {
-                            b.clear();
-                            pool.push(b);
-                        }
-                    }
+                    chunk_state[pp.chunk_base + s..pp.chunk_base + e]
+                        .fill_with(|| ChunkState::Done);
                     *rounds_completed += 1;
                 }
                 RoundOutcome::Degraded => {
@@ -558,10 +559,9 @@ impl<'c> Session<'c> {
                         let gi = pp.chunk_base + i;
                         chunk_state[gi] = match std::mem::take(&mut chunk_state[gi]) {
                             ChunkState::Done => ChunkState::Done,
-                            ChunkState::Pending(mut b) => {
-                                run.record(direct_write(file, c, &b));
-                                b.clear();
-                                pool.push(b);
+                            ChunkState::Pending(at) => {
+                                let d = &stage[at..at + c.len as usize];
+                                run.record(direct_write(file, c, d));
                                 ChunkState::Done
                             }
                             ChunkState::Waiting => {
@@ -586,7 +586,7 @@ impl<'c> Session<'c> {
     }
 
     /// Park the chunks of `var` that `advance` did not consume: copy
-    /// them into pending buffers (counted), or — when their partition
+    /// them into the staging arena (counted), or — when their partition
     /// already degraded — write them straight to the file.
     fn stash_or_direct(&mut self, var: usize, live: &[u8]) {
         for &(pslot, li) in &self.var_chunks[var] {
@@ -604,10 +604,8 @@ impl<'c> Session<'c> {
                 self.chunk_state[gi] = ChunkState::Done;
                 continue;
             }
-            let mut b = self.pool.pop().unwrap_or_default();
-            b.clear();
-            b.extend_from_slice(d);
-            self.chunk_state[gi] = ChunkState::Pending(b);
+            self.chunk_state[gi] = ChunkState::Pending(self.stage.len());
+            self.stage.extend_from_slice(d);
             self.epoch_stats.staging_copy_bytes += c.len;
         }
     }
@@ -627,6 +625,7 @@ impl<'c> Session<'c> {
         for st in &mut self.chunk_state {
             *st = ChunkState::Waiting;
         }
+        self.stage.clear();
         self.degraded_from.iter_mut().for_each(|d| *d = None);
         match self.epoch_failed.take() {
             Some(e) => Err(e),
@@ -780,8 +779,8 @@ mod tests {
                     assert_eq!(outcome, WriteOutcome::Flushed);
                 }
             }
-            // In declaration order the rank's chunks arrive in pipeline
-            // order, so nothing is copied into pending buffers.
+            // In declaration order every round's chunks arrive in one
+            // write, so nothing is copied into the staging arena.
             assert_eq!(io.stats().unwrap().staging_copy_bytes, 0, "rank {r}");
             io.finalize();
         });
@@ -798,7 +797,7 @@ mod tests {
     #[test]
     fn out_of_order_writes_are_staged_and_correct() {
         // Same workload as above, but every rank issues its vars in
-        // reverse: later-region payloads wait in pending buffers.
+        // reverse: later-region payloads wait in the staging arena.
         let path = tmp("xyz-rev");
         let n = 4;
         let var_len = 64u64;

@@ -42,7 +42,9 @@
 //! locked **panes** ([`Window::allocate_paned`]): an aggregator exposing
 //! its two pipeline buffers as two panes can have one buffer drained in
 //! place by the I/O worker (through a [`WinSegment`] view) while the
-//! other is concurrently filled by next-round puts. MPI leaves
+//! other is concurrently filled by next-round puts. A
+//! [`Window::put_vectored`] takes a pane's lock once for its consecutive
+//! parts in that pane, and holds one pane at a time. MPI leaves
 //! overlapping concurrent puts undefined; TAPIOCA only issues disjoint
 //! puts, so lock serialization affects timing (which this runtime does
 //! not model) but never correctness.
@@ -63,7 +65,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use crate::comm::{Comm, RegistryKind};
@@ -203,16 +205,6 @@ impl Region {
             pos += take;
             span
         })
-    }
-
-    /// Copy `data` into the region at `offset`, pane by pane.
-    fn write(&self, offset: usize, data: &[u8]) {
-        let mut done = 0;
-        for (p, po, take) in self.spans("put", offset, data.len()) {
-            let mut pane = self.panes[p].write().expect("RMA pane lock poisoned");
-            pane[po..po + take].copy_from_slice(&data[done..done + take]);
-            done += take;
-        }
     }
 
     /// Copy `out.len()` bytes from the region at `offset`, pane by pane.
@@ -485,16 +477,53 @@ impl Window {
         self.scope.as_ref()
     }
 
-    /// Deposit `data` into `target`'s region at `offset` (one-sided).
+    /// Deposit `data` into `target`'s region at `offset` (one-sided):
+    /// a [`Window::put_vectored`] of one part.
     ///
     /// # Panics
     /// Panics if the write exceeds the target region.
     pub fn put(&self, target: Rank, offset: usize, data: &[u8]) {
-        self.perturb_point();
-        self.shared.regions[target].write(offset, data);
-        #[cfg(feature = "trace")]
-        if let Some(scope) = &self.scope {
-            scope.rma_put(target, offset as u64, data.len() as u64);
+        self.put_vectored(target, &[(offset, data)]);
+    }
+
+    /// Deposit each `(offset, bytes)` part into `target`'s region, in
+    /// the order given (one-sided; several puts issued as one call, like
+    /// a noncontiguous `MPI_Put`). Each part is its own put: it passes a
+    /// perturbation point before its bytes move and records one
+    /// `rma_put` trace event after. What the call saves is locking: a
+    /// pane's write lock is taken once for a run of consecutive parts
+    /// that fall in that pane, and released before the next pane's is
+    /// taken, so the call never holds two panes at once.
+    ///
+    /// # Panics
+    /// Panics if any part exceeds the target region. Every part is
+    /// checked before the first byte moves, so an overflowing part
+    /// deposits nothing and poisons no pane.
+    pub fn put_vectored(&self, target: Rank, parts: &[(usize, &[u8])]) {
+        let region = &self.shared.regions[target];
+        for &(offset, data) in parts {
+            region.check_bounds("put", offset, data.len());
+        }
+        let mut held: Option<(usize, RwLockWriteGuard<'_, Vec<u8>>)> = None;
+        for &(offset, data) in parts {
+            self.perturb_point();
+            let mut done = 0;
+            for (p, po, take) in region.spans("put", offset, data.len()) {
+                let mut pane = match held.take() {
+                    Some((q, pane)) if q == p => pane,
+                    other => {
+                        drop(other);
+                        region.panes[p].write().expect("RMA pane lock poisoned")
+                    }
+                };
+                pane[po..po + take].copy_from_slice(&data[done..done + take]);
+                done += take;
+                held = Some((p, pane));
+            }
+            #[cfg(feature = "trace")]
+            if let Some(scope) = &self.scope {
+                scope.rma_put(target, offset as u64, data.len() as u64);
+            }
         }
     }
 
@@ -992,6 +1021,35 @@ mod tests {
                 assert_eq!(seg.to_bytes(), (0..24u8).collect::<Vec<u8>>());
             }
             win.fence(&c);
+
+            // A vectored put lands exactly what its parts put one by one
+            // do. The parts come in descending offset order: one crosses
+            // 30, two share the pane 20..30, one is empty, one crosses 10.
+            let one_by_one = Window::allocate_paned(&c, 32, 10);
+            let vectored = Window::allocate_paned(&c, 32, 10);
+            let bytes: Vec<u8> = (1..=32u8).collect();
+            let parts: Vec<(usize, &[u8])> = [(28, 4), (22, 3), (20, 2), (15, 0), (3, 9)]
+                .iter()
+                .map(|&(o, n)| (o, &bytes[o..o + n]))
+                .collect();
+            if c.rank() == 1 {
+                for &(o, d) in &parts {
+                    one_by_one.put(0, o, d);
+                }
+                vectored.put_vectored(0, &parts);
+            }
+            one_by_one.fence(&c);
+            vectored.fence(&c);
+            if c.rank() == 0 {
+                let got = vectored.read_local(0, 0, 32);
+                assert_eq!(got, one_by_one.read_local(0, 0, 32));
+                let mut want = vec![0u8; 32];
+                for &(o, d) in &parts {
+                    want[o..o + d.len()].copy_from_slice(d);
+                }
+                assert_eq!(got, want);
+            }
+            vectored.fence(&c);
         });
     }
 
@@ -1393,7 +1451,15 @@ mod tests {
     fn oversized_put_panics() {
         let comms = make_world(1);
         let c = comms.into_iter().next().unwrap();
-        let win = Window::allocate(&c, 4);
-        win.put(0, 2, &[0; 4]);
+        let win = Window::allocate_paned(&c, 8, 4);
+        // Only the last part overflows: it is caught before the first
+        // part's bytes move, and no pane is left poisoned.
+        let vectored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            win.put_vectored(0, &[(0, &[1; 3]), (5, &[1; 4])])
+        }));
+        let msg = vectored.expect_err("vectored overflow").downcast::<String>().unwrap();
+        assert!(msg.contains("exceeds window region"), "vectored: {msg}");
+        assert_eq!(win.read_local(0, 0, 8), vec![0u8; 8]);
+        win.put(0, 6, &[1; 4]);
     }
 }

@@ -6,12 +6,15 @@
 //! byte-identical to the fault-free run, recovery traces must satisfy
 //! every checker invariant, and an exhausted retry budget must degrade
 //! to direct per-rank writes — still byte-identical, never deadlocked —
-//! surfacing as [`WriteOutcome::Degraded`], not a panic.
+//! surfacing as [`WriteOutcome::Degraded`], not a panic. Chunks staged
+//! before their round runs must reach the file through crash replays
+//! and degraded direct writes alike.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use tapioca::prelude::*;
+use tapioca::schedule::Chunk;
 use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, SimReport, StorageConfig};
 use tapioca::{FaultPlan, FaultSpec, IoPolicy};
 use tapioca_check::{check, ViolationKind};
@@ -19,6 +22,7 @@ use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
 use tapioca_topology::theta_profile;
 use tapioca_trace::{Trace, TraceOp, Tracer};
+use tapioca_workloads::grid::GridDecomp;
 
 /// 8 ranks x 256 B contiguous blocks, 2 aggregators, 256 B buffers:
 /// two 4-member partitions with 4 rounds each — enough structure for
@@ -462,4 +466,119 @@ fn single_member_partitions_ignore_crash_plans() {
         acc
     });
     assert_eq!(total.reelections, 0, "no standby, no re-election");
+}
+
+/// Strided 2-D grid: 32 rows of 16 eight-byte cells over 2 x 4 ranks,
+/// so each rank declares 16 rows of 32 B. Two aggregators with 512 B
+/// buffers give two 4-member partitions of 4 rounds, and every
+/// contributor owes each round 4 chunks, one per declaration.
+fn strided_grid() -> GridDecomp {
+    GridDecomp::new_2d(32, 16, 2, 4, 8)
+}
+
+/// The byte at file offset `at` in `epoch`.
+fn grid_byte(at: u64, epoch: u64) -> u8 {
+    (at * 7 + at / 13 + epoch * 101) as u8
+}
+
+/// A seeded permutation of `0..n`, one per rank.
+fn shuffled(n: usize, rank: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ rank as u64;
+    for i in (1..n).rev() {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        order.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    order
+}
+
+#[test]
+fn staged_chunks_survive_crash_replay_and_degrade() {
+    // Shuffled strided writes stage most chunks before their round
+    // runs. Partition 0's aggregator crashes in round 1, so the replay
+    // re-puts staged bytes into the new window; partition 1 stalls in
+    // round 1 and degrades, so its later chunks go to the file straight
+    // from the staging arena. Two epochs on one session, each traced on
+    // its own.
+    const EPOCHS: u64 = 2;
+    let grid = strided_grid();
+    assert_eq!(grid.num_ranks(), NRANKS);
+    let tracer = Tracer::new(NRANKS);
+    let cfg = TapiocaConfig {
+        num_aggregators: 2,
+        buffer_size: 512,
+        faults: Some(
+            FaultPlan::seeded(3)
+                .with(FaultSpec::AggregatorCrash { partition: 0, round: 1 })
+                .with(FaultSpec::FlushStall { partition: 1, round: 1 }),
+        ),
+        io_policy: fast_policy(2),
+        tracer: Some(Arc::clone(&tracer)),
+        ..Default::default()
+    };
+    let path = tmp("staged-faults");
+    let traces = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let (path2, traces2, results2) = (path.clone(), Arc::clone(&traces), Arc::clone(&results));
+    Runtime::run(NRANKS, move |comm| {
+        let r = comm.rank();
+        let decls = grid.decls_of_rank(r);
+        let mut io = Session::builder(&comm, SharedFile::open_shared(&comm, &path2))
+            .declarations(decls.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        let mine = &io.schedule().chunks_by_rank[r];
+        let in_round = |c: &Chunk| {
+            mine.iter().filter(|o| (o.partition, o.round) == (c.partition, c.round)).count()
+        };
+        assert!(mine.iter().all(|c| in_round(c) == 4), "rank {r}: 4 chunks per round");
+        let order = shuffled(decls.len(), r);
+        for epoch in 0..EPOCHS {
+            let mut outcome = None;
+            for &v in &order {
+                let d = decls[v];
+                let data: Vec<u8> =
+                    (d.offset..d.offset + d.len).map(|at| grid_byte(at, epoch)).collect();
+                outcome = Some(io.write(d.offset, &data).unwrap());
+            }
+            let stats = *io.stats().unwrap();
+            results2.lock().unwrap().push((r, epoch, outcome.unwrap(), stats));
+            comm.barrier();
+            if r == 0 {
+                traces2.lock().unwrap().push(tracer.drain());
+            }
+            comm.barrier();
+        }
+        io.finalize();
+    });
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let image: Vec<u8> =
+        (0..strided_grid().total_bytes()).map(|at| grid_byte(at, EPOCHS - 1)).collect();
+    assert!(bytes == image, "file differs from the last epoch's payload image");
+
+    let results = results.lock().unwrap();
+    let staged = |r: usize, e: u64| {
+        results.iter().find(|x| x.0 == r && x.1 == e).map(|x| x.3.staging_copy_bytes).unwrap()
+    };
+    for r in 0..NRANKS {
+        assert_eq!(staged(r, 0), staged(r, 1), "rank {r}: staged bytes differ between epochs");
+    }
+    assert!((0..NRANKS).map(|r| staged(r, 0)).sum::<u64>() > 0, "nothing was staged");
+    for &(r, epoch, outcome, stats) in results.iter() {
+        let want = if r < NRANKS / 2 { WriteOutcome::Flushed } else { WriteOutcome::Degraded };
+        assert_eq!(outcome, want, "rank {r} epoch {epoch}");
+        assert_eq!(stats.reelections, u64::from(r == 0), "rank {r} epoch {epoch}");
+    }
+
+    let traces = traces.lock().unwrap();
+    assert_eq!(traces.len(), EPOCHS as usize);
+    for (epoch, trace) in traces.iter().enumerate() {
+        let ops: Vec<TraceOp> = trace.events().iter().map(|e| e.op).collect();
+        assert!(ops.contains(&TraceOp::Reelect), "epoch {epoch}: no re-election traced");
+        assert!(ops.contains(&TraceOp::Degrade), "epoch {epoch}: no degrade traced");
+        let v = check(trace);
+        assert!(v.is_empty(), "epoch {epoch}: trace has violations: {v:?}");
+    }
 }

@@ -4,8 +4,10 @@
 //! Covered here, on the mira/theta x ior/hacc grid the paper evaluates:
 //! * a streamed session's file is bit-identical to the payload image,
 //!   the declared payloads laid out at their offsets;
-//! * any per-rank `write()` issue order produces the same file (late
-//!   bytes are staged into pending buffers, never reordered on disk);
+//! * any per-rank `write()` issue order produces the same file (a
+//!   chunk whose round cannot run yet — some chunk this rank owes that
+//!   round or an earlier one is outstanding — is staged in the
+//!   session's arena, never reordered on disk);
 //! * epoch reuse is deterministic: a reused session produces the same
 //!   per-epoch stats and the same final bytes as a fresh one;
 //! * (with the `trace` feature) streamed traces — including per-epoch
