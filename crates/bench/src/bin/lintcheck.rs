@@ -12,6 +12,9 @@
 //! * `lock-in-loop` — acquiring a `Mutex` inside a loop while another
 //!   lock guard bound outside the loop is still live (lock-ordering /
 //!   contention smell);
+//! * `item-after-test` — a top-level item without `#[cfg(test)]` after
+//!   the file's first `#[cfg(test)]`: the walk stops at that attribute,
+//!   so such an item would be neither linted nor counted;
 //! * `doc-path` — a backticked `*.rs` name in README.md, DESIGN.md or
 //!   EXPERIMENTS.md that names no file git tracks. A name matches a
 //!   tracked path's trailing components, also with `crates/` and `src/`
@@ -186,6 +189,42 @@ fn scan_source(rel: &str, src: &str, findings: &mut Vec<Finding>) {
             }
             guards.push(depth);
         }
+    }
+    scan_test_tail(rel, src, findings);
+}
+
+/// `item-after-test` findings of `src`: top-level items that follow the
+/// first `#[cfg(test)]` line (where [`non_test_lines`] stops) without
+/// carrying `#[cfg(test)]` themselves.
+fn scan_test_tail(rel: &str, src: &str, findings: &mut Vec<Finding>) {
+    let mut depth: i64 = 0;
+    let mut in_tail = false;
+    // The attributes since the last top-level item include `#[cfg(test)]`.
+    let mut test_attr = false;
+    for (i, raw) in src.lines().enumerate() {
+        let line = sanitize(raw);
+        let t = line.trim();
+        if raw.trim_start().starts_with("#[cfg(test)]") {
+            in_tail = true;
+            test_attr |= depth == 0;
+        }
+        let item = depth == 0
+            && !raw.starts_with(char::is_whitespace)
+            && !t.is_empty()
+            && !t.starts_with(['#', '{', '}', ')', ']'])
+            && !t.starts_with("where");
+        if item {
+            if in_tail && !test_attr {
+                findings.push(Finding {
+                    rule: "item-after-test",
+                    path: rel.to_string(),
+                    line: i + 1,
+                    excerpt: raw.trim().chars().take(90).collect(),
+                });
+            }
+            test_attr = false;
+        }
+        depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
     }
 }
 
@@ -475,6 +514,20 @@ mod tests {
     fn stops_at_test_module() {
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { x.unwrap(); }\n}\n";
         assert!(rules(src).is_empty());
+    }
+
+    /// A library item after test code is flagged wherever the first
+    /// `#[cfg(test)]` sits; test-only items after it are not.
+    #[test]
+    fn flags_library_items_after_test_code() {
+        let src = "struct A;\nimpl A {\n    #[cfg(test)]\n    fn t() {}\n}\n\
+                   /// doc\nfn lib()\nwhere\n    A: Sized,\n{\n}\n\
+                   #[cfg(test)]\n/// doc\nimpl A {\n    fn u() {}\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() {}\n}\n";
+        assert_eq!(rules(src), vec![("item-after-test", 7)]);
+        let tail = "fn lib() {}\n#[cfg(test)]\nimpl A {\n    fn u() {}\n}\n\
+                    #[cfg(test)]\nmod tests {}\n";
+        assert!(rules(tail).is_empty());
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! {
 //!   "schema": "tapioca-perfbench/v12",
 //!   "smoke": false,
-//!   "loc": { "core": 0, "mpi": 0, "netsim": 0, "...": 0 },
 //!   "suites": {
 //!     "election": [ { "machine", "strategy", "weights", "members",
 //!                     "ranks", "ranks_per_node", "reps", "naive_ns",
@@ -35,10 +34,6 @@
 //!   }
 //! }
 //! ```
-//!
-//! `loc` is the workspace's non-test, non-comment library code lines
-//! per crate (the count `lintcheck` prints), so a line-count change is
-//! visible beside the timings it bought.
 //!
 //! `election` rows come in two membership shapes. `"weights":
 //! "random"` is an irregular membership (clustered runs plus
@@ -89,7 +84,6 @@ use tapioca::placement::{
 use tapioca::prelude::*;
 use tapioca::sim_exec::{SimReport, SimSession, StorageConfig};
 use tapioca_bench::hacc_mira;
-use tapioca_bench::loc::code_lines_per_crate;
 use tapioca_netsim::{Recompute, Simulator};
 use tapioca_pfs::GpfsTunables;
 use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider, MIB};
@@ -542,15 +536,8 @@ fn main() {
     election_suite(smoke, &mut election);
     netsim_incremental_suite(smoke, &mut incremental);
 
-    let loc: Vec<String> = code_lines_per_crate(std::path::Path::new(root))
-        .iter()
-        .map(|(krate, n)| format!("\"{krate}\": {n}"))
-        .collect();
-    let loc = loc.join(", ");
-
     let json = format!(
         "{{\n  \"schema\": \"tapioca-perfbench/v12\",\n  \"smoke\": {smoke},\n  \
-         \"loc\": {{{loc}}},\n  \
          \"suites\": {{\n   \"election\": [{election}\n   ],\n   \
          \"scale\": {scale},\n   \
          \"netsim_incremental\": [{incremental}\n   ]\n  }}\n}}\n"

@@ -1,6 +1,5 @@
-//! The workspace's non-test library sources and their size — the walk
-//! `lintcheck` lints and the `loc` object `perfbench` records, so the
-//! two always agree on what "library code" means.
+//! The workspace's non-test library sources and their size: the walk
+//! `lintcheck` lints and the per-crate line count it prints.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -33,8 +32,9 @@ pub fn library_sources(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// The lines of `src` before its first `#[cfg(test)]` item (repo
-/// convention: the test module ends the file).
+/// The lines of `src` before its first `#[cfg(test)]` line (repo
+/// convention: test code ends the file, which `lintcheck`'s
+/// `item-after-test` rule enforces).
 pub fn non_test_lines(src: &str) -> impl Iterator<Item = &str> {
     src.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
 }

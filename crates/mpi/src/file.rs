@@ -152,10 +152,6 @@ impl Notify {
         }
         Ok((st.reclaimed.take(), st.error.clone()))
     }
-
-    fn is_done(&self) -> bool {
-        lock_ok(&self.state).done
-    }
 }
 
 /// Handle to an in-flight non-blocking write.
@@ -165,20 +161,12 @@ pub struct IoHandle {
 }
 
 impl IoHandle {
-    /// Block until the write has been applied to the file (or its retry
-    /// budget exhausted).
-    pub fn wait(self) -> Result<(), IoError> {
-        match self.notify.wait_take() {
-            (_, None) => Ok(()),
-            (_, Some(e)) => Err(e),
-        }
-    }
-
     /// Block until the write has been applied, reclaiming its buffer for
     /// reuse (`None` for zero-byte flushes). The double-buffer drain
     /// loop uses this to refill windows without per-round allocation.
-    /// The buffer is dropped on error; use [`IoHandle::wait_parts`] to
-    /// keep it for a direct-write fallback.
+    /// The buffer is dropped on error; use
+    /// [`IoHandle::wait_parts_timeout`] to keep it for a direct-write
+    /// fallback.
     pub fn wait_reclaim(self) -> Result<Option<Vec<u8>>, IoError> {
         match self.notify.wait_take() {
             (buf, None) => Ok(buf),
@@ -189,14 +177,10 @@ impl IoHandle {
     /// Block until completion, returning both the reclaimed buffer and
     /// the error, if any. A failed write still hands its buffer back so
     /// the caller can fall back to a direct write of the same bytes.
-    pub fn wait_parts(self) -> (Option<Vec<u8>>, Option<IoError>) {
-        self.notify.wait_take()
-    }
-
-    /// [`IoHandle::wait_parts`] with a per-op deadline: after `limit`
-    /// the wait reports [`IoError::Timeout`] instead of blocking forever
-    /// on a stalled device (`None` disables the deadline). On timeout
-    /// the operation stays in flight and the worker keeps the buffer.
+    /// After `limit` the wait reports [`IoError::Timeout`] instead of
+    /// blocking forever on a stalled device (`None` disables the
+    /// deadline). On timeout the operation stays in flight and the
+    /// worker keeps the buffer.
     pub fn wait_parts_timeout(self, limit: Option<Duration>) -> (Option<Vec<u8>>, Option<IoError>) {
         match limit {
             None => self.notify.wait_take(),
@@ -205,28 +189,6 @@ impl IoHandle {
                 Err(()) => (None, Some(IoError::Timeout { op: "iwrite_at", waited: l })),
             },
         }
-    }
-
-    /// Non-blocking [`IoHandle::wait_parts`]: if the operation already
-    /// completed, returns its parts (reclaimed buffer and error, if
-    /// any); otherwise hands the handle back untouched, still in
-    /// flight. Streaming drain loops use this to reclaim the buffers
-    /// of finished flushes opportunistically, without ever blocking
-    /// the round pipeline on an operation that is not done yet.
-    ///
-    /// # Errors
-    /// `Err(self)` when the operation is still in flight.
-    pub fn try_parts(self) -> std::result::Result<(Option<Vec<u8>>, Option<IoError>), IoHandle> {
-        if self.notify.is_done() {
-            Ok(self.notify.wait_take())
-        } else {
-            Err(self)
-        }
-    }
-
-    /// Non-consuming completion test.
-    pub fn test(&self) -> bool {
-        self.notify.is_done()
     }
 
     /// An already-completed handle (for zero-byte flushes).
@@ -374,7 +336,7 @@ impl SharedFile {
                     let error = run_job(&worker_file, &job);
                     // Record completion *before* signalling the handle:
                     // the flush event must land in the aggregator's trace
-                    // lane ahead of anything ordered after `wait()` (in
+                    // lane ahead of anything ordered after the handle's wait (in
                     // particular the release fence), or lane order stops
                     // being a happens-before witness for the checker.
                     // Failed writes are not durable and record nothing.
@@ -546,9 +508,8 @@ mod tests {
         // Overlapping writes in submission order: the later one wins.
         let h1 = f.iwrite_at(0, vec![1u8; 8]);
         let h2 = f.iwrite_at(4, vec![2u8; 8]);
-        assert!(!h2.test() || h2.test()); // test() callable before wait
-        h1.wait().unwrap();
-        h2.wait().unwrap();
+        h1.wait_reclaim().unwrap();
+        h2.wait_reclaim().unwrap();
         assert_eq!(f.read_at(0, 12).unwrap(), [1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]);
     }
 
@@ -556,8 +517,9 @@ mod tests {
     fn empty_iwrite_is_immediately_ready() {
         let f = SharedFile::create(tmp("empty")).unwrap();
         let h = f.iwrite_at(0, Vec::<u8>::new());
-        assert!(h.test());
-        h.wait().unwrap();
+        // a zero deadline does not time out: the handle is already done
+        let (buf, err) = h.wait_parts_timeout(Some(Duration::ZERO));
+        assert!(buf.is_none() && err.is_none(), "got {err:?}");
     }
 
     #[test]
@@ -569,32 +531,6 @@ mod tests {
         assert_eq!(f.read_at(3, 16).unwrap(), vec![9u8; 16]);
         // zero-byte flushes have no buffer to give back
         assert_eq!(f.iwrite_at(0, Vec::<u8>::new()).wait_reclaim().unwrap(), None);
-    }
-
-    #[test]
-    fn try_parts_is_nonblocking() {
-        let f = SharedFile::create(tmp("tryparts")).unwrap();
-        // A stalled write is still in flight: try_parts hands the
-        // handle back instead of blocking.
-        let hint = FaultHint { fail_attempts: 0, delay: Duration::from_millis(100) };
-        let h = iwrite_policy(&f, 0, vec![3u8; 8], IoPolicy::default(), Some(hint));
-        let h = match h.try_parts() {
-            Err(h) => h,
-            Ok(_) => panic!("stalled write reported done immediately"),
-        };
-        h.wait().unwrap();
-        // Once complete, try_parts returns the reclaimed buffer.
-        let h2 = f.iwrite_at(16, vec![4u8; 8]);
-        while !h2.test() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        match h2.try_parts() {
-            Ok((buf, err)) => {
-                assert_eq!(buf, Some(vec![4u8; 8]));
-                assert!(err.is_none());
-            }
-            Err(_) => panic!("completed write still reported in flight"),
-        }
     }
 
     #[test]
@@ -653,7 +589,7 @@ mod tests {
         };
         let hint = FaultHint { fail_attempts: u32::MAX, delay: Duration::ZERO };
         let h = iwrite_policy(&f, 0, vec![7u8; 16], policy, Some(hint));
-        let (buf, err) = h.wait_parts();
+        let (buf, err) = h.wait_parts_timeout(None);
         // the buffer comes back for a direct-write fallback
         assert_eq!(buf, Some(vec![7u8; 16]));
         match err {
@@ -715,7 +651,7 @@ mod tests {
         };
         let hint = FaultHint { fail_attempts: u32::MAX, delay: Duration::ZERO };
         let h = iwrite_policy(&f, 0, win.segment(0, 0, 16), policy, Some(hint));
-        let (buf, err) = h.wait_parts();
+        let (buf, err) = h.wait_parts_timeout(None);
         assert_eq!(buf, None);
         assert!(matches!(err, Some(IoError::Exhausted { .. })), "got {err:?}");
         // the submitter's fallback re-reads the same bytes from the window
@@ -735,9 +671,9 @@ mod tests {
         let f = SharedFile::create(tmp("traced")).unwrap();
         let h =
             f.iwrite_at_policy(96, vec![7u8; 64], IoPolicy::default(), None, Some(scope.stamp()));
-        h.wait().unwrap();
+        h.wait_reclaim().unwrap();
         // the worker records the flush *before* signalling, so the event
-        // is visible as soon as wait() returns
+        // is visible as soon as the wait returns
         let t = tracer.drain();
         let flush = t.events().iter().find(|e| e.op == TraceOp::Flush).expect("flush recorded");
         assert_eq!((flush.partition, flush.round, flush.bytes), (2, 3, 64));

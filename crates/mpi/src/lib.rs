@@ -2,10 +2,12 @@
 //!
 //! An in-process MPI-like runtime: ranks are OS threads inside one
 //! process, communicators provide the collectives TAPIOCA needs
-//! (barrier, broadcast, allgather, allreduce with MINLOC), one-sided
-//! **RMA windows** provide `put` with post/start/complete/wait (and
-//! `fence`) synchronisation, and **shared files**
-//! provide positioned writes with non-blocking flushes.
+//! (barrier, allgather, allreduce with MINLOC, sub-communicators, and
+//! the all-to-all exchange of the two-phase baseline), one-sided **RMA
+//! windows** provide `put` with post/start/complete/wait (and `fence`)
+//! synchronisation, and **shared files** provide positioned writes with
+//! non-blocking flushes. There is no point-to-point messaging: nothing
+//! TAPIOCA runs needs it.
 //!
 //! This is the substitute for the paper's MPI substrate (MPICH2 on Mira,
 //! Cray MPI on Theta): the TAPIOCA algorithm — Algorithm 3's double
@@ -28,9 +30,10 @@
 //!   `put`s issued before the fence are visible to every member after it
 //!   returns — MPI_Win_fence semantics.
 //! * [`file::SharedFile::iwrite_at`] is a non-blocking positioned write
-//!   served by a dedicated I/O thread per file; [`file::IoHandle::wait`]
-//!   blocks until durable in the page cache (matching the paper's use of
-//!   non-blocking MPI I/O to overlap aggregation with flushes).
+//!   served by a dedicated I/O thread per file;
+//!   [`file::IoHandle::wait_reclaim`] blocks until durable in the page
+//!   cache (matching the paper's use of non-blocking MPI I/O to overlap
+//!   aggregation with flushes).
 //!
 //! ## What is deliberately simplified
 //!
@@ -53,7 +56,6 @@
 pub mod comm;
 pub mod fault;
 pub mod file;
-pub mod p2p;
 pub mod perturb;
 pub mod rma;
 pub mod runtime;
@@ -80,6 +82,3 @@ pub(crate) fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T
 
 /// Rank index within a communicator (0-based, dense).
 pub type Rank = usize;
-
-/// Message tag for point-to-point matching.
-pub type Tag = u64;

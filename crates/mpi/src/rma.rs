@@ -938,7 +938,8 @@ mod tests {
     #[test]
     fn window_over_subcomm() {
         run(6, |c| {
-            let sub = c.split((c.rank() % 2) as u64);
+            let parity = c.rank() % 2;
+            let sub = c.subgroup(&[parity, parity + 2, parity + 4], parity as u64);
             let win = Window::allocate(&sub, 3);
             win.put(0, sub.rank(), &[sub.rank() as u8]);
             win.fence(&sub);

@@ -42,9 +42,9 @@ impl Runtime {
     /// drove them) after all threads are joined by the scope.
     ///
     /// A default watchdog (120 s, or `TAPIOCA_WATCHDOG_SECS`) guards
-    /// every blocking barrier and receive: a deadlocked collective
-    /// panics with the stuck rank's name and wait state instead of
-    /// hanging forever.
+    /// every blocking barrier and window synchronisation call: a
+    /// deadlocked collective or round panics with the stuck rank's name
+    /// and wait state instead of hanging forever.
     pub fn run<T, F>(n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn spmd_pipeline_with_collectives() {
         let out = Runtime::run(5, |c| {
-            let total = c.allreduce_sum_u64(c.rank() as u64 + 1);
+            let total: u64 = c.allgather_u64(c.rank() as u64 + 1).iter().sum();
             c.barrier();
             total
         });
@@ -160,11 +160,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "stuck in recv")]
-    fn deadlocked_recv_names_the_stuck_rank() {
+    #[should_panic(expected = "have not completed — member(s) 1 (world rank 1)")]
+    fn deadlocked_window_wait_names_the_stuck_rank() {
+        use crate::{RoundTag, Window};
         Runtime::run_with_watchdog(2, Some(Duration::from_millis(100)), |c| {
+            let win = Window::allocate(&c, 8);
             if c.rank() == 0 {
-                let _ = c.recv(1, 42); // rank 1 never sends
+                let at = RoundTag { partition: 0, round: 0 };
+                win.post(&[1], at);
+                win.wait(&[1], at); // rank 1 never starts or completes
             }
         });
     }
@@ -192,9 +196,9 @@ mod tests {
 
     #[test]
     fn perturbed_run_matches_unperturbed_results() {
-        let plain = Runtime::run(4, |c| c.allreduce_sum_u64(c.rank() as u64));
+        let plain = Runtime::run(4, |c| c.allgather_u64(c.rank() as u64));
         for seed in [1u64, 2, 3] {
-            let out = Runtime::run_perturbed(4, seed, |c| c.allreduce_sum_u64(c.rank() as u64));
+            let out = Runtime::run_perturbed(4, seed, |c| c.allgather_u64(c.rank() as u64));
             assert_eq!(out, plain);
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! The central piece is a **generation barrier**: arrivals are counted
 //! under a mutex, and every party but the last parks its own thread.
-//! `std::sync::Barrier` would also work, but we need subgroup barriers
-//! created dynamically for split communicators, a barrier that hands
+//! `std::sync::Barrier` would also work, but we need barriers
+//! created dynamically for subgroup communicators, a barrier that hands
 //! back the generation for debugging, and a watchdog deadline so a
 //! deadlocked collective fails with a diagnosis instead of hanging CI
 //! forever.

@@ -61,7 +61,7 @@ fn an_in_flight_flush_keeps_its_panes() {
         drop(win);
         let next = Window::allocate_paned(&comm, LEN, LEN / 3);
         next.put(0, 0, &[0xCD; LEN]);
-        flush.wait().expect("flush");
+        flush.wait_reclaim().expect("flush");
     });
     let bytes = file.read_at(0, LEN).expect("read back");
     assert!(bytes.iter().all(|&b| b == 0x5A), "the flush wrote bytes of a later window");
