@@ -15,8 +15,8 @@
 //! node placement, so `C2 = 0` there (the paper's own fallback).
 //!
 //! Besides the paper's strategy this module implements the baselines and
-//! ablations compared in the benches: rank-order (MPICH-like), shortest
-//! path to storage only, worst-case, and seeded random placement.
+//! ablations the placement experiments compare: rank-order (MPICH-like),
+//! shortest path to storage only, worst-case, and seeded random placement.
 
 use std::ops::Range;
 
@@ -130,31 +130,6 @@ pub fn election_cost(
     }
 }
 
-/// Reference election: evaluate every candidate pairwise — O(P²)
-/// topology queries — and return the winner's index into `members`.
-/// Mirrors exactly what the distributed MINLOC election of thread mode
-/// computes. Executors elect through [`elect_partitions`]; this is the
-/// oracle its node-folded path is proven bit-identical against.
-pub fn elect_aggregator(
-    topo: &dyn TopologyProvider,
-    members: &[Rank],
-    weights: &[u64],
-    io: IoNodeId,
-    partition_index: usize,
-    strategy: PlacementStrategy,
-) -> usize {
-    assert!(!members.is_empty(), "cannot elect from an empty partition");
-    assert_eq!(members.len(), weights.len());
-    let mut best = (f64::INFINITY, usize::MAX);
-    for cand in 0..members.len() {
-        let c = election_cost(topo, members, weights, io, partition_index, strategy, cand);
-        if c < best.0 || (c == best.0 && cand < best.1) {
-            best = (c, cand);
-        }
-    }
-    best.1
-}
-
 /// Dense node-level metric table of one partition: every quantity the
 /// cost model asks the topology for, once per node pair.
 ///
@@ -163,21 +138,20 @@ pub fn elect_aggregator(
 /// depend only on `node(i)` and `node(A)`, and `C2` only on `node(A)`,
 /// so a partition spanning `n` nodes needs `n²` pair queries and `n`
 /// I/O queries — made through one member of each node — whatever its
-/// member count. Both the fold and the exact replay read this table and
-/// nothing else, so election cost is a function of the nodes a
-/// partition spans, not of how many candidates survive the prune.
+/// member count. The exact costs and the autotuner's folded costs read
+/// this table and nothing else.
 struct PartitionTable {
     /// Table slot (dense node index) of each member.
     slot: Vec<usize>,
     /// Number of slots.
     nn: usize,
-    /// `l * d(t -> s)` at `[s * nn + t]`: the oracle's own product.
+    /// `l * d(t -> s)` at `[s * nn + t]`: [`aggregation_cost`]'s own product.
     lat: Vec<f64>,
     /// `B(t -> s)` at `[s * nn + t]`; intra-node bandwidth on the diagonal.
     bw: Vec<f64>,
-    /// `C2` of a candidate on slot `s`, from the oracle's [`io_cost`].
+    /// `C2` of a candidate on slot `s`, from [`io_cost`].
     c2: Vec<f64>,
-    /// `-1.0` under `WorstCase` (the oracle negates the cost), else `1.0`.
+    /// `-1.0` under `WorstCase` ([`election_cost`] negates it), else `1.0`.
     sign: f64,
 }
 
@@ -199,7 +173,7 @@ impl PartitionTable {
             rep[s] = m;
         }
         let l = topo.latency();
-        // Same exact integer sum the oracle's `topo_aware_cost` performs.
+        // Same exact integer sum `topo_aware_cost` performs.
         let total: u64 = weights.iter().sum();
         let mut lat = Vec::with_capacity(nn * nn);
         let mut bw = Vec::with_capacity(nn * nn);
@@ -216,15 +190,15 @@ impl PartitionTable {
     }
 
     /// The election cost of `members[cand]`, bit-identical to
-    /// [`election_cost`]: members in oracle order, the oracle's
-    /// expression per term (each table entry is the very `f64` the
-    /// oracle computes per pair), `C2` added last, then the sign.
+    /// [`election_cost`]: members in its order, its expression per term
+    /// (each table entry is the very `f64` it computes per pair), `C2`
+    /// added last, then the sign.
     ///
     /// Every member of one run (see [`PartitionTable::runs`]) gets the
     /// same value, bit for bit: the candidate's slot picks the table
     /// row, `C2` and the sign, and a run's members all contribute the
     /// same term, so skipping any one of them leaves the same sequence
-    /// of f64 additions. One replay per run is therefore exact.
+    /// of f64 additions. One evaluation per run is therefore exact.
     fn cost(&self, weights: &[u64], cand: usize) -> f64 {
         let s = self.slot[cand];
         let lat = &self.lat[s * self.nn..][..self.nn];
@@ -257,12 +231,12 @@ impl PartitionTable {
         })
     }
 
-    /// The node-folded, unsigned `C1 + C2` of every member, paired with
-    /// the [`fold_tolerance`] bound on its divergence from
-    /// [`PartitionTable::cost`]. `C1` folds into a sum over nodes of
-    /// per-node member counts and weight totals, less the candidate's
-    /// own weight: `nodes²` work however many members a node holds.
-    fn folded(&self, weights: &[u64]) -> Vec<(f64, f64)> {
+    /// The node-folded, unsigned `C1 + C2` of every member. `C1` folds
+    /// into a sum over nodes of per-node member counts and weight totals,
+    /// less the candidate's own weight: `nodes²` work however many members
+    /// a node holds. Folding reassociates the sum, so a value can differ
+    /// from [`PartitionTable::cost`] in its last bits.
+    fn folded(&self, weights: &[u64]) -> Vec<f64> {
         let nn = self.nn;
         let mut count = vec![0.0f64; nn];
         let mut w_sum = vec![0.0f64; nn];
@@ -282,89 +256,16 @@ impl PartitionTable {
         self.slot
             .iter()
             .zip(weights)
-            .map(|(&s, &w)| {
-                let intra_bw = self.bw[s * nn + s];
-                let f = base[s] + (w_sum[s] - w as f64) / intra_bw;
-                (f, fold_tolerance(weights.len(), base[s] + w_sum[s] / intra_bw))
-            })
+            .map(|(&s, &w)| base[s] + (w_sum[s] - w as f64) / self.bw[s * nn + s])
             .collect()
     }
 }
 
-/// The node-folded `TopologyAware` cost of every member: within
-/// [`fold_tolerance`] of [`election_costs`] under `TopologyAware`, from
-/// the same `nodes²` table, but without the exact per-member replay.
-/// The autotuner's ω(A) reads its aggregation term from this vector.
+/// The node-folded `TopologyAware` cost of every member: [`election_costs`]
+/// under `TopologyAware` up to the last bits, from the same table. The
+/// autotuner's ω(A) reads its aggregation term from this vector.
 pub(crate) fn folded_costs(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> Vec<f64> {
-    let table = PartitionTable::new(topo, part, false);
-    table.folded(part.weights).into_iter().map(|(f, _)| f).collect()
-}
-
-/// Upper bound on `|oracle_cost - folded_cost|` for one candidate.
-///
-/// Both evaluations sum the same `p`-ish positive real terms (`C2` is
-/// even computed with identical operations); sequential f64 summation of
-/// `n` terms is within `n * eps` relative error of the real value, so
-/// the two orders diverge by at most a small multiple of
-/// `p * eps * magnitude`, where `magnitude` bounds the sum of absolute
-/// term values (not the result — the folded per-candidate cost subtracts
-/// the candidate's own weight from its node total, and that cancellation
-/// keeps *absolute* error bounded by the term magnitudes even when the
-/// result is tiny). The factor 8 is slack over the textbook bound.
-fn fold_tolerance(p: usize, magnitude: f64) -> f64 {
-    8.0 * (p as f64 + 16.0) * f64::EPSILON * magnitude
-}
-
-/// The candidates [`elect_folded`] replays: the first member of every
-/// run (see [`PartitionTable::runs`]) whose folded cost window
-/// (`± fold_tolerance`) overlaps the best window, ascending.
-///
-/// A run's members share a slot and a weight, hence one folded cost and
-/// one window: they survive the prune together or fall together, and
-/// their exact costs are equal, so MINLOC's lowest-index tie-break picks
-/// the run's first member whenever the run holds the winner.
-fn replayed_candidates(table: &PartitionTable, weights: &[u64]) -> Vec<usize> {
-    let folded = table.folded(weights);
-    let window = |i: usize| {
-        let (f, d) = folded[i];
-        (table.sign * f - d, table.sign * f + d)
-    };
-    let best_upper = (0..weights.len()).map(|i| window(i).1).fold(f64::INFINITY, f64::min);
-    table.runs(weights).map(|run| run.start).filter(|&i| window(i).0 <= best_upper).collect()
-}
-
-/// Node-folded `TopologyAware` / `WorstCase` election of one partition:
-/// same winner as [`elect_aggregator`], with `nodes²` topology queries
-/// instead of `P²`.
-///
-/// The member sum of `C1` folds into a node sum
-/// ([`PartitionTable::folded`]). Folding reassociates the floating-point
-/// sum, so a folded cost can differ from the oracle's pairwise sum by a
-/// few ulps — enough to flip a MINLOC tie. To stay *bit-identical* to
-/// the oracle, the folded costs are only used to prune: every run whose
-/// folded cost window (`± fold_tolerance`, a rigorous bound on the
-/// divergence between the two summation orders) overlaps the best window
-/// is replayed once, at its first member, through
-/// [`PartitionTable::cost`] — the oracle's exact arithmetic, equal for
-/// every member of the run — and the winner is chosen among those
-/// survivors with oracle MINLOC semantics. The true winner's run always
-/// survives the prune, and the winner is that run's first member, so the
-/// result is provably the oracle's. Uniform weights on a symmetric
-/// fabric leave a large share of the members tied inside the window (123
-/// of 175 per partition on Theta IOR, 38 of 129 on Mira HACC), but they
-/// sit in runs of a node's co-located ranks, so one replay per node
-/// suffices: O(runs × P) exact arithmetic instead of O(survivors × P).
-fn elect_folded(topo: &dyn TopologyProvider, part: &PartitionElection<'_>, worst: bool) -> usize {
-    let weights = part.weights;
-    let table = PartitionTable::new(topo, part, worst);
-    let mut best = (f64::INFINITY, usize::MAX);
-    for i in replayed_candidates(&table, weights) {
-        let c = table.cost(weights, i);
-        if c < best.0 || (c == best.0 && i < best.1) {
-            best = (c, i);
-        }
-    }
-    best.1
+    PartitionTable::new(topo, part, false).folded(part.weights)
 }
 
 /// One partition's election inputs, borrowed from the schedule.
@@ -407,48 +308,35 @@ pub fn election_costs(
             }
             costs
         }
-        PlacementStrategy::ShortestPathToIo => io_distances(topo, part).collect(),
+        // `d(member, IO)` (`u32 -> f64` is exact), asked once per run of
+        // co-located members: the distance depends on the node only.
+        PlacementStrategy::ShortestPathToIo => {
+            let mut last: Option<(NodeId, f64)> = None;
+            members
+                .iter()
+                .map(|&m| {
+                    let node = topo.node_of_rank(m);
+                    let c = match last {
+                        Some((n, c)) if n == node => c,
+                        _ => topo.distance_to_io_node(m, io).map(|d| d as f64).unwrap_or(0.0),
+                    };
+                    last = Some((node, c));
+                    c
+                })
+                .collect()
+        }
         PlacementStrategy::RankOrder | PlacementStrategy::Random { .. } => (0..members.len())
             .map(|i| election_cost(topo, members, weights, io, partition_index, strategy, i))
             .collect(),
     }
 }
 
-/// `d(member, IO)` of every member, the oracle's `ShortestPathToIo`
-/// cost (`u32 -> f64` is exact), asking the topology once per run of
-/// co-located members — the distance depends on the node only.
-fn io_distances<'p>(
-    topo: &'p dyn TopologyProvider,
-    part: &'p PartitionElection<'p>,
-) -> impl Iterator<Item = f64> + 'p {
-    let mut last: Option<(NodeId, f64)> = None;
-    part.members.iter().map(move |&m| {
-        let node = topo.node_of_rank(m);
-        let c = match last {
-            Some((n, c)) if n == node => c,
-            _ => topo.distance_to_io_node(m, part.io).map(|d| d as f64).unwrap_or(0.0),
-        };
-        last = Some((node, c));
-        c
-    })
-}
-
-/// `ShortestPathToIo` election: the oracle's ascending MINLOC scan over
-/// [`io_distances`].
-fn elect_nearest_io(topo: &dyn TopologyProvider, part: &PartitionElection<'_>) -> usize {
-    let mut best = (f64::INFINITY, usize::MAX);
-    for (i, c) in io_distances(topo, part).enumerate() {
-        if c < best.0 {
-            best = (c, i);
-        }
-    }
-    best.1
-}
-
-/// Elect aggregators for a batch of independent partitions: the winner
-/// of [`elect_aggregator`] for each, in order, as an index into that
-/// partition's `members`. Serial — callers with independent batches
-/// (the file groups of `SimSession::build`) fan out above this.
+/// Elect aggregators for a batch of independent partitions: for each,
+/// in order, the MINLOC of its [`election_costs`] — the lowest cost,
+/// ties to the lowest index, as the distributed `MPI_Allreduce(MPI_MINLOC)`
+/// over [`election_cost`] decides it — as an index into that partition's
+/// `members`. Serial — callers with independent batches (the file groups
+/// of `SimSession::build`) fan out above this.
 pub fn elect_partitions(
     topo: &dyn TopologyProvider,
     parts: &[PartitionElection<'_>],
@@ -459,22 +347,8 @@ pub fn elect_partitions(
         .map(|part| {
             assert!(!part.members.is_empty(), "cannot elect from an empty partition");
             assert_eq!(part.members.len(), part.weights.len());
-            match strategy {
-                PlacementStrategy::TopologyAware => elect_folded(topo, part, false),
-                PlacementStrategy::WorstCase => elect_folded(topo, part, true),
-                // Constant under MINLOC: member 0 always has the lowest cost.
-                PlacementStrategy::RankOrder => 0,
-                PlacementStrategy::ShortestPathToIo => elect_nearest_io(topo, part),
-                // Pure integer hashing, already O(P): the oracle itself.
-                PlacementStrategy::Random { .. } => elect_aggregator(
-                    topo,
-                    part.members,
-                    part.weights,
-                    part.io,
-                    part.partition_index,
-                    strategy,
-                ),
-            }
+            let costs = election_costs(topo, part, strategy);
+            (1..costs.len()).fold(0, |best, i| if costs[i] < costs[best] { i } else { best })
         })
         .collect()
 }
@@ -588,6 +462,19 @@ mod tests {
         mira_profile(512, 16).machine
     }
 
+    /// The winner [`elect_partitions`] picks for one partition served by
+    /// I/O node 0.
+    fn elect(
+        topo: &dyn TopologyProvider,
+        members: &[Rank],
+        weights: &[u64],
+        partition_index: usize,
+        strategy: PlacementStrategy,
+    ) -> usize {
+        let part = PartitionElection { members, weights, io: 0, partition_index };
+        elect_partitions(topo, &[part], strategy)[0]
+    }
+
     #[test]
     fn c1_is_zero_for_sole_member() {
         let m = mira();
@@ -629,8 +516,8 @@ mod tests {
         // members spread over one Pset, equal weights
         let members: Vec<usize> = (0..16).map(|i| i * 8 * 16).collect();
         let weights = vec![16_000_000u64; members.len()];
-        let ta = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::TopologyAware);
-        let ro = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::RankOrder);
+        let ta = elect(&m, &members, &weights, 0, PlacementStrategy::TopologyAware);
+        let ro = elect(&m, &members, &weights, 0, PlacementStrategy::RankOrder);
         assert_eq!(ro, 0);
         let cost_ta = topo_aware_cost(&m, &members, &weights, 0, ta);
         let cost_ro = topo_aware_cost(&m, &members, &weights, 0, ro);
@@ -642,8 +529,8 @@ mod tests {
         let m = mira();
         let members: Vec<usize> = (0..8).map(|i| i * 60 * 16).collect();
         let weights = vec![1_000_000u64; 8];
-        let best = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::TopologyAware);
-        let worst = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::WorstCase);
+        let best = elect(&m, &members, &weights, 0, PlacementStrategy::TopologyAware);
+        let worst = elect(&m, &members, &weights, 0, PlacementStrategy::WorstCase);
         let cb = topo_aware_cost(&m, &members, &weights, 0, best);
         let cw = topo_aware_cost(&m, &members, &weights, 0, worst);
         assert!(cw >= cb);
@@ -654,13 +541,13 @@ mod tests {
         let m = mira();
         let members: Vec<usize> = (0..10).collect();
         let weights = vec![1u64; 10];
-        let a = elect_aggregator(&m, &members, &weights, 0, 3, PlacementStrategy::Random { seed: 42 });
-        let b = elect_aggregator(&m, &members, &weights, 0, 3, PlacementStrategy::Random { seed: 42 });
+        let a = elect(&m, &members, &weights, 3, PlacementStrategy::Random { seed: 42 });
+        let b = elect(&m, &members, &weights, 3, PlacementStrategy::Random { seed: 42 });
         assert_eq!(a, b);
         // different partitions usually differ (not guaranteed, but with
         // 10 members collisions across 8 partitions are unlikely to all match)
         let picks: Vec<usize> = (0..8)
-            .map(|p| elect_aggregator(&m, &members, &weights, 0, p, PlacementStrategy::Random { seed: 42 }))
+            .map(|p| elect(&m, &members, &weights, p, PlacementStrategy::Random { seed: 42 }))
             .collect();
         assert!(picks.iter().any(|&x| x != picks[0]));
     }
@@ -671,7 +558,7 @@ mod tests {
         // include a rank on bridge node 0 (rank 0) and distant ranks
         let members = vec![0usize, 40 * 16, 90 * 16];
         let weights = vec![1u64; 3];
-        let w = elect_aggregator(&m, &members, &weights, 0, 0, PlacementStrategy::ShortestPathToIo);
+        let w = elect(&m, &members, &weights, 0, PlacementStrategy::ShortestPathToIo);
         assert_eq!(w, 0);
     }
 
@@ -720,41 +607,10 @@ mod tests {
         }
     }
 
-    /// One exact replay per surviving run, never one per survivor: a
-    /// uniform Theta block has one run per node, so a 2,048-member block
-    /// (128 nodes) replays at most 128 candidates, and the
-    /// `sim-theta-ior` shape (176 members, 11 nodes) at most 11. The
-    /// replayed set is the run starts whose window survives, and the
-    /// winner it yields is the argmin of the exact cost vector.
-    #[test]
-    fn election_replays_at_most_one_candidate_per_run() {
-        let theta = theta_profile(512, 16).machine;
-        for (start, n, max_replays) in [(0, 2048, 128), (176 * 3, 176, 11)] {
-            let members: Vec<Rank> = (start..start + n).collect();
-            let weights = vec![1u64 << 20; n];
-            let part = PartitionElection {
-                members: &members,
-                weights: &weights,
-                io: 0,
-                partition_index: 0,
-            };
-            let table = PartitionTable::new(&theta, &part, false);
-            let runs: Vec<usize> = table.runs(&weights).map(|run| run.start).collect();
-            assert_eq!(runs, (0..n).step_by(16).collect::<Vec<_>>(), "one run per node");
-            let replayed = replayed_candidates(&table, &weights);
-            let replays = replayed.len();
-            assert!(replays > 0 && replays <= max_replays, "{replays} replays");
-            assert!(replayed.iter().all(|i| runs.contains(i)));
-            let costs = election_costs(&theta, &part, PlacementStrategy::TopologyAware);
-            let argmin = (0..n).reduce(|b, i| if costs[i] < costs[b] { i } else { b }).unwrap();
-            assert_eq!(elect_folded(&theta, &part, false), argmin);
-        }
-    }
-
     #[test]
     #[should_panic(expected = "empty partition")]
     fn empty_members_panics() {
         let m = mira();
-        elect_aggregator(&m, &[], &[], 0, 0, PlacementStrategy::TopologyAware);
+        elect(&m, &[], &[], 0, PlacementStrategy::TopologyAware);
     }
 }

@@ -691,8 +691,8 @@ impl<'s> LayoutTable<'s> {
         let io_nodes = machine.io_nodes_for(&group.ranks);
         let io = io_nodes.first().copied().unwrap_or(0);
 
-        // Elect one aggregator per partition (node-folded); each election
-        // is exactly the distributed MINLOC of thread mode.
+        // Elect one aggregator per partition: the MINLOC of its election
+        // costs, exactly the distributed MINLOC of thread mode.
         let (members_global, choices) =
             elect_schedule(machine, &sched, &group.ranks, io, cfg.strategy);
 

@@ -361,20 +361,26 @@ impl Comm {
     /// the previous one, which a collective on it guarantees.
     ///
     /// # Panics
-    /// Panics if the caller is not in `members` or the list is not
-    /// strictly ascending.
+    /// Panics if the caller is not in `members`, the list is not
+    /// strictly ascending, or another member list formed under `key` on
+    /// this parent has not yet been taken by all of its members.
     pub fn subgroup(&self, members: &[Rank], key: u64) -> Comm {
         assert!(members.windows(2).all(|w| w[0] < w[1]), "members must be strictly ascending");
         let my_pos = members
             .iter()
             .position(|&m| m == self.my_index)
             .expect("caller must be a member of its own subgroup");
-        let world_members: Vec<Rank> = members.iter().map(|&m| self.shared.members[m]).collect();
+        let world_rank = |&m: &Rank| self.shared.members[m];
         let reg_key: RegistryKey = (self.shared.uid, RegistryKind::Subgroup, 0, key);
         let world = &self.world;
-        let shared = world.get_or_create(reg_key, members.len(), || {
+        let shared: Arc<CommShared> = world.get_or_create(reg_key, members.len(), || {
+            let world_members = members.iter().map(world_rank).collect();
             CommShared::new(world.next_uid(), world_members, world.watchdog)
         });
+        assert!(
+            shared.members.iter().copied().eq(members.iter().map(world_rank)),
+            "subgroup key {key} formed with two member lists on one parent"
+        );
         Comm::new(Arc::clone(world), shared, my_pos)
     }
 
@@ -698,6 +704,17 @@ mod tests {
         let mut it = comms.into_iter();
         let c0 = it.next().unwrap();
         c0.subgroup(&[1], 9);
+    }
+
+    /// Member 0 of `[0, 1]` forms under key 9, then the other rank forms
+    /// `[1]` under the same key before member 1 of the first group has
+    /// taken it: the second caller finds the first group's entry.
+    #[test]
+    #[should_panic(expected = "subgroup key 9 formed with two member lists")]
+    fn subgroup_key_reused_by_another_group_panics() {
+        let comms = make_world(2);
+        let _a = comms[0].subgroup(&[0, 1], 9);
+        comms[1].subgroup(&[1], 9);
     }
 
     #[test]

@@ -37,10 +37,11 @@
 //! re-settled when a re-waterfill changes its rate *bitwise*. Because
 //! re-waterfilling an untouched component reproduces its rates exactly
 //! (same members, same order, same capacities), the incremental engine
-//! and the full-recompute reference ([`Recompute::Full`]) perform
-//! identical floating-point operations on every flow and produce
-//! **bit-identical** schedules — asserted by the equivalence sweeps here
-//! and in `tests/netsim_incremental.rs`.
+//! and the full-recompute reference (every live component re-waterfilled
+//! whole at every event, kept for the tests) perform identical
+//! floating-point operations on every flow and produce **bit-identical**
+//! schedules — asserted by the equivalence sweeps of this module's
+//! `recompute_equivalence` tests.
 //!
 //! # Submission state
 //!
@@ -145,20 +146,6 @@ impl Ord for TimeKey {
     }
 }
 
-/// Which flows a membership event re-waterfills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Recompute {
-    /// Re-waterfill every live component, whole, at every
-    /// membership-changing event — the reference engine, kept for
-    /// equivalence sweeps and benchmarking the sharded path against.
-    Full,
-    /// Re-waterfill only the dirty rate-coupled blocks of dirtied
-    /// components (the default). Bit-identical to [`Recompute::Full`] by
-    /// construction (see the module docs).
-    #[default]
-    Incremental,
-}
-
 /// Flow-level network simulator over a fixed link-capacity table.
 ///
 /// Cloning copies the whole state — submitted flows, pending arrivals,
@@ -181,8 +168,9 @@ pub struct Simulator {
     /// Reusable waterfilling scratch (see `refill_component`): dense
     /// per-link state plus the list of links touched by member flows.
     scratch: Scratch,
-    /// Incremental vs full re-waterfilling (see [`Recompute`]).
-    recompute: Recompute,
+    /// Re-waterfill every live component whole at every event: the
+    /// reference the equivalence tests hold the incremental path to.
+    full_recompute: bool,
     /// Interference components over active flows.
     comps: Components,
     /// Interned routes: flows hold `(start, len)` spans into this arena
@@ -365,20 +353,13 @@ impl Simulator {
             pending: BinaryHeap::new(),
             slack: 0.0,
             scratch: Scratch::default(),
-            recompute: Recompute::default(),
+            full_recompute: false,
             comps: Components::default(),
             route_arena: Vec::new(),
             route_dedup: HashMap::new(),
             route_collisions: Vec::new(),
             refill_roots: Vec::new(),
         }
-    }
-
-    /// Select incremental (default) or full re-waterfilling. Both are
-    /// bit-identical; [`Recompute::Full`] exists as the reference for
-    /// equivalence sweeps and benchmarks.
-    pub fn set_recompute(&mut self, mode: Recompute) {
-        self.recompute = mode;
     }
 
     /// Set the completion batching window: flows finishing within
@@ -592,15 +573,14 @@ impl Simulator {
         }
     }
 
-    /// Re-waterfill whatever the current [`Recompute`] mode says needs
-    /// it: the dirty blocks of the dirtied components, or every live
-    /// component whole.
+    /// Re-waterfill the dirty blocks of the dirtied components, or, in
+    /// the full-recompute reference, every live component whole.
     fn refill_dirty(&mut self) {
         if !self.comps.has_dirty() {
             return;
         }
         let mut roots = std::mem::take(&mut self.refill_roots);
-        let whole = self.recompute == Recompute::Full;
+        let whole = self.full_recompute;
         if whole {
             self.comps.take_all_live(&mut roots);
         } else {
@@ -933,6 +913,15 @@ impl Simulator {
     pub fn run_to_idle(&mut self) -> SimTime {
         while self.step() {}
         self.time
+    }
+}
+
+#[cfg(test)]
+impl Simulator {
+    /// Switch between the full-recompute reference (`true`) and the
+    /// incremental path (`false`, the default).
+    fn set_full_recompute(&mut self, full: bool) {
+        self.full_recompute = full;
     }
 }
 
@@ -1296,10 +1285,11 @@ mod tests {
         }
 
         /// Bit patterns of every flow's finish time after running the
-        /// scenario built by `build` under the given recompute mode.
-        fn finishes(mode: Recompute, build: impl Fn(&mut Simulator)) -> Vec<u64> {
+        /// scenario built by `build`, under the full-recompute reference
+        /// (`full`) or the incremental path.
+        fn finishes(full: bool, build: impl Fn(&mut Simulator)) -> Vec<u64> {
             let mut s = Simulator::with_capacities(Vec::new());
-            s.set_recompute(mode);
+            s.set_full_recompute(full);
             build(&mut s);
             s.run_to_idle();
             (0..s.num_flows())
@@ -1309,8 +1299,8 @@ mod tests {
 
         fn assert_identical_labeled(label: &str, build: impl Fn(&mut Simulator)) {
             assert_eq!(
-                finishes(Recompute::Full, &build),
-                finishes(Recompute::Incremental, &build),
+                finishes(true, &build),
+                finishes(false, &build),
                 "{label}: Incremental diverged from Full"
             );
         }
@@ -1549,6 +1539,245 @@ mod tests {
                     }
                 };
                 assert_identical_labeled(&format!("case {case}"), build);
+            }
+        }
+
+        /// SplitMix64 — the workspace's standard seeded generator.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: u64) -> u64 {
+                self.next() % n
+            }
+
+            /// Uniform in [0, 1) with 53-bit resolution.
+            fn f64(&mut self) -> f64 {
+                (self.next() >> 11) as f64 / (1u64 << 53) as f64
+            }
+        }
+
+        /// One seeded workload — random routes, dependency edges,
+        /// completion slack, mid-run capacity scaling and virtual-link
+        /// growth — under the full-recompute reference (`full`) or the
+        /// incremental path: the bit patterns of every flow's finish
+        /// time, in flow order.
+        fn run_case(case: u64, full: bool) -> Vec<u64> {
+            let mut rng = Rng(0xC0FF_EE00 ^ case.wrapping_mul(0x0123_4567_89AB_CDEF));
+            let n_links = 8 + rng.below(184) as usize;
+            let caps: Vec<f64> = (0..n_links).map(|_| 1e9 * (1.0 + rng.below(16) as f64)).collect();
+
+            let mut sim = Simulator::with_capacities(caps);
+            sim.set_full_recompute(full);
+            if case.is_multiple_of(5) {
+                sim.set_completion_slack(1e-6);
+            }
+
+            let n_flows = 12 + rng.below(36) as usize;
+            let mut ids = Vec::with_capacity(n_flows);
+            for _ in 0..n_flows {
+                let len = 1 + rng.below(7) as usize;
+                let mut route = Vec::with_capacity(len);
+                while route.len() < len {
+                    let l = rng.below(n_links as u64) as usize;
+                    if !route.contains(&l) {
+                        route.push(l);
+                    }
+                }
+                let start = rng.f64() * 4.0;
+                let delay = if rng.below(3) == 0 { rng.f64() * 1e-4 } else { 0.0 };
+                let bytes = 1e6 + rng.f64() * 5e9;
+                let mut deps = Vec::new();
+                if !ids.is_empty() && rng.below(3) == 0 {
+                    for _ in 0..=rng.below(3) {
+                        deps.push(ids[rng.below(ids.len() as u64) as usize]);
+                    }
+                }
+                ids.push(sim.submit_with_deps(start, delay, &route, bytes, &deps));
+            }
+
+            // Mid-run perturbations: capacity scaling must invalidate every
+            // component, virtual-link growth must resize the link tables.
+            if case.is_multiple_of(3) {
+                for _ in 0..5 {
+                    if !sim.step() {
+                        break;
+                    }
+                }
+                sim.scale_capacities(0.4 + rng.f64() * 0.6);
+            }
+            if case.is_multiple_of(7) {
+                for _ in 0..3 {
+                    if !sim.step() {
+                        break;
+                    }
+                }
+                let vl = sim.add_virtual_link(2e9);
+                let shared = rng.below(n_links as u64) as usize;
+                ids.push(sim.submit(sim.now() + 0.1, [shared, vl], 3e9));
+            }
+
+            sim.run_to_idle();
+            ids.iter()
+                .map(|&id| sim.finish_time(id).expect("all flows complete").to_bits())
+                .collect()
+        }
+
+        #[test]
+        fn incremental_bit_identical_to_full_recompute() {
+            const CASES: u64 = 72;
+            for case in 0..CASES {
+                let reference = run_case(case, true);
+                let got = run_case(case, false);
+                assert_eq!(got.len(), reference.len(), "case {case}: flow count");
+                for (i, (&g, &r)) in got.iter().zip(&reference).enumerate() {
+                    assert!(
+                        g == r,
+                        "case {case}: flow {i} finish {} != reference {}",
+                        f64::from_bits(g),
+                        f64::from_bits(r),
+                    );
+                }
+            }
+        }
+
+        /// One seeded storage-shaped workload: flushes over private links
+        /// and a few shared gateways into a few storage sinks, with
+        /// dependencies chaining them into rounds. The sinks saturate and
+        /// the gateways mostly do not, so each interference component
+        /// holds several rate-coupled blocks, and components grow past
+        /// the size where the engine starts keeping blocks.
+        fn run_storage_case(case: u64, full: bool) -> Vec<u64> {
+            let mut rng = Rng(0x5702_A6E0 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut sim = Simulator::with_capacities(Vec::new());
+            sim.set_full_recompute(full);
+            if case.is_multiple_of(4) {
+                sim.set_completion_slack(1e-6);
+            }
+            let gateways: Vec<usize> = (0..1 + rng.below(4))
+                .map(|_| sim.add_virtual_link(1e9 * (20 + rng.below(60)) as f64))
+                .collect();
+            let sinks: Vec<usize> = (0..3 + rng.below(10))
+                .map(|_| sim.add_virtual_link(1e9 * (1 + rng.below(16)) as f64))
+                .collect();
+            let n_flows = 40 + rng.below(120) as usize;
+            let private: Vec<usize> = (0..n_flows / 2).map(|_| sim.add_virtual_link(8e9)).collect();
+            let mut ids = Vec::with_capacity(n_flows);
+            for i in 0..n_flows {
+                let route = [
+                    private[i % private.len()],
+                    gateways[rng.below(gateways.len() as u64) as usize],
+                    sinks[rng.below(sinks.len() as u64) as usize],
+                ];
+                // Every flow past the first round waits for one earlier flow.
+                let deps =
+                    if i >= 24 { vec![ids[rng.below(ids.len() as u64) as usize]] } else { vec![] };
+                let start = rng.f64() * 0.5;
+                let bytes = 1e8 + rng.f64() * 4e9;
+                ids.push(sim.submit_with_deps(start, 0.0, route, bytes, &deps));
+            }
+            if case.is_multiple_of(3) {
+                for _ in 0..8 {
+                    if !sim.step() {
+                        break;
+                    }
+                }
+                sim.scale_capacities(0.5 + rng.f64() * 0.5);
+            }
+            sim.run_to_idle();
+            ids.iter()
+                .map(|&id| sim.finish_time(id).expect("all flows complete").to_bits())
+                .collect()
+        }
+
+        /// Where the partitions of [`build_rounds`] interfere.
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Rounds {
+            /// Fully link-disjoint partitions (Mira subfiling: every Pset
+            /// writes its own file through its own bridge).
+            Disjoint,
+            /// A quarter of the flows also cross one of a few shared
+            /// gateway links (Theta: Aries groups sharing LNET routers).
+            SharedGateways,
+            /// Every flow also crosses one of a few roomy gateways into
+            /// one of a few narrow storage sinks: the partitions merge
+            /// into one component, which the sinks split into blocks.
+            SharedSinks,
+        }
+
+        /// Multi-partition fence-ordered rounds, the flow shape `sim_exec`
+        /// submits: each partition's flows run over partition-private
+        /// links, 4 rounds of 4 flows, round `r` gated on round `r - 1`.
+        fn build_rounds(s: &mut Simulator, parts: usize, shared: usize, kind: Rounds) {
+            const LINKS_PER_PART: usize = 8;
+            let mut rng = Rng(0x0a99_0000 ^ (parts * 131 + shared) as u64);
+            let gateway_base = parts * LINKS_PER_PART;
+            // With sinks, the first half of the shared pool are the gateways.
+            let gateways = if kind == Rounds::SharedSinks { shared / 2 } else { shared };
+            for l in 0..gateway_base + shared {
+                let cap = 1.0 + rng.below(64) as f64;
+                let roomy = kind == Rounds::SharedSinks
+                    && (gateway_base..gateway_base + gateways).contains(&l);
+                s.add_virtual_link(if roomy { 1e3 } else { cap });
+            }
+            for p in 0..parts {
+                let base = p * LINKS_PER_PART;
+                let mut prev_round: Vec<FlowId> = Vec::new();
+                for _ in 0..4 {
+                    let mut this_round = Vec::with_capacity(4);
+                    for _ in 0..4 {
+                        let len = 1 + rng.below(3) as usize;
+                        let mut route = Vec::with_capacity(len + 2);
+                        while route.len() < len {
+                            let l = base + rng.below(LINKS_PER_PART as u64) as usize;
+                            if !route.contains(&l) {
+                                route.push(l);
+                            }
+                        }
+                        match kind {
+                            Rounds::SharedGateways if rng.below(4) == 0 => {
+                                route.push(gateway_base + rng.below(shared as u64) as usize);
+                            }
+                            Rounds::SharedSinks => {
+                                let sinks = (shared - gateways) as u64;
+                                route.push(gateway_base + rng.below(gateways as u64) as usize);
+                                route.push(gateway_base + gateways + rng.below(sinks) as usize);
+                            }
+                            _ => {}
+                        }
+                        let bytes = (1 + rng.below(5000)) as f64 / 7.0;
+                        let start = rng.below(10) as f64 / 10.0;
+                        this_round.push(s.submit_with_deps(start, 0.0, &route, bytes, &prev_round));
+                    }
+                    prev_round = this_round;
+                }
+            }
+        }
+
+        /// The seeded storage-shaped workloads, then the three round
+        /// workloads of [`build_rounds`] at 4 and 8 partitions.
+        #[test]
+        fn storage_shaped_blocks_bit_identical_to_full_recompute() {
+            for case in 0..24 {
+                let reference = run_storage_case(case, true);
+                let got = run_storage_case(case, false);
+                assert_eq!(got, reference, "case {case}: Incremental diverged from Full");
+            }
+            for (parts, shared) in [(4, 4), (8, 8)] {
+                for kind in [Rounds::Disjoint, Rounds::SharedGateways, Rounds::SharedSinks] {
+                    // Disjoint cases carry no gateway links at all.
+                    let shared = if kind == Rounds::Disjoint { 0 } else { shared };
+                    assert_identical_labeled(&format!("{kind:?} parts={parts}"), |s| {
+                        build_rounds(s, parts, shared, kind)
+                    });
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ mod components;
 pub mod engine;
 pub mod fairshare;
 
-pub use engine::{FlowId, FlowStatus, Recompute, Simulator};
+pub use engine::{FlowId, FlowStatus, Simulator};
 pub use fairshare::{max_min_rates, FlowDemand};
 
 /// Simulated time, in seconds since simulation start.

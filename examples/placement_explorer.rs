@@ -9,7 +9,7 @@
 //! data is moved.
 
 use tapioca::placement::{
-    aggregation_cost, elect_aggregator, elect_partitions, io_cost, PartitionElection,
+    aggregation_cost, elect_partitions, election_cost, io_cost, PartitionElection,
     PlacementStrategy,
 };
 use tapioca_topology::{mira_profile, TopologyProvider, MIB};
@@ -64,11 +64,11 @@ fn main() {
         PlacementStrategy::WorstCase,
     ] {
         let e = elect_partitions(machine, &[part], strategy)[0];
-        assert_eq!(
-            e,
-            elect_aggregator(machine, &members, &weights, io, 0, strategy),
-            "the folded election must agree with the pairwise reference"
-        );
+        // The pairwise MINLOC: every candidate's cost, ties to the lowest.
+        let cost_of = |i| election_cost(machine, &members, &weights, io, 0, strategy, i);
+        let pairwise = (1..members.len())
+            .fold(0, |best, i| if cost_of(i) < cost_of(best) { i } else { best });
+        assert_eq!(e, pairwise, "the election must agree with the pairwise MINLOC");
         let cost = aggregation_cost(machine, &members, &weights, e)
             + io_cost(machine, members[e], io, total);
         println!("{strategy:?} elects candidate {e:>2} (objective {:.3} ms)", cost * 1e3);

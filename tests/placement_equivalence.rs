@@ -1,26 +1,48 @@
-//! Property sweep: the node-folded election must pick the *identical*
-//! winner — same index, same MINLOC tie-break — as the naive pairwise
-//! oracle, for every strategy, on every machine profile, across
-//! irregular partition shapes and adversarial weight patterns.
+//! Property sweep: `elect_partitions` must pick the *identical* winner
+//! — same index, same MINLOC tie-break — as a naive pairwise oracle
+//! that evaluates `election_cost` for every candidate, for every
+//! strategy, on every machine profile, across irregular partition
+//! shapes and adversarial weight patterns.
 //!
-//! `elect_partitions` is allowed to evaluate folded costs in a
-//! different floating-point order than the oracle only because it prunes
-//! with a tolerance and replays survivors through the oracle's exact
-//! arithmetic (`election_cost`), once per run of consecutive co-located,
-//! equal-weight members. This sweep is the evidence that the
-//! prune is conservative enough in practice: ties, cancellation-heavy
-//! weights, and single-node partitions all land on the oracle's answer.
-//! The random sweep rarely ties, so a second, workload-shaped sweep
-//! (contiguous blocks, uniform weights) covers the regime real runs are
-//! in: many candidates exactly tied, MINLOC decided in the replay.
+//! `elect_partitions` takes the MINLOC of `election_costs`, which
+//! builds one node-level metric table and computes one exact cost per
+//! run of consecutive co-located, equal-weight members. This sweep is
+//! the evidence that the table and the runs reproduce the per-candidate
+//! arithmetic: ties, cancellation-heavy weights, and single-node
+//! partitions all land on the oracle's answer. The random sweep rarely
+//! ties, so a second, workload-shaped sweep (contiguous blocks, uniform
+//! or paired weights) covers the regime real runs are in: many
+//! candidates exactly tied, MINLOC decided by the lowest index.
 
 use std::collections::BTreeSet;
 
 use tapioca::placement::{
-    elect_aggregator, elect_partitions, election_cost, election_costs, PartitionElection,
-    PlacementStrategy,
+    elect_partitions, election_cost, election_costs, PartitionElection, PlacementStrategy,
 };
-use tapioca_topology::{cluster_profile, mira_profile, theta_profile, Rank, TopologyProvider};
+use tapioca_topology::{
+    cluster_profile, mira_profile, theta_profile, IoNodeId, Rank, TopologyProvider, MIB,
+};
+
+/// The pairwise oracle: every candidate's `election_cost` — O(P²)
+/// topology queries — and the MINLOC over them, ties to the lowest
+/// index, exactly as the thread executor's distributed election.
+fn elect_aggregator(
+    topo: &dyn TopologyProvider,
+    members: &[Rank],
+    weights: &[u64],
+    io: IoNodeId,
+    partition_index: usize,
+    strategy: PlacementStrategy,
+) -> usize {
+    let mut best = (f64::INFINITY, usize::MAX);
+    for cand in 0..members.len() {
+        let c = election_cost(topo, members, weights, io, partition_index, strategy, cand);
+        if c < best.0 || (c == best.0 && cand < best.1) {
+            best = (c, cand);
+        }
+    }
+    best.1
+}
 
 /// SplitMix64 — deterministic, dependency-free.
 struct Rng(u64);
@@ -61,9 +83,9 @@ fn irregular_members(rng: &mut Rng, num_ranks: usize, target: usize) -> Vec<Rank
     set.into_iter().collect()
 }
 
-/// Weight patterns chosen to stress the folded prune: exact ties,
-/// random spreads, one member dominating its node's fold (maximum
-/// cancellation in `W(node) - w_cand`), and mostly-zero sparsity.
+/// Weight patterns chosen to stress the per-run costs: exact ties,
+/// random spreads, one member dominating its node (runs of length 1
+/// beside long ones), and mostly-zero sparsity.
 fn weights_for(rng: &mut Rng, n: usize, pattern: usize) -> Vec<u64> {
     match pattern % 4 {
         0 => vec![1 << 20; n],
@@ -103,7 +125,7 @@ fn fast_election_matches_naive_oracle_everywhere() {
         let num_ranks = topo.num_ranks();
         for strategy in strategies() {
             for case in 0..12usize {
-                // sizes span sub-fold (< 8 members), one-node, and
+                // sizes span tiny (< 8 members), one-node, and
                 // multi-node shapes
                 let target = match case % 4 {
                     0 => 1 + rng.below(7) as usize,
@@ -180,9 +202,10 @@ fn batched_elections_match_per_partition_oracle() {
 
 /// The shape HACC and IOR actually present: a contiguous block of ranks
 /// inside one Pset / dragonfly group / fat-tree, every member
-/// contributing the same byte count. Co-located candidates then have
-/// *exactly* equal oracle costs, so the fold cannot separate them and
-/// the winner is decided by the exact replay's MINLOC tie-break.
+/// contributing the same byte count (`uniform`), or two byte counts
+/// alternating every 8 ranks (`paired`: two runs per 16-rank node).
+/// Co-located candidates of one run then have *exactly* equal costs,
+/// and the winner is decided by MINLOC's lowest-index tie-break.
 #[test]
 fn uniform_block_partitions_tie_heavily_and_match_oracle() {
     for (name, topo) in machines() {
@@ -191,9 +214,14 @@ fn uniform_block_partitions_tie_heavily_and_match_oracle() {
         // Block starts: node-aligned, and straddling node boundaries
         // (every node keeps at least two members, so whichever node
         // wins, the winner has an exactly tied neighbour).
-        for (members_n, start) in [(128, 0), (129, 1000), (516, rpn / 2), (2048, 0)] {
+        let blocks = [(128, 0), (129, 1000), (512, 0), (516, rpn / 2), (2048, 0)];
+        let cases = blocks.into_iter().flat_map(|b| [(b, "uniform"), (b, "paired")]);
+        for ((members_n, start), kind) in cases {
             let members: Vec<Rank> = (start..start + members_n).collect();
-            let weights = vec![1_048_576u64; members_n];
+            let weights: Vec<u64> = match kind {
+                "uniform" => vec![MIB; members_n],
+                _ => (0..members_n).map(|i| MIB << (i / 8 % 2)).collect(),
+            };
             let io = topo.io_nodes_for(&members).first().copied().unwrap_or(0);
             let part =
                 PartitionElection { members: &members, weights: &weights, io, partition_index: 5 };
@@ -202,12 +230,11 @@ fn uniform_block_partitions_tie_heavily_and_match_oracle() {
                 let fast = elect_partitions(topo, &[part], strategy)[0];
                 assert_eq!(
                     fast, naive,
-                    "winner mismatch: machine={name} strategy={strategy:?} \
+                    "winner mismatch: machine={name} strategy={strategy:?} {kind} \
                      members={members_n} start={start}"
                 );
-                // A candidate whose oracle cost equals the winner's lies
-                // inside every prune window that keeps the winner, so it
-                // reaches the replay: more than one must.
+                // More than one candidate must cost exactly what the
+                // winner costs, so that the tie-break decides.
                 let cost = |i| election_cost(topo, &members, &weights, io, 5, strategy, i);
                 let costs = election_costs(topo, &part, strategy);
                 let winner_node = topo.node_of_rank(members[naive]);
@@ -218,8 +245,8 @@ fn uniform_block_partitions_tie_heavily_and_match_oracle() {
                 }
                 assert!(
                     tied > 1,
-                    "machine={name} strategy={strategy:?} members={members_n}: no exact tie \
-                     with the winner — the case no longer exercises the replay's tie-break"
+                    "machine={name} strategy={strategy:?} {kind} members={members_n}: no exact \
+                     tie with the winner — the case no longer exercises the tie-break"
                 );
             }
         }
@@ -259,47 +286,57 @@ fn cost_vector_matches_per_candidate_oracle() {
     }
 }
 
-/// A batch large enough that the old election fanned out across threads;
-/// the serial batch must still reproduce the oracle exactly.
+/// Large irregular partitions in one batch, on Mira and Theta: two
+/// 1,024-member ones with random and with one-dominant byte counts, and
+/// the 256-, 1,024- and 4,096-member shapes with random byte counts,
+/// under every strategy.
 #[test]
 fn large_batch_matches_oracle() {
     let mut rng = Rng(0x0dd_ba11);
-    let profile = mira_profile(512, 16);
-    let topo = &profile.machine;
-    let shapes: Vec<(Vec<Rank>, Vec<u64>)> = (0..2usize)
-        .map(|case| {
-            let members = irregular_members(&mut rng, topo.num_ranks(), 1024);
-            let weights = weights_for(&mut rng, members.len(), case + 1);
-            (members, weights)
-        })
-        .collect();
-    let parts: Vec<PartitionElection<'_>> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, (m, w))| PartitionElection {
-            members: m,
-            weights: w,
-            io: topo.io_nodes_for(m).first().copied().unwrap_or(0),
-            partition_index: i,
-        })
-        .collect();
-    let batched = elect_partitions(topo, &parts, PlacementStrategy::TopologyAware);
-    for (p, &choice) in parts.iter().zip(&batched) {
-        let naive = elect_aggregator(
-            topo,
-            p.members,
-            p.weights,
-            p.io,
-            p.partition_index,
-            PlacementStrategy::TopologyAware,
-        );
-        assert_eq!(choice, naive, "large batch mismatch at partition {}", p.partition_index);
+    for (name, topo) in machines().into_iter().take(2) {
+        let topo = topo.as_ref();
+        let mut shapes: Vec<(Vec<Rank>, Vec<u64>)> = (0..2usize)
+            .map(|case| {
+                let members = irregular_members(&mut rng, topo.num_ranks(), 1024);
+                let weights = weights_for(&mut rng, members.len(), case + 1);
+                (members, weights)
+            })
+            .collect();
+        for target in [256, 1024, 4096] {
+            let members = irregular_members(&mut rng, topo.num_ranks(), target);
+            let weights = weights_for(&mut rng, members.len(), 1);
+            shapes.push((members, weights));
+        }
+        let parts: Vec<PartitionElection<'_>> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, (m, w))| PartitionElection {
+                members: m,
+                weights: w,
+                io: topo.io_nodes_for(m).first().copied().unwrap_or(0),
+                partition_index: i,
+            })
+            .collect();
+        for strategy in strategies() {
+            let batched = elect_partitions(topo, &parts, strategy);
+            for (p, &choice) in parts.iter().zip(&batched) {
+                let naive =
+                    elect_aggregator(topo, p.members, p.weights, p.io, p.partition_index, strategy);
+                assert_eq!(
+                    choice, naive,
+                    "large batch mismatch: machine={name} strategy={strategy:?} partition={} \
+                     members={}",
+                    p.partition_index,
+                    p.members.len()
+                );
+            }
+        }
     }
 }
 
 /// Run-structured partitions. A run is a maximal range of consecutive
-/// members on one node with one weight; the election replays one exact
-/// cost per run and `election_costs` copies it across the run. Each case
+/// members on one node with one weight; `election_costs` computes one
+/// exact cost per run and copies it across the run. Each case
 /// here puts a different run boundary in play:
 ///
 /// * `theta-ior`: the `sim-theta-ior` partition shape, 176 uniform
