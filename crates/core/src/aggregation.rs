@@ -15,20 +15,30 @@
 //!    the schedule — [`RoundRoster`]) and nobody else, with MPI's
 //!    post/start/complete/wait:
 //!    * the aggregator **posts** buffer `r % 2` to round `r`'s
-//!      contributors once the flush that last used it (round `r - 2`)
-//!      has drained — for round 0 at partition entry, for round `r + 1`
-//!      at the end of round `r`;
+//!      contributors once the write that last used it (round `r - 2`)
+//!      is done — for round 0 at partition entry, for round `r + 1`
+//!      right after the wait that closes round `r`;
 //!    * a contributor **starts** (blocks only until that post), `put`s
 //!      its chunks into the buffer and **completes** (a signal);
 //!    * the aggregator alone **waits** for the round's contributors,
-//!      then launches a *non-blocking* flush of the buffer.
+//!      posts round `r + 1` into the other buffer, and marks buffer
+//!      `r % 2` *due*. It writes a due buffer to the file itself, on its
+//!      own thread, in place from the window, as late as it can without
+//!      blocking on it: before its next wait, before a crash
+//!      re-election or a degrade, before `finish`'s closing reduction,
+//!      and before the session hands control back to the caller
+//!      (`PartitionRun::write_due`). Unpipelined, it writes the buffer
+//!      at once and then posts that same buffer for round `r + 1`.
 //!
 //!    A rank with no chunk in round `r` makes no call in it and runs
 //!    straight on to its next contributing round
 //!    (`PartitionRun::skip_idle`).
 //!
-//! The net effect is the paper's overlap: the flush of round `r` runs
-//! concurrently with the puts of round `r + 1`.
+//! The net effect is the paper's overlap: the contributors of round
+//! `r + 1` put into one buffer, each on its own thread, while the
+//! aggregator writes round `r` from the other; the aggregator's own put
+//! into round `r + 1` comes first. No flush is handed to another
+//! thread, so none wakes one on the round's critical path.
 //!
 //! The **read** direction (`PartCtx::read_rounds`) is the same rounds on
 //! the same context with the roles mirrored: the aggregator fills the
@@ -46,7 +56,7 @@
 //! allocation), the crash-round re-election, and the closing flag
 //! reduction of `PartitionRun::finish`.
 //!
-//! A failed flush never strands the partition: the aggregator records
+//! A failed write never strands the partition: the aggregator records
 //! its first error and keeps posting and waiting, and `finish`'s flag
 //! reduction hands the verdict to every member.
 //!
@@ -59,12 +69,12 @@
 //! needed. Three rungs, in escalating order:
 //!
 //! * **Transient flush errors** within the retry budget are absorbed by
-//!   the file worker (bounded retry with exponential backoff under the
-//!   config's [`tapioca_mpi::IoPolicy`]); the aggregator records one
-//!   `Retry` trace event per failed attempt.
+//!   the aggregator's own write (bounded retry with exponential backoff
+//!   under the config's [`tapioca_mpi::IoPolicy`], on its thread); it
+//!   records one `Retry` trace event per failed attempt.
 //! * **Aggregator crash** at round `cr`: the crashed aggregator is
-//!   demoted after its wait that closes round `cr` (its in-flight
-//!   flushes are drained first, so rounds `< cr` are durable); *all*
+//!   demoted after its wait that closes round `cr` (it wrote round
+//!   `cr - 1` before that wait, so rounds `< cr` are durable); *all*
 //!   members — contributors of `cr` or not — re-elect a standby via the
 //!   same MINLOC with the dead candidate's cost forced to infinity and
 //!   allocate a fresh window (fresh synchronisation counters); the
@@ -79,17 +89,17 @@
 
 use std::sync::Arc;
 
-use tapioca_mpi::{Comm, IoError, IoHandle, RoundTag, SharedFile, Window};
+use tapioca_mpi::{Comm, FaultHint, RoundTag, SharedFile, Window};
 use tapioca_topology::TopologyProvider;
 
 #[cfg(feature = "trace")]
-use tapioca_trace::TraceScope;
+use tapioca_trace::{TraceScope, TraceStamp};
 
 use crate::api::StreamSource;
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
-use crate::schedule::{Chunk, FlushSegment, PartitionInfo, RankPartPlan, RoundRoster};
+use crate::schedule::{Chunk, PartitionInfo, RankPartPlan, RoundRoster};
 
 /// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
@@ -128,8 +138,7 @@ pub struct IoStats {
     /// Faults injected from the config's plan (failed flush attempts,
     /// crashes, degrade triggers; counted once per partition event).
     pub faults_injected: u64,
-    /// Flush retries performed by the file worker for this rank's
-    /// aggregated segments.
+    /// Flush retries this rank performed as aggregator.
     pub retries: u64,
     /// Standby re-elections after an aggregator crash (counted by the
     /// partition's lowest member).
@@ -139,7 +148,7 @@ pub struct IoStats {
     /// each rank can report a degraded outcome).
     pub degraded: u64,
     /// Always 0: every chunk travels as its own put. Kept because
-    /// `benchmark/src/main.rs` reads it; goes with ROADMAP item 2.
+    /// `benchmark/src/main.rs` reads it; goes with ROADMAP item 1.
     pub coalesced_puts: u64,
     /// Always 0, like [`IoStats::coalesced_puts`] and for the same
     /// reason.
@@ -207,51 +216,20 @@ fn shared_verdict(
     }
 }
 
-/// One in-flight flush plus what is needed to recover it: its segment
-/// and the window slot it was read from (the slot is not refilled until
-/// the round after the drain, so its bytes are intact for a fallback).
-struct Flight {
-    handle: IoHandle,
-    seg: FlushSegment,
+/// A round whose buffer the aggregator closed but has not written yet
+/// (see the module doc).
+struct Due {
+    round: usize,
     slot: usize,
+    /// Taken while the scope was at `round`, so the flush event carries
+    /// it.
+    #[cfg(feature = "trace")]
+    stamp: Option<TraceStamp>,
 }
 
-/// Settle one completed (or failed) zero-copy flush: nothing to do on
-/// success (the worker drained the window views in place); on failure,
-/// fall back to a synchronous direct write of the same bytes, re-read
-/// from the window slot — it is only refilled two rounds after the
-/// flush launch, so its bytes are intact even after a timeout.
-fn settle_parts(
-    err: Option<IoError>,
-    seg: FlushSegment,
-    slot: usize,
-    win: &Window,
-    my_idx: usize,
-    b: usize,
-    file: &SharedFile,
-) -> Result<()> {
-    match err {
-        None => Ok(()),
-        Some(_) => {
-            let mut d = vec![0u8; seg.len as usize];
-            win.read_local_into(my_idx, slot * b + seg.buf_offset as usize, &mut d);
-            file.write_at(seg.file_offset, &d).map_err(|e| io_err("write_at", e))
-        }
-    }
-}
-
-/// Wait for one in-flight flush, then settle it (see [`settle_parts`]).
-fn settle_flight(
-    f: Flight,
-    win: &Window,
-    my_idx: usize,
-    b: usize,
-    file: &SharedFile,
-    timeout: std::time::Duration,
-) -> Result<()> {
-    let Flight { handle, seg, slot } = f;
-    let (_, err) = handle.wait_parts_timeout(Some(timeout));
-    settle_parts(err, seg, slot, win, my_idx, b, file)
+/// The fault `cfg`'s plan injects into flush segment `s` of round `r`.
+fn flush_hint(cfg: &TapiocaConfig, part: &PartitionInfo, r: usize, s: usize) -> Option<FaultHint> {
+    cfg.faults.as_ref().and_then(|p| p.flush_fault(part.index as u32, r as u32, s as u32))
 }
 
 /// What [`PartitionRun::run_round`] did.
@@ -411,7 +389,8 @@ pub(crate) struct PartitionRun {
     #[cfg(feature = "trace")]
     me: usize,
     my_idx: usize,
-    inflight: [Vec<Flight>; 2],
+    /// Aggregator only: the closed round not yet written.
+    due: Option<Due>,
     /// Who contributes to each round: the ranks a round is synchronised
     /// between.
     roster: Arc<RoundRoster>,
@@ -482,7 +461,7 @@ impl PartitionRun {
             #[cfg(feature = "trace")]
             me: comm.rank(),
             my_idx,
-            inflight: [Vec::new(), Vec::new()],
+            due: None,
             roster: Arc::clone(roster),
             base: 0,
             crash_round,
@@ -491,7 +470,7 @@ impl PartitionRun {
             degraded: false,
             failed: None,
         };
-        // Both buffers are free at entry (a kept window was drained by
+        // Both buffers are free at entry (a kept window was written by
         // the previous epoch's `finish`, or released by a read's waits).
         run.post_round(part, 0, stats);
         run
@@ -506,10 +485,18 @@ impl PartitionRun {
         }
     }
 
-    /// Aggregator only: close round `r`'s exposure — returns once every
-    /// contributor's puts have landed.
-    fn wait_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
+    /// Aggregator only: write the due round, then close round `r`'s
+    /// exposure — returns once every contributor's puts have landed.
+    fn wait_round(
+        &mut self,
+        part: &PartitionInfo,
+        r: usize,
+        file: &SharedFile,
+        cfg: &TapiocaConfig,
+        stats: &mut IoStats,
+    ) {
         if self.my_idx == self.ctx.agg_idx {
+            self.write_due(part, file, cfg);
             self.ctx.win.wait(self.roster.contributors(r), tag(part, r));
             stats.fences += 1;
         }
@@ -541,13 +528,34 @@ impl PartitionRun {
         }
     }
 
-    /// Blocking drain of one in-flight slot, in launch order.
-    fn drain_slot(&mut self, slot: usize, file: &SharedFile, cfg: &TapiocaConfig) {
-        let b = cfg.buffer_size as usize;
-        for f in std::mem::take(&mut self.inflight[slot]) {
-            let res =
-                settle_flight(f, &self.ctx.win, self.my_idx, b, file, cfg.io_policy.op_timeout);
-            self.record(res);
+    /// Write the due round, if any, from its window slot in place, one
+    /// [`SharedFile::write_retrying`] per flush segment on this thread.
+    /// A write that fails is recorded, not returned: the round protocol
+    /// runs on. Drivers call it before they hand control back to the
+    /// caller, so no closed round waits on the caller.
+    pub(crate) fn write_due(
+        &mut self,
+        part: &PartitionInfo,
+        file: &SharedFile,
+        cfg: &TapiocaConfig,
+    ) {
+        let Some(due) = self.due.take() else { return };
+        let base = due.slot * cfg.buffer_size as usize;
+        for (s, seg) in part.rounds[due.round].segments.iter().enumerate() {
+            let hint = flush_hint(cfg, part, due.round, s);
+            let at = base + seg.buf_offset as usize;
+            let res = file.write_retrying(seg.file_offset, cfg.io_policy, hint, |w| {
+                self.ctx.win.drain_local(at, seg.len as usize, w)
+            });
+            match res {
+                Ok(()) => {
+                    #[cfg(feature = "trace")]
+                    if let Some(stamp) = &due.stamp {
+                        stamp.flush_done(seg.file_offset, seg.len);
+                    }
+                }
+                Err(e) => self.record(Err(e.into())),
+            }
         }
     }
 
@@ -586,11 +594,10 @@ impl PartitionRun {
     /// `(round, file_offset)`); `src` supplies each chunk's bytes.
     ///
     /// On [`RoundOutcome::Ran`] the run advanced to the next round. On
-    /// [`RoundOutcome::Degraded`] the in-flight flushes were drained,
-    /// but the remaining chunks are the *session's* to write directly
-    /// (their offsets are disjoint from everything the pipeline flushed,
-    /// so ordering cannot change file bytes). A flush that fails is
-    /// recorded, not returned: the round protocol runs on.
+    /// [`RoundOutcome::Degraded`] the due round was written, but the
+    /// remaining chunks are the *session's* to write directly (their
+    /// offsets are disjoint from everything the pipeline flushed, so
+    /// ordering cannot change file bytes).
     pub(crate) fn run_round(
         &mut self,
         part: &PartitionInfo,
@@ -603,8 +610,6 @@ impl PartitionRun {
         let r = self.next_round;
         let round = &part.rounds[r];
         let b = cfg.buffer_size as usize;
-        let policy = cfg.io_policy;
-        let plan = cfg.faults.as_ref();
 
         #[cfg(feature = "trace")]
         if let Some(scope) = self.ctx.win.trace_scope() {
@@ -624,10 +629,7 @@ impl PartitionRun {
                     scope.degrade(remaining);
                 }
             }
-            if self.my_idx == self.ctx.agg_idx {
-                self.drain_slot(0, file, cfg);
-                self.drain_slot(1, file, cfg);
-            }
+            self.write_due(part, file, cfg);
             stats.degraded += 1;
             if self.my_idx == 0 {
                 stats.faults_injected += 1;
@@ -641,19 +643,15 @@ impl PartitionRun {
         if contributes {
             self.contribute(part, chunks, src, r, buf * b, stats);
         }
-        self.wait_round(part, r, stats);
+        self.wait_round(part, r, file, cfg, stats);
 
         // Aggregator crash: the fill of round r is lost with the
-        // crashed window. Drain the old aggregator's in-flight
-        // flushes (rounds < r stay durable), re-elect a standby with
+        // crashed window. The old aggregator wrote round r - 1 before
+        // its wait (rounds < r stay durable); re-elect a standby with
         // the dead candidate excluded, open a fresh window (fresh
         // synchronisation counters), and replay round r into it.
         if self.crash_round == Some(r) {
             let old_agg = self.ctx.agg_idx;
-            if self.my_idx == old_agg {
-                self.drain_slot(0, file, cfg);
-                self.drain_slot(1, file, cfg);
-            }
             #[cfg(feature = "trace")]
             if self.my_idx == 0 {
                 if let Some(scope) = self.ctx.win.trace_scope() {
@@ -696,15 +694,12 @@ impl PartitionRun {
             if contributes {
                 self.contribute(part, chunks, src, r, 0, stats);
             }
-            self.wait_round(part, r, stats);
+            self.wait_round(part, r, file, cfg, stats);
         }
 
         if self.my_idx == self.ctx.agg_idx {
-            let mut handles: Vec<Flight> = Vec::with_capacity(round.segments.len());
             for (s, seg) in round.segments.iter().enumerate() {
-                let hint =
-                    plan.and_then(|p| p.flush_fault(part.index as u32, r as u32, s as u32));
-                if let Some(h) = &hint {
+                if let Some(h) = flush_hint(cfg, part, r, s) {
                     // Within-budget by construction (the exhausting
                     // round degrades above); count the injected
                     // failures and record one Retry event each.
@@ -717,55 +712,41 @@ impl PartitionRun {
                         }
                     }
                 }
-                // Zero-copy flush: hand the worker refcounted views of
-                // the window slot instead of copying it into an owned
-                // buffer. The slot is refilled two rounds later, after
-                // this flush has drained, so the bytes stay stable for
-                // the write and for the failure fallback's re-read.
-                let view = self.ctx.win.segment(
-                    self.my_idx,
-                    buf * b + seg.buf_offset as usize,
-                    seg.len as usize,
-                );
                 stats.flushes += 1;
                 stats.flush_bytes += seg.len;
-                #[cfg(feature = "trace")]
-                let h = file.iwrite_at_policy(
-                    seg.file_offset,
-                    view,
-                    policy,
-                    hint,
-                    self.ctx.win.trace_scope().map(|s| s.stamp()),
-                );
-                #[cfg(not(feature = "trace"))]
-                let h = file.iwrite_at_policy(seg.file_offset, view, policy, hint);
-                handles.push(Flight { handle: h, seg: *seg, slot: buf });
             }
-            self.inflight[buf] = handles;
-            // Pipelined, round r+1 fills the other buffer, whose
-            // previous flush (round r-1) must have drained first;
-            // unpipelined, it refills this one.
-            self.drain_slot(if cfg.pipelining { (buf + 1) % 2 } else { buf }, file, cfg);
-            // The buffer round r+1 fills is free again: expose it.
+            self.due = Some(Due {
+                round: r,
+                slot: buf,
+                #[cfg(feature = "trace")]
+                stamp: self.ctx.win.trace_scope().map(TraceScope::stamp),
+            });
+            // Pipelined, round r + 1 fills the other buffer, written
+            // before this wait; unpipelined, it refills this one.
+            if !cfg.pipelining {
+                self.write_due(part, file, cfg);
+            }
             self.post_round(part, r + 1, stats);
         }
         self.next_round = r + 1;
         RoundOutcome::Ran
     }
 
-    /// Leave the partition: drain both in-flight slots in order, then
-    /// one flag reduction — all flushes of this partition are settled
-    /// before anyone leaves, and every member learns whether any write
-    /// of the partition failed.
+    /// Leave the partition: write the due round, then one flag
+    /// reduction — every round of this partition is written before
+    /// anyone leaves, and every member learns whether any write of the
+    /// partition failed.
     ///
     /// # Errors
     /// [`TapiocaError::Io`] on every member if any member recorded a
     /// write error ([`PartitionRun::record`]).
-    pub(crate) fn finish(&mut self, file: &SharedFile, cfg: &TapiocaConfig) -> Result<()> {
-        if self.my_idx == self.ctx.agg_idx {
-            self.drain_slot(0, file, cfg);
-            self.drain_slot(1, file, cfg);
-        }
+    pub(crate) fn finish(
+        &mut self,
+        part: &PartitionInfo,
+        file: &SharedFile,
+        cfg: &TapiocaConfig,
+    ) -> Result<()> {
+        self.write_due(part, file, cfg);
         let why = "a write of the partition failed on another member";
         shared_verdict(&self.ctx.pcomm, self.failed.take(), "write_at", why)
     }

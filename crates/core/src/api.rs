@@ -68,8 +68,8 @@ use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::UniformTopology;
 use crate::schedule::{
-    compute_schedule, decl_extent_error, Chunk, RankStreamPlan, RoundRoster, Schedule,
-    ScheduleParams, WriteDecl,
+    compute_schedule, decl_extent_error, Chunk, PartitionInfo, RankStreamPlan, RoundRoster,
+    Schedule, ScheduleParams, WriteDecl,
 };
 
 /// Outcome of a [`Session::write`] call.
@@ -486,8 +486,8 @@ impl<'c> Session<'c> {
             epoch_stats,
             ..
         } = self;
-        let mut finish = |run: &mut PartitionRun| {
-            if let Err(e) = run.finish(file, cfg) {
+        let mut finish = |run: &mut PartitionRun, part: &PartitionInfo| {
+            if let Err(e) = run.finish(part, file, cfg) {
                 epoch_failed.get_or_insert(e);
             }
         };
@@ -507,6 +507,11 @@ impl<'c> Session<'c> {
                 // collective crash or degrade point).
                 let (s, e) = pp.round_ranges[r];
                 if !pp.chunks[s..e].iter().all(|c| avail[c.var]) {
+                    // The caller holds the missing bytes: write the
+                    // closed round before handing control back to it.
+                    if let Some(run) = active.as_mut() {
+                        run.write_due(part, file, cfg);
+                    }
                     break;
                 }
             }
@@ -521,7 +526,7 @@ impl<'c> Session<'c> {
                 continue;
             };
             if r == nrounds {
-                finish(run);
+                finish(run, part);
                 let run = active.take().expect("still active");
                 if cfg.faults.is_none() {
                     ctxs.get_mut()[*cur_part] = Some(run.into_ctx());
@@ -576,7 +581,7 @@ impl<'c> Session<'c> {
                             }
                         };
                     }
-                    finish(run);
+                    finish(run, part);
                     *active = None;
                     degraded_from[*cur_part] = Some(dr);
                     *cur_part += 1;

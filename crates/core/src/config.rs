@@ -37,7 +37,7 @@ pub struct TapiocaConfig {
     /// (the default) injects nothing; recovery machinery stays off the
     /// hot path entirely.
     pub faults: Option<FaultPlan>,
-    /// Retry/backoff/timeout policy of the non-blocking file worker.
+    /// Retry and backoff policy of the aggregators' writes.
     pub io_policy: IoPolicy,
     /// Event recorder for this collective. `None` (the default) records
     /// nothing: the only cost left on the hot path is one `Option` check
@@ -187,7 +187,7 @@ impl ConfigBuilder {
         self
     }
 
-    /// Retry/backoff/timeout policy for file operations.
+    /// Retry and backoff policy of the aggregators' writes.
     #[must_use]
     pub fn io_policy(mut self, policy: IoPolicy) -> Self {
         self.cfg.io_policy = policy;

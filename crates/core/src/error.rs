@@ -2,12 +2,10 @@
 //! API surfaces as a [`TapiocaError`] instead of a panic.
 //!
 //! The contract (see `CONTRIBUTING.md`): public functions return
-//! [`Result`] for invalid configuration, I/O failure, timeouts, and
-//! degraded recovery. Panics are reserved for *caller protocol bugs*
+//! [`Result`] for invalid configuration, I/O failure, and degraded
+//! recovery. Panics are reserved for *caller protocol bugs*
 //! that would otherwise deadlock the collective (e.g. finalizing with
 //! declared-but-never-issued writes), and are documented per function.
-
-use std::time::Duration;
 
 use tapioca_mpi::IoError;
 
@@ -36,13 +34,6 @@ pub enum TapiocaError {
         /// Pipeline round at which it failed.
         round: u32,
     },
-    /// Waiting on an in-flight operation exceeded the op timeout.
-    Timeout {
-        /// The operation that timed out.
-        op: &'static str,
-        /// How long the caller waited.
-        waited: Duration,
-    },
     /// A partition fell back to direct per-rank writes after its retry
     /// budget was exhausted. The data is durable, but the collective
     /// optimization was lost.
@@ -63,9 +54,6 @@ impl std::fmt::Display for TapiocaError {
             }
             TapiocaError::AggregatorFailed { rank, round } => {
                 write!(f, "aggregator rank {rank} failed at round {round}")
-            }
-            TapiocaError::Timeout { op, waited } => {
-                write!(f, "{op} timed out after {waited:?}")
             }
             TapiocaError::Degraded { partition, round } => {
                 write!(f, "partition {partition} degraded to direct writes at round {round}")
@@ -91,7 +79,6 @@ impl From<IoError> for TapiocaError {
                 attempts,
                 source: std::io::Error::new(kind, msg),
             },
-            IoError::Timeout { op, waited } => TapiocaError::Timeout { op, waited },
             IoError::Disconnected { op } => TapiocaError::Io {
                 op,
                 attempts: 0,
@@ -119,12 +106,8 @@ mod tests {
         assert!(e.to_string().contains("zero aggregators"));
         let e = TapiocaError::Degraded { partition: 3, round: 1 };
         assert!(e.to_string().contains("partition 3"));
-        let e: TapiocaError = IoError::Timeout {
-            op: "iwrite_at",
-            waited: Duration::from_secs(1),
-        }
-        .into();
-        assert!(matches!(e, TapiocaError::Timeout { .. }));
+        let e: TapiocaError = IoError::Disconnected { op: "iwrite_at" }.into();
+        assert!(e.to_string().contains("iwrite_at") && e.to_string().contains("disconnected"));
     }
 
     #[test]

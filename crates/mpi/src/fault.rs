@@ -10,9 +10,9 @@
 //! with zero extra messaging and recovery can never deadlock the
 //! collectives.
 //!
-//! The thread runtime consumes the plan in the file worker (bounded retry
-//! with exponential backoff under an [`IoPolicy`]) and in the aggregation
-//! pipeline (re-election after a crash, graceful degradation when the
+//! The thread runtime consumes the plan in the aggregator's own writes
+//! (bounded retry with exponential backoff under an [`IoPolicy`]) and in
+//! the aggregation pipeline (re-election after a crash, graceful degradation when the
 //! retry budget is exhausted). The simulator consumes the *same* plan to
 //! perturb link rates and completion events, so recovery cost is
 //! measurable with matching semantics.
@@ -20,7 +20,12 @@
 use std::io::ErrorKind;
 use std::time::Duration;
 
-/// Retry/timeout policy of the non-blocking file worker.
+/// Retry policy of a positioned write
+/// ([`crate::SharedFile::write_retrying`]): the aggregator applies it to
+/// its own round writes, on its own thread, so a retry delays that
+/// aggregator's next round and nothing else. A write that never
+/// succeeds ends once the budget is spent; a [`FaultPlan`] stall is
+/// instead detected before its round runs, and the partition degrades.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoPolicy {
     /// Retries after the first failed attempt (so a write gets
@@ -29,19 +34,11 @@ pub struct IoPolicy {
     /// Backoff before retry `a` is `base_backoff * 2^a` (capped at
     /// `2^10`).
     pub base_backoff: Duration,
-    /// Budget for waiting on one in-flight operation; a drain that
-    /// exceeds it reports [`IoError::Timeout`] instead of blocking
-    /// forever on a stalled device.
-    pub op_timeout: Duration,
 }
 
 impl Default for IoPolicy {
     fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(1),
-            op_timeout: Duration::from_secs(30),
-        }
+        Self { max_retries: 3, base_backoff: Duration::from_millis(1) }
     }
 }
 
@@ -266,16 +263,14 @@ impl FaultPlan {
     }
 }
 
-/// A failed or timed-out file operation, reported (not panicked) so the
-/// caller can recover or degrade. Carries the source error's kind and
+/// A failed file operation, reported (not panicked) so the caller can
+/// recover or degrade. Carries the source error's kind and
 /// message rather than the `std::io::Error` itself so notifications can
 /// cross the worker boundary by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IoError {
     /// The retry budget is exhausted; `attempts` were made.
     Exhausted { op: &'static str, attempts: u32, kind: ErrorKind, msg: String },
-    /// Waiting on an in-flight operation exceeded the op timeout.
-    Timeout { op: &'static str, waited: Duration },
     /// The file's worker thread is gone (file closed mid-operation).
     Disconnected { op: &'static str },
 }
@@ -285,9 +280,6 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Exhausted { op, attempts, kind, msg } => {
                 write!(f, "{op} failed after {attempts} attempts ({kind:?}: {msg})")
-            }
-            IoError::Timeout { op, waited } => {
-                write!(f, "{op} timed out after {waited:?}")
             }
             IoError::Disconnected { op } => write!(f, "{op}: I/O worker disconnected"),
         }
@@ -346,11 +338,7 @@ mod tests {
 
     #[test]
     fn penalty_charges_delays_and_backoffs() {
-        let policy = IoPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(2),
-            op_timeout: Duration::from_secs(1),
-        };
+        let policy = IoPolicy { max_retries: 3, base_backoff: Duration::from_millis(2) };
         let hint = FaultHint { fail_attempts: 2, delay: Duration::from_millis(5) };
         // 3 attempts x 5ms delay + backoffs 2ms + 4ms
         assert_eq!(hint.penalty(&policy), Duration::from_millis(15 + 6));

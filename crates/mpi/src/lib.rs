@@ -6,7 +6,7 @@
 //! the all-to-all exchange of the two-phase baseline), one-sided **RMA
 //! windows** provide `put` with post/start/complete/wait (and `fence`)
 //! synchronisation, and **shared files** provide positioned writes with
-//! non-blocking flushes. There is no point-to-point messaging: nothing
+//! bounded retry, blocking or non-blocking. There is no point-to-point messaging: nothing
 //! TAPIOCA runs needs it.
 //!
 //! This is the substitute for the paper's MPI substrate (MPICH2 on Mira,
@@ -29,11 +29,12 @@
 //! * [`rma::Window::fence`] closes an RMA epoch for *all* members: all
 //!   `put`s issued before the fence are visible to every member after it
 //!   returns — MPI_Win_fence semantics.
-//! * [`file::SharedFile::iwrite_at`] is a non-blocking positioned write
-//!   served by a dedicated I/O thread per file;
-//!   [`file::IoHandle::wait_reclaim`] blocks until durable in the page
-//!   cache (matching the paper's use of non-blocking MPI I/O to overlap
-//!   aggregation with flushes).
+//! * [`file::SharedFile::write_retrying`] is a positioned write on the
+//!   calling thread that returns once durable in the page cache; an
+//!   aggregator writes its rounds with it. [`file::SharedFile::iwrite_at`]
+//!   is the non-blocking variant, served by an I/O thread the file
+//!   starts on its first call; [`file::IoHandle::wait_reclaim`] blocks
+//!   until that write is durable.
 //!
 //! ## What is deliberately simplified
 //!
@@ -63,9 +64,9 @@ pub mod sync;
 
 pub use comm::Comm;
 pub use fault::{FaultHint, FaultPlan, FaultSpec, IoError, IoPolicy};
-pub use file::{IoHandle, JobData, SharedFile};
+pub use file::{IoHandle, SharedFile};
 pub use perturb::Perturber;
-pub use rma::{RoundTag, WinSegment, Window};
+pub use rma::{RoundTag, Window};
 pub use runtime::Runtime;
 
 /// Lock a mutex, recovering from poisoning.

@@ -40,9 +40,9 @@
 //!
 //! Target regions are guarded by `RwLock`, split into independently
 //! locked **panes** ([`Window::allocate_paned`]): an aggregator exposing
-//! its two pipeline buffers as two panes can have one buffer drained in
-//! place by the I/O worker (through a [`WinSegment`] view) while the
-//! other is concurrently filled by next-round puts. A
+//! its two pipeline buffers as two panes can write one buffer to the
+//! file in place ([`Window::drain_local`]) while the other is
+//! concurrently filled by next-round puts. A
 //! [`Window::put_vectored`] takes a pane's lock once for its consecutive
 //! parts in that pane, and holds one pane at a time. MPI leaves
 //! overlapping concurrent puts undefined; TAPIOCA only issues disjoint
@@ -53,9 +53,8 @@
 //! from one process-wide pool of byte buffers keyed by exact length: a
 //! region takes a pooled buffer of its pane's length when there is one
 //! and zero-fills it, or allocates a zeroed one; it gives its panes back
-//! when the last reference to the window goes — every member's handle
-//! *and* every [`WinSegment`] an in-flight flush still reads — so a pane
-//! is never handed out while the file worker may read it. A pane
+//! when the last member's handle goes, so a pane is never handed out
+//! while a member may still read or write it. A pane
 //! poisoned by a panicking rank is freed, not pooled. The pool needs no
 //! tunable: pooled plus live pane bytes never exceed the most live pane
 //! bytes the process has held at once, and a miss that would cross that
@@ -207,21 +206,8 @@ impl Region {
         })
     }
 
-    /// Copy `out.len()` bytes from the region at `offset`, pane by pane.
-    fn read(&self, op: &str, offset: usize, out: &mut [u8]) {
-        let mut done = 0;
-        for (p, po, take) in self.spans(op, offset, out.len()) {
-            let pane = self.panes[p].read().expect("RMA pane lock poisoned");
-            out[done..done + take].copy_from_slice(&pane[po..po + take]);
-            done += take;
-        }
-    }
-
     /// Run `f` over the range `[offset, offset + len)` as a sequence of
-    /// read-locked contiguous parts (one per touched pane). The
-    /// zero-copy flush path iterates a window slot in place with this —
-    /// no intermediate buffer exists anywhere between the window and
-    /// the file descriptor.
+    /// read-locked contiguous parts (one per touched pane).
     fn for_parts<E>(
         &self,
         op: &str,
@@ -251,8 +237,8 @@ impl Region {
     }
 }
 
-/// Runs once the last reference to the window is gone: no member
-/// handle and no in-flight flush's [`WinSegment`] can reach the panes.
+/// Runs once the last member handle of the window is gone: nothing can
+/// reach the panes.
 impl Drop for Region {
     fn drop(&mut self) {
         for pane in self.panes.drain(..) {
@@ -360,49 +346,6 @@ impl std::fmt::Debug for Window {
     }
 }
 
-/// A refcounted view of a byte range inside one member's window region.
-///
-/// The zero-copy flush path hands these to the file worker instead of a
-/// copied-out `Vec<u8>`: the worker reads the window panes in place
-/// (under their read locks, pane by pane) while later-round puts target
-/// the *other* pane. The view keeps the window memory alive on its own,
-/// so the submitting rank may drop its `Window` handle freely.
-#[derive(Clone)]
-pub struct WinSegment {
-    shared: Arc<WinShared>,
-    rank: Rank,
-    offset: usize,
-    len: usize,
-}
-
-impl std::fmt::Debug for WinSegment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WinSegment")
-            .field("rank", &self.rank)
-            .field("offset", &self.offset)
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl WinSegment {
-    /// Length of the viewed range in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate the viewed bytes as contiguous read-locked parts (one
-    /// per touched pane), stopping at the first error.
-    pub fn for_each_part<E>(&self, f: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
-        self.shared.regions[self.rank].for_parts("segment read", self.offset, self.len, f)
-    }
-}
-
 impl Window {
     /// Collectively allocate a window; every member exposes a region of
     /// `local_size` bytes (zero-initialized) as a single pane. Sizes may
@@ -411,7 +354,7 @@ impl Window {
     /// The memory may be reused: a pane of a window dropped earlier in
     /// the process, by this world or another, is zero-filled and handed
     /// out again. A window's panes return to that pool only once no
-    /// handle and no [`WinSegment`] of it is left (see the module doc).
+    /// handle of it is left (see the module doc).
     ///
     /// All members must call this the same number of times in the same
     /// order (it is a collective).
@@ -527,22 +470,22 @@ impl Window {
         }
     }
 
-    /// Read a member's region into a caller-provided buffer —
-    /// the allocation-free variant for drain loops that recycle flush
-    /// buffers. Reads `out.len()` bytes starting at `offset`.
-    pub fn read_local_into(&self, me: Rank, offset: usize, out: &mut [u8]) {
-        self.shared.regions[me].read("read", offset, out);
-    }
-
-    /// A refcounted in-place view of `len` bytes of `rank`'s region at
-    /// `offset`, for zero-copy flush submission
-    /// ([`crate::SharedFile::iwrite_at`]).
+    /// Lend `len` bytes of this member's *own* region at `offset` to
+    /// `f`, in place and read-locked, as contiguous parts in ascending
+    /// order (one per touched pane), stopping at the first error. An
+    /// aggregator writes a closed round's slot to the file through this
+    /// ([`crate::SharedFile::write_retrying`]), so no copy of it exists
+    /// between the window and the file descriptor.
     ///
     /// # Panics
     /// Panics if the range exceeds the region.
-    pub fn segment(&self, rank: Rank, offset: usize, len: usize) -> WinSegment {
-        self.shared.regions[rank].check_bounds("segment", offset, len);
-        WinSegment { shared: Arc::clone(&self.shared), rank, offset, len }
+    pub fn drain_local<E>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnMut(&[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.shared.regions[self.me].for_parts("drain", offset, len, f)
     }
 
     /// Size of a member's region.
@@ -783,15 +726,19 @@ impl Window {
     }
 }
 
-/// Allocating read of this member's *own* region — test-only
-/// conveniences; library drain paths use the `_into` variants or
-/// [`Window::segment`] views and never allocate per read.
+/// Allocating reads — test-only conveniences; library paths use
+/// [`Window::get_into`] or [`Window::drain_local`] and never allocate
+/// per read.
 #[cfg(test)]
 impl Window {
-    /// Read `len` bytes from this member's *own* region at `offset`.
+    /// Read `len` bytes of member `me`'s region at `offset`, without
+    /// synchronisation.
     pub fn read_local(&self, me: Rank, offset: usize, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        self.read_local_into(me, offset, &mut out);
+        let mut out = Vec::with_capacity(len);
+        let Ok(()) = self.shared.regions[me].for_parts("read", offset, len, |part| {
+            out.extend_from_slice(part);
+            Ok::<(), std::convert::Infallible>(())
+        });
         out
     }
 
@@ -810,16 +757,6 @@ impl Window {
         assert_eq!(region.panes.len(), 1, "with_local needs a single-pane region");
         let pane = region.panes[0].read().expect("RMA pane lock poisoned");
         f(&pane)
-    }
-}
-
-#[cfg(test)]
-impl WinSegment {
-    /// Materialize the viewed bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        self.shared.regions[self.rank].read("segment read", self.offset, &mut out);
-        out
     }
 }
 
@@ -983,9 +920,7 @@ mod tests {
             win.put(0, c.rank() * 4, &[c.rank() as u8 + 7; 4]);
             win.fence(&c);
             if c.rank() == 0 {
-                let mut buf = [0u8; 8];
-                win.read_local_into(0, 0, &mut buf);
-                assert_eq!(buf.to_vec(), win.read_local(0, 0, 8));
+                assert_eq!(win.read_local(0, 0, 8), [7, 7, 7, 7, 8, 8, 8, 8]);
             }
             win.fence(&c);
             let mut got = [0u8; 4];
@@ -1010,16 +945,16 @@ mod tests {
                 assert_eq!(win.read_local(0, 5, 24), (0..24u8).collect::<Vec<u8>>());
                 assert_eq!(win.read_local(0, 0, 5), vec![0u8; 5]);
                 // in-place parts view sees the same bytes, pane-split
-                let seg = win.segment(0, 5, 24);
-                assert_eq!(seg.len(), 24);
                 let mut parts = Vec::new();
-                let ok: Result<(), ()> = seg.for_each_part(|p| {
+                let mut bytes = Vec::new();
+                let ok: Result<(), ()> = win.drain_local(5, 24, |p| {
                     parts.push(p.len());
+                    bytes.extend_from_slice(p);
                     Ok(())
                 });
                 ok.unwrap();
                 assert_eq!(parts, vec![5, 10, 9], "pane-boundary split");
-                assert_eq!(seg.to_bytes(), (0..24u8).collect::<Vec<u8>>());
+                assert_eq!(bytes, (0..24u8).collect::<Vec<u8>>());
             }
             win.fence(&c);
 
@@ -1180,11 +1115,7 @@ mod tests {
                 let win = Window::allocate(&c, if c.rank() == 0 { 4096 } else { 0 });
                 assert_eq!(win.with_local(0, <[u8]>::len), 4096);
                 let mut parts = 0;
-                let ok: Result<(), ()> = win.segment(0, 0, 4096).for_each_part(|_| {
-                    parts += 1;
-                    Ok(())
-                });
-                ok.unwrap();
+                win.get_with(0, 0, 4096, |_| parts += 1);
                 assert_eq!(parts, 1, "seed {seed}: region split into {parts} panes");
             });
         }

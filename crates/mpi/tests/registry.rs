@@ -23,7 +23,11 @@ fn dropped_shared_files_stop_their_workers() {
         for i in 0..50 {
             let file = SharedFile::open_shared(&comm, dir.join(format!("f{i}")));
             if comm.rank() == 0 {
-                file.write_at(0, &[i as u8]).expect("write");
+                // The worker starts with the file's first iwrite, not at
+                // open, and there is one per file.
+                assert_eq!(io_workers(), before, "a worker started before any iwrite");
+                file.iwrite_at(0, vec![i as u8]).wait_reclaim().expect("iwrite");
+                assert_eq!(io_workers(), before + 1, "the iwrite started no worker");
             }
             drop(file);
             comm.barrier();

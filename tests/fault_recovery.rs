@@ -21,7 +21,7 @@ use tapioca_check::{check, ViolationKind};
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_pfs::{AccessMode, LustreTunables};
 use tapioca_topology::theta_profile;
-use tapioca_trace::{Trace, TraceOp, Tracer};
+use tapioca_trace::{Trace, TraceEvent, TraceOp, Tracer};
 use tapioca_workloads::grid::GridDecomp;
 
 /// 8 ranks x 256 B contiguous blocks, 2 aggregators, 256 B buffers:
@@ -42,11 +42,7 @@ fn base_cfg() -> TapiocaConfig {
 
 /// A fast retry policy so backoffs do not dominate test wall-clock.
 fn fast_policy(max_retries: u32) -> IoPolicy {
-    IoPolicy {
-        max_retries,
-        base_backoff: Duration::from_micros(1),
-        op_timeout: Duration::from_secs(30),
-    }
+    IoPolicy { max_retries, base_backoff: Duration::from_micros(1) }
 }
 
 fn decls_for(rank: usize) -> Vec<WriteDecl> {
@@ -176,6 +172,71 @@ fn transient_faults_within_budget_retry_to_identical_bytes() {
         assert!(total.retries > 0, "{name}: seeded plan injected no retries");
         assert_eq!(total.retries, total.faults_injected);
     }
+}
+
+/// Threads of this process named like the file's I/O worker.
+fn io_workers() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.trim_end() == "tapioca-io")
+        .count()
+}
+
+/// A transient flush fault within budget is retried by the aggregator
+/// itself: no I/O worker thread exists while the files are open, each
+/// `Retry` and the flush that resolves it sit on the aggregator's lane
+/// with the flush before that aggregator's next wait, the counters
+/// match the events, and the file equals the fault-free one.
+#[test]
+fn transient_flush_fault_is_retried_on_the_aggregators_thread() {
+    let tracer = Tracer::new(NRANKS);
+    let cfg = TapiocaConfig {
+        faults: Some(FaultPlan::seeded(7).with(FaultSpec::TransientFlushError { probability: 0.5 })),
+        io_policy: fast_policy(24),
+        tracer: Some(Arc::clone(&tracer)),
+        ..base_cfg()
+    };
+    let path = tmp("aggregator-retries");
+    let per_rank = Runtime::run(NRANKS, |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let r = comm.rank();
+        let mut io = Session::builder(&comm, file)
+            .declarations(decls_for(r))
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        assert_eq!(io.write(r as u64 * PER_RANK, &payload_for(r)).unwrap(), WriteOutcome::Flushed);
+        let workers = io_workers();
+        let stats = *io.stats().expect("pipeline ran");
+        io.finalize();
+        (workers, stats)
+    });
+    assert_eq!(std::fs::read(&path).unwrap(), fault_free_bytes());
+    std::fs::remove_file(&path).ok();
+    let mut total = IoStats::default();
+    for (workers, stats) in &per_rank {
+        assert_eq!(*workers, 0, "a flush went to an I/O worker");
+        total.merge(stats);
+    }
+    let trace = tracer.drain();
+    let events = trace.events();
+    let retries: Vec<_> = events.iter().filter(|e| e.op == TraceOp::Retry).collect();
+    assert!(!retries.is_empty(), "the seeded plan injected no fault");
+    assert_eq!(total.retries, retries.len() as u64);
+    for retry in retries {
+        let lane: Vec<_> = events.iter().filter(|e| e.rank == retry.rank).collect();
+        let same = |e: &&TraceEvent| (e.partition, e.round) == (retry.partition, retry.round);
+        let flush = lane
+            .iter()
+            .position(|e| e.op == TraceOp::Flush && same(e) && e.offset == retry.offset)
+            .expect("the retried segment is flushed on the aggregator's lane");
+        let next_wait = lane.iter().position(|e| {
+            e.op == TraceOp::Wait && e.partition == retry.partition && e.round == retry.round + 1
+        });
+        assert!(next_wait.is_none_or(|w| flush < w), "round {} written late", retry.round);
+    }
+    assert!(check(&trace).is_empty());
 }
 
 #[test]

@@ -390,3 +390,79 @@ fn hacc_rounds_shape_pins_the_synchronisation_calls() {
         assert!(pinned < 1152);
     }
 }
+
+/// The aggregator's lane of a traced run in which every round is ready
+/// at once: 4 ranks declare 6 SoA variables of 256 B and issue them in
+/// reverse, so nothing runs before the last `write`, which then drives
+/// all 6 rounds (one variable each, all 4 ranks contributing) without
+/// handing control back. One aggregator, 1 KiB buffers. Returns the
+/// aggregator's events in lane order.
+fn aggregator_lane(name: &str, pipelining: bool) -> Vec<TraceEvent> {
+    const LEN: u64 = 256;
+    let profile = theta_profile(4, 1);
+    let decls: Vec<Vec<WriteDecl>> = (0..4u64)
+        .map(|r| (0..6u64).map(|v| WriteDecl { offset: (v * 4 + r) * LEN, len: LEN }).collect())
+        .collect();
+    let tracer = Tracer::new(4);
+    let cfg = TapiocaConfig {
+        num_aggregators: 1,
+        buffer_size: 4 * LEN,
+        pipelining,
+        tracer: Some(Arc::clone(&tracer)),
+        ..Default::default()
+    };
+    let machine = Arc::new(profile.machine.clone());
+    let path = tmp(name);
+    Runtime::run(4, |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let mine = decls[comm.rank()].clone();
+        let mut io = Session::builder(&comm, file)
+            .declarations(mine.clone())
+            .config(cfg.clone())
+            .topology(machine.clone())
+            .build()
+            .unwrap();
+        for d in mine.iter().rev() {
+            io.write(d.offset, &vec![0x5Au8; d.len as usize]).unwrap();
+        }
+        io.finalize();
+    });
+    std::fs::remove_file(&path).ok();
+    let trace = tracer.drain();
+    assert!(check(&trace).is_empty(), "{name}: violations");
+    let agg = trace.events().iter().find(|e| e.op == TraceOp::Post).expect("a post").rank;
+    trace.events().iter().filter(|e| e.rank == agg).copied().collect()
+}
+
+/// Where the aggregator wrote round `r`, and where it made its call
+/// `op` of round `r` (its put, for `RmaPut`).
+fn lane_at(lane: &[TraceEvent], op: TraceOp, r: u32) -> Option<usize> {
+    lane.iter().position(|e| e.op == op && e.round == r)
+}
+
+/// The aggregator writes each round on its own thread, in its own lane
+/// order. Pipelined, it puts into round `r + 1` first, then writes
+/// round `r`, then waits for round `r + 1` and re-posts round `r`'s
+/// buffer as round `r + 2`. Unpipelined, it writes round `r` before it
+/// posts that buffer again as round `r + 1`.
+#[test]
+fn aggregator_lane_orders_its_put_write_and_wait() {
+    let lane = aggregator_lane("lane-pipelined", true);
+    let at = |op, r| lane_at(&lane, op, r).unwrap_or_else(|| panic!("no {op:?} of round {r}"));
+    for r in 0..6u32 {
+        let flush = at(TraceOp::Flush, r);
+        assert!(at(TraceOp::Wait, r) < flush, "round {r} written before its wait");
+        if r + 1 < 6 {
+            assert!(at(TraceOp::RmaPut, r + 1) < flush, "round {r} written before the next put");
+            assert!(flush < at(TraceOp::Wait, r + 1), "round {r} written after the next wait");
+        }
+        if r + 2 < 6 {
+            assert!(flush < at(TraceOp::Post, r + 2), "round {r}'s buffer re-posted unwritten");
+        }
+    }
+    let lane = aggregator_lane("lane-unpipelined", false);
+    let at = |op, r| lane_at(&lane, op, r).unwrap_or_else(|| panic!("no {op:?} of round {r}"));
+    for r in 0..5u32 {
+        assert!(at(TraceOp::Flush, r) < at(TraceOp::Post, r + 1), "round {r} re-posted unwritten");
+    }
+}

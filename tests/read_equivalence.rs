@@ -179,11 +179,7 @@ fn cross_product(name: &str, decls: &[Vec<WriteDecl>], base: &TapiocaConfig, top
     let faults = FaultPlan::seeded(13)
         .with(FaultSpec::AggregatorCrash { partition: 0, round: 1 })
         .with(FaultSpec::TransientFlushError { probability: 0.4 });
-    let fast_retries = IoPolicy {
-        max_retries: 16,
-        base_backoff: Duration::from_micros(1),
-        op_timeout: Duration::from_secs(30),
-    };
+    let fast_retries = IoPolicy { max_retries: 16, base_backoff: Duration::from_micros(1) };
     let configs = [
         ("pipelined", base.clone()),
         ("unpipelined", TapiocaConfig { pipelining: false, ..base.clone() }),

@@ -336,7 +336,6 @@ mod traced {
             io_policy: tapioca::IoPolicy {
                 max_retries: 16,
                 base_backoff: std::time::Duration::from_micros(1),
-                op_timeout: std::time::Duration::from_secs(30),
             },
             tracer: Some(Arc::clone(&tracer)),
             ..Default::default()
