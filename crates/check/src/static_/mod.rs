@@ -164,7 +164,14 @@ impl ThreadPart {
             if round.round >= dr {
                 break;
             }
-            for put in &round.puts {
+            // In place (the executor's rule): the live aggregator is the
+            // only contributor, it is not the crash round, and the
+            // chunks do not overlap. Its owner writes them from its own
+            // buffer and records no put.
+            let in_place = crash.is_none_or(|(cr, _, _)| cr != round.round)
+                && round.puts.iter().all(|put| put.rank == put.peer)
+                && round.flushes.iter().map(|f| f.len).sum::<u64>() == round.bytes;
+            for put in round.puts.iter().filter(|_| !in_place) {
                 puts.entry((round.round, put.rank)).or_default().push((
                     put.window_offset,
                     put.bytes,

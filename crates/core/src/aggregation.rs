@@ -29,6 +29,14 @@
 //!      and before the session hands control back to the caller
 //!      (`PartitionRun::write_due`). Unpipelined, it writes the buffer
 //!      at once and then posts that same buffer for round `r + 1`.
+//!    * A round is **in place** when its only contributor is the current
+//!      aggregator (the standby after a crash), it is not the crash
+//!      round, and its chunks do not overlap. It keeps its post, start,
+//!      complete and wait, but the aggregator puts nothing: right after
+//!      the wait (pipelined: after posting round `r + 1`; unpipelined:
+//!      before) it writes each flush segment straight from the caller's
+//!      bytes (`PartitionRun::write_in_place`), and buffer `r % 2` stays
+//!      idle.
 //!
 //!    A rank with no chunk in round `r` makes no call in it and runs
 //!    straight on to its next contributing round
@@ -38,13 +46,17 @@
 //! `r + 1` put into one buffer, each on its own thread, while the
 //! aggregator writes round `r` from the other; the aggregator's own put
 //! into round `r + 1` comes first. No flush is handed to another
-//! thread, so none wakes one on the round's critical path.
+//! thread, so none wakes one on the round's critical path. The
+//! aggregator's own bytes cross one copy, the file write, when it fills
+//! a round alone, and two (put, then write) when it shares the round.
 //!
 //! The **read** direction (`PartCtx::read_rounds`) is the same rounds on
 //! the same context with the roles mirrored: the aggregator fills the
 //! window's first slot from the file and posts, the round's
 //! contributors `get` their chunks, and the aggregator waits for them
-//! before it reads round `r + 1` into that slot.
+//! before it reads round `r + 1` into that slot. A round whose only
+//! getter is the aggregator is read in place: the slot is not filled,
+//! and each of its chunks goes from the file straight into the output.
 //!
 //! **Deviation from the paper.** Algorithm 3 closes and re-opens every
 //! round with `MPI_Win_fence`, a collective over *all* members of the
@@ -99,7 +111,7 @@ use crate::api::StreamSource;
 use crate::config::TapiocaConfig;
 use crate::error::{io_err, Result, TapiocaError};
 use crate::placement::election_cost;
-use crate::schedule::{Chunk, PartitionInfo, RankPartPlan, RoundRoster};
+use crate::schedule::{Chunk, FlushSegment, PartitionInfo, RankPartPlan, RoundRoster};
 
 /// Key namespace so several `Session`s on one communicator
 /// never collide in the subgroup registry.
@@ -122,6 +134,7 @@ pub struct IoStats {
     /// included).
     pub elected: usize,
     /// One-sided puts issued, one per chunk (crash replays re-count).
+    /// An aggregator puts nothing into a round it fills alone.
     pub puts: u64,
     /// Bytes deposited via puts.
     pub put_bytes: u64,
@@ -165,7 +178,8 @@ pub struct IoStats {
     /// are copied, whatever the order.
     pub staging_copy_bytes: u64,
     /// Read direction: file segments read into the window (as
-    /// aggregator), one per flush segment of the round plan.
+    /// aggregator), one per flush segment of a round that has a getter
+    /// besides the aggregator.
     pub reads: u64,
     /// Bytes read from the file into the window (as aggregator).
     pub read_bytes: u64,
@@ -173,6 +187,12 @@ pub struct IoStats {
     pub gets: u64,
     /// Bytes fetched via gets.
     pub get_bytes: u64,
+    /// Bytes this rank, as aggregator, wrote from or read into the
+    /// caller's buffers without the window, in the rounds it fills or
+    /// drains alone (the module doc's *in place* rounds). They count in
+    /// `flush_bytes` when written, and in none of `put_bytes`,
+    /// `read_bytes` or `get_bytes`.
+    pub in_place_bytes: u64,
 }
 
 impl IoStats {
@@ -196,6 +216,7 @@ impl IoStats {
         self.read_bytes += other.read_bytes;
         self.gets += other.gets;
         self.get_bytes += other.get_bytes;
+        self.in_place_bytes += other.in_place_bytes;
     }
 }
 
@@ -216,15 +237,54 @@ fn shared_verdict(
     }
 }
 
-/// A round whose buffer the aggregator closed but has not written yet
-/// (see the module doc).
+/// A round the aggregator closed but has not written yet: a due buffer,
+/// or an in-place round (see the module doc).
 struct Due {
     round: usize,
-    slot: usize,
     /// Taken while the scope was at `round`, so the flush event carries
     /// it.
     #[cfg(feature = "trace")]
     stamp: Option<TraceStamp>,
+}
+
+impl Due {
+    /// Write the round's flush segments, one
+    /// [`SharedFile::write_retrying`] per segment on this thread, and
+    /// record each one written; `parts` hands a segment's bytes, in file
+    /// order, to the writer it is given. Every segment is attempted;
+    /// returns the first failure.
+    fn write(
+        &self,
+        part: &PartitionInfo,
+        file: &SharedFile,
+        cfg: &TapiocaConfig,
+        mut parts: impl FnMut(
+            &FlushSegment,
+            &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+        ) -> std::io::Result<()>,
+    ) -> Result<()> {
+        let mut res = Ok(());
+        for (s, seg) in part.rounds[self.round].segments.iter().enumerate() {
+            let hint = flush_hint(cfg, part, self.round, s);
+            match file.write_retrying(seg.file_offset, cfg.io_policy, hint, |w| parts(seg, w)) {
+                Ok(()) => {
+                    #[cfg(feature = "trace")]
+                    if let Some(stamp) = &self.stamp {
+                        stamp.flush_done(seg.file_offset, seg.len);
+                    }
+                }
+                Err(e) => res = res.and(Err(e.into())),
+            }
+        }
+        res
+    }
+}
+
+/// The range of `chunks` (sorted by `(round, file_offset)`) that lies
+/// in round `r`.
+fn round_range(chunks: &[Chunk], r: usize) -> std::ops::Range<usize> {
+    let lo = chunks.partition_point(|c| (c.round as usize) < r);
+    lo..chunks.partition_point(|c| c.round as usize <= r)
 }
 
 /// The fault `cfg`'s plan injects into flush segment `s` of round `r`.
@@ -301,7 +361,10 @@ impl PartCtx {
     /// getter starts, appends its chunks to `out[var]` straight from the
     /// window (`Window::get_with`) and completes; the aggregator serves
     /// its own gets, *waits* for the others, and only then fills the
-    /// slot with round `r + 1`. `out[var]` must hold exactly the bytes
+    /// slot with round `r + 1`. A round whose only getter is the
+    /// aggregator keeps its post, start, complete and wait, but fills no
+    /// slot: the aggregator reads each of its chunks from the file
+    /// straight into `out[var]`. `out[var]` must hold exactly the bytes
     /// of `var` that lie before this partition (nothing, for the first
     /// partition the var reaches). One slot, whatever
     /// `cfg.pipelining` says: overlapping the next file read with the
@@ -330,9 +393,13 @@ impl PartCtx {
         }
         for (r, round) in part.rounds.iter().enumerate() {
             let at = tag(part, r);
+            // In place: the aggregator is the round's only getter, so it
+            // reads its chunks from the file straight into `out` and
+            // leaves the slot idle.
+            let in_place = roster.contributors(r) == [agg];
             if me == agg {
                 // The wait of round r - 1 released the slot.
-                for seg in &round.segments {
+                for seg in round.segments.iter().filter(|_| !in_place) {
                     let mut from = seg.file_offset;
                     let res =
                         self.win.fill_local(seg.buf_offset as usize, seg.len as usize, |pane| {
@@ -353,20 +420,31 @@ impl PartCtx {
             if s < e {
                 self.win.start(agg, at);
                 for c in &mine.chunks[s..e] {
-                    // One-sided read appended straight to the output
-                    // buffer. Appending puts the chunk at `var_offset`
-                    // because a rank visits the chunks of one
-                    // declaration in ascending `var_offset`: plan parts
-                    // and their rounds run in ascending order, a part's
-                    // chunks are sorted by `(round, file_offset)`, and a
-                    // declaration is one contiguous extent.
+                    // Appended straight to the output buffer. Appending
+                    // puts the chunk at `var_offset` because a rank
+                    // visits the chunks of one declaration in ascending
+                    // `var_offset`: plan parts and their rounds run in
+                    // ascending order, a part's chunks are sorted by
+                    // `(round, file_offset)`, and a declaration is one
+                    // contiguous extent.
                     let dst = &mut out[c.var];
                     debug_assert_eq!(dst.len() as u64, c.var_offset, "var {} out of order", c.var);
-                    self.win.get_with(agg, c.buf_offset as usize, c.len as usize, |part| {
-                        dst.extend_from_slice(part);
-                    });
-                    stats.gets += 1;
-                    stats.get_bytes += c.len;
+                    if in_place {
+                        // Zero-extended, then read over: std has no
+                        // positioned read into spare capacity.
+                        let from = dst.len();
+                        dst.resize(from + c.len as usize, 0);
+                        if let Err(e) = file.read_at_into(c.file_offset, &mut dst[from..]) {
+                            failed.get_or_insert(io_err("read_at", e));
+                        }
+                        stats.in_place_bytes += c.len;
+                    } else {
+                        self.win.get_with(agg, c.buf_offset as usize, c.len as usize, |part| {
+                            dst.extend_from_slice(part);
+                        });
+                        stats.gets += 1;
+                        stats.get_bytes += c.len;
+                    }
                 }
                 self.win.complete(agg, at);
                 stats.fences += 2;
@@ -540,29 +618,53 @@ impl PartitionRun {
         cfg: &TapiocaConfig,
     ) {
         let Some(due) = self.due.take() else { return };
-        let base = due.slot * cfg.buffer_size as usize;
-        for (s, seg) in part.rounds[due.round].segments.iter().enumerate() {
-            let hint = flush_hint(cfg, part, due.round, s);
-            let at = base + seg.buf_offset as usize;
-            let res = file.write_retrying(seg.file_offset, cfg.io_policy, hint, |w| {
-                self.ctx.win.drain_local(at, seg.len as usize, w)
-            });
-            match res {
-                Ok(()) => {
-                    #[cfg(feature = "trace")]
-                    if let Some(stamp) = &due.stamp {
-                        stamp.flush_done(seg.file_offset, seg.len);
-                    }
-                }
-                Err(e) => self.record(Err(e.into())),
-            }
-        }
+        let base = (due.round - self.base) % 2 * cfg.buffer_size as usize;
+        let win = &self.ctx.win;
+        let res = due.write(part, file, cfg, |seg, w| {
+            win.drain_local(base + seg.buf_offset as usize, seg.len as usize, w)
+        });
+        self.record(res);
+    }
+
+    /// Whether round `r` runs in place (module doc): its only
+    /// contributor is the current aggregator, it is not the crash round,
+    /// and its chunks do not overlap, so they tile its flush segments.
+    fn in_place(&self, part: &PartitionInfo, r: usize) -> bool {
+        let round = &part.rounds[r];
+        self.crash_round != Some(r)
+            && self.roster.contributors(r) == [self.ctx.agg_idx]
+            && round.segments.iter().map(|s| s.len).sum::<u64>() == round.bytes
+    }
+
+    /// Aggregator only: write in-place round `due.round` from the
+    /// caller's bytes — per flush segment, this rank's chunks of it in
+    /// file order, from `src` — instead of from the window.
+    #[allow(clippy::too_many_arguments)]
+    fn write_in_place(
+        &mut self,
+        part: &PartitionInfo,
+        chunks: &[Chunk],
+        src: &StreamSource<'_>,
+        due: &Due,
+        file: &SharedFile,
+        cfg: &TapiocaConfig,
+        stats: &mut IoStats,
+    ) {
+        let own = round_range(chunks, due.round);
+        // The first of this round's chunks at or past window offset `b`.
+        let from = |b| own.start + chunks[own.clone()].partition_point(|c| c.buf_offset < b);
+        let res = due.write(part, file, cfg, |seg, w| {
+            (from(seg.buf_offset)..from(seg.buf_offset + seg.len))
+                .try_for_each(|i| w(src.chunk_data(i, &chunks[i])))
+        });
+        stats.in_place_bytes += chunks[own].iter().map(|c| c.len).sum::<u64>();
+        self.record(res);
     }
 
     /// This rank's part in filling round `r`: enter the aggregator's
     /// exposure, put every chunk of the round into the window at
-    /// `slot_base` with one vectored put, leave. A crash replay calls it
-    /// again into the fresh window.
+    /// `slot_base` with one vectored put — none into an in-place round —
+    /// and leave. A crash replay calls it again into the fresh window.
     fn contribute(
         &self,
         part: &PartitionInfo,
@@ -574,17 +676,17 @@ impl PartitionRun {
     ) {
         let at = tag(part, r);
         self.ctx.win.start(self.ctx.agg_idx, at);
-        // `chunks` is sorted by `(round, file_offset)`, so the round's
-        // chunks are one range of it; `i` stays the slice index.
-        let lo = chunks.partition_point(|c| (c.round as usize) < r);
-        let hi = chunks.partition_point(|c| c.round as usize <= r);
-        let parts: Vec<(usize, &[u8])> = (lo..)
-            .zip(&chunks[lo..hi])
-            .map(|(i, c)| (slot_base + c.buf_offset as usize, src.chunk_data(i, c)))
-            .collect();
-        self.ctx.win.put_vectored(self.ctx.agg_idx, &parts);
-        stats.puts += parts.len() as u64;
-        stats.put_bytes += chunks[lo..hi].iter().map(|c| c.len).sum::<u64>();
+        if !self.in_place(part, r) {
+            // `i` stays the slice index of `chunks`.
+            let range = round_range(chunks, r);
+            let parts: Vec<(usize, &[u8])> = (range.start..)
+                .zip(&chunks[range.clone()])
+                .map(|(i, c)| (slot_base + c.buf_offset as usize, src.chunk_data(i, c)))
+                .collect();
+            self.ctx.win.put_vectored(self.ctx.agg_idx, &parts);
+            stats.puts += parts.len() as u64;
+            stats.put_bytes += chunks[range].iter().map(|c| c.len).sum::<u64>();
+        }
         self.ctx.win.complete(self.ctx.agg_idx, at);
         stats.fences += 2;
     }
@@ -638,10 +740,10 @@ impl PartitionRun {
             return RoundOutcome::Degraded;
         }
 
-        let mut buf = (r - self.base) % 2;
         let contributes = self.roster.contributes(r, self.my_idx);
+        let in_place = self.in_place(part, r);
         if contributes {
-            self.contribute(part, chunks, src, r, buf * b, stats);
+            self.contribute(part, chunks, src, r, (r - self.base) % 2 * b, stats);
         }
         self.wait_round(part, r, file, cfg, stats);
 
@@ -689,7 +791,6 @@ impl PartitionRun {
                 self.ctx.win.set_trace_scope(scope);
             }
             self.base = r;
-            buf = 0;
             self.post_round(part, r, stats);
             if contributes {
                 self.contribute(part, chunks, src, r, 0, stats);
@@ -715,18 +816,33 @@ impl PartitionRun {
                 stats.flushes += 1;
                 stats.flush_bytes += seg.len;
             }
-            self.due = Some(Due {
+            let due = Due {
                 round: r,
-                slot: buf,
                 #[cfg(feature = "trace")]
                 stamp: self.ctx.win.trace_scope().map(TraceScope::stamp),
-            });
-            // Pipelined, round r + 1 fills the other buffer, written
-            // before this wait; unpipelined, it refills this one.
-            if !cfg.pipelining {
-                self.write_due(part, file, cfg);
+            };
+            if in_place {
+                // Nothing of round r is in the window. Pipelined, round
+                // r + 1's contributors fill the other buffer while this
+                // writes; unpipelined, the write comes first. Either
+                // way before `run_round` returns: the session then marks
+                // the round's chunks consumed.
+                if cfg.pipelining {
+                    self.post_round(part, r + 1, stats);
+                }
+                self.write_in_place(part, chunks, src, &due, file, cfg, stats);
+                if !cfg.pipelining {
+                    self.post_round(part, r + 1, stats);
+                }
+            } else {
+                self.due = Some(due);
+                // Pipelined, round r + 1 fills the other buffer, written
+                // before this wait; unpipelined, it refills this one.
+                if !cfg.pipelining {
+                    self.write_due(part, file, cfg);
+                }
+                self.post_round(part, r + 1, stats);
             }
-            self.post_round(part, r + 1, stats);
         }
         self.next_round = r + 1;
         RoundOutcome::Ran

@@ -646,8 +646,9 @@ impl<'c> Session<'c> {
     /// kept contexts (`PartCtx::read_rounds`), forming — and keeping —
     /// a context no write epoch has formed yet. The buffers are not
     /// zero-filled: each starts empty with its declared capacity and
-    /// every chunk is appended straight from the aggregator's window,
-    /// so each output byte is written once.
+    /// every chunk is appended straight from the aggregator's window, or
+    /// read straight from the file in a round its aggregator reads
+    /// alone, so each output byte is copied once.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] mid-epoch, before any collective
@@ -1015,6 +1016,30 @@ mod tests {
             }
             io.finalize();
         });
+    }
+
+    /// A lone rank whose two declarations overlap: its rounds have no
+    /// other contributor, but their chunks do not tile the flush segment,
+    /// so they go through the window, which resolves the overlap. Written
+    /// from the caller's slices back to back, they would run past the
+    /// segment's end.
+    #[test]
+    fn overlapping_chunks_of_a_lone_aggregator_go_through_the_window() {
+        let path = tmp("lone-overlap");
+        Runtime::run(1, |comm| {
+            let file = SharedFile::open_shared(&comm, &path);
+            let decls = vec![WriteDecl { offset: 0, len: 16 }, WriteDecl { offset: 4, len: 8 }];
+            let mut io = session(&comm, file, decls, cfg(1, 32));
+            let whole: Vec<u8> = (0..16).collect();
+            io.write(4, &whole[4..12]).unwrap();
+            assert_eq!(io.write(0, &whole).unwrap(), WriteOutcome::Flushed);
+            let s = io.stats().unwrap();
+            assert_eq!((s.put_bytes, s.in_place_bytes, s.flush_bytes), (24, 0, 16));
+            io.finalize();
+        });
+        let expect: Vec<u8> = (0..16).collect();
+        assert_eq!(std::fs::read(&path).unwrap(), expect);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

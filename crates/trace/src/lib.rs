@@ -307,7 +307,9 @@ impl Trace {
     /// Timestamps, `Sync`-phase events, and put granularity (thread mode
     /// records one event per chunk, the simulator one per source rank)
     /// are deliberately excluded — see the equivalence contract in
-    /// DESIGN.md.
+    /// DESIGN.md. A round that was flushed but saw no put was aggregated
+    /// in place by its aggregator (thread mode records no put for it):
+    /// its aggregation bytes are its flush bytes.
     pub fn structural(&self) -> StructuralTrace {
         use std::collections::BTreeMap;
         let mut parts: BTreeMap<u32, (Option<Rank>, BTreeMap<u32, RoundStructure>)> =
@@ -357,7 +359,17 @@ impl Trace {
                 .map(|(partition, (agg, rounds))| PartitionStructure {
                     partition,
                     aggregator: agg,
-                    rounds: rounds.into_values().collect(),
+                    rounds: rounds
+                        .into_values()
+                        .map(|mut r| {
+                            // Flushed with no put: the aggregator wrote
+                            // its own bytes in place.
+                            if r.aggregation_bytes == 0 {
+                                r.aggregation_bytes = r.io_bytes;
+                            }
+                            r
+                        })
+                        .collect(),
                 })
                 .collect(),
         }
@@ -936,9 +948,11 @@ mod tests {
         assert_eq!(s.partitions[0].rounds[1].io_bytes, 0);
 
         // A flush-only trace: total == overlapped is impossible, so the
-        // fraction is 0; the round exists with io bytes only.
+        // fraction is 0; the round was aggregated in place, so its
+        // aggregation bytes are its io bytes.
         let only_flush = Trace::from_events(vec![ev(1, 0, 0, 0, TraceOp::Flush, 32, NO_PEER)]);
         assert_eq!(only_flush.overlap_fraction(), 0.0);
-        assert_eq!(only_flush.structural().partitions[0].rounds[0].io_bytes, 32);
+        let round = &only_flush.structural().partitions[0].rounds[0];
+        assert_eq!((round.aggregation_bytes, round.io_bytes), (32, 32));
     }
 }

@@ -239,6 +239,101 @@ fn transient_flush_fault_is_retried_on_the_aggregators_thread() {
     assert!(check(&trace).is_empty());
 }
 
+/// Rounds of `trace` flushed with no put: the rounds an aggregator
+/// filled alone and wrote in place, as `(partition, round, aggregator)`.
+fn in_place_rounds(trace: &Trace) -> Vec<(u32, u32, usize)> {
+    let events = trace.events();
+    let put = |p, r| {
+        events.iter().any(|e| e.op == TraceOp::RmaPut && (e.partition, e.round) == (p, r))
+    };
+    let mut rounds: Vec<_> = events
+        .iter()
+        .filter(|e| e.op == TraceOp::Flush && !put(e.partition, e.round))
+        .map(|e| (e.partition, e.round, e.rank))
+        .collect();
+    rounds.sort_unstable();
+    rounds.dedup();
+    rounds
+}
+
+/// Every round of the standard workload has one contributor, so each
+/// aggregator fills its own round alone and writes it from the caller's
+/// bytes. A transient fault on that write is retried like any other:
+/// the `Retry` events and counters match, and the file equals the
+/// fault-free one.
+#[test]
+fn transient_fault_on_an_in_place_round_is_retried() {
+    let tracer = Tracer::new(NRANKS);
+    let flaky = FaultSpec::TransientFlushError { probability: 0.5 };
+    let cfg = TapiocaConfig {
+        faults: Some(FaultPlan::seeded(7).with(flaky)),
+        io_policy: fast_policy(24),
+        tracer: Some(Arc::clone(&tracer)),
+        ..base_cfg()
+    };
+    let (bytes, results) = run_thread("in-place-retries", &cfg);
+    assert_eq!(bytes, fault_free_bytes());
+    let mut total = IoStats::default();
+    results.iter().for_each(|(_, s)| total.merge(s));
+    assert_eq!(total.in_place_bytes, 2 * PER_RANK, "one round per aggregator is in place");
+    assert_eq!(total.put_bytes + total.in_place_bytes, NRANKS as u64 * PER_RANK);
+    let trace = tracer.drain();
+    let in_place = in_place_rounds(&trace);
+    assert_eq!(in_place.len(), 2, "{in_place:?}");
+    let retries: Vec<_> = trace.events().iter().filter(|e| e.op == TraceOp::Retry).collect();
+    assert_eq!(total.retries, retries.len() as u64);
+    assert_eq!(total.retries, total.faults_injected);
+    let retried = |&(p, r, agg): &(u32, u32, usize)| {
+        retries.iter().any(|e| (e.partition, e.round, e.rank) == (p, r, agg))
+    };
+    assert!(in_place.iter().any(retried), "the seeded plan faulted no in-place round");
+    let v = check(&trace);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+/// A crash at the round the aggregator fills alone: that round is never
+/// in place. Its fill is lost with the crashed window, the old
+/// aggregator replays its put into the standby's, and the standby
+/// writes it from there — byte-identical, and checker-clean.
+#[test]
+fn crash_at_a_round_the_aggregator_fills_alone_replays_through_the_standby() {
+    let clean = thread_trace("in-place-crash-ref", &base_cfg());
+    let (_, round, old) = in_place_rounds(&clean)
+        .into_iter()
+        .find(|&(p, _, _)| p == 0)
+        .expect("partition 0 has an in-place round");
+    let tracer = Tracer::new(NRANKS);
+    let crash = FaultSpec::AggregatorCrash { partition: 0, round };
+    let cfg = TapiocaConfig {
+        faults: Some(FaultPlan::seeded(11).with(crash)),
+        tracer: Some(Arc::clone(&tracer)),
+        ..base_cfg()
+    };
+    let (bytes, results) = run_thread("in-place-crash", &cfg);
+    assert_eq!(bytes, fault_free_bytes(), "crash at in-place round {round} corrupted the file");
+    let mut total = IoStats::default();
+    results.iter().for_each(|(_, s)| total.merge(s));
+    assert_eq!(total.reelections, 1);
+    let trace = tracer.drain();
+    let events = trace.events();
+    let standby = events
+        .iter()
+        .find(|e| e.op == TraceOp::Reelect && e.partition == 0)
+        .expect("the crash re-elects")
+        .peer;
+    assert_ne!(standby, old);
+    let at = |e: &&TraceEvent| (e.partition, e.round) == (0, round);
+    let replayed = events
+        .iter()
+        .filter(at)
+        .any(|e| e.op == TraceOp::RmaPut && (e.rank, e.peer) == (old, standby));
+    assert!(replayed, "the old aggregator replays round {round} into the standby's window");
+    assert!(events.iter().filter(at).any(|e| e.op == TraceOp::Flush && e.rank == standby));
+    assert!(!in_place_rounds(&trace).iter().any(|&(p, r, _)| (p, r) == (0, round)));
+    let v = check(&trace);
+    assert!(v.is_empty(), "{v:?}");
+}
+
 #[test]
 fn crash_and_flaky_compose() {
     // Both fault kinds in one plan, crash in each partition.
@@ -321,6 +416,48 @@ fn failed_flush_reaches_every_rank_within_the_watchdog() {
         });
         for seed in 0..4 {
             Runtime::run_perturbed(4, seed, |comm| write_to_full_device(comm, full, pipelining));
+        }
+    }
+}
+
+/// 4 ranks x 512 B to `/dev/full`, two aggregators, 256 B rounds: each
+/// aggregator writes its own two rounds in place, from the caller's
+/// bytes, and those writes fail too. Every rank's epoch must still end
+/// in `TapiocaError::Io`, twice, within the watchdog.
+fn in_place_to_full_device(comm: tapioca_mpi::Comm, file: &std::path::Path, pipelining: bool) {
+    let r = comm.rank();
+    let (offset, len) = (r as u64 * 512, 512);
+    let cfg = TapiocaConfig { pipelining, io_policy: fast_policy(1), ..base_cfg() };
+    let mut io = Session::builder(&comm, SharedFile::open_shared(&comm, file))
+        .declarations(vec![WriteDecl { offset, len }])
+        .config(cfg)
+        .build()
+        .unwrap();
+    for epoch in 0..2 {
+        let err = io.write(offset, &vec![r as u8; len as usize]).unwrap_err();
+        let at = format!("rank {r} epoch {epoch} pipelining {pipelining}");
+        assert!(matches!(err, TapiocaError::Io { op: "write_at", .. }), "{at}: {err}");
+        let stats = io.stats().expect("the failed epoch still ran");
+        if stats.elected > 0 {
+            assert_eq!(stats.in_place_bytes, len, "{at}: its own rounds went in place");
+        }
+    }
+    io.finalize();
+}
+
+#[test]
+fn failed_in_place_write_reaches_every_rank_within_the_watchdog() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full");
+        return;
+    }
+    for pipelining in [true, false] {
+        Runtime::run_with_watchdog(4, Some(Duration::from_secs(10)), |comm| {
+            in_place_to_full_device(comm, full, pipelining);
+        });
+        for seed in 0..4 {
+            Runtime::run_perturbed(4, seed, |comm| in_place_to_full_device(comm, full, pipelining));
         }
     }
 }

@@ -188,15 +188,23 @@ fn violations(events: Vec<TraceEvent>) -> Vec<tapioca_check::Violation> {
     check(&Trace::from_events(events))
 }
 
+/// The first put a member made into another member's window. Every
+/// round of [`genuine_events`] has one contributor, and the rounds the
+/// aggregator fills alone run in place, without a put, so the tampering
+/// tests pick a round filled by someone else.
+fn foreign_put(events: &[TraceEvent]) -> usize {
+    events
+        .iter()
+        .position(|e| e.op == TraceOp::RmaPut && e.rank != e.peer)
+        .expect("a member put into the aggregator's window")
+}
+
 #[test]
 fn tampered_trace_is_caught() {
     // Take a genuine thread trace, violate the bracket discipline by
     // relabelling one put's round, and expect the checker to object.
     let mut events = genuine_events("tampered");
-    let put = events
-        .iter()
-        .position(|e| e.op == TraceOp::RmaPut && e.round == 0)
-        .expect("trace has a round-0 put");
+    let put = foreign_put(&events);
     events[put].round += 1;
     let v = violations(events);
     assert!(
@@ -208,17 +216,14 @@ fn tampered_trace_is_caught() {
 #[test]
 fn put_moved_before_its_start_is_caught() {
     let mut events = genuine_events("tamper-early-put");
-    let put = events
-        .iter()
-        .position(|e| e.op == TraceOp::RmaPut && e.round == 1)
-        .expect("trace has a round-1 put");
-    let (rank, partition) = (events[put].rank, events[put].partition);
+    let put = foreign_put(&events);
+    let (rank, partition, round) = (events[put].rank, events[put].partition, events[put].round);
     let start = events
         .iter()
         .position(|e| {
-            e.op == TraceOp::Start && (e.rank, e.partition, e.round) == (rank, partition, 1)
+            e.op == TraceOp::Start && (e.rank, e.partition, e.round) == (rank, partition, round)
         })
-        .expect("the put's rank started round 1");
+        .expect("the put's rank started its round");
     // The put now sits just before the start that should admit it.
     events[put].t_ns = events[start].t_ns - 1;
     let v = violations(events);
@@ -256,25 +261,35 @@ fn dropped_complete_is_caught_with_a_witness_naming_the_rank() {
 #[test]
 fn refill_recorded_before_the_post_that_follows_the_flush_is_caught() {
     // The aggregator re-exposes a slot (post of round r + 2) before the
-    // flush of round r — which last used the slot — has drained.
+    // flush of round r — which last used the slot — has drained. Both
+    // rounds are filled by members other than the aggregator, so both
+    // use the slot.
     let mut events = genuine_events("tamper-early-post");
+    let filled = |p: u32, r: u32| {
+        events.iter().any(|e| e.op == TraceOp::RmaPut && (e.partition, e.round) == (p, r))
+    };
     let flush = events
         .iter()
-        .position(|e| e.op == TraceOp::Flush && e.round == 0)
-        .expect("round 0 was flushed");
-    let (agg, partition) = (events[flush].rank, events[flush].partition);
+        .position(|e| {
+            e.op == TraceOp::Flush
+                && filled(e.partition, e.round)
+                && filled(e.partition, e.round + 2)
+        })
+        .expect("a round and the round two later were filled through the window");
+    let (agg, partition, r) = (events[flush].rank, events[flush].partition, events[flush].round);
     let repost = events
         .iter()
         .position(|e| {
-            e.op == TraceOp::Post && (e.rank, e.partition, e.round) == (agg, partition, 2)
+            e.op == TraceOp::Post && (e.rank, e.partition, e.round) == (agg, partition, r + 2)
         })
-        .expect("the aggregator posted round 2");
+        .expect("the aggregator posted the round two later");
     // Record the flush completion just after that post.
     events[flush].t_ns = events[repost].t_ns + 1;
     let v = violations(events);
+    let refilled = format!("for round {}", r + 2);
     assert!(
         v.iter().any(|v| {
-            v.kind == ViolationKind::RefillBeforeFlush && v.message.contains("for round 2")
+            v.kind == ViolationKind::RefillBeforeFlush && v.message.contains(&refilled)
         }),
         "early re-exposure went undetected: {v:?}"
     );
@@ -464,5 +479,66 @@ fn aggregator_lane_orders_its_put_write_and_wait() {
     let at = |op, r| lane_at(&lane, op, r).unwrap_or_else(|| panic!("no {op:?} of round {r}"));
     for r in 0..5u32 {
         assert!(at(TraceOp::Flush, r) < at(TraceOp::Post, r + 1), "round {r} re-posted unwritten");
+    }
+}
+
+/// IOR with one contributor per round, one aggregator: it fills its own
+/// two rounds alone, so they run in place. On its lane each keeps the
+/// whole skeleton — post, start, complete, wait — and the write follows
+/// the wait: pipelined, after it posts the next round and before it
+/// waits for it; unpipelined, before it posts the next round. No lane
+/// records a put of an in-place round; the other six rounds still put.
+#[test]
+fn in_place_rounds_keep_their_skeleton_and_put_nothing() {
+    let profile = theta_profile(4, 1);
+    let decls = IorSpec { num_ranks: 4, bytes_per_rank: 1024 }.decls();
+    for pipelining in [true, false] {
+        let cfg = TapiocaConfig {
+            num_aggregators: 1,
+            buffer_size: 512,
+            pipelining,
+            ..Default::default()
+        };
+        let name = format!("in-place-{pipelining}");
+        let trace = thread_trace(&name, &profile, &decls, &cfg, None);
+        let v = check(&trace);
+        assert!(v.is_empty(), "{name}: violations: {v:?}");
+        let events = trace.events();
+        let agg = events.iter().find(|e| e.op == TraceOp::Post).expect("a post").rank;
+        let lane: Vec<TraceEvent> = events.iter().filter(|e| e.rank == agg).copied().collect();
+        let at = |op, r| {
+            lane_at(&lane, op, r).unwrap_or_else(|| panic!("{name}: no {op:?} of round {r}"))
+        };
+        let own: Vec<u32> =
+            lane.iter().filter(|e| e.op == TraceOp::Start).map(|e| e.round).collect();
+        assert_eq!(own.len(), 2, "{name}: the aggregator fills two rounds");
+        let puts = events.iter().filter(|e| e.op == TraceOp::RmaPut);
+        assert_eq!(puts.clone().count(), 6, "{name}: the other members' rounds still put");
+        for r in own {
+            assert!(puts.clone().all(|e| e.round != r), "{name}: round {r} is in place, yet put");
+            let last = r == 7;
+            if pipelining {
+                let mut chain = vec![
+                    at(TraceOp::Post, r),
+                    at(TraceOp::Start, r),
+                    at(TraceOp::Complete, r),
+                    at(TraceOp::Wait, r),
+                ];
+                if !last {
+                    chain.push(at(TraceOp::Post, r + 1));
+                }
+                chain.push(at(TraceOp::Flush, r));
+                if !last {
+                    chain.push(at(TraceOp::Wait, r + 1));
+                }
+                assert!(chain.is_sorted(), "{name}: round {r} out of order: {chain:?}");
+            } else {
+                assert!(at(TraceOp::Wait, r) < at(TraceOp::Flush, r), "{name}: round {r}");
+                if !last {
+                    let (flush, next) = (at(TraceOp::Flush, r), at(TraceOp::Post, r + 1));
+                    assert!(flush < next, "{name}: round {r} re-posted unwritten");
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! Also here: the kept context must never serve stale bytes, a failed
 //! aggregator read must reach every member as an `Err` instead of
 //! stranding them, and the read counters are pinned on the benchmark's
-//! `thr-ior-readback` shape.
+//! `thr-ior-readback` shape, where every round is read in place, and
+//! balanced on a shape where in-place rounds and gets share a partition.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -400,10 +401,57 @@ fn failed_aggregator_read_reaches_every_member_within_the_watchdog() {
     }
 }
 
+/// 4 ranks x 1 KiB, two aggregators, 512 B rounds: every round has one
+/// getter, so each aggregator reads its own two rounds in place while
+/// the other member of its partition gets its two from the window.
+/// Every declared byte reaches its output exactly once, through a get or
+/// in place, under perturbed schedules and with pipelining on and off.
+#[test]
+fn in_place_and_window_rounds_share_a_partition() {
+    const PER: u64 = 1024;
+    let topo = Arc::new(theta_profile(4, 1).machine);
+    for pipelining in [true, false] {
+        let cfg = TapiocaConfig {
+            num_aggregators: 2,
+            buffer_size: 512,
+            pipelining,
+            ..Default::default()
+        };
+        for seed in 0..SEEDS {
+            let path = tmp(&format!("mixed-{pipelining}-{seed}"));
+            let per_rank = Runtime::run_perturbed(4, seed, |comm| {
+                let file = SharedFile::open_shared(&comm, &path);
+                let r = comm.rank();
+                let mine = vec![WriteDecl { offset: r as u64 * PER, len: PER }];
+                let mut io = Session::builder(&comm, file)
+                    .declarations(mine.clone())
+                    .config(cfg.clone())
+                    .topology(topo.clone())
+                    .build()
+                    .unwrap();
+                let data = epoch_data(seed, r, &mine);
+                write_epoch(&mut io, &mine, &data);
+                assert_eq!(io.read_declared().unwrap(), data, "rank {r} seed {seed}");
+                let stats = io.read_stats().unwrap();
+                io.finalize();
+                stats
+            });
+            std::fs::remove_file(&path).ok();
+            let mut total = IoStats::default();
+            per_rank.iter().for_each(|s| total.merge(s));
+            let at = format!("pipelining {pipelining} seed {seed}");
+            assert_eq!(total.in_place_bytes, 2 * PER, "{at}: each aggregator reads its own");
+            assert_eq!(total.get_bytes + total.in_place_bytes, 4 * PER, "{at}");
+            assert_eq!(total.read_bytes, total.get_bytes, "{at}: the window holds only gets");
+        }
+    }
+}
+
 /// The benchmark's `thr-ior-readback` shape: 4 ranks x 4 MiB, one
-/// aggregator per rank, 1 MiB rounds. One `read_declared` is 16 segment
-/// reads and 16 gets of 1 MiB each, and leaves the write epoch's
-/// account alone.
+/// aggregator per rank, 1 MiB rounds. Every partition has one member, so
+/// every round is read in place: one `read_declared` reads 16 MiB from
+/// the file straight into the outputs, with no window fill and no get,
+/// and leaves the write epoch's account alone.
 #[test]
 fn read_stats_are_pinned_on_the_readback_shape() {
     const MIB: u64 = 1 << 20;
@@ -437,8 +485,9 @@ fn read_stats_are_pinned_on_the_readback_shape() {
     std::fs::remove_file(&path).ok();
     let mut total = IoStats::default();
     per_rank.iter().for_each(|s| total.merge(s));
-    assert_eq!((total.reads, total.read_bytes), (16, 16 * MIB));
-    assert_eq!((total.gets, total.get_bytes), (16, 16 * MIB));
+    assert_eq!((total.reads, total.read_bytes), (0, 0));
+    assert_eq!((total.gets, total.get_bytes), (0, 0));
+    assert_eq!(total.in_place_bytes, 16 * MIB);
     assert_eq!((total.partitions, total.elected), (4, 4));
     // Per round: the aggregator's post and wait, its own start and complete.
     assert_eq!(total.fences, 16 * 4);

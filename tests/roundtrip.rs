@@ -112,7 +112,8 @@ fn hacc_both_layouts_through_tapioca() {
 #[test]
 fn io_stats_match_the_schedule() {
     // The executed traffic must account for every declared byte exactly
-    // once: sum of per-rank put_bytes == sum of flush_bytes == payload.
+    // once: put, or written in place by an aggregator that fills a round
+    // alone, and flushed.
     let path = tmp("stats");
     let n = 9;
     let per = 1000u64;
@@ -138,7 +139,11 @@ fn io_stats_match_the_schedule() {
     for s in &stats {
         total.merge(s);
     }
-    assert_eq!(total.put_bytes, n as u64 * per, "every byte put exactly once");
+    assert_eq!(
+        total.put_bytes + total.in_place_bytes,
+        n as u64 * per,
+        "every byte put or written in place exactly once"
+    );
     assert_eq!(total.flush_bytes, n as u64 * per, "every byte flushed exactly once");
     assert_eq!(total.elected, 3, "one aggregator elected per partition");
     assert!(total.puts >= n as u64, "at least one put per rank");

@@ -10,6 +10,8 @@
 //!   session's arena, never reordered on disk);
 //! * epoch reuse is deterministic: a reused session produces the same
 //!   per-epoch stats and the same final bytes as a fresh one;
+//! * a round the aggregator fills alone is written from the caller's
+//!   bytes, or from the staging arena when they arrived early;
 //! * (with the `trace` feature) streamed traces — including per-epoch
 //!   traces of a reused session, faulty runs, and perturbed
 //!   interleavings — satisfy every checker invariant unchanged.
@@ -180,6 +182,79 @@ fn reused_session_epochs_are_deterministic() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A seeded permutation of `0..n`, one per `(rank, epoch)`.
+fn shuffled(n: usize, rank: usize, epoch: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (rank as u64) << 8 ^ epoch;
+    for i in (1..n).rev() {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        order.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    order
+}
+
+/// 4 ranks, each declaring its 3 KiB block as six 512 B variables; two
+/// aggregators and 1 KiB rounds, so every round has one contributor and
+/// each aggregator fills half the rounds of its partition alone. Issued
+/// in a fresh shuffled order every epoch of one reused session, an
+/// aggregator's early variables wait in the staging arena, and its
+/// in-place writes take them from there: each epoch's file is that
+/// epoch's payload, every byte is put or written in place once, and
+/// some aggregator staged bytes in every epoch.
+#[test]
+fn in_place_rounds_write_staged_chunks_across_reused_epochs() {
+    const LEN: u64 = 512;
+    const EPOCHS: u64 = 3;
+    let decls: Vec<Vec<WriteDecl>> = (0..4u64)
+        .map(|r| (0..6u64).map(|v| WriteDecl { offset: (r * 6 + v) * LEN, len: LEN }).collect())
+        .collect();
+    let path = tmp("in-place-staged");
+    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 2 * LEN, ..Default::default() };
+    let per_rank = Runtime::run(4, |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let r = comm.rank();
+        let mine = &decls[r];
+        let mut io = Session::builder(&comm, file)
+            .declarations(mine.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        let mut stats = Vec::new();
+        for epoch in 0..EPOCHS {
+            for v in shuffled(mine.len(), r, epoch) {
+                io.write(mine[v].offset, &payload(r, v, LEN, epoch)).unwrap();
+            }
+            stats.push(*io.stats().unwrap());
+            comm.barrier();
+            if r == 0 {
+                let bytes = std::fs::read(&path).unwrap();
+                for (q, theirs) in decls.iter().enumerate() {
+                    for (v, d) in theirs.iter().enumerate() {
+                        let got = &bytes[d.offset as usize..][..LEN as usize];
+                        assert!(got == payload(q, v, LEN, epoch), "epoch {epoch} rank {q} var {v}");
+                    }
+                }
+            }
+            comm.barrier();
+        }
+        io.finalize();
+        stats
+    });
+    std::fs::remove_file(&path).ok();
+    for epoch in 0..EPOCHS as usize {
+        let mut total = IoStats::default();
+        per_rank.iter().for_each(|s| total.merge(&s[epoch]));
+        // Two aggregators' six variables each, and the other two ranks'.
+        assert_eq!(total.in_place_bytes, 12 * LEN, "epoch {epoch}: half of every partition");
+        assert_eq!(total.put_bytes, 12 * LEN, "epoch {epoch}");
+        let staged = |s: &IoStats| s.elected > 0 && s.staging_copy_bytes > 0;
+        assert!(
+            per_rank.iter().any(|s| staged(&s[epoch])),
+            "epoch {epoch}: no aggregator wrote staged chunks in place"
+        );
+    }
 }
 
 #[cfg(feature = "trace")]

@@ -199,9 +199,19 @@ fn thread_trace_has_sync_events_the_structure_ignores() {
         "thread mode must record its posts/completes and the starts/waits they release"
     );
     assert!(trace.events().iter().filter(|e| e.phase == Phase::Sync).count() >= summary.signals);
-    assert_eq!(summary.aggregation_bytes, 8 * 1024);
     assert_eq!(summary.io_bytes, 8 * 1024);
-    // every byte reached exactly one aggregator's buffers
+    // Each round has one contributor. The two aggregators write their
+    // own 1 KiB in place, with no put; every other byte reached exactly
+    // one aggregator's buffers, and the structure counts all of them.
+    assert_eq!(summary.aggregation_bytes, 6 * 1024);
     let fill: u64 = summary.aggregator_fill_bytes.iter().map(|(_, b)| b).sum();
-    assert_eq!(fill, 8 * 1024);
+    assert_eq!(fill, 6 * 1024);
+    let aggregated: u64 = trace
+        .structural()
+        .partitions
+        .iter()
+        .flat_map(|p| &p.rounds)
+        .map(|r| r.aggregation_bytes)
+        .sum();
+    assert_eq!(aggregated, 8 * 1024);
 }
