@@ -6,9 +6,10 @@
 //! * `unwrap` — `.unwrap()` in non-test library code;
 //! * `expect` — `.expect(...)` in non-test library code;
 //! * `panic` — `panic!(...)` in non-test library code;
-//! * `zero-fill` — `vec![0u8; n]` in non-test library code: a buffer
-//!   that is about to be overwritten should be filled by appending to
-//!   `Vec::with_capacity(n)`, not zeroed and then written again;
+//! * `zero-fill` — `vec![0u8; n]` or `.resize(n, 0)` in non-test
+//!   library code: a buffer that is about to be overwritten should be
+//!   filled by appending to `Vec::with_capacity(n)`, not zeroed and
+//!   then written again;
 //! * `lock-in-loop` — acquiring a `Mutex` inside a loop while another
 //!   lock guard bound outside the loop is still live (lock-ordering /
 //!   contention smell);
@@ -107,6 +108,27 @@ fn sanitize(line: &str) -> String {
     out
 }
 
+/// Whether `s` calls `.resize(<n>, 0)` (or `0u8`) on one line: the
+/// zero-extend-then-overwrite form of `vec![0u8; n]`.
+fn zero_resize(s: &str) -> bool {
+    s.match_indices(".resize(").any(|(i, pat)| {
+        let args = &s[i + pat.len()..];
+        let mut depth = 0;
+        let Some(end) = args.find(|c| {
+            match c {
+                '(' => depth += 1,
+                ')' if depth == 0 => return true,
+                ')' => depth -= 1,
+                _ => {}
+            }
+            false
+        }) else {
+            return false;
+        };
+        args[..end].rsplit_once(',').is_some_and(|(_, v)| matches!(v.trim(), "0" | "0u8"))
+    })
+}
+
 /// A `let`-bound guard acquisition: `let g = x.lock()...`.
 fn binds_guard(s: &str) -> bool {
     s.contains("let ") && s.contains(".lock(")
@@ -143,7 +165,7 @@ fn scan_source(rel: &str, src: &str, findings: &mut Vec<Finding>) {
             ("panic", "panic!("),
             ("zero-fill", "vec![0u8;"),
         ] {
-            if line.contains(pat) {
+            if line.contains(pat) || (rule == "zero-fill" && zero_resize(&line)) {
                 findings.push(Finding { rule, path: rel.to_string(), line: lineno, excerpt: excerpt.clone() });
             }
         }
@@ -437,6 +459,19 @@ mod tests {
                    let s = \"vec![0u8; n]\";\n    let c = vec![0u64; n];\n}\n\
                    #[cfg(test)]\nmod tests {\n    fn g() { let d = vec![0u8; 4]; }\n}\n";
         assert_eq!(rules(src), vec![("zero-fill", 2)]);
+    }
+
+    /// `.resize(n, 0)` zero-extends just as `vec![0u8; n]` zero-fills;
+    /// a non-zero fill value, a nested call in the length and a
+    /// commented-out call are told apart.
+    #[test]
+    fn flags_zero_resize() {
+        let src = "fn f(v: &mut Vec<u8>, n: usize) {\n    v.resize(n, 0);\n    \
+                   v.resize(v.len() + f(n, 1), 0u8);\n    v.resize(n, 7);\n    \
+                   v.resize(g(n, 0), 1);\n    // v.resize(n, 0);\n    v.truncate(0);\n}\n";
+        assert_eq!(rules(src), vec![("zero-fill", 2), ("zero-fill", 3)]);
+        assert!(zero_resize("x.resize(n, 1); y.resize(m,0)"));
+        assert!(!zero_resize("x.resize(n, 10)"));
     }
 
     /// Two entries for one rule and file justify one site each; a

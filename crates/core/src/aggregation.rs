@@ -56,7 +56,9 @@
 //! contributors `get` their chunks, and the aggregator waits for them
 //! before it reads round `r + 1` into that slot. A round whose only
 //! getter is the aggregator is read in place: the slot is not filled,
-//! and each of its chunks goes from the file straight into the output.
+//! and each of its chunks is appended from the file straight into the
+//! output's spare capacity (`SharedFile::read_append`), so the output's
+//! bytes are written once, by the read, and never zeroed first.
 //!
 //! **Deviation from the paper.** Algorithm 3 closes and re-opens every
 //! round with `MPI_Win_fence`, a collective over *all* members of the
@@ -189,7 +191,9 @@ pub struct IoStats {
     pub get_bytes: u64,
     /// Bytes this rank, as aggregator, wrote from or read into the
     /// caller's buffers without the window, in the rounds it fills or
-    /// drains alone (the module doc's *in place* rounds). They count in
+    /// drains alone (the module doc's *in place* rounds): written from
+    /// the caller's slices, or appended to `read_declared`'s outputs
+    /// with one `SharedFile::read_append` per chunk. They count in
     /// `flush_bytes` when written, and in none of `put_bytes`,
     /// `read_bytes` or `get_bytes`.
     pub in_place_bytes: u64,
@@ -363,8 +367,10 @@ impl PartCtx {
     /// its own gets, *waits* for the others, and only then fills the
     /// slot with round `r + 1`. A round whose only getter is the
     /// aggregator keeps its post, start, complete and wait, but fills no
-    /// slot: the aggregator reads each of its chunks from the file
-    /// straight into `out[var]`. `out[var]` must hold exactly the bytes
+    /// slot: the aggregator appends each of its chunks from the file
+    /// straight into `out[var]`'s spare capacity
+    /// ([`SharedFile::read_append`]), zero-extending a chunk only when its
+    /// read fails. `out[var]` must hold exactly the bytes
     /// of `var` that lie before this partition (nothing, for the first
     /// partition the var reaches). One slot, whatever
     /// `cfg.pipelining` says: overlapping the next file read with the
@@ -430,11 +436,12 @@ impl PartCtx {
                     let dst = &mut out[c.var];
                     debug_assert_eq!(dst.len() as u64, c.var_offset, "var {} out of order", c.var);
                     if in_place {
-                        // Zero-extended, then read over: std has no
-                        // positioned read into spare capacity.
                         let from = dst.len();
-                        dst.resize(from + c.len as usize, 0);
-                        if let Err(e) = file.read_at_into(c.file_offset, &mut dst[from..]) {
+                        if let Err(e) = file.read_append(c.file_offset, c.len as usize, dst) {
+                            // The chunk still takes its place, zeroed, so
+                            // the later chunks of `var` land at their
+                            // offsets; the verdict fails the read.
+                            dst.resize(from + c.len as usize, 0);
                             failed.get_or_insert(io_err("read_at", e));
                         }
                         stats.in_place_bytes += c.len;

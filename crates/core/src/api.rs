@@ -645,10 +645,12 @@ impl<'c> Session<'c> {
     /// pipeline's partitions in the same ascending order on the same
     /// kept contexts (`PartCtx::read_rounds`), forming — and keeping —
     /// a context no write epoch has formed yet. The buffers are not
-    /// zero-filled: each starts empty with its declared capacity and
-    /// every chunk is appended straight from the aggregator's window, or
-    /// read straight from the file in a round its aggregator reads
-    /// alone, so each output byte is copied once.
+    /// zero-filled: each starts empty with exactly its declared
+    /// capacity, and every chunk is appended straight from the
+    /// aggregator's window, or, in a round its aggregator reads alone,
+    /// from the file into the buffer's spare capacity
+    /// (`SharedFile::read_append`). Each output byte is written once,
+    /// and no buffer reallocates.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] mid-epoch, before any collective

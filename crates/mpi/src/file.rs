@@ -18,11 +18,18 @@
 //! Every positioned write holds the file's write lock while its bytes
 //! move: two aggregators writing one file at once otherwise contend on
 //! the kernel's inode lock, which costs more CPU than queueing here.
+//!
+//! Reads that grow a `Vec` ([`SharedFile::read_append`]) go through a
+//! small pool of read-only handles opened from the file's path, each its
+//! own open file description and so its own offset: std's
+//! `read_to_end` reads into a `Vec`'s spare capacity without zeroing it
+//! first, but only through a seek, which a handle shared by every rank
+//! cannot take.
 
 use std::fs::{File, OpenOptions};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -115,6 +122,13 @@ struct Job {
 #[derive(Debug)]
 struct FileCore {
     file: File,
+    /// What `file` was created or opened from; the pooled readers open
+    /// it again.
+    path: PathBuf,
+    /// Read-only handles for [`SharedFile::read_append`], opened on
+    /// first use and returned after each read: at most one per
+    /// concurrent reader.
+    readers: Mutex<Vec<File>>,
     /// Held while a positioned write moves its bytes (see the module
     /// doc).
     write_lock: Mutex<()>,
@@ -235,23 +249,31 @@ impl SharedFile {
         path: impl AsRef<Path>,
         perturb: Option<Arc<Perturber>>,
     ) -> std::io::Result<SharedFile> {
+        let path = path.as_ref();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Self::from_file(file, perturb))
+        Ok(Self::from_file(file, path, perturb))
     }
 
     /// Open an existing file for read/write access.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<SharedFile> {
+        let path = path.as_ref();
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Ok(Self::from_file(file, None))
+        Ok(Self::from_file(file, path, None))
     }
 
-    fn from_file(file: File, perturb: Option<Arc<Perturber>>) -> SharedFile {
-        let core = Arc::new(FileCore { file, write_lock: Mutex::new(()), perturb });
+    fn from_file(file: File, path: &Path, perturb: Option<Arc<Perturber>>) -> SharedFile {
+        let core = Arc::new(FileCore {
+            file,
+            path: path.to_path_buf(),
+            readers: Mutex::new(Vec::new()),
+            write_lock: Mutex::new(()),
+            perturb,
+        });
         SharedFile { inner: Arc::new(FileInner { core, worker: Mutex::new(None) }) }
     }
 
@@ -325,11 +347,48 @@ impl SharedFile {
         handle
     }
 
-    /// Blocking positioned read of exactly `len` bytes.
+    /// Blocking positioned read of exactly `len` bytes, into a buffer
+    /// allocated at exactly that capacity ([`SharedFile::read_append`]).
     pub fn read_at(&self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.read_at_into(offset, &mut buf)?;
+        let mut buf = Vec::with_capacity(len);
+        self.read_append(offset, len, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Blocking read of the `len` bytes at `offset`, appended to `out`
+    /// straight into its spare capacity: no byte of `out` is written
+    /// before the file's byte lands in it, and `out` reallocates only
+    /// when its spare capacity is below `len`. The read runs on a pooled
+    /// read-only handle of its own (see the module doc), so reads of
+    /// several threads run at once and see every write issued before
+    /// them through this file.
+    ///
+    /// # Errors
+    /// `UnexpectedEof` when the file ends before `offset + len`, or the
+    /// error of the open, seek or read that failed. `out` then holds
+    /// what was appended before the failure, possibly nothing.
+    pub fn read_append(&self, offset: u64, len: usize, out: &mut Vec<u8>) -> std::io::Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        let core = &self.inner.core;
+        let pooled = lock_ok(&core.readers).pop();
+        let mut reader = match pooled {
+            Some(r) => r,
+            None => File::open(&core.path)?,
+        };
+        let res = reader.seek(SeekFrom::Start(offset)).and_then(|_| {
+            let got = (&mut reader).take(len as u64).read_to_end(out)?;
+            if got < len {
+                return Err(std::io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    format!("file ends {got} bytes into a {len}-byte read at {offset}"),
+                ));
+            }
+            Ok(())
+        });
+        lock_ok(&core.readers).push(reader);
+        res
     }
 
     /// Blocking positioned read filling all of `out` — the
@@ -467,6 +526,86 @@ mod tests {
         // the bytes stay the caller's, and nothing is durable
         assert_eq!(data, vec![7u8; 16]);
         assert_eq!(f.len().unwrap(), 0);
+    }
+
+    /// Eight threads read disjoint ranges at once, many times over: a
+    /// handle whose offset another thread moved would return the wrong
+    /// range.
+    #[test]
+    fn concurrent_read_appends_get_their_own_ranges() {
+        const LEN: usize = 64 << 10;
+        let f = SharedFile::create(tmp("rconc")).unwrap();
+        for t in 0..8u8 {
+            let range: Vec<u8> = (0..LEN).map(|i| t.wrapping_mul(31) ^ (i % 251) as u8).collect();
+            f.write_at(t as u64 * LEN as u64, &range).unwrap();
+        }
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8u8 {
+                let (f, start) = (f.clone(), &start);
+                s.spawn(move || {
+                    let want: Vec<u8> =
+                        (0..LEN).map(|i| t.wrapping_mul(31) ^ (i % 251) as u8).collect();
+                    start.wait();
+                    for _ in 0..20 {
+                        let mut got = Vec::with_capacity(LEN);
+                        f.read_append(t as u64 * LEN as u64, LEN, &mut got).unwrap();
+                        assert!(got == want, "thread {t} read another range");
+                    }
+                });
+            }
+        });
+        assert!(lock_ok(&f.inner.core.readers).len() <= 8, "one handle per concurrent reader");
+    }
+
+    #[test]
+    fn read_append_past_eof_is_unexpected_eof() {
+        let f = SharedFile::create(tmp("reof")).unwrap();
+        f.write_at(0, &[3u8; 100]).unwrap();
+        let mut out = Vec::new();
+        let e = f.read_append(60, 50, &mut out).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+        assert_eq!(out, [3u8; 40], "what the file had is appended before the error");
+        let e = f.read_append(200, 1, &mut out).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+        assert_eq!(f.read_at(100, 1).unwrap_err().kind(), ErrorKind::UnexpectedEof);
+    }
+
+    /// Chunks appended into a buffer with exactly their total capacity
+    /// fill it without a reallocation, short chunks included.
+    #[test]
+    fn read_append_into_exact_capacity_never_reallocates() {
+        let f = SharedFile::create(tmp("rcap")).unwrap();
+        let payload: Vec<u8> = (0..300_000u32).map(|i| (i % 253) as u8).collect();
+        f.write_at(0, &payload).unwrap();
+        let lens = [5usize, 31, 32, 33, 4096, 8192, 100_000, 187_611];
+        let total: usize = lens.iter().sum();
+        assert_eq!(total, payload.len());
+        let mut out = Vec::with_capacity(total);
+        let base = out.as_ptr();
+        let mut at = 0;
+        for len in lens {
+            f.read_append(at as u64, len, &mut out).unwrap();
+            at += len;
+            assert_eq!(out.len(), at);
+            assert_eq!((out.as_ptr(), out.capacity()), (base, total), "reallocated at {at}");
+        }
+        assert!(out == payload);
+        assert_eq!(f.read_at(7, 1000).unwrap().capacity(), 1000);
+    }
+
+    #[test]
+    fn pooled_reader_sees_later_writes() {
+        let f = SharedFile::create(tmp("rfresh")).unwrap();
+        f.write_at(0, &[1u8; 16]).unwrap();
+        assert_eq!(f.read_at(0, 16).unwrap(), [1u8; 16]);
+        assert_eq!(lock_ok(&f.inner.core.readers).len(), 1, "the read pooled its handle");
+        f.write_at(8, &[2u8; 16]).unwrap();
+        f.iwrite_at(20, vec![3u8; 4]).wait_reclaim().unwrap();
+        let mut out = Vec::new();
+        f.read_append(0, 24, &mut out).unwrap();
+        assert_eq!(out, [[1u8; 8].as_slice(), &[2u8; 12], &[3u8; 4]].concat());
+        assert_eq!(lock_ok(&f.inner.core.readers).len(), 1, "the same handle read again");
     }
 
     #[test]

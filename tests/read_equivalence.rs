@@ -474,7 +474,12 @@ fn read_stats_are_pinned_on_the_readback_shape() {
         assert!(io.read_stats().is_none());
         let mut reads = Vec::new();
         for _ in 0..2 {
-            assert_eq!(io.read_declared().unwrap(), data);
+            let back = io.read_declared().unwrap();
+            assert_eq!(back, data);
+            // Appended at exactly the declared capacity: no buffer grew.
+            for (buf, d) in back.iter().zip(&mine) {
+                assert_eq!((buf.capacity(), buf.len()), (d.len as usize, d.len as usize));
+            }
             reads.push(io.read_stats().unwrap());
         }
         assert_eq!(reads[0], reads[1], "rank {r}: every read does the same work");
