@@ -287,6 +287,9 @@ fn check_overlaps(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>)
 
 /// Invariant 3: the flush of round `r` must complete before the puts of
 /// round `r + 2` (same double-buffer slot) start refilling the buffer.
+/// A round that recorded no put into its aggregator's window (one the
+/// aggregator fills alone, written in place) drains no buffer, so its
+/// flush orders no refill.
 ///
 /// Synchronised partitions use the happens-before relation — the
 /// flush precedes, on the aggregator's lane, the post that re-exposes
@@ -294,14 +297,19 @@ fn check_overlaps(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>)
 /// without synchronisation events (simulator) use completion
 /// timestamps, which the plan DAG makes authoritative.
 fn check_refill(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     let events = trace.events();
     let mut flushes: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     let mut puts: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    // (partition, round, window owner) of every recorded put.
+    let mut filled: BTreeSet<(u32, u32, usize)> = BTreeSet::new();
     for (i, e) in events.iter().enumerate() {
         match e.op {
             TraceOp::Flush => flushes.entry(e.partition).or_default().push(i),
-            TraceOp::RmaPut => puts.entry(e.partition).or_default().push(i),
+            TraceOp::RmaPut => {
+                puts.entry(e.partition).or_default().push(i);
+                filled.insert((e.partition, e.round, e.peer));
+            }
             _ => {}
         }
     }
@@ -310,6 +318,9 @@ fn check_refill(trace: &Trace, exec: &hb::Execution, out: &mut Vec<Violation>) {
         let synced = exec.partition_is_synced(*p);
         for &fi in fl {
             let f = &events[fi];
+            if !filled.contains(&(*p, f.round, f.rank)) {
+                continue;
+            }
             for &qi in pt {
                 let q = &events[qi];
                 // Same physical buffer: two rounds later, same parity —

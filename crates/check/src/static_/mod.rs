@@ -154,7 +154,7 @@ struct ThreadPart {
 }
 
 impl ThreadPart {
-    fn new(p: &SymbolicPartition) -> Self {
+    fn new(p: &SymbolicPartition, pipelining: bool) -> Self {
         let dr = p.degrade_round.unwrap_or(u32::MAX);
         let crash = p.crash.map(|c| (c.round, c.old, c.standby));
         let mut puts: PutMap = BTreeMap::new();
@@ -164,13 +164,8 @@ impl ThreadPart {
             if round.round >= dr {
                 break;
             }
-            // In place (the executor's rule): the live aggregator is the
-            // only contributor, it is not the crash round, and the
-            // chunks do not overlap. Its owner writes them from its own
-            // buffer and records no put.
-            let in_place = crash.is_none_or(|(cr, _, _)| cr != round.round)
-                && round.puts.iter().all(|put| put.rank == put.peer)
-                && round.flushes.iter().map(|f| f.len).sum::<u64>() == round.bytes;
+            // An in-place round records no put.
+            let in_place = p.in_place(round.round as usize);
             for put in round.puts.iter().filter(|_| !in_place) {
                 puts.entry((round.round, put.rank)).or_default().push((
                     put.window_offset,
@@ -212,7 +207,7 @@ impl ThreadPart {
             reelects_seen: Vec::new(),
             degrade_seen: false,
             syncs: BTreeMap::new(),
-            expected_syncs: p.members.iter().map(|&m| (m, p.sync_labels(m))).collect(),
+            expected_syncs: p.members.iter().map(|&m| (m, p.sync_labels(m, pipelining))).collect(),
             last_put_round: BTreeMap::new(),
         }
     }
@@ -231,7 +226,7 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
         .groups
         .iter()
         .flat_map(|g| &g.partitions)
-        .map(|p| (p.partition, ThreadPart::new(p)))
+        .map(|p| (p.partition, ThreadPart::new(p, sym.pipelining)))
         .collect();
     // Per rank: order partitions first appear in (visit-order check).
     let mut first_seen: BTreeMap<Rank, Vec<u32>> = BTreeMap::new();

@@ -221,6 +221,58 @@ fn refill_before_flush_via_hb_is_caught() {
     );
 }
 
+/// A correct 2-rank, 4-round pipeline on rank 0's window (buffer 64 B):
+/// rank 1 fills rounds 0 and 2 (slot 0) and round 3 (slot 1); rank 0
+/// fills round 1 alone, in place — it records no put, writes the round
+/// from its own bytes and holds no buffer. So rank 0 posts rounds 2 and
+/// 3 before round 1 closes, and rank 1's round-3 put lands before round
+/// 1 is written, while round 2 still waits for round 0's flush.
+fn in_place_events() -> Vec<TraceEvent> {
+    vec![
+        sync(5, 0, 0, TraceOp::Post),
+        sync(6, 0, 1, TraceOp::Post),
+        sync(10, 1, 0, TraceOp::Start),
+        ev(11, 1, 0, TraceOp::RmaPut, 64, 0),
+        sync(12, 1, 0, TraceOp::Complete),
+        sync(20, 0, 0, TraceOp::Wait),
+        // round 1, in place: the skeleton without a put
+        sync(21, 0, 1, TraceOp::Start),
+        sync(22, 0, 1, TraceOp::Complete),
+        ev(30, 0, 0, TraceOp::Flush, 64, 0),
+        sync(31, 0, 2, TraceOp::Post),
+        sync(32, 0, 3, TraceOp::Post),
+        sync(33, 0, 1, TraceOp::Wait),
+        sync(34, 1, 2, TraceOp::Start),
+        ev(35, 1, 2, TraceOp::RmaPut, 64, 0),
+        sync(36, 1, 2, TraceOp::Complete),
+        sync(37, 1, 3, TraceOp::Start),
+        ev(38, 1, 3, TraceOp::RmaPut, 64, 64),
+        sync(39, 1, 3, TraceOp::Complete),
+        ev(50, 0, 1, TraceOp::Flush, 64, 64),
+        sync(51, 0, 2, TraceOp::Wait),
+        ev(52, 0, 2, TraceOp::Flush, 64, 128),
+        sync(53, 0, 3, TraceOp::Wait),
+        ev(54, 0, 3, TraceOp::Flush, 64, 192),
+    ]
+}
+
+#[test]
+fn an_in_place_rounds_flush_orders_no_refill() {
+    assert_eq!(kinds(&Trace::from_events(in_place_events())), vec![]);
+}
+
+#[test]
+fn refill_across_an_in_place_round_is_caught() {
+    // Round 0's flush recorded after everything: round 2 refilled its
+    // slot first, with the in-place round 1 in between.
+    let mut evs = in_place_events();
+    let fl = evs.iter().position(|e| e.op == TraceOp::Flush && e.round == 0).unwrap();
+    evs[fl].t_ns = 60;
+    let v = check(&Trace::from_events(evs));
+    assert_eq!(v.iter().map(|v| v.kind).collect::<Vec<_>>(), vec![ViolationKind::RefillBeforeFlush]);
+    assert!(v[0].message.contains("for round 2"), "{}", v[0].message);
+}
+
 #[test]
 fn collective_order_mismatch_is_caught() {
     let mut evs = good_events();

@@ -14,38 +14,47 @@
 //!    that own a chunk of it (its *contributors*, a pure function of
 //!    the schedule — [`RoundRoster`]) and nobody else, with MPI's
 //!    post/start/complete/wait:
-//!    * the aggregator **posts** buffer `r % 2` to round `r`'s
-//!      contributors once the write that last used it (round `r - 2`)
-//!      is done — for round 0 at partition entry, for round `r + 1`
-//!      right after the wait that closes round `r`;
+//!    * the aggregator **posts** round `r` to its contributors as soon
+//!      as the round's buffer is free (`PostWalk`). Pipelined, a round
+//!      holds buffer `r % 2` from its post until its write, and an
+//!      in-place round (below) holds none; unpipelined, every round
+//!      holds the one buffer until it is written. At partition entry,
+//!      right before each wait (after writing the due round) and at the
+//!      end of each round, the aggregator posts the next rounds in order
+//!      for as long as each one's buffer is free: rounds 0 and 1 fill at
+//!      once, and round `r + 2` is posted the moment round `r` is
+//!      written, before the wait for round `r + 1`. Posting never passes
+//!      the crash round before the re-election, and stops at the
+//!      degrade round;
 //!    * a contributor **starts** (blocks only until that post), `put`s
 //!      its chunks into the buffer and **completes** (a signal);
-//!    * the aggregator alone **waits** for the round's contributors,
-//!      posts round `r + 1` into the other buffer, and marks buffer
-//!      `r % 2` *due*. It writes a due buffer to the file itself, on its
-//!      own thread, in place from the window, as late as it can without
-//!      blocking on it: before its next wait, before a crash
-//!      re-election or a degrade, before `finish`'s closing reduction,
-//!      and before the session hands control back to the caller
-//!      (`PartitionRun::write_due`). Unpipelined, it writes the buffer
-//!      at once and then posts that same buffer for round `r + 1`.
+//!    * the aggregator alone **waits** for the round's contributors and
+//!      marks buffer `r % 2` *due*. It writes a due buffer to the file
+//!      itself, on its own thread, in place from the window, as late as
+//!      it can without blocking on it: before its next wait, before a
+//!      crash re-election or a degrade, before `finish`'s closing
+//!      reduction, and before the session hands control back to the
+//!      caller (`PartitionRun::write_due`). Only the first of these
+//!      posts what the write freed, so the post order is a function of
+//!      schedule and config. Unpipelined, it writes the buffer at once
+//!      and then posts that same buffer for round `r + 1`.
 //!    * A round is **in place** when its only contributor is the current
 //!      aggregator (the standby after a crash), it is not the crash
 //!      round, and its chunks do not overlap. It keeps its post, start,
 //!      complete and wait, but the aggregator puts nothing: right after
-//!      the wait (pipelined: after posting round `r + 1`; unpipelined:
-//!      before) it writes each flush segment straight from the caller's
-//!      bytes (`PartitionRun::write_in_place`), and buffer `r % 2` stays
-//!      idle.
+//!      the wait it writes each flush segment straight from the caller's
+//!      bytes (`PartitionRun::write_in_place`), and the round holds no
+//!      buffer.
 //!
 //!    A rank with no chunk in round `r` makes no call in it and runs
 //!    straight on to its next contributing round
 //!    (`PartitionRun::skip_idle`).
 //!
-//! The net effect is the paper's overlap: the contributors of round
-//! `r + 1` put into one buffer, each on its own thread, while the
-//! aggregator writes round `r` from the other; the aggregator's own put
-//! into round `r + 1` comes first. No flush is handed to another
+//! The net effect is the paper's overlap: the contributors of rounds
+//! `r` and `r + 1` fill both buffers at once, each on its own thread,
+//! and the contributors of round `r + 1` keep putting while the
+//! aggregator writes round `r`; the aggregator's own put into round
+//! `r + 1` comes before that write. No flush is handed to another
 //! thread, so none wakes one on the round's critical path. The
 //! aggregator's own bytes cross one copy, the file write, when it fills
 //! a round alone, and two (put, then write) when it shares the round.
@@ -284,6 +293,77 @@ impl Due {
     }
 }
 
+/// The buffer-occupancy walk behind every post of a partition's
+/// aggregator (module doc). Pipelined, a shared round holds buffer
+/// `(r - base) % 2` from its post until its write, and an in-place round
+/// holds none; unpipelined, every round holds the one buffer until it is
+/// written. At each posting point the aggregator posts the next rounds
+/// in order for as long as each one's buffer is free. The thread
+/// executor and the static bridge (`SymbolicPartition::sync_labels`)
+/// both run it, so the post order is a function of schedule and config.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PostWalk {
+    /// Next round to post.
+    next: usize,
+    /// Posting stops before this round: past the crash round until the
+    /// re-election, and at the degrade round (or the partition's end).
+    cap: usize,
+    /// Where posting ends once no crash is pending: the degrade round,
+    /// or the partition's end.
+    stop: usize,
+    pipelining: bool,
+    /// Pipelined: the last shared round posted into each buffer (by
+    /// `r % 2`), which holds it until it is written.
+    holders: [Option<usize>; 2],
+}
+
+impl PostWalk {
+    pub(crate) fn new(
+        nrounds: usize,
+        crash: Option<usize>,
+        degrade: Option<usize>,
+        pipelining: bool,
+    ) -> PostWalk {
+        let stop = degrade.map_or(nrounds, |d| d.min(nrounds));
+        let cap = crash.map_or(stop, |c| stop.min(c + 1));
+        PostWalk { next: 0, cap, stop, pipelining, holders: [None; 2] }
+    }
+
+    /// The standby re-elected at round `cr` posts again from `cr`, into
+    /// a fresh window, with no cap but the degrade round.
+    pub(crate) fn reelect(&mut self, cr: usize) {
+        *self = PostWalk { next: cr, cap: self.stop, holders: [None; 2], ..*self };
+    }
+
+    /// The rounds to post now, every round before `written` being
+    /// written; `shared(r)` says whether round `r` holds a buffer when
+    /// pipelined (it is not in place).
+    pub(crate) fn advance(
+        &mut self,
+        written: usize,
+        shared: impl Fn(usize) -> bool,
+    ) -> std::ops::Range<usize> {
+        let first = self.next;
+        while self.next < self.cap {
+            let r = self.next;
+            if !self.pipelining {
+                // Rounds `written..r` are posted and unwritten.
+                if r > written {
+                    break;
+                }
+            } else if shared(r) {
+                let holder = &mut self.holders[r % 2];
+                if holder.is_some_and(|h| h >= written) {
+                    break;
+                }
+                *holder = Some(r);
+            }
+            self.next += 1;
+        }
+        first..self.next
+    }
+}
+
 /// The range of `chunks` (sorted by `(round, file_offset)`) that lies
 /// in round `r`.
 fn round_range(chunks: &[Chunk], r: usize) -> std::ops::Range<usize> {
@@ -482,6 +562,8 @@ pub(crate) struct PartitionRun {
     /// First round replayed through a re-elected standby; window slot
     /// of round r is (r - base) % 2 so the fresh window starts at 0.
     base: usize,
+    /// Aggregator only: which rounds are posted, and which may be next.
+    posts: PostWalk,
     crash_round: Option<usize>,
     degrade_at: Option<usize>,
     /// Next round to execute; on a degrade outcome this stays at the
@@ -541,7 +623,7 @@ impl PartitionRun {
             ctx.win.set_trace_scope(scope);
         }
 
-        let run = PartitionRun {
+        let mut run = PartitionRun {
             ctx,
             #[cfg(feature = "trace")]
             me: comm.rank(),
@@ -549,6 +631,7 @@ impl PartitionRun {
             due: None,
             roster: Arc::clone(roster),
             base: 0,
+            posts: PostWalk::new(part.rounds.len(), crash_round, degrade_at, cfg.pipelining),
             crash_round,
             degrade_at,
             next_round: 0,
@@ -557,21 +640,27 @@ impl PartitionRun {
         };
         // Both buffers are free at entry (a kept window was written by
         // the previous epoch's `finish`, or released by a read's waits).
-        run.post_round(part, 0, stats);
+        run.post_free(part, 0, stats);
         run
     }
 
-    /// Aggregator only: open round `r`'s exposure to its contributors —
-    /// unless the round never runs (past the end, or the degrade round).
-    fn post_round(&self, part: &PartitionInfo, r: usize, stats: &mut IoStats) {
-        if self.my_idx == self.ctx.agg_idx && r < part.rounds.len() && self.degrade_at != Some(r) {
+    /// Aggregator only: post, in order, every round whose buffer is free
+    /// ([`PostWalk`]), every round before `written` being written.
+    fn post_free(&mut self, part: &PartitionInfo, written: usize, stats: &mut IoStats) {
+        if self.my_idx != self.ctx.agg_idx {
+            return;
+        }
+        let mut posts = self.posts;
+        for r in posts.advance(written, |x| !self.in_place(part, x)) {
             self.ctx.win.post(self.roster.contributors(r), tag(part, r));
             stats.fences += 1;
         }
+        self.posts = posts;
     }
 
-    /// Aggregator only: write the due round, then close round `r`'s
-    /// exposure — returns once every contributor's puts have landed.
+    /// Aggregator only: write the due round, post the rounds that frees,
+    /// then close round `r`'s exposure — returns once every
+    /// contributor's puts have landed.
     fn wait_round(
         &mut self,
         part: &PartitionInfo,
@@ -582,6 +671,7 @@ impl PartitionRun {
     ) {
         if self.my_idx == self.ctx.agg_idx {
             self.write_due(part, file, cfg);
+            self.post_free(part, r, stats);
             self.ctx.win.wait(self.roster.contributors(r), tag(part, r));
             stats.fences += 1;
         }
@@ -798,7 +888,8 @@ impl PartitionRun {
                 self.ctx.win.set_trace_scope(scope);
             }
             self.base = r;
-            self.post_round(part, r, stats);
+            self.posts.reelect(r);
+            self.post_free(part, r, stats);
             if contributes {
                 self.contribute(part, chunks, src, r, 0, stats);
             }
@@ -829,27 +920,20 @@ impl PartitionRun {
                 stamp: self.ctx.win.trace_scope().map(TraceScope::stamp),
             };
             if in_place {
-                // Nothing of round r is in the window. Pipelined, round
-                // r + 1's contributors fill the other buffer while this
-                // writes; unpipelined, the write comes first. Either
-                // way before `run_round` returns: the session then marks
-                // the round's chunks consumed.
-                if cfg.pipelining {
-                    self.post_round(part, r + 1, stats);
-                }
+                // Nothing of round r is in the window; written before
+                // `run_round` returns, since the session then marks the
+                // round's chunks consumed.
                 self.write_in_place(part, chunks, src, &due, file, cfg, stats);
-                if !cfg.pipelining {
-                    self.post_round(part, r + 1, stats);
-                }
             } else {
                 self.due = Some(due);
-                // Pipelined, round r + 1 fills the other buffer, written
-                // before this wait; unpipelined, it refills this one.
+                // Unpipelined, the one buffer is written before it is
+                // posted again.
                 if !cfg.pipelining {
                     self.write_due(part, file, cfg);
                 }
-                self.post_round(part, r + 1, stats);
             }
+            let written = if self.due.is_some() { r } else { r + 1 };
+            self.post_free(part, written, stats);
         }
         self.next_round = r + 1;
         RoundOutcome::Ran

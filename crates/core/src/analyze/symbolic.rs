@@ -16,6 +16,7 @@
 use tapioca_pfs::{AccessMode, FileId};
 use tapioca_topology::{MachineProfile, Rank};
 
+use crate::aggregation::PostWalk;
 use crate::config::TapiocaConfig;
 use crate::error::Result;
 use crate::sim_exec::{CollectiveSpec, LayoutTable};
@@ -137,6 +138,19 @@ pub struct SymbolicPartition {
 }
 
 impl SymbolicPartition {
+    /// Whether round `r` runs in place (the thread executor's rule): it
+    /// is not the crash round, its only contributor is the live
+    /// aggregator, and its chunks tile its flush segments. Its owner
+    /// writes it from its own bytes, records no put and holds no window
+    /// buffer.
+    pub fn in_place(&self, r: usize) -> bool {
+        let round = &self.rounds[r];
+        self.crash.is_none_or(|c| c.round != round.round)
+            && !round.puts.is_empty()
+            && round.puts.iter().all(|put| put.rank == put.peer)
+            && round.flushes.iter().map(|f| f.len).sum::<u64>() == round.bytes
+    }
+
     /// The synchronisation calls the thread executor makes on `rank`'s
     /// lane in this partition, in order — derived from the per-rank puts
     /// listed above, not from a per-member count: a round is
@@ -147,54 +161,45 @@ impl SymbolicPartition {
     /// round; a crash round has two (the fill into the dying
     /// aggregator's window, then the replay into the standby's). Per
     /// exposure a contributor records `Start, Complete` and the target
-    /// `Wait`; a target posts its exposure right after the previous one
-    /// closed (the first at partition entry), so on its lane `Post(e+1)`
-    /// follows `Wait(e)` — or, for the standby, its own part in the
-    /// lost fill.
-    pub fn sync_labels(&self, rank: Rank) -> Vec<SymbolicSync> {
-        // (round, target, contributors) per exposure, in execution order.
-        let mut exposures: Vec<(u32, Rank, Vec<Rank>)> = Vec::new();
-        let end = self.degrade_round.unwrap_or(u32::MAX);
-        for round in self.rounds.iter().filter(|r| r.round < end) {
-            let crashed = self.crash.is_some_and(|c| c.round == round.round);
-            for replay in [false, true] {
-                if replay && !crashed {
-                    continue;
-                }
-                let target = match self.crash {
-                    Some(c) if round.round > c.round || replay => c.standby,
-                    _ => match self.aggregator {
-                        Some(a) => a,
-                        None => continue,
-                    },
-                };
-                let mut origins: Vec<Rank> =
-                    round.puts.iter().filter(|p| p.replay == replay).map(|p| p.rank).collect();
-                origins.sort_unstable();
-                origins.dedup();
-                exposures.push((round.round, target, origins));
-            }
-        }
+    /// `Wait`. The target's posts follow the executor's buffer-occupancy
+    /// walk (`aggregation::PostWalk`, with `pipelining`): at partition
+    /// entry, after the re-election, right before each wait, and after
+    /// each round, it posts every next round whose buffer is free.
+    pub fn sync_labels(&self, rank: Rank, pipelining: bool) -> Vec<SymbolicSync> {
         let mut labels = Vec::new();
-        let mut push = |kind, round, target| labels.push(SymbolicSync { kind, round, target });
-        if let Some(&(round, target, _)) = exposures.first() {
-            if target == rank {
-                push(SyncKind::Post, round, target);
-            }
-        }
-        for (i, (round, target, origins)) in exposures.iter().enumerate() {
-            if origins.binary_search(&rank).is_ok() {
-                push(SyncKind::Start, *round, *target);
-                push(SyncKind::Complete, *round, *target);
-            }
-            if *target == rank {
-                push(SyncKind::Wait, *round, *target);
-            }
-            if let Some(&(next_round, next_target, _)) = exposures.get(i + 1) {
-                if next_target == rank {
-                    push(SyncKind::Post, next_round, next_target);
+        let Some(mut target) = self.aggregator else { return labels };
+        let n = self.rounds.len();
+        let degrade = self.degrade_round.map(|d| d as usize);
+        let mut walk =
+            PostWalk::new(n, self.crash.map(|c| c.round as usize), degrade, pipelining);
+        let post = |walk: &mut PostWalk, written, target, labels: &mut Vec<SymbolicSync>| {
+            for r in walk.advance(written, |x| !self.in_place(x)) {
+                if target == rank {
+                    labels.push(SymbolicSync { kind: SyncKind::Post, round: r as u32, target });
                 }
             }
+        };
+        post(&mut walk, 0, target, &mut labels);
+        for (r, round) in self.rounds.iter().enumerate().take(degrade.unwrap_or(n)) {
+            for replay in [false, true] {
+                if replay {
+                    let Some(c) = self.crash.filter(|c| c.round == round.round) else { break };
+                    target = c.standby;
+                    walk.reelect(r);
+                    post(&mut walk, r, target, &mut labels);
+                }
+                if round.puts.iter().any(|p| p.rank == rank && p.replay == replay) {
+                    for kind in [SyncKind::Start, SyncKind::Complete] {
+                        labels.push(SymbolicSync { kind, round: round.round, target });
+                    }
+                }
+                post(&mut walk, r, target, &mut labels);
+                if target == rank {
+                    labels.push(SymbolicSync { kind: SyncKind::Wait, round: round.round, target });
+                }
+            }
+            let written = if pipelining && !self.in_place(r) { r } else { r + 1 };
+            post(&mut walk, written, target, &mut labels);
         }
         labels
     }

@@ -485,6 +485,42 @@ fn recovery_thread_trace_passes_the_checker() {
     assert!(v.is_empty(), "recovery trace has violations: {v:?}");
 }
 
+/// The aggregator posts every round whose buffer is free, but never one
+/// past the crash round before the re-election: the dying window takes
+/// no round beyond the one it loses, and every later round is posted
+/// on the standby's lane after its `Reelect`.
+#[test]
+fn no_round_past_the_crash_is_posted_before_the_reelection() {
+    const CRASH: u32 = 1;
+    for pipelining in [true, false] {
+        let name = format!("crash-posts-{pipelining}");
+        let cfg = TapiocaConfig {
+            faults: Some(
+                FaultPlan::seeded(7).with(FaultSpec::AggregatorCrash { partition: 0, round: CRASH }),
+            ),
+            pipelining,
+            ..base_cfg()
+        };
+        let trace = thread_trace(&name, &cfg);
+        let v = check(&trace);
+        assert!(v.is_empty(), "{name}: {v:?}");
+        // Each rank's events keep their lane order in the trace.
+        let mut reelected = [false; NRANKS];
+        let mut late = 0;
+        for e in trace.events().iter().filter(|e| e.partition == 0) {
+            match e.op {
+                TraceOp::Reelect => reelected[e.rank] = true,
+                TraceOp::Post if e.round > CRASH => {
+                    assert!(reelected[e.rank], "{name}: rank {} posted round {} early", e.rank, e.round);
+                    late += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(late > 0, "{name}: the standby posts the later rounds");
+    }
+}
+
 #[test]
 fn degraded_thread_trace_passes_the_checker() {
     let cfg = TapiocaConfig {

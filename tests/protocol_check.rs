@@ -352,6 +352,16 @@ fn payload_run(
     (bytes, total)
 }
 
+const KIB: u64 = 1024;
+
+/// 16 ranks, 9 SoA variables of 8 KiB each: rank `r`'s variable `v`
+/// lies at `(v * 16 + r) * 8 KiB`.
+fn hacc_rounds_decls() -> Vec<Vec<WriteDecl>> {
+    (0..16u64)
+        .map(|r| (0..9u64).map(|v| WriteDecl { offset: (v * 16 + r) * 8 * KIB, len: 8 * KIB }).collect())
+        .collect()
+}
+
 /// The `thr-hacc-rounds` / `thr-hacc-coalesced` benchmark shape: 16
 /// ranks on one Mira node, 9 SoA variables of 8 KiB each, 2 aggregators,
 /// 32 KiB buffers. Both partitions have all 16 ranks as members and 18
@@ -362,11 +372,8 @@ fn payload_run(
 /// the same calls, puts and file.
 #[test]
 fn hacc_rounds_shape_pins_the_synchronisation_calls() {
-    const KIB: u64 = 1024;
     let profile = mira_profile(128, 16);
-    let decls: Vec<Vec<WriteDecl>> = (0..16u64)
-        .map(|r| (0..9u64).map(|v| WriteDecl { offset: (v * 16 + r) * 8 * KIB, len: 8 * KIB }).collect())
-        .collect();
+    let decls = hacc_rounds_decls();
     let mut image = vec![0u8; 16 * 9 * 8 * KIB as usize];
     for (r, mine) in decls.iter().enumerate() {
         for (v, d) in mine.iter().enumerate() {
@@ -482,12 +489,63 @@ fn aggregator_lane_orders_its_put_write_and_wait() {
     }
 }
 
+/// On the `thr-hacc-rounds` shape no round is in place, so pipelined,
+/// both buffers are open at once: on each aggregator's lane round `r`
+/// is written, then round `r + 2` is posted into its buffer, and only
+/// then does the aggregator wait for round `r + 1`; and the contributors
+/// of round `r + 1` put while round `r` is still open. Unpipelined, the
+/// one buffer is written before it is posted again.
+#[test]
+fn hacc_rounds_shape_fills_two_rounds_at_once() {
+    let profile = mira_profile(128, 16);
+    let decls = hacc_rounds_decls();
+    for pipelining in [true, false] {
+        let name = format!("hacc-two-open-{pipelining}");
+        let cfg =
+            TapiocaConfig { num_aggregators: 2, buffer_size: 32 * KIB, pipelining, ..Default::default() };
+        let trace = thread_trace(&name, &profile, &decls, &cfg, None);
+        let v = check(&trace);
+        assert!(v.is_empty(), "{name}: violations: {v:?}");
+        let events = trace.events();
+        let mut overlapped = false;
+        for (agg, p) in events.iter().filter(|e| e.op == TraceOp::Elect).map(|e| (e.peer, e.partition))
+        {
+            let lane: Vec<TraceEvent> =
+                events.iter().filter(|e| (e.rank, e.partition) == (agg, p)).copied().collect();
+            let at = |op, r| {
+                lane_at(&lane, op, r).unwrap_or_else(|| panic!("{name}: no {op:?} of round {r}"))
+            };
+            let written = |r| {
+                lane.iter()
+                    .rposition(|e| e.op == TraceOp::Flush && e.round == r)
+                    .unwrap_or_else(|| panic!("{name}: round {r} not written"))
+            };
+            assert_eq!(lane.iter().filter(|e| e.op == TraceOp::Wait).count(), 18, "{name}");
+            for r in 0..17u32 {
+                let closed = lane[at(TraceOp::Wait, r)].t_ns;
+                overlapped |= events.iter().any(|e| {
+                    e.op == TraceOp::RmaPut && (e.partition, e.round) == (p, r + 1) && e.t_ns < closed
+                });
+                if !pipelining {
+                    assert!(written(r) < at(TraceOp::Post, r + 1), "{name}: round {r} re-posted");
+                } else if r + 2 < 18 {
+                    let chain = [written(r), at(TraceOp::Post, r + 2), at(TraceOp::Wait, r + 1)];
+                    assert!(chain.is_sorted(), "{name}: partition {p} round {r}: {chain:?}");
+                }
+            }
+        }
+        assert_eq!(overlapped, pipelining, "{name}: whether a put of round r + 1 preceded wait r");
+    }
+}
+
 /// IOR with one contributor per round, one aggregator: it fills its own
 /// two rounds alone, so they run in place. On its lane each keeps the
 /// whole skeleton — post, start, complete, wait — and the write follows
-/// the wait: pipelined, after it posts the next round and before it
-/// waits for it; unpipelined, before it posts the next round. No lane
-/// records a put of an in-place round; the other six rounds still put.
+/// the wait: pipelined, the next round was posted before that wait (an
+/// in-place round holds no buffer), and the write comes before the
+/// next wait; unpipelined, the write comes before it posts the next
+/// round. No lane records a put of an in-place round; the other six
+/// rounds still put.
 #[test]
 fn in_place_rounds_keep_their_skeleton_and_put_nothing() {
     let profile = theta_profile(4, 1);
@@ -518,20 +576,20 @@ fn in_place_rounds_keep_their_skeleton_and_put_nothing() {
             assert!(puts.clone().all(|e| e.round != r), "{name}: round {r} is in place, yet put");
             let last = r == 7;
             if pipelining {
-                let mut chain = vec![
+                let chain = [
                     at(TraceOp::Post, r),
                     at(TraceOp::Start, r),
                     at(TraceOp::Complete, r),
                     at(TraceOp::Wait, r),
+                    at(TraceOp::Flush, r),
                 ];
-                if !last {
-                    chain.push(at(TraceOp::Post, r + 1));
-                }
-                chain.push(at(TraceOp::Flush, r));
-                if !last {
-                    chain.push(at(TraceOp::Wait, r + 1));
-                }
                 assert!(chain.is_sorted(), "{name}: round {r} out of order: {chain:?}");
+                if !last {
+                    let next = [at(TraceOp::Post, r + 1), at(TraceOp::Wait, r)];
+                    assert!(next.is_sorted(), "{name}: round {} posted late: {next:?}", r + 1);
+                    let next = [at(TraceOp::Flush, r), at(TraceOp::Wait, r + 1)];
+                    assert!(next.is_sorted(), "{name}: round {r} written late: {next:?}");
+                }
             } else {
                 assert!(at(TraceOp::Wait, r) < at(TraceOp::Flush, r), "{name}: round {r}");
                 if !last {
