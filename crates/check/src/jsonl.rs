@@ -69,7 +69,6 @@ fn parse_line(line: &str) -> Result<TraceEvent, String> {
                 op = Some(match value.trim_matches('"') {
                     "rma_put" => TraceOp::RmaPut,
                     "flush" => TraceOp::Flush,
-                    "fence" => TraceOp::Fence,
                     "post" => TraceOp::Post,
                     "start" => TraceOp::Start,
                     "complete" => TraceOp::Complete,
@@ -136,11 +135,11 @@ mod tests {
                 rank: 0,
                 partition: 0,
                 round: 0,
-                phase: Phase::Sync,
-                op: TraceOp::Fence,
-                bytes: 0,
+                phase: Phase::Aggregation,
+                op: TraceOp::Elect,
+                bytes: 64,
                 offset: NO_OFFSET,
-                peer: NO_PEER,
+                peer: 0,
             },
         ]);
         // One event of each synchronisation op, with and without a peer.
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn blank_lines_are_skipped() {
         let doc = "\n{\"t_ns\":1,\"rank\":0,\"partition\":0,\"round\":0,\
-                   \"phase\":\"sync\",\"op\":\"fence\",\"bytes\":0}\n\n";
+                   \"phase\":\"sync\",\"op\":\"post\",\"bytes\":0}\n\n";
         assert_eq!(parse_jsonl(doc).unwrap().len(), 1);
     }
 
@@ -186,16 +185,23 @@ mod tests {
         assert!(err.contains("expected a"), "{err}");
         let err = parse_jsonl(
             "{\"t_ns\":1,\"rank\":0,\"partition\":0,\"round\":0,\
-             \"phase\":\"warp\",\"op\":\"fence\",\"bytes\":0}",
+             \"phase\":\"warp\",\"op\":\"post\",\"bytes\":0}",
         )
         .unwrap_err();
         assert!(err.contains("unknown phase"), "{err}");
+        // Window fences are not a trace event.
+        let err = parse_jsonl(
+            "{\"t_ns\":1,\"rank\":0,\"partition\":0,\"round\":0,\
+             \"phase\":\"sync\",\"op\":\"fence\",\"bytes\":0}",
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown op \"fence\""), "{err}");
     }
 
     #[test]
     fn unknown_keys_are_ignored() {
         let doc = "{\"t_ns\":1,\"rank\":0,\"partition\":0,\"round\":0,\
-                   \"phase\":\"sync\",\"op\":\"fence\",\"bytes\":0,\"future\":7}";
+                   \"phase\":\"sync\",\"op\":\"post\",\"bytes\":0,\"future\":7}";
         assert_eq!(parse_jsonl(doc).unwrap().len(), 1);
     }
 

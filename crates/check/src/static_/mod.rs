@@ -91,8 +91,8 @@ pub fn conformance_as(
     let mut out = Vec::new();
     if sym.mode != AccessMode::Write {
         // Read collectives only assert partition mapping: the write
-        // pipeline's event vocabulary (puts/flushes/fences) is what the
-        // symbolic model predicts in detail.
+        // pipeline's event vocabulary (puts/flushes/synchronisation) is
+        // what the symbolic model predicts in detail.
         for e in trace.events() {
             if sym.partition(e.partition).is_none() {
                 out.push(unmapped(e, "partition not in static schedule"));
@@ -301,9 +301,6 @@ fn conform_thread(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticVio
                 if found.is_none() {
                     out.push(unmapped(e, "no matching predicted flush segment"));
                 }
-            }
-            TraceOp::Fence => {
-                out.push(unmapped(e, "the round pipeline issues no fences"));
             }
             TraceOp::Post | TraceOp::Start | TraceOp::Complete | TraceOp::Wait => {
                 if !part.members.contains(&e.rank) {
@@ -621,8 +618,7 @@ fn conform_sim(sym: &SymbolicSchedule, trace: &Trace, out: &mut Vec<StaticViolat
                     out.push(unmapped(e, "flush on an unexpected lane"));
                 }
             }
-            TraceOp::Fence
-            | TraceOp::Post
+            TraceOp::Post
             | TraceOp::Start
             | TraceOp::Complete
             | TraceOp::Wait

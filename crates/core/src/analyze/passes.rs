@@ -1,27 +1,25 @@
-//! Static analysis passes over a [`SymbolicSchedule`].
+//! Static checks over a [`SymbolicSchedule`]: the user mistakes a
+//! real config and declaration set can carry.
 //!
-//! Each pass proves one safety property of the predicted schedule and
-//! emits a typed [`StaticViolation`] with a concrete witness when the
-//! property fails:
+//! 1. **Extent overlap** — two ranks *write* the same bytes of one
+//!    round's window (interval sweep per round). Overlapping reads are
+//!    legal: every reader gets the file's bytes.
+//! 2. **Fault reachability** — every fault spec maps to a real
+//!    (partition, round, segment); a declared crash that does not
+//!    compile is reported with the reason
+//!    [`PartitionInfo::fault_rounds`](crate::schedule::PartitionInfo::fault_rounds)
+//!    drops it for.
+//! 3. **Tier capacity** — the double buffer fits the memory tier
+//!    ([`check_capacity`], also the autotuner's static screen).
 //!
-//! 1. **Extent-overlap freedom** — no two ranks' puts overlap inside a
-//!    window slot (interval sweep per round).
-//! 2. **Window/buffer bounds** — every put and flush stays inside its
-//!    slot; round volume fits the buffer; flush offsets align with the
-//!    round window.
-//! 3. **Round/collective agreement** — per-member byte sums, per-round
-//!    byte sums, and the partition total all agree.
-//! 4. **Fence-graph acyclicity** — the collective visit order induces
-//!    an acyclic partition digraph (deadlock freedom by construction).
-//! 5. **Fault-plan reachability** — every fault spec maps to a real
-//!    (partition, round, segment); degraded paths stay byte-covering.
-//! 6. **Tier capacity** — the double buffer fits the assigned memory
-//!    tier.
-//!
-//! The conformance variants (`UnmappedDynamicEvent`,
-//! `UndischargedStaticEvent`, `OrderViolation`) are emitted by the
-//! dynamic-trace bridge in `tapioca-check`, which shares this type so
-//! callers see one violation vocabulary.
+//! The schedule's internal agreement (window slots, flush offsets, byte
+//! totals, visit order) is not rechecked here: `schedule_equivalence`
+//! pins `compute_schedule` against an oracle, and the conformance
+//! bridge in `tapioca-check` matches this schedule's puts, flushes and
+//! synchronisation calls against executor traces. Its variants
+//! (`UnmappedDynamicEvent`, `UndischargedStaticEvent`,
+//! `OrderViolation`) share this type so callers see one violation
+//! vocabulary.
 
 use std::fmt;
 
@@ -29,17 +27,19 @@ use tapioca_mpi::FaultSpec;
 use tapioca_pfs::AccessMode;
 use tapioca_topology::Rank;
 
-use crate::autotune::{Candidate, TierAssignment};
+use crate::autotune::TierAssignment;
 use crate::config::TapiocaConfig;
+use crate::schedule::CrashDrop;
 
 use super::symbolic::{SymbolicPartition, SymbolicSchedule};
 
-/// A statically provable defect in a predicted schedule, or (for the
-/// conformance variants) a divergence between a dynamic trace and the
-/// static schedule. Every variant carries a concrete witness.
+/// A user mistake a static check proves from the predicted schedule,
+/// or (for the conformance variants) a divergence between a dynamic
+/// trace and the static schedule. Every variant carries a concrete
+/// witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StaticViolation {
-    /// Two ranks' puts overlap inside the same window slot.
+    /// Two ranks write the same bytes of one round's window.
     ExtentOverlap {
         /// Global partition index.
         partition: u32,
@@ -54,50 +54,6 @@ pub enum StaticViolation {
         /// `[start, end)` window range of the second put.
         range_b: (u64, u64),
     },
-    /// A put or flush escapes its window slot, or a round's volume
-    /// exceeds the buffer.
-    WindowOverflow {
-        /// Global partition index.
-        partition: u32,
-        /// Round of the offending access.
-        round: u32,
-        /// Rank performing the access (the aggregator for flushes).
-        rank: Rank,
-        /// Offset of the access within the window/buffer.
-        offset: u64,
-        /// Length of the access.
-        len: u64,
-        /// The bound it violates.
-        limit: u64,
-    },
-    /// A flush segment's buffer offset disagrees with its file offset
-    /// relative to the round window.
-    MisalignedFlush {
-        /// Global partition index.
-        partition: u32,
-        /// Round of the segment.
-        round: u32,
-        /// Absolute file offset of the segment.
-        file_offset: u64,
-        /// Buffer offset the schedule recorded.
-        buf_offset: u64,
-        /// Buffer offset implied by the round window.
-        expected: u64,
-    },
-    /// Member/round/partition byte accounting disagrees.
-    RoundMismatch {
-        /// Global partition index.
-        partition: u32,
-        /// Human-readable witness of the disagreement.
-        detail: String,
-    },
-    /// The collective visit order induces a cycle over partitions —
-    /// ranks would deadlock on the partitions' collectives (election,
-    /// closing flag reduction).
-    FenceCycle {
-        /// Global partition indices forming the cycle.
-        cycle: Vec<u32>,
-    },
     /// A fault-plan entry cannot fire on this schedule.
     FaultUnreachable {
         /// Rendered fault spec.
@@ -111,17 +67,6 @@ pub enum StaticViolation {
         partition: u32,
         /// Crash round.
         round: u32,
-    },
-    /// A round's flush segments do not cover its aggregated bytes.
-    UncoveredBytes {
-        /// Global partition index.
-        partition: u32,
-        /// Round with the coverage gap.
-        round: u32,
-        /// Bytes the round aggregates.
-        expected: u64,
-        /// Bytes the flush segments cover.
-        covered: u64,
     },
     /// The double buffer does not fit the assigned memory tier.
     CapacityExceeded {
@@ -161,13 +106,8 @@ impl StaticViolation {
     pub fn code(&self) -> &'static str {
         match self {
             StaticViolation::ExtentOverlap { .. } => "extent-overlap",
-            StaticViolation::WindowOverflow { .. } => "window-overflow",
-            StaticViolation::MisalignedFlush { .. } => "misaligned-flush",
-            StaticViolation::RoundMismatch { .. } => "round-mismatch",
-            StaticViolation::FenceCycle { .. } => "fence-cycle",
             StaticViolation::FaultUnreachable { .. } => "fault-unreachable",
             StaticViolation::NoStandby { .. } => "no-standby",
-            StaticViolation::UncoveredBytes { .. } => "uncovered-bytes",
             StaticViolation::CapacityExceeded { .. } => "capacity-exceeded",
             StaticViolation::UnmappedDynamicEvent { .. } => "unmapped-dynamic-event",
             StaticViolation::UndischargedStaticEvent { .. } => "undischarged-static-event",
@@ -192,37 +132,6 @@ impl fmt::Display for StaticViolation {
                  window [{}, {}) overlaps rank {rank_b} window [{}, {})",
                 range_a.0, range_a.1, range_b.0, range_b.1
             ),
-            StaticViolation::WindowOverflow { partition, round, rank, offset, len, limit } => {
-                write!(
-                    f,
-                    "[window-overflow] partition {partition} round {round}: rank {rank} \
-                     access at offset {offset} len {len} exceeds bound {limit}"
-                )
-            }
-            StaticViolation::MisalignedFlush {
-                partition,
-                round,
-                file_offset,
-                buf_offset,
-                expected,
-            } => write!(
-                f,
-                "[misaligned-flush] partition {partition} round {round}: segment at file \
-                 offset {file_offset} has buf offset {buf_offset}, window implies {expected}"
-            ),
-            StaticViolation::RoundMismatch { partition, detail } => {
-                write!(f, "[round-mismatch] partition {partition}: {detail}")
-            }
-            StaticViolation::FenceCycle { cycle } => {
-                write!(f, "[fence-cycle] collective visit order cycles through partitions ")?;
-                for (i, p) in cycle.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " -> ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                Ok(())
-            }
             StaticViolation::FaultUnreachable { fault, reason } => {
                 write!(f, "[fault-unreachable] {fault}: {reason}")
             }
@@ -230,11 +139,6 @@ impl fmt::Display for StaticViolation {
                 f,
                 "[no-standby] partition {partition}: crash at round {round} has no \
                  standby member to re-elect"
-            ),
-            StaticViolation::UncoveredBytes { partition, round, expected, covered } => write!(
-                f,
-                "[uncovered-bytes] partition {partition} round {round}: flush segments \
-                 cover {covered} of {expected} aggregated bytes"
             ),
             StaticViolation::CapacityExceeded { tier, required, capacity } => write!(
                 f,
@@ -254,9 +158,12 @@ impl fmt::Display for StaticViolation {
     }
 }
 
-/// Pass 1: no two ranks' puts overlap inside a window slot. Replay
-/// puts target a fresh window and are swept separately from the doomed
-/// crash-round fill.
+/// No two ranks' puts overlap inside a round's window: a sweep in start
+/// order against the put reaching furthest so far, which finds an
+/// overlapping pair in every round that has one. Replay puts target a
+/// fresh window and are swept separately from the doomed crash-round
+/// fill. One rank's own puts may overlap: its later put wins, as in a
+/// file write.
 fn check_extent_overlap(part: &SymbolicPartition, out: &mut Vec<StaticViolation>) {
     for round in &part.rounds {
         for replay in [false, true] {
@@ -267,269 +174,83 @@ fn check_extent_overlap(part: &SymbolicPartition, out: &mut Vec<StaticViolation>
                 .map(|p| (p.window_offset, p.window_offset + p.bytes, p.rank))
                 .collect();
             ivs.sort_unstable();
-            for w in ivs.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                if b.0 < a.1 && a.2 != b.2 {
-                    out.push(StaticViolation::ExtentOverlap {
-                        partition: part.partition,
-                        round: round.round,
-                        rank_a: a.2,
-                        rank_b: b.2,
-                        range_a: (a.0, a.1),
-                        range_b: (b.0, b.1),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Pass 2: window/buffer bounds and flush alignment.
-fn check_window_bounds(
-    part: &SymbolicPartition,
-    buffer_size: u64,
-    out: &mut Vec<StaticViolation>,
-) {
-    let b = buffer_size;
-    for round in &part.rounds {
-        if round.bytes > b {
-            out.push(StaticViolation::WindowOverflow {
-                partition: part.partition,
-                round: round.round,
-                rank: part.aggregator.unwrap_or(0),
-                offset: 0,
-                len: round.bytes,
-                limit: b,
-            });
-        }
-        for p in &round.puts {
-            let lo = p.slot * b;
-            let hi = (p.slot + 1) * b;
-            if p.window_offset < lo || p.window_offset + p.bytes > hi {
-                out.push(StaticViolation::WindowOverflow {
-                    partition: part.partition,
-                    round: round.round,
-                    rank: p.rank,
-                    offset: p.window_offset,
-                    len: p.bytes,
-                    limit: hi,
-                });
-            }
-        }
-        let win_start = part.extent.0 + u64::from(round.round) * b;
-        for seg in &round.flushes {
-            if seg.buf_offset + seg.len > b {
-                out.push(StaticViolation::WindowOverflow {
-                    partition: part.partition,
-                    round: round.round,
-                    rank: part.aggregator.unwrap_or(0),
-                    offset: seg.buf_offset,
-                    len: seg.len,
-                    limit: b,
-                });
-            }
-            let expected = seg.file_offset.saturating_sub(win_start);
-            if seg.file_offset < win_start || seg.buf_offset != expected {
-                out.push(StaticViolation::MisalignedFlush {
-                    partition: part.partition,
-                    round: round.round,
-                    file_offset: seg.file_offset,
-                    buf_offset: seg.buf_offset,
-                    expected,
-                });
-            }
-        }
-    }
-}
-
-/// Pass 3: member/round/partition byte accounting agrees.
-fn check_round_agreement(part: &SymbolicPartition, out: &mut Vec<StaticViolation>) {
-    let mut by_member: Vec<u64> = vec![0; part.members.len()];
-    let mut total = 0u64;
-    for round in &part.rounds {
-        let filled: u64 = round.puts.iter().filter(|p| !p.replay).map(|p| p.bytes).sum();
-        if filled != round.bytes {
-            out.push(StaticViolation::RoundMismatch {
-                partition: part.partition,
-                detail: format!(
-                    "round {} aggregates {} bytes but member puts fill {}",
-                    round.round, round.bytes, filled
-                ),
-            });
-        }
-        for p in round.puts.iter().filter(|p| !p.replay) {
-            if let Some(i) = part.members.iter().position(|&m| m == p.rank) {
-                by_member[i] += p.bytes;
-            }
-        }
-        total += round.bytes;
-    }
-    if total != part.total_bytes {
-        out.push(StaticViolation::RoundMismatch {
-            partition: part.partition,
-            detail: format!(
-                "rounds sum to {total} bytes but partition totals {}",
-                part.total_bytes
-            ),
-        });
-    }
-    for (i, &m) in part.members.iter().enumerate() {
-        if by_member[i] != part.member_bytes[i] {
-            out.push(StaticViolation::RoundMismatch {
-                partition: part.partition,
-                detail: format!(
-                    "member {m} puts {} bytes but is declared for {}",
-                    by_member[i], part.member_bytes[i]
-                ),
-            });
-        }
-    }
-}
-
-/// Pass 4: the visit-order digraph over partitions is acyclic. Edges
-/// go from each partition a rank visits to the next one it visits;
-/// a cycle means two ranks enter a pair of partitions in opposite
-/// orders and would deadlock on the subgroups' collectives (election,
-/// closing flag reduction).
-fn check_fence_acyclic(sym: &SymbolicSchedule, out: &mut Vec<StaticViolation>) {
-    for group in &sym.groups {
-        let n = group.partitions.len();
-        if n == 0 {
-            continue;
-        }
-        let base = group.partition_base as usize;
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (_, visits) in &group.visit_order {
-            for w in visits.windows(2) {
-                let (a, b) = (w[0] as usize - base, w[1] as usize - base);
-                if !adj[a].contains(&b) {
-                    adj[a].push(b);
-                }
-            }
-        }
-        // Iterative DFS with colouring; on finding a back edge, walk
-        // the stack to extract the cycle witness.
-        let mut colour = vec![0u8; n]; // 0 white, 1 grey, 2 black
-        for start in 0..n {
-            if colour[start] != 0 {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = 1;
-            while let Some(frame) = stack.last_mut() {
-                let node = frame.0;
-                if frame.1 < adj[node].len() {
-                    let to = adj[node][frame.1];
-                    frame.1 += 1;
-                    match colour[to] {
-                        0 => {
-                            colour[to] = 1;
-                            stack.push((to, 0));
-                        }
-                        1 => {
-                            let pos = stack
-                                .iter()
-                                .position(|&(v, _)| v == to)
-                                .unwrap_or(0);
-                            let mut cycle: Vec<u32> = stack[pos..]
-                                .iter()
-                                .map(|&(v, _)| (base + v) as u32)
-                                .collect();
-                            cycle.push(to as u32 + base as u32);
-                            out.push(StaticViolation::FenceCycle { cycle });
-                            return;
-                        }
-                        _ => {}
+            let mut reach: Option<(u64, u64, Rank)> = None;
+            for b in ivs {
+                match reach {
+                    Some(a) if b.0 < a.1 && a.2 != b.2 => {
+                        out.push(StaticViolation::ExtentOverlap {
+                            partition: part.partition,
+                            round: round.round,
+                            rank_a: a.2,
+                            rank_b: b.2,
+                            range_a: (a.0, a.1),
+                            range_b: (b.0, b.1),
+                        });
+                        break;
                     }
-                } else {
-                    colour[node] = 2;
-                    stack.pop();
+                    Some(a) if a.1 >= b.1 => {}
+                    _ => reach = Some(b),
                 }
             }
         }
     }
 }
 
-/// Pass 5: fault-plan reachability and degraded-path byte coverage.
+/// Every fault spec fires somewhere. Fault partition indices are
+/// schedule-local per group; a spec is reachable if at least one group
+/// realises it. A declared crash that compiled nowhere is reported with
+/// the `CrashDrop` reason of the first group that dropped it.
 fn check_fault_reachability(
     sym: &SymbolicSchedule,
     cfg: &TapiocaConfig,
     out: &mut Vec<StaticViolation>,
 ) {
-    // Byte coverage first: every round's flush segments must cover its
-    // aggregated volume exactly, degraded or not — the degraded direct
-    // writes reuse the same segment extents.
-    for part in sym.groups.iter().flat_map(|g| &g.partitions) {
-        for round in &part.rounds {
-            let covered: u64 = round.flushes.iter().map(|s| s.len).sum();
-            if covered != round.bytes {
-                out.push(StaticViolation::UncoveredBytes {
-                    partition: part.partition,
-                    round: round.round,
-                    expected: round.bytes,
-                    covered,
-                });
-            }
-        }
-    }
-
     let Some(fp) = cfg.faults.as_ref() else { return };
-    // Fault partition indices are schedule-local per group; a spec is
-    // reachable if at least one group realises it.
     let local = |p: u32| -> Vec<&SymbolicPartition> {
         sym.groups
             .iter()
             .filter_map(|g| g.partitions.get(p as usize))
             .collect()
     };
+    let unreachable =
+        |fault: String, reason: String| StaticViolation::FaultUnreachable { fault, reason };
     for spec in &fp.specs {
         match *spec {
             FaultSpec::AggregatorCrash { partition, round } => {
+                let fault = format!("crash={partition}@{round}");
                 let parts = local(partition);
                 if parts.is_empty() {
-                    out.push(StaticViolation::FaultUnreachable {
-                        fault: format!("crash={partition}@{round}"),
-                        reason: format!("no group has a partition {partition}"),
-                    });
+                    out.push(unreachable(fault, format!("no group has a partition {partition}")));
                     continue;
                 }
                 if sym.mode != AccessMode::Write {
-                    out.push(StaticViolation::FaultUnreachable {
-                        fault: format!("crash={partition}@{round}"),
-                        reason: "aggregator crashes only fire on writes".into(),
-                    });
+                    out.push(unreachable(fault, "aggregator crashes only fire on writes".into()));
                     continue;
                 }
-                let in_range = parts.iter().any(|p| (round as usize) < p.rounds.len());
-                if !in_range {
-                    out.push(StaticViolation::FaultUnreachable {
-                        fault: format!("crash={partition}@{round}"),
-                        reason: format!(
-                            "round {round} out of range (partition has {} rounds)",
-                            parts.iter().map(|p| p.rounds.len()).max().unwrap_or(0)
-                        ),
-                    });
+                if parts.iter().any(|p| p.crash.is_some_and(|c| c.round == round)) {
                     continue;
                 }
-                for p in &parts {
-                    if (round as usize) < p.rounds.len() && p.members.len() < 2 {
-                        out.push(StaticViolation::NoStandby {
-                            partition: p.partition,
-                            round,
-                        });
-                    } else if p.degrade_round.is_some_and(|dr| dr <= round)
-                        && p.members.len() >= 2
-                    {
-                        out.push(StaticViolation::FaultUnreachable {
-                            fault: format!("crash={partition}@{round}"),
-                            reason: format!(
-                                "partition {} degrades at round {} before the crash",
-                                p.partition,
-                                p.degrade_round.unwrap_or(0)
-                            ),
-                        });
+                let dropped = parts.iter().find_map(|p| {
+                    CrashDrop::of(round, p.members.len(), p.rounds.len(), p.degrade_round)
+                        .map(|why| (p.partition, why))
+                });
+                out.push(match dropped {
+                    Some((p, CrashDrop::NoStandby)) => {
+                        StaticViolation::NoStandby { partition: p, round }
                     }
-                }
+                    Some((_, CrashDrop::PastEnd { rounds })) => unreachable(
+                        fault,
+                        format!("round {round} out of range (partition has {rounds} rounds)"),
+                    ),
+                    Some((p, CrashDrop::DegradesFirst { at })) => unreachable(
+                        fault,
+                        format!("partition {p} degrades at round {at} before the crash"),
+                    ),
+                    None => unreachable(
+                        fault,
+                        format!("an earlier crash spec for partition {partition} takes its place"),
+                    ),
+                });
             }
             FaultSpec::FlushStall { partition, round } => {
                 let hit = local(partition).iter().any(|p| {
@@ -538,20 +259,18 @@ fn check_fault_reachability(
                         .is_some_and(|r| !r.flushes.is_empty())
                 });
                 if !hit {
-                    out.push(StaticViolation::FaultUnreachable {
-                        fault: format!("stall={partition}@{round}"),
-                        reason: format!(
-                            "no partition {partition} flushes a segment in round {round}"
-                        ),
-                    });
+                    out.push(unreachable(
+                        format!("stall={partition}@{round}"),
+                        format!("no partition {partition} flushes a segment in round {round}"),
+                    ));
                 }
             }
             FaultSpec::FlushSlowdown { partition: Some(p), .. } => {
                 if local(p).is_empty() {
-                    out.push(StaticViolation::FaultUnreachable {
-                        fault: format!("slow@{p}"),
-                        reason: format!("no group has a partition {p}"),
-                    });
+                    out.push(unreachable(
+                        format!("slow@{p}"),
+                        format!("no group has a partition {p}"),
+                    ));
                 }
             }
             FaultSpec::FlushSlowdown { partition: None, .. }
@@ -561,55 +280,36 @@ fn check_fault_reachability(
     }
 }
 
-/// Pass 6: the double buffer fits the given memory capacity.
-fn check_capacity(
-    sym: &SymbolicSchedule,
+/// The double buffer — two rounds of `buffer_size` bytes — fits the
+/// memory `tier` of `capacity` bytes. [`analyze`] bounds it by DRAM;
+/// the autotuner screens every grid point's tier with it before any
+/// model or simulator work.
+pub fn check_capacity(
+    buffer_size: u64,
     tier: &'static str,
     capacity: u64,
-    out: &mut Vec<StaticViolation>,
-) {
-    let required = 2 * sym.buffer_size;
-    if required > capacity {
-        out.push(StaticViolation::CapacityExceeded { tier, required, capacity });
-    }
-}
-
-/// Run every static pass over a symbolic schedule, bounding the double
-/// buffer by the given tier capacity. Violations are returned in pass
-/// order; an empty vector is a proof the predicted schedule is safe.
-pub fn analyze_with_capacity(
-    sym: &SymbolicSchedule,
-    cfg: &TapiocaConfig,
-    tier: &'static str,
-    capacity: u64,
-) -> Vec<StaticViolation> {
-    let mut out = Vec::new();
-    for part in sym.groups.iter().flat_map(|g| &g.partitions) {
-        check_extent_overlap(part, &mut out);
-        check_window_bounds(part, sym.buffer_size, &mut out);
-        check_round_agreement(part, &mut out);
-    }
-    check_fence_acyclic(sym, &mut out);
-    check_fault_reachability(sym, cfg, &mut out);
-    check_capacity(sym, tier, capacity, &mut out);
-    out
-}
-
-/// Run every static pass with the default DRAM capacity bound.
-pub fn analyze(sym: &SymbolicSchedule, cfg: &TapiocaConfig) -> Vec<StaticViolation> {
-    let tier = TierAssignment::DramDirect;
-    analyze_with_capacity(sym, cfg, tier.name(), tier.buffer_capacity())
-}
-
-/// Screen one autotune grid point statically, without deriving a full
-/// symbolic schedule: candidates whose double buffer cannot fit their
-/// assigned tier are illegal on any machine and need no simulation.
-pub fn screen_candidate(cand: &Candidate) -> Option<StaticViolation> {
-    let required = 2 * cand.buffer_size;
-    let capacity = cand.tier.buffer_capacity();
-    (required > capacity).then(|| StaticViolation::CapacityExceeded {
-        tier: cand.tier.name(),
+) -> Option<StaticViolation> {
+    let required = buffer_size.saturating_mul(2);
+    (required > capacity).then_some(StaticViolation::CapacityExceeded {
+        tier,
         required,
         capacity,
     })
+}
+
+/// Run the static checks over a symbolic schedule: write extent
+/// overlap, fault reachability, and the double buffer against DRAM.
+/// Violations are returned in that order; an empty vector means no
+/// check found a mistake.
+pub fn analyze(sym: &SymbolicSchedule, cfg: &TapiocaConfig) -> Vec<StaticViolation> {
+    let mut out = Vec::new();
+    if sym.mode == AccessMode::Write {
+        for part in sym.groups.iter().flat_map(|g| &g.partitions) {
+            check_extent_overlap(part, &mut out);
+        }
+    }
+    check_fault_reachability(sym, cfg, &mut out);
+    let dram = TierAssignment::DramDirect;
+    out.extend(check_capacity(sym.buffer_size, dram.name(), dram.buffer_capacity()));
+    out
 }

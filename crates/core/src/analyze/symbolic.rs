@@ -5,7 +5,7 @@
 //! zero executor or netsim involvement.
 //!
 //! Puts are predicted one per chunk, the granularity thread-mode traces
-//! record, so the static passes and the conformance bridge in
+//! record, so the extent-overlap check and the conformance bridge in
 //! `tapioca-check` read the same [`SymbolicRound::puts`] list.
 //!
 //! The derivation plans its groups through the simulator's per-layout
@@ -13,7 +13,7 @@
 //! schedule cannot drift from what the executors actually compile: both
 //! start from the same `GroupPlan`.
 
-use tapioca_pfs::{AccessMode, FileId};
+use tapioca_pfs::AccessMode;
 use tapioca_topology::{MachineProfile, Rank};
 
 use crate::aggregation::PostWalk;
@@ -32,8 +32,6 @@ pub struct SymbolicPut {
     pub window_offset: u64,
     /// Chunk length, bytes.
     pub bytes: u64,
-    /// Window slot (0 or 1) the put lands in.
-    pub slot: u64,
     /// Global rank of the window owner the put targets (the standby
     /// from the crash round on).
     pub peer: Rank,
@@ -49,8 +47,6 @@ pub struct SymbolicFlush {
     pub file_offset: u64,
     /// Segment length, bytes.
     pub len: u64,
-    /// Offset inside the round's window slot.
-    pub buf_offset: u64,
     /// Injected flush failures before success (0 when unfaulted;
     /// `u32::MAX` for a stall).
     pub fail_attempts: u32,
@@ -61,13 +57,11 @@ pub struct SymbolicFlush {
 pub struct SymbolicRound {
     /// Round index within the partition.
     pub round: u32,
-    /// Window slot the round's flush reads from.
-    pub slot: u64,
     /// Aggregated payload bytes this round.
     pub bytes: u64,
     /// Member puts filling the round's window, one per chunk (crash
     /// rounds list the doomed fill *and* the replay copies): what the
-    /// static passes sweep and what thread-mode traces record.
+    /// extent-overlap check sweeps and what thread-mode traces record.
     pub puts: Vec<SymbolicPut>,
     /// Flush segments draining the window.
     pub flushes: Vec<SymbolicFlush>,
@@ -115,12 +109,8 @@ pub struct SymbolicPartition {
     /// Global partition index (group base + schedule-local index),
     /// matching the `partition` field of trace events.
     pub partition: u32,
-    /// File extent `[start, end)` the partition owns.
-    pub extent: (u64, u64),
     /// Member global ranks, ascending.
     pub members: Vec<Rank>,
-    /// Bytes each member contributes (parallel to `members`).
-    pub member_bytes: Vec<u64>,
     /// Elected aggregator (global rank); `None` for empty partitions.
     pub aggregator: Option<Rank>,
     /// Lowest member (global rank) — the lane election/crash/degrade
@@ -208,17 +198,11 @@ impl SymbolicPartition {
 /// The predicted schedule of one file group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymbolicGroup {
-    /// File the group writes/reads.
-    pub file: FileId,
-    /// Global partition index of the group's first partition.
-    pub partition_base: u32,
-    /// File span `(lo, hi)` covered by the group's declarations.
-    pub span: (u64, u64),
     /// Partitions, ascending by index.
     pub partitions: Vec<SymbolicPartition>,
     /// Per member (global rank): the ascending global partition indices
     /// it participates in — the collective visit order every rank must
-    /// follow, and the edge set of the fence graph.
+    /// follow.
     pub visit_order: Vec<(Rank, Vec<u32>)>,
 }
 
@@ -307,11 +291,14 @@ pub fn derive_symbolic(
                         continue;
                     }
                     let rank = group.ranks[local];
-                    let slot = round_slot(c.round, crash.map(|cr| cr.round));
                     let replayed = crash.is_some_and(|cr| c.round == cr.round);
                     // Original fill (lost in the crash round — it went
                     // to the doomed window at the pre-crash slot).
-                    let fill_slot = if replayed { u64::from(c.round % 2) } else { slot };
+                    let fill_slot = if replayed {
+                        u64::from(c.round % 2)
+                    } else {
+                        round_slot(c.round, crash.map(|cr| cr.round))
+                    };
                     let fill_peer = aggregator.unwrap_or(rank);
                     let live_peer = match crash {
                         Some(cr) if c.round >= cr.round => cr.standby,
@@ -321,7 +308,6 @@ pub fn derive_symbolic(
                         rank,
                         window_offset: fill_slot * b + c.buf_offset,
                         bytes: c.len,
-                        slot: fill_slot,
                         peer: if replayed { fill_peer } else { live_peer },
                         replay: false,
                     };
@@ -332,7 +318,6 @@ pub fn derive_symbolic(
                             rank,
                             window_offset: c.buf_offset,
                             bytes: c.len,
-                            slot: 0,
                             peer: live_peer,
                             replay: true,
                         });
@@ -354,7 +339,6 @@ pub fn derive_symbolic(
                         .map(|(s, seg)| SymbolicFlush {
                             file_offset: seg.file_offset,
                             len: seg.len,
-                            buf_offset: seg.buf_offset,
                             fail_attempts: fp
                                 .and_then(|f| {
                                     f.flush_fault(part.index as u32, r32, s as u32)
@@ -364,7 +348,6 @@ pub fn derive_symbolic(
                         .collect();
                     SymbolicRound {
                         round: r32,
-                        slot: round_slot(r32, crash.map(|c| c.round)),
                         bytes: round.bytes,
                         puts: std::mem::take(&mut puts_by_round[r]),
                         flushes,
@@ -374,9 +357,7 @@ pub fn derive_symbolic(
 
             partitions.push(SymbolicPartition {
                 partition: partition_base + part.index as u32,
-                extent: (part.start, part.end),
                 members,
-                member_bytes: part.member_bytes.clone(),
                 aggregator,
                 lowest,
                 crash,
@@ -402,13 +383,7 @@ pub fn derive_symbolic(
             .collect();
 
         let nparts = partitions.len() as u32;
-        groups.push(SymbolicGroup {
-            file: group.file,
-            partition_base,
-            span: gp.sched.span,
-            partitions,
-            visit_order,
-        });
+        groups.push(SymbolicGroup { partitions, visit_order });
         partition_base += nparts;
     }
 

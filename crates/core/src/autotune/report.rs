@@ -8,7 +8,7 @@ pub struct TuneReport {
     pub grid_size: usize,
     /// Grid points the static analyzer proved illegal and discarded
     /// before any model or simulator work (see
-    /// `crate::analyze::screen_candidate`).
+    /// `crate::analyze::check_capacity`).
     pub static_pruned: usize,
     /// ω evaluations (= `grid_size` minus the statically pruned points).
     pub model_evals: usize,

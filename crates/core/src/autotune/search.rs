@@ -194,10 +194,10 @@ pub fn autotune_from(
     // proves illegal (double buffer over tier capacity) before spending
     // any model or simulator work on them.
     let grid = space.candidates();
-    let (pruned, legal): (Vec<Candidate>, Vec<Candidate>) = grid
-        .iter()
-        .copied()
-        .partition(|c| crate::analyze::screen_candidate(c).is_some());
+    let (pruned, legal): (Vec<Candidate>, Vec<Candidate>) = grid.iter().copied().partition(|c| {
+        crate::analyze::check_capacity(c.buffer_size, c.tier.name(), c.tier.buffer_capacity())
+            .is_some()
+    });
     let static_pruned = pruned.len();
 
     // Stage 1 — score the surviving grid with ω.

@@ -31,7 +31,7 @@ pub struct TapiocaConfig {
     pub strategy: PlacementStrategy,
     /// Ignored by both executors: every chunk travels as its own put.
     /// Kept because `benchmark/src/workloads.rs` sets it; goes with
-    /// ROADMAP item 2.
+    /// ROADMAP item 1.
     pub coalescing: bool,
     /// Deterministic fault schedule consumed by both executors. `None`
     /// (the default) injects nothing; recovery machinery stays off the
@@ -223,9 +223,10 @@ impl ConfigBuilder {
 
     /// Statically analyze the config against a concrete workload:
     /// derive the symbolic schedule (see [`crate::analyze`]) and run
-    /// the full pass catalogue, erroring on the first violation. This
-    /// rejects unsafe configs (window overflows, unreachable faults,
-    /// tier overflow, fence cycles) before any executor runs.
+    /// its checks, erroring on the first violation. This rejects ranks
+    /// writing the same bytes, unreachable faults and a double buffer
+    /// over the DRAM capacity before any executor runs. Overlapping
+    /// reads, and one rank's own overlapping writes, are legal.
     ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] carrying the rendered

@@ -138,11 +138,48 @@ impl PartitionInfo {
                 .then_some(r as u32)
         });
         let crash = faults.crash_at(p).filter(|&cr| {
-            self.members.len() > 1
-                && (cr as usize) < self.rounds.len()
-                && degrade.is_none_or(|dr| dr > cr)
+            CrashDrop::of(cr, self.members.len(), self.rounds.len(), degrade).is_none()
         });
         FaultRounds { crash, degrade }
+    }
+}
+
+/// Why a declared aggregator crash cannot take effect in a partition
+/// (see [`PartitionInfo::fault_rounds`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CrashDrop {
+    /// A single-member partition has no standby to re-elect.
+    NoStandby,
+    /// The crash round is at or past the round count: never reached.
+    PastEnd {
+        /// The partition's round count.
+        rounds: u32,
+    },
+    /// The partition degrades at or before the crash round and leaves
+    /// the round loop first.
+    DegradesFirst {
+        /// The degrade round.
+        at: u32,
+    },
+}
+
+impl CrashDrop {
+    /// Why a crash at round `crash` cannot take effect in a partition of
+    /// `members` members and `rounds` rounds that degrades at `degrade`;
+    /// `None` when it takes effect.
+    pub(crate) fn of(
+        crash: u32,
+        members: usize,
+        rounds: usize,
+        degrade: Option<u32>,
+    ) -> Option<Self> {
+        if members < 2 {
+            Some(CrashDrop::NoStandby)
+        } else if crash as usize >= rounds {
+            Some(CrashDrop::PastEnd { rounds: rounds as u32 })
+        } else {
+            degrade.filter(|&at| at <= crash).map(|at| CrashDrop::DegradesFirst { at })
+        }
     }
 }
 
@@ -580,7 +617,7 @@ pub fn compute_schedule(decls: &[Vec<WriteDecl>], params: ScheduleParams) -> Sch
 /// contiguous, which one merged put of `len` bytes at `buf_offset`
 /// could carry. No executor merges puts; this type, [`CoalescePlan`]
 /// and [`compute_coalesce_plan`] stay because `benchmark/src/probes.rs`
-/// times the plan, and go with ROADMAP item 2.
+/// times the plan, and go with ROADMAP item 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoalescedRun {
     /// Partition the run belongs to.
@@ -603,7 +640,7 @@ pub struct CoalescedRun {
 
 /// Which puts of a [`Schedule`] could merge into [`CoalescedRun`]s
 /// under a given rank-to-node placement. Pure data. Kept for
-/// `benchmark/src/probes.rs` until ROADMAP item 2 (see
+/// `benchmark/src/probes.rs` until ROADMAP item 1 (see
 /// [`CoalescedRun`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoalescePlan {
@@ -666,7 +703,7 @@ impl CoalescePlan {
 /// chunks count; singletons do not. `node_of` maps a rank to its node
 /// (e.g. [`tapioca_topology::TopologyProvider::node_of_rank`]). No
 /// executor calls it: `benchmark/src/probes.rs` times it, until
-/// ROADMAP item 2.
+/// ROADMAP item 1.
 ///
 /// Invariants (proved per run by construction, tested below):
 /// - chunks are back to back: `chunks[i].buf_offset + chunks[i].len ==

@@ -24,7 +24,6 @@ pub fn trace_report(s: &TraceSummary) -> String {
     let _ = writeln!(out, "rounds:             {}", s.rounds);
     let _ = writeln!(out, "aggregation bytes:  {} ({} puts)", s.aggregation_bytes, s.puts);
     let _ = writeln!(out, "io bytes:           {} ({} flushes)", s.io_bytes, s.flushes);
-    let _ = writeln!(out, "fences:             {}", s.fences);
     let _ = writeln!(out, "overlap fraction:   {:.3}", s.overlap_fraction);
     let _ = writeln!(out, "aggregator fills:");
     for (rank, bytes) in &s.aggregator_fill_bytes {

@@ -17,7 +17,8 @@
 //!   `complete` is visible to the target.
 //! * [`Window::fence`] — the all-member collective of Algorithm 3
 //!   (`MPI_Win_fence`), a barrier over the window's communicator. Kept
-//!   as a primitive; the pipeline no longer calls it.
+//!   as a primitive; the pipeline no longer calls it, and it records no
+//!   trace event.
 //!
 //! The synchronisation state is four monotone counters per (target,
 //! origin) pair — exposures opened / started, completes signalled /
@@ -334,8 +335,8 @@ pub struct Window {
     /// after it; sized for every member at allocation, so a post never
     /// allocates. Empty between calls.
     woken: Cell<Vec<Rank>>,
-    /// Per-handle tracing context; when set, puts and fences record
-    /// events attributed to this handle's rank.
+    /// Per-handle tracing context; when set, puts record events
+    /// attributed to this handle's rank.
     #[cfg(feature = "trace")]
     scope: Option<TraceScope>,
 }
@@ -399,8 +400,8 @@ impl Window {
         }
     }
 
-    /// Attach a tracing scope to this handle: subsequent `put` and
-    /// `fence` calls record events. Local to this handle — other
+    /// Attach a tracing scope to this handle: subsequent `put` calls
+    /// record events. Local to this handle — other
     /// members' handles on the same window are unaffected.
     #[cfg(feature = "trace")]
     pub fn set_trace_scope(&mut self, scope: TraceScope) {
@@ -543,10 +544,6 @@ impl Window {
     /// puts issued before it are then visible everywhere.
     pub fn fence(&self, comm: &Comm) {
         comm.barrier();
-        #[cfg(feature = "trace")]
-        if let Some(scope) = &self.scope {
-            scope.fence();
-        }
     }
 
     fn perturb_point(&self) {
@@ -889,7 +886,7 @@ mod tests {
 
     #[cfg(feature = "trace")]
     #[test]
-    fn traced_window_records_puts_and_fences() {
+    fn traced_window_records_puts_not_fences() {
         use tapioca_trace::{TraceOp, TraceScope, Tracer};
         let tracer = Tracer::new(2);
         let comms = make_world(2);
@@ -906,11 +903,8 @@ mod tests {
             }
         });
         let trace = tracer.drain();
-        let puts = trace.events().iter().filter(|e| e.op == TraceOp::RmaPut).count();
-        let fences = trace.events().iter().filter(|e| e.op == TraceOp::Fence).count();
-        assert_eq!(puts, 2);
-        assert_eq!(fences, 2);
-        assert!(trace.events().iter().filter(|e| e.op == TraceOp::RmaPut).all(|e| e.peer == 0));
+        assert_eq!(trace.len(), 2, "a fence records no event");
+        assert!(trace.events().iter().all(|e| e.op == TraceOp::RmaPut && e.peer == 0));
     }
 
     #[test]

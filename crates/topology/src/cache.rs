@@ -11,7 +11,7 @@
 //! autotuner both read a dense per-partition table instead
 //! (`tapioca::placement`); this lazy memo's only remaining caller is
 //! `benchmark/src/probes.rs`, and it goes when that probe moves to the
-//! election's cost vector (ROADMAP item 2).
+//! election's cost vector (ROADMAP item 22).
 //!
 //! The cache is caller-owned, lazy, and strategy-agnostic:
 //!

@@ -22,8 +22,8 @@ pub type Rank = usize;
 /// `peer` value when an event has no meaningful counterpart rank.
 pub const NO_PEER: Rank = usize::MAX;
 
-/// `offset` value when an event carries no region metadata (fences,
-/// elections, and simulator-side puts, whose plan ops are per-node flows
+/// `offset` value when an event carries no region metadata
+/// (synchronisation calls, elections, and simulator-side puts, whose plan ops are per-node flows
 /// without buffer coordinates).
 pub const NO_OFFSET: u64 = u64::MAX;
 
@@ -34,7 +34,7 @@ pub enum Phase {
     Aggregation,
     /// Data movement between aggregation buffers and storage.
     Io,
-    /// Synchronization (post/start/complete/wait, fences, barriers).
+    /// Synchronization (post/start/complete/wait, crash, re-election).
     Sync,
 }
 
@@ -45,10 +45,6 @@ pub enum TraceOp {
     RmaPut,
     /// A buffer segment written to (or read from) storage.
     Flush,
-    /// A window fence (`Window::fence`, the all-member collective). The
-    /// round pipeline no longer issues fences; `tapioca-check` derives
-    /// no ordering from them.
-    Fence,
     /// Signal: an aggregator opened the exposure of `round` to that
     /// round's contributors (recorded on the exposing rank's lane).
     Post,
@@ -72,8 +68,7 @@ pub enum TraceOp {
     /// crash round).
     Crash,
     /// A standby aggregator took over after a crash (`peer` = new
-    /// aggregator's global rank). Opens a new fence epoch: the checker
-    /// counts RMA-epoch enclosure relative to the re-election point.
+    /// aggregator's global rank).
     Reelect,
     /// A flush attempt failed and was retried (`offset` = file offset of
     /// the retried segment, `bytes` = its length).
@@ -231,7 +226,6 @@ impl Trace {
         let mut io_bytes = 0u64;
         let mut puts = 0usize;
         let mut flushes = 0usize;
-        let mut fences = 0usize;
         let mut signals = 0usize;
         let mut waits = 0usize;
         let mut fills: std::collections::BTreeMap<Rank, u64> = std::collections::BTreeMap::new();
@@ -250,7 +244,6 @@ impl Trace {
                     io_bytes += e.bytes;
                     flushes += 1;
                 }
-                TraceOp::Fence => fences += 1,
                 TraceOp::Post | TraceOp::Complete => signals += 1,
                 TraceOp::Start | TraceOp::Wait => waits += 1,
                 TraceOp::Elect => {}
@@ -264,7 +257,6 @@ impl Trace {
             io_bytes,
             puts,
             flushes,
-            fences,
             signals,
             waits,
             overlap_fraction: self.overlap_fraction(),
@@ -342,11 +334,7 @@ impl Trace {
                     r.io_bytes += e.bytes;
                     r.flush_segments += 1;
                 }
-                TraceOp::Fence
-                | TraceOp::Post
-                | TraceOp::Start
-                | TraceOp::Complete
-                | TraceOp::Wait => {}
+                TraceOp::Post | TraceOp::Start | TraceOp::Complete | TraceOp::Wait => {}
                 // Recovery events are executor-specific timing artifacts;
                 // structural equivalence is only asserted for fault-free
                 // runs, where none occur.
@@ -386,7 +374,6 @@ impl Trace {
             let op = match e.op {
                 TraceOp::RmaPut => "rma_put",
                 TraceOp::Flush => "flush",
-                TraceOp::Fence => "fence",
                 TraceOp::Post => "post",
                 TraceOp::Start => "start",
                 TraceOp::Complete => "complete",
@@ -427,8 +414,6 @@ pub struct TraceSummary {
     pub puts: usize,
     /// Number of flush events.
     pub flushes: usize,
-    /// Number of fence events.
-    pub fences: usize,
     /// Number of synchronisation signals (`Post` + `Complete`).
     pub signals: usize,
     /// Number of blocking synchronisation waits (`Start` + `Wait`).
@@ -523,20 +508,6 @@ impl TraceScope {
         );
     }
 
-    /// Record a fence (epoch close).
-    pub fn fence(&self) {
-        self.tracer.record_now(
-            self.rank,
-            self.partition,
-            self.round.get(),
-            Phase::Sync,
-            TraceOp::Fence,
-            0,
-            NO_PEER,
-            NO_OFFSET,
-        );
-    }
-
     /// One synchronisation event of `round` (not the scope's current
     /// round: an aggregator posts round `r + 1` while still in `r`).
     fn sync(&self, op: TraceOp, round: u32, peer: Rank) {
@@ -605,8 +576,7 @@ impl TraceScope {
     }
 
     /// Record a standby re-election (`winner_global` = the new
-    /// aggregator). Every member records this on its own lane: the
-    /// checker resets that lane's fence-epoch base at this point.
+    /// aggregator). Every member records this on its own lane.
     pub fn reelect(&self, winner_global: Rank) {
         self.tracer.record_now(
             self.rank,
@@ -676,7 +646,7 @@ impl TraceStamp {
     ///
     /// Ordering contract: the I/O worker must record this *before*
     /// signalling the flush's completion handle, so the event sits in
-    /// the lane ahead of any fence the aggregator records after its
+    /// the lane ahead of anything the aggregator records after its
     /// `wait` returns — `tapioca-check` derives the pipeline's
     /// happens-before edges from exactly that order.
     pub fn flush_done(&self, offset: u64, bytes: u64) {
@@ -701,8 +671,7 @@ mod tests {
         let phase = match op {
             TraceOp::RmaPut | TraceOp::Elect => Phase::Aggregation,
             TraceOp::Flush | TraceOp::Retry | TraceOp::Degrade => Phase::Io,
-            TraceOp::Fence
-            | TraceOp::Post
+            TraceOp::Post
             | TraceOp::Start
             | TraceOp::Complete
             | TraceOp::Wait
@@ -740,7 +709,6 @@ mod tests {
             ev(0, 0, 0, 0, TraceOp::Elect, 0, 1),
             ev(1, 0, 0, 0, TraceOp::RmaPut, 100, 1),
             ev(2, 1, 0, 0, TraceOp::RmaPut, 50, 1),
-            ev(3, 0, 0, 0, TraceOp::Fence, 0, NO_PEER),
             ev(3, 0, 0, 0, TraceOp::Complete, 0, 1),
             ev(3, 1, 0, 0, TraceOp::Wait, 0, NO_PEER),
             ev(4, 1, 0, 0, TraceOp::Flush, 150, NO_PEER),
@@ -754,7 +722,6 @@ mod tests {
         assert_eq!(s.io_bytes, 150);
         assert_eq!(s.puts, 3);
         assert_eq!(s.flushes, 1);
-        assert_eq!(s.fences, 1);
         assert_eq!((s.signals, s.waits), (2, 2));
         assert_eq!(s.aggregator_fill_bytes, vec![(1, 175)]);
     }
@@ -820,7 +787,6 @@ mod tests {
         scope.rma_put(2, 128, 64); // local rank 2 -> global 7
         scope.set_round(1);
         scope.rma_put(0, 0, 32); // local rank 0 -> global 4
-        scope.fence();
         scope.stamp().flush_done(4096, 96);
         // sync events carry their own round: a post of round 2 issued
         // while the scope is still in round 1
@@ -832,7 +798,7 @@ mod tests {
         let sync: Vec<_> = t
             .events()
             .iter()
-            .filter(|e| e.phase == Phase::Sync && e.op != TraceOp::Fence)
+            .filter(|e| e.phase == Phase::Sync)
             .map(|e| (e.op, e.round, e.peer))
             .collect();
         assert_eq!(sync, vec![
@@ -841,7 +807,7 @@ mod tests {
             (TraceOp::Complete, 1, 7),
             (TraceOp::Wait, 1, NO_PEER),
         ]);
-        assert_eq!(t.len(), 9);
+        assert_eq!(t.len(), 8);
         let puts: Vec<_> =
             t.events().iter().filter(|e| e.op == TraceOp::RmaPut).cloned().collect();
         assert_eq!(puts[0].peer, 7);
@@ -909,7 +875,7 @@ mod tests {
         assert_eq!(t.overlap_fraction(), 0.0);
         assert!(t.structural().partitions.is_empty());
         let s = t.summary();
-        assert_eq!((s.rounds, s.puts, s.flushes, s.fences), (0, 0, 0, 0));
+        assert_eq!((s.rounds, s.puts, s.flushes), (0, 0, 0));
         assert_eq!(s.overlap_fraction, 0.0);
     }
 
@@ -932,15 +898,14 @@ mod tests {
 
     #[test]
     fn flush_without_fences_edge_cases() {
-        // Simulation-mode shape: flushes and puts, zero fences. The
-        // flush completing after a later round's put still counts as
-        // overlapped, and the structure records the io bytes.
+        // Simulation-mode shape: flushes and puts, no synchronisation
+        // calls. The flush completing after a later round's put still
+        // counts as overlapped, and the structure records the io bytes.
         let t = Trace::from_events(vec![
             ev(1, 0, 0, 0, TraceOp::RmaPut, 10, 1),
             ev(2, 0, 0, 1, TraceOp::RmaPut, 10, 1),
             ev(9, 1, 0, 0, TraceOp::Flush, 10, NO_PEER),
         ]);
-        assert_eq!(t.summary().fences, 0);
         assert!(t.overlap_fraction() > 0.99, "flush landed after round 1 started");
         let s = t.structural();
         assert_eq!(s.partitions[0].rounds[0].io_bytes, 10);

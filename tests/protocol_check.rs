@@ -77,7 +77,6 @@ fn thread_pipeline_trace_is_protocol_clean() {
     let trace = thread_trace("thread-clean", &profile, &w.decls(), &cfg, None);
     let s = trace.summary();
     assert!(s.signals > 0 && s.signals == s.waits, "expected a synchronised trace: {s:?}");
-    assert_eq!(s.fences, 0, "the round pipeline issues no fences");
     let v = check(&trace);
     assert!(v.is_empty(), "thread trace has violations: {v:?}");
 }

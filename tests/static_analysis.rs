@@ -1,14 +1,15 @@
-//! Adversarial corpus for the static aggregation-plan analyzer.
+//! Corpus for the static analyzer's user checks.
 //!
-//! Each case constructs (or mutates into existence) a schedule with a
-//! specific defect and asserts the analyzer reports exactly the
-//! expected [`StaticViolation`] variant with its witness; a seeded
-//! sweep then asserts clean paper-grid configs prove out with zero
-//! violations. The autotune test pins the static screen: illegal grid
-//! points are discarded before any simulation.
+//! Each case builds a real config and declaration set carrying one
+//! user mistake and asserts the analyzer reports the expected
+//! [`StaticViolation`] variant with its witness; legal shapes the
+//! executors support (overlapping reads, one rank's own overlapping
+//! writes) must pass, and a sweep asserts clean paper-grid configs
+//! prove out with zero violations. The autotune test pins the static
+//! screen: illegal grid points are discarded before any simulation.
 
 use tapioca::analyze::{
-    analyze, analyze_with_capacity, derive_symbolic, StaticViolation, SymbolicSchedule,
+    analyze, check_capacity, derive_symbolic, StaticViolation, SymbolicSchedule,
 };
 use tapioca::autotune::autotune_from;
 use tapioca::config::TapiocaConfig;
@@ -21,9 +22,13 @@ use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
 
 fn spec_of(decls: Vec<Vec<WriteDecl>>) -> CollectiveSpec {
+    spec_as(AccessMode::Write, decls)
+}
+
+fn spec_as(mode: AccessMode, decls: Vec<Vec<WriteDecl>>) -> CollectiveSpec {
     CollectiveSpec {
         groups: vec![GroupSpec { file: 0, ranks: (0..decls.len()).collect(), decls }],
-        mode: AccessMode::Write,
+        mode,
     }
 }
 
@@ -39,7 +44,7 @@ fn d(offset: u64, len: u64) -> Vec<WriteDecl> {
     vec![WriteDecl { offset, len }]
 }
 
-// ---- pass 1: extent overlap --------------------------------------------
+// ---- extent overlap ----------------------------------------------------
 
 #[test]
 fn overlapping_declarations_yield_extent_overlap() {
@@ -61,91 +66,62 @@ fn overlapping_declarations_yield_extent_overlap() {
     assert!(ra.1 > rb.0 && rb.1 > ra.0, "witness ranges actually overlap");
 }
 
-// ---- pass 2: window bounds & alignment ---------------------------------
-
 #[test]
-fn out_of_slot_put_yields_window_overflow() {
-    let profile = theta_profile(4, 2);
-    let decls = vec![d(0, 512), d(512, 512)];
-    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
-    let mut sym = symbolic(&profile, decls, &cfg);
-    assert!(analyze(&sym, &cfg).is_empty(), "clean schedule must prove out");
-    // Push one put past its slot boundary.
-    let put = &mut sym.groups[0].partitions[0].rounds[0].puts[0];
-    put.window_offset = 3 * cfg.buffer_size;
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| matches!(
-            x,
-            StaticViolation::WindowOverflow { offset, .. } if *offset == 3 * cfg.buffer_size
-        )),
-        "escaped put must overflow: {v:?}"
-    );
-}
-
-#[test]
-fn skewed_flush_yields_misaligned_flush() {
-    let profile = theta_profile(4, 2);
-    let decls = vec![d(0, 512), d(512, 512)];
-    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
-    let mut sym = symbolic(&profile, decls, &cfg);
-    let seg = &mut sym.groups[0].partitions[0].rounds[0].flushes[0];
-    seg.buf_offset += 16;
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| matches!(
-            x,
-            StaticViolation::MisalignedFlush { buf_offset, expected, .. }
-                if *buf_offset == *expected + 16
-        )),
-        "skewed segment must misalign: {v:?}"
-    );
-}
-
-// ---- pass 3: round agreement -------------------------------------------
-
-#[test]
-fn inflated_put_yields_round_mismatch() {
-    let profile = theta_profile(4, 2);
-    let decls = vec![d(0, 512), d(512, 512)];
-    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
-    let mut sym = symbolic(&profile, decls, &cfg);
-    sym.groups[0].partitions[0].rounds[0].puts[0].bytes += 64;
-    let v = analyze(&sym, &cfg);
-    assert!(
-        v.iter().any(|x| matches!(x, StaticViolation::RoundMismatch { .. })),
-        "inflated put must break the byte account: {v:?}"
-    );
-}
-
-// ---- pass 4: fence-graph acyclicity ------------------------------------
-
-#[test]
-fn reversed_visit_order_yields_fence_cycle() {
-    let profile = theta_profile(4, 2);
-    // Both ranks own data in both halves of the span, so both visit
-    // both partitions.
+fn overlap_behind_a_rank_s_own_longer_put_is_found() {
+    // Rank 0's [0, 1024) reaches past its own [100, 200); rank 1's
+    // [500, 600) sorts after both and overlaps only the first.
+    let profile = theta_profile(4, 1);
     let decls = vec![
-        vec![WriteDecl { offset: 0, len: 256 }, WriteDecl { offset: 1024, len: 256 }],
-        vec![WriteDecl { offset: 512, len: 256 }, WriteDecl { offset: 1536, len: 256 }],
+        vec![WriteDecl { offset: 0, len: 1024 }, WriteDecl { offset: 100, len: 100 }],
+        d(500, 100),
     ];
-    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 1024, ..Default::default() };
-    let mut sym = symbolic(&profile, decls, &cfg);
-    assert!(analyze(&sym, &cfg).is_empty(), "clean schedule must prove out");
-    assert!(sym.groups[0].visit_order.iter().all(|(_, v)| v.len() == 2));
-    // Rank 1 now enters the partitions in the opposite order: a lock-
-    // order inversion over the subgroup fences.
-    sym.groups[0].visit_order[1].1.reverse();
-    let v = analyze(&sym, &cfg);
-    let cycle = v.iter().find_map(|x| match x {
-        StaticViolation::FenceCycle { cycle } => Some(cycle.clone()),
-        _ => None,
-    });
-    let cycle = cycle.expect("inverted visit order must cycle");
-    assert!(cycle.len() >= 2, "cycle witness names the partitions: {cycle:?}");
+    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
+    let v = analyze(&symbolic(&profile, decls, &cfg), &cfg);
+    assert!(
+        matches!(
+            v.as_slice(),
+            [StaticViolation::ExtentOverlap {
+                rank_a: 0,
+                rank_b: 1,
+                range_a: (0, 1024),
+                range_b: (500, 600),
+                ..
+            }]
+        ),
+        "the overlap hidden behind rank 0's own put must be caught: {v:?}"
+    );
 }
 
-// ---- pass 5: fault reachability & coverage -----------------------------
+#[test]
+fn overlapping_reads_pass_validate_static() {
+    // Both readers get the file's bytes; `read_equivalence` reads this
+    // shape back.
+    let profile = theta_profile(4, 2);
+    let spec = spec_as(AccessMode::Read, vec![d(0, 1024), d(512, 1024)]);
+    let built = TapiocaConfig::builder()
+        .aggregators(2)
+        .buffer_bytes(1024)
+        .validate_static(&profile, &spec);
+    assert!(built.is_ok(), "overlapping reads are legal: {:?}", built.err());
+}
+
+#[test]
+fn a_lone_rank_s_overlapping_writes_pass_validate_static() {
+    // One rank's own overlapping chunks: its later write wins, as the
+    // thread executor writes it through the window.
+    let profile = theta_profile(4, 1);
+    let spec = spec_of(vec![vec![
+        WriteDecl { offset: 0, len: 768 },
+        WriteDecl { offset: 256, len: 768 },
+    ]]);
+    let built = TapiocaConfig::builder()
+        .aggregators(1)
+        .buffer_bytes(1024)
+        .validate_static(&profile, &spec);
+    assert!(built.is_ok(), "a rank may overlap its own writes: {:?}", built.err());
+}
+
+// ---- fault reachability ------------------------------------------------
 
 #[test]
 fn crash_in_nonexistent_round_is_unreachable() {
@@ -199,41 +175,78 @@ fn crash_in_single_rank_partition_has_no_standby() {
 }
 
 #[test]
-fn dropped_segment_yields_uncovered_bytes() {
+fn crash_after_the_degrade_round_is_unreachable() {
+    // A stall exhausts the retry budget at round 0, so the partition
+    // writes directly from there and the round-1 crash never fires.
     let profile = theta_profile(4, 2);
-    let decls = vec![d(0, 512), d(512, 512)];
-    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
-    let mut sym = symbolic(&profile, decls, &cfg);
-    let round = &mut sym.groups[0].partitions[0].rounds[0];
-    let expected = round.bytes;
-    round.flushes.pop();
+    let decls = vec![d(0, 1024), d(1024, 1024)];
+    let faults = FaultPlan::seeded(1)
+        .with(FaultSpec::FlushStall { partition: 0, round: 0 })
+        .with(FaultSpec::AggregatorCrash { partition: 0, round: 1 });
+    let cfg = TapiocaConfig {
+        num_aggregators: 1,
+        buffer_size: 1024,
+        faults: Some(faults),
+        ..Default::default()
+    };
+    let sym = symbolic(&profile, decls, &cfg);
+    assert_eq!(sym.groups[0].partitions[0].degrade_round, Some(0));
     let v = analyze(&sym, &cfg);
     assert!(
-        v.iter().any(|x| matches!(
-            x,
-            StaticViolation::UncoveredBytes { expected: e, covered, .. }
-                if *e == expected && *covered < expected
-        )),
-        "coverage gap must be flagged: {v:?}"
+        matches!(
+            v.as_slice(),
+            [StaticViolation::FaultUnreachable { fault, reason }]
+                if fault == "crash=0@1" && reason.contains("degrades at round 0")
+        ),
+        "a crash behind the degrade point must be flagged: {v:?}"
     );
 }
 
-// ---- pass 6: tier capacity ---------------------------------------------
+#[test]
+fn a_second_crash_spec_for_one_partition_is_unreachable() {
+    // One crash per partition compiles: the first spec naming it.
+    let profile = theta_profile(4, 2);
+    let decls = vec![d(0, 1024), d(1024, 1024)];
+    let faults = FaultPlan::seeded(1)
+        .with(FaultSpec::AggregatorCrash { partition: 0, round: 0 })
+        .with(FaultSpec::AggregatorCrash { partition: 0, round: 1 });
+    let cfg = TapiocaConfig {
+        num_aggregators: 1,
+        buffer_size: 1024,
+        faults: Some(faults),
+        ..Default::default()
+    };
+    let v = analyze(&symbolic(&profile, decls, &cfg), &cfg);
+    assert!(
+        matches!(
+            v.as_slice(),
+            [StaticViolation::FaultUnreachable { fault, .. }] if fault == "crash=0@1"
+        ),
+        "the shadowed crash must be flagged: {v:?}"
+    );
+}
+
+// ---- tier capacity -----------------------------------------------------
 
 #[test]
 fn zero_capacity_tier_is_rejected() {
+    assert_eq!(
+        check_capacity(1024, "empty-tier", 0),
+        Some(StaticViolation::CapacityExceeded { tier: "empty-tier", required: 2048, capacity: 0 }),
+        "double buffer cannot fit a zero-capacity tier"
+    );
+    assert_eq!(check_capacity(1024, "exact-tier", 2048), None, "a double buffer that fits");
+    // `analyze` bounds the double buffer by DRAM (192 GiB).
     let profile = theta_profile(4, 2);
-    let decls = vec![d(0, 512), d(512, 512)];
-    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 1024, ..Default::default() };
-    let sym = symbolic(&profile, decls, &cfg);
-    let v = analyze_with_capacity(&sym, &cfg, "empty-tier", 0);
+    let cfg = TapiocaConfig { num_aggregators: 1, buffer_size: 100 << 30, ..Default::default() };
+    let v = analyze(&symbolic(&profile, vec![d(0, 512), d(512, 512)], &cfg), &cfg);
     assert!(
-        v.iter().any(|x| matches!(
-            x,
-            StaticViolation::CapacityExceeded { tier: "empty-tier", required, capacity: 0 }
-                if *required == 2 * cfg.buffer_size
-        )),
-        "double buffer cannot fit a zero-capacity tier: {v:?}"
+        matches!(
+            v.as_slice(),
+            [StaticViolation::CapacityExceeded { tier: "dram_direct", required, .. }]
+                if *required == 200 << 30
+        ),
+        "a 2 x 100 GiB double buffer overflows DRAM: {v:?}"
     );
 }
 
@@ -276,6 +289,11 @@ fn validate_static_accepts_clean_and_rejects_overlap() {
     assert_eq!(cfg.num_aggregators, 2);
 
     let overlapping = spec_of(vec![d(0, 1024), d(0, 1024)]);
+    let v = analyze(&derive_symbolic(&profile, &overlapping, &cfg).unwrap(), &cfg);
+    assert!(
+        matches!(v.as_slice(), [StaticViolation::ExtentOverlap { rank_a: 0, rank_b: 1, .. }]),
+        "one write overlap, reported once: {v:?}"
+    );
     let err = TapiocaConfig::builder()
         .aggregators(2)
         .buffer_bytes(1024)
