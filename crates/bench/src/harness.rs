@@ -6,7 +6,7 @@ use tapioca::sim_exec::{run_tapioca_sim, CollectiveSpec, GroupSpec, SimReport, S
 use tapioca_baseline::romio::MpiIoConfig;
 use tapioca_baseline::sim::run_mpiio_sim;
 use tapioca_pfs::AccessMode;
-use tapioca_topology::{MachineProfile, Rank};
+use tapioca_topology::MachineProfile;
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
 
@@ -65,11 +65,6 @@ pub fn hacc_theta(nodes: usize, rpn: usize, particles_per_rank: u64, layout: Lay
         groups: vec![GroupSpec { file: 0, ranks: (0..n).collect(), decls: w.decls() }],
         mode: AccessMode::Write,
     }
-}
-
-/// All global ranks of a spec (for io-node queries in custom drivers).
-pub fn all_ranks(spec: &CollectiveSpec) -> Vec<Rank> {
-    spec.groups.iter().flat_map(|g| g.ranks.iter().copied()).collect()
 }
 
 /// One measured point of a series.

@@ -29,6 +29,17 @@
 //! rank; many small declarations per round (strided rows) stage all but
 //! the last chunk of every round, in any order.
 //!
+//! The bookkeeping of one `write` reads a few contiguous records,
+//! whatever the declaration count: one binary search of the extent
+//! table (a row per declaration, sorted by `(offset, len)`, naming the
+//! declaration's run of chunk records), one pass over that run (flat
+//! chunk index, partition, round and slice of the caller's bytes per
+//! chunk), and an O(1) readiness test per round — a count per
+//! (partition, round) of the chunks this rank still owes it,
+//! decremented as its declarations arrive and reset when the epoch
+//! completes. The rest of a call is its bytes: staged, or put and
+//! written by the rounds it completes.
+//!
 //! A [`Session`] is reusable across **epochs**: once every declared
 //! write of an epoch has been issued (on every rank), the next `write`
 //! round starts the next epoch against the same schedule. The session
@@ -106,6 +117,32 @@ enum ChunkState {
     Pending(usize),
     /// Consumed by its round (or direct-written after a degrade).
     Done,
+}
+
+/// One row of the extent table `write` searches: a declaration's
+/// `(offset, len)`, its index, and its run `recs[first..end]` of chunk
+/// records.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    offset: u64,
+    len: u64,
+    decl: usize,
+    first: usize,
+    end: usize,
+}
+
+/// One chunk of a declaration, as `write` needs it: where its progress
+/// and its round's arrival count live, and which bytes of the caller's
+/// slice it takes.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkRec {
+    /// Flat chunk index (`chunk_state`).
+    gi: usize,
+    /// Plan part slot.
+    pslot: u32,
+    round: u32,
+    var_offset: u64,
+    len: u64,
 }
 
 /// Where a round's puts read their payload: the variable being written
@@ -288,14 +325,46 @@ impl<'c> SessionBuilder<'c> {
         });
         let layout = (*layout).clone().map_err(TapiocaError::InvalidConfig)?;
         let plan = RankStreamPlan::new(&layout.schedule, comm.rank());
-        let mut var_chunks: Vec<Vec<(usize, usize)>> = vec![Vec::new(); decls.len()];
+        // One extent row per declaration, in declaration order until
+        // the sort; `first` counts the declaration's chunks until the
+        // runs are laid out.
+        let mut extents: Vec<Extent> = decls
+            .iter()
+            .enumerate()
+            .map(|(decl, d)| Extent { offset: d.offset, len: d.len, decl, first: 0, end: 0 })
+            .collect();
+        for c in plan.parts.iter().flat_map(|pp| &pp.chunks) {
+            extents[c.var].first += 1;
+        }
+        let mut next = 0;
+        for x in &mut extents {
+            let n = x.first;
+            x.first = next;
+            x.end = next;
+            next += n;
+        }
+        // Chunk records grouped by declaration, in plan order within
+        // each; a row's `end` is the fill cursor of its run.
+        let mut recs = vec![ChunkRec::default(); plan.total_chunks];
+        let mut round_base = Vec::with_capacity(plan.parts.len());
+        let mut arrivals = Vec::new();
         for (pslot, pp) in plan.parts.iter().enumerate() {
+            round_base.push(arrivals.len());
+            arrivals.extend(pp.round_ranges.iter().map(|&(s, e)| e - s));
             for (li, c) in pp.chunks.iter().enumerate() {
-                var_chunks[c.var].push((pslot, li));
+                let x = &mut extents[c.var];
+                recs[x.end] = ChunkRec {
+                    gi: pp.chunk_base + li,
+                    pslot: pslot as u32,
+                    round: c.round,
+                    var_offset: c.var_offset,
+                    len: c.len,
+                };
+                x.end += 1;
             }
         }
-        let mut by_extent: Vec<usize> = (0..decls.len()).collect();
-        by_extent.sort_by_key(|&i| (decls[i].offset, decls[i].len));
+        // Duplicates stay in declaration order.
+        extents.sort_unstable_by_key(|x| (x.offset, x.len, x.decl));
         let nparts = plan.parts.len();
         let nchunks = plan.total_chunks;
         let ndecls = decls.len();
@@ -305,10 +374,13 @@ impl<'c> SessionBuilder<'c> {
             cfg,
             topo,
             decls,
-            by_extent,
+            extents,
+            recs,
             layout,
             plan,
-            var_chunks,
+            round_base,
+            waiting: arrivals.clone(),
+            arrivals,
             seq,
             ctxs: RefCell::new(std::iter::repeat_with(|| None).take(nparts).collect()),
             avail: vec![false; ndecls],
@@ -338,14 +410,22 @@ pub struct Session<'c> {
     cfg: TapiocaConfig,
     topo: Arc<dyn TopologyProvider>,
     decls: Vec<WriteDecl>,
-    /// Declaration indices sorted by `(offset, len)`, declaration order
-    /// among duplicates: `write` binary-searches its declaration here.
-    by_extent: Vec<usize>,
+    /// One row per declaration, sorted by `(offset, len)`, declaration
+    /// order among duplicates: `write` binary-searches its declaration
+    /// here.
+    extents: Vec<Extent>,
+    /// Every chunk of this rank, grouped by declaration.
+    recs: Vec<ChunkRec>,
     /// Shared with every other member of the communicator.
     layout: Arc<SessionLayout>,
     plan: RankStreamPlan,
-    /// Per declared var: its chunks as `(plan part slot, local index)`.
-    var_chunks: Vec<Vec<(usize, usize)>>,
+    /// Per plan part: where its rounds start in `arrivals`/`waiting`.
+    round_base: Vec<usize>,
+    /// Per (plan part, round): this rank's chunks of the round.
+    arrivals: Vec<usize>,
+    /// Per (plan part, round): chunks still to arrive this epoch; a
+    /// round is ready at 0.
+    waiting: Vec<usize>,
     seq: u64,
     /// Per plan part: the partition context, formed by whichever of a
     /// write epoch and `read_declared` needs it first and kept for
@@ -424,6 +504,10 @@ impl<'c> Session<'c> {
     /// this rank execute before this call returns; the epoch's last
     /// declared write drives the pipeline to completion.
     ///
+    /// Bookkeeping per call: one search in the extent table, one run of
+    /// the declaration's chunk records, and an O(1) readiness test per
+    /// round (see the [module docs](self)).
+    ///
     /// # Errors
     /// [`TapiocaError::InvalidConfig`] if `(offset, data.len())` matches
     /// no outstanding declared write of this rank in the current epoch
@@ -434,23 +518,24 @@ impl<'c> Session<'c> {
     /// the session stays usable.
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<WriteOutcome> {
         let key = (offset, data.len() as u64);
-        let extent = |&i: &usize| (self.decls[i].offset, self.decls[i].len);
-        let first = self.by_extent.partition_point(|i| extent(i) < key);
-        let var = self.by_extent[first..]
+        let at = self.extents.partition_point(|x| (x.offset, x.len) < key);
+        let x = *self.extents[at..]
             .iter()
-            .take_while(|i| extent(i) == key)
-            .copied()
-            .find(|&i| !self.avail[i])
+            .take_while(|x| (x.offset, x.len) == key)
+            .find(|x| !self.avail[x.decl])
             .ok_or_else(|| {
                 TapiocaError::InvalidConfig(format!(
                     "write of {} bytes at offset {offset} matches no outstanding declaration",
                     data.len()
                 ))
             })?;
-        self.avail[var] = true;
+        self.avail[x.decl] = true;
         self.issued += 1;
-        self.advance(var, data);
-        self.stash_or_direct(var, data);
+        for rec in &self.recs[x.first..x.end] {
+            self.waiting[self.round_base[rec.pslot as usize] + rec.round as usize] -= 1;
+        }
+        self.advance(x.decl, data);
+        self.stash_or_direct(x.first..x.end, data);
         if self.issued == self.decls.len() {
             self.complete_epoch()
         } else {
@@ -473,9 +558,10 @@ impl<'c> Session<'c> {
             topo,
             layout,
             plan,
+            round_base,
+            waiting,
             seq,
             ctxs,
-            avail,
             chunk_state,
             cur_part,
             active,
@@ -502,11 +588,10 @@ impl<'c> Session<'c> {
             let r = active.as_ref().map_or(0, |a| a.next_round);
             if r < nrounds {
                 // Round-readiness: every chunk this rank owes to round r
-                // must be at hand (an empty range is vacuously ready —
-                // the rank is the round's aggregator, or the round is a
-                // collective crash or degrade point).
-                let (s, e) = pp.round_ranges[r];
-                if !pp.chunks[s..e].iter().all(|c| avail[c.var]) {
+                // must be at hand (a round it owes nothing is vacuously
+                // ready — the rank is the round's aggregator, or the
+                // round is a collective crash or degrade point).
+                if waiting[round_base[*cur_part] + r] > 0 {
                     // The caller holds the missing bytes: write the
                     // closed round before handing control back to it.
                     if let Some(run) = active.as_mut() {
@@ -590,28 +675,28 @@ impl<'c> Session<'c> {
         }
     }
 
-    /// Park the chunks of `var` that `advance` did not consume: copy
-    /// them into the staging arena (counted), or — when their partition
-    /// already degraded — write them straight to the file.
-    fn stash_or_direct(&mut self, var: usize, live: &[u8]) {
-        for &(pslot, li) in &self.var_chunks[var] {
-            let pp = &self.plan.parts[pslot];
-            let c = pp.chunks[li];
-            let gi = pp.chunk_base + li;
-            if !matches!(self.chunk_state[gi], ChunkState::Waiting) {
+    /// Park the chunks of the records `recs` of the declaration being
+    /// written that `advance` did not consume: copy them into the
+    /// staging arena (counted), or — when their partition already
+    /// degraded — write them straight to the file.
+    fn stash_or_direct(&mut self, recs: std::ops::Range<usize>, live: &[u8]) {
+        for rec in &self.recs[recs] {
+            if !matches!(self.chunk_state[rec.gi], ChunkState::Waiting) {
                 continue;
             }
-            let d = &live[c.var_offset as usize..(c.var_offset + c.len) as usize];
-            if self.degraded_from[pslot].is_some_and(|dr| c.round as usize >= dr) {
-                if let Err(e) = direct_write(&self.file, &c, d) {
+            let d = &live[rec.var_offset as usize..(rec.var_offset + rec.len) as usize];
+            let pslot = rec.pslot as usize;
+            if self.degraded_from[pslot].is_some_and(|dr| rec.round as usize >= dr) {
+                let pp = &self.plan.parts[pslot];
+                if let Err(e) = direct_write(&self.file, &pp.chunks[rec.gi - pp.chunk_base], d) {
                     self.epoch_failed.get_or_insert(e);
                 }
-                self.chunk_state[gi] = ChunkState::Done;
+                self.chunk_state[rec.gi] = ChunkState::Done;
                 continue;
             }
-            self.chunk_state[gi] = ChunkState::Pending(self.stage.len());
+            self.chunk_state[rec.gi] = ChunkState::Pending(self.stage.len());
             self.stage.extend_from_slice(d);
-            self.epoch_stats.staging_copy_bytes += c.len;
+            self.epoch_stats.staging_copy_bytes += rec.len;
         }
     }
 
@@ -624,6 +709,7 @@ impl<'c> Session<'c> {
         self.epochs_completed += 1;
         self.epoch_stats = IoStats::default();
         self.avail.iter_mut().for_each(|a| *a = false);
+        self.waiting.copy_from_slice(&self.arrivals);
         self.issued = 0;
         self.cur_part = 0;
         self.rounds_completed = 0;

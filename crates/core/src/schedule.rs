@@ -212,11 +212,6 @@ impl Schedule {
     pub fn total_bytes(&self) -> u64 {
         self.partitions.iter().map(|p| p.total_bytes()).sum()
     }
-
-    /// Partition extent size (all partitions but possibly the last).
-    pub fn partition_size(&self) -> u64 {
-        self.partitions.first().map(|p| p.end - p.start).unwrap_or(0)
-    }
 }
 
 /// One partition of a [`RankStreamPlan`]: the rank's own chunks of the

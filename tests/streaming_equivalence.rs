@@ -12,15 +12,19 @@
 //!   per-epoch stats and the same final bytes as a fresh one;
 //! * a round the aggregator fills alone is written from the caller's
 //!   bytes, or from the staging arena when they arrived early;
+//! * after every streamed `write()`, the rounds completed are exactly
+//!   the ready prefix of the rank's (partition, round) steps;
 //! * (with the `trace` feature) streamed traces — including per-epoch
 //!   traces of a reused session, faulty runs, and perturbed
 //!   interleavings — satisfy every checker invariant unchanged.
 
 use tapioca::prelude::*;
+use tapioca::schedule::RankStreamPlan;
 use tapioca_mpi::{Runtime, SharedFile};
 use tapioca_topology::{mira_profile, theta_profile, MachineProfile, TopologyProvider};
 use tapioca_workloads::hacc::{HaccIo, Layout};
 use tapioca_workloads::ior::IorSpec;
+use tapioca_workloads::GridDecomp;
 
 use std::sync::Arc;
 
@@ -255,6 +259,112 @@ fn in_place_rounds_write_staged_chunks_across_reused_epochs() {
             "epoch {epoch}: no aggregator wrote staged chunks in place"
         );
     }
+}
+
+/// How many of `plan`'s (partition, round) steps, in pipeline order,
+/// are ready once the declarations in `issued` are: a step is ready
+/// when every chunk this rank owes it belongs to an issued declaration
+/// (a step it owes nothing is ready), and the prefix ends at the first
+/// step that is not.
+fn ready_prefix(plan: &RankStreamPlan, issued: &[bool]) -> u64 {
+    plan.parts
+        .iter()
+        .flat_map(|pp| pp.round_ranges.iter().map(move |&(s, e)| &pp.chunks[s..e]))
+        .take_while(|chunks| chunks.iter().all(|c| issued[c.var]))
+        .count() as u64
+}
+
+/// Run three epochs of one session over `decls`, each rank issuing its
+/// writes in its own order, and check every streamed `write()`'s
+/// `rounds_completed` against [`ready_prefix`], then the file.
+fn rounds_follow_the_ready_prefix(name: &str, decls: &[Vec<WriteDecl>], cfg: &TapiocaConfig) {
+    // A byte of the image is a function of its file offset, so a rank
+    // declaring one extent twice writes the same bytes both times.
+    let at = |o: u64| (o * 7 + o / 251) as u8;
+    let path = tmp(name);
+    let watchdog = Some(std::time::Duration::from_secs(30));
+    let steps = Runtime::run_with_watchdog(decls.len(), watchdog, |comm| {
+        let file = SharedFile::open_shared(&comm, &path);
+        let r = comm.rank();
+        let mine = &decls[r];
+        let mut io = Session::builder(&comm, file)
+            .declarations(mine.clone())
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        let plan = RankStreamPlan::new(io.schedule(), r);
+        let mut checked = 0;
+        for epoch in 0..3 {
+            // In declaration order first, so the prefix grows a step at
+            // a time, then in two seeded shuffles.
+            let order = match epoch {
+                0 => (0..mine.len()).collect(),
+                _ => shuffled(mine.len(), r, 16 + epoch),
+            };
+            let mut issued = vec![false; mine.len()];
+            for v in order {
+                let d = mine[v];
+                let data: Vec<u8> = (d.offset..d.offset + d.len).map(at).collect();
+                let outcome = io.write(d.offset, &data).unwrap();
+                issued[v] = true;
+                if let WriteOutcome::Streamed { rounds_completed } = outcome {
+                    let want = ready_prefix(&plan, &issued);
+                    assert_eq!(
+                        rounds_completed, want,
+                        "{name}: rank {r} epoch {epoch}, after declaration {v}"
+                    );
+                    checked += 1;
+                } else {
+                    assert!(issued.iter().all(|&i| i), "{name}: rank {r}: {outcome:?} early");
+                }
+            }
+        }
+        io.finalize();
+        checked
+    });
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    for d in decls.iter().flatten() {
+        let got = &bytes[d.offset as usize..][..d.len as usize];
+        assert!(got.iter().zip(d.offset..).all(|(&b, o)| b == at(o)), "{name}: {d:?}");
+    }
+    assert!(steps.iter().sum::<usize>() > 0, "{name}: no streamed write was checked");
+}
+
+#[test]
+fn rounds_completed_is_the_ready_prefix_of_the_issued_declarations() {
+    // The strided `thr-grid-restart` shape, reduced: 8 ranks x 64 rows of
+    // 256 B, four partitions of eight 4 KiB rounds.
+    let grid = GridDecomp::new_3d(16, 16, 64, 2, 2, 2, 8);
+    let rows: Vec<Vec<WriteDecl>> = (0..8).map(|r| grid.decls_of_rank(r)).collect();
+    let cfg = TapiocaConfig { num_aggregators: 4, buffer_size: 4096, ..Default::default() };
+    rounds_follow_the_ready_prefix("ready-grid", &rows, &cfg);
+
+    // Four ranks x three interleaved declarations of uneven lengths
+    // around 600 B, in 256 B rounds of two partitions: every
+    // declaration owns three or four chunks, some in both partitions.
+    let mut spans = vec![Vec::new(); 4];
+    let mut end = 0;
+    for v in 0..3 {
+        for (r, mine) in (0..).zip(&mut spans) {
+            let len = 600 + 37 * v + 11 * r;
+            mine.push(WriteDecl { offset: end, len });
+            end += len;
+        }
+    }
+    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 256, ..Default::default() };
+    rounds_follow_the_ready_prefix("ready-spanning", &spans, &cfg);
+
+    // Three ranks, each declaring its 512 B block twice beside a 128 B
+    // tail: the twin chunks share every round.
+    let twice: Vec<Vec<WriteDecl>> = (0..3u64)
+        .map(|r| {
+            let block = WriteDecl { offset: r * 512, len: 512 };
+            vec![block, WriteDecl { offset: 1536 + r * 128, len: 128 }, block]
+        })
+        .collect();
+    let cfg = TapiocaConfig { num_aggregators: 2, buffer_size: 384, ..Default::default() };
+    rounds_follow_the_ready_prefix("ready-twice", &twice, &cfg);
 }
 
 #[cfg(feature = "trace")]
