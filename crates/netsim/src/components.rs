@@ -35,13 +35,30 @@
 //! visiting the other blocks' flows. Components of at most
 //! [`BLOCKS_ABOVE`] members keep neither blocks nor loads.
 //!
-//! Event lookup is a two-level heap: each slot holds a min-heap of its
-//! members' completion times (rebuilt at each re-waterfill), and a
-//! global index heap holds one `(next completion, root, version)` entry
-//! per re-waterfill. Index entries are invalidated lazily: an entry is
-//! live only while its slot is still a root and its version matches,
-//! so merges and re-waterfills simply strand the old entries to be
-//! skipped on pop.
+//! `link_flows` lists the active flows of block-keeping components on
+//! each link, so the blocks on a link that a re-solved block filled up
+//! are found from that link alone rather than by scanning the
+//! component's members. Only partial solves couple, so only they list:
+//! each lists its group's flows, and the first one after a whole solve
+//! (`CompSlot::unlisted`) lists every member first. A flow that
+//! arrived since is in the group of the next solve, so every flow a
+//! partial solve can couple is listed. A list is emptied when its link
+//! goes idle, and rid of completed flows once it holds twice the link's
+//! active count. Components solved whole, such as those too small to
+//! keep blocks, list nothing.
+//!
+//! Event lookup is a two-level heap. Each slot holds a min-heap of its
+//! members' `(completion time, flow)` entries that lives as long as the
+//! component: an activating flow pushes one, a re-waterfill pushes one
+//! for each flow whose rate changed, and a union moves the loser's
+//! entries into the winner. An entry goes stale when its flow completes
+//! or its completion time moves; stale entries are skipped when they
+//! reach the top, and a heap that grows past twice its member count is
+//! compacted (`CompSlot::over_bound`). A global index heap holds one
+//! `(next completion, root, version)` entry per re-waterfill. Index
+//! entries are invalidated lazily too: an entry is live only while its
+//! slot is still a root and its version matches, so merges and
+//! re-waterfills simply strand the old entries to be skipped on pop.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,6 +66,9 @@ use std::collections::BinaryHeap;
 use tapioca_topology::LinkIx;
 
 use crate::engine::{FlowId, TimeKey};
+
+/// A component's completion entries, earliest first.
+pub(crate) type CompletionHeap = BinaryHeap<Reverse<(TimeKey, FlowId)>>;
 
 /// Sentinel for "link currently owned by no component".
 const NO_COMP: u32 = u32::MAX;
@@ -92,9 +112,11 @@ pub(crate) struct CompSlot {
     /// which is what keeps the waterfill freeze order — and therefore
     /// the produced bits — independent of when compaction happens.
     pub flows: Vec<FlowId>,
-    /// Min-heap of `(completion time, flow)` over members, rebuilt at
-    /// each re-waterfill of this component.
-    pub completions: BinaryHeap<Reverse<(TimeKey, FlowId)>>,
+    /// Min-heap of `(completion time, flow)` entries: every live member
+    /// has one keyed by its current completion time, and the entries of
+    /// completed flows and of superseded times are stale (see the module
+    /// docs).
+    pub completions: CompletionHeap,
     /// Bumped at each re-waterfill; the global index stores the version
     /// an entry was published under, so older entries read as stale.
     pub version: u64,
@@ -113,6 +135,18 @@ pub(crate) struct CompSlot {
     /// Roundings any one of the component's link loads may have taken
     /// since a whole re-waterfill last set them (see [`LOAD_DRIFT_MAX`]).
     pub drift: u32,
+    /// Members may be missing from the link flow lists: set by every
+    /// whole re-waterfill, which lists nothing, and cleared by the next
+    /// partial one, which lists them first.
+    pub unlisted: bool,
+}
+
+impl CompSlot {
+    /// Whether the completion heap holds more than twice as many entries
+    /// as the component has members, and is due for compaction.
+    pub fn over_bound(&self) -> bool {
+        self.completions.len() > 2 * self.flows.len()
+    }
 }
 
 /// Union-find over component slots plus the link-ownership table and
@@ -126,6 +160,10 @@ pub(crate) struct Components {
     comp_of_link: Vec<u32>,
     /// Active flows currently routed over each link.
     pub link_active: Vec<u32>,
+    /// The flows listed on each link since it was last idle (see the
+    /// module docs); completed ones stay until the list is compacted.
+    /// Grown on first use.
+    pub link_flows: Vec<Vec<u32>>,
     /// Total frozen rate of the active flows on each link, kept for
     /// links of components that are not `stale`.
     pub link_load: Vec<f64>,
@@ -217,9 +255,9 @@ impl Components {
 
     /// Attach an activating flow: union the components its route's links
     /// belong to (allocating a fresh slot when all links were idle),
-    /// append the flow, claim the links, and mark the result dirty.
-    /// Returns the root.
-    pub fn attach(&mut self, id: FlowId, route: &[LinkIx]) -> u32 {
+    /// append the flow, push its completion entry at `t`, claim the
+    /// links, and mark the result dirty. Returns the root.
+    pub fn attach(&mut self, id: FlowId, route: &[LinkIx], t: TimeKey) -> u32 {
         debug_assert!(!route.is_empty());
         let mut base = NO_COMP;
         for &l in route {
@@ -241,6 +279,7 @@ impl Components {
         }
         let slot = &mut self.slots[base as usize];
         slot.flows.push(id);
+        slot.completions.push(Reverse((t, id)));
         slot.live += 1;
         slot.route_entries += route.len() as u32;
         for &l in route {
@@ -249,6 +288,22 @@ impl Components {
         }
         self.mark_dirty(base);
         base
+    }
+
+    /// List active flow `id` on its route's links. A list holding twice
+    /// its link's active count first keeps only the flows `active`
+    /// accepts.
+    pub fn list(&mut self, id: FlowId, route: &[LinkIx], active: impl Fn(FlowId) -> bool) {
+        if self.link_flows.len() < self.link_active.len() {
+            self.link_flows.resize_with(self.link_active.len(), Vec::new);
+        }
+        for &l in route {
+            let on = &mut self.link_flows[l];
+            if on.len() >= 2 * self.link_active[l] as usize {
+                on.retain(|&f| active(f as FlowId));
+            }
+            on.push(id as u32);
+        }
     }
 
     /// Release a completed flow of component `root`: decrement link
@@ -266,6 +321,9 @@ impl Components {
             if self.link_active[l] == 0 {
                 self.comp_of_link[l] = NO_COMP;
                 self.link_load[l] = 0.0;
+                if let Some(on) = self.link_flows.get_mut(l) {
+                    on.clear();
+                }
             } else if keep_loads {
                 self.link_load[l] -= rate;
             }
@@ -275,7 +333,8 @@ impl Components {
     /// Union two roots; the side with more live route entries keeps its
     /// slot (ties break to the smaller id, so the merge direction is a
     /// deterministic function of the event history). The loser's member
-    /// list is appended to the winner's and its shell is invalidated.
+    /// list and completion entries move to the winner and its shell is
+    /// invalidated.
     fn union(&mut self, a: u32, b: u32) -> u32 {
         debug_assert!(a != b);
         let wa = self.slots[a as usize].route_entries;
@@ -284,21 +343,24 @@ impl Components {
         self.parent[lose as usize] = win;
         let loser = &mut self.slots[lose as usize];
         let mut moved = std::mem::take(&mut loser.flows);
+        let mut completions = std::mem::take(&mut loser.completions);
         let live = loser.live;
         let entries = loser.route_entries;
         let stale = std::mem::take(&mut loser.stale);
         let drift = std::mem::take(&mut loser.drift);
+        let unlisted = std::mem::take(&mut loser.unlisted);
         loser.live = 0;
         loser.route_entries = 0;
         loser.dirty = false;
-        loser.completions.clear();
         loser.version = loser.version.wrapping_add(1);
         let winner = &mut self.slots[win as usize];
         winner.flows.append(&mut moved);
+        winner.completions.append(&mut completions);
         winner.live += live;
         winner.route_entries += entries;
         winner.stale |= stale;
         winner.drift = winner.drift.max(drift);
+        winner.unlisted |= unlisted;
         win
     }
 }

@@ -32,6 +32,14 @@
 //! gateway but write to different OSTs form one component of several
 //! blocks, and a completion at one OST re-solves just its block.
 //!
+//! The bookkeeping around a solve follows the group as well. Completion
+//! entries persist across re-waterfills: only flows whose rate changed
+//! push a new one, and stale ones are skipped lazily (see the
+//! `components` module). The blocks a solve must take in are found
+//! from the flow lists of the links it filled up. Only gathering the
+//! group walks the component's members, once per pass and in
+//! component order, which fixes the freeze order and with it the bits.
+//!
 //! Flow progress is anchored rather than settled eagerly: each active
 //! flow carries `(anchor, remaining, rate)` and its byte count is only
 //! re-settled when a re-waterfill changes its rate *bitwise*. Because
@@ -65,7 +73,9 @@ use std::collections::{BinaryHeap, HashMap};
 
 use tapioca_topology::{Interconnect, LinkIx};
 
-use crate::components::{near_capacity, Components, BLOCKS_ABOVE, LOAD_DRIFT_MAX};
+use crate::components::{
+    near_capacity, CompletionHeap, Components, BLOCKS_ABOVE, LOAD_DRIFT_MAX,
+};
 use crate::{SimTime, BYTE_EPS, TIME_EPS};
 
 /// Identifier of a submitted flow.
@@ -128,6 +138,8 @@ struct Flow {
     block: u32,
     /// On a flow that names a block: the block needs re-waterfilling.
     block_dirty: bool,
+    /// On its links' flow lists (see the `components` module).
+    listed: bool,
 }
 
 /// Total-ordered f64 key for the event heaps.
@@ -214,9 +226,6 @@ struct LinkScratch {
     unfixed: u32,
     /// Chosen as a bottleneck by the solve.
     binding: bool,
-    /// Shared with a block outside the group and left without headroom
-    /// by the solve.
-    coupled: bool,
 }
 
 impl Scratch {
@@ -305,6 +314,49 @@ impl Scratch {
     fn tight(&self, l: LinkIx, caps: &[f64]) -> bool {
         self.link[l].binding || near_capacity(self.new_load(l, caps), caps[l])
     }
+}
+
+/// When an active flow completes at its frozen rate: its anchor once
+/// the remainder is dust, else `anchor + remaining / rate` (+∞ at rate
+/// 0). A completion entry is keyed by this.
+fn completion_time(f: &Flow) -> SimTime {
+    if f.remaining <= BYTE_EPS {
+        f.anchor
+    } else {
+        f.anchor + f.remaining / f.rate
+    }
+}
+
+/// Whether completion entry `(t, id)` still stands for `id`'s completion:
+/// the flow is active and `t` has the bits of its completion time.
+fn entry_valid(flows: &[Flow], t: TimeKey, id: FlowId) -> bool {
+    let f = &flows[id];
+    f.phase == Phase::Active && completion_time(f).to_bits() == t.0.to_bits()
+}
+
+/// The earliest valid entry of a completion heap, after popping the
+/// stale entries above it.
+fn next_valid(heap: &mut CompletionHeap, flows: &[Flow]) -> Option<(TimeKey, FlowId)> {
+    while let Some(&Reverse((t, id))) = heap.peek() {
+        if entry_valid(flows, t, id) {
+            return Some((t, id));
+        }
+        heap.pop();
+    }
+    None
+}
+
+/// Drop a completion heap's stale entries. A flow re-rated back to the
+/// bits of an entry it left behind has two valid entries; when the
+/// valid entries outnumber the `live` flows, those duplicates go too.
+fn compact(heap: &mut CompletionHeap, flows: &[Flow], live: usize) {
+    let mut entries = std::mem::take(heap).into_vec();
+    entries.retain(|&Reverse((t, id))| entry_valid(flows, t, id));
+    if entries.len() > live {
+        entries.sort_unstable();
+        entries.dedup();
+    }
+    *heap = BinaryHeap::from(entries);
 }
 
 /// The links of an interned route span.
@@ -485,6 +537,7 @@ impl Simulator {
             dependents: NO_EDGE,
             block: id as u32,
             block_dirty: false,
+            listed: false,
         });
         let mut deps_left = 0;
         let mut dep_release: SimTime = 0.0;
@@ -595,9 +648,9 @@ impl Simulator {
     /// Re-waterfill one component: its dirty blocks, or every member when
     /// `whole`, when the component is small, or when its blocks or link
     /// loads are not known or trusted (see `CompSlot::stale` and
-    /// `CompSlot::drift`). Flows whose rate changed bitwise are settled
-    /// and re-anchored at the current time; the component's completion
-    /// heap is rebuilt and a fresh event-index entry published.
+    /// `CompSlot::drift`). Flows whose rate changed bitwise are settled,
+    /// re-anchored at the current time and given a fresh completion
+    /// entry, and a fresh event-index entry is published.
     ///
     /// Solving only the dirty blocks gives the rates a whole-component
     /// waterfill would, bit for bit. A block's rates come from its own
@@ -620,14 +673,25 @@ impl Simulator {
             let slot = &mut self.comps.slots[rix];
             slot.flows.retain(|&id| flows[id].phase == Phase::Active);
             slot.version = slot.version.wrapping_add(1);
-            slot.completions.clear();
             let blocks = slot.flows.len() > BLOCKS_ABOVE;
             let stale = std::mem::replace(&mut slot.stale, !blocks);
             if slot.flows.is_empty() {
+                slot.completions.clear();
                 return;
             }
             (whole || stale || !blocks || slot.drift >= LOAD_DRIFT_MAX, blocks)
         };
+        // A partial solve couples through the link lists, so every member
+        // must be on them by then.
+        let partial = !whole;
+        let slot = &mut self.comps.slots[rix];
+        if whole {
+            slot.unlisted = true;
+        } else if std::mem::take(&mut slot.unlisted) {
+            for i in 0..slot.flows.len() {
+                self.list(self.comps.slots[rix].flows[i]);
+            }
+        }
         let whole = loop {
             let comps = &self.comps;
             let flows = &self.flows;
@@ -639,7 +703,7 @@ impl Simulator {
             );
             scr.waterfill(flows, &self.route_arena, &self.caps);
             let all = scr.group.len() == members.len();
-            if all || !self.couple_blocks(rix) {
+            if all || !self.couple_blocks() {
                 break all;
             }
         };
@@ -647,44 +711,43 @@ impl Simulator {
             self.relabel_group();
             self.update_loads(rix, whole);
         }
+        if partial {
+            for k in 0..self.scratch.group.len() {
+                self.list(self.scratch.group[k]);
+            }
+        }
         self.apply_group(rix, root);
     }
 
     /// Find the links the solved group shares with blocks outside it
     /// that the solve made a bottleneck or left within the tight margin
-    /// of capacity, and mark every block crossing one dirty, so the next
-    /// pass solves them with the group. Returns whether any block was
-    /// added.
-    fn couple_blocks(&mut self, rix: usize) -> bool {
-        let scr = &mut self.scratch;
+    /// of capacity, and mark every block with an active flow on one
+    /// dirty, so the next pass solves them with the group. Returns
+    /// whether any block was added: every flow outside the group on a
+    /// coupled link is listed (see the `components` module), so one is.
+    fn couple_blocks(&mut self) -> bool {
+        let scr = &self.scratch;
         let comps = &self.comps;
-        let mut any = false;
-        for i in 0..scr.touched.len() {
-            let l = scr.touched[i];
+        let mut added = false;
+        for &l in &scr.touched {
             if comps.link_active[l] as usize == scr.flows_on[l].len() {
                 continue;
             }
             let old = scr.old_load(l, &self.flows);
             let load = comps.link_load[l] - old + scr.new_load(l, &self.caps);
-            let s = &mut scr.link[l];
-            if s.binding || near_capacity(load, self.caps[l]) {
-                s.coupled = true;
-                any = true;
+            if !scr.link[l].binding && !near_capacity(load, self.caps[l]) {
+                continue;
+            }
+            for &id in &comps.link_flows[l] {
+                let f = &self.flows[id as usize];
+                let block = f.block as usize;
+                if f.phase == Phase::Active && !self.flows[block].block_dirty {
+                    self.flows[block].block_dirty = true;
+                    added = true;
+                }
             }
         }
-        if !any {
-            return false;
-        }
-        for &id in &comps.slots[rix].flows {
-            let Flow { span, block, .. } = self.flows[id];
-            if links(&self.route_arena, span)
-                .iter()
-                .any(|&l| !scr.flows_on[l].is_empty() && scr.link[l].coupled)
-            {
-                self.flows[block as usize].block_dirty = true;
-            }
-        }
-        true
+        added
     }
 
     /// Split the solved group into rate-coupled blocks: union its flows
@@ -724,6 +787,16 @@ impl Simulator {
         }
     }
 
+    /// Put flow `id` on its links' flow lists, unless it is on them.
+    fn list(&mut self, id: FlowId) {
+        if !self.flows[id].listed {
+            self.flows[id].listed = true;
+            let flows = &self.flows;
+            let active = |g: FlowId| flows[g].phase == Phase::Active;
+            self.comps.list(id, links(&self.route_arena, flows[id].span), active);
+        }
+    }
+
     /// Bring the link loads up to date with the solved rates, before they
     /// are applied: exactly on links no flow outside the group uses
     /// (every link, when the group is the `whole` component), by
@@ -748,13 +821,14 @@ impl Simulator {
     }
 
     /// Apply the group's solved rates: settle flows whose rate changed
-    /// bitwise, rebuild the component's completion heap and publish one
-    /// event-index entry.
+    /// bitwise and push their new completion entries, compact the
+    /// component's completion heap if it outgrew its bound, and publish
+    /// one event-index entry.
     fn apply_group(&mut self, rix: usize, root: u32) {
-        let scr = &self.scratch;
         let now = self.time;
-        for (k, &id) in scr.group.iter().enumerate() {
-            let r = scr.rates[k];
+        let slot = &mut self.comps.slots[rix];
+        for (k, &id) in self.scratch.group.iter().enumerate() {
+            let r = self.scratch.rates[k];
             let f = &mut self.flows[id];
             if r.to_bits() != f.rate.to_bits() {
                 if now > f.anchor {
@@ -762,29 +836,17 @@ impl Simulator {
                 }
                 f.anchor = now;
                 f.rate = r;
+                slot.completions.push(Reverse((TimeKey(completion_time(f)), id)));
             }
         }
-
-        // The heap is built once, by `BinaryHeap::from` over the old
-        // heap's cleared vector; its keys `(TimeKey, FlowId)` are
-        // unique, so the pop order does not depend on how it was built.
-        let slot = &mut self.comps.slots[rix];
-        let mut completions = std::mem::take(&mut slot.completions).into_vec();
-        let mut min_ct = f64::INFINITY;
-        for &id in &slot.flows {
-            let f = &self.flows[id];
-            let ct = if f.remaining <= BYTE_EPS {
-                f.anchor
-            } else {
-                f.anchor + f.remaining / f.rate
-            };
-            completions.push(Reverse((TimeKey(ct), id)));
-            if TimeKey(ct) < TimeKey(min_ct) {
-                min_ct = ct;
-            }
+        if slot.over_bound() {
+            compact(&mut slot.completions, &self.flows, slot.flows.len());
         }
-        slot.completions = BinaryHeap::from(completions);
-        self.comps.index.push(Reverse((TimeKey(min_ct), root, slot.version)));
+        // Entry keys `(TimeKey, FlowId)` are unique per live flow, so the
+        // valid entries pop in the order of a heap built afresh.
+        let next = next_valid(&mut slot.completions, &self.flows);
+        let next = next.map_or(TimeKey(f64::INFINITY), |(t, _)| t);
+        self.comps.index.push(Reverse((next, root, slot.version)));
     }
 
     /// Earliest cached completion across components, skipping index
@@ -860,9 +922,10 @@ impl Simulator {
                 // A new flow is a dirty block of its own.
                 f.block = id as u32;
                 f.block_dirty = true;
+                let t = TimeKey(completion_time(f));
                 self.n_active += 1;
                 self.comps.ensure_links(self.caps.len());
-                self.comps.attach(id, links(&self.route_arena, span));
+                self.comps.attach(id, links(&self.route_arena, span), t);
             }
         }
     }
@@ -889,11 +952,12 @@ impl Simulator {
     }
 
     /// Pop and complete this component's members whose cached completion
-    /// time is within `limit`, at the current time.
+    /// time is within `limit`, at the current time, skipping stale
+    /// entries.
     fn drain_component(&mut self, root: u32, limit: TimeKey) {
         let t_evt = self.time;
         let rix = root as usize;
-        while let Some(&Reverse((t, id))) = self.comps.slots[rix].completions.peek() {
+        while let Some((t, id)) = next_valid(&mut self.comps.slots[rix].completions, &self.flows) {
             if t > limit {
                 break;
             }
@@ -922,6 +986,41 @@ impl Simulator {
     /// incremental path (`false`, the default).
     fn set_full_recompute(&mut self, full: bool) {
         self.full_recompute = full;
+    }
+
+    /// Run until idle like [`Simulator::run_to_idle`], asserting after
+    /// every step that no component's completion heap is over its
+    /// compaction bound.
+    fn run_checked(&mut self) -> SimTime {
+        while self.step() {
+            for (c, slot) in self.comps.slots.iter().enumerate() {
+                assert!(
+                    !slot.over_bound(),
+                    "component {c}: {} completion entries for {} members",
+                    slot.completions.len(),
+                    slot.flows.len()
+                );
+            }
+        }
+        self.time
+    }
+
+    /// `(entries, valid entries of flow id)` in the completion heap of
+    /// the component whose member list holds `id`.
+    fn heap_of(&self, id: FlowId) -> (usize, usize) {
+        let slot = self.comps.slots.iter().find(|slot| slot.flows.contains(&id));
+        let heap = &slot.expect("flow is a member").completions;
+        let valid = heap
+            .iter()
+            .filter(|&&Reverse((t, f))| f == id && entry_valid(&self.flows, t, f))
+            .count();
+        (heap.len(), valid)
+    }
+
+    /// Stale entries across every completion heap.
+    fn stale_entries(&self) -> usize {
+        let heaps = self.comps.slots.iter().flat_map(|slot| slot.completions.iter());
+        heaps.filter(|&&Reverse((t, f))| !entry_valid(&self.flows, t, f)).count()
     }
 }
 
@@ -1291,7 +1390,7 @@ mod tests {
             let mut s = Simulator::with_capacities(Vec::new());
             s.set_full_recompute(full);
             build(&mut s);
-            s.run_to_idle();
+            s.run_checked();
             (0..s.num_flows())
                 .map(|f| s.finish_time(f).expect("flow completed").to_bits())
                 .collect()
@@ -1624,7 +1723,7 @@ mod tests {
                 ids.push(sim.submit(sim.now() + 0.1, [shared, vl], 3e9));
             }
 
-            sim.run_to_idle();
+            sim.run_checked();
             ids.iter()
                 .map(|&id| sim.finish_time(id).expect("all flows complete").to_bits())
                 .collect()
@@ -1691,7 +1790,7 @@ mod tests {
                 }
                 sim.scale_capacities(0.5 + rng.f64() * 0.5);
             }
-            sim.run_to_idle();
+            sim.run_checked();
             ids.iter()
                 .map(|&id| sim.finish_time(id).expect("all flows complete").to_bits())
                 .collect()
@@ -1778,6 +1877,204 @@ mod tests {
                         build_rounds(s, parts, shared, kind)
                     });
                 }
+            }
+        }
+
+        /// `a` runs at 5 (its own link) while `b`, `c` and `f` share
+        /// `l1`/`l2` with it. At t = 1.25 `c` completes, `a` drops to 14/3
+        /// and `f`, re-rated with 6e-4 B left, completes at that instant
+        /// in the next step; the step after puts `a` back at 5. Eight
+        /// flows on `z`, and `w`, whose arrival compacted the heap, give
+        /// it room, and `y` (done at 14) keeps `a`'s first entry (20.25)
+        /// off the top while it is stale, so it survives beside the one
+        /// pushed on `a`'s return: two valid entries, one completion.
+        /// `x`, alone at t = 10, ends a step before `a` completes.
+        fn rerate_and_back(s: &mut Simulator) -> FlowId {
+            let l1 = s.add_virtual_link(14.0);
+            let l2 = s.add_virtual_link(6.0);
+            let la = s.add_virtual_link(5.0);
+            let roomy = s.add_virtual_link(1e6);
+            let z = s.add_virtual_link(8.0);
+            let (lx, ly) = (s.add_virtual_link(1.0), s.add_virtual_link(1.0));
+            for _ in 0..8 {
+                s.submit(0.0, vec![roomy, z], 1e3);
+            }
+            s.submit(0.0, vec![roomy, ly], 14.0); // y
+            s.submit(0.125, vec![z], 1e3); // w
+            let a = s.submit(0.25, vec![l1, la, roomy], 100.0);
+            s.submit(0.25, vec![l1, l2], 1e3); // b
+            s.submit(0.25, vec![l2], 3.0); // c: done at 1.25
+            s.submit(0.25, vec![l1], 6.0006); // f
+            s.submit(10.0, vec![lx], 1.0); // x
+            a
+        }
+
+        #[test]
+        fn rerated_back_to_its_bits_completes_once() {
+            assert_identical_labeled("re-rated and back", |s| {
+                rerate_and_back(s);
+            });
+            let mut s = Simulator::with_capacities(Vec::new());
+            let a = rerate_and_back(&mut s);
+            // (time of the step's refill, rate after it) per change
+            let mut rates = vec![(s.now(), s.flows[a].rate)];
+            let mut most_valid = 0;
+            loop {
+                let t = s.now();
+                if !s.step() {
+                    break;
+                }
+                if s.flows[a].phase == Phase::Active {
+                    most_valid = most_valid.max(s.heap_of(a).1);
+                }
+                if s.flows[a].rate.to_bits() != rates.last().expect("seeded").1.to_bits() {
+                    rates.push((t, s.flows[a].rate));
+                }
+            }
+            let at_125: Vec<f64> = rates.iter().filter(|r| r.0 == 1.25).map(|r| r.1).collect();
+            assert_eq!(at_125, [14.0 / 3.0, 5.0], "rates of a: {rates:?}");
+            assert_eq!(most_valid, 2, "the old and the new entry of a are both valid");
+            assert_eq!(s.finish_time(a), Some(20.25));
+            assert_eq!(s.n_active, 0);
+        }
+
+        /// Two components, each holding stale entries (`sx`/`sy` re-rated
+        /// every flow on its link after `wx`/`wy` had compacted the
+        /// heap), merge when `bridge` arrives over their roomy links
+        /// without re-rating anyone. The merged heap carries both sides'
+        /// stale entries, and every step completes the same flows at the
+        /// same times as the full-recompute reference.
+        fn union_of_stale(s: &mut Simulator) -> FlowId {
+            let mut side = |cap: f64, t: f64| {
+                let (z, roomy) = (s.add_virtual_link(cap), s.add_virtual_link(1e6));
+                for i in 0..6 {
+                    s.submit(0.0, vec![z, roomy], 50.0 + i as f64);
+                }
+                s.submit(t, vec![z], 60.0); // wx / wy
+                s.submit(2.0 * t, vec![z], 2.0); // sx / sy
+                roomy
+            };
+            let (rx, ry) = (side(6.0, 0.25), side(9.0, 0.125));
+            let own = s.add_virtual_link(2.0);
+            s.submit(0.75, vec![rx, ry, own], 4.0)
+        }
+
+        /// Per step that completed any flow: the time's bits and the
+        /// flows it completed.
+        fn completion_steps(
+            full: bool,
+            build: impl Fn(&mut Simulator) -> FlowId,
+        ) -> Vec<(u64, Vec<FlowId>)> {
+            let mut s = Simulator::with_capacities(Vec::new());
+            s.set_full_recompute(full);
+            build(&mut s);
+            let mut done = vec![false; s.num_flows()];
+            let mut steps = Vec::new();
+            while s.step() {
+                let now: Vec<FlowId> = (0..s.num_flows())
+                    .filter(|&f| !done[f] && s.finish_time(f).is_some())
+                    .collect();
+                for &f in &now {
+                    done[f] = true;
+                }
+                if !now.is_empty() {
+                    steps.push((s.now().to_bits(), now));
+                }
+            }
+            steps
+        }
+
+        #[test]
+        fn union_carrying_stale_entries_drains_in_reference_order() {
+            let reference = completion_steps(true, union_of_stale);
+            assert_eq!(completion_steps(false, union_of_stale), reference);
+            let mut s = Simulator::with_capacities(Vec::new());
+            let bridge = union_of_stale(&mut s);
+            while s.status(bridge) != FlowStatus::Active {
+                assert!(s.step());
+            }
+            // The union has happened; the refill that follows has not.
+            let (entries, _) = s.heap_of(bridge);
+            let merged = s.comps.slots.iter().find(|slot| slot.flows.contains(&bridge));
+            assert_eq!(merged.expect("bridge is a member").flows.len(), 17);
+            let stale = s.stale_entries();
+            assert!(stale >= 16, "both sides' stale entries: {stale} of {entries}");
+            assert_eq!(
+                entries,
+                s.comps.slots.iter().map(|slot| slot.completions.len()).sum::<usize>(),
+                "the loser's entries moved to the winner"
+            );
+            s.run_checked();
+        }
+
+        /// One storage-shaped workload built for the per-link flow
+        /// lists: 1,200 flushes in 120 chains of ten, each over a
+        /// private link, the single gateway and one of the sinks. The
+        /// gateway's capacity is 60–90% of the sinks' total, so as
+        /// chains start and end it goes tight (coupling every block on
+        /// it) and roomy again. Returns the flows' finish-time bits and,
+        /// for the incremental run, checks after every step that the
+        /// gateway's flow list stays within twice the peak count of
+        /// active flows on it and records whether its flows were seen
+        /// in one block and in several.
+        fn gateway_case(case: u64, full: bool) -> (Vec<u64>, (bool, bool)) {
+            let mut rng = Rng(0x6A7E_0000 ^ case.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            let mut sim = Simulator::with_capacities(Vec::new());
+            sim.set_full_recompute(full);
+            let sinks: Vec<usize> =
+                (0..6).map(|_| sim.add_virtual_link(1e9 * (2 + rng.below(6)) as f64)).collect();
+            let total: f64 = sinks.iter().map(|&l| sim.caps[l]).sum();
+            let gateway = sim.add_virtual_link(total * (0.6 + 0.1 * (case % 4) as f64));
+            let private: Vec<usize> = (0..40).map(|_| sim.add_virtual_link(4e9)).collect();
+            let flows = 1_200;
+            let mut prev: Vec<FlowId> = Vec::new();
+            for i in 0..flows {
+                let route = [
+                    private[rng.below(private.len() as u64) as usize],
+                    gateway,
+                    sinks[rng.below(sinks.len() as u64) as usize],
+                ];
+                let deps: Vec<FlowId> = if i >= 120 { vec![prev[i - 120]] } else { vec![] };
+                let start = rng.f64() * 0.2;
+                let bytes = 1e7 + rng.f64() * 1e9;
+                prev.push(sim.submit_with_deps(start, 0.0, route, bytes, &deps));
+            }
+            let (mut peak, mut one, mut several) = (0, false, false);
+            while sim.step() {
+                if full {
+                    continue;
+                }
+                let active = sim.comps.link_active.get(gateway).copied().unwrap_or(0) as usize;
+                peak = peak.max(active);
+                if let Some(listed) = sim.comps.link_flows.get(gateway) {
+                    assert!(listed.len() <= 2 * peak, "{} listed, peak {peak}", listed.len());
+                }
+                let mut blocks: Vec<u32> = prev
+                    .iter()
+                    .filter(|&&f| sim.flows[f].phase == Phase::Active)
+                    .map(|&f| sim.flows[f].block)
+                    .collect();
+                blocks.sort_unstable();
+                blocks.dedup();
+                one |= active >= 2 && blocks.len() == 1;
+                several |= blocks.len() >= 2;
+            }
+            assert!(peak < 200, "peak of {peak} active flows on the gateway");
+            let bits = prev.iter().map(|&f| sim.finish_time(f).expect("done").to_bits()).collect();
+            (bits, (one, several))
+        }
+
+        /// More than a thousand flows cross one gateway whose blocks
+        /// couple and uncouple; the run is bit-identical to full
+        /// recompute and the gateway's flow list stays bounded.
+        #[test]
+        fn gateway_flow_lists_bit_identical_and_bounded() {
+            for case in 0..4 {
+                let (reference, _) = gateway_case(case, true);
+                let (got, (one, several)) = gateway_case(case, false);
+                assert_eq!(got.len(), 1_200);
+                assert_eq!(got, reference, "case {case}: Incremental diverged from Full");
+                assert!(one && several, "case {case}: coupled {one}, split {several}");
             }
         }
     }
